@@ -26,23 +26,19 @@ from .solver import (
     Discretization,
     PathwiseSolveError,
     ProblemData,
-    SpaceTimeSolution,
     TimeGrid,
     assemble_full_system,
     assemble_load,
     best_approximation,
     build_grams,
-    energy_bound_report,
     evaluate_norm,
     forcing_dual_norm_sq,
-    legendre_project,
     mode_problem,
     solve_pathwise,
     trial_energy_norm,
 )
 from .stochastic import (
     CoefficientModel,
-    MomentEstimate,
     ParameterDomain,
     classify_trend,
     lp_norm,

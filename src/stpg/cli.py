@@ -13,15 +13,15 @@ Subcommands reproduce the stock experiments at desk scale:
   values
 
 Every report is a CSV file with a fixed header, floats printed with 17
-significant digits, and content that is byte-identical across reruns
-and across worker counts.
+significant digits, and content that is byte-identical across reruns.
+The file is written atomically, so a failed run leaves no partial CSV.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,25 +68,9 @@ class ExperimentConfig:
     j_max: int = 5
     p_values: tuple = (1.0, 2.0)
     quad_ladder: tuple = (8, 16, 32, 64, 128, 256)
-    seed: int = 0
     omega: float = 0.25
-    jobs: int = 0
     out: str = ""
     max_dofs: int = consts.DEFAULT_DOF_CAP
-
-    def worker_count(self) -> int:
-        if self.jobs > 0:
-            return self.jobs
-        return os.cpu_count() or 1
-
-
-def _parallel_map(fn, items, jobs: int):
-    """Ordered map over work items; results are independent of jobs."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value) -> str:
@@ -100,25 +84,49 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, header, rows, trailer=()):
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-        for line in trailer:
-            fh.write("# " + line + "\n")
+    """Write a report to path atomically.
+
+    The rows go to a temporary file in the same directory, which then
+    replaces path in one rename; on any failure the temporary file is
+    removed and path is left as it was.
+    """
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for line in trailer:
+                fh.write("# " + line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def _setup(case: str, seed: int):
+def _setup(case: str):
     model = stochastic.CoefficientModel(case=case)
-    domain = stochastic.default_domain(case, seed=seed)
+    domain = stochastic.default_domain(case)
     return model, domain
 
 
-def _discretization(dim: int, degree: int, n_cells: int, n_steps: int):
-    mesh = fem.build_mesh(dim, n_cells, degree)
-    pair = fem.assemble(mesh)
+def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
+                    space_time: bool = False):
+    """Mesh, spatial pair and uniform time grid of one configuration.
+
+    The size cap is checked before any matrix is built: against the
+    spatial dofs for pathwise sweeps, against the space-time trial size
+    (dofs times steps) for the dense systems of infsup.
+    """
+    mesh = fem.build_mesh(config.dim, n_cells, config.degree)
+    size = mesh.n_dof * n_steps if space_time else mesh.n_dof
+    if size > config.max_dofs:
+        kind = "trial" if space_time else "spatial"
+        raise ResourceCapError(f"{kind} size {size} exceeds cap {config.max_dofs}")
     grid = solver.TimeGrid.uniform(1.0, n_steps)
-    return solver.Discretization(pair=pair, grid=grid)
+    return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
 
 
 def scaled_solution_norm(data, disc, omega: float) -> float:
@@ -140,16 +148,19 @@ def scaled_solution_norm(data, disc, omega: float) -> float:
 
 
 def run_moments(config: ExperimentConfig):
-    """Moment-ladder experiment; returns (rows, classifications)."""
-    model, domain = _setup(config.case, config.seed)
+    """Moment-ladder experiment; returns (rows, classifications, trailer)."""
+    model, domain = _setup(config.case)
     if config.case not in ("a", "b", "c", "d"):
         raise ValueError(f"moments experiment needs a named case, got {config.case!r}")
-    if len(config.quad_ladder) < 4:
+    ladder = config.quad_ladder
+    if len(ladder) < 4:
         raise ValueError("quadrature ladder needs at least 4 sizes")
-    disc = _discretization(config.dim, config.degree, config.n_cells[0],
-                           config.n_steps[0])
-    if disc.n_dof > config.max_dofs:
-        raise ResourceCapError(f"spatial size {disc.n_dof} exceeds cap")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("quadrature ladder sizes must be strictly increasing")
+    for p in config.p_values:
+        if not 1 <= p < math.inf:
+            raise ValueError(f"moment order p must satisfy 1 <= p < inf, got {p}")
+    disc = _discretization(config, config.n_cells[0], config.n_steps[0])
     data = solver.mode_problem(model, disc)
 
     estimates = {p: [] for p in config.p_values}
@@ -157,8 +168,7 @@ def run_moments(config: ExperimentConfig):
     for n_quad in config.quad_ladder:
         nodes, weights = stochastic.quadrature(domain, n_quad,
                                                avoid=model.singular_points)
-        values = _parallel_map(lambda w: scaled_solution_norm(data, disc, w),
-                               nodes, config.worker_count())
+        values = [scaled_solution_norm(data, disc, w) for w in nodes]
         for p in config.p_values:
             est, flagged = stochastic.lp_norm(p, values, weights)
             estimates[p].append(est)
@@ -190,8 +200,12 @@ def _pathwise_mode_error(model, disc, data, omega: float) -> float:
 
 
 def run_convergence(config: ExperimentConfig):
-    """Mean-error convergence table over the ladder h = 2^-j, k = 2^-2j."""
-    model, domain = _setup(config.case, config.seed)
+    """Mean-error convergence table over the ladder h = 2^-j, k = 2^-2j.
+
+    Stops at the first level over the size cap and reports it as
+    truncated. The rate is nan where either error is zero or not finite.
+    """
+    model, domain = _setup(config.case)
     if not 2 <= config.j_min <= config.j_max <= 7:
         raise ValueError("j range must satisfy 2 <= j_min <= j_max <= 7")
     n_quad = config.quad_ladder[0]
@@ -201,24 +215,19 @@ def run_convergence(config: ExperimentConfig):
     truncated = False
     prev = None
     for j in range(config.j_min, config.j_max + 1):
-        n_cells = 2 ** j
-        n_steps = 4 ** j
-        disc = _discretization(config.dim, config.degree, n_cells, n_steps)
-        if disc.n_dof > config.max_dofs:
+        try:
+            disc = _discretization(config, 2 ** j, 4 ** j)
+        except ResourceCapError:
             truncated = True
             break
         data = solver.mode_problem(model, disc)
-        errors = _parallel_map(
-            lambda w: _pathwise_mode_error(model, disc, data, w),
-            nodes, config.worker_count())
-        errors = np.asarray(errors)
+        errors = np.array([_pathwise_mode_error(model, disc, data, w) for w in nodes])
         mean_error = float(np.sum(weights * errors)) if np.all(np.isfinite(errors)) \
             else math.nan
         h = disc.pair.mesh.h
         k = disc.grid.k_max
-        if prev is None:
-            rate = math.nan
-        else:
+        rate = math.nan
+        if prev is not None and 0 < prev[1] < math.inf and 0 < mean_error < math.inf:
             rate = math.log(prev[1] / mean_error) / math.log(prev[0] / h)
         rows.append((config.case, j, h, k, n_quad, mean_error, rate))
         prev = (h, mean_error)
@@ -228,16 +237,13 @@ def run_convergence(config: ExperimentConfig):
 
 def run_infsup(config: ExperimentConfig):
     """Stability-constant grid over (n_cells, n_steps, parameter node)."""
-    model, domain = _setup(config.case, config.seed)
+    model, domain = _setup(config.case)
     n_quad = config.quad_ladder[0]
     nodes, _ = stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
     rows = []
     for n_cells in config.n_cells:
         for n_steps in config.n_steps:
-            disc = _discretization(config.dim, config.degree, n_cells, n_steps)
-            if disc.trial_size > config.max_dofs:
-                raise ResourceCapError(
-                    f"trial size {disc.trial_size} exceeds cap {config.max_dofs}")
+            disc = _discretization(config, n_cells, n_steps, space_time=True)
             k = disc.grid.k_max
             c_s = consts.cfl_constant(disc.pair, k)
             for omega in nodes:
@@ -252,7 +258,8 @@ def run_infsup(config: ExperimentConfig):
                 gram_test = solver.build_grams(disc, a, "X_omega_hk")
                 sig_min, sig_max = consts.discrete_infsup(
                     bilinear, gram_trial, gram_test, dof_cap=config.max_dofs)
-                c_s_omega = consts.cfl_omega(disc.pair, k, omega, model)
+                # the weighted CFL constant of scalar diffusion, as in cfl_omega
+                c_s_omega = a * c_s / math.sqrt(12.0)
                 bounds = consts.theoretical_constants(a, a)
                 rows.append((config.case, n_cells, n_steps, omega, a,
                              sig_min, sig_max, c_s, c_s_omega,
@@ -262,18 +269,15 @@ def run_infsup(config: ExperimentConfig):
 
 def run_solve(config: ExperimentConfig):
     """One pathwise solve, dumped as interval-indexed nodal values."""
-    model, _ = _setup(config.case, config.seed)
-    disc = _discretization(config.dim, config.degree, config.n_cells[0],
-                           config.n_steps[0])
-    if disc.n_dof > config.max_dofs:
-        raise ResourceCapError(f"spatial size {disc.n_dof} exceeds cap")
+    model, _ = _setup(config.case)
+    disc = _discretization(config, config.n_cells[0], config.n_steps[0])
     data = solver.mode_problem(model, disc)
     sol = solver.solve_pathwise(data, disc, config.omega)
     rows = []
     for i in range(disc.grid.n_intervals):
         t_right = disc.grid.nodes[i + 1]
         for dof in range(disc.n_dof):
-            rows.append((i + 1, t_right, dof, sol.values[i, dof]))
+            rows.append((i + 1, t_right, dof, sol[i, dof]))
     return rows
 
 
@@ -318,11 +322,14 @@ def build_parser() -> _Parser:
         cmd.add_argument("--n-quad-ladder", type=_int_list,
                          default=(8, 16, 32, 64, 128, 256),
                          help="quadrature sizes; single value for a fixed rule")
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--seed", type=int, default=0,
+                         help="accepted for compatibility; has no effect, every "
+                              "rule is deterministic")
         cmd.add_argument("--omega", type=float, default=0.25,
                          help="parameter value for single-path solves")
         cmd.add_argument("--jobs", type=int, default=0,
-                         help="worker threads, 0 = available cores")
+                         help="accepted for compatibility; has no effect, paths "
+                              "run serially")
         cmd.add_argument("--max-dofs", type=int, default=consts.DEFAULT_DOF_CAP)
         cmd.add_argument("--out", required=True, help="output CSV path")
     return parser
@@ -340,12 +347,23 @@ def config_from_args(args) -> ExperimentConfig:
         j_max=args.j_max,
         p_values=args.p,
         quad_ladder=args.n_quad_ladder,
-        seed=args.seed,
         omega=args.omega,
-        jobs=args.jobs,
         out=args.out,
         max_dofs=args.max_dofs,
     )
+
+
+def _report(config: ExperimentConfig):
+    """Run the subcommand; returns (header, rows, trailer, exit code)."""
+    if config.subcommand == "moments":
+        rows, _, trailer = run_moments(config)
+        return MOMENTS_HEADER, rows, trailer, EXIT_OK
+    if config.subcommand == "convergence":
+        rows, truncated, trailer = run_convergence(config)
+        return CONVERGENCE_HEADER, rows, trailer, EXIT_RESOURCE if truncated else EXIT_OK
+    if config.subcommand == "infsup":
+        return INFSUP_HEADER, run_infsup(config), (), EXIT_OK
+    return SOLVE_HEADER, run_solve(config), (), EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -353,20 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = config_from_args(args)
     try:
-        if config.subcommand == "moments":
-            rows, _, trailer = run_moments(config)
-            write_csv(config.out, MOMENTS_HEADER, rows, trailer)
-        elif config.subcommand == "convergence":
-            rows, truncated, trailer = run_convergence(config)
-            write_csv(config.out, CONVERGENCE_HEADER, rows, trailer)
-            if truncated:
-                return EXIT_RESOURCE
-        elif config.subcommand == "infsup":
-            rows = run_infsup(config)
-            write_csv(config.out, INFSUP_HEADER, rows)
-        else:
-            rows = run_solve(config)
-            write_csv(config.out, SOLVE_HEADER, rows)
+        header, rows, trailer, status = _report(config)
     except ValueError as exc:
         print(f"stpg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -376,7 +381,13 @@ def main(argv=None) -> int:
     except (solver.PathwiseSolveError, np.linalg.LinAlgError) as exc:
         print(f"stpg: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK
+    try:
+        write_csv(config.out, header, rows, trailer)
+    except OSError as exc:
+        print(f"stpg: error: cannot write {config.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    return status
 
 
 if __name__ == "__main__":

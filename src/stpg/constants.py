@@ -38,10 +38,6 @@ class ConstantsReport:
 
     sigma_min: float = math.nan
     sigma_max: float = math.nan
-    c_s: float = math.nan
-    c_s_omega: float = math.nan
-    c_h: float = math.nan
-    q_s_bound: float = math.nan
     c_b_bound: float = math.nan
     C_b_bound: float = math.nan
     rho: float = math.nan

@@ -1,10 +1,10 @@
 """Spatial finite element spaces on the unit interval and unit square.
 
 Provides conforming subspaces of H^1_0 with homogeneous Dirichlet
-conditions, their mass and stiffness Gram matrices, and the three
-discrete norms built from them: the H norm (mass), the V norm
+conditions, their mass and stiffness Gram matrices, the V norm
 (stiffness energy) and the discrete dual norm induced by restricting
-functionals to the subspace.
+functionals to the subspace, and the per-interval Gauss rule shared by
+every quadrature in the package.
 """
 
 from dataclasses import dataclass, field
@@ -20,14 +20,23 @@ __all__ = [
     "assemble",
     "dual_norm",
     "v_norm",
-    "h_norm",
     "mode_load_vector",
+    "interval_gauss",
 ]
 
-# 3-point Gauss is exact for the quartic integrands of the quadratic
-# spline mass matrix; 5 points are used for the trigonometric loads.
-_GAUSS3 = np.polynomial.legendre.leggauss(3)
-_GAUSS5 = np.polynomial.legendre.leggauss(5)
+
+def interval_gauss(nodes, n_points: int) -> tuple:
+    """Gauss-Legendre points and weights on every interval of a partition.
+
+    Returns (points, weights), both of shape (N, n_points) for the N
+    intervals [nodes[i], nodes[i+1]]; the weights carry the Jacobian of
+    the map from [-1, 1].
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    gx, gw = np.polynomial.legendre.leggauss(n_points)
+    left, right = nodes[:-1, None], nodes[1:, None]
+    half = 0.5 * (right - left)
+    return 0.5 * (left + right) + half * gx, half * gw
 
 
 @dataclass(frozen=True)
@@ -113,32 +122,43 @@ def _assemble_1d_linear(n_cells: int):
     return mass, stiff
 
 
-def _spline_basis(mesh: Mesh):
-    """All clamped quadratic splines on the mesh, boundary ones included."""
+def _cell_splines(mesh: Mesh, n_points: int, order: int = 0) -> tuple:
+    """Gauss points and weights of every cell, with the splines living there.
+
+    Cell c carries the clamped splines c, c+1 and c+2 (boundary splines
+    included). Returns (points, weights, values, index): points and
+    weights of shape (n_cells, n_points); values[c, q, a] is the
+    derivative of the given order of spline index[c, a] = c + a at
+    point q of cell c.
+    """
     t = mesh.knots()
-    n_all = len(t) - 3
-    return [BSpline(t, np.eye(n_all)[j], 2) for j in range(n_all)]
+    index = np.arange(mesh.n_cells)[:, None] + np.arange(3)
+    # column r of the coefficients selects the splines j = r mod 3; the
+    # three splines of a cell have distinct residues, so on each cell
+    # every column is exactly one of them
+    basis = BSpline(t, np.eye(3)[np.arange(len(t) - 3) % 3], 2)
+    x, w = interval_gauss(np.linspace(0.0, 1.0, mesh.n_cells + 1), n_points)
+    values = np.take_along_axis(basis(x, order), index[:, None, :] % 3, axis=2)
+    return x, w, values, index
 
 
 def _assemble_1d_spline(mesh: Mesh):
-    n_cells = mesh.n_cells
-    h = mesh.h
-    splines = _spline_basis(mesh)
-    n_all = len(splines)
-    gx, gw = _GAUSS3
-    mass = np.zeros((n_all, n_all))
-    stiff = np.zeros((n_all, n_all))
-    for c in range(n_cells):
-        x = (c + 0.5) * h + 0.5 * h * gx
-        w = 0.5 * h * gw
-        vals = np.array([s(x) for s in splines])
-        ders = np.array([s(x, 1) for s in splines])
-        mass += (vals * w) @ vals.T
-        stiff += (ders * w) @ ders.T
-    # drop the two boundary splines; interior splines keep the standard
-    # B-spline normalization
-    keep = slice(1, n_all - 1)
-    return mass[keep, keep], stiff[keep, keep]
+    n_all = mesh.n_cells + 2
+    mats = []
+    for order in (0, 1):
+        # 3-point Gauss is exact for the quartic integrands of the mass matrix
+        _, w, vals, index = _cell_splines(mesh, 3, order)
+        elem = np.matmul((vals * w[..., None]).transpose(0, 2, 1), vals)
+        # add.at sums each entry over its cells in ascending order, as a
+        # cell-by-cell assembly does: the energy-error oracle subtracts
+        # nearly equal terms, so the last bits of these matrices show in
+        # its output
+        full = np.zeros((n_all, n_all))
+        np.add.at(full, (index[:, :, None], index[:, None, :]), elem)
+        # drop the two boundary splines; interior splines keep the
+        # standard B-spline normalization
+        mats.append(full[1:-1, 1:-1])
+    return tuple(mats)
 
 
 def assemble(mesh: Mesh) -> SpatialPair:
@@ -157,12 +177,6 @@ def assemble(mesh: Mesh) -> SpatialPair:
     mass2 = np.kron(mass1, mass1)
     stiff2 = np.kron(stiff1, mass1) + np.kron(mass1, stiff1)
     return SpatialPair(mesh=mesh, mass=mass2, stiffness=stiff2)
-
-
-def h_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
-    """L2 norm of the function with the given coefficients."""
-    v = np.asarray(coeffs, dtype=float)
-    return float(np.sqrt(v @ pair.mass @ v))
 
 
 def v_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
@@ -192,16 +206,9 @@ def _hat_mode_vector(n_cells: int) -> np.ndarray:
 
 
 def _spline_mode_vector(mesh: Mesh) -> np.ndarray:
-    splines = _spline_basis(mesh)
-    gx, gw = _GAUSS5
-    h = mesh.h
-    out = np.zeros(len(splines))
-    for c in range(mesh.n_cells):
-        x = (c + 0.5) * h + 0.5 * h * gx
-        w = 0.5 * h * gw
-        sx = np.sin(np.pi * x)
-        for j, s in enumerate(splines):
-            out[j] += np.sum(w * s(x) * sx)
+    x, w, vals, index = _cell_splines(mesh, 5)
+    out = np.zeros(mesh.n_cells + 2)
+    np.add.at(out, index, np.sum(w[..., None] * vals * np.sin(np.pi * x)[..., None], axis=1))
     return out[1:-1]
 
 

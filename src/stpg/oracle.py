@@ -10,18 +10,18 @@ solution.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .fem import mode_load_vector
+from .fem import interval_gauss, mode_load_vector
 from .solver import (
     Discretization,
     ProblemData,
-    SpaceTimeSolution,
     TimeGrid,
     solve_pathwise,
+    trial_energy_norm,
 )
 
 __all__ = [
@@ -30,10 +30,7 @@ __all__ = [
     "validate_mode_profile",
     "exact_error",
     "semidiscrete_reference",
-    "nested_grid_error",
 ]
-
-_GAUSS5 = np.polynomial.legendre.leggauss(5)
 
 
 def exact_mode_profile(a: float, lam: float, t) -> np.ndarray:
@@ -113,22 +110,13 @@ class ModeSolution:
 
 def _profile_integrals(mode: ModeSolution, grid: TimeGrid):
     """Per-interval integrals of T and T^2 by 5-point Gauss."""
-    gx, gw = _GAUSS5
-    n = grid.n_intervals
-    int_t = np.empty(n)
-    int_t2 = np.empty(n)
-    for i in range(n):
-        t0, t1 = grid.nodes[i], grid.nodes[i + 1]
-        k = t1 - t0
-        t = 0.5 * (t0 + t1) + 0.5 * k * gx
-        prof = mode.time_profile(t)
-        int_t[i] = 0.5 * k * np.sum(gw * prof)
-        int_t2[i] = 0.5 * k * np.sum(gw * prof ** 2)
-    return int_t, int_t2
+    t, w = interval_gauss(grid.nodes, 5)
+    prof = mode.time_profile(t)
+    return np.sum(w * prof, axis=1), np.sum(w * prof ** 2, axis=1)
 
 
 def exact_error(mode: ModeSolution, disc: Discretization,
-                solution: SpaceTimeSolution) -> tuple:
+                solution: np.ndarray) -> tuple:
     """Energy-norm errors (solver error, best-approximation error).
 
     Both are measured in the space-time trial norm. Cross terms between
@@ -136,11 +124,9 @@ def exact_error(mode: ModeSolution, disc: Discretization,
     eigenfunction, so its energy pairing is lam times the mass pairing;
     time integrals of the profile use 5-point Gauss per interval.
     """
-    if disc.q != 0:
-        raise NotImplementedError("only q = 0 solutions are supported")
     pair = disc.pair
     grid = disc.grid
-    values = solution.values
+    values = np.asarray(solution, dtype=float)
     if values.shape != (grid.n_intervals, disc.n_dof):
         raise ValueError("solution shape does not match discretization")
 
@@ -150,12 +136,9 @@ def exact_error(mode: ModeSolution, disc: Discretization,
     phi_v2 = mode.mode_energy_sq
     c0 = mode.c0
 
-    err_sq = 0.0
-    for i in range(grid.n_intervals):
-        u_i = values[i]
-        err_sq += (c0 ** 2 * int_t2[i] * phi_v2
-                   - 2.0 * c0 * int_t[i] * (cross_v @ u_i)
-                   + widths[i] * (u_i @ pair.stiffness @ u_i))
+    err_sq = (c0 ** 2 * phi_v2 * float(np.sum(int_t2))
+              - 2.0 * c0 * float(int_t @ (values @ cross_v))
+              + trial_energy_norm(values, disc) ** 2)
 
     # best approximation: energy projection of the mode, interval means of T
     spatial = pair.stiffness_solve(cross_v)
@@ -182,25 +165,6 @@ def semidiscrete_reference(data: ProblemData, disc: Discretization, omega: float
     for i in range(disc.grid.n_intervals):
         local = np.linspace(nodes[i], nodes[i + 1], refinement + 1)
         fine_nodes[i * refinement + 1:(i + 1) * refinement + 1] = local[1:]
-    fine_disc = Discretization(pair=disc.pair, grid=TimeGrid(fine_nodes), q=disc.q)
-    return solve_pathwise(data, fine_disc, omega), fine_disc
-
-
-def nested_grid_error(coarse: SpaceTimeSolution, disc: Discretization,
-                      fine: SpaceTimeSolution, fine_disc: Discretization) -> float:
-    """Energy-norm distance between solutions on nested time grids."""
-    ratio = fine_disc.grid.n_intervals // disc.grid.n_intervals
-    if ratio * disc.grid.n_intervals != fine_disc.grid.n_intervals:
-        raise ValueError("time grids are not nested")
-    stiff = disc.pair.stiffness
-    widths = fine_disc.grid.widths
-    total = 0.0
-    for i in range(fine_disc.grid.n_intervals):
-        diff = fine.values[i] - coarse.values[i // ratio]
-        total += widths[i] * (diff @ stiff @ diff)
-    return float(np.sqrt(max(total, 0.0)))
-
-
-def quasi_static_limit(mode: ModeSolution, t) -> np.ndarray:
-    """Leading-order profile sin(pi t) / (a lam) for strong diffusion."""
-    return np.sin(np.pi * np.asarray(t, dtype=float)) / (mode.a * mode.lam)
+    fine_disc = Discretization(pair=disc.pair, grid=TimeGrid(fine_nodes))
+    fine_data = replace(data, grid=fine_disc.grid)
+    return solve_pathwise(fine_data, fine_disc, omega), fine_disc

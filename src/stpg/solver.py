@@ -1,47 +1,42 @@
 """Space-time Petrov-Galerkin discretization of the parabolic problem.
 
 Trial functions are piecewise constant in time with values in the
-spatial space (lowest order, q = 0); test functions are continuous and
-piecewise linear in time, vanish at the final time, and share the
-spatial space. For the operator a * (-Laplacian) the resulting square
+spatial space; test functions are continuous and piecewise linear in
+time, vanish at the final time, and share the spatial space. For the operator a * (-Laplacian) the resulting square
 system is block lower bidiagonal and the forward solve is a modified
 Crank-Nicolson sweep.
 
 The module also evaluates the space-time norms attached to the pair:
 the trial energy norm, its weighted variant, and the weighted test
 norms with and without the interval-mean projection of the test
-function.
+function. A solution is a plain (N, n_dof) array holding the value of
+the trial function on each of the N time intervals.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fem import SpatialPair, mode_load_vector
+from .fem import SpatialPair, interval_gauss, mode_load_vector
 
 __all__ = [
     "TimeGrid",
     "Discretization",
     "ProblemData",
-    "SpaceTimeSolution",
     "PathwiseSolveError",
     "mode_problem",
     "time_weights",
     "assemble_load",
     "solve_pathwise",
     "assemble_full_system",
-    "legendre_project",
     "build_grams",
     "evaluate_norm",
     "trial_energy_norm",
     "forcing_dual_norm_sq",
-    "energy_bound_report",
     "best_approximation",
 ]
-
-_GAUSS4 = np.polynomial.legendre.leggauss(4)
 
 
 class PathwiseSolveError(RuntimeError):
@@ -94,19 +89,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Spatial pair and time grid making up one space-time discretization.
-
-    The trial degree q is carried for forward compatibility; all solve
-    and norm paths currently require q = 0 and reject anything else.
-    """
+    """Spatial pair and time grid making up one space-time discretization."""
 
     pair: SpatialPair
     grid: TimeGrid
-    q: int = 0
-
-    def __post_init__(self):
-        if self.q < 0:
-            raise ValueError("q must be nonnegative")
 
     @property
     def n_dof(self) -> int:
@@ -114,17 +100,13 @@ class Discretization:
 
     @property
     def trial_size(self) -> int:
-        return self.grid.n_intervals * (self.q + 1) * self.n_dof
+        return self.grid.n_intervals * self.n_dof
 
     @property
     def test_size(self) -> int:
-        # continuous piecewise polynomials of degree q+1 vanishing at T
-        return self.grid.n_intervals * (self.q + 1) * self.n_dof
-
-
-def _require_lowest_order(disc: Discretization):
-    if disc.q != 0:
-        raise NotImplementedError("only q = 0 trial spaces are implemented")
+        # continuous piecewise linears vanishing at T: one block per node
+        # t_0..t_{N-1}
+        return self.grid.n_intervals * self.n_dof
 
 
 @dataclass
@@ -133,17 +115,28 @@ class ProblemData:
 
     coeffs is any object with scalar methods a(w) and c0(w); g is the
     temporal profile (sin(pi t) in all stock experiments); load_vector
-    holds the spatial inner products of phi_mode with the basis.
+    holds the spatial inner products of phi_mode with the basis. The
+    data belong to one time grid: the integrals of g against its test
+    hats are computed once here and shared by every parameter value.
     """
 
     coeffs: object
     load_vector: np.ndarray
+    grid: TimeGrid
     g: callable = None
     u0: np.ndarray = None
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.g is None:
             self.g = lambda t: np.sin(np.pi * t)
+        self.weights = time_weights(self.grid, self.g)
+
+    def weights_for(self, grid: TimeGrid) -> np.ndarray:
+        """Stored time weights, after checking they belong to grid."""
+        if not np.array_equal(self.grid.nodes, grid.nodes):
+            raise ValueError("problem data were built for another time grid")
+        return self.weights
 
     def initial_vector(self, n_dof: int) -> np.ndarray:
         if self.u0 is None:
@@ -156,33 +149,10 @@ class ProblemData:
 
 def mode_problem(coeffs, disc: Discretization, u0: np.ndarray = None,
                  g=None) -> ProblemData:
-    """Problem data for first-eigenmode forcing on the given mesh."""
+    """Problem data for first-eigenmode forcing on the mesh and time grid
+    of the given discretization."""
     return ProblemData(coeffs=coeffs, load_vector=mode_load_vector(disc.pair.mesh),
-                       g=g, u0=u0)
-
-
-@dataclass
-class SpaceTimeSolution:
-    """Per-interval polynomial coefficients in the spatial basis.
-
-    coeffs[i, j, :] holds the degree-j local Legendre coefficient on
-    interval i+1; for q = 0 this is just the interval value.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.ndim != 3:
-            raise ValueError("solution array must have shape (N, q+1, n_dof)")
-
-    @property
-    def values(self) -> np.ndarray:
-        """Interval values for q = 0 solutions, shape (N, n_dof)."""
-        return self.coeffs[:, 0, :]
-
-    def flat(self) -> np.ndarray:
-        return self.coeffs.reshape(-1)
+                       grid=disc.grid, g=g, u0=u0)
 
 
 def _check_a(a: float) -> float:
@@ -200,20 +170,14 @@ def time_weights(grid: TimeGrid, g) -> np.ndarray:
     Evaluated with 4-point Gauss per interval, which resolves the stock
     profile sin(pi t) to machine precision on the grids in use.
     """
-    n = grid.n_intervals
-    weights = np.zeros(n)
-    gx, gw = _GAUSS4
-    nodes = grid.nodes
-    for i in range(n):
-        t0, t1 = nodes[i], nodes[i + 1]
-        k = t1 - t0
-        t = 0.5 * (t0 + t1) + 0.5 * k * gx
-        w = 0.5 * k * gw
-        gv = np.asarray(g(t), dtype=float)
-        # hat at the left node falls from 1 to 0 across the interval
-        weights[i] += np.sum(w * gv * (t1 - t) / k)
-        if i + 1 < n:
-            weights[i + 1] += np.sum(w * gv * (t - t0) / k)
+    t, w = interval_gauss(grid.nodes, 4)
+    t0, t1 = grid.nodes[:-1, None], grid.nodes[1:, None]
+    k = t1 - t0
+    wg = w * np.asarray(g(t), dtype=float)
+    # hat at the left node falls from 1 to 0 across the interval, the hat
+    # at the right node rises; the hat at t_N is not a test function
+    weights = np.sum(wg * (t1 - t) / k, axis=1)
+    weights[1:] += np.sum(wg * (t - t0) / k, axis=1)[:-1]
     return weights
 
 
@@ -223,18 +187,18 @@ def assemble_load(data: ProblemData, disc: Discretization, omega: float) -> np.n
     Block j collects c0(w) * integral(g * hat_j) * b; block 0 also
     receives M u0 from the initial pairing with the test value at t = 0.
     """
-    _require_lowest_order(disc)
     n = disc.n_dof
     c0 = float(data.coeffs.c0(omega))
-    tw = time_weights(disc.grid, data.g)
-    load = np.kron(tw, c0 * data.load_vector)
+    load = np.kron(data.weights_for(disc.grid), c0 * data.load_vector)
     u0 = data.initial_vector(n)
     load[:n] += disc.pair.mass @ u0
     return load
 
 
-def solve_pathwise(data: ProblemData, disc: Discretization, omega: float) -> SpaceTimeSolution:
-    """Solve the lowest-order space-time system by forward substitution.
+def solve_pathwise(data: ProblemData, disc: Discretization, omega: float) -> np.ndarray:
+    """Solve the space-time system by forward substitution.
+
+    Returns the (N, n_dof) interval values U_1..U_N.
 
     Step equations with A = a(w) S and k_j = t_j - t_{j-1}:
 
@@ -243,7 +207,6 @@ def solve_pathwise(data: ProblemData, disc: Discretization, omega: float) -> Spa
 
     On a uniform grid one SPD factorization is reused for every step.
     """
-    _require_lowest_order(disc)
     a = _check_a(data.coeffs.a(omega))
     pair = disc.pair
     grid = disc.grid
@@ -255,14 +218,14 @@ def solve_pathwise(data: ProblemData, disc: Discretization, omega: float) -> Spa
     c0 = float(data.coeffs.c0(omega))
     if not math.isfinite(c0):
         raise PathwiseSolveError(f"forcing amplitude is not finite: {c0}")
-    tw = time_weights(grid, data.g)
+    tw = data.weights_for(grid)
     stiff_a = a * pair.stiffness
 
     factor = None
     if uniform:
         factor = cho_factor(pair.mass + 0.5 * widths[0] * stiff_a)
 
-    out = np.empty((n_steps, 1, n))
+    out = np.empty((n_steps, n))
     u_prev = data.initial_vector(n)
     rhs = pair.mass @ u_prev + c0 * tw[0] * data.load_vector
     for j in range(n_steps):
@@ -272,11 +235,11 @@ def solve_pathwise(data: ProblemData, disc: Discretization, omega: float) -> Spa
             u_new = cho_solve(cho_factor(pair.mass + 0.5 * widths[j] * stiff_a), rhs)
         if not np.all(np.isfinite(u_new)):
             raise PathwiseSolveError("non-finite values in time step")
-        out[j, 0, :] = u_new
+        out[j] = u_new
         if j + 1 < n_steps:
             rhs = (pair.mass - 0.5 * widths[j] * stiff_a) @ u_new \
                 + c0 * tw[j + 1] * data.load_vector
-    return SpaceTimeSolution(out)
+    return out
 
 
 def assemble_full_system(disc: Discretization, a: float) -> np.ndarray:
@@ -287,7 +250,6 @@ def assemble_full_system(disc: Discretization, a: float) -> np.ndarray:
     blocks -M + (k_j/2) a S below and M + (k_{j+1}/2) a S on the
     diagonal.
     """
-    _require_lowest_order(disc)
     a = _check_a(a)
     pair = disc.pair
     n = disc.n_dof
@@ -303,28 +265,6 @@ def assemble_full_system(disc: Discretization, a: float) -> np.ndarray:
             cols = slice((j - 1) * n, j * n)
             mat[rows, cols] = -pair.mass + 0.5 * widths[j] * stiff_a
     return mat
-
-
-def legendre_project(f, interval, q: int) -> np.ndarray:
-    """Coefficients of the L2 projection of f onto degree-q polynomials.
-
-    The coefficients refer to the Legendre polynomials shifted to the
-    interval; for q = 0 the single coefficient is the interval mean.
-    """
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    t0, t1 = float(interval[0]), float(interval[1])
-    if t1 <= t0:
-        raise ValueError("empty interval")
-    gx, gw = np.polynomial.legendre.leggauss(q + 3)
-    t = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gx
-    fv = np.asarray(f(t), dtype=float)
-    coeffs = np.empty(q + 1)
-    for j in range(q + 1):
-        leg = np.polynomial.legendre.Legendre.basis(j)(gx)
-        # orthogonality: int_-1^1 P_j^2 = 2 / (2j + 1)
-        coeffs[j] = (2 * j + 1) / 2.0 * np.sum(gw * fv * leg)
-    return coeffs
 
 
 _GRAM_KINDS = ("Y", "Y_omega", "X_omega_hk", "X_omega", "X")
@@ -347,7 +287,6 @@ def build_grams(disc: Discretization, a: float, kind: str) -> np.ndarray:
     Test-space matrices act on nodal values at t_0..t_{N-1}; the value
     at the final time is the built-in zero of the test space.
     """
-    _require_lowest_order(disc)
     if kind not in _GRAM_KINDS:
         raise ValueError(f"unknown gram kind {kind!r}")
     if kind != "X":
@@ -393,15 +332,14 @@ def build_grams(disc: Discretization, a: float, kind: str) -> np.ndarray:
     return gram
 
 
-def trial_energy_norm(solution: SpaceTimeSolution, disc: Discretization,
+def trial_energy_norm(solution: np.ndarray, disc: Discretization,
                       weight: float = 1.0) -> float:
     """Space-time energy norm sqrt(weight * sum_i k_i |U_i|_V^2).
 
-    Direct evaluation of the block-diagonal trial Gram, cheap enough
-    for parameter sweeps.
+    Direct evaluation of the block-diagonal trial Gram on the (N, n_dof)
+    interval values, cheap enough for parameter sweeps.
     """
-    _require_lowest_order(disc)
-    values = solution.values
+    values = np.asarray(solution, dtype=float)
     widths = disc.grid.widths
     stiff = disc.pair.stiffness
     total = float(np.sum(widths * np.einsum("id,de,ie->i", values, stiff, values)))
@@ -415,69 +353,33 @@ def forcing_dual_norm_sq(data: ProblemData, disc: Discretization, omega: float) 
     vector b, so the squared norm is c0(w)^2 * int g^2 * b' S^-1 b.
     """
     c0 = float(data.coeffs.c0(omega))
-    gx, gw = _GAUSS4
-    grid = disc.grid
-    time_part = 0.0
-    for i in range(grid.n_intervals):
-        t0, t1 = grid.nodes[i], grid.nodes[i + 1]
-        t = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gx
-        gv = np.asarray(data.g(t), dtype=float)
-        time_part += 0.5 * (t1 - t0) * np.sum(gw * gv ** 2)
+    t, w = interval_gauss(disc.grid.nodes, 4)
+    time_part = float(np.sum(w * np.asarray(data.g(t), dtype=float) ** 2))
     b = data.load_vector
     return float(c0 ** 2 * time_part * (b @ disc.pair.stiffness_solve(b)))
 
 
-def energy_bound_report(data: ProblemData, disc: Discretization, omega: float,
-                        c_s_omega: float) -> tuple:
-    """Observed sides of the weighted stability bound for one parameter.
-
-    Returns (lhs, rhs, lhs / rhs) for
-
-        a |U|_Y^2 <= (1 + c_S_omega^2) a^-1 |f|^2 + |u0|_H^2
-
-    with the computable discrete dual norm of the forcing. The ratio is
-    the observed stability constant; the bound guarantees it stays at
-    or below one.
-    """
-    a = _check_a(data.coeffs.a(omega))
-    sol = solve_pathwise(data, disc, omega)
-    lhs = a * trial_energy_norm(sol, disc) ** 2
-    u0 = data.initial_vector(disc.n_dof)
-    rhs = (1.0 + c_s_omega ** 2) / a * forcing_dual_norm_sq(data, disc, omega) \
-        + float(u0 @ disc.pair.mass @ u0)
-    return lhs, rhs, lhs / rhs if rhs > 0 else math.inf
-
-
 def evaluate_norm(solution, gram: np.ndarray) -> float:
-    """Norm sqrt(c' G c) of a solution or plain coefficient vector."""
-    if isinstance(solution, SpaceTimeSolution):
-        c = solution.flat()
-    else:
-        c = np.asarray(solution, dtype=float).reshape(-1)
+    """Norm sqrt(c' G c) of a solution array or flat coefficient vector."""
+    c = np.asarray(solution, dtype=float).reshape(-1)
     if c.shape[0] != gram.shape[0]:
         raise ValueError(
             f"coefficient length {c.shape[0]} does not match gram size {gram.shape[0]}")
     return float(np.sqrt(max(c @ gram @ c, 0.0)))
 
 
-def best_approximation(mode, disc: Discretization) -> SpaceTimeSolution:
+def best_approximation(mode, disc: Discretization) -> np.ndarray:
     """Orthogonal projection of a separable exact solution onto the trial space.
 
     In the trial energy norm the projection factorizes into the
     energy-orthogonal spatial projection of the mode and interval means
     of the temporal profile. mode provides c0, lam and time_profile.
     """
-    _require_lowest_order(disc)
     pair = disc.pair
     grid = disc.grid
     # (phi_mode, v)_V = lam * (phi_mode, v)_H for the eigenmode
     cross_v = mode.lam * mode_load_vector(pair.mesh)
     spatial = pair.stiffness_solve(cross_v)
-    means = np.empty(grid.n_intervals)
-    gx, gw = np.polynomial.legendre.leggauss(5)
-    for i in range(grid.n_intervals):
-        t0, t1 = grid.nodes[i], grid.nodes[i + 1]
-        t = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gx
-        means[i] = 0.5 * np.sum(gw * mode.time_profile(t))
-    coeffs = mode.c0 * means[:, None, None] * spatial[None, None, :]
-    return SpaceTimeSolution(coeffs)
+    t, w = interval_gauss(grid.nodes, 5)
+    means = np.sum(w * mode.time_profile(t), axis=1) / grid.widths
+    return mode.c0 * means[:, None] * spatial[None, :]

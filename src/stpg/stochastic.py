@@ -17,7 +17,6 @@ from scipy.special import ndtri
 __all__ = [
     "ParameterDomain",
     "CoefficientModel",
-    "MomentEstimate",
     "quadrature",
     "lp_norm",
     "predict_max_moment",
@@ -27,7 +26,7 @@ __all__ = [
     "singular_example_moments",
 ]
 
-_SAMPLING_MODES = ("midpoint-quadrature", "gauss-legendre", "monte-carlo")
+_SAMPLING_MODES = ("midpoint-quadrature", "gauss-legendre")
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,6 @@ class ParameterDomain:
     location: float = 0.0
     scale: float = 1.0
     sampling: str = "midpoint-quadrature"
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("uniform-interval", "lognormal"):
@@ -69,9 +67,7 @@ def quadrature(domain: ParameterDomain, n: int, avoid=()) -> tuple:
     """Nodes and probability weights of a size-n rule on the domain.
 
     Midpoint rules place nodes at the cell centers of a uniform grid on
-    (0, 1); Gauss rules use Legendre nodes rescaled to (0, 1);
-    Monte Carlo draws each sample from an independent counter-derived
-    generator so that serial and parallel evaluation agree. Nodes are
+    (0, 1); Gauss rules use Legendre nodes rescaled to (0, 1). Nodes are
     checked against the avoid list of singular points and the rule is
     rejected if one collides.
     """
@@ -80,15 +76,10 @@ def quadrature(domain: ParameterDomain, n: int, avoid=()) -> tuple:
     if domain.sampling == "midpoint-quadrature":
         unit = (np.arange(n) + 0.5) / n
         weights = np.full(n, 1.0 / n)
-    elif domain.sampling == "gauss-legendre":
+    else:
         gx, gw = np.polynomial.legendre.leggauss(n)
         unit = 0.5 * (gx + 1.0)
         weights = 0.5 * gw
-    else:
-        unit = np.array([
-            np.random.default_rng([domain.seed, i]).uniform() for i in range(n)
-        ])
-        weights = np.full(n, 1.0 / n)
     nodes = domain.transform(unit)
     for point in avoid:
         gap = np.min(np.abs(nodes - point))
@@ -144,36 +135,13 @@ class CoefficientModel:
         with np.errstate(divide="ignore", over="ignore"):
             return float(self.c0_fn(np.float64(omega)))
 
-    def rho(self, omega: float) -> float:
-        """Boundedness over coercivity; identically 1 for scalar diffusion."""
-        return 1.0
 
-
-def default_domain(case: str, sampling: str = "midpoint-quadrature",
-                   seed: int = 0) -> ParameterDomain:
+def default_domain(case: str, sampling: str = "midpoint-quadrature") -> ParameterDomain:
     """Parameter domain conventionally paired with a named case."""
     if case == "lognormal":
-        return ParameterDomain(kind="lognormal", sampling=sampling, seed=seed)
+        return ParameterDomain(kind="lognormal", sampling=sampling)
     return ParameterDomain(kind="uniform-interval", low=-0.5, high=0.5,
-                           sampling=sampling, seed=seed)
-
-
-@dataclass
-class MomentEstimate:
-    """Quadrature ladder of estimates of one moment of a pathwise quantity."""
-
-    p: float
-    sizes: list
-    estimates: list
-    flagged: list
-    classification: str = "inconclusive"
-
-    def __post_init__(self):
-        sizes = list(self.sizes)
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("ladder sizes must be strictly increasing")
-        if any(e < 0 for e, f in zip(self.estimates, self.flagged) if not f):
-            raise ValueError("moment estimates must be nonnegative")
+                           sampling=sampling)
 
 
 def lp_norm(p: float, values, weights) -> tuple:
@@ -183,8 +151,8 @@ def lp_norm(p: float, values, weights) -> tuple:
     instead of poisoning downstream arithmetic; negative entries are
     rejected because the values are norms.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"moment order p must satisfy 1 <= p < inf, got {p}")
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.shape != weights.shape:

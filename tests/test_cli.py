@@ -1,7 +1,16 @@
+import contextlib
+import io
+import os
 import subprocess
 import sys
+import tempfile
+import time
+import tracemalloc
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpg import cli
 
@@ -117,7 +126,7 @@ def test_moments_rejects_short_ladder(tmp_path):
 def test_api_runs_match_subprocess(tmp_path):
     config = cli.ExperimentConfig(subcommand="moments", case="a", dim=2, degree=1,
                                   n_cells=(4,), n_steps=(8,),
-                                  quad_ladder=(8, 16, 32, 64), jobs=1)
+                                  quad_ladder=(8, 16, 32, 64))
     rows, classifications, trailer = cli.run_moments(config)
     out = tmp_path / "m.csv"
     result = _run(["moments", "--case", "a", "--cells", "4", "--steps", "8",
@@ -127,3 +136,162 @@ def test_api_runs_match_subprocess(tmp_path):
     for row in rows:
         assert cli._fmt(row[3]) in text
     assert set(classifications) == {1.0, 2.0}
+
+
+def _main(argv, capsys):
+    """In-process run; returns (exit code, stderr lines)."""
+    code = cli.main(argv)
+    return code, capsys.readouterr().err.splitlines()
+
+
+def test_dof_cap_checked_before_assembly(tmp_path, capsys):
+    # dense 2-D matrices of this size would need hundreds of gigabytes
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        runs = [_main([cmd, "--dim", "2", "--cells", "400", "--steps", "4",
+                       "--out", str(out)], capsys)
+                for cmd in ("moments", "solve", "infsup")]
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for code, err in runs:
+        assert code == cli.EXIT_RESOURCE
+        assert len(err) == 1 and err[0].startswith("stpg: resource cap:")
+    assert elapsed < 5.0
+    assert peak < 50e6
+    assert not out.exists()
+
+
+def test_convergence_truncates_before_assembly(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    code, err = _main(["convergence", "--dim", "2", "--j-min", "7", "--j-max", "7",
+                       "--out", str(out)], capsys)
+    assert code == cli.EXIT_RESOURCE and err == []
+    assert out.read_text().splitlines() == [",".join(cli.CONVERGENCE_HEADER),
+                                            "# truncated,resource cap exceeded"]
+
+
+def test_convergence_zero_case_writes_nan_rate(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    code, err = _main(["convergence", "--case", "zero", "--j-min", "2", "--j-max", "3",
+                       "--n-quad-ladder", "2", "--out", str(out)], capsys)
+    assert code == cli.EXIT_OK and err == []
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[5] for row in rows] == ["0", "0"]
+    assert [row[6] for row in rows] == ["nan", "nan"]
+
+
+def test_unwritable_out_exits_with_one_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code, err = _main(["solve", "--cells", "4", "--steps", "4", "--out", str(out)],
+                      capsys)
+    assert code == cli.EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith("stpg: error: cannot write")
+    assert list(tmp_path.iterdir()) == []
+    # a directory in place of the file: the rename fails after the write
+    code, err = _main(["solve", "--cells", "4", "--steps", "4",
+                       "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_USAGE and len(err) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_write_is_atomic(tmp_path):
+    out = tmp_path / "report.csv"
+    cli.write_csv(str(out), ["a", "b"], [(1, 0.5)])
+    assert out.read_text() == "a,b\n1,0.5\n"
+    assert list(tmp_path.iterdir()) == [out]
+    # a row that fails to format half-way leaves the old file untouched
+    with pytest.raises(TypeError):
+        cli.write_csv(str(out), ["a", "b"], [(2, 0.25), (3, object())])
+    assert out.read_text() == "a,b\n1,0.5\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--p", "inf"), ("--p", "nan"), ("--p", "0.5"), ("--p", "1,inf"),
+    ("--n-quad-ladder", "8,8,16,32"), ("--n-quad-ladder", "8,16,12,32"),
+])
+def test_moments_rejects_bad_orders_and_ladders(tmp_path, capsys, flag, value):
+    out = tmp_path / "m.csv"
+    argv = ["moments", "--cells", "4", "--steps", "4", "--n-quad-ladder", "8,16,32,64",
+            flag, value, "--out", str(out)]
+    code, err = _main(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith("stpg: error:")
+    assert not out.exists()
+
+
+def _comma_list(elements, max_size):
+    return st.lists(elements, min_size=1, max_size=max_size).map(",".join)
+
+
+def _mostly(valid, invalid):
+    """Values drawn mostly from valid, now and then from invalid."""
+    return st.sampled_from(list(valid) * 3 + list(invalid))
+
+
+@st.composite
+def _cli_argv(draw):
+    """Small argument vectors over every subcommand and option.
+
+    Sizes stay at a few cells, steps and paths so that each example
+    runs in milliseconds; invalid values are mixed in at a lower rate.
+    """
+    argv = [draw(_mostly(["moments", "convergence", "infsup", "solve"], ["frobnicate"]))]
+    # even sizes: odd midpoint rules hit the singular point 0 of cases a-d
+    increasing = st.lists(st.integers(1, 6).map(lambda n: 2 * n), min_size=4,
+                          max_size=6, unique=True).map(sorted)
+    ladder = st.one_of(increasing, increasing,
+                       st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    # cells, steps, ladder and j range are always set: the defaults are
+    # sized for experiments, not for a property test
+    argv += ["--cells", draw(_comma_list(_mostly("2345", ["1", "-1"]), 2)),
+             "--steps", draw(_comma_list(_mostly("1246", ["0"]), 2)),
+             "--n-quad-ladder", ",".join(map(str, draw(ladder))),
+             "--j-min", "2", "--j-max", "3"]
+    options = {
+        "--case": _mostly("abcd", ["lognormal", "constant", "zero", "nope"]),
+        "--dim": _mostly("12", ["3"]),
+        "--degree": st.sampled_from("12"),
+        "--j-min": st.sampled_from("123"),
+        "--j-max": _mostly("23", ["9"]),
+        "--p": _comma_list(_mostly(["1", "2", "3.5"], ["0.5", "inf", "nan"]), 3),
+        "--omega": _mostly(["0.25", "-0.4"], ["0", "nan", "inf"]),
+        "--max-dofs": _mostly(["20", "5000"], ["-1", "4"]),
+        "--jobs": st.sampled_from(["0", "1", "8"]),
+        "--seed": st.sampled_from(["0", "7"]),
+    }
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    out = draw(_mostly(["out.csv"], ["missing/out.csv", None]))
+    return argv, out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_cli_argv())
+def test_cli_contract_holds_for_generated_argv(case):
+    argv, out = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if out is not None:
+            argv = argv + ["--out", os.path.join(tmp, out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3)
+        assert len(err.getvalue().splitlines()) <= 1
+        written = sorted(os.listdir(tmp))
+        if code == cli.EXIT_OK:
+            assert written == ["out.csv"]
+        else:
+            # a failed run leaves no partial CSV and no temporary file; only
+            # a truncated convergence table is written
+            assert written in ([], ["out.csv"])
+            if written:
+                assert code == cli.EXIT_RESOURCE and argv[0] == "convergence"

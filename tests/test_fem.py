@@ -206,3 +206,51 @@ def test_mode_load_vector_2d_is_tensor_product():
     b2 = fem.mode_load_vector(mesh2)
     b1 = fem.mode_load_vector(mesh1)
     assert np.allclose(b2, np.kron(b1, b1), atol=1e-15)
+
+
+def test_interval_gauss_matches_the_per_interval_rule():
+    nodes = np.array([0.0, 0.1, 0.35, 0.4, 1.0])
+    points, weights = fem.interval_gauss(nodes, 4)
+    assert points.shape == weights.shape == (4, 4)
+    gx, gw = np.polynomial.legendre.leggauss(4)
+    for i in range(4):
+        t0, t1 = nodes[i], nodes[i + 1]
+        k = t1 - t0
+        assert np.array_equal(points[i], 0.5 * (t0 + t1) + 0.5 * k * gx)
+        assert np.array_equal(weights[i], 0.5 * k * gw)
+    # exact for degree 2n - 1 on every interval
+    exact = (nodes[1:] ** 8 - nodes[:-1] ** 8) / 8.0
+    assert np.allclose(np.sum(weights * points ** 7, axis=1), exact, rtol=1e-14)
+
+
+def _spline_matrices_cell_by_cell(mesh):
+    """Reference assembly: every spline evaluated on every cell, one cell
+    at a time, matrices accumulated in cell order."""
+    t = mesh.knots()
+    n_all = len(t) - 3
+    splines = [BSpline(t, np.eye(n_all)[j], 2) for j in range(n_all)]
+    gx, gw = np.polynomial.legendre.leggauss(3)
+    mass = np.zeros((n_all, n_all))
+    stiff = np.zeros((n_all, n_all))
+    for c in range(mesh.n_cells):
+        x = (c + 0.5) * mesh.h + 0.5 * mesh.h * gx
+        w = 0.5 * mesh.h * gw
+        vals = np.array([s(x) for s in splines])
+        ders = np.array([s(x, 1) for s in splines])
+        mass += (vals * w) @ vals.T
+        stiff += (ders * w) @ ders.T
+    return mass[1:-1, 1:-1], stiff[1:-1, 1:-1]
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 5, 8, 32])
+def test_spline_assembly_matches_cell_by_cell_reference(n_cells):
+    pair = fem.assemble(fem.build_mesh(1, n_cells, 2))
+    mass_ref, stiff_ref = _spline_matrices_cell_by_cell(pair.mesh)
+    for mat, ref in ((pair.mass, mass_ref), (pair.stiffness, stiff_ref)):
+        if n_cells & (n_cells - 1) == 0:
+            # power-of-two cells place the Gauss points identically, and
+            # the summation order is the same: the bits must agree
+            assert np.array_equal(mat, ref)
+        else:
+            # the points move by rounding, the slopes of order 1/h with them
+            assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))

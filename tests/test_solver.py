@@ -20,13 +20,17 @@ def _sin_hat_integral(t_prev, t_node, t_next):
 
 
 def test_time_weights_match_closed_form():
-    grid = solver.TimeGrid.uniform(1.0, 8)
-    weights = solver.time_weights(grid, lambda t: np.sin(np.pi * t))
-    nodes = grid.nodes
-    for j in range(8):
-        t_prev = nodes[j - 1] if j > 0 else nodes[0]
-        ref = _sin_hat_integral(t_prev, nodes[j], nodes[j + 1])
-        assert weights[j] == pytest.approx(ref, abs=1e-12)
+    uniform = np.linspace(0.0, 1.0, 9)
+    graded = np.array([0.0, 0.02, 0.1, 0.15, 0.2, 0.3, 0.4, 0.45, 0.5, 0.6, 0.7,
+                       0.8, 0.9, 0.95, 1.0])
+    for nodes in (uniform, graded):
+        grid = solver.TimeGrid(nodes)
+        weights = solver.time_weights(grid, lambda t: np.sin(np.pi * t))
+        assert weights.shape == (grid.n_intervals,)
+        for j in range(grid.n_intervals):
+            t_prev = nodes[j - 1] if j > 0 else nodes[0]
+            ref = _sin_hat_integral(t_prev, nodes[j], nodes[j + 1])
+            assert weights[j] == pytest.approx(ref, abs=1e-12)
 
 
 def test_time_grid_guards():
@@ -61,7 +65,8 @@ def test_solve_zero_data_is_zero():
     disc = make_disc(n_cells=4, n_steps=6)
     data = solver.mode_problem(ConstantCoeffs(c0=0.0), disc)
     sol = solver.solve_pathwise(data, disc, 0.0)
-    assert np.all(sol.coeffs == 0.0)
+    assert sol.shape == (6, disc.n_dof)
+    assert np.all(sol == 0.0)
 
 
 def test_scalar_crank_nicolson_by_hand():
@@ -77,9 +82,9 @@ def test_scalar_crank_nicolson_by_hand():
     for j in range(4):
         rhs = (m - 0.5 * k * s) * u + tw[j] * b
         u = rhs / (m + 0.5 * k * s)
-        assert sol.values[j, 0] == pytest.approx(u, rel=1e-14)
+        assert sol[j, 0] == pytest.approx(u, rel=1e-14)
     # first step matches the closed form F0 / (1/3 + 2k)
-    assert sol.values[0, 0] == pytest.approx(tw[0] * b / (m + 2 * k), rel=1e-14)
+    assert sol[0, 0] == pytest.approx(tw[0] * b / (m + 2 * k), rel=1e-14)
 
 
 @pytest.mark.parametrize("a,n_cells,n_steps", [
@@ -92,10 +97,10 @@ def test_time_stepping_agrees_with_full_system(a, n_cells, n_steps):
     full = solver.assemble_full_system(disc, a)
     load = solver.assemble_load(data, disc, 0.0)
     direct = np.linalg.solve(full, load)
-    residual = np.linalg.norm(full @ sol.flat() - load) / np.linalg.norm(load)
+    residual = np.linalg.norm(full @ sol.reshape(-1) - load) / np.linalg.norm(load)
     assert residual < 1e-10
     gram = solver.build_grams(disc, a, "Y")
-    diff = solver.evaluate_norm(sol.flat() - direct, gram)
+    diff = solver.evaluate_norm(sol.reshape(-1) - direct, gram)
     scale = solver.evaluate_norm(direct, gram)
     assert diff <= 1e-10 * scale
 
@@ -150,14 +155,19 @@ def test_pathwise_failures_are_controlled():
         solver.solve_pathwise(data_a, disc, 0.0)  # a(0) = inf
 
 
-def test_higher_degree_rejected():
+def test_problem_data_belongs_to_one_time_grid():
     disc = make_disc(n_cells=4, n_steps=4)
-    disc_q1 = solver.Discretization(pair=disc.pair, grid=disc.grid, q=1)
-    data = solver.mode_problem(ConstantCoeffs(), disc_q1)
-    with pytest.raises(NotImplementedError):
-        solver.solve_pathwise(data, disc_q1, 0.0)
-    with pytest.raises(NotImplementedError):
-        solver.build_grams(disc_q1, 1.0, "Y")
+    data = solver.mode_problem(ConstantCoeffs(), disc)
+    assert np.array_equal(data.weights, solver.time_weights(disc.grid, data.g))
+    other = solver.Discretization(pair=disc.pair, grid=solver.TimeGrid.uniform(1.0, 8))
+    with pytest.raises(ValueError):
+        solver.solve_pathwise(data, other, 0.0)
+    with pytest.raises(ValueError):
+        solver.assemble_load(data, other, 0.0)
+    # same nodes in a distinct grid object are accepted
+    same = solver.Discretization(pair=disc.pair, grid=solver.TimeGrid.uniform(1.0, 4))
+    assert np.array_equal(solver.solve_pathwise(data, same, 0.0),
+                          solver.solve_pathwise(data, disc, 0.0))
 
 
 def test_galerkin_orthogonality_on_nested_time_grids():
@@ -168,7 +178,7 @@ def test_galerkin_orthogonality_on_nested_time_grids():
     data_f = solver.mode_problem(ConstantCoeffs(), disc_f)
     sol_c = solver.solve_pathwise(data_c, disc_c, 0.0)
     n = disc_c.n_dof
-    embedded = np.repeat(sol_c.values, 2, axis=0).reshape(-1)
+    embedded = np.repeat(sol_c, 2, axis=0).reshape(-1)
     residual = solver.assemble_load(data_f, disc_f, 0.0) \
         - solver.assemble_full_system(disc_f, 1.0) @ embedded
     # coarse temporal hats expressed in the fine nodal basis
@@ -180,24 +190,6 @@ def test_galerkin_orthogonality_on_nested_time_grids():
         if 2 * j - 1 >= 0:
             embed[(2 * j - 1) * n:(2 * j) * n, j * n:(j + 1) * n] = 0.5 * np.eye(n)
     assert np.max(np.abs(embed.T @ residual)) < 1e-12
-
-
-def test_legendre_project_examples():
-    k = 0.3
-    coeffs = solver.legendre_project(lambda t: t, (0.0, k), 0)
-    assert coeffs[0] == pytest.approx(k / 2, abs=1e-15)
-    coeffs = solver.legendre_project(lambda t: 2.5 * np.ones_like(t), (1.0, 1.5), 3)
-    assert coeffs[0] == pytest.approx(2.5, abs=1e-13)
-    assert np.max(np.abs(coeffs[1:])) < 1e-13
-    # degree q+1 Legendre polynomial projects to zero for any q
-    for q in (0, 1, 2):
-        target = np.polynomial.legendre.Legendre.basis(q + 1)
-
-        def shifted(t, t0=2.0, t1=2.5):
-            return target(2 * (np.asarray(t) - t0) / (t1 - t0) - 1)
-
-        coeffs = solver.legendre_project(shifted, (2.0, 2.5), q)
-        assert np.max(np.abs(coeffs)) < 1e-13
 
 
 def test_gram_trial_blocks_and_scaling(rng):
@@ -245,7 +237,7 @@ def test_evaluate_norm_matches_time_quadrature(rng):
     # independent evaluation of int |U(t)|_V^2 dt by Gauss points in time
     disc = make_disc(n_cells=6, n_steps=7)
     values = rng.standard_normal((7, disc.n_dof))
-    sol = solver.SpaceTimeSolution(values[:, None, :])
+    sol = values
     gram = solver.build_grams(disc, 1.0, "Y")
     via_gram = solver.evaluate_norm(sol, gram)
     gx, gw = np.polynomial.legendre.leggauss(3)
@@ -299,17 +291,20 @@ def test_projected_test_gram_uses_interval_means(rng):
 
 
 def test_energy_bound_samples():
-    # weighted energy bound with the computable forcing norm
+    # weighted energy bound a |U|_Y^2 <= (1 + c_S_omega^2) a^-1 |f|^2 with
+    # the computable forcing norm; u0 = 0 in every stock case
     from stpg import constants as consts
     disc = make_disc(n_cells=8, n_steps=16)
     k = disc.grid.k_max
     for case, omega in (("a", 0.31), ("b", -0.17), ("c", 0.23), ("d", 0.11)):
         model = CoefficientModel(case=case)
         data = solver.mode_problem(model, disc)
+        a = model.a(omega)
         c_sw = consts.cfl_omega(disc.pair, k, omega, model)
-        lhs, rhs, observed = solver.energy_bound_report(data, disc, omega, c_sw)
-        assert lhs <= rhs * (1 + 1e-12)
-        assert observed <= 1.0 + 1e-12
+        sol = solver.solve_pathwise(data, disc, omega)
+        lhs = a * solver.trial_energy_norm(sol, disc) ** 2
+        rhs = (1.0 + c_sw ** 2) / a * solver.forcing_dual_norm_sq(data, disc, omega)
+        assert 0 < lhs <= rhs * (1 + 1e-12)
 
 
 def test_best_approximation_is_optimal_projection(rng):
@@ -326,9 +321,9 @@ def test_best_approximation_is_optimal_projection(rng):
     # space only increases the distance (Pythagoras in the energy norm)
     gram = solver.build_grams(disc, 1.0, "Y")
     for _ in range(10):
-        pert = rng.standard_normal(best.coeffs.shape)
-        pert_sol = solver.SpaceTimeSolution(best.coeffs + 0.05 * pert)
+        pert = rng.standard_normal(best.shape)
+        pert_sol = best + 0.05 * pert
         err_pert = exact_error(mode, disc, pert_sol)[0]
-        dist = solver.evaluate_norm(pert_sol.flat() - best.flat(), gram)
+        dist = solver.evaluate_norm(pert_sol - best, gram)
         expected = np.sqrt(err_best ** 2 + dist ** 2)
         assert err_pert == pytest.approx(expected, rel=1e-9)

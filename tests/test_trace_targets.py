@@ -1,0 +1,50 @@
+"""The traced benchmark run (``perfbench/run.py --trace 1``) rebinds stpg
+functions by module and name. Every name it wraps must keep resolving,
+or the traced run breaks; these tests also pin the call counts that the
+per-layer metrics report for the shared per-grid work."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from stpg import cli
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    spans = _spans()
+    for name in spans.MODULES:
+        importlib.import_module(name)
+    for mod, fn, _ in spans.TARGETS:
+        assert callable(getattr(sys.modules[f"stpg.{mod}"], fn)), f"stpg.{mod}.{fn}"
+    for fn in spans.DRIVERS:
+        assert callable(getattr(cli, fn)), f"stpg.cli.{fn}"
+
+
+def _traced(spans, argv):
+    tracer = spans.Tracer()
+    with tracer.installed(), tracer.call(argv[0]):
+        assert cli.main(argv) == cli.EXIT_OK
+    return spans.layer_metrics(tracer.spans)
+
+
+def test_per_grid_work_runs_once_per_grid(tmp_path):
+    spans = _spans()
+    out = str(tmp_path / "out.csv")
+    metrics = _traced(spans, ["convergence", "--case", "lognormal", "--j-min", "2",
+                              "--j-max", "3", "--n-quad-ladder", "4", "--out", out])
+    assert metrics["solver.solve_pathwise.calls"][0] == 8
+    assert metrics["solver.time_weights.calls"][0] == 2
+    metrics = _traced(spans, ["infsup", "--cells", "4,8", "--steps", "4",
+                              "--n-quad-ladder", "4", "--out", out])
+    assert metrics["constants.discrete_infsup.calls"][0] == 8
+    assert metrics["constants.cfl_constant.calls"][0] == 2

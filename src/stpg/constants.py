@@ -102,20 +102,17 @@ def discrete_infsup(bilinear: np.ndarray, gram_trial: np.ndarray,
     return float(sig[-1]), float(sig[0])
 
 
-def _dual_gram(pair: SpatialPair) -> np.ndarray:
-    return pair.mass @ pair.stiffness_solve(pair.mass)
-
-
 def cfl_constant(pair: SpatialPair, k: float) -> float:
     """CFL constant k * sup ||v||_V / ||v||_{V*} over the discrete space.
 
     The supremum is the square root of the largest eigenvalue of
-    S v = lambda (M S^-1 M) v.
+    S v = mu (M S^-1 M) v. In the M-orthonormal eigenbasis of (S, M),
+    S is diag(lam) and M S^-1 M is diag(1 / lam), so mu_max = lam_max^2
+    and the constant is k * lam_max.
     """
     if k <= 0:
         raise ValueError("time step must be positive")
-    lam_max = eigh(pair.stiffness, _dual_gram(pair), eigvals_only=True)[-1]
-    return float(k * np.sqrt(lam_max))
+    return float(k * np.max(pair.modes()[0]))
 
 
 def cfl_omega(pair: SpatialPair, k: float, omega: float, coeffs) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import BSpline
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 __all__ = [
     "Mesh",
@@ -79,18 +79,51 @@ class SpatialPair:
 
     mass[i, j]      = integral of phi_i * phi_j
     stiffness[i, j] = integral of grad(phi_i) . grad(phi_j)
+
+    Everything derived from the mesh alone (the Cholesky factor of S, the
+    eigenbasis of (S, M), the mode load vector) is computed on first use
+    and cached.
     """
 
     mesh: Mesh
     mass: np.ndarray
     stiffness: np.ndarray
     _stiff_chol: tuple = field(default=None, repr=False, compare=False)
+    _modes: tuple = field(default=None, repr=False, compare=False)
+    _mode_vector: np.ndarray = field(default=None, repr=False, compare=False)
 
     def stiffness_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve S x = rhs, reusing a cached Cholesky factorization."""
         if self._stiff_chol is None:
             self._stiff_chol = cho_factor(self.stiffness)
         return cho_solve(self._stiff_chol, rhs)
+
+    def modes(self) -> tuple:
+        """M-orthonormal eigenpairs (lam, vecs) of the pair, cached read-only.
+
+        S vecs = M vecs diag(lam) and vecs' M vecs = I. In dim 2 the
+        pair is the tensor product of the 1-D pair, so are its modes:
+        vecs = V (x) V with eigenvalues lam_i + lam_j (fast
+        diagonalization).
+        """
+        if self._modes is None:
+            if self.mesh.dim == 1:
+                self._modes = eigh(self.stiffness, self.mass)
+            else:
+                mass1, stiff1 = _matrices_1d(self.mesh)
+                lam1, vecs1 = eigh(stiff1, mass1)
+                self._modes = ((lam1[:, None] + lam1[None, :]).ravel(),
+                               np.kron(vecs1, vecs1))
+            for array in self._modes:
+                array.flags.writeable = False
+        return self._modes
+
+    def mode_vector(self) -> np.ndarray:
+        """mode_load_vector of the mesh, computed once; read-only."""
+        if self._mode_vector is None:
+            self._mode_vector = mode_load_vector(self.mesh)
+            self._mode_vector.flags.writeable = False
+        return self._mode_vector
 
     @property
     def n_dof(self) -> int:
@@ -161,6 +194,13 @@ def _assemble_1d_spline(mesh: Mesh):
     return tuple(mats)
 
 
+def _matrices_1d(mesh: Mesh) -> tuple:
+    """Mass and stiffness of the 1-D factor of the mesh's space."""
+    if mesh.degree == 1:
+        return _assemble_1d_linear(mesh.n_cells)
+    return _assemble_1d_spline(mesh)
+
+
 def assemble(mesh: Mesh) -> SpatialPair:
     """Assemble the mass and stiffness Gram matrices of a mesh.
 
@@ -168,10 +208,7 @@ def assemble(mesh: Mesh) -> SpatialPair:
     Gauss per cell for the quartic quadratic-spline integrands. In dim 2
     the matrices are tensorized, M2 = M (x) M and S2 = S (x) M + M (x) S.
     """
-    if mesh.degree == 1:
-        mass1, stiff1 = _assemble_1d_linear(mesh.n_cells)
-    else:
-        mass1, stiff1 = _assemble_1d_spline(mesh)
+    mass1, stiff1 = _matrices_1d(mesh)
     if mesh.dim == 1:
         return SpatialPair(mesh=mesh, mass=mass1, stiffness=stiff1)
     mass2 = np.kron(mass1, mass1)

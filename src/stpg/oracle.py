@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .fem import interval_gauss, mode_load_vector
+from .fem import interval_gauss
 from .solver import (
     Discretization,
     ProblemData,
@@ -130,7 +130,7 @@ def exact_error(mode: ModeSolution, disc: Discretization,
     if values.shape != (grid.n_intervals, disc.n_dof):
         raise ValueError("solution shape does not match discretization")
 
-    cross_v = mode.lam * mode_load_vector(pair.mesh)
+    cross_v = mode.lam * pair.mode_vector()
     int_t, int_t2 = _profile_integrals(mode, grid)
     widths = grid.widths
     phi_v2 = mode.mode_energy_sq

@@ -2,9 +2,12 @@
 
 Trial functions are piecewise constant in time with values in the
 spatial space; test functions are continuous and piecewise linear in
-time, vanish at the final time, and share the spatial space. For the operator a * (-Laplacian) the resulting square
-system is block lower bidiagonal and the forward solve is a modified
-Crank-Nicolson sweep.
+time, vanish at the final time, and share the spatial space. For the
+operator a * (-Laplacian) the resulting square system is block lower
+bidiagonal and the forward solve is a modified Crank-Nicolson sweep.
+The operator is a scalar times the fixed stiffness S, so the sweep runs
+in the M-orthonormal eigenbasis of (S, M), computed once per mesh: every
+step is n_dof scalar recurrences, with no factorization per path or step.
 
 The module also evaluates the space-time norms attached to the pair:
 the trial energy norm, its weighted variant, and the weighted test
@@ -17,9 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .fem import SpatialPair, interval_gauss, mode_load_vector
+from .fem import SpatialPair, interval_gauss
 
 __all__ = [
     "TimeGrid",
@@ -151,7 +153,7 @@ def mode_problem(coeffs, disc: Discretization, u0: np.ndarray = None,
                  g=None) -> ProblemData:
     """Problem data for first-eigenmode forcing on the mesh and time grid
     of the given discretization."""
-    return ProblemData(coeffs=coeffs, load_vector=mode_load_vector(disc.pair.mesh),
+    return ProblemData(coeffs=coeffs, load_vector=disc.pair.mode_vector(),
                        grid=disc.grid, g=g, u0=u0)
 
 
@@ -205,41 +207,35 @@ def solve_pathwise(data: ProblemData, disc: Discretization, omega: float) -> np.
         (M + (k_1/2) A) U_1     = M u0 + F_0
         (M + (k_{j+1}/2) A) U_{j+1} = (M - (k_j/2) A) U_j + F_j
 
-    On a uniform grid one SPD factorization is reused for every step.
+    With U_j = vecs z_j in the cached eigenbasis of (S, M) they decouple
+    into one scalar recurrence per eigenvalue lam, on any time grid:
+
+        z_{j+1} = (1 - a lam k_j/2) / (1 + a lam k_{j+1}/2) z_j
+                  + c0 tw_j beta / (1 + a lam k_{j+1}/2)
+
+    with beta = vecs' b and z_1 = (vecs' M u0 + c0 tw_0 beta) / (1 + a lam k_1/2).
     """
     a = _check_a(data.coeffs.a(omega))
-    pair = disc.pair
-    grid = disc.grid
-    n = disc.n_dof
-    n_steps = grid.n_intervals
-    widths = grid.widths
-    uniform = np.allclose(widths, widths[0], rtol=1e-14, atol=0.0)
-
     c0 = float(data.coeffs.c0(omega))
     if not math.isfinite(c0):
         raise PathwiseSolveError(f"forcing amplitude is not finite: {c0}")
-    tw = data.weights_for(grid)
-    stiff_a = a * pair.stiffness
+    tw = data.weights_for(disc.grid)
+    pair = disc.pair
+    lam, vecs = pair.modes()
+    half = 0.5 * a * disc.grid.widths[:, None] * lam
 
-    factor = None
-    if uniform:
-        factor = cho_factor(pair.mass + 0.5 * widths[0] * stiff_a)
-
-    out = np.empty((n_steps, n))
-    u_prev = data.initial_vector(n)
-    rhs = pair.mass @ u_prev + c0 * tw[0] * data.load_vector
-    for j in range(n_steps):
-        if factor is not None:
-            u_new = cho_solve(factor, rhs)
-        else:
-            u_new = cho_solve(cho_factor(pair.mass + 0.5 * widths[j] * stiff_a), rhs)
-        if not np.all(np.isfinite(u_new)):
-            raise PathwiseSolveError("non-finite values in time step")
-        out[j] = u_new
-        if j + 1 < n_steps:
-            rhs = (pair.mass - 0.5 * widths[j] * stiff_a) @ u_new \
-                + c0 * tw[j + 1] * data.load_vector
-    return out
+    # z[j] starts as the scaled right-hand side of step j; the loop adds
+    # the propagated previous value. Overflow is caught by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.outer(c0 * tw, vecs.T @ data.load_vector)
+        z[0] += vecs.T @ (pair.mass @ data.initial_vector(disc.n_dof))
+        z /= 1.0 + half
+        gain = (1.0 - half[:-1]) / (1.0 + half[1:])
+        for row, prev, g in zip(z[1:], z, gain):
+            row += g * prev
+    if not np.all(np.isfinite(z)):
+        raise PathwiseSolveError("non-finite values in time step")
+    return z @ vecs.T
 
 
 def assemble_full_system(disc: Discretization, a: float) -> np.ndarray:
@@ -263,7 +259,7 @@ def assemble_full_system(disc: Discretization, a: float) -> np.ndarray:
         mat[rows, rows] = pair.mass + 0.5 * widths[j] * stiff_a
         if j >= 1:
             cols = slice((j - 1) * n, j * n)
-            mat[rows, cols] = -pair.mass + 0.5 * widths[j] * stiff_a
+            mat[rows, cols] = -pair.mass + 0.5 * widths[j - 1] * stiff_a
     return mat
 
 
@@ -340,9 +336,8 @@ def trial_energy_norm(solution: np.ndarray, disc: Discretization,
     interval values, cheap enough for parameter sweeps.
     """
     values = np.asarray(solution, dtype=float)
-    widths = disc.grid.widths
-    stiff = disc.pair.stiffness
-    total = float(np.sum(widths * np.einsum("id,de,ie->i", values, stiff, values)))
+    total = float(np.sum(disc.grid.widths
+                         * np.sum((values @ disc.pair.stiffness) * values, axis=1)))
     return float(np.sqrt(max(weight * total, 0.0)))
 
 
@@ -378,7 +373,7 @@ def best_approximation(mode, disc: Discretization) -> np.ndarray:
     pair = disc.pair
     grid = disc.grid
     # (phi_mode, v)_V = lam * (phi_mode, v)_H for the eigenmode
-    cross_v = mode.lam * mode_load_vector(pair.mesh)
+    cross_v = mode.lam * pair.mode_vector()
     spatial = pair.stiffness_solve(cross_v)
     t, w = interval_gauss(grid.nodes, 5)
     means = np.sum(w * mode.time_profile(t), axis=1) / grid.widths

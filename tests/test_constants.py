@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from conftest import ConstantCoeffs, make_disc
 from stpg import constants as consts
@@ -189,3 +190,13 @@ def test_constants_report_validation():
         consts.ConstantsReport(sigma_min=-0.5, sigma_max=1.0)
     rep = consts.ConstantsReport(sigma_min=0.9, sigma_max=1.1)
     assert rep.sigma_min < rep.sigma_max
+
+
+@pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
+def test_cfl_matches_dense_dual_gram_eigenproblem(dim, n_cells, degree):
+    # oracle: c_S = k sqrt(lambda_max(S, M S^-1 M)) by a dense generalized eigh
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
+    dual = pair.mass @ np.linalg.solve(pair.stiffness, pair.mass)
+    k = 0.03
+    ref = k * math.sqrt(eigh(pair.stiffness, dual, eigvals_only=True)[-1])
+    assert consts.cfl_constant(pair, k) == pytest.approx(ref, rel=1e-12)

@@ -254,3 +254,39 @@ def test_spline_assembly_matches_cell_by_cell_reference(n_cells):
         else:
             # the points move by rounding, the slopes of order 1/h with them
             assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim,n_cells,degree", [(1, 7, 1), (1, 6, 2), (2, 5, 1)])
+def test_modes_are_m_orthonormal_eigenpairs(dim, n_cells, degree):
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
+    lam, vecs = pair.modes()
+    assert lam.shape == (pair.n_dof,) and vecs.shape == (pair.n_dof, pair.n_dof)
+    assert np.allclose(vecs.T @ pair.mass @ vecs, np.eye(pair.n_dof), atol=1e-12)
+    scale = np.max(np.abs(pair.stiffness))
+    assert np.allclose(pair.stiffness @ vecs, pair.mass @ vecs * lam, atol=1e-11 * scale)
+    assert pair.modes() is pair.modes()
+
+
+def test_modes_2d_match_dense_eigenvalues():
+    pair = fem.assemble(fem.build_mesh(2, 6, 1))
+    lam, _ = pair.modes()
+    dense = eigh(pair.stiffness, pair.mass, eigvals_only=True)
+    assert np.allclose(np.sort(lam), dense, rtol=1e-12)
+
+
+def test_modes_1d_hat_eigenvalues_closed_form():
+    n_cells = 9
+    h = 1.0 / n_cells
+    lam, _ = fem.assemble(fem.build_mesh(1, n_cells, 1)).modes()
+    c = np.cos(np.arange(1, n_cells) * np.pi * h)
+    assert np.allclose(lam, 6.0 / h ** 2 * (1.0 - c) / (2.0 + c), rtol=1e-12)
+
+
+def test_mode_vector_is_cached_and_read_only():
+    mesh = fem.build_mesh(1, 6, 2)
+    pair = fem.assemble(mesh)
+    b = pair.mode_vector()
+    assert b is pair.mode_vector()
+    assert np.array_equal(b, fem.mode_load_vector(mesh))
+    with pytest.raises(ValueError):
+        b[0] = 0.0

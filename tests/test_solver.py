@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ConstantCoeffs, make_disc
-from stpg import solver
+from stpg import fem, solver
 from stpg.stochastic import CoefficientModel, default_domain, quadrature
 
 
@@ -327,3 +327,34 @@ def test_best_approximation_is_optimal_projection(rng):
         dist = solver.evaluate_norm(pert_sol - best, gram)
         expected = np.sqrt(err_best ** 2 + dist ** 2)
         assert err_pert == pytest.approx(expected, rel=1e-9)
+
+
+_GRIDS = {
+    "uniform": solver.TimeGrid.uniform(1.0, 9),
+    "graded": solver.TimeGrid(np.linspace(0.0, 1.0, 10) ** 2),
+}
+
+
+@pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("with_u0", [False, True])
+def test_sweep_matches_dense_space_time_solve(dim, n_cells, degree, grid, with_u0):
+    mesh = fem.build_mesh(dim, n_cells, degree)
+    disc = solver.Discretization(pair=fem.assemble(mesh), grid=_GRIDS[grid])
+    u0 = np.cos(np.arange(disc.n_dof)) if with_u0 else None
+    a = 0.7
+    data = solver.mode_problem(ConstantCoeffs(a=a, c0=1.3), disc, u0=u0)
+    sol = solver.solve_pathwise(data, disc, 0.0)
+    direct = np.linalg.solve(solver.assemble_full_system(disc, a),
+                             solver.assemble_load(data, disc, 0.0))
+    gram = solver.build_grams(disc, a, "Y")
+    diff = solver.evaluate_norm(sol.reshape(-1) - direct, gram)
+    assert diff <= 1e-12 * solver.evaluate_norm(direct, gram)
+
+
+def test_non_finite_forcing_profile_is_flagged():
+    disc = make_disc(n_cells=4, n_steps=4)
+    data = solver.mode_problem(ConstantCoeffs(), disc,
+                               g=lambda t: np.full_like(np.asarray(t, float), np.inf))
+    with pytest.raises(solver.PathwiseSolveError):
+        solver.solve_pathwise(data, disc, 0.0)

@@ -48,3 +48,13 @@ def test_per_grid_work_runs_once_per_grid(tmp_path):
                               "--n-quad-ladder", "4", "--out", out])
     assert metrics["constants.discrete_infsup.calls"][0] == 8
     assert metrics["constants.cfl_constant.calls"][0] == 2
+
+
+def test_mode_vector_once_per_mesh(tmp_path):
+    spans = _spans()
+    tracer = spans.Tracer()
+    argv = ["convergence", "--case", "lognormal", "--j-min", "2", "--j-max", "3",
+            "--n-quad-ladder", "4", "--out", str(tmp_path / "out.csv")]
+    with tracer.installed(), tracer.call(argv[0]):
+        assert cli.main(argv) == cli.EXIT_OK
+    assert sum(span.name == "fem.mode_load_vector" for span in tracer.spans) == 2

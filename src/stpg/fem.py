@@ -118,6 +118,16 @@ class SpatialPair:
                 array.flags.writeable = False
         return self._modes
 
+    def mode_pairs(self) -> list:
+        """One 1-dof pair (M = [[1]], S = [[lam]]) per eigenvalue of modes().
+
+        In the modal basis M is I, S is diag(lam) and M S^-1 M is
+        diag(1 / lam), so every space-time matrix of the pair splits into
+        one block per mode. The pairs have no mesh (no nodal basis).
+        """
+        return [SpatialPair(mesh=None, mass=np.ones((1, 1)),
+                            stiffness=np.full((1, 1), lam)) for lam in self.modes()[0]]
+
     def mode_vector(self) -> np.ndarray:
         """mode_load_vector of the mesh, computed once; read-only."""
         if self._mode_vector is None:

@@ -99,9 +99,6 @@ class ModeSolution:
     def time_profile(self, t) -> np.ndarray:
         return exact_mode_profile(self.a, self.lam, t)
 
-    def time_profile_derivative(self, t) -> np.ndarray:
-        return _profile_derivative(self.a, self.lam, t)
-
     @property
     def mode_energy_sq(self) -> float:
         """Squared energy norm of the spatial mode, pi^2 / 2 in both dims."""

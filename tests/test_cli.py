@@ -116,6 +116,19 @@ def test_infsup_csv(tmp_path):
         assert abs(sigma_max - 1.0) < 1e-8
 
 
+def test_infsup_weighted_constants_are_one_past_the_dense_cap():
+    # criterion 1 at a trial size of 63 * 128 = 8,064, past the default
+    # cap of 5,000: the per-mode blocks are 128 x 128
+    config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1,
+                                  n_cells=(64,), n_steps=(128,), quad_ladder=(2,),
+                                  max_dofs=20000)
+    rows = cli.run_infsup(config)
+    assert len(rows) == 2
+    for row in rows:
+        assert abs(row[5] - 1.0) < 1e-8
+        assert abs(row[6] - 1.0) < 1e-8
+
+
 def test_moments_rejects_short_ladder(tmp_path):
     out = tmp_path / "m.csv"
     result = _run(["moments", "--case", "a", "--n-quad-ladder", "8,16",

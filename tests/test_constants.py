@@ -183,15 +183,6 @@ def test_quasi_opt_ratio_invariant_under_forcing_scale():
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-10)
 
 
-def test_constants_report_validation():
-    with pytest.raises(ValueError):
-        consts.ConstantsReport(sigma_min=2.0, sigma_max=1.0)
-    with pytest.raises(ValueError):
-        consts.ConstantsReport(sigma_min=-0.5, sigma_max=1.0)
-    rep = consts.ConstantsReport(sigma_min=0.9, sigma_max=1.1)
-    assert rep.sigma_min < rep.sigma_max
-
-
 @pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
 def test_cfl_matches_dense_dual_gram_eigenproblem(dim, n_cells, degree):
     # oracle: c_S = k sqrt(lambda_max(S, M S^-1 M)) by a dense generalized eigh
@@ -200,3 +191,35 @@ def test_cfl_matches_dense_dual_gram_eigenproblem(dim, n_cells, degree):
     k = 0.03
     ref = k * math.sqrt(eigh(pair.stiffness, dual, eigvals_only=True)[-1])
     assert consts.cfl_constant(pair, k) == pytest.approx(ref, rel=1e-12)
+
+
+_GRIDS = {
+    "uniform": solver.TimeGrid.uniform(1.0, 8),
+    "graded": solver.TimeGrid(np.linspace(0.0, 1.0, 10) ** 2),
+}
+
+
+@pytest.mark.parametrize("trial,test", [("Y", "X"), ("Y_omega", "X_omega"),
+                                        ("Y_omega", "X_omega_hk")])
+@pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("a", [0.3, 4.0])
+def test_mode_blocks_match_dense_space_time_constants(trial, test, dim, n_cells,
+                                                      degree, grid, a):
+    # oracle: the dense SVD of the whole space-time system of the full pair;
+    # the unweighted norms put sigma far from 1, so a dropped or mis-scaled
+    # mode block would show
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
+    disc = solver.Discretization(pair=pair, grid=_GRIDS[grid])
+
+    def infsup(d):
+        return consts.discrete_infsup(solver.assemble_full_system(d, a),
+                                      solver.build_grams(d, a, trial),
+                                      solver.build_grams(d, a, test))
+
+    blocks = [infsup(solver.Discretization(pair=p, grid=disc.grid))
+              for p in pair.mode_pairs()]
+    assert len(blocks) == pair.n_dof
+    smin, smax = infsup(disc)
+    assert min(b[0] for b in blocks) == pytest.approx(smin, rel=1e-12)
+    assert max(b[1] for b in blocks) == pytest.approx(smax, rel=1e-12)

@@ -46,7 +46,10 @@ def test_per_grid_work_runs_once_per_grid(tmp_path):
     assert metrics["solver.time_weights.calls"][0] == 2
     metrics = _traced(spans, ["infsup", "--cells", "4,8", "--steps", "4",
                               "--n-quad-ladder", "4", "--out", out])
-    assert metrics["constants.discrete_infsup.calls"][0] == 8
+    # one steps x steps block per spatial mode (3 + 7) and node (4); none
+    # of space-time size
+    assert metrics["constants.discrete_infsup.calls"][0] == 40
+    assert metrics["constants.discrete_infsup.size_max"][0] == 4
     assert metrics["constants.cfl_constant.calls"][0] == 2
 
 

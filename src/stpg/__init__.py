@@ -5,7 +5,6 @@ estimates."""
 
 from .constants import (
     ConstantsReport,
-    MomentExponents,
     cfl_adjusted_infsup_bound,
     cfl_constant,
     cfl_omega,
@@ -39,6 +38,7 @@ from .solver import (
 )
 from .stochastic import (
     CoefficientModel,
+    MomentExponents,
     ParameterDomain,
     classify_trend,
     lp_norm,

@@ -21,7 +21,6 @@ from .fem import Mesh, SpatialPair, assemble
 
 __all__ = [
     "ConstantsReport",
-    "MomentExponents",
     "discrete_infsup",
     "cfl_constant",
     "cfl_omega",
@@ -44,24 +43,6 @@ class ConstantsReport:
     norm_bound_factor: float = math.nan
 
 
-@dataclass(frozen=True)
-class MomentExponents:
-    """Integrability exponents of the data and the derived solution moments.
-
-    alpha: forcing, beta: initial datum, gamma: inverse coercivity,
-    theta: boundedness; p is the guaranteed solution moment and p_bar
-    the moment surviving the fully discrete quasi-optimality transfer.
-    Infinite exponents are represented by math.inf.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    theta: float = math.inf
-    p: float = math.nan
-    p_bar: float = math.nan
-
-
 def _gram_half_inverse(gram: np.ndarray, name: str) -> np.ndarray:
     try:
         return cholesky(gram, lower=True)
@@ -74,8 +55,10 @@ def discrete_infsup(bilinear: np.ndarray, gram_trial: np.ndarray,
     """Inf-sup and continuity constants in the chosen norms.
 
     Returns the smallest and largest singular values of
-    G_test^{-1/2} B G_trial^{-1/2} computed by a dense SVD; sizes are
-    capped to keep the computation at desk scale.
+    G_test^{-1/2} B G_trial^{-1/2} computed by a dense SVD of whatever
+    system it is given: the N x N block of one eigenmode in the CLI, the
+    whole space-time system of a pair in the tests. dof_cap bounds the
+    size of that system.
     """
     bilinear = np.asarray(bilinear, dtype=float)
     if bilinear.shape[0] != gram_test.shape[0] or bilinear.shape[1] != gram_trial.shape[0]:

@@ -12,8 +12,12 @@ step is n_dof scalar recurrences, with no factorization per path or step.
 The module also evaluates the space-time norms attached to the pair:
 the trial energy norm, its weighted variant, and the weighted test
 norms with and without the interval-mean projection of the test
-function. A solution is a plain (N, n_dof) array holding the value of
-the trial function on each of the N time intervals.
+function. Trial and test spaces are tensor products of a temporal space
+with the spatial one, so the dense space-time system and every Gram
+matrix is a sum of Kronecker products of N x N temporal factors (the
+jump and the interval mean of the test function, the widths) with M, S
+and M S^-1 M. A solution is a plain (N, n_dof) array holding the value
+of the trial function on each of the N time intervals.
 """
 
 import math
@@ -238,29 +242,32 @@ def solve_pathwise(data: ProblemData, disc: Discretization, omega: float) -> np.
     return z @ vecs.T
 
 
+def _temporal_factors(grid: TimeGrid) -> tuple:
+    """Jump D and interval mean A of the temporal test functions.
+
+    Both are N x N: they map the nodal values at t_0..t_{N-1} (the value
+    at T is the zero of the test space) to the N intervals, so row j of
+    D x is x_{j+1} - x_j and row j of A x is (x_j + x_{j+1}) / 2.
+    """
+    eye = np.eye(grid.n_intervals)
+    upper = np.eye(grid.n_intervals, k=1)
+    return upper - eye, 0.5 * (eye + upper)
+
+
 def assemble_full_system(disc: Discretization, a: float) -> np.ndarray:
     """Dense matrix of the space-time bilinear form for diffusion value a.
 
     Rows follow the temporal test nodes t_0..t_{N-1}, columns the trial
-    intervals I_1..I_N; the block structure is lower bidiagonal with
-    blocks -M + (k_j/2) a S below and M + (k_{j+1}/2) a S on the
-    diagonal.
+    intervals I_1..I_N. With the jump D, the interval mean A and the
+    widths k the matrix is -D' (x) M + (A' diag k) (x) a S: lower block
+    bidiagonal, with blocks M + (k_{j+1}/2) a S on the diagonal and
+    -M + (k_j/2) a S below.
     """
     a = _check_a(a)
     pair = disc.pair
-    n = disc.n_dof
-    widths = disc.grid.widths
-    n_steps = disc.grid.n_intervals
-    size = n_steps * n
-    mat = np.zeros((size, size))
-    stiff_a = a * pair.stiffness
-    for j in range(n_steps):
-        rows = slice(j * n, (j + 1) * n)
-        mat[rows, rows] = pair.mass + 0.5 * widths[j] * stiff_a
-        if j >= 1:
-            cols = slice((j - 1) * n, j * n)
-            mat[rows, cols] = -pair.mass + 0.5 * widths[j - 1] * stiff_a
-    return mat
+    jump, mean = _temporal_factors(disc.grid)
+    return (np.kron(-jump.T, pair.mass)
+            + np.kron(mean.T * disc.grid.widths, a * pair.stiffness))
 
 
 _GRAM_KINDS = ("Y", "Y_omega", "X_omega_hk", "X_omega", "X")
@@ -269,16 +276,19 @@ _GRAM_KINDS = ("Y", "Y_omega", "X_omega_hk", "X_omega", "X")
 def build_grams(disc: Discretization, a: float, kind: str) -> np.ndarray:
     """Gram matrix of one of the space-time norms.
 
-    kind selects the norm evaluated as coeffs' G coeffs:
+    kind selects the norm evaluated as coeffs' G coeffs; with the widths
+    k, the jump D, the interval mean A and the dual Gram M S^-1 M:
 
-    * ``Y``          trial energy norm, blocks k_i S
+    * ``Y``          trial energy norm, diag(k) (x) S
     * ``Y_omega``    weighted trial norm, a times the above
     * ``X_omega_hk`` weighted test norm with interval means of the test
       function in the energy term and the discrete dual norm on the
-      time derivative
+      time derivative: D' diag(1/(a k)) D (x) M S^-1 M
+      + A' diag(a k) A (x) S + e_0 e_0' (x) M
     * ``X_omega``    same but with the full test function in the energy
-      term
-    * ``X``          unweighted variant of ``X_omega``
+      term, which adds D' diag(a k / 12) D (x) S, since the integral of
+      a linear function squared is k (mean^2 + jump^2 / 12)
+    * ``X``          unweighted variant of ``X_omega`` (a := 1)
 
     Test-space matrices act on nodal values at t_0..t_{N-1}; the value
     at the final time is the built-in zero of the test space.
@@ -288,43 +298,20 @@ def build_grams(disc: Discretization, a: float, kind: str) -> np.ndarray:
     if kind != "X":
         a = _check_a(a)
     pair = disc.pair
-    n = disc.n_dof
-    widths = disc.grid.widths
-    n_steps = disc.grid.n_intervals
-    size = n_steps * n
-
+    k = disc.grid.widths
     if kind in ("Y", "Y_omega"):
         weight = 1.0 if kind == "Y" else a
-        gram = np.zeros((size, size))
-        for i in range(n_steps):
-            sl = slice(i * n, (i + 1) * n)
-            gram[sl, sl] = weight * widths[i] * pair.stiffness
-        return gram
+        return np.kron(np.diag(weight * k), pair.stiffness)
 
     a_eff = 1.0 if kind == "X" else a
-    stiff = pair.stiffness
+    jump, mean = _temporal_factors(disc.grid)
+    ak = a_eff * k[:, None]
+    energy = mean.T @ (ak * mean)
+    if kind != "X_omega_hk":
+        energy += jump.T @ (ak / 12.0 * jump)
     dual = pair.mass @ pair.stiffness_solve(pair.mass)
-    gram = np.zeros((size, size))
-
-    def add(row, col, block):
-        gram[row * n:(row + 1) * n, col * n:(col + 1) * n] += block
-
-    for i in range(1, n_steps + 1):
-        k = widths[i - 1]
-        left, right = i - 1, i  # node indices; node n_steps is the zero at T
-        d_block = dual / (a_eff * k)
-        if kind == "X_omega_hk":
-            s_block = 0.25 * a_eff * k * stiff
-            s_cross = s_block
-        else:
-            s_block = a_eff * k / 3.0 * stiff
-            s_cross = a_eff * k / 6.0 * stiff
-        add(left, left, d_block + s_block)
-        if right < n_steps:
-            add(right, right, d_block + s_block)
-            add(left, right, -d_block + s_cross)
-            add(right, left, -d_block + s_cross)
-    gram[:n, :n] += pair.mass
+    gram = np.kron(jump.T @ (jump / ak), dual) + np.kron(energy, pair.stiffness)
+    gram[:disc.n_dof, :disc.n_dof] += pair.mass
     return gram
 
 

@@ -21,12 +21,31 @@ __all__ = [
     "lp_norm",
     "predict_max_moment",
     "predict_pbar",
+    "MomentExponents",
     "moment_exponents",
     "classify_trend",
     "singular_example_moments",
 ]
 
 _SAMPLING_MODES = ("midpoint-quadrature", "gauss-legendre")
+
+
+@dataclass(frozen=True)
+class MomentExponents:
+    """Integrability exponents of the data and the derived solution moments.
+
+    alpha: forcing, beta: initial datum, gamma: inverse coercivity,
+    theta: boundedness; p is the guaranteed solution moment and p_bar
+    the moment surviving the fully discrete quasi-optimality transfer.
+    Infinite exponents are represented by math.inf.
+    """
+
+    alpha: float
+    beta: float
+    gamma: float
+    theta: float = math.inf
+    p: float = math.nan
+    p_bar: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -212,10 +231,8 @@ def predict_pbar(p: float, theta: float) -> tuple:
 
 
 def moment_exponents(alpha: float, beta: float, gamma: float,
-                     theta: float = math.inf):
+                     theta: float = math.inf) -> MomentExponents:
     """Bundle the data exponents with the derived solution moments."""
-    from .constants import MomentExponents
-
     p = predict_max_moment(alpha, beta, gamma)
     if p >= 1:
         p_bar, _ = predict_pbar(p, theta)

@@ -223,3 +223,6 @@ def test_mode_blocks_match_dense_space_time_constants(trial, test, dim, n_cells,
     smin, smax = infsup(disc)
     assert min(b[0] for b in blocks) == pytest.approx(smin, rel=1e-12)
     assert max(b[1] for b in blocks) == pytest.approx(smax, rel=1e-12)
+    if (trial, test) == ("Y_omega", "X_omega_hk"):
+        # criterion 1 on every time grid: the weighted constants are exactly 1
+        assert abs(smin - 1.0) <= 1e-8 and abs(smax - 1.0) <= 1e-8

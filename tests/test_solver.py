@@ -6,6 +6,20 @@ from stpg import fem, solver
 from stpg.stochastic import CoefficientModel, default_domain, quadrature
 
 
+_GRIDS = {
+    "uniform": solver.TimeGrid.uniform(1.0, 9),
+    "graded": solver.TimeGrid(np.linspace(0.0, 1.0, 10) ** 2),
+}
+
+
+def _disc_on(grid, n_cells, n_steps):
+    """The test's own uniform grid of n_steps, or the graded grid."""
+    disc = make_disc(n_cells=n_cells, n_steps=n_steps)
+    if grid == "uniform":
+        return disc
+    return solver.Discretization(pair=disc.pair, grid=_GRIDS["graded"])
+
+
 def _sin_hat_integral(t_prev, t_node, t_next):
     """Closed form of int sin(pi t) * hat(t) dt for a temporal hat."""
     total = 0.0
@@ -105,18 +119,19 @@ def test_time_stepping_agrees_with_full_system(a, n_cells, n_steps):
     assert diff <= 1e-10 * scale
 
 
-def test_full_system_block_structure():
-    disc = make_disc(n_cells=4, n_steps=3)
+@pytest.mark.parametrize("grid", ["uniform", "graded"])
+def test_full_system_block_structure(grid):
+    disc = _disc_on(grid, n_cells=4, n_steps=3)
     a = 1.7
     mat = solver.assemble_full_system(disc, a)
     n = disc.n_dof
-    k = disc.grid.widths[0]
+    k = disc.grid.widths
     mass, stiff = disc.pair.mass, disc.pair.stiffness
-    diag = mass + 0.5 * k * a * stiff
-    sub = -mass + 0.5 * k * a * stiff
-    for j in range(3):
+    for j in range(disc.grid.n_intervals):
+        diag = mass + 0.5 * k[j] * a * stiff
         assert np.allclose(mat[j * n:(j + 1) * n, j * n:(j + 1) * n], diag, atol=1e-14)
         if j >= 1:
+            sub = -mass + 0.5 * k[j - 1] * a * stiff
             assert np.allclose(mat[j * n:(j + 1) * n, (j - 1) * n:j * n], sub, atol=1e-14)
     # strict upper blocks vanish
     assert np.all(mat[:n, n:] == 0.0)
@@ -233,16 +248,18 @@ def test_evaluate_norm_basics(rng):
         solver.evaluate_norm(v[:-1], gram)
 
 
-def test_evaluate_norm_matches_time_quadrature(rng):
+@pytest.mark.parametrize("grid", ["uniform", "graded"])
+def test_evaluate_norm_matches_time_quadrature(rng, grid):
     # independent evaluation of int |U(t)|_V^2 dt by Gauss points in time
-    disc = make_disc(n_cells=6, n_steps=7)
-    values = rng.standard_normal((7, disc.n_dof))
+    disc = _disc_on(grid, n_cells=6, n_steps=7)
+    n_steps = disc.grid.n_intervals
+    values = rng.standard_normal((n_steps, disc.n_dof))
     sol = values
     gram = solver.build_grams(disc, 1.0, "Y")
     via_gram = solver.evaluate_norm(sol, gram)
     gx, gw = np.polynomial.legendre.leggauss(3)
     total = 0.0
-    for i in range(7):
+    for i in range(n_steps):
         k = disc.grid.widths[i]
         u = values[i]
         energy = u @ disc.pair.stiffness @ u
@@ -251,18 +268,20 @@ def test_evaluate_norm_matches_time_quadrature(rng):
     assert solver.trial_energy_norm(sol, disc) == pytest.approx(via_gram, rel=1e-12)
 
 
-def test_test_gram_matches_independent_quadrature(rng):
+@pytest.mark.parametrize("grid", ["uniform", "graded"])
+def test_test_gram_matches_independent_quadrature(rng, grid):
     # X_omega gram versus direct quadrature of the weighted test norm
-    disc = make_disc(n_cells=5, n_steps=6)
+    disc = _disc_on(grid, n_cells=5, n_steps=6)
+    n_steps = disc.grid.n_intervals
     a = 2.3
     gram = solver.build_grams(disc, a, "X_omega")
     x = rng.standard_normal(disc.test_size)
-    nodal = np.vstack([x.reshape(6, -1), np.zeros(disc.n_dof)])
+    nodal = np.vstack([x.reshape(n_steps, -1), np.zeros(disc.n_dof)])
     pair = disc.pair
     dual = pair.mass @ pair.stiffness_solve(pair.mass)
     gx, gw = np.polynomial.legendre.leggauss(4)
     total = float(nodal[0] @ pair.mass @ nodal[0])
-    for i in range(6):
+    for i in range(n_steps):
         k = disc.grid.widths[i]
         xd = (nodal[i + 1] - nodal[i]) / k
         total += k / a * float(xd @ dual @ xd)
@@ -273,16 +292,18 @@ def test_test_gram_matches_independent_quadrature(rng):
     assert solver.evaluate_norm(x, gram) == pytest.approx(np.sqrt(total), rel=1e-10)
 
 
-def test_projected_test_gram_uses_interval_means(rng):
-    disc = make_disc(n_cells=5, n_steps=6)
+@pytest.mark.parametrize("grid", ["uniform", "graded"])
+def test_projected_test_gram_uses_interval_means(rng, grid):
+    disc = _disc_on(grid, n_cells=5, n_steps=6)
+    n_steps = disc.grid.n_intervals
     a = 0.8
     gram = solver.build_grams(disc, a, "X_omega_hk")
     x = rng.standard_normal(disc.test_size)
-    nodal = np.vstack([x.reshape(6, -1), np.zeros(disc.n_dof)])
+    nodal = np.vstack([x.reshape(n_steps, -1), np.zeros(disc.n_dof)])
     pair = disc.pair
     dual = pair.mass @ pair.stiffness_solve(pair.mass)
     total = float(nodal[0] @ pair.mass @ nodal[0])
-    for i in range(6):
+    for i in range(n_steps):
         k = disc.grid.widths[i]
         xd = (nodal[i + 1] - nodal[i]) / k
         mean = 0.5 * (nodal[i] + nodal[i + 1])
@@ -327,12 +348,6 @@ def test_best_approximation_is_optimal_projection(rng):
         dist = solver.evaluate_norm(pert_sol - best, gram)
         expected = np.sqrt(err_best ** 2 + dist ** 2)
         assert err_pert == pytest.approx(expected, rel=1e-9)
-
-
-_GRIDS = {
-    "uniform": solver.TimeGrid.uniform(1.0, 9),
-    "graded": solver.TimeGrid(np.linspace(0.0, 1.0, 10) ** 2),
-}
 
 
 @pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])

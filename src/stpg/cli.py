@@ -14,7 +14,10 @@ Subcommands reproduce the stock experiments at desk scale:
 
 Every report is a CSV file with a fixed header, floats printed with 17
 significant digits, and content that is byte-identical across reruns.
-The file is written atomically, so a failed run leaves no partial CSV.
+A regular or new file is written atomically, so a failed run leaves no
+partial CSV; a symlink is written through to its target. A FIFO or a
+device such as ``/dev/stdout`` is written in place, without that
+guarantee.
 """
 
 import argparse
@@ -83,23 +86,52 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def write_csv(path: str, header, rows, trailer=()):
-    """Write a report to path atomically.
+def _template(row) -> str:
+    """The %-template of a row: the conversion _fmt applies to each value."""
+    codes = []
+    for value in row:
+        if isinstance(value, str):
+            codes.append("%s")
+        elif isinstance(value, (bool, int, np.integer)):
+            codes.append("%d")
+        else:
+            codes.append("%.17g")
+    return ",".join(codes) + "\n"
 
-    The rows go to a temporary file in the same directory, which then
-    replaces path in one rename; on any failure the temporary file is
-    removed and path is left as it was.
+
+def _write_report(fh, header, rows, trailer):
+    fh.write(",".join(header) + "\n")
+    if rows:
+        fh.writelines(map(_template(rows[0]).__mod__, rows))
+    fh.writelines("# " + line + "\n" for line in trailer)
+
+
+def write_csv(path: str, header, rows, trailer=()):
+    """Write a report of tuple rows to path.
+
+    Every row is formatted by one %-template built from the kinds of the
+    first row's values, which prints each value as _fmt does provided
+    every column keeps one kind (str, integer or bool, float) across
+    rows; the four CLI reports satisfy this.
+
+    A symlink is resolved first, so its target gets the bytes and the
+    link stays. A regular or new file is written atomically: the rows go
+    to a temporary file in its directory, which then replaces it in one
+    rename; on any failure the temporary file is removed and the file is
+    left as it was. Any other existing target (a FIFO, a device) is
+    written in place, so a failure can leave part of the report in it.
     """
-    directory, name = os.path.split(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            _write_report(fh, header, rows, trailer)
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="ascii", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-            for line in trailer:
-                fh.write("# " + line + "\n")
-        os.replace(tmp, path)
+            _write_report(fh, header, rows, trailer)
+        os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
@@ -274,12 +306,12 @@ def run_solve(config: ExperimentConfig):
     disc = _discretization(config, config.n_cells[0], config.n_steps[0])
     data = solver.mode_problem(model, disc)
     sol = solver.solve_pathwise(data, disc, config.omega)
-    rows = []
-    for i in range(disc.grid.n_intervals):
-        t_right = disc.grid.nodes[i + 1]
-        for dof in range(disc.n_dof):
-            rows.append((i + 1, t_right, dof, sol[i, dof]))
-    return rows
+    # Python floats from tolist() format faster than numpy scalars; each
+    # interval's rows share one time object
+    return [(i + 1, t, dof, v)
+            for i, (t, values) in enumerate(zip(disc.grid.nodes[1:].tolist(),
+                                                sol.tolist()))
+            for dof, v in enumerate(values)]
 
 
 def _int_list(text: str):

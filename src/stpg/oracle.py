@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .fem import interval_gauss
 from .solver import (
@@ -64,6 +63,10 @@ def validate_mode_profile(a: float, lam: float, n_times: int = 100,
     from the integrator at n_times sample times). The closed form is
     only trusted once this gate has been run.
     """
+    # imported here: the integrator serves this gate only, and loading it
+    # would add scipy.integrate to every CLI start
+    from scipy.integrate import solve_ivp
+
     times = np.linspace(0.0, 1.0, n_times)
     prof = exact_mode_profile(a, lam, times)
     residual = np.max(np.abs(

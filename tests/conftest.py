@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 from stpg import fem, solver
+
+# child processes (``python -m stpg.cli``) import the package from this
+# checkout as the test process does, with or without an installed stpg
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 class ConstantCoeffs:

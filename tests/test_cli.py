@@ -1,9 +1,12 @@
 import contextlib
 import io
+import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpg import cli
+from stpg import cli, solver, stochastic
 
 
 def _run(args, **kwargs):
@@ -204,7 +207,7 @@ def test_unwritable_out_exits_with_one_line(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     assert len(err) == 1 and err[0].startswith("stpg: error: cannot write")
     assert list(tmp_path.iterdir()) == []
-    # a directory in place of the file: the rename fails after the write
+    # a directory in place of the file: opening it for writing fails
     code, err = _main(["solve", "--cells", "4", "--steps", "4",
                        "--out", str(tmp_path)], capsys)
     assert code == cli.EXIT_USAGE and len(err) == 1
@@ -221,6 +224,119 @@ def test_csv_write_is_atomic(tmp_path):
         cli.write_csv(str(out), ["a", "b"], [(2, 0.25), (3, object())])
     assert out.read_text() == "a,b\n1,0.5\n"
     assert list(tmp_path.iterdir()) == [out]
+
+
+def _fmt_csv(header, rows, trailer=()):
+    """The report as the per-value _fmt oracle prints it."""
+    lines = [",".join(header)]
+    lines += [",".join(cli._fmt(v) for v in row) for row in rows]
+    lines += ["# " + line for line in trailer]
+    return "".join(line + "\n" for line in lines)
+
+
+def _singular_setup(case):
+    # a(w) is infinite at the node -0.25 of the 2-point rule only, so that
+    # rung's paths fail and its estimates come back flagged as nan
+    model = stochastic.CoefficientModel(a_fn=lambda w: 1.0 / np.abs(w + 0.25),
+                                        c0_fn=lambda w: 1.0 + w)
+    return model, stochastic.default_domain("a")
+
+
+@pytest.mark.parametrize("config,singular", [
+    (cli.ExperimentConfig(subcommand="moments", case="b", dim=1, n_cells=(4,),
+                          n_steps=(4,), quad_ladder=(8, 16, 32, 64)), False),
+    (cli.ExperimentConfig(subcommand="moments", case="a", dim=1, n_cells=(4,),
+                          n_steps=(4,), quad_ladder=(2, 4, 8, 16),
+                          p_values=(1.0, 2.5)), True),
+    (cli.ExperimentConfig(subcommand="convergence", case="lognormal", dim=1,
+                          j_min=2, j_max=3, quad_ladder=(4,)), False),
+    (cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, n_cells=(3,),
+                          n_steps=(2, 4), quad_ladder=(2,)), True),
+    (cli.ExperimentConfig(subcommand="solve", case="constant", dim=2, n_cells=(4,),
+                          n_steps=(6,)), False),
+])
+def test_report_bytes_match_the_fmt_oracle(tmp_path, monkeypatch, config, singular):
+    if singular:
+        monkeypatch.setattr(cli, "_setup", _singular_setup)
+    header, rows, trailer, _ = cli._report(config)
+    if singular:
+        assert any(not math.isfinite(value) for row in rows for value in row[3:5])
+    out = tmp_path / "report.csv"
+    cli.write_csv(str(out), header, rows, trailer)
+    assert out.read_bytes() == _fmt_csv(header, rows, trailer).encode("ascii")
+
+
+def test_write_csv_matches_fmt_on_every_value_kind(tmp_path):
+    rows = [("x", True, np.int64(-7), 3, -0.0, math.inf, -math.inf, math.nan,
+             np.float64(0.1), 1e-300, 2.0 ** 60, np.float32(0.1)),
+            ("yz", False, np.int64(2 ** 62), -4, 1 / 3, 5e-324, -1e300,
+             np.float64(math.nan), np.float64(-2.5), 0.0, 123456789.0, np.float32(3))]
+    header = [f"c{i}" for i in range(len(rows[0]))]
+    out = tmp_path / "kinds.csv"
+    cli.write_csv(str(out), header, rows, ["note,1"])
+    assert out.read_text() == _fmt_csv(header, rows, ["note,1"])
+    assert out.read_text().splitlines()[1].split(",")[4:8] == ["-0", "inf", "-inf",
+                                                               "nan"]
+
+
+def test_solve_rows_match_the_double_loop():
+    config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=2,
+                                  n_cells=(4,), n_steps=(6,))
+    model, _ = cli._setup(config.case)
+    disc = cli._discretization(config, 4, 6)
+    sol = solver.solve_pathwise(solver.mode_problem(model, disc), disc, config.omega)
+    loop = []
+    for i in range(disc.grid.n_intervals):
+        for dof in range(disc.n_dof):
+            loop.append((i + 1, disc.grid.nodes[i + 1], dof, sol[i, dof]))
+    assert cli.run_solve(config) == loop
+
+
+def _solve_csv(argv):
+    config = cli.config_from_args(cli.build_parser().parse_args(argv))
+    return _fmt_csv(cli.SOLVE_HEADER, cli.run_solve(config))
+
+
+def test_out_symlink_is_written_through(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    target = data / "report.csv"
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    argv = ["solve", "--cells", "4", "--steps", "4", "--out", str(link)]
+    # first through a dangling link, then over a stale target
+    for stale in (None, "stale\n"):
+        if stale is not None:
+            target.write_text(stale)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == _solve_csv(argv)
+        assert list(data.iterdir()) == [target]
+        assert sorted(tmp_path.iterdir()) == [data, link]
+
+
+def test_out_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    argv = ["solve", "--cells", "4", "--steps", "4", "--out", str(fifo)]
+    assert cli.main(argv) == cli.EXIT_OK
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [_solve_csv(argv).encode("ascii")]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_cli_import_leaves_out_the_integrator():
+    code = "import sys, stpg.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -15,15 +15,18 @@ Subcommands reproduce the stock experiments at desk scale:
 Every report is a CSV file with a fixed header, floats printed with 17
 significant digits, and content that is byte-identical across reruns.
 A regular or new file is written atomically, so a failed run leaves no
-partial CSV; a symlink is written through to its target. A FIFO or a
-device such as ``/dev/stdout`` is written in place, without that
+partial CSV; a symlink is written through to its target. An open
+descriptor (``/dev/stdout``, ``/proc/self/fd/N``) is written at its
+current offset, and a FIFO or a device in place, without that
 guarantee.
 """
 
 import argparse
 import contextlib
+import errno
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -106,6 +109,48 @@ def _write_report(fh, header, rows, trailer):
     fh.writelines("# " + line + "\n" for line in trailer)
 
 
+_FD_LINK = re.compile(r"/proc/(\d+)(?:/task/\d+)?/fd/(\d+)")
+
+
+def _resolve(path: str):
+    """Follow the symlinks of path one at a time.
+
+    Returns (target, fd). The walk stops at a link that lands in a
+    /proc/<pid>/fd directory (reached as /dev/stdout, /dev/fd/N or
+    /proc/self/fd/N): target is then the link itself, since what it
+    points to is an open file, not a name to replace, and fd is the
+    descriptor number, or -1 if the directory is another process's.
+    Otherwise fd is None and target the fully resolved path.
+    """
+    path = os.path.abspath(path)
+    for _ in range(40):
+        parent = os.path.realpath(os.path.dirname(path))
+        path = os.path.join(parent, os.path.basename(path))
+        match = _FD_LINK.fullmatch(path)
+        if match:
+            return path, int(match[2]) if int(match[1]) == os.getpid() else -1
+        if not os.path.islink(path):
+            return path, None
+        path = os.path.join(parent, os.readlink(path))
+    raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), path)
+
+
+def _open_in_place(target: str, fd):
+    """A text stream that writes into target without replacing it.
+
+    A descriptor of this process is duplicated, so the report goes at
+    its current offset and a shell redirection (``>`` or ``>>``) around
+    the run keeps what came before and after. Another process's
+    descriptor is opened for appending; anything else (a FIFO, a device)
+    is opened for writing, which truncates neither.
+    """
+    if fd is None:
+        return open(target, "w", encoding="ascii", newline="")
+    if fd < 0:
+        return open(target, "a", encoding="ascii", newline="")
+    return open(os.dup(fd), "w", encoding="ascii", newline="")
+
+
 def write_csv(path: str, header, rows, trailer=()):
     """Write a report of tuple rows to path.
 
@@ -114,18 +159,19 @@ def write_csv(path: str, header, rows, trailer=()):
     every column keeps one kind (str, integer or bool, float) across
     rows; the four CLI reports satisfy this.
 
-    A symlink is resolved first, so its target gets the bytes and the
-    link stays. A regular or new file is written atomically: the rows go
-    to a temporary file in its directory, which then replaces it in one
-    rename; on any failure the temporary file is removed and the file is
-    left as it was. Any other existing target (a FIFO, a device) is
-    written in place, so a failure can leave part of the report in it.
+    Symlinks are followed first, so a link's target gets the bytes and
+    the link stays. A regular or new file is written atomically: the
+    rows go to a temporary file in its directory, which then replaces it
+    in one rename; on any failure the temporary file is removed and the
+    file is left as it was. An open descriptor (``/dev/stdout``,
+    ``/proc/self/fd/N``) or any other existing target (a FIFO, a device)
+    is written in place, so a failure can leave part of the report in it.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="ascii", newline="") as fh:
+    target, fd = _resolve(path)
+    if fd is not None or (os.path.exists(target) and not os.path.isfile(target)):
+        with _open_in_place(target, fd) as fh:
             _write_report(fh, header, rows, trailer)
         return
-    target = os.path.realpath(path)
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:

@@ -331,6 +331,57 @@ def test_out_fifo_is_written_in_place(tmp_path):
     assert list(tmp_path.iterdir()) == [fifo]
 
 
+needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                   reason="no /proc/self/fd")
+
+
+@needs_proc_fd
+@pytest.mark.parametrize("owner", ["self", "other"])
+def test_out_descriptor_link_appends_to_its_file(tmp_path, owner):
+    # as `stpg solve ... --out /dev/stdout >> log.txt`, the descriptor
+    # held by this process or by another one
+    log = tmp_path / "log.txt"
+    log.write_text("before\n")
+    argv = ["solve", "--cells", "4", "--steps", "4", "--out"]
+    with open(log, "a") as fh:
+        if owner == "self":
+            out = f"/proc/self/fd/{fh.fileno()}"
+            assert cli.main(argv + [out]) == cli.EXIT_OK
+        else:
+            holder = subprocess.Popen([sys.executable, "-c", "input()"],
+                                      stdin=subprocess.PIPE, stdout=fh)
+            try:
+                out = f"/proc/{holder.pid}/fd/1"
+                assert cli.main(argv + [out]) == cli.EXIT_OK
+            finally:
+                holder.communicate(b"\n", timeout=30)
+    assert log.read_text() == "before\n" + _solve_csv(argv + ["-"])
+    assert list(tmp_path.iterdir()) == [log]
+
+
+@needs_proc_fd
+def test_out_descriptor_link_writes_at_the_shared_offset(tmp_path):
+    # as `{ echo a; stpg solve ... --out /dev/stdout; echo b; } > log.txt`,
+    # with links under tmp_path standing in for /dev/fd and /dev/stdout
+    log = tmp_path / "log.txt"
+    fd_dir = tmp_path / "fd"
+    fd_dir.symlink_to("/proc/self/fd")
+    stdout = tmp_path / "stdout"
+    argv = ["solve", "--cells", "4", "--steps", "4", "--out"]
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+    try:
+        stdout.symlink_to(fd_dir / str(fd))
+        os.write(fd, b"a\n")
+        for out in (fd_dir / str(fd), stdout):
+            assert cli.main(argv + [str(out)]) == cli.EXIT_OK
+        os.write(fd, b"b\n")
+    finally:
+        os.close(fd)
+    csv = _solve_csv(argv + ["-"])
+    assert log.read_text() == "a\n" + csv + csv + "b\n"
+    assert sorted(tmp_path.iterdir()) == [fd_dir, log, stdout]
+
+
 def test_cli_import_leaves_out_the_integrator():
     code = "import sys, stpg.cli; print('scipy.integrate' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,

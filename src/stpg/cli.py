@@ -28,7 +28,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -390,15 +390,17 @@ def build_parser() -> _Parser:
                          help="coefficient case: a, b, c, d, lognormal, constant, zero")
         cmd.add_argument("--dim", type=int, default=d["dim"], choices=(1, 2))
         cmd.add_argument("--degree", type=int, default=1, choices=(1, 2))
-        cmd.add_argument("--cells", type=_int_list, default=_int_list(d["cells"]),
+        cmd.add_argument("--cells", dest="n_cells", type=_int_list,
+                         default=_int_list(d["cells"]),
                          help="spatial cells per axis (comma list for infsup grids)")
-        cmd.add_argument("--steps", type=_int_list, default=_int_list(d["steps"]),
+        cmd.add_argument("--steps", dest="n_steps", type=_int_list,
+                         default=_int_list(d["steps"]),
                          help="time steps (comma list for infsup grids)")
         cmd.add_argument("--j-min", type=int, default=2)
         cmd.add_argument("--j-max", type=int, default=5)
-        cmd.add_argument("--p", type=_float_list, default=(1.0, 2.0),
+        cmd.add_argument("--p", dest="p_values", type=_float_list, default=(1.0, 2.0),
                          help="comma list of moment orders")
-        cmd.add_argument("--n-quad-ladder", type=_int_list,
+        cmd.add_argument("--n-quad-ladder", dest="quad_ladder", type=_int_list,
                          default=(8, 16, 32, 64, 128, 256),
                          help="quadrature sizes; single value for a fixed rule")
         cmd.add_argument("--seed", type=int, default=0,
@@ -415,21 +417,9 @@ def build_parser() -> _Parser:
 
 
 def config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        subcommand=args.subcommand,
-        case=args.case,
-        dim=args.dim,
-        degree=args.degree,
-        n_cells=args.cells,
-        n_steps=args.steps,
-        j_min=args.j_min,
-        j_max=args.j_max,
-        p_values=args.p,
-        quad_ladder=args.n_quad_ladder,
-        omega=args.omega,
-        out=args.out,
-        max_dofs=args.max_dofs,
-    )
+    """The config of parsed arguments; every option's dest is a field name."""
+    return ExperimentConfig(**{f.name: getattr(args, f.name)
+                               for f in fields(ExperimentConfig)})
 
 
 def _report(config: ExperimentConfig):
@@ -454,8 +444,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"stpg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceCapError as exc:
-        print(f"stpg: resource cap: {exc}", file=sys.stderr)
+    except (ResourceCapError, MemoryError) as exc:
+        # numpy names the size it could not allocate; a bare MemoryError is empty
+        print(f"stpg: resource cap: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (solver.PathwiseSolveError, np.linalg.LinAlgError) as exc:
         print(f"stpg: numerical failure: {exc}", file=sys.stderr)

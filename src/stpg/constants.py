@@ -37,10 +37,8 @@ DEFAULT_DOF_CAP = 5000
 class ConstantsReport:
     """Closed-form constants for one coefficient range."""
 
-    c_b_bound: float = math.nan
-    C_b_bound: float = math.nan
-    rho: float = math.nan
-    norm_bound_factor: float = math.nan
+    c_b_bound: float
+    C_b_bound: float
 
 
 def _gram_half_inverse(gram: np.ndarray, name: str) -> np.ndarray:
@@ -166,9 +164,6 @@ def theoretical_constants(a_min: float, a_max: float) -> ConstantsReport:
 
         continuity  <= sqrt(2) * max(1, a_max)
         inf-sup     >= min(a_min, 1 / rho) / sqrt(2)
-
-    and the induced bound on the solution norm carries the factor
-    sqrt(2) * max(1 / a_min, rho).
     """
     if not (0 < a_min <= a_max) or not math.isfinite(a_max):
         raise ValueError("need 0 < a_min <= a_max < inf")
@@ -176,8 +171,6 @@ def theoretical_constants(a_min: float, a_max: float) -> ConstantsReport:
     return ConstantsReport(
         c_b_bound=min(a_min, 1.0 / rho) / math.sqrt(2.0),
         C_b_bound=math.sqrt(2.0) * max(1.0, a_max),
-        rho=rho,
-        norm_bound_factor=math.sqrt(2.0) * max(1.0 / a_min, rho),
     )
 
 

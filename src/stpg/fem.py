@@ -10,8 +10,7 @@ every quadrature in the package.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
 
 __all__ = [
     "Mesh",
@@ -80,23 +79,26 @@ class SpatialPair:
     mass[i, j]      = integral of phi_i * phi_j
     stiffness[i, j] = integral of grad(phi_i) . grad(phi_j)
 
-    Everything derived from the mesh alone (the Cholesky factor of S, the
-    eigenbasis of (S, M), the mode load vector) is computed on first use
-    and cached.
+    Everything derived from the mesh alone (the eigenbasis of (S, M),
+    the mode load vector) is computed on first use and cached.
     """
 
     mesh: Mesh
     mass: np.ndarray
     stiffness: np.ndarray
-    _stiff_chol: tuple = field(default=None, repr=False, compare=False)
     _modes: tuple = field(default=None, repr=False, compare=False)
     _mode_vector: np.ndarray = field(default=None, repr=False, compare=False)
 
     def stiffness_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve S x = rhs, reusing a cached Cholesky factorization."""
-        if self._stiff_chol is None:
-            self._stiff_chol = cho_factor(self.stiffness)
-        return cho_solve(self._stiff_chol, rhs)
+        """Solve S x = rhs as W W' rhs, with W = vecs diag(lam^-1/2) from modes().
+
+        For a 1 x 1 mode pair this is rhs * (1/sqrt(lam)) * (1/sqrt(lam)),
+        the rounding of a Cholesky solve, so the per-mode stability
+        constants do not move by a bit.
+        """
+        lam, vecs = self.modes()
+        half = vecs / np.sqrt(lam)
+        return half @ (half.T @ rhs)
 
     def modes(self) -> tuple:
         """M-orthonormal eigenpairs (lam, vecs) of the pair, cached read-only.
@@ -107,7 +109,7 @@ class SpatialPair:
         diagonalization).
         """
         if self._modes is None:
-            if self.mesh.dim == 1:
+            if self.mesh is None or self.mesh.dim == 1:
                 self._modes = eigh(self.stiffness, self.mass)
             else:
                 mass1, stiff1 = _matrices_1d(self.mesh)
@@ -174,6 +176,10 @@ def _cell_splines(mesh: Mesh, n_points: int, order: int = 0) -> tuple:
     derivative of the given order of spline index[c, a] = c + a at
     point q of cell c.
     """
+    # imported here: only degree 2 uses splines, and scipy.interpolate
+    # (which loads scipy.optimize) would add to every CLI start
+    from scipy.interpolate import BSpline
+
     t = mesh.knots()
     index = np.arange(mesh.n_cells)[:, None] + np.arange(3)
     # column r of the coefficients selects the splines j = r mod 3; the

@@ -55,13 +55,12 @@ def _profile_derivative(a: float, lam: float, t) -> np.ndarray:
             - al * np.pi * np.exp(-al * t)) / den
 
 
-def validate_mode_profile(a: float, lam: float, n_times: int = 100,
-                          rtol: float = 1e-12) -> tuple:
+def validate_mode_profile(a: float, lam: float, n_times: int = 100) -> tuple:
     """Cross-check the closed form against the ODE and a DOP853 integration.
 
     Returns (max residual of T' + a lam T - sin(pi t), max deviation
-    from the integrator at n_times sample times). The closed form is
-    only trusted once this gate has been run.
+    from the integrator, run at rtol 1e-12, at n_times sample times).
+    The closed form is only trusted once this gate has been run.
     """
     # imported here: the integrator serves this gate only, and loading it
     # would add scipy.integrate to every CLI start
@@ -72,7 +71,7 @@ def validate_mode_profile(a: float, lam: float, n_times: int = 100,
     residual = np.max(np.abs(
         _profile_derivative(a, lam, times) + a * lam * prof - np.sin(np.pi * times)))
     sol = solve_ivp(lambda t, y: np.sin(np.pi * t) - a * lam * y, (0.0, 1.0),
-                    [0.0], method="DOP853", t_eval=times, rtol=rtol, atol=1e-14)
+                    [0.0], method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
     deviation = np.max(np.abs(prof - sol.y[0]))
     return float(residual), float(deviation)
 

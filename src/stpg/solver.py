@@ -48,9 +48,10 @@ __all__ = [
 class PathwiseSolveError(RuntimeError):
     """A single-parameter solve failed for a controlled reason.
 
-    Raised when the diffusion value is non-finite or not positive.
-    Parameter sweeps catch this and record a flagged value instead of
-    aborting the whole sweep.
+    Raised when the diffusion value is non-finite or not positive, the
+    forcing amplitude is non-finite, or a time step yields non-finite
+    values. Parameter sweeps catch this and record a flagged value
+    instead of aborting the whole sweep.
     """
 
 
@@ -65,6 +66,8 @@ class TimeGrid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("need at least two time nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("time nodes must be finite")
         if nodes[0] != 0.0:
             raise ValueError("time grid must start at 0")
         if np.any(np.diff(nodes) <= 0):
@@ -315,9 +318,8 @@ def build_grams(disc: Discretization, a: float, kind: str) -> np.ndarray:
     return gram
 
 
-def trial_energy_norm(solution: np.ndarray, disc: Discretization,
-                      weight: float = 1.0) -> float:
-    """Space-time energy norm sqrt(weight * sum_i k_i |U_i|_V^2).
+def trial_energy_norm(solution: np.ndarray, disc: Discretization) -> float:
+    """Space-time energy norm sqrt(sum_i k_i |U_i|_V^2).
 
     Direct evaluation of the block-diagonal trial Gram on the (N, n_dof)
     interval values, cheap enough for parameter sweeps.
@@ -325,7 +327,7 @@ def trial_energy_norm(solution: np.ndarray, disc: Discretization,
     values = np.asarray(solution, dtype=float)
     total = float(np.sum(disc.grid.widths
                          * np.sum((values @ disc.pair.stiffness) * values, axis=1)))
-    return float(np.sqrt(max(weight * total, 0.0)))
+    return float(np.sqrt(max(total, 0.0)))
 
 
 def forcing_dual_norm_sq(data: ProblemData, disc: Discretization, omega: float) -> float:

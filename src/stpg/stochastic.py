@@ -3,9 +3,9 @@
 The random diffusion coefficient is treated as a deterministic function
 of a scalar parameter, so integrals over the parameter domain can be
 evaluated with deterministic quadrature ladders instead of Monte Carlo.
-Midpoint rules are the default because they never place nodes on the
-interval endpoints; whether they avoid interior singular points depends
-on the rule size and is asserted at construction time.
+The ladders are midpoint rules, which never place nodes on the interval
+endpoints; whether they avoid interior singular points depends on the
+rule size and is asserted at construction time.
 """
 
 import math
@@ -27,9 +27,6 @@ __all__ = [
     "singular_example_moments",
 ]
 
-_SAMPLING_MODES = ("midpoint-quadrature", "gauss-legendre")
-
-
 @dataclass(frozen=True)
 class MomentExponents:
     """Integrability exponents of the data and the derived solution moments.
@@ -50,56 +47,39 @@ class MomentExponents:
 
 @dataclass(frozen=True)
 class ParameterDomain:
-    """Scalar parameter domain with a probability measure and a rule family.
+    """Scalar parameter domain with its probability measure.
 
-    kind "uniform-interval" is the uniform law on [low, high];
-    kind "lognormal" maps rules on (0, 1) through the lognormal inverse
-    CDF with the given location and scale.
+    kind "uniform-interval" is the uniform law on [-1/2, 1/2];
+    kind "lognormal" is the standard lognormal law, reached from (0, 1)
+    through its inverse CDF.
     """
 
     kind: str = "uniform-interval"
-    low: float = -0.5
-    high: float = 0.5
-    location: float = 0.0
-    scale: float = 1.0
-    sampling: str = "midpoint-quadrature"
 
     def __post_init__(self):
         if self.kind not in ("uniform-interval", "lognormal"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.sampling not in _SAMPLING_MODES:
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
-        if self.kind == "uniform-interval" and not self.low < self.high:
-            raise ValueError("empty parameter interval")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
 
     def transform(self, unit: np.ndarray) -> np.ndarray:
         """Map points of (0, 1) to parameter values."""
         unit = np.asarray(unit, dtype=float)
         if self.kind == "uniform-interval":
-            return self.low + (self.high - self.low) * unit
-        return np.exp(self.location + self.scale * ndtri(unit))
+            return unit - 0.5
+        return np.exp(ndtri(unit))
 
 
 def quadrature(domain: ParameterDomain, n: int, avoid=()) -> tuple:
-    """Nodes and probability weights of a size-n rule on the domain.
+    """Nodes and probability weights of the size-n midpoint rule on the domain.
 
-    Midpoint rules place nodes at the cell centers of a uniform grid on
-    (0, 1); Gauss rules use Legendre nodes rescaled to (0, 1). Nodes are
-    checked against the avoid list of singular points and the rule is
-    rejected if one collides.
+    The nodes are the cell centers of a uniform grid on (0, 1), mapped by
+    the domain's transform, each with weight 1/n. They are checked
+    against the avoid list of singular points and the rule is rejected if
+    one collides.
     """
     if n < 1:
         raise ValueError("rule size must be at least 1")
-    if domain.sampling == "midpoint-quadrature":
-        unit = (np.arange(n) + 0.5) / n
-        weights = np.full(n, 1.0 / n)
-    else:
-        gx, gw = np.polynomial.legendre.leggauss(n)
-        unit = 0.5 * (gx + 1.0)
-        weights = 0.5 * gw
-    nodes = domain.transform(unit)
+    weights = np.full(n, 1.0 / n)
+    nodes = domain.transform((np.arange(n) + 0.5) / n)
     for point in avoid:
         gap = np.min(np.abs(nodes - point))
         if gap < 1e-12:
@@ -155,12 +135,9 @@ class CoefficientModel:
             return float(self.c0_fn(np.float64(omega)))
 
 
-def default_domain(case: str, sampling: str = "midpoint-quadrature") -> ParameterDomain:
+def default_domain(case: str) -> ParameterDomain:
     """Parameter domain conventionally paired with a named case."""
-    if case == "lognormal":
-        return ParameterDomain(kind="lognormal", sampling=sampling)
-    return ParameterDomain(kind="uniform-interval", low=-0.5, high=0.5,
-                           sampling=sampling)
+    return ParameterDomain("lognormal" if case == "lognormal" else "uniform-interval")
 
 
 def lp_norm(p: float, values, weights) -> tuple:
@@ -257,15 +234,19 @@ def singular_example_moments(exponent: float) -> tuple:
     return predicted, data_order
 
 
-def classify_trend(estimates, delta: float = 0.05, decay: float = 1.3,
-                   window: int = 3) -> str:
+_TREND_DECAY = 1.3
+_TREND_DELTA = 0.05
+_TREND_WINDOW = 3
+
+
+def classify_trend(estimates) -> str:
     """Mechanical convergence judgment for a doubling quadrature ladder.
 
     converging: the increments decay by an average factor of at least
-    `decay` per rung across the ladder (geometric mean of the first to
-    last increment), or the tail has stopped increasing. diverging: not
-    converging, and the last `window` successive ratios all stay at or
-    above 1 + delta. Anything else is inconclusive.
+    decay = 1.3 per rung across the ladder (geometric mean of the first
+    to last increment), or the tail has stopped increasing. diverging:
+    not converging, and the last window = 3 successive ratios all stay
+    at or above 1 + delta, delta = 0.05. Anything else is inconclusive.
 
     Convergence is judged first: a ladder with collapsing increments
     can still show large early ratios, and the averaged increment rate
@@ -283,12 +264,12 @@ def classify_trend(estimates, delta: float = 0.05, decay: float = 1.3,
     converged = abs(inc[-1]) <= 1e-12 * scale
     if not converged and inc[0] > 0:
         rate = (inc[0] / abs(inc[-1])) ** (1.0 / (len(inc) - 1))
-        converged = rate >= decay
+        converged = rate >= _TREND_DECAY
     if converged:
         return "converging"
 
     ratios = est[1:] / est[:-1]
-    recent = ratios[-min(window, len(ratios)):]
-    if np.all(recent >= 1.0 + delta):
+    recent = ratios[-min(_TREND_WINDOW, len(ratios)):]
+    if np.all(recent >= 1.0 + _TREND_DELTA):
         return "diverging"
     return "inconclusive"

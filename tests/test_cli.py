@@ -214,6 +214,30 @@ def test_unwritable_out_exits_with_one_line(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["solve", "--steps", str(10 ** 15)],
+                                  ["infsup", "--n-quad-ladder", str(10 ** 15)]])
+def test_unallocatable_size_exits_with_one_line(tmp_path, capsys, argv):
+    # 10**15 float64 values need 8 PB, beyond the 47-bit address space, so
+    # the allocation fails at once even where memory is overcommitted
+    out = tmp_path / "x.csv"
+    code, err = _main(argv + ["--out", str(out)], capsys)
+    assert code == cli.EXIT_RESOURCE
+    assert len(err) == 1 and err[0].startswith("stpg: resource cap:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_from_args_maps_every_option_to_its_field():
+    argv = ["infsup", "--case", "b", "--dim", "2", "--degree", "2",
+            "--cells", "4,8", "--steps", "2,6", "--j-min", "3", "--j-max", "4",
+            "--p", "1,3", "--n-quad-ladder", "8,16,32,64", "--omega", "0.3",
+            "--max-dofs", "99", "--seed", "5", "--jobs", "3", "--out", "r.csv"]
+    config = cli.config_from_args(cli.build_parser().parse_args(argv))
+    assert config == cli.ExperimentConfig(
+        subcommand="infsup", case="b", dim=2, degree=2, n_cells=(4, 8),
+        n_steps=(2, 6), j_min=3, j_max=4, p_values=(1.0, 3.0),
+        quad_ladder=(8, 16, 32, 64), omega=0.3, out="r.csv", max_dofs=99)
+
+
 def test_csv_write_is_atomic(tmp_path):
     out = tmp_path / "report.csv"
     cli.write_csv(str(out), ["a", "b"], [(1, 0.5)])
@@ -383,11 +407,12 @@ def test_out_descriptor_link_writes_at_the_shared_offset(tmp_path):
 
 
 def test_cli_import_leaves_out_the_integrator():
-    code = "import sys, stpg.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, stpg.cli; "
+            "print([m in sys.modules for m in ('scipy.integrate', 'scipy.interpolate')])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[False, False]"
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -118,11 +118,8 @@ def test_theoretical_constants_plug_in():
     rep = consts.theoretical_constants(1.0, 1.0)
     assert rep.C_b_bound == pytest.approx(math.sqrt(2.0))
     assert rep.c_b_bound == pytest.approx(1.0 / math.sqrt(2.0))
-    assert rep.norm_bound_factor == pytest.approx(math.sqrt(2.0))
     rep = consts.theoretical_constants(0.5, 2.0)
-    assert rep.rho == pytest.approx(4.0)
     assert rep.c_b_bound == pytest.approx(1.0 / (4.0 * math.sqrt(2.0)))
-    assert rep.norm_bound_factor == pytest.approx(4.0 * math.sqrt(2.0))
     with pytest.raises(ValueError):
         consts.theoretical_constants(2.0, 1.0)
     with pytest.raises(ValueError):

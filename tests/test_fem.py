@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
-from scipy.linalg import eigh
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from stpg import fem
 
@@ -265,6 +265,11 @@ def test_modes_are_m_orthonormal_eigenpairs(dim, n_cells, degree):
     scale = np.max(np.abs(pair.stiffness))
     assert np.allclose(pair.stiffness @ vecs, pair.mass @ vecs * lam, atol=1e-11 * scale)
     assert pair.modes() is pair.modes()
+    # the modes also solve with S, for vector and matrix right-hand sides
+    for rhs in (pair.mode_vector(), pair.mass):
+        ref = np.linalg.solve(pair.stiffness, rhs)
+        assert np.allclose(pair.stiffness_solve(rhs), ref, rtol=0,
+                           atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_modes_2d_match_dense_eigenvalues():
@@ -280,6 +285,14 @@ def test_modes_1d_hat_eigenvalues_closed_form():
     lam, _ = fem.assemble(fem.build_mesh(1, n_cells, 1)).modes()
     c = np.cos(np.arange(1, n_cells) * np.pi * h)
     assert np.allclose(lam, 6.0 / h ** 2 * (1.0 - c) / (2.0 + c), rtol=1e-12)
+
+
+def test_mode_pair_solve_rounds_as_a_cholesky_solve():
+    # the per-mode infsup constants keep their bits only if this holds
+    pair = fem.assemble(fem.build_mesh(1, 9, 2))
+    for mode in pair.mode_pairs():
+        chol = cho_solve(cho_factor(mode.stiffness), mode.mass)
+        assert np.array_equal(mode.stiffness_solve(mode.mass), chol)
 
 
 def test_mode_vector_is_cached_and_read_only():

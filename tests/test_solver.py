@@ -52,6 +52,10 @@ def test_time_grid_guards():
         solver.TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(ValueError):
         solver.TimeGrid(np.array([0.1, 0.5]))
+    # nan compares False, so the strict-increase check alone lets it through
+    for nodes in ([0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [0.0, 0.5, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            solver.TimeGrid(np.array(nodes))
     grid = solver.TimeGrid.uniform(2.0, 4)
     assert grid.final_time == 2.0
     assert np.allclose(grid.widths, 0.5)

@@ -190,19 +190,34 @@ def _setup(case: str):
     return model, domain
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError):
+        return None
+    return size if size > 0 else None
+
+
 def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
                     space_time: bool = False):
     """Mesh, spatial pair and uniform time grid of one configuration.
 
     The size cap is checked before any matrix is built: against the
     spatial dofs for pathwise sweeps, against the space-time trial size
-    (dofs times steps) for the per-mode N x N blocks of infsup.
+    (dofs times steps) for the per-mode N x N blocks of infsup. Before
+    the time grid is built, the float64 (n_steps, n_dof) solution of a
+    sweep must fit in physical memory.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
     if size > config.max_dofs:
         kind = "trial" if space_time else "spatial"
         raise ResourceCapError(f"{kind} size {size} exceeds cap {config.max_dofs}")
+    memory, need = _physical_memory(), 8 * n_steps * mesh.n_dof
+    if memory is not None and need > memory:
+        raise ResourceCapError(f"a {n_steps} x {mesh.n_dof} solution needs {need} bytes, "
+                               f"more than the {memory} bytes of physical memory")
     grid = solver.TimeGrid.uniform(1.0, n_steps)
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
 

@@ -9,13 +9,15 @@ evaluates the CFL constant of the spatial pair, its diffusion-weighted
 variant, a two-grid estimate of the dual-norm equivalence constant of
 the orthogonal projection, and the closed-form bounds the constants
 are checked against.
+
+Everything the CLI calls runs on numpy alone; ``projection_stability``,
+a test-side estimate, loads ``scipy.linalg.eigh`` when called.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 
 from .fem import Mesh, SpatialPair, assemble
 
@@ -41,9 +43,10 @@ class ConstantsReport:
     C_b_bound: float
 
 
-def _gram_half_inverse(gram: np.ndarray, name: str) -> np.ndarray:
+def _gram_factor(gram: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor L of a Gram matrix, gram = L L'."""
     try:
-        return cholesky(gram, lower=True)
+        return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"{name} gram matrix is not positive definite") from exc
 
@@ -64,13 +67,13 @@ def discrete_infsup(bilinear: np.ndarray, gram_trial: np.ndarray,
     if max(bilinear.shape) > dof_cap:
         raise ValueError(
             f"system size {max(bilinear.shape)} exceeds the dense-SVD cap {dof_cap}")
-    l_test = _gram_half_inverse(gram_test, "test")
-    l_trial = _gram_half_inverse(gram_trial, "trial")
+    l_test = _gram_factor(gram_test, "test")
+    l_trial = _gram_factor(gram_trial, "trial")
     # L_test^-1 B L_trial^-T has the same singular values as the
     # symmetric-root sandwich
-    tmp = solve_triangular(l_test, bilinear, lower=True)
-    mat = solve_triangular(l_trial, tmp.T, lower=True).T
-    sig = svdvals(mat)
+    tmp = np.linalg.solve(l_test, bilinear)
+    mat = np.linalg.solve(l_trial, tmp.T).T
+    sig = np.linalg.svd(mat, compute_uv=False)
     return float(sig[-1]), float(sig[0])
 
 
@@ -122,6 +125,9 @@ def projection_stability(coarse: Mesh, fine: Mesh) -> float:
     eigenproblem. The fine space stands in for the full space, so the
     value is a lower bound that stabilizes under refinement.
     """
+    # imported here: no CLI path calls this estimate
+    from scipy.linalg import eigh
+
     if coarse.degree != 1 or fine.degree != 1:
         raise NotImplementedError("projection stability is implemented for degree 1")
     if coarse.dim != fine.dim:

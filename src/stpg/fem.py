@@ -5,12 +5,16 @@ conditions, their mass and stiffness Gram matrices, the V norm
 (stiffness energy) and the discrete dual norm induced by restricting
 functionals to the subspace, and the per-interval Gauss rule shared by
 every quadrature in the package.
+
+Hat functions (degree 1) need numpy only: their eigenpairs of (S, M)
+have a closed form, the discrete sine transform. Quadratic splines
+(degree 2) load ``scipy.interpolate`` for the basis and
+``scipy.linalg.eigh`` for the eigenpairs, on first use.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 __all__ = [
     "Mesh",
@@ -103,19 +107,30 @@ class SpatialPair:
     def modes(self) -> tuple:
         """M-orthonormal eigenpairs (lam, vecs) of the pair, cached read-only.
 
-        S vecs = M vecs diag(lam) and vecs' M vecs = I. In dim 2 the
-        pair is the tensor product of the 1-D pair, so are its modes:
-        vecs = V (x) V with eigenvalues lam_i + lam_j (fast
-        diagonalization).
+        S vecs = M vecs diag(lam) and vecs' M vecs = I. Hat functions
+        have them in closed form (_hat_modes), quadratic splines by a
+        dense generalized eigh, and a pair without a mesh is a 1 x 1 mode
+        pair (s / m, 1 / sqrt(m)). In dim 2 the pair is the tensor product
+        of the 1-D pair, so are its modes: vecs = V (x) V with eigenvalues
+        lam_i + lam_j (fast diagonalization).
         """
         if self._modes is None:
-            if self.mesh is None or self.mesh.dim == 1:
+            if self.mesh is None:
+                mass, stiff = self.mass.item(), self.stiffness.item()
+                self._modes = (np.array([stiff / mass]),
+                               np.full((1, 1), 1.0 / np.sqrt(mass)))
+            elif self.mesh.degree == 2:
+                # imported here: only quadratic splines (1-D only, see
+                # build_mesh) need a dense eigensolver, and scipy.linalg
+                # would add to every CLI start
+                from scipy.linalg import eigh
+
                 self._modes = eigh(self.stiffness, self.mass)
             else:
-                mass1, stiff1 = _matrices_1d(self.mesh)
-                lam1, vecs1 = eigh(stiff1, mass1)
-                self._modes = ((lam1[:, None] + lam1[None, :]).ravel(),
-                               np.kron(vecs1, vecs1))
+                lam, vecs = _hat_modes(self.mesh.n_cells)
+                if self.mesh.dim == 2:
+                    lam, vecs = (lam[:, None] + lam[None, :]).ravel(), np.kron(vecs, vecs)
+                self._modes = (lam, vecs)
             for array in self._modes:
                 array.flags.writeable = False
         return self._modes
@@ -167,6 +182,25 @@ def _assemble_1d_linear(n_cells: int):
     return mass, stiff
 
 
+def _hat_modes(n_cells: int) -> tuple:
+    """Closed-form M-orthonormal eigenpairs of the 1-D hat pair, ascending.
+
+    Mode k = 1..n_cells-1 is the sine sampled at the nodes, V_ik =
+    sqrt(6 / (2 + cos t_k)) sin(i t_k) with t_k = k pi h, and
+    lam_k = 12 sin^2(t_k / 2) / (h^2 (2 + cos t_k)); the sin^2 form
+    avoids the cancellation of 1 - cos t_k for the smooth modes. The
+    phase i k is reduced mod 2 n_cells in integers, so sin sees
+    arguments below 2 pi.
+    """
+    h = 1.0 / n_cells
+    k = np.arange(1, n_cells)
+    theta = np.pi * k / n_cells
+    lam = 12.0 * np.sin(0.5 * theta) ** 2 / (h ** 2 * (2.0 + np.cos(theta)))
+    phase = np.outer(k, k) % (2 * n_cells)
+    vecs = np.sqrt(6.0 / (2.0 + np.cos(theta))) * np.sin(np.pi * phase / n_cells)
+    return lam, vecs
+
+
 def _cell_splines(mesh: Mesh, n_points: int, order: int = 0) -> tuple:
     """Gauss points and weights of every cell, with the splines living there.
 
@@ -210,13 +244,6 @@ def _assemble_1d_spline(mesh: Mesh):
     return tuple(mats)
 
 
-def _matrices_1d(mesh: Mesh) -> tuple:
-    """Mass and stiffness of the 1-D factor of the mesh's space."""
-    if mesh.degree == 1:
-        return _assemble_1d_linear(mesh.n_cells)
-    return _assemble_1d_spline(mesh)
-
-
 def assemble(mesh: Mesh) -> SpatialPair:
     """Assemble the mass and stiffness Gram matrices of a mesh.
 
@@ -224,7 +251,10 @@ def assemble(mesh: Mesh) -> SpatialPair:
     Gauss per cell for the quartic quadratic-spline integrands. In dim 2
     the matrices are tensorized, M2 = M (x) M and S2 = S (x) M + M (x) S.
     """
-    mass1, stiff1 = _matrices_1d(mesh)
+    if mesh.degree == 1:
+        mass1, stiff1 = _assemble_1d_linear(mesh.n_cells)
+    else:
+        mass1, stiff1 = _assemble_1d_spline(mesh)
     if mesh.dim == 1:
         return SpatialPair(mesh=mesh, mass=mass1, stiffness=stiff1)
     mass2 = np.kron(mass1, mass1)

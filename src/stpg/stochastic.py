@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "ParameterDomain",
@@ -65,6 +64,10 @@ class ParameterDomain:
         unit = np.asarray(unit, dtype=float)
         if self.kind == "uniform-interval":
             return unit - 0.5
+        # imported here: only the lognormal law needs the normal quantile,
+        # and scipy.special would add to every CLI start
+        from scipy.special import ndtri
+
         return np.exp(ndtri(unit))
 
 

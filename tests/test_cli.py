@@ -226,6 +226,32 @@ def test_unallocatable_size_exits_with_one_line(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("pages,steps,code", [
+    (10, 1000, cli.EXIT_RESOURCE),  # 56,000 solution bytes, 40,960 of memory
+    (10, 100, cli.EXIT_OK),
+    (None, 1000, cli.EXIT_OK),      # sysconf cannot tell: no check
+])
+def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
+                                                    pages, steps, code):
+    # the memory reading is patched down, so no size here allocates much
+    def sysconf(name):
+        if pages is None:
+            raise ValueError("unrecognized configuration name")
+        return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name]
+
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    out = tmp_path / "x.csv"
+    result, err = _main(["solve", "--steps", str(steps), "--out", str(out)], capsys)
+    assert result == code
+    if code == cli.EXIT_RESOURCE:
+        assert err == [f"stpg: resource cap: a {steps} x 7 solution needs "
+                       f"{8 * 7 * steps} bytes, more than the 40960 bytes of "
+                       "physical memory"]
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert err == [] and out.exists()
+
+
 def test_config_from_args_maps_every_option_to_its_field():
     argv = ["infsup", "--case", "b", "--dim", "2", "--degree", "2",
             "--cells", "4,8", "--steps", "2,6", "--j-min", "3", "--j-max", "4",
@@ -407,12 +433,44 @@ def test_out_descriptor_link_writes_at_the_shared_offset(tmp_path):
 
 
 def test_cli_import_leaves_out_the_integrator():
+    # no scipy module at all: the integrator, the splines, scipy.linalg
+    # and scipy.special load only on the paths that use them
     code = ("import sys, stpg.cli; "
-            "print([m in sys.modules for m in ('scipy.integrate', 'scipy.interpolate')])")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[False, False]"
+    assert result.stdout.strip() == "[]"
+
+
+# runs the CLI in an interpreter where every scipy import fails
+_NO_SCIPY = ("import sys; sys.modules['scipy'] = None; from stpg.cli import main; "
+             "sys.exit(main(sys.argv[1:]))")
+
+
+def test_degree_1_runs_never_load_scipy(tmp_path):
+    for argv in (["moments", "--case", "a", "--n-quad-ladder", "4,8,16,32"],
+                 ["solve"], ["infsup", "--case", "a"]):
+        free, blocked = tmp_path / "free.csv", tmp_path / "blocked.csv"
+        assert _run(argv + ["--out", str(free)]).returncode == 0
+        result = subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv,
+                                 "--out", str(blocked)], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert blocked.read_bytes() == free.read_bytes()
+    # degree-2 splines and the lognormal rule load scipy: they fail under
+    # the block, which shows it bites, and run without it
+    for argv in (["convergence", "--case", "constant", "--degree", "2",
+                  "--j-max", "3", "--n-quad-ladder", "1"],
+                 ["convergence", "--degree", "2", "--j-max", "3",
+                  "--n-quad-ladder", "4"],
+                 ["infsup", "--case", "lognormal"]):
+        out = tmp_path / "x.csv"
+        result = subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv,
+                                 "--out", str(out)], capture_output=True, text=True)
+        last = result.stderr.splitlines()[-1]
+        assert result.returncode != 0
+        assert last.startswith("ModuleNotFoundError") and "scipy" in last
+        assert _run(argv + ["--out", str(out)]).returncode == 0
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -29,12 +29,32 @@ def test_infsup_transpose_swap_invariance(rng):
 
 def test_infsup_guards(rng):
     bad = -np.eye(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trial gram matrix is not positive definite$"):
         consts.discrete_infsup(np.eye(4), bad, np.eye(4))
+    with pytest.raises(ValueError, match="^test gram matrix is not positive definite$"):
+        consts.discrete_infsup(np.eye(4), np.eye(4), bad)
     with pytest.raises(ValueError):
         consts.discrete_infsup(np.eye(4), np.eye(3), np.eye(4))
     with pytest.raises(ValueError):
         consts.discrete_infsup(np.eye(10), np.eye(10), np.eye(10), dof_cap=5)
+
+
+@pytest.mark.parametrize("dim,n_cells", [(1, 6), (2, 4)])
+@pytest.mark.parametrize("a", [0.3, 4.0])
+def test_infsup_matches_generalized_eigenvalues(dim, n_cells, a):
+    # oracle: sigma^2 are the eigenvalues of (B' G_test^-1 B, G_trial) by
+    # scipy's generalized eigh, on the dense space-time system and on
+    # every mode block; the unweighted norms keep sigma away from 1
+    disc = make_disc(dim=dim, n_cells=n_cells, n_steps=8)
+    systems = [disc] + [solver.Discretization(pair=p, grid=disc.grid)
+                        for p in disc.pair.mode_pairs()]
+    for d in systems:
+        bil = solver.assemble_full_system(d, a)
+        trial, test = solver.build_grams(d, a, "Y"), solver.build_grams(d, a, "X")
+        smin, smax = consts.discrete_infsup(bil, trial, test)
+        sig2 = eigh(bil.T @ np.linalg.solve(test, bil), trial, eigvals_only=True)
+        assert smin ** 2 == pytest.approx(sig2[0], rel=1e-10)
+        assert smax ** 2 == pytest.approx(sig2[-1], rel=1e-10)
 
 
 @pytest.mark.parametrize("a", [0.1, 1.0, 7.3])

@@ -272,19 +272,21 @@ def test_modes_are_m_orthonormal_eigenpairs(dim, n_cells, degree):
                            atol=1e-12 * np.max(np.abs(ref)))
 
 
-def test_modes_2d_match_dense_eigenvalues():
-    pair = fem.assemble(fem.build_mesh(2, 6, 1))
-    lam, _ = pair.modes()
+@pytest.mark.parametrize("dim,n_cells", [(1, 2), (1, 9), (1, 32), (1, 64),
+                                         (2, 2), (2, 9), (2, 32)])
+def test_hat_modes_match_dense_eigh(dim, n_cells):
+    # oracle: a dense generalized eigh of the assembled pair; the modes
+    # come from the closed form, so this is the only check of its
+    # eigenvalues, normalization and phases
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, 1))
+    lam, vecs = pair.modes()
     dense = eigh(pair.stiffness, pair.mass, eigvals_only=True)
-    assert np.allclose(np.sort(lam), dense, rtol=1e-12)
-
-
-def test_modes_1d_hat_eigenvalues_closed_form():
-    n_cells = 9
-    h = 1.0 / n_cells
-    lam, _ = fem.assemble(fem.build_mesh(1, n_cells, 1)).modes()
-    c = np.cos(np.arange(1, n_cells) * np.pi * h)
-    assert np.allclose(lam, 6.0 / h ** 2 * (1.0 - c) / (2.0 + c), rtol=1e-12)
+    if dim == 1:
+        assert np.all(np.diff(lam) > 0)
+    assert np.allclose(np.sort(lam), dense, rtol=1e-12, atol=0)
+    scale = np.max(np.abs(pair.stiffness))
+    assert np.max(np.abs(vecs.T @ pair.mass @ vecs - np.eye(pair.n_dof))) <= 1e-12
+    assert np.max(np.abs(pair.stiffness @ vecs - pair.mass @ vecs * lam)) <= 1e-12 * scale
 
 
 def test_mode_pair_solve_rounds_as_a_cholesky_solve():
@@ -293,6 +295,9 @@ def test_mode_pair_solve_rounds_as_a_cholesky_solve():
     for mode in pair.mode_pairs():
         chol = cho_solve(cho_factor(mode.stiffness), mode.mass)
         assert np.array_equal(mode.stiffness_solve(mode.mass), chol)
+        # the closed-form 1 x 1 modes are those of eigh, bit for bit
+        for ours, ref in zip(mode.modes(), eigh(mode.stiffness, mode.mass)):
+            assert np.array_equal(ours, ref)
 
 
 def test_mode_vector_is_cached_and_read_only():

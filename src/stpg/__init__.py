@@ -32,6 +32,7 @@ from .solver import (
     build_grams,
     evaluate_norm,
     forcing_dual_norm_sq,
+    mode_blocks,
     mode_problem,
     solve_pathwise,
     trial_energy_norm,

@@ -54,6 +54,8 @@ CONVERGENCE_HEADER = ["case", "j", "h", "k", "n_quad", "mean_error", "observed_r
 INFSUP_HEADER = ["case", "n_cells", "n_steps", "omega", "a_omega", "sigma_min",
                  "sigma_max", "c_S", "c_S_omega", "cB_theory", "CB_theory"]
 SOLVE_HEADER = ["interval", "t", "dof", "value"]
+# bytes a solve report holds per row, with the solution and its tolist()
+ROW_BYTES = 176  # (tracemalloc peak at 20,000 steps: 173)
 
 
 class ResourceCapError(RuntimeError):
@@ -76,7 +78,7 @@ class ExperimentConfig:
     quad_ladder: tuple = (8, 16, 32, 64, 128, 256)
     omega: float = 0.25
     out: str = ""
-    max_dofs: int = consts.DEFAULT_DOF_CAP
+    max_dofs: int = 5000
 
 
 def _fmt(value) -> str:
@@ -190,34 +192,36 @@ def _setup(case: str):
     return model, domain
 
 
-def _physical_memory():
-    """Bytes of physical memory, or None where sysconf cannot tell."""
+def _check_memory(need: int, what: str):
+    """Raise ResourceCapError if need bytes exceed physical memory, if known."""
     try:
-        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (ValueError, OSError):
-        return None
-    return size if size > 0 else None
+        return
+    if 0 < memory < need:
+        raise ResourceCapError(f"{what} needs {need} bytes, more than the "
+                               f"{memory} bytes of physical memory")
 
 
 def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
                     space_time: bool = False):
     """Mesh, spatial pair and uniform time grid of one configuration.
 
-    The size cap is checked before any matrix is built: against the
-    spatial dofs for pathwise sweeps, against the space-time trial size
-    (dofs times steps) for the per-mode N x N blocks of infsup. Before
-    the time grid is built, the float64 (n_steps, n_dof) solution of a
-    sweep must fit in physical memory.
+    Before any matrix is built, the spatial dofs of a pathwise sweep, or
+    the space-time trial size (dofs times steps) of infsup, must be within
+    the cap, and the float64 (n_steps, n_dof) solution of a sweep, or the
+    (n_dof, n_steps, n_steps) mode block stack of infsup, in memory.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
     if size > config.max_dofs:
         kind = "trial" if space_time else "spatial"
         raise ResourceCapError(f"{kind} size {size} exceeds cap {config.max_dofs}")
-    memory, need = _physical_memory(), 8 * n_steps * mesh.n_dof
-    if memory is not None and need > memory:
-        raise ResourceCapError(f"a {n_steps} x {mesh.n_dof} solution needs {need} bytes, "
-                               f"more than the {memory} bytes of physical memory")
+    if space_time:
+        _check_memory(8 * mesh.n_dof * n_steps ** 2,
+                      f"a {mesh.n_dof} x {n_steps} x {n_steps} block stack")
+    else:
+        _check_memory(8 * n_steps * mesh.n_dof, f"a {n_steps} x {mesh.n_dof} solution")
     grid = solver.TimeGrid.uniform(1.0, n_steps)
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
 
@@ -334,10 +338,8 @@ def run_infsup(config: ExperimentConfig):
     for n_cells in config.n_cells:
         for n_steps in config.n_steps:
             disc = _discretization(config, n_cells, n_steps, space_time=True)
-            k = disc.grid.k_max
-            c_s = consts.cfl_constant(disc.pair, k)
-            mode_discs = [solver.Discretization(pair=pair, grid=disc.grid)
-                          for pair in disc.pair.mode_pairs()]
+            c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
+            lam = disc.pair.modes()[0]
             for omega in nodes:
                 a = model.a(omega)
                 if not (math.isfinite(a) and a > 0):
@@ -346,12 +348,8 @@ def run_infsup(config: ExperimentConfig):
                                  math.nan, math.nan))
                     continue
                 # the system's constants are the extremes over its mode blocks
-                lows, highs = zip(*(consts.discrete_infsup(
-                    solver.assemble_full_system(mode, a),
-                    solver.build_grams(mode, a, "Y_omega"),
-                    solver.build_grams(mode, a, "X_omega_hk"),
-                    dof_cap=config.max_dofs) for mode in mode_discs))
-                sig_min, sig_max = min(lows), max(highs)
+                lows, highs = consts.discrete_infsup(*solver.mode_blocks(disc.grid, a * lam))
+                sig_min, sig_max = float(lows.min()), float(highs.max())
                 # the weighted CFL constant of scalar diffusion, as in cfl_omega
                 c_s_omega = a * c_s / math.sqrt(12.0)
                 bounds = consts.theoretical_constants(a, a)
@@ -365,6 +363,8 @@ def run_solve(config: ExperimentConfig):
     """One pathwise solve, dumped as interval-indexed nodal values."""
     model, _ = _setup(config.case)
     disc = _discretization(config, config.n_cells[0], config.n_steps[0])
+    _check_memory(ROW_BYTES * disc.trial_size,
+                  f"a {disc.grid.n_intervals} x {disc.n_dof} solve report")
     data = solver.mode_problem(model, disc)
     sol = solver.solve_pathwise(data, disc, config.omega)
     # Python floats from tolist() format faster than numpy scalars; each
@@ -426,7 +426,7 @@ def build_parser() -> _Parser:
         cmd.add_argument("--jobs", type=int, default=0,
                          help="accepted for compatibility; has no effect, paths "
                               "run serially")
-        cmd.add_argument("--max-dofs", type=int, default=consts.DEFAULT_DOF_CAP)
+        cmd.add_argument("--max-dofs", type=int, default=ExperimentConfig.max_dofs)
         cmd.add_argument("--out", required=True, help="output CSV path")
     return parser
 

@@ -3,8 +3,8 @@
 Inf-sup and continuity constants are computed as extreme singular
 values of the bilinear-form matrix sandwiched between inverse square
 roots of the trial and test Gram matrices; the CLI takes the extremes
-over one N x N block per eigenmode (``SpatialPair.mode_pairs``), with
-the dense system of the full pair as the test oracle. The module also
+over one stack of N x N blocks, one per eigenmode (``solver.mode_blocks``),
+with the dense system of the full pair as the test oracle. The module also
 evaluates the CFL constant of the spatial pair, its diffusion-weighted
 variant, a two-grid estimate of the dual-norm equivalence constant of
 the orthogonal projection, and the closed-form bounds the constants
@@ -32,9 +32,6 @@ __all__ = [
     "quasi_opt_ratio",
 ]
 
-DEFAULT_DOF_CAP = 5000
-
-
 @dataclass
 class ConstantsReport:
     """Closed-form constants for one coefficient range."""
@@ -52,29 +49,28 @@ def _gram_factor(gram: np.ndarray, name: str) -> np.ndarray:
 
 
 def discrete_infsup(bilinear: np.ndarray, gram_trial: np.ndarray,
-                    gram_test: np.ndarray, dof_cap: int = DEFAULT_DOF_CAP) -> tuple:
+                    gram_test: np.ndarray) -> tuple:
     """Inf-sup and continuity constants in the chosen norms.
 
     Returns the smallest and largest singular values of
-    G_test^{-1/2} B G_trial^{-1/2} computed by a dense SVD of whatever
-    system it is given: the N x N block of one eigenmode in the CLI, the
-    whole space-time system of a pair in the tests. dof_cap bounds the
-    size of that system.
+    G_test^{-1/2} B G_trial^{-1/2} by a dense SVD: floats for one system
+    (the tests' whole space-time systems), arrays over the leading
+    dimensions for a stack (the CLI's mode blocks), with the bits of one
+    call per matrix, since numpy.linalg treats each matrix alone.
     """
     bilinear = np.asarray(bilinear, dtype=float)
-    if bilinear.shape[0] != gram_test.shape[0] or bilinear.shape[1] != gram_trial.shape[0]:
+    *stack, rows, cols = bilinear.shape
+    if (np.shape(gram_test) != (*stack, rows, rows)
+            or np.shape(gram_trial) != (*stack, cols, cols)):
         raise ValueError("bilinear form and gram matrices have mismatched sizes")
-    if max(bilinear.shape) > dof_cap:
-        raise ValueError(
-            f"system size {max(bilinear.shape)} exceeds the dense-SVD cap {dof_cap}")
     l_test = _gram_factor(gram_test, "test")
     l_trial = _gram_factor(gram_trial, "trial")
     # L_test^-1 B L_trial^-T has the same singular values as the
     # symmetric-root sandwich
     tmp = np.linalg.solve(l_test, bilinear)
-    mat = np.linalg.solve(l_trial, tmp.T).T
+    mat = np.linalg.solve(l_trial, tmp.mT).mT
     sig = np.linalg.svd(mat, compute_uv=False)
-    return float(sig[-1]), float(sig[0])
+    return sig[..., -1], sig[..., 0]
 
 
 def cfl_constant(pair: SpatialPair, k: float) -> float:

@@ -6,10 +6,11 @@ conditions, their mass and stiffness Gram matrices, the V norm
 functionals to the subspace, and the per-interval Gauss rule shared by
 every quadrature in the package.
 
-Hat functions (degree 1) need numpy only: their eigenpairs of (S, M)
-have a closed form, the discrete sine transform. Quadratic splines
-(degree 2) load ``scipy.interpolate`` for the basis and
-``scipy.linalg.eigh`` for the eigenpairs, on first use.
+The eigenpairs of (S, M) diagonalize M, S and M S^-1 M for the modal
+sweep and the inf-sup mode blocks. Hat functions (degree 1) need numpy
+only: their eigenpairs have a closed form, the discrete sine transform.
+Quadratic splines (degree 2) load ``scipy.interpolate`` for the basis
+and ``scipy.linalg.eigh`` for the eigenpairs, on first use.
 """
 
 from dataclasses import dataclass, field
@@ -94,12 +95,7 @@ class SpatialPair:
     _mode_vector: np.ndarray = field(default=None, repr=False, compare=False)
 
     def stiffness_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve S x = rhs as W W' rhs, with W = vecs diag(lam^-1/2) from modes().
-
-        For a 1 x 1 mode pair this is rhs * (1/sqrt(lam)) * (1/sqrt(lam)),
-        the rounding of a Cholesky solve, so the per-mode stability
-        constants do not move by a bit.
-        """
+        """Solve S x = rhs as W W' rhs, with W = vecs diag(lam^-1/2) from modes()."""
         lam, vecs = self.modes()
         half = vecs / np.sqrt(lam)
         return half @ (half.T @ rhs)
@@ -109,17 +105,12 @@ class SpatialPair:
 
         S vecs = M vecs diag(lam) and vecs' M vecs = I. Hat functions
         have them in closed form (_hat_modes), quadratic splines by a
-        dense generalized eigh, and a pair without a mesh is a 1 x 1 mode
-        pair (s / m, 1 / sqrt(m)). In dim 2 the pair is the tensor product
+        dense generalized eigh. In dim 2 the pair is the tensor product
         of the 1-D pair, so are its modes: vecs = V (x) V with eigenvalues
         lam_i + lam_j (fast diagonalization).
         """
         if self._modes is None:
-            if self.mesh is None:
-                mass, stiff = self.mass.item(), self.stiffness.item()
-                self._modes = (np.array([stiff / mass]),
-                               np.full((1, 1), 1.0 / np.sqrt(mass)))
-            elif self.mesh.degree == 2:
+            if self.mesh.degree == 2:
                 # imported here: only quadratic splines (1-D only, see
                 # build_mesh) need a dense eigensolver, and scipy.linalg
                 # would add to every CLI start
@@ -134,16 +125,6 @@ class SpatialPair:
             for array in self._modes:
                 array.flags.writeable = False
         return self._modes
-
-    def mode_pairs(self) -> list:
-        """One 1-dof pair (M = [[1]], S = [[lam]]) per eigenvalue of modes().
-
-        In the modal basis M is I, S is diag(lam) and M S^-1 M is
-        diag(1 / lam), so every space-time matrix of the pair splits into
-        one block per mode. The pairs have no mesh (no nodal basis).
-        """
-        return [SpatialPair(mesh=None, mass=np.ones((1, 1)),
-                            stiffness=np.full((1, 1), lam)) for lam in self.modes()[0]]
 
     def mode_vector(self) -> np.ndarray:
         """mode_load_vector of the mesh, computed once; read-only."""

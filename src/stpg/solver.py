@@ -16,7 +16,8 @@ function. Trial and test spaces are tensor products of a temporal space
 with the spatial one, so the dense space-time system and every Gram
 matrix is a sum of Kronecker products of N x N temporal factors (the
 jump and the interval mean of the test function, the widths) with M, S
-and M S^-1 M. A solution is a plain (N, n_dof) array holding the value
+and M S^-1 M, or of one N x N block per mode in the eigenbasis
+(mode_blocks). A solution is a plain (N, n_dof) array holding the value
 of the trial function on each of the N time intervals.
 """
 
@@ -36,6 +37,7 @@ __all__ = [
     "time_weights",
     "assemble_load",
     "solve_pathwise",
+    "mode_blocks",
     "assemble_full_system",
     "build_grams",
     "evaluate_norm",
@@ -255,6 +257,24 @@ def _temporal_factors(grid: TimeGrid) -> tuple:
     eye = np.eye(grid.n_intervals)
     upper = np.eye(grid.n_intervals, k=1)
     return upper - eye, 0.5 * (eye + upper)
+
+
+def mode_blocks(grid: TimeGrid, mu) -> tuple:
+    """(P, N, N) stacks of the blocks of P modes, for mu = a lam.
+
+    In the eigenbasis of (S, M) the blocks of assemble_full_system and of
+    the ``Y_omega`` and ``X_omega_hk`` Grams are, with the jump D and the
+    interval mean A of _temporal_factors and K = diag(widths),
+    B = mu A'K - D', G_Y = mu K and G_X = D'K^-1 D / mu + mu A'KA + e_0 e_0'.
+    """
+    mu = np.asarray(mu, dtype=float)[:, None, None]
+    jump, mean = _temporal_factors(grid)
+    k = grid.widths
+    bilinear = mu * (mean.T * k) - jump.T
+    gram_trial = mu * np.diag(k)
+    gram_test = jump.T @ (jump / k[:, None]) / mu + mu * (mean.T @ (k[:, None] * mean))
+    gram_test[:, 0, 0] += 1.0
+    return bilinear, gram_trial, gram_test
 
 
 def assemble_full_system(disc: Discretization, a: float) -> np.ndarray:

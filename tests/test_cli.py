@@ -226,13 +226,7 @@ def test_unallocatable_size_exits_with_one_line(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("pages,steps,code", [
-    (10, 1000, cli.EXIT_RESOURCE),  # 56,000 solution bytes, 40,960 of memory
-    (10, 100, cli.EXIT_OK),
-    (None, 1000, cli.EXIT_OK),      # sysconf cannot tell: no check
-])
-def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
-                                                    pages, steps, code):
+def _patch_physical_memory(monkeypatch, pages):
     # the memory reading is patched down, so no size here allocates much
     def sysconf(name):
         if pages is None:
@@ -240,12 +234,42 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
         return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name]
 
     monkeypatch.setattr(os, "sysconf", sysconf)
+
+
+@pytest.mark.parametrize("pages,steps,need", [
+    (10, 1000, "a 1000 x 7 solution needs 56000 bytes"),
+    # the 5,600-byte solution fits, its 100 x 7 rows do not
+    (10, 100, f"a 100 x 7 solve report needs {cli.ROW_BYTES * 700} bytes"),
+    (40, 100, None),
+    (None, 1000, None),  # sysconf cannot tell: no check
+])
+def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
+                                                    pages, steps, need):
+    _patch_physical_memory(monkeypatch, pages)
     out = tmp_path / "x.csv"
     result, err = _main(["solve", "--steps", str(steps), "--out", str(out)], capsys)
+    if need is None:
+        assert result == cli.EXIT_OK and err == [] and out.exists()
+    else:
+        assert result == cli.EXIT_RESOURCE
+        assert err == [f"stpg: resource cap: {need}, more than the {4096 * pages} "
+                       "bytes of physical memory"]
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("steps,code", [(32, cli.EXIT_RESOURCE), (16, cli.EXIT_OK)])
+def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
+                                                          steps, code):
+    # 7 modes of steps x steps float64 blocks: 57,344 bytes at 32 steps,
+    # 14,336 at 16, against 40,960 of memory; a 32 x 7 solution would fit
+    _patch_physical_memory(monkeypatch, 10)
+    out = tmp_path / "x.csv"
+    result, err = _main(["infsup", "--cells", "8", "--steps", str(steps),
+                         "--out", str(out)], capsys)
     assert result == code
     if code == cli.EXIT_RESOURCE:
-        assert err == [f"stpg: resource cap: a {steps} x 7 solution needs "
-                       f"{8 * 7 * steps} bytes, more than the 40960 bytes of "
+        assert err == [f"stpg: resource cap: a 7 x 32 x 32 block stack needs "
+                       f"{8 * 7 * 32 * 32} bytes, more than the 40960 bytes of "
                        "physical memory"]
         assert list(tmp_path.iterdir()) == []
     else:

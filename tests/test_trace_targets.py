@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from stpg import cli
+from stpg import constants as consts
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -37,19 +38,29 @@ def _traced(spans, argv):
     return spans.layer_metrics(tracer.spans)
 
 
-def test_per_grid_work_runs_once_per_grid(tmp_path):
+def test_per_grid_work_runs_once_per_grid(tmp_path, monkeypatch):
     spans = _spans()
     out = str(tmp_path / "out.csv")
     metrics = _traced(spans, ["convergence", "--case", "lognormal", "--j-min", "2",
                               "--j-max", "3", "--n-quad-ladder", "4", "--out", out])
     assert metrics["solver.solve_pathwise.calls"][0] == 8
     assert metrics["solver.time_weights.calls"][0] == 2
+    shapes = []
+    infsup = consts.discrete_infsup
+
+    def recording(bilinear, gram_trial, gram_test):
+        shapes.append(tuple(m.shape for m in (bilinear, gram_trial, gram_test)))
+        return infsup(bilinear, gram_trial, gram_test)
+
+    monkeypatch.setattr(consts, "discrete_infsup", recording)
     metrics = _traced(spans, ["infsup", "--cells", "4,8", "--steps", "4",
                               "--n-quad-ladder", "4", "--out", out])
-    # one steps x steps block per spatial mode (3 + 7) and node (4); none
-    # of space-time size
-    assert metrics["constants.discrete_infsup.calls"][0] == 40
-    assert metrics["constants.discrete_infsup.size_max"][0] == 4
+    # one stacked call per grid (2) and node (4), of one steps x steps
+    # block per spatial mode (3 or 7); none of space-time size
+    assert metrics["constants.discrete_infsup.calls"][0] == 8
+    assert len(shapes) == 8
+    assert all(shape[-2:] == (4, 4) for call in shapes for shape in call)
+    assert sorted({call[0][0] for call in shapes}) == [3, 7]
     assert metrics["constants.cfl_constant.calls"][0] == 2
 
 

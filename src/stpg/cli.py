@@ -56,6 +56,13 @@ INFSUP_HEADER = ["case", "n_cells", "n_steps", "omega", "a_omega", "sigma_min",
 SOLVE_HEADER = ["interval", "t", "dof", "value"]
 # bytes a solve report holds per row, with the solution and its tolist()
 ROW_BYTES = 176  # (tracemalloc peak at 20,000 steps: 173)
+# float64 (N, n_dof) arrays a pathwise sweep holds at peak, and float64
+# values per interval beside them: the Gauss points, weights and profile
+# values of the time weights and of oracle.exact_error
+SWEEP_ARRAYS, STEP_VALUES = 4, 25
+# float64 (n_dof, N, N) stacks the constants of one infsup node hold at
+# peak: the three mode blocks, two Cholesky factors and two solves
+NODE_STACKS = 7
 
 
 class ResourceCapError(RuntimeError):
@@ -209,8 +216,8 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
 
     Before any matrix is built, the spatial dofs of a pathwise sweep, or
     the space-time trial size (dofs times steps) of infsup, must be within
-    the cap, and the float64 (n_steps, n_dof) solution of a sweep, or the
-    (n_dof, n_steps, n_steps) mode block stack of infsup, in memory.
+    the cap, and what one path of the sweep, or one parameter node of
+    infsup, holds at peak must fit in memory.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
@@ -218,10 +225,11 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         kind = "trial" if space_time else "spatial"
         raise ResourceCapError(f"{kind} size {size} exceeds cap {config.max_dofs}")
     if space_time:
-        _check_memory(8 * mesh.n_dof * n_steps ** 2,
-                      f"a {mesh.n_dof} x {n_steps} x {n_steps} block stack")
+        _check_memory(8 * NODE_STACKS * mesh.n_dof * n_steps ** 2,
+                      f"an infsup node of {mesh.n_dof} x {n_steps} x {n_steps} blocks")
     else:
-        _check_memory(8 * n_steps * mesh.n_dof, f"a {n_steps} x {mesh.n_dof} solution")
+        _check_memory(8 * n_steps * (SWEEP_ARRAYS * mesh.n_dof + STEP_VALUES),
+                      f"a {n_steps} x {mesh.n_dof} sweep")
     grid = solver.TimeGrid.uniform(1.0, n_steps)
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
 
@@ -379,6 +387,10 @@ def _int_list(text: str):
     return tuple(int(part) for part in text.split(","))
 
 
+def _one_int(text: str):
+    return (int(text),)
+
+
 def _float_list(text: str):
     return tuple(float(part) for part in text.split(","))
 
@@ -388,53 +400,69 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# The options each subcommand reads besides --case, --dim, --degree,
+# --max-dofs and --out, with the type of each (a comma list only where its
+# run_* function reads a list), and the defaults that differ from
+# ExperimentConfig. An option a subcommand does not read is a usage error
+# there. --seed and --jobs have no effect; the determinism criterion and
+# the benchmark pass them.
+_SUBCOMMANDS = {
+    "moments": ({"--cells": _one_int, "--steps": _one_int, "--p": _float_list,
+                 "--n-quad-ladder": _int_list, "--seed": int, "--jobs": int}, {}),
+    "convergence": ({"--j-min": int, "--j-max": int, "--n-quad-ladder": _one_int,
+                     "--jobs": int}, dict(case="lognormal", dim=1)),
+    "infsup": ({"--cells": _int_list, "--steps": _int_list, "--n-quad-ladder": _one_int},
+               dict(dim=1, n_cells=(4, 8), n_steps=(4, 16))),
+    "solve": ({"--cells": _one_int, "--steps": _one_int, "--omega": float},
+              dict(case="constant", dim=1)),
+}
+
+# dest and help of each option that only some subcommands take
+_OPTIONS = {
+    "--cells": ("n_cells", "spatial cells per axis (comma list for infsup grids)"),
+    "--steps": ("n_steps", "time steps (comma list for infsup grids)"),
+    "--j-min": ("j_min", "first level j of the ladder h = 2^-j, k = 2^-2j"),
+    "--j-max": ("j_max", "last level j of the ladder"),
+    "--p": ("p_values", "comma list of moment orders"),
+    "--n-quad-ladder": ("quad_ladder", "parameter quadrature sizes (comma list for "
+                        "moments, one size for convergence and infsup)"),
+    "--seed": ("seed", "accepted for compatibility; has no effect, every rule is "
+               "deterministic"),
+    "--jobs": ("jobs", "accepted for compatibility; has no effect, paths run serially"),
+    "--omega": ("omega", "parameter value of the solve"),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="stpg", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    defaults = {
-        "moments": dict(case="a", dim=2, cells="8", steps="32"),
-        "convergence": dict(case="lognormal", dim=1, cells="8", steps="32"),
-        "infsup": dict(case="a", dim=1, cells="4,8", steps="4,16"),
-        "solve": dict(case="constant", dim=1, cells="8", steps="32"),
-    }
-    for name in ("moments", "convergence", "infsup", "solve"):
-        cmd = sub.add_parser(name)
-        d = defaults[name]
-        cmd.add_argument("--case", default=d["case"],
+    for name, (options, defaults) in _SUBCOMMANDS.items():
+        # an option left out stays out of the namespace: config_from_args
+        # gives its field the ExperimentConfig default
+        cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        cmd.add_argument("--case",
                          help="coefficient case: a, b, c, d, lognormal, constant, zero")
-        cmd.add_argument("--dim", type=int, default=d["dim"], choices=(1, 2))
-        cmd.add_argument("--degree", type=int, default=1, choices=(1, 2))
-        cmd.add_argument("--cells", dest="n_cells", type=_int_list,
-                         default=_int_list(d["cells"]),
-                         help="spatial cells per axis (comma list for infsup grids)")
-        cmd.add_argument("--steps", dest="n_steps", type=_int_list,
-                         default=_int_list(d["steps"]),
-                         help="time steps (comma list for infsup grids)")
-        cmd.add_argument("--j-min", type=int, default=2)
-        cmd.add_argument("--j-max", type=int, default=5)
-        cmd.add_argument("--p", dest="p_values", type=_float_list, default=(1.0, 2.0),
-                         help="comma list of moment orders")
-        cmd.add_argument("--n-quad-ladder", dest="quad_ladder", type=_int_list,
-                         default=(8, 16, 32, 64, 128, 256),
-                         help="quadrature sizes; single value for a fixed rule")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="accepted for compatibility; has no effect, every "
-                              "rule is deterministic")
-        cmd.add_argument("--omega", type=float, default=0.25,
-                         help="parameter value for single-path solves")
-        cmd.add_argument("--jobs", type=int, default=0,
-                         help="accepted for compatibility; has no effect, paths "
-                              "run serially")
-        cmd.add_argument("--max-dofs", type=int, default=ExperimentConfig.max_dofs)
+        cmd.add_argument("--dim", type=int, choices=(1, 2))
+        cmd.add_argument("--degree", type=int, choices=(1, 2))
+        for flag, kind in options.items():
+            dest, text = _OPTIONS[flag]
+            cmd.add_argument(flag, dest=dest, type=kind, help=text)
+        cmd.add_argument("--max-dofs", type=int)
         cmd.add_argument("--out", required=True, help="output CSV path")
+        cmd.set_defaults(**defaults)
     return parser
 
 
 def config_from_args(args) -> ExperimentConfig:
-    """The config of parsed arguments; every option's dest is a field name."""
+    """The config of parsed arguments.
+
+    Every option's dest is a field name, except the no-effect --seed and
+    --jobs; a field the subcommand has no option for keeps its default.
+    """
     return ExperimentConfig(**{f.name: getattr(args, f.name)
-                               for f in fields(ExperimentConfig)})
+                               for f in fields(ExperimentConfig)
+                               if hasattr(args, f.name)})
 
 
 def _report(config: ExperimentConfig):

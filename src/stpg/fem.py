@@ -13,6 +13,7 @@ Quadratic splines (degree 2) load ``scipy.interpolate`` for the basis
 and ``scipy.linalg.eigh`` for the eigenpairs, on first use.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,15 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _reference_gauss(n_points: int) -> tuple:
+    """Gauss-Legendre points and weights on [-1, 1], computed once, read-only."""
+    rule = np.polynomial.legendre.leggauss(n_points)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def interval_gauss(nodes, n_points: int) -> tuple:
     """Gauss-Legendre points and weights on every interval of a partition.
 
@@ -37,7 +47,7 @@ def interval_gauss(nodes, n_points: int) -> tuple:
     the map from [-1, 1].
     """
     nodes = np.asarray(nodes, dtype=float)
-    gx, gw = np.polynomial.legendre.leggauss(n_points)
+    gx, gw = _reference_gauss(n_points)
     left, right = nodes[:-1, None], nodes[1:, None]
     half = 0.5 * (right - left)
     return 0.5 * (left + right) + half * gx, half * gw

@@ -1,7 +1,11 @@
+import argparse
 import contextlib
+import dataclasses
+import importlib.util
 import io
 import math
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -9,6 +13,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpg import cli, solver, stochastic
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(args, **kwargs):
@@ -237,9 +244,9 @@ def _patch_physical_memory(monkeypatch, pages):
 
 
 @pytest.mark.parametrize("pages,steps,need", [
-    (10, 1000, "a 1000 x 7 solution needs 56000 bytes"),
-    # the 5,600-byte solution fits, its 100 x 7 rows do not
-    (10, 100, f"a 100 x 7 solve report needs {cli.ROW_BYTES * 700} bytes"),
+    (10, 1000, "a 1000 x 7 sweep needs 424000 bytes"),
+    # the 42,400-byte sweep fits, its 100 x 7 rows do not
+    (11, 100, f"a 100 x 7 solve report needs {cli.ROW_BYTES * 700} bytes"),
     (40, 100, None),
     (None, 1000, None),  # sysconf cannot tell: no check
 ])
@@ -260,32 +267,171 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("steps,code", [(32, cli.EXIT_RESOURCE), (16, cli.EXIT_OK)])
 def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
                                                           steps, code):
-    # 7 modes of steps x steps float64 blocks: 57,344 bytes at 32 steps,
-    # 14,336 at 16, against 40,960 of memory; a 32 x 7 solution would fit
-    _patch_physical_memory(monkeypatch, 10)
+    # a node holds 7 stacks of 7 modes' steps x steps float64 blocks:
+    # 401,408 bytes at 32 steps, 100,352 at 16, against 204,800 of memory;
+    # a 32 x 7 sweep would fit
+    _patch_physical_memory(monkeypatch, 50)
     out = tmp_path / "x.csv"
     result, err = _main(["infsup", "--cells", "8", "--steps", str(steps),
                          "--out", str(out)], capsys)
     assert result == code
     if code == cli.EXIT_RESOURCE:
-        assert err == [f"stpg: resource cap: a 7 x 32 x 32 block stack needs "
-                       f"{8 * 7 * 32 * 32} bytes, more than the 40960 bytes of "
-                       "physical memory"]
+        assert err == ["stpg: resource cap: an infsup node of 7 x 32 x 32 blocks "
+                       f"needs {7 * 8 * 7 * 32 * 32} bytes, more than the 204800 "
+                       "bytes of physical memory"]
         assert list(tmp_path.iterdir()) == []
     else:
         assert err == [] and out.exists()
 
 
-def test_config_from_args_maps_every_option_to_its_field():
-    argv = ["infsup", "--case", "b", "--dim", "2", "--degree", "2",
-            "--cells", "4,8", "--steps", "2,6", "--j-min", "3", "--j-max", "4",
-            "--p", "1,3", "--n-quad-ladder", "8,16,32,64", "--omega", "0.3",
-            "--max-dofs", "99", "--seed", "5", "--jobs", "3", "--out", "r.csv"]
-    config = cli.config_from_args(cli.build_parser().parse_args(argv))
-    assert config == cli.ExperimentConfig(
-        subcommand="infsup", case="b", dim=2, degree=2, n_cells=(4, 8),
-        n_steps=(2, 6), j_min=3, j_max=4, p_values=(1.0, 3.0),
-        quad_ladder=(8, 16, 32, 64), omega=0.3, out="r.csv", max_dofs=99)
+def _traced_peak(work):
+    """Bytes work allocates at peak, past what it holds once caches are warm."""
+    work()
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cells,steps,oracle", [
+    (64, 1000, False),  # 63 dofs: the four (N, n_dof) arrays of the sweep
+    (2, 20000, True),  # 1 dof: the 25 values per interval of the error oracle
+])
+def test_sweep_memory_count_pins_the_traced_peak(cells, steps, oracle):
+    config = cli.ExperimentConfig(subcommand="moments", case="a", dim=1)
+    model, _ = cli._setup(config.case)
+    disc = cli._discretization(config, cells, steps)
+    data = solver.mode_problem(model, disc)
+    if oracle:
+        peak = _traced_peak(lambda: cli._pathwise_mode_error(model, disc, data, 0.3))
+    else:
+        peak = _traced_peak(lambda: cli.scaled_solution_norm(data, disc, 0.3))
+    counted = 8 * steps * (cli.SWEEP_ARRAYS * disc.n_dof + cli.STEP_VALUES)
+    assert 0.85 * counted <= peak <= 1.05 * counted
+
+
+def test_infsup_memory_count_pins_the_traced_peak():
+    config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, n_cells=(4,),
+                                  n_steps=(128,), quad_ladder=(2,))
+    peak = _traced_peak(lambda: cli.run_infsup(config))
+    counted = 8 * cli.NODE_STACKS * 3 * 128 ** 2
+    assert 0.95 * counted <= peak <= 1.05 * counted
+
+
+def _subparsers():
+    """The subcommand parsers of build_parser, by name."""
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _flags(subparser):
+    """The option strings a subcommand accepts, --help aside."""
+    return {flag for action in subparser._actions if action.dest != "help"
+            for flag in action.option_strings}
+
+
+_ACCEPTED = {name: _flags(sub) for name, sub in _subparsers().items()}
+# a value each option parses, so that only the subcommand can reject it
+_VALUE = {"--case": "a", "--dim": "1", "--degree": "1", "--cells": "4", "--steps": "4",
+          "--j-min": "2", "--j-max": "3", "--p": "1", "--n-quad-ladder": "8",
+          "--seed": "0", "--omega": "0.25", "--jobs": "1", "--max-dofs": "99",
+          "--out": "x.csv"}
+
+
+def test_each_subcommand_has_its_own_settable_values():
+    assert {name: len(flags) for name, flags in _ACCEPTED.items()} == {
+        "moments": 11, "convergence": 9, "infsup": 8, "solve": 8}
+    common = {"--case", "--dim", "--degree", "--max-dofs", "--out"}
+    assert all(flags >= common for flags in _ACCEPTED.values())
+    assert set(_VALUE) == set().union(*_ACCEPTED.values())
+
+
+def _usage_error(argv, capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("stpg")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand,flag", [
+    (name, flag) for name in _ACCEPTED
+    for flag in sorted(set().union(*_ACCEPTED.values()) - _ACCEPTED[name])])
+def test_option_of_another_subcommand_is_a_usage_error(tmp_path, capsys, subcommand,
+                                                       flag):
+    _usage_error([subcommand, flag, _VALUE[flag]], capsys, tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--cells", "4,8"], ["moments", "--steps", "4,8"],
+    ["solve", "--cells", "4,8"], ["solve", "--steps", "4,8"],
+    ["convergence", "--n-quad-ladder", "4,8"], ["infsup", "--n-quad-ladder", "4,8"],
+], ids=" ".join)
+def test_list_where_one_value_is_read_is_a_usage_error(tmp_path, capsys, argv):
+    _usage_error(argv, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("argv,own", [
+    (["moments", "--cells", "4", "--steps", "6", "--p", "1,3",
+      "--n-quad-ladder", "8,16,32,64", "--seed", "5", "--jobs", "3"],
+     dict(n_cells=(4,), n_steps=(6,), p_values=(1.0, 3.0), quad_ladder=(8, 16, 32, 64))),
+    (["convergence", "--j-min", "3", "--j-max", "4", "--n-quad-ladder", "16",
+      "--jobs", "3"],
+     dict(j_min=3, j_max=4, quad_ladder=(16,))),
+    (["infsup", "--cells", "4,8", "--steps", "2,6", "--n-quad-ladder", "4"],
+     dict(n_cells=(4, 8), n_steps=(2, 6), quad_ladder=(4,))),
+    (["solve", "--cells", "4", "--steps", "6", "--omega", "0.3"],
+     dict(n_cells=(4,), n_steps=(6,), omega=0.3)),
+], ids=["moments", "convergence", "infsup", "solve"])
+def test_config_from_args_maps_every_option_to_its_field(argv, own):
+    common = ["--case", "b", "--dim", "2", "--degree", "2", "--max-dofs", "99",
+              "--out", "r.csv"]
+    config = cli.config_from_args(cli.build_parser().parse_args(argv + common))
+    expected = dict(own, subcommand=argv[0], case="b", dim=2, degree=2, max_dofs=99,
+                    out="r.csv")
+    # every option but the no-effect --seed and --jobs names a field, and
+    # each is set above
+    dests = {action.dest for action in _subparsers()[argv[0]]._actions}
+    assert dests - {"help", "seed", "jobs"} == set(expected) - {"subcommand"}
+    config_fields = dataclasses.fields(cli.ExperimentConfig)
+    assert set(expected) <= {field.name for field in config_fields}
+    # a field the subcommand has no option for keeps its default
+    for field in config_fields:
+        assert getattr(config, field.name) == expected.get(field.name, field.default)
+
+
+def _readme_examples():
+    """The stpg calls of the README's command-line block, one per example."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in joined.splitlines()
+            if line.startswith("stpg ")]
+
+
+def _workload_argv():
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [list(call.argv) + ["--out", "x.csv"]
+            for calls in workloads.WORKLOADS.values() for call in calls]
+
+
+def test_readme_examples_cover_every_subcommand():
+    assert sorted(argv[0] for argv in _readme_examples()) == sorted(_ACCEPTED)
+
+
+@pytest.mark.parametrize("argv", _readme_examples() + _workload_argv(),
+                         ids=" ".join)
+def test_documented_and_benchmarked_calls_parse(argv):
+    # a parse error would exit; each call names only options it reads
+    cli.config_from_args(cli.build_parser().parse_args(argv))
 
 
 def test_csv_write_is_atomic(tmp_path):
@@ -520,48 +666,68 @@ def _mostly(valid, invalid):
     return st.sampled_from(list(valid) * 3 + list(invalid))
 
 
+# the options that take a comma list, by subcommand; the rest take one value
+_LISTS = {name: {flag for action in sub._actions
+                 if action.type in (cli._int_list, cli._float_list)
+                 for flag in action.option_strings}
+          for name, sub in _subparsers().items()}
+
+
 @st.composite
 def _cli_argv(draw):
-    """Small argument vectors over every subcommand and option.
+    """Small argument vectors over every subcommand and the options it takes.
 
     Sizes stay at a few cells, steps and paths so that each example
     runs in milliseconds; invalid values are mixed in at a lower rate.
+    Now and then one option of another subcommand is added, which must
+    be rejected. Returns (argv, out, foreign).
     """
-    argv = [draw(_mostly(["moments", "convergence", "infsup", "solve"], ["frobnicate"]))]
+    name = draw(_mostly(["moments", "convergence", "infsup", "solve"], ["frobnicate"]))
+    # frobnicate fails whatever follows; it draws the options of moments
+    accepted, lists = _ACCEPTED.get(name, _ACCEPTED["moments"]), _LISTS.get(name, set())
     # even sizes: odd midpoint rules hit the singular point 0 of cases a-d
     increasing = st.lists(st.integers(1, 6).map(lambda n: 2 * n), min_size=4,
                           max_size=6, unique=True).map(sorted)
     ladder = st.one_of(increasing, increasing,
                        st.lists(st.integers(0, 12), min_size=1, max_size=6))
-    # cells, steps, ladder and j range are always set: the defaults are
-    # sized for experiments, not for a property test
-    argv += ["--cells", draw(_comma_list(_mostly("2345", ["1", "-1"]), 2)),
-             "--steps", draw(_comma_list(_mostly("1246", ["0"]), 2)),
-             "--n-quad-ladder", ",".join(map(str, draw(ladder))),
-             "--j-min", "2", "--j-max", "3"]
-    options = {
+    ladder = ladder.map(lambda sizes: ",".join(map(str, sizes)))
+    values = {
+        "--cells": _mostly("2345", ["1", "-1"]),
+        "--steps": _mostly("1246", ["0"]),
+        "--n-quad-ladder": _mostly("2468", ["0", "3"]),
         "--case": _mostly("abcd", ["lognormal", "constant", "zero", "nope"]),
         "--dim": _mostly("12", ["3"]),
         "--degree": st.sampled_from("12"),
-        "--j-min": st.sampled_from("123"),
-        "--j-max": _mostly("23", ["9"]),
-        "--p": _comma_list(_mostly(["1", "2", "3.5"], ["0.5", "inf", "nan"]), 3),
+        "--j-min": _mostly("2", "13"),
+        "--j-max": _mostly("3", "29"),
+        "--p": _mostly(["1", "2", "3.5"], ["0.5", "inf", "nan"]),
         "--omega": _mostly(["0.25", "-0.4"], ["0", "nan", "inf"]),
         "--max-dofs": _mostly(["20", "5000"], ["-1", "4"]),
         "--jobs": st.sampled_from(["0", "1", "8"]),
         "--seed": st.sampled_from(["0", "7"]),
     }
-    for flag, values in options.items():
-        if draw(st.booleans()):
-            argv += [flag, draw(values)]
+    lists = {flag: ladder if flag == "--n-quad-ladder"
+             else _comma_list(values[flag], 3 if flag == "--p" else 2)
+             for flag in lists}
+    argv = [name]
+    # sizes and the j range are always set where they are read: the
+    # defaults are sized for experiments, not for a property test
+    always = {"--cells", "--steps", "--n-quad-ladder", "--j-min", "--j-max"}
+    for flag, value in values.items():
+        if flag in accepted and (flag in always or draw(st.booleans())):
+            argv += [flag, draw(lists.get(flag, value))]
+    foreign = draw(st.sampled_from([False] * 7 + [True]))
+    if foreign:
+        flag = draw(st.sampled_from(sorted(set(_VALUE) - accepted)))
+        argv += [flag, _VALUE[flag]]
     out = draw(_mostly(["out.csv"], ["missing/out.csv", None]))
-    return argv, out
+    return argv, out, foreign
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_cli_argv())
 def test_cli_contract_holds_for_generated_argv(case):
-    argv, out = case
+    argv, out, foreign = case
     with tempfile.TemporaryDirectory() as tmp:
         if out is not None:
             argv = argv + ["--out", os.path.join(tmp, out)]
@@ -574,6 +740,9 @@ def test_cli_contract_holds_for_generated_argv(case):
         assert code in (0, 1, 2, 3)
         assert len(err.getvalue().splitlines()) <= 1
         written = sorted(os.listdir(tmp))
+        if foreign:
+            assert code == cli.EXIT_USAGE and written == []
+            assert len(err.getvalue().splitlines()) == 1
         if code == cli.EXIT_OK:
             assert written == ["out.csv"]
         else:

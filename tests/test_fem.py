@@ -208,7 +208,7 @@ def test_mode_load_vector_2d_is_tensor_product():
     assert np.allclose(b2, np.kron(b1, b1), atol=1e-15)
 
 
-def test_interval_gauss_matches_the_per_interval_rule():
+def test_interval_gauss_matches_the_per_interval_rule(monkeypatch):
     nodes = np.array([0.0, 0.1, 0.35, 0.4, 1.0])
     points, weights = fem.interval_gauss(nodes, 4)
     assert points.shape == weights.shape == (4, 4)
@@ -221,6 +221,11 @@ def test_interval_gauss_matches_the_per_interval_rule():
     # exact for degree 2n - 1 on every interval
     exact = (nodes[1:] ** 8 - nodes[:-1] ** 8) / 8.0
     assert np.allclose(np.sum(weights * points ** 7, axis=1), exact, rtol=1e-14)
+    # the rule on [-1, 1] is computed once per point count, read-only
+    assert not any(array.flags.writeable for array in fem._reference_gauss(4))
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
+    again = fem.interval_gauss(nodes, 4)
+    assert np.array_equal(again[0], points) and np.array_equal(again[1], weights)
 
 
 def _spline_matrices_cell_by_cell(mesh):

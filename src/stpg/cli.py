@@ -56,10 +56,17 @@ INFSUP_HEADER = ["case", "n_cells", "n_steps", "omega", "a_omega", "sigma_min",
 SOLVE_HEADER = ["interval", "t", "dof", "value"]
 # bytes a solve report holds per row, with the solution and its tolist()
 ROW_BYTES = 176  # (tracemalloc peak at 20,000 steps: 173)
-# float64 (N, n_dof) arrays a pathwise sweep holds at peak, and float64
-# values per interval beside them: the Gauss points, weights and profile
-# values of the time weights and of oracle.exact_error
-SWEEP_ARRAYS, STEP_VALUES = 4, 25
+# A sweep block holds its float64 (N, P, n_dof) state and, while it
+# steps, two windows of step factors. Once it is done, a subcommand
+# holds beside the state float64 (N, n_dof) arrays of one path and
+# float64 values per interval: solve the path's interval values;
+# convergence those, their product with S and the Gauss points, weights
+# and profile values of oracle.exact_error; moments none, it sums the
+# state in place
+AFTER_SWEEP = {"moments": (0, 0), "convergence": (2, 25), "solve": (1, 0)}
+# bytes of sweep state one block of a rung's paths holds, unless one path
+# alone needs more
+_BLOCK_BYTES = 1 << 23
 # float64 (n_dof, N, N) stacks the constants of one infsup node hold at
 # peak: the three mode blocks, two Cholesky factors and two solves
 NODE_STACKS = 7
@@ -210,14 +217,19 @@ def _check_memory(need: int, what: str):
                                f"{memory} bytes of physical memory")
 
 
+def _block_paths(n_steps: int, n_dof: int) -> int:
+    """Paths of a rung swept together: as many as the block budget holds, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * max(n_steps, 1) * n_dof))
+
+
 def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
-                    space_time: bool = False):
+                    paths: int = 1, space_time: bool = False):
     """Mesh, spatial pair and uniform time grid of one configuration.
 
     Before any matrix is built, the spatial dofs of a pathwise sweep, or
     the space-time trial size (dofs times steps) of infsup, must be within
-    the cap, and what one path of the sweep, or one parameter node of
-    infsup, holds at peak must fit in memory.
+    the cap, and what one block of a rung of that many paths, or one
+    parameter node of infsup, holds at peak must fit in memory.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
@@ -228,28 +240,78 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         _check_memory(8 * NODE_STACKS * mesh.n_dof * n_steps ** 2,
                       f"an infsup node of {mesh.n_dof} x {n_steps} x {n_steps} blocks")
     else:
-        _check_memory(8 * n_steps * (SWEEP_ARRAYS * mesh.n_dof + STEP_VALUES),
-                      f"a {n_steps} x {mesh.n_dof} sweep")
+        block = min(paths, _block_paths(n_steps, mesh.n_dof))
+        window = min(n_steps, solver.SWEEP_WINDOW) + 1
+        arrays, values = AFTER_SWEEP[config.subcommand]
+        after = n_steps * (arrays * mesh.n_dof + values)
+        _check_memory(8 * (block * mesh.n_dof * n_steps
+                           + max(2 * window * block * mesh.n_dof, after)),
+                      f"a {n_steps} x {block} x {mesh.n_dof} sweep block")
     grid = solver.TimeGrid.uniform(1.0, n_steps)
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
 
 
-def scaled_solution_norm(data, disc, omega: float) -> float:
-    """Pathwise indicator a(w)^(-1/2) ||U||_Y tracked by the moment ladders.
+def _rung(model, data, disc, nodes, block_values) -> np.ndarray:
+    """Per-path values of one quadrature rung, nan where a path is flagged.
+
+    A path is flagged if its a is not finite or not positive, its c0 is
+    not finite, or a step of its sweep is not finite. The other paths are
+    swept together, _block_paths at a time, and block_values(a, c0, z,
+    cols) returns the values of the block's paths cols, with their
+    diffusion values and forcing amplitudes, from the block's sweep z.
+    """
+    a = np.array([model.a(w) for w in nodes])
+    c0 = np.array([model.c0(w) for w in nodes])
+    values = np.full(len(nodes), math.nan)
+    (valid,) = np.nonzero(np.isfinite(a) & (a > 0) & np.isfinite(c0))
+    size = _block_paths(disc.grid.n_intervals, disc.n_dof)
+    for start in range(0, len(valid), size):
+        paths = valid[start:start + size]
+        z, finite = solver.sweep(data, disc, a[paths], c0[paths])
+        (cols,) = np.nonzero(finite)
+        done = paths[cols]
+        values[done] = block_values(a[done], c0[done], z, cols)
+        del z  # so that the next block's sweep does not find this state alive
+    return values
+
+
+def _moment_values(model, data, disc, nodes) -> np.ndarray:
+    """Pathwise indicators a(w)^(-1/2) ||U||_Y tracked by the moment ladders.
 
     The plain energy norm of the solution stays bounded when the
     coercivity degenerates, because the smooth mode forcing is not
     amplified by 1/a. Scaling by a^(-1/2) restores the sensitivity of
     the estimates to the coercivity law, which is what the moment
-    experiments are designed to expose; flagged (failed) paths come
-    back as nan.
+    experiments are designed to expose. In the eigenbasis the squared
+    norm is sum_j k_j sum_n lam_n z_jn^2, summed in place of z.
     """
-    try:
-        a = data.coeffs.a(omega)
-        sol = solver.solve_pathwise(data, disc, omega)
-    except solver.PathwiseSolveError:
-        return math.nan
-    return solver.trial_energy_norm(sol, disc) / math.sqrt(a)
+    lam = disc.pair.modes()[0]
+
+    def indicators(a, c0, z, cols):
+        with np.errstate(over="ignore"):
+            np.square(z, out=z)
+            # one 2-D product: a stacked one would copy z
+            energy = (z.reshape(-1, len(lam)) @ lam).reshape(len(z), -1)
+            energy = disc.grid.widths @ energy
+        return np.sqrt(energy[cols]) / np.sqrt(a)
+
+    return _rung(model, data, disc, nodes, indicators)
+
+
+def _mode_errors(model, data, disc, nodes) -> np.ndarray:
+    """Energy-norm errors against the exact mode solution, one per path.
+
+    oracle.exact_error takes each path's interval values in turn.
+    """
+    vecs = disc.pair.modes()[1]
+    dim = disc.pair.mesh.dim
+
+    def errors(a, c0, z, cols):
+        return [oracle.exact_error(oracle.ModeSolution.for_dim(a_p, c0_p, dim), disc,
+                                   z[:, col] @ vecs.T)[0]
+                for a_p, c0_p, col in zip(a.tolist(), c0.tolist(), cols)]
+
+    return _rung(model, data, disc, nodes, errors)
 
 
 def run_moments(config: ExperimentConfig):
@@ -265,7 +327,7 @@ def run_moments(config: ExperimentConfig):
     for p in config.p_values:
         if not 1 <= p < math.inf:
             raise ValueError(f"moment order p must satisfy 1 <= p < inf, got {p}")
-    disc = _discretization(config, config.n_cells[0], config.n_steps[0])
+    disc = _discretization(config, config.n_cells[0], config.n_steps[0], max(ladder))
     data = solver.mode_problem(model, disc)
 
     estimates = {p: [] for p in config.p_values}
@@ -273,7 +335,7 @@ def run_moments(config: ExperimentConfig):
     for n_quad in config.quad_ladder:
         nodes, weights = stochastic.quadrature(domain, n_quad,
                                                avoid=model.singular_points)
-        values = [scaled_solution_norm(data, disc, w) for w in nodes]
+        values = _moment_values(model, data, disc, nodes)
         for p in config.p_values:
             est, flagged = stochastic.lp_norm(p, values, weights)
             estimates[p].append(est)
@@ -288,17 +350,6 @@ def run_moments(config: ExperimentConfig):
     trailer = [f"classification,p={_fmt(p)},{classifications[p]}"
                for p in config.p_values]
     return rows, classifications, trailer
-
-
-def _pathwise_mode_error(model, disc, data, omega: float) -> float:
-    try:
-        sol = solver.solve_pathwise(data, disc, omega)
-    except solver.PathwiseSolveError:
-        return math.nan
-    mode = oracle.ModeSolution.for_dim(model.a(omega), model.c0(omega),
-                                       disc.pair.mesh.dim)
-    err, _ = oracle.exact_error(mode, disc, sol)
-    return err
 
 
 def run_convergence(config: ExperimentConfig):
@@ -318,12 +369,12 @@ def run_convergence(config: ExperimentConfig):
     prev = None
     for j in range(config.j_min, config.j_max + 1):
         try:
-            disc = _discretization(config, 2 ** j, 4 ** j)
+            disc = _discretization(config, 2 ** j, 4 ** j, n_quad)
         except ResourceCapError:
             truncated = True
             break
         data = solver.mode_problem(model, disc)
-        errors = np.array([_pathwise_mode_error(model, disc, data, w) for w in nodes])
+        errors = _mode_errors(model, data, disc, nodes)
         mean_error = float(np.sum(weights * errors)) if np.all(np.isfinite(errors)) \
             else math.nan
         h = disc.pair.mesh.h
@@ -395,7 +446,20 @@ def _float_list(text: str):
     return tuple(float(part) for part in text.split(","))
 
 
+# the names argparse prints in "invalid <name> value: ..."
+_int_list.__name__ = "integer list"
+_one_int.__name__ = "integer"
+_float_list.__name__ = "number list"
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # an argument that starts like a negative number (-1,4 or -.5,2)
+        # is a value, as in Python 3.13's argparse, so that a comma list
+        # reaches its range check instead of reading as an unknown option
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -428,7 +492,8 @@ _OPTIONS = {
                         "moments, one size for convergence and infsup)"),
     "--seed": ("seed", "accepted for compatibility; has no effect, every rule is "
                "deterministic"),
-    "--jobs": ("jobs", "accepted for compatibility; has no effect, paths run serially"),
+    "--jobs": ("jobs", "accepted for compatibility; has no effect, the paths of a "
+               "rung share one step loop"),
     "--omega": ("omega", "parameter value of the solve"),
 }
 

@@ -8,6 +8,10 @@ bidiagonal and the forward solve is a modified Crank-Nicolson sweep.
 The operator is a scalar times the fixed stiffness S, so the sweep runs
 in the M-orthonormal eigenbasis of (S, M), computed once per mesh: every
 step is n_dof scalar recurrences, with no factorization per path or step.
+The paths of a parameter rung share one step loop (sweep): its state is
+one (N, P, n_dof) array of modal coefficients, and the step factors are
+formed SWEEP_WINDOW steps at a time, in two (SWEEP_WINDOW + 1, P, n_dof)
+arrays, so each path's values are those of a sweep of it alone.
 
 The module also evaluates the space-time norms attached to the pair:
 the trial energy norm, its weighted variant, and the weighted test
@@ -28,6 +32,9 @@ import numpy as np
 
 from .fem import SpatialPair, interval_gauss
 
+# time steps whose step factors sweep forms at once
+SWEEP_WINDOW = 32
+
 __all__ = [
     "TimeGrid",
     "Discretization",
@@ -36,6 +43,7 @@ __all__ = [
     "mode_problem",
     "time_weights",
     "assemble_load",
+    "sweep",
     "solve_pathwise",
     "mode_blocks",
     "assemble_full_system",
@@ -206,45 +214,82 @@ def assemble_load(data: ProblemData, disc: Discretization, omega: float) -> np.n
     return load
 
 
-def solve_pathwise(data: ProblemData, disc: Discretization, omega: float) -> np.ndarray:
-    """Solve the space-time system by forward substitution.
+def sweep(data: ProblemData, disc: Discretization, a, c0) -> tuple:
+    """Modal coefficients of P paths, advanced together in one step loop.
 
-    Returns the (N, n_dof) interval values U_1..U_N.
+    a and c0 hold the P diffusion values and forcing amplitudes; every a
+    must be finite and positive and every c0 finite. Returns (z, finite):
+    z of shape (N, P, n_dof) holds path p's coefficients in the
+    eigenbasis of (S, M), so its interval values are z[:, p] @ vecs.T,
+    and finite flags the paths whose every step stayed finite.
 
-    Step equations with A = a(w) S and k_j = t_j - t_{j-1}:
+    Step equations with A = a S and k_j = t_j - t_{j-1}:
 
         (M + (k_1/2) A) U_1     = M u0 + F_0
         (M + (k_{j+1}/2) A) U_{j+1} = (M - (k_j/2) A) U_j + F_j
 
-    With U_j = vecs z_j in the cached eigenbasis of (S, M) they decouple
-    into one scalar recurrence per eigenvalue lam, on any time grid:
+    With U_j = vecs z_j they decouple into one scalar recurrence per
+    eigenvalue lam, on any time grid:
 
         z_{j+1} = (1 - a lam k_j/2) / (1 + a lam k_{j+1}/2) z_j
                   + c0 tw_j beta / (1 + a lam k_{j+1}/2)
 
     with beta = vecs' b and z_1 = (vecs' M u0 + c0 tw_0 beta) / (1 + a lam k_1/2).
+    The step factors are formed for at most SWEEP_WINDOW steps at a time:
+    besides z the sweep holds two (min(N, SWEEP_WINDOW) + 1, P, n_dof)
+    arrays of them.
+    Each path's coefficients are those of a sweep of that path alone,
+    bit for bit.
+    """
+    half_a = 0.5 * np.asarray(a, dtype=float)
+    c0 = np.asarray(c0, dtype=float)
+    tw = data.weights_for(disc.grid)
+    pair = disc.pair
+    lam, vecs = pair.modes()
+    beta = vecs.T @ data.load_vector
+    start_value = vecs.T @ (pair.mass @ data.initial_vector(disc.n_dof))
+    k = disc.grid.widths
+    z = np.empty((len(k), len(c0), len(lam)))
+    finite = np.ones(len(c0), dtype=bool)
+    # half = a lam k / 2 and den = 1 + half of the window's steps, and of
+    # the step before it, whose half the gain of the first row needs
+    factors = np.empty((2, min(len(k), SWEEP_WINDOW) + 1, *z.shape[1:]))
+    # z[j] starts as the scaled right-hand side of step j; the loop adds
+    # the propagated previous value. Overflow is caught by finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(k), SWEEP_WINDOW):
+            stop = min(start + SWEEP_WINDOW, len(k))
+            first = max(start - 1, 0)
+            half, den = factors[:, :stop - first]
+            rows = z[start:stop]
+            np.multiply((tw[start:stop, None] * c0)[:, :, None], beta, out=rows)
+            if start == 0:
+                rows[0] += start_value
+            np.multiply((k[first:stop, None] * half_a)[:, :, None], lam, out=half)
+            np.add(1.0, half, out=den)
+            rows /= den[start - first:]
+            gain = np.divide(np.subtract(1.0, half[:-1], out=half[:-1]), den[1:],
+                             out=half[:-1])
+            for row, prev, g in zip(z[first + 1:stop], z[first:stop - 1], gain):
+                row += g * prev
+            finite &= np.isfinite(rows).all(axis=(0, 2))
+    return z, finite
+
+
+def solve_pathwise(data: ProblemData, disc: Discretization, omega: float) -> np.ndarray:
+    """Solve the space-time system of one parameter value by forward substitution.
+
+    Returns the (N, n_dof) interval values U_1..U_N: the one-path sweep,
+    transformed back from the eigenbasis.
     """
     a = _check_a(data.coeffs.a(omega))
     c0 = float(data.coeffs.c0(omega))
     if not math.isfinite(c0):
         raise PathwiseSolveError(f"forcing amplitude is not finite: {c0}")
-    tw = data.weights_for(disc.grid)
-    pair = disc.pair
-    lam, vecs = pair.modes()
-    half = 0.5 * a * disc.grid.widths[:, None] * lam
-
-    # z[j] starts as the scaled right-hand side of step j; the loop adds
-    # the propagated previous value. Overflow is caught by the check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.outer(c0 * tw, vecs.T @ data.load_vector)
-        z[0] += vecs.T @ (pair.mass @ data.initial_vector(disc.n_dof))
-        z /= 1.0 + half
-        gain = (1.0 - half[:-1]) / (1.0 + half[1:])
-        for row, prev, g in zip(z[1:], z, gain):
-            row += g * prev
-    if not np.all(np.isfinite(z)):
+    z, finite = sweep(data, disc, [a], [c0])
+    if not finite[0]:
         raise PathwiseSolveError("non-finite values in time step")
-    return z @ vecs.T
+    return z[:, 0] @ disc.pair.modes()[1].T
 
 
 def _temporal_factors(grid: TimeGrid) -> tuple:

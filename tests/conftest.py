@@ -36,3 +36,22 @@ def make_disc(dim=1, n_cells=8, degree=1, n_steps=8, final_time=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def reference_sweep(data, disc, a, c0):
+    """Modal coefficients of one path from the recurrence on whole (N, n_dof)
+    arrays: every step factor formed up front, then one step loop.
+
+    solver.sweep must return these bit for bit for each of its paths.
+    """
+    tw = data.weights_for(disc.grid)
+    lam, vecs = disc.pair.modes()
+    half = 0.5 * a * disc.grid.widths[:, None] * lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.outer(c0 * tw, vecs.T @ data.load_vector)
+        z[0] += vecs.T @ (disc.pair.mass @ data.initial_vector(disc.n_dof))
+        z /= 1.0 + half
+        gain = (1.0 - half[:-1]) / (1.0 + half[1:])
+        for row, prev, g in zip(z[1:], z, gain):
+            row += g * prev
+    return z

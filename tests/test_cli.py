@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpg import cli, solver, stochastic
+from conftest import reference_sweep
+from stpg import cli, fem, oracle, solver, stochastic
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -244,8 +245,8 @@ def _patch_physical_memory(monkeypatch, pages):
 
 
 @pytest.mark.parametrize("pages,steps,need", [
-    (10, 1000, "a 1000 x 7 sweep needs 424000 bytes"),
-    # the 42,400-byte sweep fits, its 100 x 7 rows do not
+    (10, 1000, "a 1000 x 1 x 7 sweep block needs 112000 bytes"),
+    # the 11,200-byte sweep fits, its 100 x 7 rows do not
     (11, 100, f"a 100 x 7 solve report needs {cli.ROW_BYTES * 700} bytes"),
     (40, 100, None),
     (None, 1000, None),  # sysconf cannot tell: no check
@@ -296,19 +297,34 @@ def _traced_peak(work):
 
 
 @pytest.mark.parametrize("cells,steps,oracle", [
-    (64, 1000, False),  # 63 dofs: the four (N, n_dof) arrays of the sweep
-    (2, 20000, True),  # 1 dof: the 25 values per interval of the error oracle
+    (64, 1000, False),  # 63 dofs: one block of 16 paths and its step windows
+    (64, 5000, False),  # 63 dofs: 16 paths in blocks of 3
+    (2, 20000, True),  # 1 dof: one block, then the 25 values per interval of the oracle
+    (64, 5000, True),  # 63 dofs: blocks of 3, then one path's arrays in the oracle
 ])
-def test_sweep_memory_count_pins_the_traced_peak(cells, steps, oracle):
-    config = cli.ExperimentConfig(subcommand="moments", case="a", dim=1)
-    model, _ = cli._setup(config.case)
-    disc = cli._discretization(config, cells, steps)
+def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, oracle):
+    subcommand = "convergence" if oracle else "moments"
+    config = cli.ExperimentConfig(subcommand=subcommand, case="lognormal", dim=1)
+    model, domain = cli._setup(config.case)
+    checked = []
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what: checked.append(need))
+    disc = cli._discretization(config, cells, steps, paths=16)
     data = solver.mode_problem(model, disc)
-    if oracle:
-        peak = _traced_peak(lambda: cli._pathwise_mode_error(model, disc, data, 0.3))
-    else:
-        peak = _traced_peak(lambda: cli.scaled_solution_norm(data, disc, 0.3))
-    counted = 8 * steps * (cli.SWEEP_ARRAYS * disc.n_dof + cli.STEP_VALUES)
+    nodes, _ = stochastic.quadrature(domain, 16)
+    blocks = []
+    sweep = solver.sweep
+
+    def recording(data, disc, a, c0):
+        blocks.append(len(a))
+        return sweep(data, disc, a, c0)
+
+    monkeypatch.setattr(solver, "sweep", recording)
+    rung = cli._mode_errors if oracle else cli._moment_values
+    peak = _traced_peak(lambda: rung(model, data, disc, nodes))
+    block = min(16, cli._block_paths(steps, disc.n_dof))
+    # _traced_peak runs the rung twice
+    assert blocks == 2 * [min(block, 16 - start) for start in range(0, 16, block)]
+    (counted,) = checked
     assert 0.85 * counted <= peak <= 1.05 * counted
 
 
@@ -374,6 +390,37 @@ def test_option_of_another_subcommand_is_a_usage_error(tmp_path, capsys, subcomm
 ], ids=" ".join)
 def test_list_where_one_value_is_read_is_a_usage_error(tmp_path, capsys, argv):
     _usage_error(argv, capsys, tmp_path)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--cells", "4,8"], "argument --cells: invalid integer value: '4,8'"),
+    (["moments", "--n-quad-ladder", "8,x"],
+     "argument --n-quad-ladder: invalid integer list value: '8,x'"),
+    (["moments", "--p", "1,y"], "argument --p: invalid number list value: '1,y'"),
+    # a list that starts with a minus is a value, not an unknown option
+    (["infsup", "--steps", "-.5,4"],
+     "argument --steps: invalid integer list value: '-.5,4'"),
+], ids=["integer", "integer list", "number list", "minus"])
+def test_type_errors_name_the_expected_value(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"stpg {argv[0]}: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["infsup", "--cells", "-1,4"], "n_cells must be at least 2, got -1"),
+    (["moments", "--p", "-1,2"], "moment order p must satisfy 1 <= p < inf, got -1.0"),
+], ids=["cells", "p"])
+def test_comma_list_starting_with_a_minus_reaches_the_range_check(tmp_path, capsys, argv,
+                                                                   message):
+    out = tmp_path / "x.csv"
+    code, err = _main(argv + ["--out", str(out)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == [f"stpg: error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,own", [
@@ -510,6 +557,121 @@ def test_solve_rows_match_the_double_loop():
         for dof in range(disc.n_dof):
             loop.append((i + 1, disc.grid.nodes[i + 1], dof, sol[i, dof]))
     assert cli.run_solve(config) == loop
+
+
+def _csv_rows(rows):
+    """Rows as the CSV prints them, so that nan, -0 and every last bit compare."""
+    return [tuple(map(cli._fmt, row)) for row in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--case", "constant", "--dim", "1", "--cells", "8", "--steps", "40"],
+    ["--case", "a", "--dim", "1", "--degree", "2", "--cells", "5", "--steps", "70",
+     "--omega", "0.3"],
+    ["--case", "b", "--dim", "2", "--cells", "4", "--steps", "33", "--omega", "-0.6"],
+    ["--case", "zero", "--dim", "2", "--cells", "3", "--steps", "5"],
+], ids=["constant-1d", "a-degree-2", "b-2d", "zero-2d"])
+def test_solve_rows_are_the_whole_array_recurrence(argv):
+    config = cli.config_from_args(cli.build_parser().parse_args(
+        ["solve", *argv, "--out", "unused.csv"]))
+    model, _ = cli._setup(config.case)
+    disc = cli._discretization(config, config.n_cells[0], config.n_steps[0])
+    data = solver.mode_problem(model, disc)
+    z = reference_sweep(data, disc, model.a(config.omega), model.c0(config.omega))
+    values = z @ disc.pair.modes()[1].T
+    expected = [(i + 1, t, dof, v) for i, t in enumerate(disc.grid.nodes[1:])
+                for dof, v in enumerate(values[i])]
+    assert _csv_rows(cli.run_solve(config)) == _csv_rows(expected)
+
+
+def _rung_case(dim, degree, grid, n_steps=37):
+    mesh = fem.build_mesh(dim, 5 if degree == 2 else 4, degree)
+    nodes = np.linspace(0.0, 1.0, n_steps + 1)
+    time_grid = solver.TimeGrid(nodes ** 2 if grid == "graded" else nodes)
+    return solver.Discretization(pair=fem.assemble(mesh), grid=time_grid)
+
+
+# (a, c0) per node: regular paths over six decades of a, then each way a
+# path is flagged: a = 0, a < 0, a = inf, a = nan, c0 = nan, c0 = inf, and
+# a tiny a whose huge c0 adds up to inf mid-sweep
+_NODES = [(0.7, 1.0), (1e-3, 2.0), (40.0, -0.5), (3.0, 0.0), (0.0, 1.0), (-1.0, 1.0),
+          (math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf),
+          (1e-3, 1e308), (0.2, 1.0)]
+
+
+def _node_model():
+    """A model whose node i has the a and c0 of _NODES[i]."""
+    return stochastic.CoefficientModel(a_fn=lambda w: _NODES[int(w)][0],
+                                       c0_fn=lambda w: _NODES[int(w)][1])
+
+
+def _tenfold_sine(t):
+    return 10.0 * np.sin(np.pi * t)
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("grid", ["uniform", "graded"])
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["one-block", "one-path-blocks"])
+def test_rung_values_match_the_per_path_solves(monkeypatch, dim, degree, grid,
+                                               block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+    disc = _rung_case(dim, degree, grid)
+    model = _node_model()
+    # a tenfold forcing, so that the steps of the c0 = 1e308 path add up to inf
+    data = solver.mode_problem(model, disc, g=_tenfold_sine)
+    overflow = reference_sweep(data, disc, *_NODES[10])
+    assert np.isfinite(overflow[0]).all() and not np.isfinite(overflow).all()
+    nodes = np.arange(len(_NODES), dtype=float)
+    indicators = cli._moment_values(model, data, disc, nodes)
+    errors = cli._mode_errors(model, data, disc, nodes)
+    flagged = []
+    for i, w in enumerate(nodes):
+        try:
+            sol = solver.solve_pathwise(data, disc, w)
+        except solver.PathwiseSolveError:
+            flagged.append(i)
+            continue
+        a, c0 = model.a(w), model.c0(w)
+        # the modal indicator against the nodal energy norm
+        nodal = solver.trial_energy_norm(sol, disc) / math.sqrt(a)
+        assert indicators[i] == pytest.approx(nodal, rel=1e-13, abs=0.0)
+        mode = oracle.ModeSolution.for_dim(a, c0, dim)
+        assert errors[i] == oracle.exact_error(mode, disc, sol)[0]
+    assert flagged == list(range(4, 11))
+    assert np.isnan(indicators[flagged]).all() and np.isnan(errors[flagged]).all()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--case", "lognormal", "--j-min", "2", "--j-max", "4", "--n-quad-ladder", "5"],
+    ["--case", "lognormal", "--degree", "2", "--j-min", "2", "--j-max", "4",
+     "--n-quad-ladder", "3"],
+    ["--case", "b", "--j-min", "2", "--j-max", "3", "--n-quad-ladder", "4"],
+    ["--case", "zero", "--j-min", "2", "--j-max", "3", "--n-quad-ladder", "2"],
+], ids=["lognormal", "degree-2", "b", "zero"])
+def test_convergence_rows_match_the_per_path_solves(argv):
+    config = cli.config_from_args(cli.build_parser().parse_args(
+        ["convergence", *argv, "--out", "unused.csv"]))
+    model, domain = cli._setup(config.case)
+    n_quad = config.quad_ladder[0]
+    nodes, weights = stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
+    expected, prev = [], None
+    for j in range(config.j_min, config.j_max + 1):
+        disc = cli._discretization(config, 2 ** j, 4 ** j)
+        data = solver.mode_problem(model, disc)
+        errors = np.array([
+            oracle.exact_error(oracle.ModeSolution.for_dim(model.a(w), model.c0(w), 1),
+                               disc, solver.solve_pathwise(data, disc, w))[0]
+            for w in nodes])
+        mean_error = float(np.sum(weights * errors))
+        h, rate = disc.pair.mesh.h, math.nan
+        if prev is not None and prev[1] > 0 and mean_error > 0:
+            rate = math.log(prev[1] / mean_error) / math.log(prev[0] / h)
+        expected.append((config.case, j, h, disc.grid.k_max, n_quad, mean_error, rate))
+        prev = (h, mean_error)
+    rows, truncated, _ = cli.run_convergence(config)
+    assert not truncated
+    assert _csv_rows(rows) == _csv_rows(expected)
 
 
 def _solve_csv(argv):

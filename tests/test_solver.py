@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ConstantCoeffs, make_disc
+from conftest import ConstantCoeffs, make_disc, reference_sweep
 from stpg import fem, solver
 from stpg.stochastic import CoefficientModel, default_domain, quadrature
 
@@ -377,3 +377,78 @@ def test_non_finite_forcing_profile_is_flagged():
                                g=lambda t: np.full_like(np.asarray(t, float), np.inf))
     with pytest.raises(solver.PathwiseSolveError):
         solver.solve_pathwise(data, disc, 0.0)
+
+
+def _graded(n_steps):
+    return solver.TimeGrid(np.linspace(0.0, 1.0, n_steps + 1) ** 2)
+
+
+# a over six decades, c0 of both signs and zero
+_A = np.array([0.3, 1.0, 7.5, 1e-3, 40.0, 2.2])
+_C0 = np.array([1.3, -0.4, 0.0, 2.0, 1.0, -0.0])
+
+
+@pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
+@pytest.mark.parametrize("grid", ["uniform", "graded"])
+# one step, fewer than a window, and a count that is no multiple of it
+@pytest.mark.parametrize("n_steps", [1, solver.SWEEP_WINDOW - 3,
+                                     2 * solver.SWEEP_WINDOW + 7])
+def test_batched_sweep_is_each_path_alone_bit_for_bit(rng, dim, n_cells, degree, grid,
+                                                      n_steps):
+    mesh = fem.build_mesh(dim, n_cells, degree)
+    time_grid = (solver.TimeGrid.uniform(1.0, n_steps) if grid == "uniform"
+                 else _graded(n_steps))
+    disc = solver.Discretization(pair=fem.assemble(mesh), grid=time_grid)
+    data = solver.mode_problem(ConstantCoeffs(), disc,
+                               u0=rng.standard_normal(disc.n_dof))
+    z, finite = solver.sweep(data, disc, _A, _C0)
+    assert z.shape == (n_steps, len(_A), disc.n_dof) and finite.all()
+    for p, (a, c0) in enumerate(zip(_A, _C0)):
+        alone, alone_finite = solver.sweep(data, disc, [a], [c0])
+        assert alone_finite.tolist() == [True]
+        path = np.ascontiguousarray(z[:, p])
+        assert path.tobytes() == alone[:, 0].tobytes()
+        assert path.tobytes() == reference_sweep(data, disc, a, c0).tobytes()
+    order = rng.permutation(len(_A))
+    assert solver.sweep(data, disc, _A[order], _C0[order])[0].tobytes() == \
+        np.ascontiguousarray(z[:, order]).tobytes()
+    subset = [4, 1]
+    assert solver.sweep(data, disc, _A[subset], _C0[subset])[0].tobytes() == \
+        np.ascontiguousarray(z[:, subset]).tobytes()
+
+
+def test_sweep_flags_the_path_that_overflows_mid_sweep():
+    disc = make_disc(n_cells=6, n_steps=40)
+
+    def g(t):
+        return 10.0 * np.sin(np.pi * t)
+
+    data = solver.mode_problem(ConstantCoeffs(), disc, g=g)
+    # a tiny a keeps the gain near 1, so the steps of a huge c0 add up to inf
+    a, c0 = np.array([0.5, 1e-3, 2.0]), np.array([1.0, 1e308, -3.0])
+    reference = reference_sweep(data, disc, a[1], c0[1])
+    assert np.isfinite(reference[0]).all() and not np.isfinite(reference).all()
+    z, finite = solver.sweep(data, disc, a, c0)
+    assert finite.tolist() == [True, False, True]
+    for p in (0, 2):
+        assert np.ascontiguousarray(z[:, p]).tobytes() == \
+            reference_sweep(data, disc, a[p], c0[p]).tobytes()
+    with pytest.raises(solver.PathwiseSolveError, match="non-finite values in time step"):
+        solver.solve_pathwise(solver.mode_problem(ConstantCoeffs(a=1e-3, c0=1e308), disc,
+                                                  g=g), disc, 0.0)
+
+
+@pytest.mark.parametrize("a,c0,message", [
+    (0.0, 1.0, "diffusion value must be positive: 0.0"),
+    (-2.0, 1.0, "diffusion value must be positive: -2.0"),
+    (np.inf, 1.0, "diffusion value is not finite: inf"),
+    (np.nan, 1.0, "diffusion value is not finite: nan"),
+    (1.0, np.nan, "forcing amplitude is not finite: nan"),
+    (1.0, -np.inf, "forcing amplitude is not finite: -inf"),
+])
+def test_solve_pathwise_names_what_is_not_swept(a, c0, message):
+    disc = make_disc(n_cells=4, n_steps=4)
+    data = solver.mode_problem(ConstantCoeffs(a=a, c0=c0), disc)
+    with pytest.raises(solver.PathwiseSolveError) as exc:
+        solver.solve_pathwise(data, disc, 0.0)
+    assert str(exc.value) == message

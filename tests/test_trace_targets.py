@@ -8,7 +8,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from stpg import cli
+from stpg import cli, solver
 from stpg import constants as consts
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -41,9 +41,18 @@ def _traced(spans, argv):
 def test_per_grid_work_runs_once_per_grid(tmp_path, monkeypatch):
     spans = _spans()
     out = str(tmp_path / "out.csv")
+    paths = []
+    sweep = solver.sweep
+
+    def sweeping(data, disc, a, c0):
+        paths.append(len(a))
+        return sweep(data, disc, a, c0)
+
+    monkeypatch.setattr(solver, "sweep", sweeping)
     metrics = _traced(spans, ["convergence", "--case", "lognormal", "--j-min", "2",
                               "--j-max", "3", "--n-quad-ladder", "4", "--out", out])
-    assert metrics["solver.solve_pathwise.calls"][0] == 8
+    # one sweep per rung (2) of its 4 paths
+    assert paths == [4, 4]
     assert metrics["solver.time_weights.calls"][0] == 2
     shapes = []
     infsup = consts.discrete_infsup

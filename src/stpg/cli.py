@@ -10,7 +10,7 @@ Subcommands reproduce the stock experiments at desk scale:
 * ``infsup``       computed inf-sup and continuity constants next to
   the CFL constants and the closed-form bounds
 * ``solve``        one pathwise solve dumped as interval-indexed nodal
-  values
+  values, written one time interval at a time
 
 Every report is a CSV file with a fixed header, floats printed with 17
 significant digits, and content that is byte-identical across reruns.
@@ -54,8 +54,6 @@ CONVERGENCE_HEADER = ["case", "j", "h", "k", "n_quad", "mean_error", "observed_r
 INFSUP_HEADER = ["case", "n_cells", "n_steps", "omega", "a_omega", "sigma_min",
                  "sigma_max", "c_S", "c_S_omega", "cB_theory", "CB_theory"]
 SOLVE_HEADER = ["interval", "t", "dof", "value"]
-# bytes a solve report holds per row, with the solution and its tolist()
-ROW_BYTES = 176  # (tracemalloc peak at 20,000 steps: 173)
 # A sweep block holds its float64 (N, P, n_dof) state and, while it
 # steps, two windows of step factors. Once it is done, a subcommand
 # holds beside the state float64 (N, n_dof) arrays of one path and
@@ -118,9 +116,32 @@ def _template(row) -> str:
     return ",".join(codes) + "\n"
 
 
+class SolveRows:
+    """The (interval, t, dof, value) rows of a solve, as a view of its N
+    right endpoints times and (N, n_dof) interval values."""
+
+    def __init__(self, times, values):
+        self.times, self.values = times, values
+
+    def __len__(self):
+        return self.values.size
+
+    def __iter__(self):
+        for i, t in enumerate(self.times.tolist()):
+            for dof, v in enumerate(self.values[i].tolist()):
+                yield i + 1, t, dof, v
+
+
 def _write_report(fh, header, rows, trailer):
+    """Write header, rows and trailer lines to fh: a SolveRows view one
+    interval at a time, other rows by one %-template per row."""
     fh.write(",".join(header) + "\n")
-    if rows:
+    if isinstance(rows, SolveRows):
+        # one %-call per interval; "@" stands for its "i,t," prefix (no "%" in it)
+        body = "".join(f"@{dof},%.17g\n" for dof in range(rows.values.shape[1]))
+        fh.writelines(body.replace("@", "%d,%.17g," % (i, t)) % tuple(values.tolist())
+                      for i, (t, values) in enumerate(zip(rows.times, rows.values), 1))
+    elif rows:
         fh.writelines(map(_template(rows[0]).__mod__, rows))
     fh.writelines("# " + line + "\n" for line in trailer)
 
@@ -168,12 +189,13 @@ def _open_in_place(target: str, fd):
 
 
 def write_csv(path: str, header, rows, trailer=()):
-    """Write a report of tuple rows to path.
+    """Write a report of rows to path.
 
-    Every row is formatted by one %-template built from the kinds of the
-    first row's values, which prints each value as _fmt does provided
-    every column keeps one kind (str, integer or bool, float) across
-    rows; the four CLI reports satisfy this.
+    rows is a sized sequence of tuples, formatted by one %-template built
+    from the kinds of the first row's values, or the SolveRows view of a
+    solve, written one interval at a time with one %-format call each.
+    Each value prints as _fmt prints it, provided every column keeps one
+    kind (str, integer or bool, float) across rows; the CLI reports do.
 
     Symlinks are followed first, so a link's target gets the bytes and
     the link stays. A regular or new file is written atomically: the
@@ -422,16 +444,8 @@ def run_solve(config: ExperimentConfig):
     """One pathwise solve, dumped as interval-indexed nodal values."""
     model, _ = _setup(config.case)
     disc = _discretization(config, config.n_cells[0], config.n_steps[0])
-    _check_memory(ROW_BYTES * disc.trial_size,
-                  f"a {disc.grid.n_intervals} x {disc.n_dof} solve report")
     data = solver.mode_problem(model, disc)
-    sol = solver.solve_pathwise(data, disc, config.omega)
-    # Python floats from tolist() format faster than numpy scalars; each
-    # interval's rows share one time object
-    return [(i + 1, t, dof, v)
-            for i, (t, values) in enumerate(zip(disc.grid.nodes[1:].tolist(),
-                                                sol.tolist()))
-            for dof, v in enumerate(values)]
+    return SolveRows(disc.grid.nodes[1:], solver.solve_pathwise(data, disc, config.omega))
 
 
 def _int_list(text: str):
@@ -554,7 +568,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ResourceCapError, MemoryError) as exc:
         # numpy names the size it could not allocate; a bare MemoryError is empty
-        print(f"stpg: resource cap: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"stpg: resource cap: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (solver.PathwiseSolveError, np.linalg.LinAlgError) as exc:
         print(f"stpg: numerical failure: {exc}", file=sys.stderr)
@@ -565,6 +579,10 @@ def main(argv=None) -> int:
         print(f"stpg: error: cannot write {config.out}: {exc.strerror or exc}",
               file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("stpg: resource cap: out of memory while writing the report",
+              file=sys.stderr)
+        return EXIT_RESOURCE
     return status
 
 

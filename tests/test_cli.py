@@ -246,8 +246,9 @@ def _patch_physical_memory(monkeypatch, pages):
 
 @pytest.mark.parametrize("pages,steps,need", [
     (10, 1000, "a 1000 x 1 x 7 sweep block needs 112000 bytes"),
-    # the 11,200-byte sweep fits, its 100 x 7 rows do not
-    (11, 100, f"a 100 x 7 solve report needs {cli.ROW_BYTES * 700} bytes"),
+    # the 11,200-byte sweep fits, and the report is written one interval
+    # at a time beside the solution it counts
+    (11, 100, None),
     (40, 100, None),
     (None, 1000, None),  # sysconf cannot tell: no check
 ])
@@ -326,6 +327,44 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, orac
     assert blocks == 2 * [min(block, 16 - start) for start in range(0, 16, block)]
     (counted,) = checked
     assert 0.85 * counted <= peak <= 1.05 * counted
+
+
+class _Sink:
+    """A text stream that keeps only the number of characters written."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("dim,cells,steps", [(1, 8, 20000), (2, 16, 2000)])
+def test_solve_report_holds_one_interval_beside_the_solution(dim, cells, steps):
+    config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=dim,
+                                  n_cells=(cells,), n_steps=(steps,))
+    cli._write_report(_Sink(), cli.SOLVE_HEADER, cli.run_solve(config), ())
+    tracemalloc.start()
+    try:
+        rows = cli.run_solve(config)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sink = _Sink()
+        cli._write_report(sink, cli.SOLVE_HEADER, rows, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_dof = rows.values.shape[1]
+    assert len(rows) == steps * n_dof and sink.size > 20 * len(rows)
+    # the held solution, which the sweep check counts, and the grid's
+    # nodes, which the row view reads the times from
+    solution = 8 * steps * n_dof + 8 * (steps + 1)
+    assert solution <= held <= solution + 4096
+    # one interval's template, values and text beside them
+    assert peak <= held + 256 * n_dof + 4096
 
 
 def test_infsup_memory_count_pins_the_traced_peak():
@@ -546,6 +585,97 @@ def test_write_csv_matches_fmt_on_every_value_kind(tmp_path):
                                                                "nan"]
 
 
+def _special_solution():
+    """12 x 101 random values over 600 decades, every 7th one replaced by
+    nan, +-inf, +-0.0, the smallest subnormal, 1e300 or 0.1."""
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((12, 101)) * 10.0 ** rng.integers(-300, 300, (12, 101))
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 0.1]
+    every_7th = values.reshape(-1)[::7]
+    every_7th[:] = np.resize(special, every_7th.size)
+    return np.linspace(0.0, 1.0, 13)[1:] ** 3, values
+
+
+def _solve_case(dim, degree, cells, steps, grid):
+    """(times, values) of a constant-case solve on a uniform or graded grid."""
+    mesh = fem.build_mesh(dim, cells, degree)
+    nodes = np.linspace(0.0, 1.0, steps + 1)
+    disc = solver.Discretization(pair=fem.assemble(mesh), grid=solver.TimeGrid(
+        nodes ** 2 if grid == "graded" else nodes))
+    model, _ = cli._setup("constant")
+    sol = solver.solve_pathwise(solver.mode_problem(model, disc), disc, 0.25)
+    return disc.grid.nodes[1:], sol
+
+
+@pytest.mark.parametrize("case", [
+    _special_solution,
+    lambda: _solve_case(1, 2, 100, 11, "uniform"),
+    lambda: _solve_case(1, 2, 100, 11, "graded"),
+    lambda: _solve_case(2, 1, 11, 12, "uniform"),
+    lambda: _solve_case(2, 1, 11, 12, "graded"),
+], ids=["special-values", "1d-degree-2", "1d-degree-2-graded", "2d", "2d-graded"])
+def test_interval_writer_matches_the_fmt_oracle(tmp_path, case):
+    times, values = case()
+    assert values.shape[0] >= 10 and values.shape[1] >= 100
+    # the rows as the double loop over the arrays gives them
+    rows = [(i + 1, times[i], dof, values[i, dof])
+            for i in range(values.shape[0]) for dof in range(values.shape[1])]
+    out = tmp_path / "solve.csv"
+    cli.write_csv(str(out), cli.SOLVE_HEADER, cli.SolveRows(times, values))
+    assert out.read_bytes() == _fmt_csv(cli.SOLVE_HEADER, rows).encode("ascii")
+    if case is _special_solution:
+        printed = {line.split(",")[3] for line in out.read_text().splitlines()[1:]}
+        assert {"nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324",
+                "1.0000000000000001e+300"} <= printed
+
+
+class _FailingFile:
+    """A file whose writes raise MemoryError once the header and the first
+    interval (or row) are written."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 2:
+            raise MemoryError
+        return self.fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--cells", "4", "--steps", "4"],
+    ["infsup", "--cells", "3", "--steps", "2", "--n-quad-ladder", "2"],
+], ids=["interval-stream", "per-row"])
+def test_memory_error_while_writing_exits_with_one_line(tmp_path, capsys, monkeypatch,
+                                                        argv):
+    out = tmp_path / "report.csv"
+    out.write_text("old\n")
+    writes = []
+
+    def failing_open(*args, **kwargs):
+        writes.append(_FailingFile(open(*args, **kwargs)))
+        return writes[-1]
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code, err = _main(argv + ["--out", str(out)], capsys)
+    assert code == cli.EXIT_RESOURCE
+    assert err == ["stpg: resource cap: out of memory while writing the report"]
+    assert [fh.writes for fh in writes] == [3]
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_solve_rows_match_the_double_loop():
     config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=2,
                                   n_cells=(4,), n_steps=(6,))
@@ -556,7 +686,8 @@ def test_solve_rows_match_the_double_loop():
     for i in range(disc.grid.n_intervals):
         for dof in range(disc.n_dof):
             loop.append((i + 1, disc.grid.nodes[i + 1], dof, sol[i, dof]))
-    assert cli.run_solve(config) == loop
+    rows = cli.run_solve(config)
+    assert len(rows) == len(loop) and list(rows) == loop
 
 
 def _csv_rows(rows):
@@ -581,7 +712,8 @@ def test_solve_rows_are_the_whole_array_recurrence(argv):
     values = z @ disc.pair.modes()[1].T
     expected = [(i + 1, t, dof, v) for i, t in enumerate(disc.grid.nodes[1:])
                 for dof, v in enumerate(values[i])]
-    assert _csv_rows(cli.run_solve(config)) == _csv_rows(expected)
+    rows = cli.run_solve(config)
+    assert len(rows) == len(expected) and _csv_rows(rows) == _csv_rows(expected)
 
 
 def _rung_case(dim, degree, grid, n_steps=37):

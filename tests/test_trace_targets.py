@@ -81,3 +81,14 @@ def test_mode_vector_once_per_mesh(tmp_path):
     with tracer.installed(), tracer.call(argv[0]):
         assert cli.main(argv) == cli.EXIT_OK
     assert sum(span.name == "fem.mode_load_vector" for span in tracer.spans) == 2
+
+
+def test_write_csv_probe_counts_the_solve_rows(tmp_path):
+    # the probe reads len(rows) and the file size after the call, so the
+    # row view of a solve must report every row the file holds
+    out = tmp_path / "out.csv"
+    metrics = _traced(_spans(), ["solve", "--dim", "2", "--cells", "8", "--steps", "6",
+                                 "--out", str(out)])
+    assert metrics["cli.write_csv.rows"][0] == 6 * 49
+    assert len(out.read_text().splitlines()) == 1 + 6 * 49
+    assert metrics["cli.write_csv.bytes"][0] == out.stat().st_size

@@ -62,8 +62,14 @@ SOLVE_HEADER = ["interval", "t", "dof", "value"]
 # and profile values of oracle.exact_error; moments none, it sums the
 # state in place
 AFTER_SWEEP = {"moments": (0, 0), "convergence": (2, 25), "solve": (1, 0)}
-# bytes of sweep state one block of a rung's paths holds, unless one path
-# alone needs more
+# float64 values per time step held throughout: the grid's nodes, the
+# time weights and the widths the sweep reads
+GRID_VALUES = 3
+# float64 temporaries per interval of one block of solver.time_weights,
+# which runs before the sweep
+TIME_WEIGHTS_VALUES = 32
+# bytes one block of a rung's paths holds while it steps, its state and
+# its two windows of step factors, unless one path alone needs more
 _BLOCK_BYTES = 1 << 23
 # float64 (n_dof, N, N) stacks the constants of one infsup node hold at
 # peak: the three mode blocks, two Cholesky factors and two solves
@@ -241,7 +247,8 @@ def _check_memory(need: int, what: str):
 
 def _block_paths(n_steps: int, n_dof: int) -> int:
     """Paths of a rung swept together: as many as the block budget holds, at least one."""
-    return max(1, _BLOCK_BYTES // (8 * max(n_steps, 1) * n_dof))
+    window = min(n_steps, solver.SWEEP_WINDOW) + 1
+    return max(1, _BLOCK_BYTES // (8 * (max(n_steps, 1) + 2 * window) * n_dof))
 
 
 def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
@@ -250,8 +257,13 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
 
     Before any matrix is built, the spatial dofs of a pathwise sweep, or
     the space-time trial size (dofs times steps) of infsup, must be within
-    the cap, and what one block of a rung of that many paths, or one
-    parameter node of infsup, holds at peak must fit in memory.
+    the cap, and what one parameter node of infsup, or a pathwise run of
+    a rung of that many paths, holds at peak must fit in memory. For the
+    latter the count is GRID_VALUES per step, held throughout, plus the
+    larger of the time weights' block temporaries and one block's sweep
+    with what its subcommand then holds (AFTER_SWEEP). The pair itself is
+    O(n_dof) plus its 1-D matrices, also in dim 2, where it never forms
+    an n_dof x n_dof matrix.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
@@ -266,8 +278,12 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         window = min(n_steps, solver.SWEEP_WINDOW) + 1
         arrays, values = AFTER_SWEEP[config.subcommand]
         after = n_steps * (arrays * mesh.n_dof + values)
-        _check_memory(8 * (block * mesh.n_dof * n_steps
-                           + max(2 * window * block * mesh.n_dof, after)),
+        if config.dim == 2:
+            # the two temporaries of one block of the tensor-product transforms
+            after += 2 * fem.TENSOR_BLOCK
+        sweep = block * mesh.n_dof * n_steps + max(2 * window * block * mesh.n_dof, after)
+        weights = TIME_WEIGHTS_VALUES * min(n_steps, solver.TIME_WEIGHTS_BLOCK)
+        _check_memory(8 * (GRID_VALUES * n_steps + max(weights, sweep)),
                       f"a {n_steps} x {block} x {mesh.n_dof} sweep block")
     grid = solver.TimeGrid.uniform(1.0, n_steps)
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
@@ -307,7 +323,7 @@ def _moment_values(model, data, disc, nodes) -> np.ndarray:
     experiments are designed to expose. In the eigenbasis the squared
     norm is sum_j k_j sum_n lam_n z_jn^2, summed in place of z.
     """
-    lam = disc.pair.modes()[0]
+    lam = disc.pair.eigenvalues
 
     def indicators(a, c0, z, cols):
         with np.errstate(over="ignore"):
@@ -325,12 +341,11 @@ def _mode_errors(model, data, disc, nodes) -> np.ndarray:
 
     oracle.exact_error takes each path's interval values in turn.
     """
-    vecs = disc.pair.modes()[1]
-    dim = disc.pair.mesh.dim
+    pair = disc.pair
 
     def errors(a, c0, z, cols):
-        return [oracle.exact_error(oracle.ModeSolution.for_dim(a_p, c0_p, dim), disc,
-                                   z[:, col] @ vecs.T)[0]
+        return [oracle.exact_error(oracle.ModeSolution.for_dim(a_p, c0_p, pair.mesh.dim),
+                                   disc, pair.from_modes(z[:, col]))[0]
                 for a_p, c0_p, col in zip(a.tolist(), c0.tolist(), cols)]
 
     return _rung(model, data, disc, nodes, errors)
@@ -420,7 +435,7 @@ def run_infsup(config: ExperimentConfig):
         for n_steps in config.n_steps:
             disc = _discretization(config, n_cells, n_steps, space_time=True)
             c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
-            lam = disc.pair.modes()[0]
+            lam = disc.pair.eigenvalues
             for omega in nodes:
                 a = model.a(omega)
                 if not (math.isfinite(a) and a > 0):

@@ -83,7 +83,7 @@ def cfl_constant(pair: SpatialPair, k: float) -> float:
     """
     if k <= 0:
         raise ValueError("time step must be positive")
-    return float(k * np.max(pair.modes()[0]))
+    return float(k * np.max(pair.eigenvalues))
 
 
 def cfl_omega(pair: SpatialPair, k: float, omega: float, coeffs) -> float:

@@ -7,14 +7,19 @@ functionals to the subspace, and the per-interval Gauss rule shared by
 every quadrature in the package.
 
 The eigenpairs of (S, M) diagonalize M, S and M S^-1 M for the modal
-sweep and the inf-sup mode blocks. Hat functions (degree 1) need numpy
-only: their eigenpairs have a closed form, the discrete sine transform.
+sweep and the inf-sup mode blocks. On the unit square the pair and its
+eigenbasis are tensor products of the 1-D ones, so a SpatialPair keeps
+the 1-D matrices and applies the 2-D basis, mass and stiffness as two
+1-D products per coefficient array: memory O(n_dof) per vector plus
+O(n_dof_1d^2), with no n_dof x n_dof matrix outside the tests' dense
+oracles. Hat functions (degree 1) need numpy only: their eigenpairs
+have a closed form, the discrete sine transform.
 Quadratic splines (degree 2) load ``scipy.interpolate`` for the basis
 and ``scipy.linalg.eigh`` for the eigenpairs, on first use.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +35,20 @@ __all__ = [
 ]
 
 
+# values of a vector stack that SpatialPair transforms at once in dim 2
+TENSOR_BLOCK = 1 << 16
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only."""
+    array.flags.writeable = False
+    return array
+
+
 @functools.cache
 def _reference_gauss(n_points: int) -> tuple:
     """Gauss-Legendre points and weights on [-1, 1], computed once, read-only."""
-    rule = np.polynomial.legendre.leggauss(n_points)
-    for array in rule:
-        array.flags.writeable = False
-    return rule
+    return tuple(map(_frozen, np.polynomial.legendre.leggauss(n_points)))
 
 
 def interval_gauss(nodes, n_points: int) -> tuple:
@@ -89,63 +101,160 @@ class Mesh:
 
 @dataclass
 class SpatialPair:
-    """Mass and stiffness Gram matrices of a mesh.
+    """Mass and stiffness of a mesh, kept as the 1-D pair they come from.
 
     mass[i, j]      = integral of phi_i * phi_j
     stiffness[i, j] = integral of grad(phi_i) . grad(phi_j)
 
-    Everything derived from the mesh alone (the eigenbasis of (S, M),
-    the mode load vector) is computed on first use and cached.
+    In dim 1 mass_1d and stiffness_1d are these matrices. In dim 2 the
+    basis is the tensor product of the 1-D one, so M2 = M (x) M and
+    S2 = S (x) M + M (x) S, and the eigenbasis of (S2, M2) is V (x) V
+    with eigenvalues lam_i + lam_j (fast diagonalization; Lynch, Rice and
+    Thomas 1964). Every action the solver needs (the basis transforms,
+    the mass and stiffness actions, S^-1) is then applied through the
+    identity (A (x) B) vec(X) = vec(A X B') as two 1-D products on the
+    n x n coefficient array X of each vector. The dense 2-D mass,
+    stiffness and modes() are formed on first use, for tests and oracles
+    only: no CLI path reads them. Everything derived from the mesh alone
+    is computed once and cached read-only.
     """
 
     mesh: Mesh
-    mass: np.ndarray
-    stiffness: np.ndarray
-    _modes: tuple = field(default=None, repr=False, compare=False)
-    _mode_vector: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def stiffness_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve S x = rhs as W W' rhs, with W = vecs diag(lam^-1/2) from modes()."""
-        lam, vecs = self.modes()
-        half = vecs / np.sqrt(lam)
-        return half @ (half.T @ rhs)
-
-    def modes(self) -> tuple:
-        """M-orthonormal eigenpairs (lam, vecs) of the pair, cached read-only.
-
-        S vecs = M vecs diag(lam) and vecs' M vecs = I. Hat functions
-        have them in closed form (_hat_modes), quadratic splines by a
-        dense generalized eigh. In dim 2 the pair is the tensor product
-        of the 1-D pair, so are its modes: vecs = V (x) V with eigenvalues
-        lam_i + lam_j (fast diagonalization).
-        """
-        if self._modes is None:
-            if self.mesh.degree == 2:
-                # imported here: only quadratic splines (1-D only, see
-                # build_mesh) need a dense eigensolver, and scipy.linalg
-                # would add to every CLI start
-                from scipy.linalg import eigh
-
-                self._modes = eigh(self.stiffness, self.mass)
-            else:
-                lam, vecs = _hat_modes(self.mesh.n_cells)
-                if self.mesh.dim == 2:
-                    lam, vecs = (lam[:, None] + lam[None, :]).ravel(), np.kron(vecs, vecs)
-                self._modes = (lam, vecs)
-            for array in self._modes:
-                array.flags.writeable = False
-        return self._modes
-
-    def mode_vector(self) -> np.ndarray:
-        """mode_load_vector of the mesh, computed once; read-only."""
-        if self._mode_vector is None:
-            self._mode_vector = mode_load_vector(self.mesh)
-            self._mode_vector.flags.writeable = False
-        return self._mode_vector
+    mass_1d: np.ndarray
+    stiffness_1d: np.ndarray
 
     @property
     def n_dof(self) -> int:
-        return self.mass.shape[0]
+        return self.mesh.n_dof
+
+    @functools.cached_property
+    def _basis(self) -> tuple:
+        """M-orthonormal eigenpairs (lam, V) of the 1-D pair, read-only.
+
+        Hat functions have them in closed form (_hat_modes), quadratic
+        splines by a dense generalized eigh.
+        """
+        if self.mesh.degree == 2:
+            # imported here: only quadratic splines (1-D only, see
+            # build_mesh) need a dense eigensolver, and scipy.linalg
+            # would add to every CLI start
+            from scipy.linalg import eigh
+
+            basis = eigh(self.stiffness_1d, self.mass_1d)
+        else:
+            basis = _hat_modes(self.mesh.n_cells)
+        return tuple(map(_frozen, basis))
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of (S, M) in the order of the modes; lam_i + lam_j in dim 2."""
+        lam = self._basis[0]
+        if self.mesh.dim == 1:
+            return lam
+        return _frozen((lam[:, None] + lam[None, :]).ravel())
+
+    def _tensor_rows(self, terms, x) -> np.ndarray:
+        """x K' on the last axis of x, for K the sum of a (x) b over terms.
+
+        Each vector's n x n array X maps to the sum of a X b', formed for
+        TENSOR_BLOCK values of x at a time, so the temporaries beside
+        the result stay bounded.
+        """
+        n = self.mesh.n_dof_1d
+        x = np.asarray(x, dtype=float)
+        stack = x.reshape(-1, n, n)
+        # the result owns its memory, so numpy may reuse it for a product
+        out = np.empty(x.shape)
+        rows = out.reshape(-1, n)
+        step = max(1, TENSOR_BLOCK // (n * n))
+        (a, b), *more = terms
+        for start in range(0, len(stack), step):
+            block = stack[start:start + step]
+            part = rows[start * n:(start + len(block)) * n]
+            np.matmul((a @ block).reshape(-1, n), b.T, out=part)
+            for c, d in more:
+                part += (c @ block).reshape(-1, n) @ d.T
+        return out
+
+    def to_modes(self, x) -> np.ndarray:
+        """Modal coefficients vecs' x of x, shaped (n_dof,) or (n_dof, m)."""
+        vecs = self._basis[1]
+        if self.mesh.dim == 1:
+            return vecs.T @ x
+        return self._tensor_rows([(vecs.T, vecs.T)], np.asarray(x).T).T
+
+    def from_modes(self, z) -> np.ndarray:
+        """Nodal values z vecs' of modal coefficients z, shaped (..., n_dof)."""
+        vecs = self._basis[1]
+        if self.mesh.dim == 1:
+            return z @ vecs.T
+        return self._tensor_rows([(vecs, vecs)], z)
+
+    def mass_action(self, x) -> np.ndarray:
+        """x M on the last axis of x (M is symmetric: M x for a vector)."""
+        if self.mesh.dim == 1:
+            return x @ self.mass_1d
+        return self._tensor_rows([(self.mass_1d, self.mass_1d)], x)
+
+    def stiffness_action(self, x) -> np.ndarray:
+        """x S on the last axis of x (S is symmetric: S x for a vector)."""
+        if self.mesh.dim == 1:
+            return x @ self.stiffness_1d
+        mass, stiff = self.mass_1d, self.stiffness_1d
+        return self._tensor_rows([(stiff, mass), (mass, stiff)], x)
+
+    def stiffness_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve S x = rhs through the modes, x = vecs diag(1 / lam) vecs' rhs,
+        for rhs shaped (n_dof,) or (n_dof, m).
+
+        In dim 1 it is W W' rhs, with W = vecs diag(lam^-1/2).
+        """
+        if self.mesh.dim == 1:
+            lam, vecs = self._basis
+            half = vecs / np.sqrt(lam)
+            return half @ (half.T @ rhs)
+        return self.from_modes(self.to_modes(rhs).T / self.eigenvalues).T
+
+    def modes(self) -> tuple:
+        """Dense M-orthonormal eigenpairs (lam, vecs) of the pair, cached read-only.
+
+        S vecs = M vecs diag(lam) and vecs' M vecs = I. In dim 2 vecs is
+        the n_dof x n_dof matrix V (x) V, formed on first use for tests
+        and oracles; the solver applies it through to_modes and
+        from_modes instead.
+        """
+        return self._modes
+
+    @functools.cached_property
+    def _modes(self) -> tuple:
+        if self.mesh.dim == 1:
+            return self._basis
+        vecs = self._basis[1]
+        return self.eigenvalues, _frozen(np.kron(vecs, vecs))
+
+    @functools.cached_property
+    def mass(self) -> np.ndarray:
+        """Dense mass matrix; in dim 2 M (x) M, formed on first use for tests and oracles."""
+        if self.mesh.dim == 1:
+            return self.mass_1d
+        return np.kron(self.mass_1d, self.mass_1d)
+
+    @functools.cached_property
+    def stiffness(self) -> np.ndarray:
+        """Dense stiffness matrix; in dim 2 S (x) M + M (x) S, formed on
+        first use for tests and oracles."""
+        if self.mesh.dim == 1:
+            return self.stiffness_1d
+        return (np.kron(self.stiffness_1d, self.mass_1d)
+                + np.kron(self.mass_1d, self.stiffness_1d))
+
+    def mode_vector(self) -> np.ndarray:
+        """mode_load_vector of the mesh, computed once; read-only."""
+        return self._mode_vector
+
+    @functools.cached_property
+    def _mode_vector(self) -> np.ndarray:
+        return _frozen(mode_load_vector(self.mesh))
 
 
 def build_mesh(dim: int, n_cells: int, degree: int) -> Mesh:
@@ -236,27 +345,25 @@ def _assemble_1d_spline(mesh: Mesh):
 
 
 def assemble(mesh: Mesh) -> SpatialPair:
-    """Assemble the mass and stiffness Gram matrices of a mesh.
+    """Assemble the 1-D mass and stiffness Gram matrices of a mesh.
 
     Element integrals are exact: closed form for hat functions, 3-point
     Gauss per cell for the quartic quadratic-spline integrands. In dim 2
-    the matrices are tensorized, M2 = M (x) M and S2 = S (x) M + M (x) S.
+    the pair keeps these 1-D factors of M2 = M (x) M and
+    S2 = S (x) M + M (x) S and never forms the n_dof x n_dof products
+    unless a test asks for them.
     """
     if mesh.degree == 1:
         mass1, stiff1 = _assemble_1d_linear(mesh.n_cells)
     else:
         mass1, stiff1 = _assemble_1d_spline(mesh)
-    if mesh.dim == 1:
-        return SpatialPair(mesh=mesh, mass=mass1, stiffness=stiff1)
-    mass2 = np.kron(mass1, mass1)
-    stiff2 = np.kron(stiff1, mass1) + np.kron(mass1, stiff1)
-    return SpatialPair(mesh=mesh, mass=mass2, stiffness=stiff2)
+    return SpatialPair(mesh=mesh, mass_1d=mass1, stiffness_1d=stiff1)
 
 
 def v_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
     """Energy (H^1_0 seminorm) of the function with the given coefficients."""
     v = np.asarray(coeffs, dtype=float)
-    return float(np.sqrt(v @ pair.stiffness @ v))
+    return float(np.sqrt(pair.stiffness_action(v) @ v))
 
 
 def dual_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
@@ -268,7 +375,7 @@ def dual_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
     v = np.asarray(coeffs, dtype=float)
     if v.shape != (pair.n_dof,):
         raise ValueError(f"expected {pair.n_dof} coefficients, got {v.shape}")
-    mv = pair.mass @ v
+    mv = pair.mass_action(v)
     return float(np.sqrt(mv @ pair.stiffness_solve(mv)))
 
 

@@ -34,6 +34,8 @@ from .fem import SpatialPair, interval_gauss
 
 # time steps whose step factors sweep forms at once
 SWEEP_WINDOW = 32
+# time intervals whose Gauss values time_weights forms at once
+TIME_WEIGHTS_BLOCK = 1024
 
 __all__ = [
     "TimeGrid",
@@ -187,17 +189,24 @@ def time_weights(grid: TimeGrid, g) -> np.ndarray:
     """Integrals of g against the temporal test hats at nodes t_0..t_{N-1}.
 
     Evaluated with 4-point Gauss per interval, which resolves the stock
-    profile sin(pi t) to machine precision on the grids in use.
+    profile sin(pi t) to machine precision on the grids in use. The
+    intervals are taken TIME_WEIGHTS_BLOCK at a time, so the Gauss
+    temporaries stay bounded whatever the number of steps.
     """
-    t, w = interval_gauss(grid.nodes, 4)
-    t0, t1 = grid.nodes[:-1, None], grid.nodes[1:, None]
-    k = t1 - t0
-    wg = w * np.asarray(g(t), dtype=float)
-    # hat at the left node falls from 1 to 0 across the interval, the hat
-    # at the right node rises; the hat at t_N is not a test function
-    weights = np.sum(wg * (t1 - t) / k, axis=1)
-    weights[1:] += np.sum(wg * (t - t0) / k, axis=1)[:-1]
-    return weights
+    nodes = grid.nodes
+    # one entry per node: the hat at t_N is not a test function
+    weights = np.zeros(len(nodes))
+    for start in range(0, grid.n_intervals, TIME_WEIGHTS_BLOCK):
+        part = nodes[start:start + TIME_WEIGHTS_BLOCK + 1]
+        t, w = interval_gauss(part, 4)
+        t0, t1 = part[:-1, None], part[1:, None]
+        k = t1 - t0
+        wg = w * np.asarray(g(t), dtype=float)
+        # hat at the left node falls from 1 to 0 across the interval, the
+        # hat at the right node rises
+        weights[start:start + len(k)] += np.sum(wg * (t1 - t) / k, axis=1)
+        weights[start + 1:start + 1 + len(k)] += np.sum(wg * (t - t0) / k, axis=1)
+    return weights[:-1]
 
 
 def assemble_load(data: ProblemData, disc: Discretization, omega: float) -> np.ndarray:
@@ -210,7 +219,7 @@ def assemble_load(data: ProblemData, disc: Discretization, omega: float) -> np.n
     c0 = float(data.coeffs.c0(omega))
     load = np.kron(data.weights_for(disc.grid), c0 * data.load_vector)
     u0 = data.initial_vector(n)
-    load[:n] += disc.pair.mass @ u0
+    load[:n] += disc.pair.mass_action(u0)
     return load
 
 
@@ -220,8 +229,8 @@ def sweep(data: ProblemData, disc: Discretization, a, c0) -> tuple:
     a and c0 hold the P diffusion values and forcing amplitudes; every a
     must be finite and positive and every c0 finite. Returns (z, finite):
     z of shape (N, P, n_dof) holds path p's coefficients in the
-    eigenbasis of (S, M), so its interval values are z[:, p] @ vecs.T,
-    and finite flags the paths whose every step stayed finite.
+    eigenbasis of (S, M), so its interval values are
+    disc.pair.from_modes(z[:, p]), and finite flags the paths whose every step stayed finite.
 
     Step equations with A = a S and k_j = t_j - t_{j-1}:
 
@@ -245,9 +254,9 @@ def sweep(data: ProblemData, disc: Discretization, a, c0) -> tuple:
     c0 = np.asarray(c0, dtype=float)
     tw = data.weights_for(disc.grid)
     pair = disc.pair
-    lam, vecs = pair.modes()
-    beta = vecs.T @ data.load_vector
-    start_value = vecs.T @ (pair.mass @ data.initial_vector(disc.n_dof))
+    lam = pair.eigenvalues
+    beta = pair.to_modes(data.load_vector)
+    start_value = pair.to_modes(pair.mass_action(data.initial_vector(disc.n_dof)))
     k = disc.grid.widths
     z = np.empty((len(k), len(c0), len(lam)))
     finite = np.ones(len(c0), dtype=bool)
@@ -289,7 +298,7 @@ def solve_pathwise(data: ProblemData, disc: Discretization, omega: float) -> np.
     z, finite = sweep(data, disc, [a], [c0])
     if not finite[0]:
         raise PathwiseSolveError("non-finite values in time step")
-    return z[:, 0] @ disc.pair.modes()[1].T
+    return disc.pair.from_modes(z[:, 0])
 
 
 def _temporal_factors(grid: TimeGrid) -> tuple:
@@ -391,7 +400,7 @@ def trial_energy_norm(solution: np.ndarray, disc: Discretization) -> float:
     """
     values = np.asarray(solution, dtype=float)
     total = float(np.sum(disc.grid.widths
-                         * np.sum((values @ disc.pair.stiffness) * values, axis=1)))
+                         * np.sum(disc.pair.stiffness_action(values) * values, axis=1)))
     return float(np.sqrt(max(total, 0.0)))
 
 

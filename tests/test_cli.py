@@ -245,9 +245,11 @@ def _patch_physical_memory(monkeypatch, pages):
 
 
 @pytest.mark.parametrize("pages,steps,need", [
-    (10, 1000, "a 1000 x 1 x 7 sweep block needs 112000 bytes"),
-    # the 11,200-byte sweep fits, and the report is written one interval
-    # at a time beside the solution it counts
+    # 3 grid values per step, then the 32 temporaries per step of the time
+    # weights, which outweigh the 7,000-value sweep and its solution
+    (10, 1000, "a 1000 x 1 x 7 sweep block needs 280000 bytes"),
+    # the 28,000 counted bytes fit, and the report is written one interval
+    # at a time beside the solution they count
     (11, 100, None),
     (40, 100, None),
     (None, 1000, None),  # sysconf cannot tell: no check
@@ -298,7 +300,7 @@ def _traced_peak(work):
 
 
 @pytest.mark.parametrize("cells,steps,oracle", [
-    (64, 1000, False),  # 63 dofs: one block of 16 paths and its step windows
+    (64, 1000, False),  # 63 dofs: blocks of 15 paths and their step windows
     (64, 5000, False),  # 63 dofs: 16 paths in blocks of 3
     (2, 20000, True),  # 1 dof: one block, then the 25 values per interval of the oracle
     (64, 5000, True),  # 63 dofs: blocks of 3, then one path's arrays in the oracle
@@ -365,6 +367,90 @@ def test_solve_report_holds_one_interval_beside_the_solution(dim, cells, steps):
     assert solution <= held <= solution + 4096
     # one interval's template, values and text beside them
     assert peak <= held + 256 * n_dof + 4096
+
+
+@pytest.mark.parametrize("cells", [2, 8])  # 1 and 7 dofs
+def test_memory_count_covers_the_time_weights(monkeypatch, cells):
+    # at 20,000 steps the grid, the time weights and their Gauss
+    # temporaries outweigh a sweep of few dofs
+    config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=1,
+                                  n_cells=(cells,), n_steps=(20000,))
+    checked = []
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what: checked.append(need))
+    grid = solver.TimeGrid.uniform(1.0, 20000)
+    tracemalloc.start()
+    try:
+        solver.time_weights(grid, np.sin)
+        weights_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cli.run_solve(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (counted,) = checked
+    assert peak <= counted
+    # the Gauss temporaries are those of one block, not of every step
+    block = 8 * cli.TIME_WEIGHTS_VALUES * solver.TIME_WEIGHTS_BLOCK
+    assert 8 * 20000 <= weights_peak <= 8 * 20001 + block
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--cells", "16", "--steps", "2000"],
+    ["moments", "--cells", "16", "--steps", "300", "--n-quad-ladder", "4,8,16,32"],
+    ["convergence", "--j-min", "4", "--j-max", "4", "--n-quad-ladder", "16"],
+], ids=lambda argv: argv[0])
+def test_2d_memory_count_pins_the_traced_peak(tmp_path, capsys, monkeypatch, argv):
+    # the 2-D transforms hold one block of temporaries beside what 1-D holds
+    argv = [*argv, "--dim", "2", "--out", str(tmp_path / "x.csv")]
+    assert _main(argv, capsys)[0] == cli.EXIT_OK  # imports and caches warm
+    checked = []
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what: checked.append(need))
+    tracemalloc.start()
+    try:
+        code = _main(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == (cli.EXIT_OK, [])
+    (counted,) = checked
+    assert 0.85 * counted <= peak <= 1.05 * counted
+
+
+def _raise_dense(*args):
+    raise AssertionError("a dense 2-D matrix was formed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--cells", "8", "--steps", "8", "--n-quad-ladder", "4,8,16,32"],
+    ["solve", "--cells", "8", "--steps", "8"],
+    ["convergence", "--j-min", "2", "--j-max", "3", "--n-quad-ladder", "4"],
+    ["infsup", "--cells", "4,6", "--steps", "4", "--n-quad-ladder", "2"],
+], ids=lambda argv: argv[0])
+def test_no_cli_path_forms_a_dense_2d_matrix(tmp_path, capsys, monkeypatch, argv):
+    for name in ("mass", "stiffness"):
+        monkeypatch.setattr(fem.SpatialPair, name, property(_raise_dense))
+    monkeypatch.setattr(fem.SpatialPair, "modes", _raise_dense)
+    out = tmp_path / "x.csv"
+    assert _main([*argv, "--dim", "2", "--out", str(out)], capsys) == (cli.EXIT_OK, [])
+    assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--n-quad-ladder", "4,8,16,32"],
+    ["solve"],
+], ids=lambda argv: argv[0])
+def test_64_cell_2d_runs_stay_far_below_one_dense_matrix(tmp_path, capsys, argv):
+    # 3,969 dofs: one dense 2-D matrix is 126 MB
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        code = _main([*argv, "--dim", "2", "--cells", "64", "--steps", "8",
+                      "--out", str(out)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == (cli.EXIT_OK, [])
+    assert peak < 16e6
 
 
 def test_infsup_memory_count_pins_the_traced_peak():
@@ -709,7 +795,7 @@ def test_solve_rows_are_the_whole_array_recurrence(argv):
     disc = cli._discretization(config, config.n_cells[0], config.n_steps[0])
     data = solver.mode_problem(model, disc)
     z = reference_sweep(data, disc, model.a(config.omega), model.c0(config.omega))
-    values = z @ disc.pair.modes()[1].T
+    values = disc.pair.from_modes(z)
     expected = [(i + 1, t, dof, v) for i, t in enumerate(disc.grid.nodes[1:])
                 for dof, v in enumerate(values[i])]
     rows = cli.run_solve(config)

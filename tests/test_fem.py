@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.interpolate import BSpline
 from scipy.linalg import eigh
 
-from stpg import fem
+from stpg import fem, solver
 
 
 def test_mesh_dof_counts():
@@ -302,3 +304,66 @@ def test_mode_vector_is_cached_and_read_only():
     assert np.array_equal(b, fem.mode_load_vector(mesh))
     with pytest.raises(ValueError):
         b[0] = 0.0
+
+
+def _close(got, want):
+    """Within 1e-13 of want's largest entry."""
+    return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_cells", [2, 5, 9, 17])
+def test_factored_2d_operators_match_the_dense_kron_forms(n_cells, rng):
+    # oracle: the dense n_dof x n_dof products of the 1-D pair, formed here
+    pair = fem.assemble(fem.build_mesh(2, n_cells, 1))
+    pair1 = fem.assemble(fem.build_mesh(1, n_cells, 1))
+    mass1, stiff1 = pair1.mass, pair1.stiffness
+    assert np.array_equal(pair.mass_1d, mass1) and np.array_equal(pair.stiffness_1d, stiff1)
+    mass = np.kron(mass1, mass1)
+    stiff = np.kron(stiff1, mass1) + np.kron(mass1, stiff1)
+    lam1, vecs1 = pair1.modes()
+    lam = (lam1[:, None] + lam1[None, :]).ravel()
+    vecs = np.kron(vecs1, vecs1)
+    assert _close(pair.eigenvalues, lam)
+    assert _close(np.sort(pair.eigenvalues), eigh(stiff, mass, eigvals_only=True))
+    n = pair.n_dof
+    x = rng.standard_normal(n)
+    columns = rng.standard_normal((n, 3))
+    # a (steps, paths, n_dof) state and one strided path of it
+    z = rng.standard_normal((7, 3, n))
+    assert _close(pair.to_modes(x), vecs.T @ x)
+    assert _close(pair.to_modes(columns), vecs.T @ columns)
+    assert _close(pair.from_modes(z), z @ vecs.T)
+    assert _close(pair.from_modes(z[:, 1]), z[:, 1] @ vecs.T)
+    assert _close(pair.mass_action(x), mass @ x)
+    assert _close(pair.mass_action(z), z @ mass)
+    assert _close(pair.stiffness_action(x), stiff @ x)
+    assert _close(pair.stiffness_action(z[:, 2]), z[:, 2] @ stiff)
+    for rhs in (x, columns):
+        assert _close(pair.stiffness_solve(rhs), np.linalg.solve(stiff, rhs))
+    grid = solver.TimeGrid(np.linspace(0.0, 1.0, 8) ** 2)
+    values = z[:, 0]
+    dense = np.sqrt(np.sum(grid.widths * np.einsum("ij,jk,ik->i", values, stiff, values)))
+    norm = solver.trial_energy_norm(values, solver.Discretization(pair=pair, grid=grid))
+    assert norm == pytest.approx(dense, rel=1e-13, abs=0.0)
+    # the on-demand dense forms are these products
+    assert np.array_equal(pair.mass, mass) and np.array_equal(pair.stiffness, stiff)
+    assert np.array_equal(pair.modes()[1], vecs)
+    assert np.array_equal(pair.modes()[0], pair.eigenvalues)
+
+
+@pytest.mark.parametrize("n_cells", [64, 400])
+def test_a_2d_pair_holds_only_its_1d_matrices(n_cells):
+    # 399^2 dofs: one dense 2-D matrix would need 203 GB
+    tracemalloc.start()
+    try:
+        pair = fem.assemble(fem.build_mesh(2, n_cells, 1))
+        lam = pair.eigenvalues
+        b = pair.mode_vector()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_1d = n_cells - 1
+    assert lam.shape == b.shape == (n_1d ** 2,)
+    # a few n_1d x n_1d arrays (the 1-D matrices, their eigenvectors and
+    # the closed form's temporaries) and the 2-D eigenvalues and load
+    assert peak <= 8 * 8 * n_1d ** 2 + 16384

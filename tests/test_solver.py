@@ -47,6 +47,33 @@ def test_time_weights_match_closed_form():
             assert weights[j] == pytest.approx(ref, abs=1e-12)
 
 
+def _whole_grid_time_weights(grid, g):
+    """time_weights formed on the whole grid at once, the order of its sums kept."""
+    t, w = fem.interval_gauss(grid.nodes, 4)
+    t0, t1 = grid.nodes[:-1, None], grid.nodes[1:, None]
+    k = t1 - t0
+    wg = w * np.asarray(g(t), dtype=float)
+    weights = np.sum(wg * (t1 - t) / k, axis=1)
+    weights[1:] += np.sum(wg * (t - t0) / k, axis=1)[:-1]
+    return weights
+
+
+@pytest.mark.parametrize("n_steps", [1, 1023, 1024, 1025, 2048, 3001])
+def test_blocked_time_weights_are_the_whole_grid_sums(n_steps):
+    assert solver.TIME_WEIGHTS_BLOCK == 1024
+    nodes = np.linspace(0.0, 1.0, n_steps + 1)
+    profiles = (lambda t: np.sin(np.pi * t), np.exp,
+                # zero, signed zeros included, on half the grid
+                lambda t: np.where(t < 0.5, -0.0, np.cos(np.pi * t)))
+    for grid in (solver.TimeGrid(nodes), solver.TimeGrid(nodes ** 3)):
+        for g in profiles:
+            weights = solver.time_weights(grid, g)
+            expected = _whole_grid_time_weights(grid, g)
+            assert weights.shape == (n_steps,)
+            assert np.array_equal(weights, expected)
+            assert np.array_equal(np.signbit(weights), np.signbit(expected))
+
+
 def test_time_grid_guards():
     with pytest.raises(ValueError):
         solver.TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))

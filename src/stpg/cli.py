@@ -261,9 +261,10 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     a rung of that many paths, holds at peak must fit in memory. For the
     latter the count is GRID_VALUES per step, held throughout, plus the
     larger of the time weights' block temporaries and one block's sweep
-    with what its subcommand then holds (AFTER_SWEEP). The pair itself is
-    O(n_dof) plus its 1-D matrices, also in dim 2, where it never forms
-    an n_dof x n_dof matrix.
+    with what its subcommand then holds (AFTER_SWEEP) and the temporaries
+    of the spatial operators (fem.kron_temporaries). The pair itself is
+    O(n_dof) plus its 1-D matrices: it never forms an n_dof x n_dof
+    matrix.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
@@ -277,10 +278,7 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         block = min(paths, _block_paths(n_steps, mesh.n_dof))
         window = min(n_steps, solver.SWEEP_WINDOW) + 1
         arrays, values = AFTER_SWEEP[config.subcommand]
-        after = n_steps * (arrays * mesh.n_dof + values)
-        if config.dim == 2:
-            # the two temporaries of one block of the tensor-product transforms
-            after += 2 * fem.TENSOR_BLOCK
+        after = n_steps * (arrays * mesh.n_dof + values) + fem.kron_temporaries(mesh)
         sweep = block * mesh.n_dof * n_steps + max(2 * window * block * mesh.n_dof, after)
         weights = TIME_WEIGHTS_VALUES * min(n_steps, solver.TIME_WEIGHTS_BLOCK)
         _check_memory(8 * (GRID_VALUES * n_steps + max(weights, sweep)),
@@ -364,6 +362,8 @@ def run_moments(config: ExperimentConfig):
     for p in config.p_values:
         if not 1 <= p < math.inf:
             raise ValueError(f"moment order p must satisfy 1 <= p < inf, got {p}")
+    if len(set(config.p_values)) < len(config.p_values):
+        raise ValueError("moment orders p must be distinct")
     disc = _discretization(config, config.n_cells[0], config.n_steps[0], max(ladder))
     data = solver.mode_problem(model, disc)
 

@@ -14,6 +14,7 @@ Everything the CLI calls runs on numpy alone; ``projection_stability``,
 a test-side estimate, loads ``scipy.linalg.eigh`` when called.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,7 +69,7 @@ def discrete_infsup(bilinear: np.ndarray, gram_trial: np.ndarray,
     # L_test^-1 B L_trial^-T has the same singular values as the
     # symmetric-root sandwich
     tmp = np.linalg.solve(l_test, bilinear)
-    mat = np.linalg.solve(l_trial, tmp.mT).mT
+    mat = np.swapaxes(np.linalg.solve(l_trial, np.swapaxes(tmp, -1, -2)), -1, -2)
     sig = np.linalg.svd(mat, compute_uv=False)
     return sig[..., -1], sig[..., 0]
 
@@ -106,11 +107,8 @@ def _prolongation_1d(coarse: Mesh, fine: Mesh) -> np.ndarray:
         raise ValueError("meshes are not nested")
     h_c = coarse.h
     fine_nodes = np.arange(1, fine.n_cells) * fine.h
-    out = np.zeros((fine.n_dof_1d, coarse.n_dof_1d))
-    for j in range(coarse.n_dof_1d):
-        center = (j + 1) * h_c
-        out[:, j] = np.clip(1.0 - np.abs(fine_nodes - center) / h_c, 0.0, None)
-    return out
+    coarse_nodes = np.arange(1, coarse.n_cells) * h_c
+    return np.clip(1.0 - np.abs(fine_nodes[:, None] - coarse_nodes) / h_c, 0.0, None)
 
 
 def projection_stability(coarse: Mesh, fine: Mesh) -> float:
@@ -128,8 +126,7 @@ def projection_stability(coarse: Mesh, fine: Mesh) -> float:
         raise NotImplementedError("projection stability is implemented for degree 1")
     if coarse.dim != fine.dim:
         raise ValueError("meshes must share the dimension")
-    prol_1d = _prolongation_1d(coarse, fine)
-    prol = prol_1d if coarse.dim == 1 else np.kron(prol_1d, prol_1d)
+    prol = functools.reduce(np.kron, (_prolongation_1d(coarse, fine),) * coarse.dim)
     fine_pair = assemble(fine)
     mass_c = prol.T @ fine_pair.mass @ prol
     # H-orthogonal projection onto the coarse space, as a fine-space map

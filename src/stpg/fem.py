@@ -7,15 +7,15 @@ functionals to the subspace, and the per-interval Gauss rule shared by
 every quadrature in the package.
 
 The eigenpairs of (S, M) diagonalize M, S and M S^-1 M for the modal
-sweep and the inf-sup mode blocks. On the unit square the pair and its
-eigenbasis are tensor products of the 1-D ones, so a SpatialPair keeps
-the 1-D matrices and applies the 2-D basis, mass and stiffness as two
-1-D products per coefficient array: memory O(n_dof) per vector plus
-O(n_dof_1d^2), with no n_dof x n_dof matrix outside the tests' dense
-oracles. Hat functions (degree 1) need numpy only: their eigenpairs
-have a closed form, the discrete sine transform.
-Quadratic splines (degree 2) load ``scipy.interpolate`` for the basis
-and ``scipy.linalg.eigh`` for the eigenpairs, on first use.
+sweep and the inf-sup mode blocks. The space in dim d is the d-fold
+tensor product of the 1-D one, so a SpatialPair keeps the 1-D matrices
+and declares mass, stiffness and modal transform as sums of d-fold
+Kronecker products of them. kron_apply evaluates each as 1-D products,
+in memory O(n_dof) per vector plus O(n_dof_1d^2), with no n_dof x n_dof
+matrix outside the tests' dense oracles. Hat functions (degree 1) need
+numpy only: their eigenpairs have a closed form, the discrete sine
+transform. Quadratic splines (degree 2) load ``scipy.interpolate`` for
+the basis and ``scipy.linalg.eigh`` for the eigenpairs, on first use.
 """
 
 import functools
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-# values of a vector stack that SpatialPair transforms at once in dim 2
+# values of a vector stack that kron_apply transforms at once with two factors
 TENSOR_BLOCK = 1 << 16
 
 
@@ -99,6 +99,47 @@ class Mesh:
         return np.concatenate(([0.0] * 3, interior, [1.0] * 3))
 
 
+def kron_apply(terms, x, left: bool = False) -> np.ndarray:
+    """x K on the last axis of x, or K x on its first axis if left, for K
+    the sum over terms of the Kronecker products of their 1-D factors.
+
+    One factor (dim 1) is one product. Two (dim 2) map each vector's
+    n x n array X to A' X B, TENSOR_BLOCK values of x at a time.
+    """
+    if len(terms[0]) == 1:
+        ((a,),) = terms
+        return a @ x if left else x @ a
+    if left:
+        # K x = (x' K')'
+        return kron_apply([tuple(f.T for f in term) for term in terms],
+                          np.asarray(x).T).T
+    n = len(terms[0][0])
+    x = np.asarray(x, dtype=float)
+    stack = x.reshape(-1, n, n)
+    # the result owns its memory, so numpy may reuse it for a product
+    out = np.empty(x.shape)
+    rows = out.reshape(-1, n)
+    step = max(1, TENSOR_BLOCK // (n * n))
+    (a, b), *more = terms
+    for start in range(0, len(stack), step):
+        block = stack[start:start + step]
+        part = rows[start * n:(start + len(block)) * n]
+        np.matmul((a.T @ block).reshape(-1, n), b, out=part)
+        for c, d in more:
+            part += (c.T @ block).reshape(-1, n) @ d
+    return out
+
+
+def kron_temporaries(mesh: Mesh) -> int:
+    """Values kron_apply holds beside its result on the mesh's operators."""
+    return 0 if mesh.dim == 1 else 2 * TENSOR_BLOCK
+
+
+def _dense(terms) -> np.ndarray:
+    """The matrix sum of the Kronecker products of each term's factors."""
+    return functools.reduce(np.add, (functools.reduce(np.kron, term) for term in terms))
+
+
 @dataclass
 class SpatialPair:
     """Mass and stiffness of a mesh, kept as the 1-D pair they come from.
@@ -106,17 +147,15 @@ class SpatialPair:
     mass[i, j]      = integral of phi_i * phi_j
     stiffness[i, j] = integral of grad(phi_i) . grad(phi_j)
 
-    In dim 1 mass_1d and stiffness_1d are these matrices. In dim 2 the
-    basis is the tensor product of the 1-D one, so M2 = M (x) M and
-    S2 = S (x) M + M (x) S, and the eigenbasis of (S2, M2) is V (x) V
-    with eigenvalues lam_i + lam_j (fast diagonalization; Lynch, Rice and
-    Thomas 1964). Every action the solver needs (the basis transforms,
-    the mass and stiffness actions, S^-1) is then applied through the
-    identity (A (x) B) vec(X) = vec(A X B') as two 1-D products on the
-    n x n coefficient array X of each vector. The dense 2-D mass,
-    stiffness and modes() are formed on first use, for tests and oracles
-    only: no CLI path reads them. Everything derived from the mesh alone
-    is computed once and cached read-only.
+    The basis in dim d is the d-fold tensor product of the 1-D one, so
+    each operator is a list of d-fold Kronecker products of the 1-D pair
+    (M, S) and its M-orthonormal eigenvectors V: the mass M (x) ... (x) M,
+    the stiffness one term per axis with S there and M elsewhere, the
+    modal transform V' (x) ... (x) V', whose eigenvalues are sums of 1-D
+    ones (fast diagonalization; Lynch, Rice and Thomas 1964). kron_apply
+    applies them; the dense mass, stiffness and modes() multiply them
+    out on first use, for tests and oracles only. Everything derived
+    from the mesh alone is computed once and cached read-only.
     """
 
     mesh: Mesh
@@ -145,108 +184,70 @@ class SpatialPair:
             basis = _hat_modes(self.mesh.n_cells)
         return tuple(map(_frozen, basis))
 
+    @property
+    def _mass_terms(self) -> list:
+        return [(self.mass_1d,) * self.mesh.dim]
+
+    @property
+    def _stiffness_terms(self) -> list:
+        axes = range(self.mesh.dim)
+        return [tuple(self.stiffness_1d if axis == k else self.mass_1d for axis in axes)
+                for k in axes]
+
+    @property
+    def _modal_terms(self) -> list:
+        """vecs' = V' (x) ... (x) V', the map from nodal to modal coefficients."""
+        return [(self._basis[1].T,) * self.mesh.dim]
+
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of (S, M) in the order of the modes; lam_i + lam_j in dim 2."""
-        lam = self._basis[0]
-        if self.mesh.dim == 1:
-            return lam
-        return _frozen((lam[:, None] + lam[None, :]).ravel())
-
-    def _tensor_rows(self, terms, x) -> np.ndarray:
-        """x K' on the last axis of x, for K the sum of a (x) b over terms.
-
-        Each vector's n x n array X maps to the sum of a X b', formed for
-        TENSOR_BLOCK values of x at a time, so the temporaries beside
-        the result stay bounded.
-        """
-        n = self.mesh.n_dof_1d
-        x = np.asarray(x, dtype=float)
-        stack = x.reshape(-1, n, n)
-        # the result owns its memory, so numpy may reuse it for a product
-        out = np.empty(x.shape)
-        rows = out.reshape(-1, n)
-        step = max(1, TENSOR_BLOCK // (n * n))
-        (a, b), *more = terms
-        for start in range(0, len(stack), step):
-            block = stack[start:start + step]
-            part = rows[start * n:(start + len(block)) * n]
-            np.matmul((a @ block).reshape(-1, n), b.T, out=part)
-            for c, d in more:
-                part += (c @ block).reshape(-1, n) @ d.T
-        return out
+        """Eigenvalues of (S, M) in the order of the modes, sums of the 1-D ones."""
+        lam = (self._basis[0],) * self.mesh.dim
+        return _frozen(functools.reduce(np.add.outer, lam).ravel())
 
     def to_modes(self, x) -> np.ndarray:
         """Modal coefficients vecs' x of x, shaped (n_dof,) or (n_dof, m)."""
-        vecs = self._basis[1]
-        if self.mesh.dim == 1:
-            return vecs.T @ x
-        return self._tensor_rows([(vecs.T, vecs.T)], np.asarray(x).T).T
+        return kron_apply(self._modal_terms, x, left=True)
 
     def from_modes(self, z) -> np.ndarray:
         """Nodal values z vecs' of modal coefficients z, shaped (..., n_dof)."""
-        vecs = self._basis[1]
-        if self.mesh.dim == 1:
-            return z @ vecs.T
-        return self._tensor_rows([(vecs, vecs)], z)
+        return kron_apply(self._modal_terms, z)
 
     def mass_action(self, x) -> np.ndarray:
         """x M on the last axis of x (M is symmetric: M x for a vector)."""
-        if self.mesh.dim == 1:
-            return x @ self.mass_1d
-        return self._tensor_rows([(self.mass_1d, self.mass_1d)], x)
+        return kron_apply(self._mass_terms, x)
 
     def stiffness_action(self, x) -> np.ndarray:
         """x S on the last axis of x (S is symmetric: S x for a vector)."""
-        if self.mesh.dim == 1:
-            return x @ self.stiffness_1d
-        mass, stiff = self.mass_1d, self.stiffness_1d
-        return self._tensor_rows([(stiff, mass), (mass, stiff)], x)
+        return kron_apply(self._stiffness_terms, x)
 
     def stiffness_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve S x = rhs through the modes, x = vecs diag(1 / lam) vecs' rhs,
-        for rhs shaped (n_dof,) or (n_dof, m).
-
-        In dim 1 it is W W' rhs, with W = vecs diag(lam^-1/2).
-        """
-        if self.mesh.dim == 1:
-            lam, vecs = self._basis
-            half = vecs / np.sqrt(lam)
-            return half @ (half.T @ rhs)
+        for rhs shaped (n_dof,) or (n_dof, m)."""
         return self.from_modes(self.to_modes(rhs).T / self.eigenvalues).T
 
     def modes(self) -> tuple:
         """Dense M-orthonormal eigenpairs (lam, vecs) of the pair, cached read-only.
 
-        S vecs = M vecs diag(lam) and vecs' M vecs = I. In dim 2 vecs is
-        the n_dof x n_dof matrix V (x) V, formed on first use for tests
-        and oracles; the solver applies it through to_modes and
-        from_modes instead.
+        S vecs = M vecs diag(lam) and vecs' M vecs = I. vecs is
+        V (x) ... (x) V, multiplied out on first use for tests and
+        oracles; the solver applies it through to_modes and from_modes.
         """
         return self._modes
 
     @functools.cached_property
     def _modes(self) -> tuple:
-        if self.mesh.dim == 1:
-            return self._basis
-        vecs = self._basis[1]
-        return self.eigenvalues, _frozen(np.kron(vecs, vecs))
+        return self.eigenvalues, _frozen(_dense(self._modal_terms).T)
 
     @functools.cached_property
     def mass(self) -> np.ndarray:
-        """Dense mass matrix; in dim 2 M (x) M, formed on first use for tests and oracles."""
-        if self.mesh.dim == 1:
-            return self.mass_1d
-        return np.kron(self.mass_1d, self.mass_1d)
+        """Dense mass matrix, formed on first use for tests and oracles."""
+        return _dense(self._mass_terms)
 
     @functools.cached_property
     def stiffness(self) -> np.ndarray:
-        """Dense stiffness matrix; in dim 2 S (x) M + M (x) S, formed on
-        first use for tests and oracles."""
-        if self.mesh.dim == 1:
-            return self.stiffness_1d
-        return (np.kron(self.stiffness_1d, self.mass_1d)
-                + np.kron(self.mass_1d, self.stiffness_1d))
+        """Dense stiffness matrix, formed on first use for tests and oracles."""
+        return _dense(self._stiffness_terms)
 
     def mode_vector(self) -> np.ndarray:
         """mode_load_vector of the mesh, computed once; read-only."""
@@ -348,10 +349,10 @@ def assemble(mesh: Mesh) -> SpatialPair:
     """Assemble the 1-D mass and stiffness Gram matrices of a mesh.
 
     Element integrals are exact: closed form for hat functions, 3-point
-    Gauss per cell for the quartic quadratic-spline integrands. In dim 2
-    the pair keeps these 1-D factors of M2 = M (x) M and
-    S2 = S (x) M + M (x) S and never forms the n_dof x n_dof products
-    unless a test asks for them.
+    Gauss per cell for the quartic quadratic-spline integrands. The pair
+    keeps these 1-D factors of its Kronecker products (M2 = M (x) M and
+    S2 = S (x) M + M (x) S in dim 2) and never forms the n_dof x n_dof
+    products unless a test asks for them.
     """
     if mesh.degree == 1:
         mass1, stiff1 = _assemble_1d_linear(mesh.n_cells)
@@ -403,6 +404,4 @@ def mode_load_vector(mesh: Mesh) -> np.ndarray:
         b1 = _hat_mode_vector(mesh.n_cells)
     else:
         b1 = _spline_mode_vector(mesh)
-    if mesh.dim == 1:
-        return b1
-    return np.kron(b1, b1)
+    return functools.reduce(np.kron, (b1,) * mesh.dim)

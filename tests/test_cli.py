@@ -1025,6 +1025,7 @@ def test_degree_1_runs_never_load_scipy(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [
     ("--p", "inf"), ("--p", "nan"), ("--p", "0.5"), ("--p", "1,inf"),
+    ("--p", "1,1"), ("--p", "1,1.0"),
     ("--n-quad-ladder", "8,8,16,32"), ("--n-quad-ladder", "8,16,12,32"),
 ])
 def test_moments_rejects_bad_orders_and_ladders(tmp_path, capsys, flag, value):

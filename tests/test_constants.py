@@ -132,6 +132,24 @@ def test_projection_stability_two_grid_table():
     assert all(v >= 1.0 for v in values)
 
 
+@pytest.mark.parametrize("fine_cells", [8, 16, 32, 64])
+def test_prolongation_is_the_per_dof_loop_bit_for_bit(fine_cells):
+    coarse, fine = fem.build_mesh(1, 8, 1), fem.build_mesh(1, fine_cells, 1)
+    # oracle: the coarse hats sampled at the fine nodes, one coarse dof at a time
+    fine_nodes = np.arange(1, fine.n_cells) * fine.h
+    loop = np.zeros((fine.n_dof_1d, coarse.n_dof_1d))
+    for j in range(coarse.n_dof_1d):
+        center = (j + 1) * coarse.h
+        loop[:, j] = np.clip(1.0 - np.abs(fine_nodes - center) / coarse.h, 0.0, None)
+    assert np.array_equal(consts._prolongation_1d(coarse, fine), loop)
+
+
+def test_projection_stability_in_2d():
+    coarse = fem.build_mesh(2, 4, 1)
+    assert consts.projection_stability(coarse, coarse) == pytest.approx(1.0, abs=1e-9)
+    assert consts.projection_stability(coarse, fem.build_mesh(2, 8, 1)) >= 1.0 - 1e-12
+
+
 def test_projection_stability_guards():
     with pytest.raises(ValueError):
         consts.projection_stability(fem.build_mesh(1, 8, 1), fem.build_mesh(1, 12, 1))

@@ -311,18 +311,26 @@ def _close(got, want):
     return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n_cells", [2, 5, 9, 17])
-def test_factored_2d_operators_match_the_dense_kron_forms(n_cells, rng):
+_OPERATOR_CASES = ([pytest.param(2, 1, n, id=str(n)) for n in (2, 5, 9, 17)]
+                   + [pytest.param(1, degree, n, id=f"dim1-degree{degree}-{n}")
+                      for degree in (1, 2) for n in (2, 5, 9, 17)])
+
+
+@pytest.mark.parametrize("dim,degree,n_cells", _OPERATOR_CASES)
+def test_factored_2d_operators_match_the_dense_kron_forms(dim, degree, n_cells, rng):
     # oracle: the dense n_dof x n_dof products of the 1-D pair, formed here
-    pair = fem.assemble(fem.build_mesh(2, n_cells, 1))
-    pair1 = fem.assemble(fem.build_mesh(1, n_cells, 1))
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
+    pair1 = fem.assemble(fem.build_mesh(1, n_cells, degree))
     mass1, stiff1 = pair1.mass, pair1.stiffness
     assert np.array_equal(pair.mass_1d, mass1) and np.array_equal(pair.stiffness_1d, stiff1)
-    mass = np.kron(mass1, mass1)
-    stiff = np.kron(stiff1, mass1) + np.kron(mass1, stiff1)
     lam1, vecs1 = pair1.modes()
-    lam = (lam1[:, None] + lam1[None, :]).ravel()
-    vecs = np.kron(vecs1, vecs1)
+    if dim == 1:
+        mass, stiff, lam, vecs = mass1, stiff1, lam1, vecs1
+    else:
+        mass = np.kron(mass1, mass1)
+        stiff = np.kron(stiff1, mass1) + np.kron(mass1, stiff1)
+        lam = (lam1[:, None] + lam1[None, :]).ravel()
+        vecs = np.kron(vecs1, vecs1)
     assert _close(pair.eigenvalues, lam)
     assert _close(np.sort(pair.eigenvalues), eigh(stiff, mass, eigvals_only=True))
     n = pair.n_dof
@@ -338,6 +346,18 @@ def test_factored_2d_operators_match_the_dense_kron_forms(n_cells, rng):
     assert _close(pair.mass_action(z), z @ mass)
     assert _close(pair.stiffness_action(x), stiff @ x)
     assert _close(pair.stiffness_action(z[:, 2]), z[:, 2] @ stiff)
+    if dim == 1:
+        # one product each, bit for bit the expressions of the 1-D CLI
+        # paths: the convergence oracle's cancellation shows any change
+        for got, want in ((pair.to_modes(x), vecs.T @ x),
+                          (pair.to_modes(columns), vecs.T @ columns),
+                          (pair.from_modes(z), z @ vecs.T),
+                          (pair.from_modes(z[:, 1]), z[:, 1] @ vecs.T),
+                          (pair.mass_action(x), x @ mass),
+                          (pair.mass_action(z), z @ mass),
+                          (pair.stiffness_action(x), x @ stiff),
+                          (pair.stiffness_action(z[:, 2]), z[:, 2] @ stiff)):
+            assert np.array_equal(got, want)
     for rhs in (x, columns):
         assert _close(pair.stiffness_solve(rhs), np.linalg.solve(stiff, rhs))
     grid = solver.TimeGrid(np.linspace(0.0, 1.0, 8) ** 2)

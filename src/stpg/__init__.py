@@ -24,7 +24,6 @@ from .oracle import (
 from .solver import (
     Discretization,
     PathwiseSolveError,
-    ProblemData,
     TimeGrid,
     assemble_full_system,
     assemble_load,
@@ -33,7 +32,6 @@ from .solver import (
     evaluate_norm,
     forcing_dual_norm_sq,
     mode_blocks,
-    mode_problem,
     solve_pathwise,
     trial_energy_norm,
 )

@@ -66,7 +66,7 @@ AFTER_SWEEP = {"moments": (0, 0), "convergence": (2, 25), "solve": (1, 0)}
 # time weights and the widths the sweep reads
 GRID_VALUES = 3
 # float64 temporaries per interval of one block of solver.time_weights,
-# which runs before the sweep
+# which the first sweep of a grid runs before it allocates its state
 TIME_WEIGHTS_VALUES = 32
 # bytes one block of a rung's paths holds while it steps, its state and
 # its two windows of step factors, unless one path alone needs more
@@ -287,7 +287,7 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
 
 
-def _rung(model, data, disc, nodes, block_values) -> np.ndarray:
+def _rung(model, disc, nodes, block_values) -> np.ndarray:
     """Per-path values of one quadrature rung, nan where a path is flagged.
 
     A path is flagged if its a is not finite or not positive, its c0 is
@@ -303,7 +303,7 @@ def _rung(model, data, disc, nodes, block_values) -> np.ndarray:
     size = _block_paths(disc.grid.n_intervals, disc.n_dof)
     for start in range(0, len(valid), size):
         paths = valid[start:start + size]
-        z, finite = solver.sweep(data, disc, a[paths], c0[paths])
+        z, finite = solver.sweep(disc, a[paths], c0[paths])
         (cols,) = np.nonzero(finite)
         done = paths[cols]
         values[done] = block_values(a[done], c0[done], z, cols)
@@ -311,7 +311,7 @@ def _rung(model, data, disc, nodes, block_values) -> np.ndarray:
     return values
 
 
-def _moment_values(model, data, disc, nodes) -> np.ndarray:
+def _moment_values(model, disc, nodes) -> np.ndarray:
     """Pathwise indicators a(w)^(-1/2) ||U||_Y tracked by the moment ladders.
 
     The plain energy norm of the solution stays bounded when the
@@ -331,10 +331,10 @@ def _moment_values(model, data, disc, nodes) -> np.ndarray:
             energy = disc.grid.widths @ energy
         return np.sqrt(energy[cols]) / np.sqrt(a)
 
-    return _rung(model, data, disc, nodes, indicators)
+    return _rung(model, disc, nodes, indicators)
 
 
-def _mode_errors(model, data, disc, nodes) -> np.ndarray:
+def _mode_errors(model, disc, nodes) -> np.ndarray:
     """Energy-norm errors against the exact mode solution, one per path.
 
     oracle.exact_error takes each path's interval values in turn.
@@ -346,7 +346,7 @@ def _mode_errors(model, data, disc, nodes) -> np.ndarray:
                                    disc, pair.from_modes(z[:, col]))[0]
                 for a_p, c0_p, col in zip(a.tolist(), c0.tolist(), cols)]
 
-    return _rung(model, data, disc, nodes, errors)
+    return _rung(model, disc, nodes, errors)
 
 
 def run_moments(config: ExperimentConfig):
@@ -365,14 +365,13 @@ def run_moments(config: ExperimentConfig):
     if len(set(config.p_values)) < len(config.p_values):
         raise ValueError("moment orders p must be distinct")
     disc = _discretization(config, config.n_cells[0], config.n_steps[0], max(ladder))
-    data = solver.mode_problem(model, disc)
 
     estimates = {p: [] for p in config.p_values}
     flags = {p: [] for p in config.p_values}
     for n_quad in config.quad_ladder:
         nodes, weights = stochastic.quadrature(domain, n_quad,
                                                avoid=model.singular_points)
-        values = _moment_values(model, data, disc, nodes)
+        values = _moment_values(model, disc, nodes)
         for p in config.p_values:
             est, flagged = stochastic.lp_norm(p, values, weights)
             estimates[p].append(est)
@@ -410,8 +409,7 @@ def run_convergence(config: ExperimentConfig):
         except ResourceCapError:
             truncated = True
             break
-        data = solver.mode_problem(model, disc)
-        errors = _mode_errors(model, data, disc, nodes)
+        errors = _mode_errors(model, disc, nodes)
         mean_error = float(np.sum(weights * errors)) if np.all(np.isfinite(errors)) \
             else math.nan
         h = disc.pair.mesh.h
@@ -459,8 +457,7 @@ def run_solve(config: ExperimentConfig):
     """One pathwise solve, dumped as interval-indexed nodal values."""
     model, _ = _setup(config.case)
     disc = _discretization(config, config.n_cells[0], config.n_steps[0])
-    data = solver.mode_problem(model, disc)
-    return SolveRows(disc.grid.nodes[1:], solver.solve_pathwise(data, disc, config.omega))
+    return SolveRows(disc.grid.nodes[1:], solver.solve_pathwise(model, disc, config.omega))
 
 
 def _int_list(text: str):

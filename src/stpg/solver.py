@@ -23,14 +23,21 @@ jump and the interval mean of the test function, the widths) with M, S
 and M S^-1 M, or of one N x N block per mode in the eigenbasis
 (mode_blocks). A solution is a plain (N, n_dof) array holding the value
 of the trial function on each of the N time intervals.
+
+Every path solves the stock problem: forcing c0(w) sin(pi t) phi_1 and
+a zero initial datum. Its time profile gives each grid its time weights
+(TimeGrid.weights), its spatial mode gives the pair its load vector
+(SpatialPair.mode_vector), so the data of a path are its coefficient
+object alone: any object with scalar methods a(w) and c0(w).
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import SpatialPair, interval_gauss
+from .fem import SpatialPair, _frozen, interval_gauss
 
 # time steps whose step factors sweep forms at once
 SWEEP_WINDOW = 32
@@ -40,9 +47,7 @@ TIME_WEIGHTS_BLOCK = 1024
 __all__ = [
     "TimeGrid",
     "Discretization",
-    "ProblemData",
     "PathwiseSolveError",
-    "mode_problem",
     "time_weights",
     "assemble_load",
     "sweep",
@@ -107,6 +112,11 @@ class TimeGrid:
     def k_max(self) -> float:
         return float(np.max(self.widths))
 
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """time_weights of the grid, computed once and shared by every path; read-only."""
+        return _frozen(time_weights(self))
+
 
 @dataclass(frozen=True)
 class Discretization:
@@ -130,52 +140,6 @@ class Discretization:
         return self.grid.n_intervals * self.n_dof
 
 
-@dataclass
-class ProblemData:
-    """Separable forcing c0(w) * g(t) * phi_mode(x) and initial datum.
-
-    coeffs is any object with scalar methods a(w) and c0(w); g is the
-    temporal profile (sin(pi t) in all stock experiments); load_vector
-    holds the spatial inner products of phi_mode with the basis. The
-    data belong to one time grid: the integrals of g against its test
-    hats are computed once here and shared by every parameter value.
-    """
-
-    coeffs: object
-    load_vector: np.ndarray
-    grid: TimeGrid
-    g: callable = None
-    u0: np.ndarray = None
-    weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.g is None:
-            self.g = lambda t: np.sin(np.pi * t)
-        self.weights = time_weights(self.grid, self.g)
-
-    def weights_for(self, grid: TimeGrid) -> np.ndarray:
-        """Stored time weights, after checking they belong to grid."""
-        if not np.array_equal(self.grid.nodes, grid.nodes):
-            raise ValueError("problem data were built for another time grid")
-        return self.weights
-
-    def initial_vector(self, n_dof: int) -> np.ndarray:
-        if self.u0 is None:
-            return np.zeros(n_dof)
-        u0 = np.asarray(self.u0, dtype=float)
-        if u0.shape != (n_dof,):
-            raise ValueError("initial datum has wrong length")
-        return u0
-
-
-def mode_problem(coeffs, disc: Discretization, u0: np.ndarray = None,
-                 g=None) -> ProblemData:
-    """Problem data for first-eigenmode forcing on the mesh and time grid
-    of the given discretization."""
-    return ProblemData(coeffs=coeffs, load_vector=disc.pair.mode_vector(),
-                       grid=disc.grid, g=g, u0=u0)
-
-
 def _check_a(a: float) -> float:
     a = float(a)
     if not math.isfinite(a):
@@ -185,13 +149,13 @@ def _check_a(a: float) -> float:
     return a
 
 
-def time_weights(grid: TimeGrid, g) -> np.ndarray:
-    """Integrals of g against the temporal test hats at nodes t_0..t_{N-1}.
+def time_weights(grid: TimeGrid) -> np.ndarray:
+    """Integrals of sin(pi t) against the temporal test hats at nodes t_0..t_{N-1}.
 
-    Evaluated with 4-point Gauss per interval, which resolves the stock
-    profile sin(pi t) to machine precision on the grids in use. The
-    intervals are taken TIME_WEIGHTS_BLOCK at a time, so the Gauss
-    temporaries stay bounded whatever the number of steps.
+    Evaluated with 4-point Gauss per interval, which resolves the profile
+    to machine precision on the grids in use. The intervals are taken
+    TIME_WEIGHTS_BLOCK at a time, so the Gauss temporaries stay bounded
+    whatever the number of steps.
     """
     nodes = grid.nodes
     # one entry per node: the hat at t_N is not a test function
@@ -201,7 +165,7 @@ def time_weights(grid: TimeGrid, g) -> np.ndarray:
         t, w = interval_gauss(part, 4)
         t0, t1 = part[:-1, None], part[1:, None]
         k = t1 - t0
-        wg = w * np.asarray(g(t), dtype=float)
+        wg = w * np.sin(np.pi * t)
         # hat at the left node falls from 1 to 0 across the interval, the
         # hat at the right node rises
         weights[start:start + len(k)] += np.sum(wg * (t1 - t) / k, axis=1)
@@ -209,21 +173,16 @@ def time_weights(grid: TimeGrid, g) -> np.ndarray:
     return weights[:-1]
 
 
-def assemble_load(data: ProblemData, disc: Discretization, omega: float) -> np.ndarray:
+def assemble_load(coeffs, disc: Discretization, omega: float) -> np.ndarray:
     """Load vector of the space-time system for one parameter value.
 
-    Block j collects c0(w) * integral(g * hat_j) * b; block 0 also
-    receives M u0 from the initial pairing with the test value at t = 0.
+    Block j collects c0(w) * integral(sin(pi t) * hat_j) * b.
     """
-    n = disc.n_dof
-    c0 = float(data.coeffs.c0(omega))
-    load = np.kron(data.weights_for(disc.grid), c0 * data.load_vector)
-    u0 = data.initial_vector(n)
-    load[:n] += disc.pair.mass_action(u0)
-    return load
+    c0 = float(coeffs.c0(omega))
+    return np.kron(disc.grid.weights, c0 * disc.pair.mode_vector())
 
 
-def sweep(data: ProblemData, disc: Discretization, a, c0) -> tuple:
+def sweep(disc: Discretization, a, c0) -> tuple:
     """Modal coefficients of P paths, advanced together in one step loop.
 
     a and c0 hold the P diffusion values and forcing amplitudes; every a
@@ -234,7 +193,7 @@ def sweep(data: ProblemData, disc: Discretization, a, c0) -> tuple:
 
     Step equations with A = a S and k_j = t_j - t_{j-1}:
 
-        (M + (k_1/2) A) U_1     = M u0 + F_0
+        (M + (k_1/2) A) U_1     = F_0
         (M + (k_{j+1}/2) A) U_{j+1} = (M - (k_j/2) A) U_j + F_j
 
     With U_j = vecs z_j they decouple into one scalar recurrence per
@@ -243,7 +202,7 @@ def sweep(data: ProblemData, disc: Discretization, a, c0) -> tuple:
         z_{j+1} = (1 - a lam k_j/2) / (1 + a lam k_{j+1}/2) z_j
                   + c0 tw_j beta / (1 + a lam k_{j+1}/2)
 
-    with beta = vecs' b and z_1 = (vecs' M u0 + c0 tw_0 beta) / (1 + a lam k_1/2).
+    with the time weights tw, beta = vecs' b and z_1 = c0 tw_0 beta / (1 + a lam k_1/2).
     The step factors are formed for at most SWEEP_WINDOW steps at a time:
     besides z the sweep holds two (min(N, SWEEP_WINDOW) + 1, P, n_dof)
     arrays of them.
@@ -252,11 +211,10 @@ def sweep(data: ProblemData, disc: Discretization, a, c0) -> tuple:
     """
     half_a = 0.5 * np.asarray(a, dtype=float)
     c0 = np.asarray(c0, dtype=float)
-    tw = data.weights_for(disc.grid)
+    tw = disc.grid.weights
     pair = disc.pair
     lam = pair.eigenvalues
-    beta = pair.to_modes(data.load_vector)
-    start_value = pair.to_modes(pair.mass_action(data.initial_vector(disc.n_dof)))
+    beta = pair.to_modes(pair.mode_vector())
     k = disc.grid.widths
     z = np.empty((len(k), len(c0), len(lam)))
     finite = np.ones(len(c0), dtype=bool)
@@ -272,8 +230,6 @@ def sweep(data: ProblemData, disc: Discretization, a, c0) -> tuple:
             half, den = factors[:, :stop - first]
             rows = z[start:stop]
             np.multiply((tw[start:stop, None] * c0)[:, :, None], beta, out=rows)
-            if start == 0:
-                rows[0] += start_value
             np.multiply((k[first:stop, None] * half_a)[:, :, None], lam, out=half)
             np.add(1.0, half, out=den)
             rows /= den[start - first:]
@@ -285,17 +241,17 @@ def sweep(data: ProblemData, disc: Discretization, a, c0) -> tuple:
     return z, finite
 
 
-def solve_pathwise(data: ProblemData, disc: Discretization, omega: float) -> np.ndarray:
+def solve_pathwise(coeffs, disc: Discretization, omega: float) -> np.ndarray:
     """Solve the space-time system of one parameter value by forward substitution.
 
     Returns the (N, n_dof) interval values U_1..U_N: the one-path sweep,
     transformed back from the eigenbasis.
     """
-    a = _check_a(data.coeffs.a(omega))
-    c0 = float(data.coeffs.c0(omega))
+    a = _check_a(coeffs.a(omega))
+    c0 = float(coeffs.c0(omega))
     if not math.isfinite(c0):
         raise PathwiseSolveError(f"forcing amplitude is not finite: {c0}")
-    z, finite = sweep(data, disc, [a], [c0])
+    z, finite = sweep(disc, [a], [c0])
     if not finite[0]:
         raise PathwiseSolveError("non-finite values in time step")
     return disc.pair.from_modes(z[:, 0])
@@ -404,16 +360,16 @@ def trial_energy_norm(solution: np.ndarray, disc: Discretization) -> float:
     return float(np.sqrt(max(total, 0.0)))
 
 
-def forcing_dual_norm_sq(data: ProblemData, disc: Discretization, omega: float) -> float:
+def forcing_dual_norm_sq(coeffs, disc: Discretization, omega: float) -> float:
     """Squared discrete dual norm of the forcing over the time interval.
 
     The spatial profile acts on the discrete space through the load
-    vector b, so the squared norm is c0(w)^2 * int g^2 * b' S^-1 b.
+    vector b, so the squared norm is c0(w)^2 * int sin(pi t)^2 * b' S^-1 b.
     """
-    c0 = float(data.coeffs.c0(omega))
+    c0 = float(coeffs.c0(omega))
     t, w = interval_gauss(disc.grid.nodes, 4)
-    time_part = float(np.sum(w * np.asarray(data.g(t), dtype=float) ** 2))
-    b = data.load_vector
+    time_part = float(np.sum(w * np.sin(np.pi * t) ** 2))
+    b = disc.pair.mode_vector()
     return float(c0 ** 2 * time_part * (b @ disc.pair.stiffness_solve(b)))
 
 

@@ -148,7 +148,8 @@ def lp_norm(p: float, values, weights) -> tuple:
 
     Returns (estimate, flagged). Non-finite entries flag the estimate
     instead of poisoning downstream arithmetic; negative entries are
-    rejected because the values are norms.
+    rejected because the values are norms. The sum is taken of
+    (v_i / max v)^p, so a large p cannot overflow finite values.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"moment order p must satisfy 1 <= p < inf, got {p}")
@@ -161,7 +162,10 @@ def lp_norm(p: float, values, weights) -> tuple:
         raise ValueError("pathwise norms must be nonnegative")
     if not np.all(finite):
         return math.nan, True
-    est = float(np.sum(weights * values ** p) ** (1.0 / p))
+    top = float(np.max(values, initial=0.0))
+    if top == 0.0:
+        return 0.0, False
+    est = top * float(np.sum(weights * (values / top) ** p) ** (1.0 / p))
     return est, not math.isfinite(est)
 
 

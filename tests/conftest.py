@@ -38,20 +38,18 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def reference_sweep(data, disc, a, c0):
+def reference_sweep(disc, a, c0):
     """Modal coefficients of one path from the recurrence on whole (N, n_dof)
     arrays: every step factor formed up front, then one step loop.
 
     solver.sweep must return these bit for bit for each of its paths. The
-    modal load and start value come from the pair's transforms, which
-    tests/test_fem.py checks against the dense eigenbasis.
+    modal load comes from the pair's transform, which tests/test_fem.py
+    checks against the dense eigenbasis.
     """
-    tw = data.weights_for(disc.grid)
     pair = disc.pair
     half = 0.5 * a * disc.grid.widths[:, None] * pair.eigenvalues
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.outer(c0 * tw, pair.to_modes(data.load_vector))
-        z[0] += pair.to_modes(pair.mass_action(data.initial_vector(disc.n_dof)))
+        z = np.outer(c0 * disc.grid.weights, pair.to_modes(pair.mode_vector()))
         z /= 1.0 + half
         gain = (1.0 - half[:-1]) / (1.0 + half[1:])
         for row, prev, g in zip(z[1:], z, gain):

@@ -79,8 +79,7 @@ def test_criterion_4_quasi_optimality():
         for j in range(2, 6):
             disc = make_disc(dim=1, n_cells=2 ** j, degree=1, n_steps=4 ** j)
             coeffs = ConstantCoeffs(a=a)
-            data = solver.mode_problem(coeffs, disc)
-            sol = solver.solve_pathwise(data, disc, 0.0)
+            sol = solver.solve_pathwise(coeffs, disc, 0.0)
             mode = oracle.ModeSolution.for_dim(a, 1.0, 1)
             err, best = oracle.exact_error(mode, disc, sol)
             ratio = consts.quasi_opt_ratio(err, best)
@@ -101,16 +100,15 @@ def test_criterion_5_pathwise_energy_bound():
     for case in ("a", "b", "c", "d"):
         model = stochastic.CoefficientModel(case=case)
         domain = stochastic.default_domain(case)
-        data = solver.mode_problem(model, disc)
         nodes, _ = stochastic.quadrature(domain, 64, avoid=model.singular_points)
         for omega in nodes:
             a = model.a(omega)
             if not (math.isfinite(a) and a > 0):
                 continue
-            sol = solver.solve_pathwise(data, disc, omega)
+            sol = solver.solve_pathwise(model, disc, omega)
             lhs = a * solver.trial_energy_norm(sol, disc) ** 2
             c_sw = a * cfl_unit
-            rhs = (1.0 + c_sw ** 2) / a * solver.forcing_dual_norm_sq(data, disc, omega)
+            rhs = (1.0 + c_sw ** 2) / a * solver.forcing_dual_norm_sq(model, disc, omega)
             # u0 = 0 in every stock case, so the initial term vanishes
             worst = min(worst, (rhs - lhs) / max(rhs, 1e-300))
             checked += 1

@@ -312,18 +312,17 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, orac
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what: checked.append(need))
     disc = cli._discretization(config, cells, steps, paths=16)
-    data = solver.mode_problem(model, disc)
     nodes, _ = stochastic.quadrature(domain, 16)
     blocks = []
     sweep = solver.sweep
 
-    def recording(data, disc, a, c0):
+    def recording(disc, a, c0):
         blocks.append(len(a))
-        return sweep(data, disc, a, c0)
+        return sweep(disc, a, c0)
 
     monkeypatch.setattr(solver, "sweep", recording)
     rung = cli._mode_errors if oracle else cli._moment_values
-    peak = _traced_peak(lambda: rung(model, data, disc, nodes))
+    peak = _traced_peak(lambda: rung(model, disc, nodes))
     block = min(16, cli._block_paths(steps, disc.n_dof))
     # _traced_peak runs the rung twice
     assert blocks == 2 * [min(block, 16 - start) for start in range(0, 16, block)]
@@ -380,7 +379,7 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
     grid = solver.TimeGrid.uniform(1.0, 20000)
     tracemalloc.start()
     try:
-        solver.time_weights(grid, np.sin)
+        solver.time_weights(grid)
         weights_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         cli.run_solve(config)
@@ -689,7 +688,7 @@ def _solve_case(dim, degree, cells, steps, grid):
     disc = solver.Discretization(pair=fem.assemble(mesh), grid=solver.TimeGrid(
         nodes ** 2 if grid == "graded" else nodes))
     model, _ = cli._setup("constant")
-    sol = solver.solve_pathwise(solver.mode_problem(model, disc), disc, 0.25)
+    sol = solver.solve_pathwise(model, disc, 0.25)
     return disc.grid.nodes[1:], sol
 
 
@@ -767,7 +766,7 @@ def test_solve_rows_match_the_double_loop():
                                   n_cells=(4,), n_steps=(6,))
     model, _ = cli._setup(config.case)
     disc = cli._discretization(config, 4, 6)
-    sol = solver.solve_pathwise(solver.mode_problem(model, disc), disc, config.omega)
+    sol = solver.solve_pathwise(model, disc, config.omega)
     loop = []
     for i in range(disc.grid.n_intervals):
         for dof in range(disc.n_dof):
@@ -793,8 +792,7 @@ def test_solve_rows_are_the_whole_array_recurrence(argv):
         ["solve", *argv, "--out", "unused.csv"]))
     model, _ = cli._setup(config.case)
     disc = cli._discretization(config, config.n_cells[0], config.n_steps[0])
-    data = solver.mode_problem(model, disc)
-    z = reference_sweep(data, disc, model.a(config.omega), model.c0(config.omega))
+    z = reference_sweep(disc, model.a(config.omega), model.c0(config.omega))
     values = disc.pair.from_modes(z)
     expected = [(i + 1, t, dof, v) for i, t in enumerate(disc.grid.nodes[1:])
                 for dof, v in enumerate(values[i])]
@@ -823,10 +821,6 @@ def _node_model():
                                        c0_fn=lambda w: _NODES[int(w)][1])
 
 
-def _tenfold_sine(t):
-    return 10.0 * np.sin(np.pi * t)
-
-
 @pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
 @pytest.mark.parametrize("grid", ["uniform", "graded"])
 @pytest.mark.parametrize("block_bytes", [None, 1], ids=["one-block", "one-path-blocks"])
@@ -834,19 +828,21 @@ def test_rung_values_match_the_per_path_solves(monkeypatch, dim, degree, grid,
                                                block_bytes):
     if block_bytes is not None:
         monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+    # tenfold time weights, read by the grid before any sweep, so that the
+    # steps of the c0 = 1e308 path add up to inf
+    time_weights = solver.time_weights
+    monkeypatch.setattr(solver, "time_weights", lambda grid: 10.0 * time_weights(grid))
     disc = _rung_case(dim, degree, grid)
     model = _node_model()
-    # a tenfold forcing, so that the steps of the c0 = 1e308 path add up to inf
-    data = solver.mode_problem(model, disc, g=_tenfold_sine)
-    overflow = reference_sweep(data, disc, *_NODES[10])
+    overflow = reference_sweep(disc, *_NODES[10])
     assert np.isfinite(overflow[0]).all() and not np.isfinite(overflow).all()
     nodes = np.arange(len(_NODES), dtype=float)
-    indicators = cli._moment_values(model, data, disc, nodes)
-    errors = cli._mode_errors(model, data, disc, nodes)
+    indicators = cli._moment_values(model, disc, nodes)
+    errors = cli._mode_errors(model, disc, nodes)
     flagged = []
     for i, w in enumerate(nodes):
         try:
-            sol = solver.solve_pathwise(data, disc, w)
+            sol = solver.solve_pathwise(model, disc, w)
         except solver.PathwiseSolveError:
             flagged.append(i)
             continue
@@ -876,10 +872,9 @@ def test_convergence_rows_match_the_per_path_solves(argv):
     expected, prev = [], None
     for j in range(config.j_min, config.j_max + 1):
         disc = cli._discretization(config, 2 ** j, 4 ** j)
-        data = solver.mode_problem(model, disc)
         errors = np.array([
             oracle.exact_error(oracle.ModeSolution.for_dim(model.a(w), model.c0(w), 1),
-                               disc, solver.solve_pathwise(data, disc, w))[0]
+                               disc, solver.solve_pathwise(model, disc, w))[0]
             for w in nodes])
         mean_error = float(np.sum(weights * errors))
         h, rate = disc.pair.mesh.h, math.nan

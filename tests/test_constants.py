@@ -216,8 +216,7 @@ def test_quasi_opt_ratio_invariant_under_forcing_scale():
     disc = make_disc(n_cells=8, n_steps=16)
     ratios = []
     for c0 in (1.0, 2.0):
-        data = solver.mode_problem(ConstantCoeffs(a=1.0, c0=c0), disc)
-        sol = solver.solve_pathwise(data, disc, 0.0)
+        sol = solver.solve_pathwise(ConstantCoeffs(a=1.0, c0=c0), disc, 0.0)
         err, best = exact_error(ModeSolution.for_dim(1.0, c0, 1), disc, sol)
         ratios.append(consts.quasi_opt_ratio(err, best))
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-10)

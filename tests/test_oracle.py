@@ -58,8 +58,7 @@ def test_exact_error_of_best_approximation_matches():
 def test_exact_error_dominates_best_error():
     disc = make_disc(n_cells=8, n_steps=16)
     mode = oracle.ModeSolution.for_dim(1.0, 1.0, 1)
-    data = solver.mode_problem(ConstantCoeffs(), disc)
-    sol = solver.solve_pathwise(data, disc, 0.0)
+    sol = solver.solve_pathwise(ConstantCoeffs(), disc, 0.0)
     err, best_err = oracle.exact_error(mode, disc, sol)
     assert best_err <= err <= 10 * best_err
 
@@ -73,8 +72,7 @@ def test_exact_error_shape_guard():
 
 def _solver_error(a, c0, dim, degree, n_cells, n_steps):
     disc = make_disc(dim=dim, n_cells=n_cells, degree=degree, n_steps=n_steps)
-    data = solver.mode_problem(ConstantCoeffs(a=a, c0=c0), disc)
-    sol = solver.solve_pathwise(data, disc, 0.0)
+    sol = solver.solve_pathwise(ConstantCoeffs(a=a, c0=c0), disc, 0.0)
     mode = oracle.ModeSolution.for_dim(a, c0, dim)
     return oracle.exact_error(mode, disc, sol)
 
@@ -109,8 +107,7 @@ def test_large_mode_case_close_to_best():
 
 def test_semidiscrete_reference_zero_data():
     disc = make_disc(n_cells=4, n_steps=4)
-    data = solver.mode_problem(ConstantCoeffs(c0=0.0), disc)
-    ref, fine_disc = oracle.semidiscrete_reference(data, disc, 0.0, 16)
+    ref, fine_disc = oracle.semidiscrete_reference(ConstantCoeffs(c0=0.0), disc, 0.0, 16)
     assert ref.shape == (64, disc.n_dof)
     assert np.all(ref == 0.0)
     assert fine_disc.grid.n_intervals == 64
@@ -118,17 +115,16 @@ def test_semidiscrete_reference_zero_data():
 
 def test_semidiscrete_reference_guards():
     disc = make_disc(n_cells=4, n_steps=4)
-    data = solver.mode_problem(ConstantCoeffs(), disc)
     with pytest.raises(ValueError):
-        oracle.semidiscrete_reference(data, disc, 0.0, 8)
+        oracle.semidiscrete_reference(ConstantCoeffs(), disc, 0.0, 8)
 
 
 def test_semidiscrete_reference_self_convergence():
     disc = make_disc(n_cells=8, n_steps=8)
-    data = solver.mode_problem(ConstantCoeffs(), disc)
-    ref16, d16 = oracle.semidiscrete_reference(data, disc, 0.0, 16)
-    ref32, d32 = oracle.semidiscrete_reference(data, disc, 0.0, 32)
-    ref64, d64 = oracle.semidiscrete_reference(data, disc, 0.0, 64)
+    coeffs = ConstantCoeffs()
+    ref16, d16 = oracle.semidiscrete_reference(coeffs, disc, 0.0, 16)
+    ref32, d32 = oracle.semidiscrete_reference(coeffs, disc, 0.0, 32)
+    ref64, d64 = oracle.semidiscrete_reference(coeffs, disc, 0.0, 64)
     step1 = solver.trial_energy_norm(ref32 - np.repeat(ref16, 2, axis=0), d32)
     step2 = solver.trial_energy_norm(ref64 - np.repeat(ref32, 2, axis=0), d64)
     assert step2 < step1
@@ -141,9 +137,9 @@ def test_semidiscrete_quasi_optimality_report():
     from stpg import constants as consts
     from stpg import fem
     disc = make_disc(n_cells=8, n_steps=32)
-    data = solver.mode_problem(ConstantCoeffs(), disc)
-    coarse_sol = solver.solve_pathwise(data, disc, 0.0)
-    ref, ref_disc = oracle.semidiscrete_reference(data, disc, 0.0, 32)
+    coeffs = ConstantCoeffs()
+    coarse_sol = solver.solve_pathwise(coeffs, disc, 0.0)
+    ref, ref_disc = oracle.semidiscrete_reference(coeffs, disc, 0.0, 32)
     mode = oracle.ModeSolution.for_dim(1.0, 1.0, 1)
     err_semi = oracle.exact_error(mode, ref_disc, ref)[0]
     best_semi = oracle.exact_error(mode, ref_disc, ref)[1]
@@ -155,8 +151,23 @@ def test_semidiscrete_quasi_optimality_report():
 
 def test_semidiscrete_reference_matches_direct_fine_solve():
     disc = make_disc(n_cells=4, n_steps=2)
-    data = solver.mode_problem(ConstantCoeffs(a=0.7), disc)
-    ref, fine_disc = oracle.semidiscrete_reference(data, disc, 0.0, 16)
-    direct = solver.solve_pathwise(solver.mode_problem(ConstantCoeffs(a=0.7), fine_disc),
-                                   fine_disc, 0.0)
+    coeffs = ConstantCoeffs(a=0.7)
+    ref, fine_disc = oracle.semidiscrete_reference(coeffs, disc, 0.0, 16)
+    direct = solver.solve_pathwise(coeffs, fine_disc, 0.0)
     assert np.array_equal(ref, direct)
+
+
+# at 27 (uniform) and 25 (graded) one interval's start plus its width
+# misses its end by an ulp, which np.linspace corrects
+@pytest.mark.parametrize("refinement", [16, 25, 27])
+@pytest.mark.parametrize("nodes", [np.linspace(0.0, 1.0, 10),
+                                   np.linspace(0.0, 1.0, 10) ** 2],
+                         ids=["uniform", "graded"])
+def test_refined_nodes_are_the_per_interval_linspace(nodes, refinement):
+    disc = solver.Discretization(pair=make_disc(n_cells=2).pair,
+                                 grid=solver.TimeGrid(nodes))
+    loop = [0.0]
+    for t0, t1 in zip(nodes[:-1], nodes[1:]):
+        loop.extend(np.linspace(t0, t1, refinement + 1)[1:])
+    _, fine_disc = oracle.semidiscrete_reference(ConstantCoeffs(), disc, 0.0, refinement)
+    assert np.array_equal(fine_disc.grid.nodes, loop)

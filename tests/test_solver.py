@@ -39,7 +39,7 @@ def test_time_weights_match_closed_form():
                        0.8, 0.9, 0.95, 1.0])
     for nodes in (uniform, graded):
         grid = solver.TimeGrid(nodes)
-        weights = solver.time_weights(grid, lambda t: np.sin(np.pi * t))
+        weights = solver.time_weights(grid)
         assert weights.shape == (grid.n_intervals,)
         for j in range(grid.n_intervals):
             t_prev = nodes[j - 1] if j > 0 else nodes[0]
@@ -47,12 +47,12 @@ def test_time_weights_match_closed_form():
             assert weights[j] == pytest.approx(ref, abs=1e-12)
 
 
-def _whole_grid_time_weights(grid, g):
+def _whole_grid_time_weights(grid):
     """time_weights formed on the whole grid at once, the order of its sums kept."""
     t, w = fem.interval_gauss(grid.nodes, 4)
     t0, t1 = grid.nodes[:-1, None], grid.nodes[1:, None]
     k = t1 - t0
-    wg = w * np.asarray(g(t), dtype=float)
+    wg = w * np.sin(np.pi * t)
     weights = np.sum(wg * (t1 - t) / k, axis=1)
     weights[1:] += np.sum(wg * (t - t0) / k, axis=1)[:-1]
     return weights
@@ -62,16 +62,26 @@ def _whole_grid_time_weights(grid, g):
 def test_blocked_time_weights_are_the_whole_grid_sums(n_steps):
     assert solver.TIME_WEIGHTS_BLOCK == 1024
     nodes = np.linspace(0.0, 1.0, n_steps + 1)
-    profiles = (lambda t: np.sin(np.pi * t), np.exp,
-                # zero, signed zeros included, on half the grid
-                lambda t: np.where(t < 0.5, -0.0, np.cos(np.pi * t)))
     for grid in (solver.TimeGrid(nodes), solver.TimeGrid(nodes ** 3)):
-        for g in profiles:
-            weights = solver.time_weights(grid, g)
-            expected = _whole_grid_time_weights(grid, g)
-            assert weights.shape == (n_steps,)
-            assert np.array_equal(weights, expected)
-            assert np.array_equal(np.signbit(weights), np.signbit(expected))
+        weights = solver.time_weights(grid)
+        expected = _whole_grid_time_weights(grid)
+        assert weights.shape == (n_steps,)
+        assert np.array_equal(weights, expected)
+        assert np.array_equal(np.signbit(weights), np.signbit(expected))
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_time_weights_belong_to_their_grid(grid):
+    grid = solver.TimeGrid(_GRIDS[grid].nodes)
+    weights = grid.weights
+    assert np.array_equal(weights, solver.time_weights(grid))
+    # computed once: every path and rung of the grid reads the same array
+    assert grid.weights is weights
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 1.0
+    # a grid with the same nodes has its own, equal weights
+    same = solver.TimeGrid(grid.nodes.copy())
+    assert same.weights is not weights and np.array_equal(same.weights, weights)
 
 
 def test_time_grid_guards():
@@ -90,26 +100,13 @@ def test_time_grid_guards():
 
 def test_assemble_load_zero_forcing_zero_initial():
     disc = make_disc(n_cells=4, n_steps=4)
-    data = solver.mode_problem(ConstantCoeffs(c0=0.0), disc)
-    load = solver.assemble_load(data, disc, 0.0)
+    load = solver.assemble_load(ConstantCoeffs(c0=0.0), disc, 0.0)
     assert np.all(load == 0.0)
-
-
-def test_assemble_load_initial_datum_only():
-    disc = make_disc(n_cells=4, n_steps=4)
-    u0 = np.arange(1.0, disc.n_dof + 1)
-    data = solver.mode_problem(ConstantCoeffs(c0=1.0), disc, u0=u0,
-                               g=lambda t: np.zeros_like(np.asarray(t, float)))
-    load = solver.assemble_load(data, disc, 0.0)
-    n = disc.n_dof
-    assert np.allclose(load[:n], disc.pair.mass @ u0, atol=1e-15)
-    assert np.all(load[n:] == 0.0)
 
 
 def test_solve_zero_data_is_zero():
     disc = make_disc(n_cells=4, n_steps=6)
-    data = solver.mode_problem(ConstantCoeffs(c0=0.0), disc)
-    sol = solver.solve_pathwise(data, disc, 0.0)
+    sol = solver.solve_pathwise(ConstantCoeffs(c0=0.0), disc, 0.0)
     assert sol.shape == (6, disc.n_dof)
     assert np.all(sol == 0.0)
 
@@ -117,11 +114,10 @@ def test_solve_zero_data_is_zero():
 def test_scalar_crank_nicolson_by_hand():
     # single spatial dof: M = 1/3, S = 4, step equations become scalar
     disc = make_disc(n_cells=2, n_steps=4)
-    data = solver.mode_problem(ConstantCoeffs(), disc)
-    sol = solver.solve_pathwise(data, disc, 0.0)
+    sol = solver.solve_pathwise(ConstantCoeffs(), disc, 0.0)
     k = 0.25
-    tw = solver.time_weights(disc.grid, data.g)
-    b = data.load_vector[0]
+    tw = solver.time_weights(disc.grid)
+    b = disc.pair.mode_vector()[0]
     m, s = 1.0 / 3.0, 4.0
     u = 0.0
     for j in range(4):
@@ -137,10 +133,10 @@ def test_scalar_crank_nicolson_by_hand():
 ])
 def test_time_stepping_agrees_with_full_system(a, n_cells, n_steps):
     disc = make_disc(n_cells=n_cells, n_steps=n_steps)
-    data = solver.mode_problem(ConstantCoeffs(a=a), disc)
-    sol = solver.solve_pathwise(data, disc, 0.0)
+    coeffs = ConstantCoeffs(a=a)
+    sol = solver.solve_pathwise(coeffs, disc, 0.0)
     full = solver.assemble_full_system(disc, a)
-    load = solver.assemble_load(data, disc, 0.0)
+    load = solver.assemble_load(coeffs, disc, 0.0)
     direct = np.linalg.solve(full, load)
     residual = np.linalg.norm(full @ sol.reshape(-1) - load) / np.linalg.norm(load)
     assert residual < 1e-10
@@ -174,58 +170,39 @@ def test_full_system_rejects_degenerate_diffusion():
         solver.assemble_full_system(disc, 0.0)
 
 
-def test_steady_state_consistency():
-    # constant-in-time forcing: embedding the steady state reproduces the
-    # load away from the initial block
-    disc = make_disc(n_cells=8, n_steps=8)
-    ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    data = solver.mode_problem(ConstantCoeffs(), disc, g=ones)
-    u_inf = disc.pair.stiffness_solve(data.load_vector)
-    embedded = np.tile(u_inf, disc.grid.n_intervals)
-    diff = solver.assemble_full_system(disc, 1.0) @ embedded \
-        - solver.assemble_load(data, disc, 0.0)
-    n = disc.n_dof
-    assert np.max(np.abs(diff[n:])) < 1e-14
-    assert np.allclose(diff[:n], disc.pair.mass @ u_inf, atol=1e-14)
+def test_steady_state_consistency(rng):
+    # a constant-in-time u: the jumps of the mass terms cancel away from
+    # the initial block, which leaves the energy terms of the two
+    # intervals that meet at t_j
+    disc = _disc_on("graded", n_cells=8, n_steps=9)
+    a = 1.3
+    u = rng.standard_normal(disc.n_dof)
+    rows = (solver.assemble_full_system(disc, a) @ np.tile(u, disc.grid.n_intervals)
+            ).reshape(disc.grid.n_intervals, -1)
+    k = disc.grid.widths
+    s_u = disc.pair.stiffness @ u
+    expected = a * 0.5 * (k[:-1] + k[1:])[:, None] * s_u
+    assert np.allclose(rows[1:], expected, rtol=0.0, atol=1e-13 * np.abs(s_u).max())
+    assert np.allclose(rows[0], disc.pair.mass @ u + a * 0.5 * k[0] * s_u,
+                       rtol=0.0, atol=1e-13 * np.abs(s_u).max())
 
 
 def test_pathwise_failures_are_controlled():
     disc = make_disc(n_cells=4, n_steps=4)
-    model = CoefficientModel(case="b")
-    data = solver.mode_problem(model, disc)
     with pytest.raises(solver.PathwiseSolveError):
-        solver.solve_pathwise(data, disc, 0.0)  # a(0) = 0
-    model_a = CoefficientModel(case="a")
-    data_a = solver.mode_problem(model_a, disc)
+        solver.solve_pathwise(CoefficientModel(case="b"), disc, 0.0)  # a(0) = 0
     with pytest.raises(solver.PathwiseSolveError):
-        solver.solve_pathwise(data_a, disc, 0.0)  # a(0) = inf
-
-
-def test_problem_data_belongs_to_one_time_grid():
-    disc = make_disc(n_cells=4, n_steps=4)
-    data = solver.mode_problem(ConstantCoeffs(), disc)
-    assert np.array_equal(data.weights, solver.time_weights(disc.grid, data.g))
-    other = solver.Discretization(pair=disc.pair, grid=solver.TimeGrid.uniform(1.0, 8))
-    with pytest.raises(ValueError):
-        solver.solve_pathwise(data, other, 0.0)
-    with pytest.raises(ValueError):
-        solver.assemble_load(data, other, 0.0)
-    # same nodes in a distinct grid object are accepted
-    same = solver.Discretization(pair=disc.pair, grid=solver.TimeGrid.uniform(1.0, 4))
-    assert np.array_equal(solver.solve_pathwise(data, same, 0.0),
-                          solver.solve_pathwise(data, disc, 0.0))
+        solver.solve_pathwise(CoefficientModel(case="a"), disc, 0.0)  # a(0) = inf
 
 
 def test_galerkin_orthogonality_on_nested_time_grids():
     disc_c = make_disc(n_cells=8, n_steps=8)
     disc_f = solver.Discretization(pair=disc_c.pair,
                                    grid=solver.TimeGrid.uniform(1.0, 16))
-    data_c = solver.mode_problem(ConstantCoeffs(), disc_c)
-    data_f = solver.mode_problem(ConstantCoeffs(), disc_f)
-    sol_c = solver.solve_pathwise(data_c, disc_c, 0.0)
+    sol_c = solver.solve_pathwise(ConstantCoeffs(), disc_c, 0.0)
     n = disc_c.n_dof
     embedded = np.repeat(sol_c, 2, axis=0).reshape(-1)
-    residual = solver.assemble_load(data_f, disc_f, 0.0) \
+    residual = solver.assemble_load(ConstantCoeffs(), disc_f, 0.0) \
         - solver.assemble_full_system(disc_f, 1.0) @ embedded
     # coarse temporal hats expressed in the fine nodal basis
     embed = np.zeros((16 * n, 8 * n))
@@ -350,12 +327,11 @@ def test_energy_bound_samples():
     k = disc.grid.k_max
     for case, omega in (("a", 0.31), ("b", -0.17), ("c", 0.23), ("d", 0.11)):
         model = CoefficientModel(case=case)
-        data = solver.mode_problem(model, disc)
         a = model.a(omega)
         c_sw = consts.cfl_omega(disc.pair, k, omega, model)
-        sol = solver.solve_pathwise(data, disc, omega)
+        sol = solver.solve_pathwise(model, disc, omega)
         lhs = a * solver.trial_energy_norm(sol, disc) ** 2
-        rhs = (1.0 + c_sw ** 2) / a * solver.forcing_dual_norm_sq(data, disc, omega)
+        rhs = (1.0 + c_sw ** 2) / a * solver.forcing_dual_norm_sq(model, disc, omega)
         assert 0 < lhs <= rhs * (1 + 1e-12)
 
 
@@ -364,8 +340,7 @@ def test_best_approximation_is_optimal_projection(rng):
     disc = make_disc(n_cells=8, n_steps=8)
     mode = ModeSolution.for_dim(1.3, 0.7, 1)
     best = solver.best_approximation(mode, disc)
-    data = solver.mode_problem(ConstantCoeffs(a=1.3, c0=0.7), disc)
-    sol = solver.solve_pathwise(data, disc, 0.0)
+    sol = solver.solve_pathwise(ConstantCoeffs(a=1.3, c0=0.7), disc, 0.0)
     from stpg.oracle import exact_error
     err_solver, err_best = exact_error(mode, disc, sol)
     assert err_best <= err_solver
@@ -383,27 +358,29 @@ def test_best_approximation_is_optimal_projection(rng):
 
 @pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
-@pytest.mark.parametrize("with_u0", [False, True])
+# the zero initial datum of the stock problem, the only one the solver
+# takes; the parameter keeps the ids of these cases
+@pytest.mark.parametrize("with_u0", [False])
 def test_sweep_matches_dense_space_time_solve(dim, n_cells, degree, grid, with_u0):
     mesh = fem.build_mesh(dim, n_cells, degree)
     disc = solver.Discretization(pair=fem.assemble(mesh), grid=_GRIDS[grid])
-    u0 = np.cos(np.arange(disc.n_dof)) if with_u0 else None
     a = 0.7
-    data = solver.mode_problem(ConstantCoeffs(a=a, c0=1.3), disc, u0=u0)
-    sol = solver.solve_pathwise(data, disc, 0.0)
+    coeffs = ConstantCoeffs(a=a, c0=1.3)
+    sol = solver.solve_pathwise(coeffs, disc, 0.0)
     direct = np.linalg.solve(solver.assemble_full_system(disc, a),
-                             solver.assemble_load(data, disc, 0.0))
+                             solver.assemble_load(coeffs, disc, 0.0))
     gram = solver.build_grams(disc, a, "Y")
     diff = solver.evaluate_norm(sol.reshape(-1) - direct, gram)
     assert diff <= 1e-12 * solver.evaluate_norm(direct, gram)
 
 
-def test_non_finite_forcing_profile_is_flagged():
+def test_non_finite_forcing_profile_is_flagged(monkeypatch):
+    # infinite time weights, read by the grid before the sweep
+    monkeypatch.setattr(solver, "time_weights",
+                        lambda grid: np.full(grid.n_intervals, np.inf))
     disc = make_disc(n_cells=4, n_steps=4)
-    data = solver.mode_problem(ConstantCoeffs(), disc,
-                               g=lambda t: np.full_like(np.asarray(t, float), np.inf))
     with pytest.raises(solver.PathwiseSolveError):
-        solver.solve_pathwise(data, disc, 0.0)
+        solver.solve_pathwise(ConstantCoeffs(), disc, 0.0)
 
 
 def _graded(n_steps):
@@ -426,43 +403,38 @@ def test_batched_sweep_is_each_path_alone_bit_for_bit(rng, dim, n_cells, degree,
     time_grid = (solver.TimeGrid.uniform(1.0, n_steps) if grid == "uniform"
                  else _graded(n_steps))
     disc = solver.Discretization(pair=fem.assemble(mesh), grid=time_grid)
-    data = solver.mode_problem(ConstantCoeffs(), disc,
-                               u0=rng.standard_normal(disc.n_dof))
-    z, finite = solver.sweep(data, disc, _A, _C0)
+    z, finite = solver.sweep(disc, _A, _C0)
     assert z.shape == (n_steps, len(_A), disc.n_dof) and finite.all()
     for p, (a, c0) in enumerate(zip(_A, _C0)):
-        alone, alone_finite = solver.sweep(data, disc, [a], [c0])
+        alone, alone_finite = solver.sweep(disc, [a], [c0])
         assert alone_finite.tolist() == [True]
         path = np.ascontiguousarray(z[:, p])
         assert path.tobytes() == alone[:, 0].tobytes()
-        assert path.tobytes() == reference_sweep(data, disc, a, c0).tobytes()
+        assert path.tobytes() == reference_sweep(disc, a, c0).tobytes()
     order = rng.permutation(len(_A))
-    assert solver.sweep(data, disc, _A[order], _C0[order])[0].tobytes() == \
+    assert solver.sweep(disc, _A[order], _C0[order])[0].tobytes() == \
         np.ascontiguousarray(z[:, order]).tobytes()
     subset = [4, 1]
-    assert solver.sweep(data, disc, _A[subset], _C0[subset])[0].tobytes() == \
+    assert solver.sweep(disc, _A[subset], _C0[subset])[0].tobytes() == \
         np.ascontiguousarray(z[:, subset]).tobytes()
 
 
-def test_sweep_flags_the_path_that_overflows_mid_sweep():
+def test_sweep_flags_the_path_that_overflows_mid_sweep(monkeypatch):
+    # tenfold time weights, read by the grid before the first sweep
+    time_weights = solver.time_weights
+    monkeypatch.setattr(solver, "time_weights", lambda grid: 10.0 * time_weights(grid))
     disc = make_disc(n_cells=6, n_steps=40)
-
-    def g(t):
-        return 10.0 * np.sin(np.pi * t)
-
-    data = solver.mode_problem(ConstantCoeffs(), disc, g=g)
     # a tiny a keeps the gain near 1, so the steps of a huge c0 add up to inf
     a, c0 = np.array([0.5, 1e-3, 2.0]), np.array([1.0, 1e308, -3.0])
-    reference = reference_sweep(data, disc, a[1], c0[1])
+    reference = reference_sweep(disc, a[1], c0[1])
     assert np.isfinite(reference[0]).all() and not np.isfinite(reference).all()
-    z, finite = solver.sweep(data, disc, a, c0)
+    z, finite = solver.sweep(disc, a, c0)
     assert finite.tolist() == [True, False, True]
     for p in (0, 2):
         assert np.ascontiguousarray(z[:, p]).tobytes() == \
-            reference_sweep(data, disc, a[p], c0[p]).tobytes()
+            reference_sweep(disc, a[p], c0[p]).tobytes()
     with pytest.raises(solver.PathwiseSolveError, match="non-finite values in time step"):
-        solver.solve_pathwise(solver.mode_problem(ConstantCoeffs(a=1e-3, c0=1e308), disc,
-                                                  g=g), disc, 0.0)
+        solver.solve_pathwise(ConstantCoeffs(a=1e-3, c0=1e308), disc, 0.0)
 
 
 @pytest.mark.parametrize("a,c0,message", [
@@ -475,7 +447,6 @@ def test_sweep_flags_the_path_that_overflows_mid_sweep():
 ])
 def test_solve_pathwise_names_what_is_not_swept(a, c0, message):
     disc = make_disc(n_cells=4, n_steps=4)
-    data = solver.mode_problem(ConstantCoeffs(a=a, c0=c0), disc)
     with pytest.raises(solver.PathwiseSolveError) as exc:
-        solver.solve_pathwise(data, disc, 0.0)
+        solver.solve_pathwise(ConstantCoeffs(a=a, c0=c0), disc, 0.0)
     assert str(exc.value) == message

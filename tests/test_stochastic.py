@@ -101,6 +101,13 @@ def test_coefficient_model_guards():
     assert custom.a(9.0) == 2.0
 
 
+# the path values of moments --case c --dim 1 --cells 4 --steps 4 at N = 8,
+# whose 400th powers overflow above 5.9
+_SPREAD = np.array([0.6873293802916272, 1.2081552718965114, 2.655316757644627,
+                    11.237395202291403, 11.237395202291403, 2.655316757644627,
+                    1.2081552718965114, 0.6873293802916272])
+
+
 def test_lp_norm_basics():
     values = np.array([2.0, 2.0, 2.0])
     weights = np.array([0.2, 0.5, 0.3])
@@ -110,6 +117,15 @@ def test_lp_norm_basics():
         assert not flagged
     est, _ = stochastic.lp_norm(1.0, [0.0, 2.0], [0.5, 0.5])
     assert est == pytest.approx(1.0)
+    assert stochastic.lp_norm(3.0, [0.0, -0.0], [0.5, 0.5]) == (0.0, False)
+    weights = np.full(8, 1.0 / 8.0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        est, flagged = stochastic.lp_norm(400.0, _SPREAD, weights)
+        # every term below the two largest values is under 1e-250 of them
+        assert not flagged
+        assert est == pytest.approx(_SPREAD.max() * 0.25 ** (1.0 / 400.0), rel=1e-15)
+        # the p-mean tends to the largest value
+        assert stochastic.lp_norm(1e308, _SPREAD, weights) == (_SPREAD.max(), False)
 
 
 def test_lp_norm_guards_and_flags():

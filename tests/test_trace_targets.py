@@ -44,9 +44,9 @@ def test_per_grid_work_runs_once_per_grid(tmp_path, monkeypatch):
     paths = []
     sweep = solver.sweep
 
-    def sweeping(data, disc, a, c0):
+    def sweeping(disc, a, c0):
         paths.append(len(a))
-        return sweep(data, disc, a, c0)
+        return sweep(disc, a, c0)
 
     monkeypatch.setattr(solver, "sweep", sweeping)
     metrics = _traced(spans, ["convergence", "--case", "lognormal", "--j-min", "2",

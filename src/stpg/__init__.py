@@ -12,6 +12,7 @@ from .constants import (
     projection_stability,
     quasi_opt_ratio,
     theoretical_constants,
+    weighted_cfl,
 )
 from .fem import Mesh, SpatialPair, assemble, build_mesh, dual_norm
 from .oracle import (

@@ -72,8 +72,10 @@ TIME_WEIGHTS_VALUES = 32
 # its two windows of step factors, unless one path alone needs more
 _BLOCK_BYTES = 1 << 23
 # float64 (n_dof, N, N) stacks the constants of one infsup node hold at
-# peak: the three mode blocks, two Cholesky factors and two solves
-NODE_STACKS = 7
+# peak: while mode_blocks sums the test Gram, the bilinear and trial
+# blocks, the Gram's two terms and their sum; discrete_infsup then holds
+# four, the three blocks and one work stack
+NODE_STACKS = 5
 
 
 class ResourceCapError(RuntimeError):
@@ -444,11 +446,9 @@ def run_infsup(config: ExperimentConfig):
                 # the system's constants are the extremes over its mode blocks
                 lows, highs = consts.discrete_infsup(*solver.mode_blocks(disc.grid, a * lam))
                 sig_min, sig_max = float(lows.min()), float(highs.max())
-                # the weighted CFL constant of scalar diffusion, as in cfl_omega
-                c_s_omega = a * c_s / math.sqrt(12.0)
                 bounds = consts.theoretical_constants(a, a)
                 rows.append((config.case, n_cells, n_steps, omega, a,
-                             sig_min, sig_max, c_s, c_s_omega,
+                             sig_min, sig_max, c_s, consts.weighted_cfl(a, c_s),
                              bounds.c_b_bound, bounds.C_b_bound))
     return rows
 

@@ -1,10 +1,13 @@
 """Numerical evaluation of the stability constants of the discretization.
 
 Inf-sup and continuity constants are computed as extreme singular
-values of the bilinear-form matrix sandwiched between inverse square
-roots of the trial and test Gram matrices; the CLI takes the extremes
+values of the bilinear-form matrix sandwiched between inverse Cholesky
+factors of the trial and test Gram matrices; the CLI takes the extremes
 over one stack of N x N blocks, one per eigenmode (``solver.mode_blocks``),
-with the dense system of the full pair as the test oracle. The module also
+with the dense system of the full pair as the test oracle. The blocks'
+diagonal trial and tridiagonal test Grams are factored by their
+structure, read off their entries: a square root and a bidiagonal
+recurrence, no dense factorization or solve. The module also
 evaluates the CFL constant of the spatial pair, its diffusion-weighted
 variant, a two-grid estimate of the dual-norm equivalence constant of
 the orthogonal projection, and the closed-form bounds the constants
@@ -27,6 +30,7 @@ __all__ = [
     "discrete_infsup",
     "cfl_constant",
     "cfl_omega",
+    "weighted_cfl",
     "projection_stability",
     "cfl_adjusted_infsup_bound",
     "theoretical_constants",
@@ -41,12 +45,44 @@ class ConstantsReport:
     C_b_bound: float
 
 
-def _gram_factor(gram: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor L of a Gram matrix, gram = L L'."""
-    try:
-        return np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{name} gram matrix is not positive definite") from exc
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray, name: str, band: int) -> np.ndarray:
+    """L^-1 rhs for the lower Cholesky factor L of a Gram, gram = L L'.
+
+    A Gram whose lower triangle has at most band (0 or 1) subdiagonals is
+    factored by the bidiagonal recurrence, vectorised across the stack:
+    pivots p_0 = g_00, p_j = g_jj - g_{j,j-1}^2 / p_{j-1}, then l = sqrt(p)
+    on the diagonal of L and m_j = g_{j,j-1} / l_{j-1} below it, so row j
+    of L^-1 rhs is (rhs_j - m_j row j-1) / l_j; with band 0 that is one
+    scaling of the rows. Any other Gram goes through np.linalg.cholesky
+    and np.linalg.solve, the dense path the structured one is checked
+    against. Either way the factor reads the lower triangle alone, and a
+    pivot that is not positive (NaN included) fails the whole stack. The
+    structured path overwrites rhs with the result, the dense path
+    returns a new array.
+    """
+    # a masked reduction, with no stack-sized temporary
+    if np.any(gram, where=np.tri(gram.shape[-1], k=-band - 1, dtype=bool)):
+        try:
+            factor = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"{name} gram matrix is not positive definite") from exc
+        return np.linalg.solve(factor, rhs)
+    pivots = np.diagonal(gram, axis1=-2, axis2=-1).copy()
+    sub = np.diagonal(gram, offset=-1, axis1=-2, axis2=-1)
+    if band:
+        square = sub ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(1, pivots.shape[-1]):
+                pivots[..., j] -= square[..., j - 1] / pivots[..., j - 1]
+    if not np.all(pivots > 0):
+        raise ValueError(f"{name} gram matrix is not positive definite")
+    root = np.sqrt(pivots)
+    rhs /= root[..., None]
+    if band:
+        gain = sub / root[..., :-1] / root[..., 1:]
+        for j in range(1, root.shape[-1]):
+            rhs[..., j, :] -= gain[..., j - 1, None] * rhs[..., j - 1, :]
+    return rhs
 
 
 def discrete_infsup(bilinear: np.ndarray, gram_trial: np.ndarray,
@@ -54,22 +90,29 @@ def discrete_infsup(bilinear: np.ndarray, gram_trial: np.ndarray,
     """Inf-sup and continuity constants in the chosen norms.
 
     Returns the smallest and largest singular values of
-    G_test^{-1/2} B G_trial^{-1/2} by a dense SVD: floats for one system
-    (the tests' whole space-time systems), arrays over the leading
-    dimensions for a stack (the CLI's mode blocks), with the bits of one
-    call per matrix, since numpy.linalg treats each matrix alone.
+    L_test^-1 B L_trial^-T, with the lower Cholesky factors L of the
+    Grams, by a dense SVD: floats for one system (the tests' whole
+    space-time systems), arrays over the leading dimensions for a stack
+    (the CLI's mode blocks), with the bits of one call per matrix when
+    the matrices of the stack share their structure.
+
+    The factors follow the structure of the Grams' entries. A diagonal
+    trial Gram (mu K of the mode blocks) makes the trial side one column
+    scaling of B by its square root; a tridiagonal test Gram makes the
+    test side a forward substitution with its bidiagonal factor, one row
+    at a time across the stack and the columns. Any other Gram takes the
+    dense Cholesky factor and solve.
     """
     bilinear = np.asarray(bilinear, dtype=float)
     *stack, rows, cols = bilinear.shape
     if (np.shape(gram_test) != (*stack, rows, rows)
             or np.shape(gram_trial) != (*stack, cols, cols)):
         raise ValueError("bilinear form and gram matrices have mismatched sizes")
-    l_test = _gram_factor(gram_test, "test")
-    l_trial = _gram_factor(gram_trial, "trial")
     # L_test^-1 B L_trial^-T has the same singular values as the
-    # symmetric-root sandwich
-    tmp = np.linalg.solve(l_test, bilinear)
-    mat = np.swapaxes(np.linalg.solve(l_trial, np.swapaxes(tmp, -1, -2)), -1, -2)
+    # symmetric-root sandwich; the trial side may overwrite L_test^-1 B
+    mat = _cholesky_solve(np.asarray(gram_test, dtype=float), bilinear.copy(), "test", 1)
+    mat = np.swapaxes(_cholesky_solve(np.asarray(gram_trial, dtype=float),
+                                      np.swapaxes(mat, -1, -2), "trial", 0), -1, -2)
     sig = np.linalg.svd(mat, compute_uv=False)
     return sig[..., -1], sig[..., 0]
 
@@ -97,8 +140,16 @@ def cfl_omega(pair: SpatialPair, k: float, omega: float, coeffs) -> float:
     a = float(coeffs.a(omega))
     if not (a > 0) or not math.isfinite(a):
         raise ValueError(f"diffusion value must be positive and finite, got {a}")
-    c_s = cfl_constant(pair, k)
-    return float(a * c_s / np.sqrt(12.0))
+    return weighted_cfl(a, cfl_constant(pair, k))
+
+
+def weighted_cfl(a: float, c_s: float) -> float:
+    """Diffusion-weighted CFL constant a * c_S / sqrt(12) from the unweighted c_S.
+
+    The formula of cfl_omega, for callers that hold c_S for a whole grid
+    and need the weighted constant of many diffusion values.
+    """
+    return float(a * c_s / math.sqrt(12.0))
 
 
 def _prolongation_1d(coarse: Mesh, fine: Mesh) -> np.ndarray:

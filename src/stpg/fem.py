@@ -140,7 +140,7 @@ def _dense(terms) -> np.ndarray:
     return functools.reduce(np.add, (functools.reduce(np.kron, term) for term in terms))
 
 
-@dataclass
+@dataclass(eq=False)
 class SpatialPair:
     """Mass and stiffness of a mesh, kept as the 1-D pair they come from.
 

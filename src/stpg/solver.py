@@ -72,7 +72,7 @@ class PathwiseSolveError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Partition 0 = t_0 < t_1 < ... < t_N = T of the time interval."""
 
@@ -118,7 +118,7 @@ class TimeGrid:
         return _frozen(time_weights(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Discretization:
     """Spatial pair and time grid making up one space-time discretization."""
 
@@ -152,8 +152,12 @@ def _check_a(a: float) -> float:
 def time_weights(grid: TimeGrid) -> np.ndarray:
     """Integrals of sin(pi t) against the temporal test hats at nodes t_0..t_{N-1}.
 
-    Evaluated with 4-point Gauss per interval, which resolves the profile
-    to machine precision on the grids in use. The intervals are taken
+    Evaluated with 4-point Gauss per interval. On the uniform grid of
+    [0, 1] the gap to the closed form (C sin(j theta) with theta = pi / N,
+    tw_0 = (1 - sin theta / theta) / pi), relative to the largest weight,
+    is 7.9e-6 at 1 step, 1.6e-7 at 2, 8.2e-10 at 4, 6.5e-12 at 8 and
+    5.1e-14 at 16; from 32 steps to 4,096 it is round-off, at most
+    4 machine epsilons. The intervals are taken
     TIME_WEIGHTS_BLOCK at a time, so the Gauss temporaries stay bounded
     whatever the number of steps.
     """

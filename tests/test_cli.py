@@ -271,8 +271,8 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("steps,code", [(32, cli.EXIT_RESOURCE), (16, cli.EXIT_OK)])
 def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
                                                           steps, code):
-    # a node holds 7 stacks of 7 modes' steps x steps float64 blocks:
-    # 401,408 bytes at 32 steps, 100,352 at 16, against 204,800 of memory;
+    # a node holds 5 stacks of 7 modes' steps x steps float64 blocks:
+    # 286,720 bytes at 32 steps, 71,680 at 16, against 204,800 of memory;
     # a 32 x 7 sweep would fit
     _patch_physical_memory(monkeypatch, 50)
     out = tmp_path / "x.csv"
@@ -281,7 +281,7 @@ def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monk
     assert result == code
     if code == cli.EXIT_RESOURCE:
         assert err == ["stpg: resource cap: an infsup node of 7 x 32 x 32 blocks "
-                       f"needs {7 * 8 * 7 * 32 * 32} bytes, more than the 204800 "
+                       f"needs {5 * 8 * 7 * 32 * 32} bytes, more than the 204800 "
                        "bytes of physical memory"]
         assert list(tmp_path.iterdir()) == []
     else:
@@ -458,6 +458,25 @@ def test_infsup_memory_count_pins_the_traced_peak():
     peak = _traced_peak(lambda: cli.run_infsup(config))
     counted = 8 * cli.NODE_STACKS * 3 * 128 ** 2
     assert 0.95 * counted <= peak <= 1.05 * counted
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
+def test_infsup_runs_no_dense_factorization(monkeypatch, dim, degree):
+    # every Gram of the CLI's mode blocks is diagonal or tridiagonal, so
+    # discrete_infsup never falls back to the dense Cholesky factor and solve
+    config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=dim, degree=degree,
+                                  n_cells=(4, 6), n_steps=(4, 8), quad_ladder=(2,))
+    cli.run_infsup(config)
+
+    def dense(*args):
+        raise AssertionError("dense factorization in infsup")
+
+    monkeypatch.setattr(np.linalg, "cholesky", dense)
+    monkeypatch.setattr(np.linalg, "solve", dense)
+    rows = cli.run_infsup(config)
+    assert len(rows) == 8
+    sigmas = np.array([row[5:7] for row in rows])
+    assert np.max(np.abs(sigmas - 1.0)) <= 1e-8
 
 
 def _subparsers():

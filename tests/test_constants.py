@@ -306,3 +306,71 @@ def test_stacked_infsup_is_one_call_per_block(dim, n_cells, degree, grid, a):
         bad[which][len(lows) // 2] *= -1.0
         with pytest.raises(ValueError, match=f"^{name} gram matrix is not positive definite$"):
             consts.discrete_infsup(*bad)
+
+
+def _inv_sqrt(gram):
+    """Symmetric inverse square root of an SPD matrix by np.linalg.eigh."""
+    w, v = np.linalg.eigh(gram)
+    return (v / np.sqrt(w)) @ v.T
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_structured_infsup_matches_symmetric_root_oracle(grid, rng):
+    # oracle: G_test^-1/2 B G_trial^-1/2 from eigh roots of the Grams, then
+    # an SVD, block by block. The mode blocks themselves have every
+    # singular value 1, so a random bilinear form with the same Grams
+    # spreads them; the stack spans mu from 1e-6 to 1e6
+    bilinear, trial, test = solver.mode_blocks(_GRIDS[grid], [1e-6, 1.0, 1e6])
+    for bil in (bilinear, rng.standard_normal(bilinear.shape)):
+        lows, highs = consts.discrete_infsup(bil, trial, test)
+        for low, high, blocks in zip(lows, highs, zip(bil, trial, test)):
+            b, g_trial, g_test = blocks
+            sig = np.linalg.svd(_inv_sqrt(g_test) @ b @ _inv_sqrt(g_trial),
+                                compute_uv=False)
+            assert low == pytest.approx(sig[-1], rel=1e-11)
+            assert high == pytest.approx(sig[0], rel=1e-11)
+
+
+def test_structured_infsup_needs_no_dense_factor(monkeypatch):
+    # the mode blocks never reach np.linalg.cholesky or np.linalg.solve,
+    # and a Gram with a second subdiagonal does
+    def dense(*args):
+        raise AssertionError("dense path")
+
+    stack = solver.mode_blocks(_GRIDS["graded"], [0.5, 2.0])
+    expected = consts.discrete_infsup(*stack)
+    monkeypatch.setattr(np.linalg, "cholesky", dense)
+    monkeypatch.setattr(np.linalg, "solve", dense)
+    assert all(map(np.array_equal, consts.discrete_infsup(*stack), expected))
+    for which in (1, 2):
+        banded = [block.copy() for block in stack]
+        banded[which][:, 3, 1] = 1e-3
+        with pytest.raises(AssertionError, match="dense path"):
+            consts.discrete_infsup(*banded)
+
+
+@pytest.mark.parametrize("name,row,col,factor", [
+    # the first fails a pivot halfway down the bidiagonal recurrence,
+    # with every diagonal entry positive
+    ("test", 4, 3, 10.0),
+    ("test", 4, 4, np.nan),
+    ("test", -1, -1, 0.0),
+    ("trial", 4, 4, -1.0),
+    ("trial", -1, -1, np.nan),
+    ("trial", 0, 0, 0.0),
+])
+def test_one_bad_structured_block_fails_the_stack(name, row, col, factor):
+    stack = [block.copy() for block in solver.mode_blocks(_GRIDS["graded"], [0.5, 1.0, 2.0])]
+    which = 1 if name == "trial" else 2
+    # scale one entry of the last block, and its mirror
+    bad = stack[which][-1]
+    bad[row, col] *= factor
+    bad[col, row] = bad[row, col]
+    if not np.isnan(bad).any():
+        # the dense factor agrees that the block is not positive definite
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(bad)
+    with pytest.raises(ValueError, match=f"^{name} gram matrix is not positive definite$"):
+        consts.discrete_infsup(*stack)
+    with pytest.raises(ValueError, match=f"^{name} gram matrix is not positive definite$"):
+        consts.discrete_infsup(*(block[-1] for block in stack))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,34 @@ def test_time_weights_match_closed_form():
             assert weights[j] == pytest.approx(ref, abs=1e-12)
 
 
+def _uniform_time_weights(n_steps):
+    """Closed form of time_weights on the uniform grid of [0, 1]: with
+    theta = pi / N, tw_j = C sin(j theta) for C = 2 (1 - cos theta) / (pi theta),
+    and tw_0 = (1 - sin theta / theta) / pi, both without cancellation."""
+    theta = np.pi / n_steps
+    weights = 4.0 * np.sin(theta / 2) ** 2 / (np.pi * theta) * np.sin(np.arange(n_steps) * theta)
+    # 1 - sin(theta) / theta by its alternating series
+    weights[0] = sum((-1) ** (m + 1) * theta ** (2 * m) / math.factorial(2 * m + 1)
+                     for m in range(1, 25)) / np.pi
+    return weights
+
+
+@pytest.mark.parametrize("n_steps,gap", [
+    (1, 7.9e-6), (2, 1.6e-7), (4, 8.2e-10), (8, 6.5e-12), (16, 5.1e-14),
+    (32, None), (256, None), (4096, None),
+])
+def test_time_weights_gap_to_the_uniform_closed_form(n_steps, gap):
+    # the figures time_weights states: the 4-point Gauss rule's gap relative
+    # to the largest weight, and round-off alone from 32 steps on
+    ref = _uniform_time_weights(n_steps)
+    weights = solver.time_weights(solver.TimeGrid.uniform(1.0, n_steps))
+    measured = np.max(np.abs(weights - ref)) / np.max(np.abs(ref))
+    if gap is None:
+        assert measured <= 4 * np.finfo(float).eps
+    else:
+        assert measured == pytest.approx(gap, rel=0.05)
+
+
 def _whole_grid_time_weights(grid):
     """time_weights formed on the whole grid at once, the order of its sums kept."""
     t, w = fem.interval_gauss(grid.nodes, 4)
@@ -82,6 +112,20 @@ def test_time_weights_belong_to_their_grid(grid):
     # a grid with the same nodes has its own, equal weights
     same = solver.TimeGrid(grid.nodes.copy())
     assert same.weights is not weights and np.array_equal(same.weights, weights)
+
+
+def test_array_dataclasses_compare_by_identity():
+    # TimeGrid, Discretization and SpatialPair hold arrays, so a generated
+    # __eq__ would raise on the truth value of an array; they compare and
+    # hash as objects
+    disc = make_disc(n_cells=4, n_steps=4)
+    twin = make_disc(n_cells=4, n_steps=4)
+    same_parts = solver.Discretization(pair=disc.pair, grid=disc.grid)
+    for obj, other in ((disc.grid, twin.grid), (disc, twin), (disc, same_parts),
+                       (disc.pair, twin.pair)):
+        assert (obj == obj) is True and (obj == other) is False
+        assert (obj != other) is True
+        assert {obj: 1, other: 2}[obj] == 1 and hash(obj) == hash(obj)
 
 
 def test_time_grid_guards():

@@ -59,23 +59,26 @@ SOLVE_HEADER = ["interval", "t", "dof", "value"]
 # holds beside the state float64 (N, n_dof) arrays of one path and
 # float64 values per interval: solve the path's interval values;
 # convergence those, their product with S and the Gauss points, weights
-# and profile values of oracle.exact_error; moments none, it sums the
-# state in place
-AFTER_SWEEP = {"moments": (0, 0), "convergence": (2, 25), "solve": (1, 0)}
+# and profile values of oracle.exact_error
+AFTER_SWEEP = {"convergence": (2, 25), "solve": (1, 0)}
 # float64 values per time step held throughout: the grid's nodes, the
-# time weights and the widths the sweep reads
+# time weights and the widths the sweep reads. It also bounds the grid
+# while TimeGrid checks its nodes. Before the first sweep of a grid,
+# solver.time_weights holds at most three values per step beside the
+# nodes, which the sweep's count, at least two per step, covers
 GRID_VALUES = 3
-# float64 temporaries per interval of one block of solver.time_weights,
-# which the first sweep of a grid runs before it allocates its state
-TIME_WEIGHTS_VALUES = 32
+# float64 (P, n_dof) arrays solver.uniform_energy holds at peak for the
+# P paths of a moments rung, its vectors of n_dof values included (P is
+# at least 4, the largest size of a ladder of four)
+MOMENT_ARRAYS = 9
 # bytes one block of a rung's paths holds while it steps, its state and
 # its two windows of step factors, unless one path alone needs more
 _BLOCK_BYTES = 1 << 23
 # float64 (n_dof, N, N) stacks the constants of one infsup node hold at
-# peak: while mode_blocks sums the test Gram, the bilinear and trial
-# blocks, the Gram's two terms and their sum; discrete_infsup then holds
-# four, the three blocks and one work stack
-NODE_STACKS = 5
+# peak: the bilinear, trial and test blocks of mode_blocks and one work
+# stack of discrete_infsup, beside the numpy buffer (np.getbufsize()
+# values) of its broadcast row scalings
+NODE_STACKS = 4
 
 
 class ResourceCapError(RuntimeError):
@@ -257,16 +260,16 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
                     paths: int = 1, space_time: bool = False):
     """Mesh, spatial pair and uniform time grid of one configuration.
 
-    Before any matrix is built, the spatial dofs of a pathwise sweep, or
+    Before any matrix is built, the spatial dofs of a pathwise run, or
     the space-time trial size (dofs times steps) of infsup, must be within
     the cap, and what one parameter node of infsup, or a pathwise run of
     a rung of that many paths, holds at peak must fit in memory. For the
-    latter the count is GRID_VALUES per step, held throughout, plus the
-    larger of the time weights' block temporaries and one block's sweep
-    with what its subcommand then holds (AFTER_SWEEP) and the temporaries
-    of the spatial operators (fem.kron_temporaries). The pair itself is
-    O(n_dof) plus its 1-D matrices: it never forms an n_dof x n_dof
-    matrix.
+    latter the count is, for moments, the grid's nodes and MOMENT_ARRAYS
+    of the rung's paths and dofs, and for the others GRID_VALUES per
+    step, held throughout, plus one block's sweep with what its
+    subcommand then holds (AFTER_SWEEP) and the temporaries of the
+    spatial operators (fem.kron_temporaries). The pair itself is O(n_dof)
+    plus its 1-D matrices: it never forms an n_dof x n_dof matrix.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
@@ -274,81 +277,77 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         kind = "trial" if space_time else "spatial"
         raise ResourceCapError(f"{kind} size {size} exceeds cap {config.max_dofs}")
     if space_time:
-        _check_memory(8 * NODE_STACKS * mesh.n_dof * n_steps ** 2,
+        _check_memory(8 * (NODE_STACKS * mesh.n_dof * n_steps ** 2 + np.getbufsize()),
                       f"an infsup node of {mesh.n_dof} x {n_steps} x {n_steps} blocks")
+    elif config.subcommand == "moments":
+        # the grid while TimeGrid checks it, or its nodes and the rung's arrays
+        rung = MOMENT_ARRAYS * paths * mesh.n_dof
+        _check_memory(8 * max(GRID_VALUES * n_steps, n_steps + rung),
+                      f"a moments rung of {paths} x {mesh.n_dof}")
     else:
         block = min(paths, _block_paths(n_steps, mesh.n_dof))
         window = min(n_steps, solver.SWEEP_WINDOW) + 1
         arrays, values = AFTER_SWEEP[config.subcommand]
         after = n_steps * (arrays * mesh.n_dof + values) + fem.kron_temporaries(mesh)
         sweep = block * mesh.n_dof * n_steps + max(2 * window * block * mesh.n_dof, after)
-        weights = TIME_WEIGHTS_VALUES * min(n_steps, solver.TIME_WEIGHTS_BLOCK)
-        _check_memory(8 * (GRID_VALUES * n_steps + max(weights, sweep)),
+        _check_memory(8 * (GRID_VALUES * n_steps + sweep),
                       f"a {n_steps} x {block} x {mesh.n_dof} sweep block")
     grid = solver.TimeGrid.uniform(1.0, n_steps)
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
 
 
-def _rung(model, disc, nodes, block_values) -> np.ndarray:
-    """Per-path values of one quadrature rung, nan where a path is flagged.
-
-    A path is flagged if its a is not finite or not positive, its c0 is
-    not finite, or a step of its sweep is not finite. The other paths are
-    swept together, _block_paths at a time, and block_values(a, c0, z,
-    cols) returns the values of the block's paths cols, with their
-    diffusion values and forcing amplitudes, from the block's sweep z.
-    """
+def _paths(model, nodes) -> tuple:
+    """(a, c0, valid): every node's diffusion value and forcing amplitude,
+    and the indices of the paths that can be solved, whose a is finite
+    and positive and whose c0 is finite. The others are flagged."""
     a = np.array([model.a(w) for w in nodes])
     c0 = np.array([model.c0(w) for w in nodes])
-    values = np.full(len(nodes), math.nan)
     (valid,) = np.nonzero(np.isfinite(a) & (a > 0) & np.isfinite(c0))
-    size = _block_paths(disc.grid.n_intervals, disc.n_dof)
-    for start in range(0, len(valid), size):
-        paths = valid[start:start + size]
-        z, finite = solver.sweep(disc, a[paths], c0[paths])
-        (cols,) = np.nonzero(finite)
-        done = paths[cols]
-        values[done] = block_values(a[done], c0[done], z, cols)
-        del z  # so that the next block's sweep does not find this state alive
-    return values
+    return a, c0, valid
 
 
-def _moment_values(model, disc, nodes) -> np.ndarray:
+def _moment_values(model, pair, n_steps: int, nodes) -> np.ndarray:
     """Pathwise indicators a(w)^(-1/2) ||U||_Y tracked by the moment ladders.
 
     The plain energy norm of the solution stays bounded when the
     coercivity degenerates, because the smooth mode forcing is not
     amplified by 1/a. Scaling by a^(-1/2) restores the sensitivity of
     the estimates to the coercivity law, which is what the moment
-    experiments are designed to expose. In the eigenbasis the squared
-    norm is sum_j k_j sum_n lam_n z_jn^2, summed in place of z.
+    experiments are designed to expose. The squared norm on the uniform
+    grid of n_steps comes in closed form (solver.uniform_energy), with no
+    step loop. A path is nan where it is flagged: by _paths, or because
+    its indicator is not finite.
     """
-    lam = disc.pair.eigenvalues
-
-    def indicators(a, c0, z, cols):
-        with np.errstate(over="ignore"):
-            np.square(z, out=z)
-            # one 2-D product: a stacked one would copy z
-            energy = (z.reshape(-1, len(lam)) @ lam).reshape(len(z), -1)
-            energy = disc.grid.widths @ energy
-        return np.sqrt(energy[cols]) / np.sqrt(a)
-
-    return _rung(model, disc, nodes, indicators)
+    a, c0, valid = _paths(model, nodes)
+    values = np.full(len(nodes), math.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = solver.uniform_energy(pair, n_steps, a[valid], c0[valid])
+        indicators = np.sqrt(energy) / np.sqrt(a[valid])
+    values[valid] = np.where(np.isfinite(indicators), indicators, math.nan)
+    return values
 
 
 def _mode_errors(model, disc, nodes) -> np.ndarray:
-    """Energy-norm errors against the exact mode solution, one per path.
+    """Energy-norm errors against the exact mode solution, nan where a path is flagged.
 
-    oracle.exact_error takes each path's interval values in turn.
+    A path is flagged by _paths or because a step of its sweep is not
+    finite. The other paths are swept together, _block_paths at a time,
+    and oracle.exact_error takes each path's interval values in turn.
     """
     pair = disc.pair
-
-    def errors(a, c0, z, cols):
-        return [oracle.exact_error(oracle.ModeSolution.for_dim(a_p, c0_p, pair.mesh.dim),
-                                   disc, pair.from_modes(z[:, col]))[0]
-                for a_p, c0_p, col in zip(a.tolist(), c0.tolist(), cols)]
-
-    return _rung(model, disc, nodes, errors)
+    a, c0, valid = _paths(model, nodes)
+    errors = np.full(len(nodes), math.nan)
+    size = _block_paths(disc.grid.n_intervals, disc.n_dof)
+    for start in range(0, len(valid), size):
+        paths = valid[start:start + size]
+        z, finite = solver.sweep(disc, a[paths], c0[paths])
+        for col in np.nonzero(finite)[0]:
+            path = paths[col]
+            mode = oracle.ModeSolution.for_dim(float(a[path]), float(c0[path]),
+                                               pair.mesh.dim)
+            errors[path] = oracle.exact_error(mode, disc, pair.from_modes(z[:, col]))[0]
+        del z  # so that the next block's sweep does not find this state alive
+    return errors
 
 
 def run_moments(config: ExperimentConfig):
@@ -373,7 +372,7 @@ def run_moments(config: ExperimentConfig):
     for n_quad in config.quad_ladder:
         nodes, weights = stochastic.quadrature(domain, n_quad,
                                                avoid=model.singular_points)
-        values = _moment_values(model, disc, nodes)
+        values = _moment_values(model, disc.pair, disc.grid.n_intervals, nodes)
         for p in config.p_values:
             est, flagged = stochastic.lp_norm(p, values, weights)
             estimates[p].append(est)
@@ -519,7 +518,7 @@ _OPTIONS = {
     "--seed": ("seed", "accepted for compatibility; has no effect, every rule is "
                "deterministic"),
     "--jobs": ("jobs", "accepted for compatibility; has no effect, the paths of a "
-               "rung share one step loop"),
+               "rung are solved together in one process"),
     "--omega": ("omega", "parameter value of the solve"),
 }
 

@@ -60,7 +60,8 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray, name: str, band: int) -> 
     structured path overwrites rhs with the result, the dense path
     returns a new array.
     """
-    # a masked reduction, with no stack-sized temporary
+    # a masked reduction: its temporaries take one byte per entry, an
+    # eighth of the stack
     if np.any(gram, where=np.tri(gram.shape[-1], k=-band - 1, dtype=bool)):
         try:
             factor = np.linalg.cholesky(gram)
@@ -70,13 +71,12 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray, name: str, band: int) -> 
     pivots = np.diagonal(gram, axis1=-2, axis2=-1).copy()
     sub = np.diagonal(gram, offset=-1, axis1=-2, axis2=-1)
     if band:
-        square = sub ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             for j in range(1, pivots.shape[-1]):
-                pivots[..., j] -= square[..., j - 1] / pivots[..., j - 1]
+                pivots[..., j] -= sub[..., j - 1] ** 2 / pivots[..., j - 1]
     if not np.all(pivots > 0):
         raise ValueError(f"{name} gram matrix is not positive definite")
-    root = np.sqrt(pivots)
+    root = np.sqrt(pivots, out=pivots)
     rhs /= root[..., None]
     if band:
         gain = sub / root[..., :-1] / root[..., 1:]

@@ -11,7 +11,10 @@ step is n_dof scalar recurrences, with no factorization per path or step.
 The paths of a parameter rung share one step loop (sweep): its state is
 one (N, P, n_dof) array of modal coefficients, and the step factors are
 formed SWEEP_WINDOW steps at a time, in two (SWEEP_WINDOW + 1, P, n_dof)
-arrays, so each path's values are those of a sweep of it alone.
+arrays, so each path's values are those of a sweep of it alone. On the
+uniform grid of [0, 1] the recurrence of each path and mode has the same
+gain at every step, so its energy norm has a closed form
+(uniform_energy), with no step loop; the loop is its test oracle.
 
 The module also evaluates the space-time norms attached to the pair:
 the trial energy norm, its weighted variant, and the weighted test
@@ -25,8 +28,8 @@ and M S^-1 M, or of one N x N block per mode in the eigenbasis
 of the trial function on each of the N time intervals.
 
 Every path solves the stock problem: forcing c0(w) sin(pi t) phi_1 and
-a zero initial datum. Its time profile gives each grid its time weights
-(TimeGrid.weights), its spatial mode gives the pair its load vector
+a zero initial datum. Its time profile gives each grid its exact time
+weights (TimeGrid.weights), its spatial mode gives the pair its load vector
 (SpatialPair.mode_vector), so the data of a path are its coefficient
 object alone: any object with scalar methods a(w) and c0(w).
 """
@@ -41,8 +44,6 @@ from .fem import SpatialPair, _frozen, interval_gauss
 
 # time steps whose step factors sweep forms at once
 SWEEP_WINDOW = 32
-# time intervals whose Gauss values time_weights forms at once
-TIME_WEIGHTS_BLOCK = 1024
 
 __all__ = [
     "TimeGrid",
@@ -51,6 +52,7 @@ __all__ = [
     "time_weights",
     "assemble_load",
     "sweep",
+    "uniform_energy",
     "solve_pathwise",
     "mode_blocks",
     "assemble_full_system",
@@ -149,32 +151,59 @@ def _check_a(a: float) -> float:
     return a
 
 
+def _hat_integrals(nodes: np.ndarray) -> tuple:
+    """Integrals of sin(pi t) against the falling and the rising temporal hat
+    of each interval between consecutive nodes, (left, right).
+
+    Exact: with the interval's midpoint m and phi = pi k / 2,
+
+        left + right = 2 sin(pi m) sin(phi) / pi
+        right - left = 2 cos(pi m) (sin(phi) - phi cos(phi)) / (pi phi)
+
+    where (sin(phi) - phi cos(phi)) / phi is summed from its Taylor series
+    below phi = 0.1, clear of the cancellation of its two terms. Formed in
+    place: besides the nodes, at most three arrays of one value per
+    interval are alive at once, the two results included.
+    """
+    phi = np.diff(nodes)
+    phi *= 0.5 * np.pi
+    odd = np.cos(phi)
+    odd *= phi
+    np.subtract(np.sin(phi), odd, out=odd)
+    odd /= phi
+    # sum over n >= 1 of (-1)^(n+1) 2n phi^(2n) / (2n + 1)!, to n = 6, by Horner
+    work = np.square(phi)
+    work /= 518918400
+    for n in (3991680, 45360, 840, 30, 3):
+        np.subtract(1 / n, work, out=work)
+        work *= phi
+        work *= phi
+    np.copyto(odd, work, where=phi < 0.1)
+    np.sin(phi, out=phi)
+    # times cos(pi m) and sin(pi m), pi m formed in work for each
+    for part, trig in ((odd, np.cos), (phi, np.sin)):
+        np.add(nodes[:-1], nodes[1:], out=work)
+        work *= 0.5 * np.pi
+        part *= trig(work, out=work)
+    phi /= np.pi
+    odd /= np.pi
+    # left = phi - odd, right = phi + odd
+    phi -= odd
+    odd *= 2.0
+    odd += phi
+    return phi, odd
+
+
 def time_weights(grid: TimeGrid) -> np.ndarray:
     """Integrals of sin(pi t) against the temporal test hats at nodes t_0..t_{N-1}.
 
-    Evaluated with 4-point Gauss per interval. On the uniform grid of
-    [0, 1] the gap to the closed form (C sin(j theta) with theta = pi / N,
-    tw_0 = (1 - sin theta / theta) / pi), relative to the largest weight,
-    is 7.9e-6 at 1 step, 1.6e-7 at 2, 8.2e-10 at 4, 6.5e-12 at 8 and
-    5.1e-14 at 16; from 32 steps to 4,096 it is round-off, at most
-    4 machine epsilons. The intervals are taken
-    TIME_WEIGHTS_BLOCK at a time, so the Gauss temporaries stay bounded
-    whatever the number of steps.
+    Exact on every grid: the hat at t_j collects the falling half of
+    interval j and the rising half of interval j - 1 (_hat_integrals).
     """
-    nodes = grid.nodes
-    # one entry per node: the hat at t_N is not a test function
-    weights = np.zeros(len(nodes))
-    for start in range(0, grid.n_intervals, TIME_WEIGHTS_BLOCK):
-        part = nodes[start:start + TIME_WEIGHTS_BLOCK + 1]
-        t, w = interval_gauss(part, 4)
-        t0, t1 = part[:-1, None], part[1:, None]
-        k = t1 - t0
-        wg = w * np.sin(np.pi * t)
-        # hat at the left node falls from 1 to 0 across the interval, the
-        # hat at the right node rises
-        weights[start:start + len(k)] += np.sum(wg * (t1 - t) / k, axis=1)
-        weights[start + 1:start + 1 + len(k)] += np.sum(wg * (t - t0) / k, axis=1)
-    return weights[:-1]
+    left, right = _hat_integrals(grid.nodes)
+    # the hat at t_N is not a test function
+    left[1:] += right[:-1]
+    return left
 
 
 def assemble_load(coeffs, disc: Discretization, omega: float) -> np.ndarray:
@@ -245,6 +274,63 @@ def sweep(disc: Discretization, a, c0) -> tuple:
     return z, finite
 
 
+def uniform_energy(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
+    """Squared trial energy norms of P paths on the uniform grid of [0, 1].
+
+    The value sum_j k sum_n lam_n z_jn^2 of each path's coefficients z
+    from sweep on TimeGrid.uniform(1.0, n_steps), in closed form: no step
+    loop and nothing of size N. a and c0 are as in sweep; a path whose
+    sum overflows gets inf or nan.
+
+    With k = 1 / N and theta = pi k the time weights are tw_0 and
+    tw_j = C sin(j theta) for j >= 1, C = 4 sin^2(theta / 2) / (pi^2 k).
+    Per path and mode, x = a lam k / 2 and g = (1 - x) / (1 + x) hold at
+    every step, so the sweep's recurrence y_j = g y_{j-1} + s sin(j theta),
+    s = c0 C beta / (1 + x), has the exact solution
+
+        y_j = Im(Q e^{ij theta}) + h g^j,  Q = s / (1 - g e^{-i theta}),
+        h = y_0 - Im Q,  y_0 = c0 tw_0 beta / (1 + x).
+
+    For N >= 2 the sum of e^{2ij theta} vanishes, and so does the cross
+    term, since Q / (1 - g e^{i theta}) = s / |1 - g e^{-i theta}|^2 is real:
+
+        sum_j y_j^2 = N |Q|^2 / 2 + h^2 (1 - g^{2N}) / (1 - g^2)
+
+    For N = 1 the sum is y_0^2. Every factor is formed without
+    cancellation: with u = x / (1 + x), v = 1 / (1 + x) and
+    sigma = sin^2(theta / 2), |1 - g e^{-i theta}|^2 = 4 (u^2 (1 - sigma)
+    + v^2 sigma), (1 + x) h = c0 beta (tw_0 + C g sin(theta) / that) and
+    h^2 / (1 - g^2) = ((1 + x) h)^2 / (4x), with log|g| =
+    log1p(-2 min(u, v)) and 1 - g^{2N} = -expm1(2N log|g|).
+    """
+    k = 1.0 / n_steps
+    lam = pair.eigenvalues
+    # lam_n beta_n^2 and k c0^2: the sums below are per unit (c0 beta_n)^2
+    weight = lam * np.square(pair.to_modes(pair.mode_vector()))
+    scale = k * np.square(np.asarray(c0, dtype=float))
+    tw0 = _hat_integrals(np.array([0.0, k]))[0][0]
+    # an x that underflows (a tiny a) is raised to the least normal float,
+    # where the sums take their undamped x -> 0 limit, as the loop does,
+    # instead of 0 / 0
+    x = np.multiply.outer(k * (0.5 * np.asarray(a, dtype=float)), lam)
+    np.maximum(x, np.finfo(float).tiny, out=x)
+    v = 1.0 / (1.0 + x)
+    if n_steps == 1:
+        return scale * (np.square(tw0 * v) @ weight)
+    theta = np.pi * k
+    sigma = np.sin(0.5 * theta) ** 2
+    c = 4.0 * sigma / (np.pi ** 2 * k)
+    u = x * v
+    mod = 4.0 * (u * u * (1.0 - sigma) + v * v * sigma)
+    with np.errstate(divide="ignore"):
+        # 1 - g^2N, with g = 0 at x = 1
+        decay = -np.expm1(2 * n_steps * np.log1p(-2.0 * np.minimum(u, v)))
+    # ((1 + x) h)^2 (1 - g^2N) / (4x) + N |Q|^2 / 2, with g = (1 - x) v
+    total = np.square(tw0 + c * np.sin(theta) * (1.0 - x) * v / mod) * decay / (4.0 * x)
+    total += 0.5 * n_steps * np.square(c * v) / mod
+    return scale * (total @ weight)
+
+
 def solve_pathwise(coeffs, disc: Discretization, omega: float) -> np.ndarray:
     """Solve the space-time system of one parameter value by forward substitution.
 
@@ -273,6 +359,15 @@ def _temporal_factors(grid: TimeGrid) -> tuple:
     return upper - eye, 0.5 * (eye + upper)
 
 
+def _test_gram_bands(jump, mean, k, mu: np.ndarray) -> list:
+    """The (P, N - |offset|) bands of D'K^-1 D / mu + mu A'KA at the
+    offsets 0, 1 and -1, from the bands of the two N x N temporal products,
+    which are gone once it returns."""
+    dual, energy = jump.T @ (jump / k[:, None]), mean.T @ (k[:, None] * mean)
+    return [np.diagonal(dual, offset) / mu + mu * np.diagonal(energy, offset)
+            for offset in (0, 1, -1)]
+
+
 def mode_blocks(grid: TimeGrid, mu) -> tuple:
     """(P, N, N) stacks of the blocks of P modes, for mu = a lam.
 
@@ -280,14 +375,23 @@ def mode_blocks(grid: TimeGrid, mu) -> tuple:
     the ``Y_omega`` and ``X_omega_hk`` Grams are, with the jump D and the
     interval mean A of _temporal_factors and K = diag(widths),
     B = mu A'K - D', G_Y = mu K and G_X = D'K^-1 D / mu + mu A'KA + e_0 e_0'.
+    G_X is tridiagonal: its bands go into one zeroed stack, with the bits
+    of the dense sum.
     """
-    mu = np.asarray(mu, dtype=float)[:, None, None]
+    mu = np.asarray(mu, dtype=float)[:, None]
     jump, mean = _temporal_factors(grid)
     k = grid.widths
+    n = len(k)
+    bands = _test_gram_bands(jump, mean, k, mu)
+    gram_test = np.zeros((len(mu), n, n))
+    # the main, first super- and first subdiagonal of each flattened block
+    flat = gram_test.reshape(len(mu), n * n)
+    for band, start in zip(bands, (0, 1, n)):
+        flat[:, start::n + 1] = band
+    gram_test[:, 0, 0] += 1.0
+    mu = mu[:, :, None]
     bilinear = mu * (mean.T * k) - jump.T
     gram_trial = mu * np.diag(k)
-    gram_test = jump.T @ (jump / k[:, None]) / mu + mu * (mean.T @ (k[:, None] * mean))
-    gram_test[:, 0, 0] += 1.0
     return bilinear, gram_trial, gram_test
 
 

@@ -245,10 +245,10 @@ def _patch_physical_memory(monkeypatch, pages):
 
 
 @pytest.mark.parametrize("pages,steps,need", [
-    # 3 grid values per step, then the 32 temporaries per step of the time
-    # weights, which outweigh the 7,000-value sweep and its solution
-    (10, 1000, "a 1000 x 1 x 7 sweep block needs 280000 bytes"),
-    # the 28,000 counted bytes fit, and the report is written one interval
+    # 3 grid values per step, the 7,000-value sweep and the solution of as
+    # many values held after it
+    (10, 1000, "a 1000 x 1 x 7 sweep block needs 136000 bytes"),
+    # the 13,600 counted bytes fit, and the report is written one interval
     # at a time beside the solution they count
     (11, 100, None),
     (40, 100, None),
@@ -271,9 +271,10 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("steps,code", [(32, cli.EXIT_RESOURCE), (16, cli.EXIT_OK)])
 def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
                                                           steps, code):
-    # a node holds 5 stacks of 7 modes' steps x steps float64 blocks:
-    # 286,720 bytes at 32 steps, 71,680 at 16, against 204,800 of memory;
-    # a 32 x 7 sweep would fit
+    # a node holds 4 stacks of 7 modes' steps x steps float64 blocks and
+    # numpy's buffer of 8,192 values: 294,912 bytes at 32 steps, 122,880 at
+    # 16, against 204,800 of memory; a 32 x 7 sweep would fit
+    assert np.getbufsize() == 8192
     _patch_physical_memory(monkeypatch, 50)
     out = tmp_path / "x.csv"
     result, err = _main(["infsup", "--cells", "8", "--steps", str(steps),
@@ -281,7 +282,7 @@ def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monk
     assert result == code
     if code == cli.EXIT_RESOURCE:
         assert err == ["stpg: resource cap: an infsup node of 7 x 32 x 32 blocks "
-                       f"needs {5 * 8 * 7 * 32 * 32} bytes, more than the 204800 "
+                       f"needs {8 * (4 * 7 * 32 * 32 + 8192)} bytes, more than the 204800 "
                        "bytes of physical memory"]
         assert list(tmp_path.iterdir()) == []
     else:
@@ -300,8 +301,8 @@ def _traced_peak(work):
 
 
 @pytest.mark.parametrize("cells,steps,oracle", [
-    (64, 1000, False),  # 63 dofs: blocks of 15 paths and their step windows
-    (64, 5000, False),  # 63 dofs: 16 paths in blocks of 3
+    (64, 1000, False),  # 63 dofs: the rung's arrays outweigh the grid
+    (64, 5000, False),  # 63 dofs: TimeGrid's checks on the grid outweigh the rung
     (2, 20000, True),  # 1 dof: one block, then the 25 values per interval of the oracle
     (64, 5000, True),  # 63 dofs: blocks of 3, then one path's arrays in the oracle
 ])
@@ -321,11 +322,19 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, orac
         return sweep(disc, a, c0)
 
     monkeypatch.setattr(solver, "sweep", recording)
-    rung = cli._mode_errors if oracle else cli._moment_values
-    peak = _traced_peak(lambda: rung(model, disc, nodes))
-    block = min(16, cli._block_paths(steps, disc.n_dof))
-    # _traced_peak runs the rung twice
-    assert blocks == 2 * [min(block, 16 - start) for start in range(0, 16, block)]
+    if oracle:
+        peak = _traced_peak(lambda: cli._mode_errors(model, disc, nodes))
+        block = min(16, cli._block_paths(steps, disc.n_dof))
+        # _traced_peak runs the rung twice
+        assert blocks == 2 * [min(block, 16 - start) for start in range(0, 16, block)]
+    else:
+        # the grid and the closed-form rung on it, with no sweep
+        def rung():
+            grid = solver.TimeGrid.uniform(1.0, steps)
+            return cli._moment_values(model, disc.pair, grid.n_intervals, nodes)
+
+        peak = _traced_peak(rung)
+        assert blocks == []
     (counted,) = checked
     assert 0.85 * counted <= peak <= 1.05 * counted
 
@@ -370,8 +379,8 @@ def test_solve_report_holds_one_interval_beside_the_solution(dim, cells, steps):
 
 @pytest.mark.parametrize("cells", [2, 8])  # 1 and 7 dofs
 def test_memory_count_covers_the_time_weights(monkeypatch, cells):
-    # at 20,000 steps the grid, the time weights and their Gauss
-    # temporaries outweigh a sweep of few dofs
+    # at 20,000 steps the grid and the time weights' temporaries outweigh
+    # a sweep of few dofs, and the sweep's count covers them
     config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=1,
                                   n_cells=(cells,), n_steps=(20000,))
     checked = []
@@ -388,9 +397,8 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
         tracemalloc.stop()
     (counted,) = checked
     assert peak <= counted
-    # the Gauss temporaries are those of one block, not of every step
-    block = 8 * cli.TIME_WEIGHTS_VALUES * solver.TIME_WEIGHTS_BLOCK
-    assert 8 * 20000 <= weights_peak <= 8 * 20001 + block
+    # the weights, two more values and a mask per step beside the nodes
+    assert 8 * 20000 <= weights_peak <= (8 * 3 + 1) * 20000 + 4096
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,9 +446,14 @@ def test_no_cli_path_forms_a_dense_2d_matrix(tmp_path, capsys, monkeypatch, argv
     ["moments", "--n-quad-ladder", "4,8,16,32"],
     ["solve"],
 ], ids=lambda argv: argv[0])
-def test_64_cell_2d_runs_stay_far_below_one_dense_matrix(tmp_path, capsys, argv):
+def test_64_cell_2d_runs_stay_far_below_one_dense_matrix(tmp_path, capsys, monkeypatch,
+                                                        argv):
     # 3,969 dofs: one dense 2-D matrix is 126 MB
     out = tmp_path / "x.csv"
+    checked = []
+    check = cli._check_memory
+    monkeypatch.setattr(cli, "_check_memory",
+                        lambda need, what: checked.append(need) or check(need, what))
     tracemalloc.start()
     try:
         code = _main([*argv, "--dim", "2", "--cells", "64", "--steps", "8",
@@ -449,14 +462,16 @@ def test_64_cell_2d_runs_stay_far_below_one_dense_matrix(tmp_path, capsys, argv)
     finally:
         tracemalloc.stop()
     assert code == (cli.EXIT_OK, [])
-    assert peak < 16e6
+    # the memory check counts the peak, and both stay far below
+    (counted,) = checked
+    assert peak <= 1.05 * counted < 16e6
 
 
 def test_infsup_memory_count_pins_the_traced_peak():
     config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, n_cells=(4,),
                                   n_steps=(128,), quad_ladder=(2,))
     peak = _traced_peak(lambda: cli.run_infsup(config))
-    counted = 8 * cli.NODE_STACKS * 3 * 128 ** 2
+    counted = 8 * (cli.NODE_STACKS * 3 * 128 ** 2 + np.getbufsize())
     assert 0.95 * counted <= peak <= 1.05 * counted
 
 
@@ -847,16 +862,36 @@ def test_rung_values_match_the_per_path_solves(monkeypatch, dim, degree, grid,
                                                block_bytes):
     if block_bytes is not None:
         monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+    model = _node_model()
+    nodes = np.arange(len(_NODES), dtype=float)
+    # the moment indicators come in closed form on the uniform grid; the
+    # squares of the c0 = 1e308 path overflow there
+    uniform = _rung_case(dim, degree, "uniform")
+    indicators = cli._moment_values(model, uniform.pair, uniform.grid.n_intervals, nodes)
+    flagged = []
+    for i, w in enumerate(nodes):
+        try:
+            # the c0 = 1e308 path's interval values overflow to nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                sol = solver.solve_pathwise(model, uniform, w)
+                nodal = solver.trial_energy_norm(sol, uniform) / math.sqrt(model.a(w))
+        except solver.PathwiseSolveError:
+            flagged.append(i)
+            continue
+        # the modal indicator against the nodal energy norm
+        if not math.isfinite(nodal):
+            flagged.append(i)
+            continue
+        assert indicators[i] == pytest.approx(nodal, rel=1e-13, abs=0.0)
+    assert flagged == list(range(4, 11))
+    assert np.isnan(indicators[flagged]).all()
     # tenfold time weights, read by the grid before any sweep, so that the
     # steps of the c0 = 1e308 path add up to inf
     time_weights = solver.time_weights
     monkeypatch.setattr(solver, "time_weights", lambda grid: 10.0 * time_weights(grid))
     disc = _rung_case(dim, degree, grid)
-    model = _node_model()
     overflow = reference_sweep(disc, *_NODES[10])
     assert np.isfinite(overflow[0]).all() and not np.isfinite(overflow).all()
-    nodes = np.arange(len(_NODES), dtype=float)
-    indicators = cli._moment_values(model, disc, nodes)
     errors = cli._mode_errors(model, disc, nodes)
     flagged = []
     for i, w in enumerate(nodes):
@@ -865,14 +900,26 @@ def test_rung_values_match_the_per_path_solves(monkeypatch, dim, degree, grid,
         except solver.PathwiseSolveError:
             flagged.append(i)
             continue
-        a, c0 = model.a(w), model.c0(w)
-        # the modal indicator against the nodal energy norm
-        nodal = solver.trial_energy_norm(sol, disc) / math.sqrt(a)
-        assert indicators[i] == pytest.approx(nodal, rel=1e-13, abs=0.0)
-        mode = oracle.ModeSolution.for_dim(a, c0, dim)
+        mode = oracle.ModeSolution.for_dim(model.a(w), model.c0(w), dim)
         assert errors[i] == oracle.exact_error(mode, disc, sol)[0]
     assert flagged == list(range(4, 11))
-    assert np.isnan(indicators[flagged]).all() and np.isnan(errors[flagged]).all()
+    assert np.isnan(errors[flagged]).all()
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
+def test_moments_runs_no_step_loop(tmp_path, capsys, monkeypatch, dim, degree):
+    def step_loop(*args):
+        raise AssertionError("moments ran the step loop")
+
+    monkeypatch.setattr(solver, "sweep", step_loop)
+    config = cli.ExperimentConfig(subcommand="moments", case="b", dim=dim, degree=degree,
+                                  n_cells=(5,), n_steps=(64,), quad_ladder=(4, 8, 16, 32))
+    rows, _, _ = cli.run_moments(config)
+    assert len(rows) == 8 and all(math.isfinite(row[3]) and not row[4] for row in rows)
+    out = tmp_path / "x.csv"
+    assert _main(["moments", "--dim", str(dim), "--degree", str(degree), "--cells", "5",
+                  "--steps", "64", "--out", str(out)], capsys) == (cli.EXIT_OK, [])
+    assert out.exists()
 
 
 @pytest.mark.parametrize("argv", [

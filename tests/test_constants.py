@@ -315,6 +315,19 @@ def _inv_sqrt(gram):
 
 
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_mode_block_test_gram_has_the_bits_of_the_dense_sum(grid):
+    # the tridiagonal test Gram is built from its bands; every entry, the
+    # zeros off the bands included, is that of the two dense terms' sum
+    time_grid = _GRIDS[grid]
+    mu = np.array([1e-6, 0.5, 1.0, 7.0, 1e6])[:, None, None]
+    jump, mean = solver._temporal_factors(time_grid)
+    k = time_grid.widths
+    dense = jump.T @ (jump / k[:, None]) / mu + mu * (mean.T @ (k[:, None] * mean))
+    dense[:, 0, 0] += 1.0
+    assert solver.mode_blocks(time_grid, mu[:, 0, 0])[2].tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
 def test_structured_infsup_matches_symmetric_root_oracle(grid, rng):
     # oracle: G_test^-1/2 B G_trial^-1/2 from eigh roots of the Grams, then
     # an SVD, block by block. The mode blocks themselves have every

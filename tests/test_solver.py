@@ -61,43 +61,43 @@ def _uniform_time_weights(n_steps):
     return weights
 
 
-@pytest.mark.parametrize("n_steps,gap", [
+# the gap_gauss the 4-point Gauss rule had, relative to the largest weight:
+# the exact weights leave round-off alone at every step count
+@pytest.mark.parametrize("n_steps,gap_gauss", [
     (1, 7.9e-6), (2, 1.6e-7), (4, 8.2e-10), (8, 6.5e-12), (16, 5.1e-14),
     (32, None), (256, None), (4096, None),
 ])
-def test_time_weights_gap_to_the_uniform_closed_form(n_steps, gap):
-    # the figures time_weights states: the 4-point Gauss rule's gap relative
-    # to the largest weight, and round-off alone from 32 steps on
+def test_time_weights_gap_to_the_uniform_closed_form(n_steps, gap_gauss):
     ref = _uniform_time_weights(n_steps)
     weights = solver.time_weights(solver.TimeGrid.uniform(1.0, n_steps))
     measured = np.max(np.abs(weights - ref)) / np.max(np.abs(ref))
-    if gap is None:
-        assert measured <= 4 * np.finfo(float).eps
-    else:
-        assert measured == pytest.approx(gap, rel=0.05)
+    assert measured <= 4 * np.finfo(float).eps
 
 
-def _whole_grid_time_weights(grid):
-    """time_weights formed on the whole grid at once, the order of its sums kept."""
-    t, w = fem.interval_gauss(grid.nodes, 4)
-    t0, t1 = grid.nodes[:-1, None], grid.nodes[1:, None]
-    k = t1 - t0
-    wg = w * np.sin(np.pi * t)
-    weights = np.sum(wg * (t1 - t) / k, axis=1)
-    weights[1:] += np.sum(wg * (t - t0) / k, axis=1)[:-1]
-    return weights
+def _blocked_time_weights(grid, block):
+    """time_weights formed on blocks of intervals, each block's grid from
+    its own nodes, the hats at the block edges summed across blocks."""
+    weights = np.zeros(grid.n_intervals + 1)
+    for start in range(0, grid.n_intervals, block):
+        left, right = solver._hat_integrals(grid.nodes[start:start + block + 1])
+        weights[start:start + len(left)] += left
+        weights[start + 1:start + 1 + len(right)] += right
+    return weights[:-1]
 
 
 @pytest.mark.parametrize("n_steps", [1, 1023, 1024, 1025, 2048, 3001])
 def test_blocked_time_weights_are_the_whole_grid_sums(n_steps):
-    assert solver.TIME_WEIGHTS_BLOCK == 1024
+    # an interval's integrals do not depend on the array they are formed
+    # in, so the closed-form energy can read the first weight off a grid
+    # of one interval and a caller may form the weights in blocks
     nodes = np.linspace(0.0, 1.0, n_steps + 1)
     for grid in (solver.TimeGrid(nodes), solver.TimeGrid(nodes ** 3)):
         weights = solver.time_weights(grid)
-        expected = _whole_grid_time_weights(grid)
-        assert weights.shape == (n_steps,)
-        assert np.array_equal(weights, expected)
-        assert np.array_equal(np.signbit(weights), np.signbit(expected))
+        for block in (1, 7, 1024):
+            expected = _blocked_time_weights(grid, block)
+            assert weights.shape == (n_steps,)
+            assert np.array_equal(weights, expected)
+            assert np.array_equal(np.signbit(weights), np.signbit(expected))
 
 
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
@@ -494,3 +494,77 @@ def test_solve_pathwise_names_what_is_not_swept(a, c0, message):
     with pytest.raises(solver.PathwiseSolveError) as exc:
         solver.solve_pathwise(ConstantCoeffs(a=a, c0=c0), disc, 0.0)
     assert str(exc.value) == message
+
+
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
+def test_uniform_energy_is_the_step_loop(dim, n_cells, degree):
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
+    for n_steps in (1, 2, 3, 4, 5, 7, 8, 16, 33, 64, 100, 256, 1024, 4096):
+        disc = solver.Discretization(pair=pair, grid=solver.TimeGrid.uniform(1.0, n_steps))
+        energy = solver.uniform_energy(pair, n_steps, _A, _C0)
+        # the sweep, summed as the moments indicator summed it: squares, one
+        # 2-D product with the eigenvalues, then the widths
+        z, finite = solver.sweep(disc, _A, _C0)
+        assert finite.all()
+        loop = disc.grid.widths @ (np.square(z).reshape(-1, disc.n_dof)
+                                   @ pair.eigenvalues).reshape(n_steps, -1)
+        # the loop's rounded gain compounds over the steps, so its own error
+        # grows as N eps: 3.3e-13 at 4,096 steps against a long double
+        # recurrence, where the closed form stays within 6.1e-16
+        rel = 1e-13 if n_steps <= 1024 else n_steps * _EPS
+        assert energy == pytest.approx(loop, rel=rel, abs=0.0)
+        assert np.array_equal(energy == 0.0, _C0 == 0.0)
+    # an a so small that x = a lam k / 2 underflows: the loop's steps are
+    # undamped, and the closed form takes the same limit
+    tiny = np.array([5e-324, 1e-310])
+    disc = solver.Discretization(pair=pair, grid=solver.TimeGrid.uniform(1.0, 64))
+    z, _ = solver.sweep(disc, tiny, [1.0, 1.0])
+    loop = disc.grid.widths @ (np.square(z) @ pair.eigenvalues)
+    assert solver.uniform_energy(pair, 64, tiny, [1.0, 1.0]) == pytest.approx(
+        loop, rel=1e-13, abs=0.0)
+
+
+def _long_double_energy(pair, n_steps, a, c0):
+    """sum_j k lam z_j^2 of a one-dof pair by the sweep's recurrence in long
+    double, with the uniform grid's closed-form weights."""
+    ld = np.longdouble
+    pi = np.arccos(ld(-1))
+    k = ld(1) / n_steps
+    theta = pi * k
+    # 1 - sin(theta) / theta by its alternating series
+    tw0 = sum((-1) ** (m + 1) * theta ** (2 * m) / ld(math.factorial(2 * m + 1))
+              for m in range(1, 30)) / pi
+    c = 4 * np.sin(theta / 2) ** 2 / (pi ** 2 * k)
+    (lam,), (beta,) = pair.eigenvalues.astype(ld), pair.to_modes(pair.mode_vector()).astype(ld)
+    x = np.asarray(a, dtype=ld) * lam * k / 2
+    gain, amp = (1 - x) / (1 + x), np.asarray(c0, dtype=ld) * beta / (1 + x)
+    y = amp * tw0
+    total = y * y
+    for j in range(1, n_steps):
+        y = gain * y + amp * c * np.sin(j * theta)
+        total += y * y
+    return k * lam * total
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double")
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 1024, 4096])
+def test_uniform_energy_matches_a_long_double_recurrence(n_steps):
+    # one dof, so a sets x = a lam k / 2 directly: x from 1e-9 to 1e6
+    pair = fem.assemble(fem.build_mesh(1, 2, 1))
+    x = np.logspace(-9, 6, 46)
+    a = 2.0 * n_steps * x / pair.eigenvalues[0]
+    c0 = np.where(np.arange(len(x)) % 2, -1.7, 0.6)
+    energy = solver.uniform_energy(pair, n_steps, a, c0)
+    expected = _long_double_energy(pair, n_steps, a, c0).astype(float)
+    assert energy == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_uniform_energy_shares_the_first_time_weight():
+    # the closed form takes tw_0 from the formula of time_weights
+    for n_steps in (1, 2, 7, 64, 4096):
+        grid = solver.TimeGrid.uniform(1.0, n_steps)
+        assert solver._hat_integrals(np.array([0.0, 1.0 / n_steps]))[0][0] == grid.weights[0]

@@ -14,8 +14,9 @@ Kronecker products of them. kron_apply evaluates each as 1-D products,
 in memory O(n_dof) per vector plus O(n_dof_1d^2), with no n_dof x n_dof
 matrix outside the tests' dense oracles. Hat functions (degree 1) need
 numpy only: their eigenpairs have a closed form, the discrete sine
-transform. Quadratic splines (degree 2) load ``scipy.interpolate`` for
-the basis and ``scipy.linalg.eigh`` for the eigenpairs, on first use.
+transform. Quadratic splines (degree 2) need numpy only as well: de
+Boor's recurrence evaluates them, and two symmetric eigh calls give
+their eigenpairs.
 """
 
 import functools
@@ -171,15 +172,10 @@ class SpatialPair:
         """M-orthonormal eigenpairs (lam, V) of the 1-D pair, read-only.
 
         Hat functions have them in closed form (_hat_modes), quadratic
-        splines by a dense generalized eigh.
+        splines by a dense symmetric reduction (_spline_modes).
         """
         if self.mesh.degree == 2:
-            # imported here: only quadratic splines (1-D only, see
-            # build_mesh) need a dense eigensolver, and scipy.linalg
-            # would add to every CLI start
-            from scipy.linalg import eigh
-
-            basis = eigh(self.stiffness_1d, self.mass_1d)
+            basis = _spline_modes(self.mass_1d, self.stiffness_1d)
         else:
             basis = _hat_modes(self.mesh.n_cells)
         return tuple(map(_frozen, basis))
@@ -302,6 +298,21 @@ def _hat_modes(n_cells: int) -> tuple:
     return lam, vecs
 
 
+def _spline_modes(mass: np.ndarray, stiffness: np.ndarray) -> tuple:
+    """M-orthonormal eigenpairs (lam, V) of S V = M V diag(lam), ascending.
+
+    M = Q diag(d) Q' gives R = Q diag(d)^-1/2 with R' M R = I, and the
+    standard eigenpairs (lam, W) of R' S R give V = R W. The spline mass
+    matrix has condition number below 8, so the scaling by d^-1/2
+    amplifies no rounding, and eigh alone does the work: no
+    factorization, no solve.
+    """
+    d, q = np.linalg.eigh(mass)
+    r = q / np.sqrt(d)
+    lam, w = np.linalg.eigh(r.T @ stiffness @ r)
+    return lam, r @ w
+
+
 def _cell_splines(mesh: Mesh, n_points: int, order: int = 0) -> tuple:
     """Gauss points and weights of every cell, with the splines living there.
 
@@ -310,20 +321,32 @@ def _cell_splines(mesh: Mesh, n_points: int, order: int = 0) -> tuple:
     weights of shape (n_cells, n_points); values[c, q, a] is the
     derivative of the given order of spline index[c, a] = c + a at
     point q of cell c.
-    """
-    # imported here: only degree 2 uses splines, and scipy.interpolate
-    # (which loads scipy.optimize) would add to every CLI start
-    from scipy.interpolate import BSpline
 
+    The values come from de Boor's recurrence (de Boor 1972) on knot
+    interval ell = c + 2 of cell c, all cells at once, in the operation
+    order of scipy's BSpline evaluation (_deBoor_D): 2 - order value
+    steps, then order derivative steps. The tests hold the two equal bit
+    for bit, and the energy-error oracle needs the bits of the matrices
+    assembled from them.
+    """
     t = mesh.knots()
-    index = np.arange(mesh.n_cells)[:, None] + np.arange(3)
-    # column r of the coefficients selects the splines j = r mod 3; the
-    # three splines of a cell have distinct residues, so on each cell
-    # every column is exactly one of them
-    basis = BSpline(t, np.eye(3)[np.arange(len(t) - 3) % 3], 2)
     x, w = interval_gauss(np.linspace(0.0, 1.0, mesh.n_cells + 1), n_points)
-    values = np.take_along_axis(basis(x, order), index[:, None, :] % 3, axis=2)
-    return x, w, values, index
+    cell = np.arange(mesh.n_cells)[:, None]
+    ell = cell + 2
+    h = [1.0]
+    for j in (1, 2):
+        hh, h = h, [0.0] * (j + 1)
+        for n in range(1, j + 1):
+            xb, xa = t[ell + n], t[ell + n - j]
+            if j <= 2 - order:
+                step = hh[n - 1] / (xb - xa)
+                h[n - 1] = h[n - 1] + step * (xb - x)
+                h[n] = step * (x - xa)
+            else:
+                step = j * hh[n - 1] / (xb - xa)
+                h[n - 1] = h[n - 1] - step
+                h[n] = step
+    return x, w, np.stack(h, axis=-1), cell + np.arange(3)
 
 
 def _assemble_1d_spline(mesh: Mesh):

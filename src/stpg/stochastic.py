@@ -64,11 +64,13 @@ class ParameterDomain:
         unit = np.asarray(unit, dtype=float)
         if self.kind == "uniform-interval":
             return unit - 0.5
-        # imported here: only the lognormal law needs the normal quantile,
-        # and scipy.special would add to every CLI start
-        from scipy.special import ndtri
+        # imported here: only the lognormal law needs the normal quantile
+        # (Wichura's AS241), and statistics would add its fractions and
+        # decimal imports to every CLI start
+        from statistics import NormalDist
 
-        return np.exp(ndtri(unit))
+        quantile = NormalDist().inv_cdf
+        return np.exp([quantile(u) for u in unit.ravel().tolist()]).reshape(unit.shape)
 
 
 def quadrature(domain: ParameterDomain, n: int, avoid=()) -> tuple:

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import importlib.util
 import io
+import json
 import math
 import os
 import shlex
@@ -1044,8 +1045,9 @@ def test_out_descriptor_link_writes_at_the_shared_offset(tmp_path):
 
 
 def test_cli_import_leaves_out_the_integrator():
-    # no scipy module at all: the integrator, the splines, scipy.linalg
-    # and scipy.special load only on the paths that use them
+    # no scipy module at all: only the test-side gates load it, the
+    # integrator of validate_mode_profile and the eigh of
+    # projection_stability
     code = ("import sys, stpg.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -1054,34 +1056,52 @@ def test_cli_import_leaves_out_the_integrator():
     assert result.stdout.strip() == "[]"
 
 
-# runs the CLI in an interpreter where every scipy import fails
-_NO_SCIPY = ("import sys; sys.modules['scipy'] = None; from stpg.cli import main; "
-             "sys.exit(main(sys.argv[1:]))")
+# runs the CLI on each argument list read from stdin, in one interpreter
+# where every scipy import fails; prints the exit codes and the error of
+# an import of scipy.special made after the runs
+_NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from stpg.cli import main
+codes = [main(argv) for argv in json.load(sys.stdin)]
+try:
+    import scipy.special
+    error = None
+except ModuleNotFoundError as exc:
+    error = repr(exc)
+print(json.dumps([codes, error]))
+"""
+
+# small sizes of each subcommand, and the cases it accepts
+_SCIPY_FREE_RUNS = {
+    "moments": (["--cells", "4", "--steps", "4", "--n-quad-ladder", "4,8,16,32"], "abcd"),
+    "convergence": (["--j-min", "2", "--j-max", "3", "--n-quad-ladder", "4"],
+                    sorted(stochastic._CASES)),
+    "infsup": (["--cells", "4", "--steps", "4,8", "--n-quad-ladder", "2"],
+               sorted(stochastic._CASES)),
+    "solve": (["--cells", "4", "--steps", "8"], sorted(stochastic._CASES)),
+}
 
 
-def test_degree_1_runs_never_load_scipy(tmp_path):
-    for argv in (["moments", "--case", "a", "--n-quad-ladder", "4,8,16,32"],
-                 ["solve"], ["infsup", "--case", "a"]):
-        free, blocked = tmp_path / "free.csv", tmp_path / "blocked.csv"
-        assert _run(argv + ["--out", str(free)]).returncode == 0
-        result = subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv,
-                                 "--out", str(blocked)], capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert blocked.read_bytes() == free.read_bytes()
-    # degree-2 splines and the lognormal rule load scipy: they fail under
-    # the block, which shows it bites, and run without it
-    for argv in (["convergence", "--case", "constant", "--degree", "2",
-                  "--j-max", "3", "--n-quad-ladder", "1"],
-                 ["convergence", "--degree", "2", "--j-max", "3",
-                  "--n-quad-ladder", "4"],
-                 ["infsup", "--case", "lognormal"]):
-        out = tmp_path / "x.csv"
-        result = subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv,
-                                 "--out", str(out)], capture_output=True, text=True)
-        last = result.stderr.splitlines()[-1]
-        assert result.returncode != 0
-        assert last.startswith("ModuleNotFoundError") and "scipy" in last
-        assert _run(argv + ["--out", str(out)]).returncode == 0
+def test_cli_runs_never_load_scipy(tmp_path):
+    # every subcommand and case, in 1-D at degrees 1 and 2 and in 2-D at
+    # degree 1, exits 0 with scipy blocked and writes the bytes of a free
+    # run in this process
+    runs = [[name, "--case", case, "--dim", dim, "--degree", degree, *sizes]
+            for name, (sizes, cases) in _SCIPY_FREE_RUNS.items() for case in cases
+            for dim, degree in (("1", "1"), ("1", "2"), ("2", "1"))]
+    blocked = [argv + ["--out", str(tmp_path / f"{i}.csv")] for i, argv in enumerate(runs)]
+    result = subprocess.run([sys.executable, "-c", _NO_SCIPY], input=json.dumps(blocked),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    codes, error = json.loads(result.stdout)
+    assert len(runs) == 75 and codes == [cli.EXIT_OK] * len(runs)
+    # the block bites
+    assert error.startswith("ModuleNotFoundError") and "scipy" in error
+    free = tmp_path / "free.csv"
+    for i, argv in enumerate(runs):
+        assert cli.main(argv + ["--out", str(free)]) == cli.EXIT_OK
+        assert (tmp_path / f"{i}.csv").read_bytes() == free.read_bytes(), argv
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -263,6 +263,74 @@ def test_spline_assembly_matches_cell_by_cell_reference(n_cells):
             assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _bspline_cell_values(mesh, n_points, order):
+    """Values of fem._cell_splines from scipy's BSpline: coefficient column
+    r selects the splines j = r mod 3, and the three splines of a cell
+    have distinct residues, so each column is exactly one of them."""
+    t = mesh.knots()
+    x, w = fem.interval_gauss(np.linspace(0.0, 1.0, mesh.n_cells + 1), n_points)
+    index = np.arange(mesh.n_cells)[:, None] + np.arange(3)
+    basis = BSpline(t, np.eye(3)[np.arange(len(t) - 3) % 3], 2)
+    return x, w, np.take_along_axis(basis(x, order), index[:, None, :] % 3, axis=2), index
+
+
+def _bspline_assembly(mesh):
+    """Mass, stiffness and mode load vector summed over the cells in the
+    order of fem's assembly, from BSpline values."""
+    n_all = mesh.n_cells + 2
+    mats = []
+    for order in (0, 1):
+        _, w, vals, index = _bspline_cell_values(mesh, 3, order)
+        elem = np.matmul((vals * w[..., None]).transpose(0, 2, 1), vals)
+        full = np.zeros((n_all, n_all))
+        np.add.at(full, (index[:, :, None], index[:, None, :]), elem)
+        mats.append(full[1:-1, 1:-1])
+    x, w, vals, index = _bspline_cell_values(mesh, 5, 0)
+    load = np.zeros(n_all)
+    np.add.at(load, index, np.sum(w[..., None] * vals * np.sin(np.pi * x)[..., None], axis=1))
+    return mats[0], mats[1], load[1:-1]
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 5, 64, 1000])
+def test_spline_recurrence_is_bspline_bit_for_bit(n_cells):
+    mesh = fem.build_mesh(1, n_cells, 2)
+    for n_points in (3, 5):
+        for order in (0, 1):
+            got = fem._cell_splines(mesh, n_points, order)
+            want = _bspline_cell_values(mesh, n_points, order)
+            assert all(_same_bits(g, v) for g, v in zip(got, want)), (n_points, order)
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 5, 8, 32, 64, 1000])
+def test_spline_assembly_is_the_bspline_assembly_bit_for_bit(n_cells):
+    mesh = fem.build_mesh(1, n_cells, 2)
+    pair = fem.assemble(mesh)
+    mass, stiffness, load = _bspline_assembly(mesh)
+    assert _same_bits(pair.mass_1d, mass)
+    assert _same_bits(pair.stiffness_1d, stiffness)
+    assert _same_bits(fem.mode_load_vector(mesh), load)
+    assert _same_bits(pair.mode_vector(), load)
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 5, 8, 17, 32, 64, 256])
+def test_spline_modes_match_generalized_eigh(n_cells):
+    # oracle: scipy's generalized eigh. Every backward-stable solver errs
+    # by about eps * lam_max in each eigenvalue, so the small ones agree
+    # only to that share of lam_max
+    pair = fem.assemble(fem.build_mesh(1, n_cells, 2))
+    mass, stiffness = pair.mass_1d, pair.stiffness_1d
+    lam, vecs = pair.modes()
+    ref = eigh(stiffness, mass, eigvals_only=True)
+    assert np.all(np.diff(lam) > 0)
+    assert np.max(np.abs(lam - ref)) <= 1e-14 * ref[-1]
+    assert np.max(np.abs(vecs.T @ mass @ vecs - np.eye(n_cells))) <= 1e-13
+    assert np.max(np.abs(stiffness @ vecs - mass @ vecs * lam)) <= 1e-12 * np.max(stiffness)
+
+
 @pytest.mark.parametrize("dim,n_cells,degree", [(1, 7, 1), (1, 6, 2), (2, 5, 1)])
 def test_modes_are_m_orthonormal_eigenpairs(dim, n_cells, degree):
     pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))

@@ -62,10 +62,15 @@ def test_midpoint_second_order_convergence():
 def test_lognormal_nodes_through_inverse_cdf():
     domain = stochastic.ParameterDomain(kind="lognormal")
     nodes, weights = stochastic.quadrature(domain, 8)
-    expected = np.exp(ndtri((np.arange(8) + 0.5) / 8))
-    assert np.allclose(nodes, expected, rtol=1e-14)
     assert np.all(nodes > 0)
     assert abs(weights.sum() - 1.0) < 1e-14
+    # the quantile is Wichura's AS241 (statistics.NormalDist); over every
+    # midpoint rule of 1 to 4,096 nodes a node is at most 2.2e-15 relative
+    # from the exp of scipy's ndtri, reached at 2,189 nodes
+    for n in [*range(1, 65), 100, 1000, 1024, 2189, 4095, 4096]:
+        nodes, _ = stochastic.quadrature(domain, n)
+        expected = np.exp(ndtri((np.arange(n) + 0.5) / n))
+        assert np.max(np.abs(nodes / expected - 1.0)) <= 3e-15, n
 
 
 def test_quadrature_guards():

@@ -9,7 +9,6 @@ from .constants import (
     cfl_constant,
     cfl_omega,
     discrete_infsup,
-    projection_stability,
     quasi_opt_ratio,
     theoretical_constants,
     weighted_cfl,
@@ -17,8 +16,10 @@ from .constants import (
 from .fem import Mesh, SpatialPair, assemble, build_mesh, dual_norm
 from .oracle import (
     ModeSolution,
+    dense_infsup,
     exact_error,
     exact_mode_profile,
+    projection_stability,
     semidiscrete_reference,
     validate_mode_profile,
 )

@@ -75,10 +75,12 @@ MOMENT_ARRAYS = 9
 # its two windows of step factors, unless one path alone needs more
 _BLOCK_BYTES = 1 << 23
 # float64 (n_dof, N, N) stacks the constants of one infsup node hold at
-# peak: the bilinear, trial and test blocks of mode_blocks and one work
-# stack of discrete_infsup, beside the numpy buffer (np.getbufsize()
-# values) of its broadcast row scalings
-NODE_STACKS = 4
+# peak: the one work stack of discrete_infsup, beside the numpy buffer
+# (np.getbufsize() values) of its broadcast scalings and NODE_BANDS
+# float64 values per mode and step: the bands of mode_blocks and the
+# pivots, gains and scalings of discrete_infsup
+NODE_STACKS = 1
+NODE_BANDS = 10
 
 
 class ResourceCapError(RuntimeError):
@@ -263,26 +265,30 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     Before any matrix is built, the spatial dofs of a pathwise run, or
     the space-time trial size (dofs times steps) of infsup, must be within
     the cap, and what one parameter node of infsup, or a pathwise run of
-    a rung of that many paths, holds at peak must fit in memory. For the
-    latter the count is, for moments, the grid's nodes and MOMENT_ARRAYS
-    of the rung's paths and dofs, and for the others GRID_VALUES per
-    step, held throughout, plus one block's sweep with what its
-    subcommand then holds (AFTER_SWEEP) and the temporaries of the
-    spatial operators (fem.kron_temporaries). The pair itself is O(n_dof)
-    plus its 1-D matrices: it never forms an n_dof x n_dof matrix.
+    a rung of that many paths, holds at peak must fit in memory. Each
+    count adds the spatial pair's 1-D matrices at their peak
+    (fem.pair_values), which in 1-D are n_dof x n_dof. Beside them it
+    counts, for infsup, one node's stack and bands (NODE_STACKS,
+    NODE_BANDS), for moments, the grid's nodes and MOMENT_ARRAYS of the
+    rung's paths and dofs, and for the others GRID_VALUES per step, held
+    throughout, plus one block's sweep with what its subcommand then
+    holds (AFTER_SWEEP) and the temporaries of the spatial operators
+    (fem.kron_temporaries).
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
     if size > config.max_dofs:
         kind = "trial" if space_time else "spatial"
         raise ResourceCapError(f"{kind} size {size} exceeds cap {config.max_dofs}")
+    pair = fem.pair_values(mesh)
     if space_time:
-        _check_memory(8 * (NODE_STACKS * mesh.n_dof * n_steps ** 2 + np.getbufsize()),
+        node = NODE_STACKS * mesh.n_dof * n_steps ** 2 + NODE_BANDS * mesh.n_dof * n_steps
+        _check_memory(8 * (pair + node + np.getbufsize()),
                       f"an infsup node of {mesh.n_dof} x {n_steps} x {n_steps} blocks")
     elif config.subcommand == "moments":
         # the grid while TimeGrid checks it, or its nodes and the rung's arrays
         rung = MOMENT_ARRAYS * paths * mesh.n_dof
-        _check_memory(8 * max(GRID_VALUES * n_steps, n_steps + rung),
+        _check_memory(8 * (pair + max(GRID_VALUES * n_steps, n_steps + rung)),
                       f"a moments rung of {paths} x {mesh.n_dof}")
     else:
         block = min(paths, _block_paths(n_steps, mesh.n_dof))
@@ -290,7 +296,7 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         arrays, values = AFTER_SWEEP[config.subcommand]
         after = n_steps * (arrays * mesh.n_dof + values) + fem.kron_temporaries(mesh)
         sweep = block * mesh.n_dof * n_steps + max(2 * window * block * mesh.n_dof, after)
-        _check_memory(8 * (GRID_VALUES * n_steps + sweep),
+        _check_memory(8 * (pair + GRID_VALUES * n_steps + sweep),
                       f"a {n_steps} x {block} x {mesh.n_dof} sweep block")
     grid = solver.TimeGrid.uniform(1.0, n_steps)
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)

@@ -136,6 +136,17 @@ def kron_temporaries(mesh: Mesh) -> int:
     return 0 if mesh.dim == 1 else 2 * TENSOR_BLOCK
 
 
+def pair_values(mesh: Mesh) -> int:
+    """Values the spatial pair of a mesh holds at peak while it is built.
+
+    Its 1-D matrices are n_dof_1d x n_dof_1d (n_dof x n_dof in dim 1):
+    mass and stiffness, then the eigenvectors with their temporaries, 5
+    such matrices for hat functions and 6 for splines, of which it keeps
+    3. The workspace of LAPACK inside eigh (splines) is not counted.
+    """
+    return (5 if mesh.degree == 1 else 6) * mesh.n_dof_1d ** 2
+
+
 def _dense(terms) -> np.ndarray:
     """The matrix sum of the Kronecker products of each term's factors."""
     return functools.reduce(np.add, (functools.reduce(np.kron, term) for term in terms))
@@ -324,10 +335,10 @@ def _cell_splines(mesh: Mesh, n_points: int, order: int = 0) -> tuple:
 
     The values come from de Boor's recurrence (de Boor 1972) on knot
     interval ell = c + 2 of cell c, all cells at once, in the operation
-    order of scipy's BSpline evaluation (_deBoor_D): 2 - order value
-    steps, then order derivative steps. The tests hold the two equal bit
-    for bit, and the energy-error oracle needs the bits of the matrices
-    assembled from them.
+    order of the reference B-spline evaluator of the tests: 2 - order
+    value steps, then order derivative steps. The tests hold the two
+    equal bit for bit, and the energy-error oracle needs the bits of the
+    matrices assembled from them.
     """
     t = mesh.knots()
     x, w = interval_gauss(np.linspace(0.0, 1.0, mesh.n_cells + 1), n_points)

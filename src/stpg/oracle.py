@@ -1,4 +1,5 @@
-"""Closed-form reference solutions for the single-eigenmode experiments.
+"""Test oracles: closed-form references and the dense paths the fast ones
+are checked against.
 
 For constant diffusion a and forcing c0 * sin(pi t) * phi_mode, the
 exact solution is c0 * T(t) * phi_mode with a scalar profile T solving
@@ -6,15 +7,21 @@ T' + a * lam * T = sin(pi t), T(0) = 0. This module provides the closed
 form of T, a validation gate against an independent high-order time
 integrator, exact space-time error norms against discrete solutions,
 and a refined-in-time surrogate for the spatially semidiscrete
-solution.
+solution. It also holds the dense inf-sup constants of whole space-time
+systems (dense_infsup), the oracle of constants.discrete_infsup, and a
+two-grid estimate of the energy-norm stability of the L2 projection
+(projection_stability). It is the one module of the package that names
+scipy; validate_mode_profile and projection_stability load it when
+called, and no CLI path calls them.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import interval_gauss
+from .fem import Mesh, assemble, interval_gauss
 from .solver import (
     Discretization,
     TimeGrid,
@@ -28,6 +35,8 @@ __all__ = [
     "validate_mode_profile",
     "exact_error",
     "semidiscrete_reference",
+    "dense_infsup",
+    "projection_stability",
 ]
 
 
@@ -164,3 +173,63 @@ def semidiscrete_reference(coeffs, disc: Discretization, omega: float,
     fine[:, -1] = nodes[1:]
     fine_disc = Discretization(pair=disc.pair, grid=TimeGrid(np.append(nodes[0], fine[:, 1:])))
     return solve_pathwise(coeffs, fine_disc, omega), fine_disc
+
+
+def dense_infsup(bilinear: np.ndarray, gram_trial: np.ndarray,
+                 gram_test: np.ndarray) -> tuple:
+    """Inf-sup and continuity constants of dense matrices, the oracle of
+    constants.discrete_infsup.
+
+    The smallest and largest singular values of L_test^-1 B L_trial^-T by
+    np.linalg.cholesky, np.linalg.solve and a dense SVD: floats for one
+    system (the tests' whole space-time systems), arrays for a stack.
+    Mismatched sizes fail in numpy's solve, with its ValueError.
+    """
+    factors = []
+    for gram, name in ((gram_test, "test"), (gram_trial, "trial")):
+        try:
+            factors.append(np.linalg.cholesky(np.asarray(gram, dtype=float)))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"{name} gram matrix is not positive definite") from exc
+    # L_test^-1 B L_trial^-T has the same singular values as the
+    # symmetric-root sandwich
+    mat = np.linalg.solve(factors[0], bilinear)
+    mat = np.swapaxes(np.linalg.solve(factors[1], np.swapaxes(mat, -1, -2)), -1, -2)
+    sig = np.linalg.svd(mat, compute_uv=False)
+    return sig[..., -1], sig[..., 0]
+
+
+def _prolongation_1d(coarse: Mesh, fine: Mesh) -> np.ndarray:
+    ratio = fine.n_cells // coarse.n_cells
+    if ratio * coarse.n_cells != fine.n_cells:
+        raise ValueError("meshes are not nested")
+    h_c = coarse.h
+    fine_nodes = np.arange(1, fine.n_cells) * fine.h
+    coarse_nodes = np.arange(1, coarse.n_cells) * h_c
+    return np.clip(1.0 - np.abs(fine_nodes[:, None] - coarse_nodes) / h_c, 0.0, None)
+
+
+def projection_stability(coarse: Mesh, fine: Mesh) -> float:
+    """Two-grid estimate of the energy-norm bound of the L2 projection.
+
+    The projection onto the coarse space is realized on the fine space
+    and its energy operator norm is computed by a generalized
+    eigenproblem. The fine space stands in for the full space, so the
+    value is a lower bound that stabilizes under refinement.
+    """
+    # imported here: no CLI path calls this estimate
+    from scipy.linalg import eigh
+
+    if coarse.degree != 1 or fine.degree != 1:
+        raise NotImplementedError("projection stability is implemented for degree 1")
+    if coarse.dim != fine.dim:
+        raise ValueError("meshes must share the dimension")
+    prol = functools.reduce(np.kron, (_prolongation_1d(coarse, fine),) * coarse.dim)
+    fine_pair = assemble(fine)
+    mass_c = prol.T @ fine_pair.mass @ prol
+    # H-orthogonal projection onto the coarse space, as a fine-space map
+    proj = prol @ np.linalg.solve(mass_c, prol.T @ fine_pair.mass)
+    quad = proj.T @ fine_pair.stiffness @ proj
+    quad = 0.5 * (quad + quad.T)
+    lam_max = eigh(quad, fine_pair.stiffness, eigvals_only=True)[-1]
+    return float(np.sqrt(lam_max))

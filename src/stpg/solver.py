@@ -23,7 +23,7 @@ function. Trial and test spaces are tensor products of a temporal space
 with the spatial one, so the dense space-time system and every Gram
 matrix is a sum of Kronecker products of N x N temporal factors (the
 jump and the interval mean of the test function, the widths) with M, S
-and M S^-1 M, or of one N x N block per mode in the eigenbasis
+and M S^-1 M, or of one banded N x N block per mode in the eigenbasis
 (mode_blocks). A solution is a plain (N, n_dof) array holding the value
 of the trial function on each of the N time intervals.
 
@@ -359,40 +359,36 @@ def _temporal_factors(grid: TimeGrid) -> tuple:
     return upper - eye, 0.5 * (eye + upper)
 
 
-def _test_gram_bands(jump, mean, k, mu: np.ndarray) -> list:
-    """The (P, N - |offset|) bands of D'K^-1 D / mu + mu A'KA at the
-    offsets 0, 1 and -1, from the bands of the two N x N temporal products,
-    which are gone once it returns."""
-    dual, energy = jump.T @ (jump / k[:, None]), mean.T @ (k[:, None] * mean)
-    return [np.diagonal(dual, offset) / mu + mu * np.diagonal(energy, offset)
-            for offset in (0, 1, -1)]
-
-
 def mode_blocks(grid: TimeGrid, mu) -> tuple:
-    """(P, N, N) stacks of the blocks of P modes, for mu = a lam.
+    """Bands of the N x N blocks of P modes, for mu = a lam.
 
     In the eigenbasis of (S, M) the blocks of assemble_full_system and of
     the ``Y_omega`` and ``X_omega_hk`` Grams are, with the jump D and the
     interval mean A of _temporal_factors and K = diag(widths),
     B = mu A'K - D', G_Y = mu K and G_X = D'K^-1 D / mu + mu A'KA + e_0 e_0'.
-    G_X is tridiagonal: its bands go into one zeroed stack, with the bits
-    of the dense sum.
+    B is lower bidiagonal, G_Y diagonal and G_X symmetric tridiagonal, so
+    they come as (bilinear, gram_trial, gram_test): B and G_X in lower
+    band storage, (P, 2, N) arrays whose [:, 0] holds the diagonal and
+    [:, 1, :-1] the first subdiagonal ([:, 1, -1] is 0), and G_Y as its
+    (P, N) diagonal. Every entry has the bits of the dense formula's.
     """
     mu = np.asarray(mu, dtype=float)[:, None]
-    jump, mean = _temporal_factors(grid)
     k = grid.widths
-    n = len(k)
-    bands = _test_gram_bands(jump, mean, k, mu)
-    gram_test = np.zeros((len(mu), n, n))
-    # the main, first super- and first subdiagonal of each flattened block
-    flat = gram_test.reshape(len(mu), n * n)
-    for band, start in zip(bands, (0, 1, n)):
-        flat[:, start::n + 1] = band
+    # the bands of D'K^-1 D and A'KA: each entry of the dense products is
+    # at most two exact terms, 1 / k_j or k_j / 4
+    inv, quarter = 1.0 / k, 0.25 * k
+    dual, energy = inv.copy(), quarter.copy()
+    dual[1:] += inv[:-1]
+    energy[1:] += quarter[:-1]
+    bilinear = np.zeros((len(mu), 2, len(k)))
+    gram_test = np.zeros_like(bilinear)
+    half = mu * (0.5 * k)
+    bilinear[:, 0] = half + 1.0
+    bilinear[:, 1, :-1] = half[:, :-1] - 1.0
+    gram_test[:, 0] = dual / mu + mu * energy
     gram_test[:, 0, 0] += 1.0
-    mu = mu[:, :, None]
-    bilinear = mu * (mean.T * k) - jump.T
-    gram_trial = mu * np.diag(k)
-    return bilinear, gram_trial, gram_test
+    gram_test[:, 1, :-1] = -inv[:-1] / mu + mu * quarter[:-1]
+    return bilinear, mu * k, gram_test
 
 
 def assemble_full_system(disc: Discretization, a: float) -> np.ndarray:

@@ -30,7 +30,7 @@ def test_criterion_1_weighted_infsup_exactness():
         for n_cells, n_steps in ((4, 4), (8, 16), (16, 64)):
             disc = make_disc(dim=1, n_cells=n_cells, degree=1, n_steps=n_steps)
             bilinear = solver.assemble_full_system(disc, a)
-            sig_min, sig_max = consts.discrete_infsup(
+            sig_min, sig_max = oracle.dense_infsup(
                 bilinear,
                 solver.build_grams(disc, a, "Y_omega"),
                 solver.build_grams(disc, a, "X_omega_hk"))

@@ -246,10 +246,10 @@ def _patch_physical_memory(monkeypatch, pages):
 
 
 @pytest.mark.parametrize("pages,steps,need", [
-    # 3 grid values per step, the 7,000-value sweep and the solution of as
-    # many values held after it
-    (10, 1000, "a 1000 x 1 x 7 sweep block needs 136000 bytes"),
-    # the 13,600 counted bytes fit, and the report is written one interval
+    # the pair's 5 x 7 x 7 values, 3 grid values per step, the 7,000-value
+    # sweep and the solution of as many values held after it
+    (10, 1000, "a 1000 x 1 x 7 sweep block needs 137960 bytes"),
+    # the 15,560 counted bytes fit, and the report is written one interval
     # at a time beside the solution they count
     (11, 100, None),
     (40, 100, None),
@@ -272,19 +272,20 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("steps,code", [(32, cli.EXIT_RESOURCE), (16, cli.EXIT_OK)])
 def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
                                                           steps, code):
-    # a node holds 4 stacks of 7 modes' steps x steps float64 blocks and
-    # numpy's buffer of 8,192 values: 294,912 bytes at 32 steps, 122,880 at
-    # 16, against 204,800 of memory; a 32 x 7 sweep would fit
+    # a node holds one stack of 7 modes' steps x steps float64 blocks, 10
+    # values per mode and step and numpy's buffer of 8,192 values, beside
+    # the pair's 5 x 7 x 7 values: 142,760 bytes at 32 steps, 90,792 at 16,
+    # against 102,400 of memory; a 32 x 7 sweep would fit
     assert np.getbufsize() == 8192
-    _patch_physical_memory(monkeypatch, 50)
+    _patch_physical_memory(monkeypatch, 25)
     out = tmp_path / "x.csv"
     result, err = _main(["infsup", "--cells", "8", "--steps", str(steps),
                          "--out", str(out)], capsys)
     assert result == code
     if code == cli.EXIT_RESOURCE:
         assert err == ["stpg: resource cap: an infsup node of 7 x 32 x 32 blocks "
-                       f"needs {8 * (4 * 7 * 32 * 32 + 8192)} bytes, more than the 204800 "
-                       "bytes of physical memory"]
+                       f"needs {8 * (7 * 32 * (32 + 10) + 8192 + 5 * 49)} bytes, more "
+                       "than the 102400 bytes of physical memory"]
         assert list(tmp_path.iterdir()) == []
     else:
         assert err == [] and out.exists()
@@ -336,8 +337,24 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, orac
 
         peak = _traced_peak(rung)
         assert blocks == []
+    # the pair was built before the trace, so its term is left out
     (counted,) = checked
+    counted -= 8 * fem.pair_values(disc.pair.mesh)
     assert 0.85 * counted <= peak <= 1.05 * counted
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_pair_memory_count_pins_the_traced_peak(monkeypatch, degree):
+    # at 400 cells and one step the pair's 1-D matrices, n_dof x n_dof in
+    # 1-D, outweigh everything else of a solve: 6.4 MB at degree 1
+    config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=1,
+                                  degree=degree, n_cells=(400,), n_steps=(1,))
+    checked = []
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what: checked.append(need))
+    peak = _traced_peak(lambda: cli.run_solve(config))
+    pair = 8 * fem.pair_values(fem.build_mesh(1, 400, degree))
+    assert 0.98 * checked[-1] <= pair <= checked[-1]
+    assert 0.95 * checked[-1] <= peak <= 1.05 * checked[-1]
 
 
 class _Sink:
@@ -468,18 +485,23 @@ def test_64_cell_2d_runs_stay_far_below_one_dense_matrix(tmp_path, capsys, monke
     assert peak <= 1.05 * counted < 16e6
 
 
-def test_infsup_memory_count_pins_the_traced_peak():
-    config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, n_cells=(4,),
-                                  n_steps=(128,), quad_ladder=(2,))
-    peak = _traced_peak(lambda: cli.run_infsup(config))
-    counted = 8 * (cli.NODE_STACKS * 3 * 128 ** 2 + np.getbufsize())
-    assert 0.95 * counted <= peak <= 1.05 * counted
+def test_infsup_memory_count_pins_the_traced_peak(monkeypatch):
+    # 3 modes x 128 steps, where numpy's 64 KiB buffer is a sixth of the
+    # 384 KiB stack, and 15 modes x 256 steps, where the 7.9 MB stack
+    # dominates
+    checked = []
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what: checked.append(need))
+    for cells, steps in ((4, 128), (16, 256)):
+        config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1,
+                                      n_cells=(cells,), n_steps=(steps,), quad_ladder=(2,))
+        peak = _traced_peak(lambda: cli.run_infsup(config))
+        assert 0.95 * checked[-1] <= peak <= 1.05 * checked[-1]
 
 
 @pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
 def test_infsup_runs_no_dense_factorization(monkeypatch, dim, degree):
-    # every Gram of the CLI's mode blocks is diagonal or tridiagonal, so
-    # discrete_infsup never falls back to the dense Cholesky factor and solve
+    # discrete_infsup factors the mode blocks' banded Grams by their
+    # structure and never calls the dense Cholesky factor or solve
     config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=dim, degree=degree,
                                   n_cells=(4, 6), n_steps=(4, 8), quad_ladder=(2,))
     cli.run_infsup(config)

@@ -6,14 +6,35 @@ from scipy.linalg import eigh
 
 from conftest import ConstantCoeffs, make_disc
 from stpg import constants as consts
-from stpg import fem, solver
+from stpg import fem, oracle, solver
+
+
+def _identity_bands(n):
+    """The bands of mode_blocks for identity blocks: (bilinear, trial, test)."""
+    band = np.stack([np.ones(n), np.zeros(n)])
+    return band, np.ones(n), band.copy()
+
+
+def _dense_blocks(bilinear, gram_trial, gram_test):
+    """The dense N x N blocks of mode_blocks' bands: B lower bidiagonal,
+    G_Y diagonal and G_X symmetric tridiagonal."""
+    n = gram_trial.shape[-1]
+    diag, sub = np.arange(n), np.arange(1, n)
+    b, y, x = np.zeros((3, *gram_trial.shape, n))
+    b[..., diag, diag] = bilinear[..., 0, :]
+    b[..., sub, sub - 1] = bilinear[..., 1, :-1]
+    y[..., diag, diag] = gram_trial
+    x[..., diag, diag] = gram_test[..., 0, :]
+    x[..., sub, sub - 1] = x[..., sub - 1, sub] = gram_test[..., 1, :-1]
+    return b, y, x
 
 
 def test_infsup_identity():
     eye = np.eye(6)
-    smin, smax = consts.discrete_infsup(eye, eye, eye)
-    assert smin == pytest.approx(1.0, abs=1e-14)
-    assert smax == pytest.approx(1.0, abs=1e-14)
+    for smin, smax in (consts.discrete_infsup(*_identity_bands(6)),
+                       oracle.dense_infsup(eye, eye, eye)):
+        assert smin == pytest.approx(1.0, abs=1e-14)
+        assert smax == pytest.approx(1.0, abs=1e-14)
 
 
 def test_infsup_transpose_swap_invariance(rng):
@@ -21,24 +42,30 @@ def test_infsup_transpose_swap_invariance(rng):
     bil = rng.standard_normal((n, n))
     g1 = np.eye(n) + 0.1 * np.diag(rng.random(n))
     g2 = np.eye(n) + 0.1 * np.diag(rng.random(n))
-    direct = consts.discrete_infsup(bil, g1, g2)
-    swapped = consts.discrete_infsup(bil.T, g2, g1)
+    direct = oracle.dense_infsup(bil, g1, g2)
+    swapped = oracle.dense_infsup(bil.T, g2, g1)
     assert direct[0] == pytest.approx(swapped[0], rel=1e-12)
     assert direct[1] == pytest.approx(swapped[1], rel=1e-12)
 
 
 def test_infsup_guards(rng):
-    bad = -np.eye(4)
-    with pytest.raises(ValueError, match="^trial gram matrix is not positive definite$"):
-        consts.discrete_infsup(np.eye(4), bad, np.eye(4))
-    with pytest.raises(ValueError, match="^test gram matrix is not positive definite$"):
-        consts.discrete_infsup(np.eye(4), np.eye(4), bad)
+    # the banded path and the dense oracle fail alike
+    bil, trial, test = _identity_bands(4)
+    eye = np.eye(4)
+    for infsup, args, bad in ((consts.discrete_infsup, (bil, trial, test), (-trial, -test)),
+                              (oracle.dense_infsup, (eye, eye, eye), (-eye, -eye))):
+        with pytest.raises(ValueError, match="^trial gram matrix is not positive definite$"):
+            infsup(args[0], bad[0], args[2])
+        with pytest.raises(ValueError, match="^test gram matrix is not positive definite$"):
+            infsup(args[0], args[1], bad[1])
+    with pytest.raises(ValueError, match="mismatched sizes"):
+        consts.discrete_infsup(bil, trial[:3], test)
     with pytest.raises(ValueError):
-        consts.discrete_infsup(np.eye(4), np.eye(3), np.eye(4))
+        oracle.dense_infsup(eye, np.eye(3), eye)
     # a stack needs Grams of the same depth
     with pytest.raises(ValueError, match="mismatched sizes"):
-        consts.discrete_infsup(np.stack([np.eye(4)] * 3), np.stack([np.eye(4)] * 2),
-                               np.stack([np.eye(4)] * 3))
+        consts.discrete_infsup(np.stack([bil] * 3), np.stack([trial] * 2),
+                               np.stack([test] * 3))
 
 
 @pytest.mark.parametrize("dim,n_cells", [(1, 6), (2, 4)])
@@ -54,8 +81,8 @@ def test_infsup_matches_generalized_eigenvalues(dim, n_cells, a):
     stack = solver.mode_blocks(disc.grid, a * disc.pair.modes()[0])
     lows, highs = consts.discrete_infsup(*stack)
     assert lows.shape == highs.shape == (disc.n_dof,)
-    results = [(*consts.discrete_infsup(*dense), *dense)]
-    results += zip(lows, highs, *stack)
+    results = [(*oracle.dense_infsup(*dense), *dense)]
+    results += zip(lows, highs, *_dense_blocks(*stack))
     for smin, smax, bil, trial, test in results:
         sig2 = eigh(bil.T @ np.linalg.solve(test, bil), trial, eigvals_only=True)
         assert smin ** 2 == pytest.approx(sig2[0], rel=1e-10)
@@ -66,7 +93,7 @@ def test_infsup_matches_generalized_eigenvalues(dim, n_cells, a):
 def test_weighted_constants_are_one(a):
     disc = make_disc(n_cells=4, n_steps=8)
     bil = solver.assemble_full_system(disc, a)
-    smin, smax = consts.discrete_infsup(
+    smin, smax = oracle.dense_infsup(
         bil, solver.build_grams(disc, a, "Y_omega"),
         solver.build_grams(disc, a, "X_omega_hk"))
     assert abs(smin - 1.0) < 1e-10
@@ -117,15 +144,15 @@ def test_cfl_omega_consistency_and_homogeneity():
 
 def test_projection_stability_identity_and_lower_bound():
     coarse = fem.build_mesh(1, 8, 1)
-    assert consts.projection_stability(coarse, coarse) == pytest.approx(1.0, abs=1e-9)
+    assert oracle.projection_stability(coarse, coarse) == pytest.approx(1.0, abs=1e-9)
     for factor in (2, 4):
         fine = fem.build_mesh(1, 8 * factor, 1)
-        assert consts.projection_stability(coarse, fine) >= 1.0 - 1e-12
+        assert oracle.projection_stability(coarse, fine) >= 1.0 - 1e-12
 
 
 def test_projection_stability_two_grid_table():
     coarse = fem.build_mesh(1, 8, 1)
-    values = [consts.projection_stability(coarse, fem.build_mesh(1, 8 * f, 1))
+    values = [oracle.projection_stability(coarse, fem.build_mesh(1, 8 * f, 1))
               for f in (2, 4, 8)]
     spread = (max(values) - min(values)) / values[-1]
     assert spread < 0.05
@@ -141,20 +168,20 @@ def test_prolongation_is_the_per_dof_loop_bit_for_bit(fine_cells):
     for j in range(coarse.n_dof_1d):
         center = (j + 1) * coarse.h
         loop[:, j] = np.clip(1.0 - np.abs(fine_nodes - center) / coarse.h, 0.0, None)
-    assert np.array_equal(consts._prolongation_1d(coarse, fine), loop)
+    assert np.array_equal(oracle._prolongation_1d(coarse, fine), loop)
 
 
 def test_projection_stability_in_2d():
     coarse = fem.build_mesh(2, 4, 1)
-    assert consts.projection_stability(coarse, coarse) == pytest.approx(1.0, abs=1e-9)
-    assert consts.projection_stability(coarse, fem.build_mesh(2, 8, 1)) >= 1.0 - 1e-12
+    assert oracle.projection_stability(coarse, coarse) == pytest.approx(1.0, abs=1e-9)
+    assert oracle.projection_stability(coarse, fem.build_mesh(2, 8, 1)) >= 1.0 - 1e-12
 
 
 def test_projection_stability_guards():
     with pytest.raises(ValueError):
-        consts.projection_stability(fem.build_mesh(1, 8, 1), fem.build_mesh(1, 12, 1))
+        oracle.projection_stability(fem.build_mesh(1, 8, 1), fem.build_mesh(1, 12, 1))
     with pytest.raises(NotImplementedError):
-        consts.projection_stability(fem.build_mesh(1, 4, 2), fem.build_mesh(1, 8, 2))
+        oracle.projection_stability(fem.build_mesh(1, 4, 2), fem.build_mesh(1, 8, 2))
 
 
 def test_theoretical_constants_plug_in():
@@ -185,7 +212,7 @@ def test_unweighted_constants_against_closed_forms(a, n_cells, n_steps):
     # large
     disc = make_disc(n_cells=n_cells, n_steps=n_steps)
     bil = solver.assemble_full_system(disc, a)
-    smin, smax = consts.discrete_infsup(
+    smin, smax = oracle.dense_infsup(
         bil, solver.build_grams(disc, a, "Y"), solver.build_grams(disc, a, "X"))
     rep = consts.theoretical_constants(a, a)
     assert smax <= rep.C_b_bound + 1e-8
@@ -197,7 +224,7 @@ def test_unweighted_constants_against_closed_forms(a, n_cells, n_steps):
 def test_unweighted_infsup_recovers_continuous_bound_when_time_resolved(a):
     disc = make_disc(n_cells=4, n_steps=512)
     bil = solver.assemble_full_system(disc, a)
-    smin, _ = consts.discrete_infsup(
+    smin, _ = oracle.dense_infsup(
         bil, solver.build_grams(disc, a, "Y"), solver.build_grams(disc, a, "X"))
     assert smin >= consts.theoretical_constants(a, a).c_b_bound - 1e-8
 
@@ -268,8 +295,10 @@ def test_mode_blocks_are_the_dense_matrices_in_the_eigenbasis(kind, dim, n_cells
     # mis-scaled, dropped or reordered mode or reversed widths
     disc, dense, stack = _mode_case(dim, n_cells, degree, grid, a)
     which = list(_DENSE).index(kind)
-    blocks, n_dof, n_steps = stack[which], disc.n_dof, disc.grid.n_intervals
-    assert blocks.shape == (n_dof, n_steps, n_steps)
+    n_dof, n_steps = disc.n_dof, disc.grid.n_intervals
+    assert [band.shape for band in stack] == [(n_dof, 2, n_steps), (n_dof, n_steps),
+                                              (n_dof, 2, n_steps)]
+    blocks = _dense_blocks(*stack)[which]
     vecs = disc.pair.modes()[1]
     modal = np.einsum("an,iajb,bm->nimj", vecs,
                       dense[which].reshape(n_steps, n_dof, n_steps, n_dof), vecs)
@@ -285,7 +314,7 @@ def test_mode_blocks_match_dense_space_time_constants(dim, n_cells, degree, grid
     # oracle (ii): the dense SVD of the whole space-time system of the pair
     disc, dense, stack = _mode_case(dim, n_cells, degree, grid, a)
     lows, highs = consts.discrete_infsup(*stack)
-    smin, smax = consts.discrete_infsup(*dense)
+    smin, smax = oracle.dense_infsup(*dense)
     assert lows.min() == pytest.approx(smin, rel=1e-12)
     assert highs.max() == pytest.approx(smax, rel=1e-12)
     # criterion 1 on every time grid: the weighted constants are exactly 1
@@ -316,15 +345,23 @@ def _inv_sqrt(gram):
 
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
 def test_mode_block_test_gram_has_the_bits_of_the_dense_sum(grid):
-    # the tridiagonal test Gram is built from its bands; every entry, the
-    # zeros off the bands included, is that of the two dense terms' sum
+    # every band entry, the test Gram's from the two dense terms' sum
+    # included, has the bits of the dense formula's, and the dense
+    # blocks hold nothing off the bands
     time_grid = _GRIDS[grid]
     mu = np.array([1e-6, 0.5, 1.0, 7.0, 1e6])[:, None, None]
     jump, mean = solver._temporal_factors(time_grid)
     k = time_grid.widths
-    dense = jump.T @ (jump / k[:, None]) / mu + mu * (mean.T @ (k[:, None] * mean))
-    dense[:, 0, 0] += 1.0
-    assert solver.mode_blocks(time_grid, mu[:, 0, 0])[2].tobytes() == dense.tobytes()
+    test = jump.T @ (jump / k[:, None]) / mu + mu * (mean.T @ (k[:, None] * mean))
+    test[:, 0, 0] += 1.0
+    dense = (mu * (mean.T * k) - jump.T, mu * np.diag(k), test)
+    stack = solver.mode_blocks(time_grid, mu[:, 0, 0])
+    assert all(np.array_equal(a, b) for a, b in zip(_dense_blocks(*stack), dense))
+    for band, block in ((stack[0], dense[0]), (stack[2], dense[2])):
+        assert band[:, 0].tobytes() == np.diagonal(block, 0, 1, 2).tobytes()
+        assert band[:, 1, :-1].tobytes() == np.diagonal(block, -1, 1, 2).tobytes()
+        assert not band[:, 1, -1].any()
+    assert stack[1].tobytes() == np.diagonal(dense[1], 0, 1, 2).tobytes()
 
 
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
@@ -336,7 +373,7 @@ def test_structured_infsup_matches_symmetric_root_oracle(grid, rng):
     bilinear, trial, test = solver.mode_blocks(_GRIDS[grid], [1e-6, 1.0, 1e6])
     for bil in (bilinear, rng.standard_normal(bilinear.shape)):
         lows, highs = consts.discrete_infsup(bil, trial, test)
-        for low, high, blocks in zip(lows, highs, zip(bil, trial, test)):
+        for low, high, blocks in zip(lows, highs, zip(*_dense_blocks(bil, trial, test))):
             b, g_trial, g_test = blocks
             sig = np.linalg.svd(_inv_sqrt(g_test) @ b @ _inv_sqrt(g_trial),
                                 compute_uv=False)
@@ -345,8 +382,7 @@ def test_structured_infsup_matches_symmetric_root_oracle(grid, rng):
 
 
 def test_structured_infsup_needs_no_dense_factor(monkeypatch):
-    # the mode blocks never reach np.linalg.cholesky or np.linalg.solve,
-    # and a Gram with a second subdiagonal does
+    # the mode blocks never reach np.linalg.cholesky or np.linalg.solve
     def dense(*args):
         raise AssertionError("dense path")
 
@@ -355,11 +391,6 @@ def test_structured_infsup_needs_no_dense_factor(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", dense)
     monkeypatch.setattr(np.linalg, "solve", dense)
     assert all(map(np.array_equal, consts.discrete_infsup(*stack), expected))
-    for which in (1, 2):
-        banded = [block.copy() for block in stack]
-        banded[which][:, 3, 1] = 1e-3
-        with pytest.raises(AssertionError, match="dense path"):
-            consts.discrete_infsup(*banded)
 
 
 @pytest.mark.parametrize("name,row,col,factor", [
@@ -375,10 +406,11 @@ def test_structured_infsup_needs_no_dense_factor(monkeypatch):
 def test_one_bad_structured_block_fails_the_stack(name, row, col, factor):
     stack = [block.copy() for block in solver.mode_blocks(_GRIDS["graded"], [0.5, 1.0, 2.0])]
     which = 1 if name == "trial" else 2
-    # scale one entry of the last block, and its mirror
-    bad = stack[which][-1]
-    bad[row, col] *= factor
-    bad[col, row] = bad[row, col]
+    # scale one entry of the last block (and so its mirror), at its place
+    # in the bands: the diagonal or the subdiagonal of row, col
+    band = stack[which][-1]
+    band[(..., row - col, col) if name == "test" else col] *= factor
+    bad = _dense_blocks(*(block[-1] for block in stack))[which]
     if not np.isnan(bad).any():
         # the dense factor agrees that the block is not positive definite
         with pytest.raises(np.linalg.LinAlgError):

@@ -134,7 +134,6 @@ def test_semidiscrete_reference_self_convergence():
 def test_semidiscrete_quasi_optimality_report():
     # the coarse solution against the refined-in-time surrogate stays
     # within the projection-stability budget c_h (1 + rho) = 2 c_h
-    from stpg import constants as consts
     from stpg import fem
     disc = make_disc(n_cells=8, n_steps=32)
     coeffs = ConstantCoeffs()
@@ -143,7 +142,7 @@ def test_semidiscrete_quasi_optimality_report():
     mode = oracle.ModeSolution.for_dim(1.0, 1.0, 1)
     err_semi = oracle.exact_error(mode, ref_disc, ref)[0]
     best_semi = oracle.exact_error(mode, ref_disc, ref)[1]
-    c_h = consts.projection_stability(fem.build_mesh(1, 8, 1),
+    c_h = oracle.projection_stability(fem.build_mesh(1, 8, 1),
                                       fem.build_mesh(1, 32, 1))
     ratio = err_semi / best_semi
     assert ratio <= 2.0 * c_h + 0.1

@@ -1,8 +1,9 @@
 """Every name a stpg module exports in __all__ resolves, so a deletion
-cannot leave a stale entry behind."""
+cannot leave a stale entry behind, and scipy stays inside the oracles."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +17,11 @@ def test_every_exported_name_resolves(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_only_the_oracle_module_names_scipy():
+    # the test oracles gather in stpg.oracle, the one module that may load
+    # scipy; every other module runs on numpy alone
+    naming = sorted(path.name for path in Path(stpg.__file__).parent.glob("*.py")
+                    if "scipy" in path.read_text().lower())
+    assert naming == ["oracle.py"]

@@ -55,17 +55,22 @@ INFSUP_HEADER = ["case", "n_cells", "n_steps", "omega", "a_omega", "sigma_min",
                  "sigma_max", "c_S", "c_S_omega", "cB_theory", "CB_theory"]
 SOLVE_HEADER = ["interval", "t", "dof", "value"]
 # A sweep block holds its float64 (N, P, n_dof) state and, while it
-# steps, two windows of step factors. Once it is done, a subcommand
-# holds beside the state float64 (N, n_dof) arrays of one path and
-# float64 values per interval: solve the path's interval values;
-# convergence those, their product with S and the Gauss points, weights
-# and profile values of oracle.exact_error
-AFTER_SWEEP = {"convergence": (2, 25), "solve": (1, 0)}
-# float64 values per time step held throughout: the grid's nodes, the
-# time weights and the widths the sweep reads. It also bounds the grid
-# while TimeGrid checks its nodes. Before the first sweep of a grid,
-# solver.time_weights holds at most three values per step beside the
-# nodes, which the sweep's count, at least two per step, covers
+# steps, two windows of step factors. Each entry is (arrays, values,
+# cached): once a block is done, a subcommand holds beside its state
+# float64 (N, n_dof) arrays and float64 values per interval of one
+# path's work, and from its first path on, through later blocks' sweeps
+# too, float64 values per interval cached on the grid. solve holds the
+# path's interval values; convergence those and their product with S,
+# the profile of oracle.exact_error with two temporaries of its
+# expression (15 values), and the Gauss points, weights and trig values
+# of TimeGrid.profile_quadrature (20 values)
+AFTER_SWEEP = {"convergence": (2, 15, 20), "solve": (1, 0, 0)}
+# float64 values per time step held throughout: the grid's nodes and
+# its cached time weights and widths, which the sweep reads. It also
+# bounds the grid while TimeGrid checks its nodes. Before the first
+# sweep of a grid, solver.time_weights holds at most three values per
+# step beside the nodes, which the sweep's count, at least two per
+# step, covers
 GRID_VALUES = 3
 # float64 (P, n_dof) arrays solver.uniform_energy holds at peak for the
 # P paths of a moments rung, its vectors of n_dof values included (P is
@@ -81,6 +86,10 @@ _BLOCK_BYTES = 1 << 23
 # pivots, gains and scalings of discrete_infsup
 NODE_STACKS = 1
 NODE_BANDS = 10
+# bytes of the small objects a pathwise run holds beside the arrays it
+# counts: Python objects and numpy's bookkeeping (7 KB in a traced
+# one-dof solve of 20,000 steps)
+RUN_BYTES = 1 << 14
 
 
 class ResourceCapError(RuntimeError):
@@ -241,15 +250,17 @@ def _setup(case: str):
     return model, domain
 
 
-def _check_memory(need: int, what: str):
-    """Raise ResourceCapError if need bytes exceed physical memory, if known."""
+def _check_memory(need: int, what: str, pair: int):
+    """Raise ResourceCapError if need bytes, pair of them for the spatial
+    pair, exceed physical memory, if known."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (ValueError, OSError):
         return
     if 0 < memory < need:
-        raise ResourceCapError(f"{what} needs {need} bytes, more than the "
-                               f"{memory} bytes of physical memory")
+        raise ResourceCapError(f"{what} needs {need} bytes, {pair} of them for the "
+                               f"spatial pair, more than the {memory} bytes of "
+                               "physical memory")
 
 
 def _block_paths(n_steps: int, n_dof: int) -> int:
@@ -267,13 +278,14 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     the cap, and what one parameter node of infsup, or a pathwise run of
     a rung of that many paths, holds at peak must fit in memory. Each
     count adds the spatial pair's 1-D matrices at their peak
-    (fem.pair_values), which in 1-D are n_dof x n_dof. Beside them it
-    counts, for infsup, one node's stack and bands (NODE_STACKS,
-    NODE_BANDS), for moments, the grid's nodes and MOMENT_ARRAYS of the
-    rung's paths and dofs, and for the others GRID_VALUES per step, held
-    throughout, plus one block's sweep with what its subcommand then
-    holds (AFTER_SWEEP) and the temporaries of the spatial operators
-    (fem.kron_temporaries).
+    (fem.pair_values), which in 1-D are n_dof x n_dof, and its message
+    names that share. Beside them it counts, for infsup, one node's
+    stack and bands (NODE_STACKS, NODE_BANDS), for moments, the grid's
+    nodes and MOMENT_ARRAYS of the rung's paths and dofs, and for the
+    others GRID_VALUES per step and the values the subcommand caches on
+    the grid (AFTER_SWEEP), held throughout, plus one block's sweep
+    with what its subcommand then holds (AFTER_SWEEP), the temporaries
+    of the spatial operators (fem.kron_temporaries) and RUN_BYTES.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
@@ -284,20 +296,21 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     if space_time:
         node = NODE_STACKS * mesh.n_dof * n_steps ** 2 + NODE_BANDS * mesh.n_dof * n_steps
         _check_memory(8 * (pair + node + np.getbufsize()),
-                      f"an infsup node of {mesh.n_dof} x {n_steps} x {n_steps} blocks")
+                      f"an infsup node of {mesh.n_dof} x {n_steps} x {n_steps} blocks",
+                      8 * pair)
     elif config.subcommand == "moments":
         # the grid while TimeGrid checks it, or its nodes and the rung's arrays
         rung = MOMENT_ARRAYS * paths * mesh.n_dof
         _check_memory(8 * (pair + max(GRID_VALUES * n_steps, n_steps + rung)),
-                      f"a moments rung of {paths} x {mesh.n_dof}")
+                      f"a moments rung of {paths} x {mesh.n_dof}", 8 * pair)
     else:
         block = min(paths, _block_paths(n_steps, mesh.n_dof))
         window = min(n_steps, solver.SWEEP_WINDOW) + 1
-        arrays, values = AFTER_SWEEP[config.subcommand]
+        arrays, values, cached = AFTER_SWEEP[config.subcommand]
         after = n_steps * (arrays * mesh.n_dof + values) + fem.kron_temporaries(mesh)
         sweep = block * mesh.n_dof * n_steps + max(2 * window * block * mesh.n_dof, after)
-        _check_memory(8 * (pair + GRID_VALUES * n_steps + sweep),
-                      f"a {n_steps} x {block} x {mesh.n_dof} sweep block")
+        _check_memory(8 * (pair + (GRID_VALUES + cached) * n_steps + sweep) + RUN_BYTES,
+                      f"a {n_steps} x {block} x {mesh.n_dof} sweep block", 8 * pair)
     grid = solver.TimeGrid.uniform(1.0, n_steps)
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
 

@@ -136,15 +136,27 @@ def kron_temporaries(mesh: Mesh) -> int:
     return 0 if mesh.dim == 1 else 2 * TENSOR_BLOCK
 
 
+def _eigh_values(n: int) -> int:
+    """Values numpy.linalg.eigh holds in LAPACK's memory, outside numpy
+    arrays, for an n x n matrix and its eigenvectors: its column-major
+    copy of the matrix and the eigenvalues, and the dsyevd workspaces of
+    1 + 6n + 2n^2 floats and 3 + 5n integers (counted as 8 bytes each).
+    """
+    return n * n + n + (1 + 6 * n + 2 * n * n) + (3 + 5 * n)
+
+
 def pair_values(mesh: Mesh) -> int:
     """Values the spatial pair of a mesh holds at peak while it is built.
 
     Its 1-D matrices are n_dof_1d x n_dof_1d (n_dof x n_dof in dim 1):
     mass and stiffness, then the eigenvectors with their temporaries, 5
     such matrices for hat functions and 6 for splines, of which it keeps
-    3. The workspace of LAPACK inside eigh (splines) is not counted.
+    3. For splines the second eigh call (_spline_modes) holds its
+    LAPACK memory (_eigh_values) beside the 6, which tracemalloc does
+    not see but the process's resident memory does.
     """
-    return (5 if mesh.degree == 1 else 6) * mesh.n_dof_1d ** 2
+    n = mesh.n_dof_1d
+    return 5 * n * n if mesh.degree == 1 else 6 * n * n + _eigh_values(n)
 
 
 def _dense(terms) -> np.ndarray:
@@ -263,6 +275,21 @@ class SpatialPair:
     @functools.cached_property
     def _mode_vector(self) -> np.ndarray:
         return _frozen(mode_load_vector(self.mesh))
+
+    @property
+    def mode_eigenvalue(self) -> float:
+        """Eigenvalue dim pi^2 of the first Dirichlet eigenmode of the domain."""
+        return self.mesh.dim * np.pi ** 2
+
+    @functools.cached_property
+    def mode_energy(self) -> tuple:
+        """(c, e) of the first Dirichlet eigenmode phi_mode, computed once:
+        its energy pairings with the basis, c_i = (phi_mode, phi_i)_V =
+        mode_eigenvalue * (phi_mode, phi_i), read-only, and e = c' S^-1 c,
+        the squared energy norm of its Ritz projection.
+        """
+        cross = _frozen(self.mode_eigenvalue * self.mode_vector())
+        return cross, float(cross @ self.stiffness_solve(cross))
 
 
 def build_mesh(dim: int, n_cells: int, degree: int) -> Mesh:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import Mesh, assemble, interval_gauss
+from .fem import Mesh, assemble
 from .solver import (
     Discretization,
     TimeGrid,
@@ -40,19 +40,25 @@ __all__ = [
 ]
 
 
-def exact_mode_profile(a: float, lam: float, t) -> np.ndarray:
+def exact_mode_profile(a: float, lam: float, t, trig=None) -> np.ndarray:
     """Temporal profile T(t) of the exact single-mode solution.
 
         T(t) = (a lam sin(pi t) - pi cos(pi t) + pi exp(-a lam t))
                / ((a lam)^2 + pi^2)
+
+    trig holds sin(pi t) and pi cos(pi t) where they are known, as
+    TimeGrid.profile_quadrature keeps them for its Gauss points; they
+    are computed here otherwise. Either way T has the same bits.
     """
     if a <= 0:
         raise ValueError("diffusion value must be positive")
     t = np.asarray(t, dtype=float)
+    if trig is None:
+        trig = np.sin(np.pi * t), np.pi * np.cos(np.pi * t)
+    sin_pt, pi_cos_pt = trig
     al = a * lam
     den = al * al + np.pi ** 2
-    return (al * np.sin(np.pi * t) - np.pi * np.cos(np.pi * t)
-            + np.pi * np.exp(-al * t)) / den
+    return (al * sin_pt - pi_cos_pt + np.pi * np.exp(-al * t)) / den
 
 
 def _profile_derivative(a: float, lam: float, t) -> np.ndarray:
@@ -106,8 +112,8 @@ class ModeSolution:
             raise ValueError("dim must be 1 or 2")
         return cls(a=a, c0=c0, lam=dim * np.pi ** 2)
 
-    def time_profile(self, t) -> np.ndarray:
-        return exact_mode_profile(self.a, self.lam, t)
+    def time_profile(self, t, trig=None) -> np.ndarray:
+        return exact_mode_profile(self.a, self.lam, t, trig)
 
     @property
     def mode_energy_sq(self) -> float:
@@ -116,9 +122,10 @@ class ModeSolution:
 
 
 def _profile_integrals(mode: ModeSolution, grid: TimeGrid):
-    """Per-interval integrals of T and T^2 by 5-point Gauss."""
-    t, w = interval_gauss(grid.nodes, 5)
-    prof = mode.time_profile(t)
+    """Per-interval integrals of T and T^2 by 5-point Gauss, at the points,
+    weights and trig values the grid keeps (TimeGrid.profile_quadrature)."""
+    t, w, *trig = grid.profile_quadrature
+    prof = mode.time_profile(t, trig)
     return np.sum(w * prof, axis=1), np.sum(w * prof ** 2, axis=1)
 
 
@@ -129,17 +136,23 @@ def exact_error(mode: ModeSolution, disc: Discretization,
     Both are measured in the space-time trial norm. Cross terms between
     the mode and the basis are exact because the mode is an
     eigenfunction, so its energy pairing is lam times the mass pairing;
-    time integrals of the profile use 5-point Gauss per interval.
+    time integrals of the profile use 5-point Gauss per interval. What
+    depends on the pair or the grid alone is computed once and shared by
+    every path: the energy pairings of the mode and its Ritz projection's
+    energy (SpatialPair.mode_energy), the Gauss points and their trig
+    values (TimeGrid.profile_quadrature). A path adds its profile, its
+    solution's pairing with the mode and its energy norm.
     """
     pair = disc.pair
     grid = disc.grid
     values = np.asarray(solution, dtype=float)
     if values.shape != (grid.n_intervals, disc.n_dof):
         raise ValueError("solution shape does not match discretization")
+    if mode.lam != pair.mode_eigenvalue:
+        raise ValueError("mode eigenvalue is not the pair's")
 
-    cross_v = mode.lam * pair.mode_vector()
+    cross_v, proj_energy = pair.mode_energy
     int_t, int_t2 = _profile_integrals(mode, grid)
-    widths = grid.widths
     phi_v2 = mode.mode_energy_sq
     c0 = mode.c0
 
@@ -148,10 +161,8 @@ def exact_error(mode: ModeSolution, disc: Discretization,
               + trial_energy_norm(values, disc) ** 2)
 
     # best approximation: energy projection of the mode, interval means of T
-    spatial = pair.stiffness_solve(cross_v)
-    proj_energy = float(cross_v @ spatial)
     best_sq = c0 ** 2 * float(
-        np.sum(int_t2 * phi_v2 - int_t ** 2 / widths * proj_energy))
+        np.sum(int_t2 * phi_v2 - int_t ** 2 / grid.widths * proj_energy))
     return float(np.sqrt(max(err_sq, 0.0))), float(np.sqrt(max(best_sq, 0.0)))
 
 

@@ -76,7 +76,12 @@ class PathwiseSolveError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Partition 0 = t_0 < t_1 < ... < t_N = T of the time interval."""
+    """Partition 0 = t_0 < t_1 < ... < t_N = T of the time interval.
+
+    What depends on the nodes alone, the widths, the time weights and
+    the Gauss points of the exact-error oracle with their trig values,
+    is computed on first use, once per grid, and kept read-only.
+    """
 
     nodes: np.ndarray
 
@@ -106,9 +111,10 @@ class TimeGrid:
     def n_intervals(self) -> int:
         return len(self.nodes) - 1
 
-    @property
+    @functools.cached_property
     def widths(self) -> np.ndarray:
-        return np.diff(self.nodes)
+        """Interval widths t_j - t_{j-1}, computed once; read-only."""
+        return _frozen(np.diff(self.nodes))
 
     @property
     def k_max(self) -> float:
@@ -118,6 +124,17 @@ class TimeGrid:
     def weights(self) -> np.ndarray:
         """time_weights of the grid, computed once and shared by every path; read-only."""
         return _frozen(time_weights(self))
+
+    @functools.cached_property
+    def profile_quadrature(self) -> tuple:
+        """(t, w, sin(pi t), pi cos(pi t)) at the 5-point Gauss points t,
+        weights w of interval_gauss on every interval, all (N, 5): the time
+        integrals of the exact mode profile (oracle.exact_error) read them,
+        computed once and shared by every path; read-only.
+        """
+        t, w = interval_gauss(self.nodes, 5)
+        pi_t = np.pi * t
+        return tuple(map(_frozen, (t, w, np.sin(pi_t), np.pi * np.cos(pi_t))))
 
 
 @dataclass(frozen=True, eq=False)

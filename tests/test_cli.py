@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import stat
 import subprocess
@@ -247,9 +248,11 @@ def _patch_physical_memory(monkeypatch, pages):
 
 @pytest.mark.parametrize("pages,steps,need", [
     # the pair's 5 x 7 x 7 values, 3 grid values per step, the 7,000-value
-    # sweep and the solution of as many values held after it
-    (10, 1000, "a 1000 x 1 x 7 sweep block needs 137960 bytes"),
-    # the 15,560 counted bytes fit, and the report is written one interval
+    # sweep and the solution of as many values held after it, and the
+    # 16,384 bytes of a run's small objects
+    (10, 1000, "a 1000 x 1 x 7 sweep block needs 154344 bytes, 1960 of them for "
+               "the spatial pair"),
+    # the 31,944 counted bytes fit, and the report is written one interval
     # at a time beside the solution they count
     (11, 100, None),
     (40, 100, None),
@@ -269,6 +272,23 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
         assert list(tmp_path.iterdir()) == []
 
 
+def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkeypatch):
+    # 19,999 dofs in 1-D: the pair's five 19,999 x 19,999 matrices are
+    # 16 GB, against 8 GiB of memory, while one step of one path is 0.8 MB
+    _patch_physical_memory(monkeypatch, 1 << 21)
+    out = tmp_path / "x.csv"
+    code, err = _main(["solve", "--cells", "20000", "--steps", "1", "--max-dofs", "20000",
+                       "--out", str(out)], capsys)
+    assert code == cli.EXIT_RESOURCE
+    pair = 8 * 5 * 19999 ** 2
+    (line,) = err
+    match = re.fullmatch(r"stpg: resource cap: a 1 x 1 x 19999 sweep block needs (\d+) "
+                         rf"bytes, {pair} of them for the spatial pair, more than the "
+                         rf"{4096 << 21} bytes of physical memory", line)
+    assert match and pair < int(match[1]) < pair + 10 ** 6
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("steps,code", [(32, cli.EXIT_RESOURCE), (16, cli.EXIT_OK)])
 def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
                                                           steps, code):
@@ -284,7 +304,8 @@ def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monk
     assert result == code
     if code == cli.EXIT_RESOURCE:
         assert err == ["stpg: resource cap: an infsup node of 7 x 32 x 32 blocks "
-                       f"needs {8 * (7 * 32 * (32 + 10) + 8192 + 5 * 49)} bytes, more "
+                       f"needs {8 * (7 * 32 * (32 + 10) + 8192 + 5 * 49)} bytes, "
+                       f"{8 * 5 * 49} of them for the spatial pair, more "
                        "than the 102400 bytes of physical memory"]
         assert list(tmp_path.iterdir()) == []
     else:
@@ -305,7 +326,7 @@ def _traced_peak(work):
 @pytest.mark.parametrize("cells,steps,oracle", [
     (64, 1000, False),  # 63 dofs: the rung's arrays outweigh the grid
     (64, 5000, False),  # 63 dofs: TimeGrid's checks on the grid outweigh the rung
-    (2, 20000, True),  # 1 dof: one block, then the 25 values per interval of the oracle
+    (2, 20000, True),  # 1 dof: one block, then the oracle beside the grid's cached values
     (64, 5000, True),  # 63 dofs: blocks of 3, then one path's arrays in the oracle
 ])
 def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, oracle):
@@ -313,7 +334,7 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, orac
     config = cli.ExperimentConfig(subcommand=subcommand, case="lognormal", dim=1)
     model, domain = cli._setup(config.case)
     checked = []
-    monkeypatch.setattr(cli, "_check_memory", lambda need, what: checked.append(need))
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     disc = cli._discretization(config, cells, steps, paths=16)
     nodes, _ = stochastic.quadrature(domain, 16)
     blocks = []
@@ -325,7 +346,13 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, orac
 
     monkeypatch.setattr(solver, "sweep", recording)
     if oracle:
-        peak = _traced_peak(lambda: cli._mode_errors(model, disc, nodes))
+        # a new grid for each run, so that the trace sees the values the
+        # oracle caches on it, which the count holds from the first path on
+        def level():
+            grid = solver.TimeGrid.uniform(1.0, steps)
+            return cli._mode_errors(model, solver.Discretization(disc.pair, grid), nodes)
+
+        peak = _traced_peak(level)
         block = min(16, cli._block_paths(steps, disc.n_dof))
         # _traced_peak runs the rung twice
         assert blocks == 2 * [min(block, 16 - start) for start in range(0, 16, block)]
@@ -350,11 +377,45 @@ def test_pair_memory_count_pins_the_traced_peak(monkeypatch, degree):
     config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=1,
                                   degree=degree, n_cells=(400,), n_steps=(1,))
     checked = []
-    monkeypatch.setattr(cli, "_check_memory", lambda need, what: checked.append(need))
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     peak = _traced_peak(lambda: cli.run_solve(config))
     pair = 8 * fem.pair_values(fem.build_mesh(1, 400, degree))
     assert 0.98 * checked[-1] <= pair <= checked[-1]
-    assert 0.95 * checked[-1] <= peak <= 1.05 * checked[-1]
+    # tracemalloc does not see the LAPACK memory of the splines' eigh
+    # (test_pair_memory_count_pins_the_resident_peak does)
+    lapack = 0 if degree == 1 else 8 * fem._eigh_values(400)
+    assert 0.95 * (checked[-1] - lapack) <= peak <= 1.05 * (checked[-1] - lapack)
+
+
+# the peak resident memory of the child's own address space: unlike
+# ru_maxrss, which a child starts from its parent's peak, VmHWM starts
+# afresh at exec
+_PAIR_RSS = """
+from stpg import fem
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+fem.assemble(fem.build_mesh(1, 8, {degree}))._basis  # LAPACK loaded
+before = peak()
+fem.assemble(fem.build_mesh(1, {cells}, {degree}))._basis
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM")
+@pytest.mark.parametrize("degree", [1, 2])
+def test_pair_memory_count_pins_the_resident_peak(degree):
+    # at 1,000 cells the 1-D matrices are 8 MB each: the peak of resident
+    # memory while a fresh interpreter builds the pair, LAPACK's memory
+    # inside eigh included, is what pair_values counts
+    cells = 1000
+    code = _PAIR_RSS.format(degree=degree, cells=cells)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    grown = 1024 * int(out)
+    counted = 8 * fem.pair_values(fem.build_mesh(1, cells, degree))
+    assert 0.9 * counted <= grown <= 1.1 * counted
 
 
 class _Sink:
@@ -402,7 +463,7 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
     config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=1,
                                   n_cells=(cells,), n_steps=(20000,))
     checked = []
-    monkeypatch.setattr(cli, "_check_memory", lambda need, what: checked.append(need))
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     grid = solver.TimeGrid.uniform(1.0, 20000)
     tracemalloc.start()
     try:
@@ -429,7 +490,7 @@ def test_2d_memory_count_pins_the_traced_peak(tmp_path, capsys, monkeypatch, arg
     argv = [*argv, "--dim", "2", "--out", str(tmp_path / "x.csv")]
     assert _main(argv, capsys)[0] == cli.EXIT_OK  # imports and caches warm
     checked = []
-    monkeypatch.setattr(cli, "_check_memory", lambda need, what: checked.append(need))
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     tracemalloc.start()
     try:
         code = _main(argv, capsys)
@@ -471,7 +532,7 @@ def test_64_cell_2d_runs_stay_far_below_one_dense_matrix(tmp_path, capsys, monke
     checked = []
     check = cli._check_memory
     monkeypatch.setattr(cli, "_check_memory",
-                        lambda need, what: checked.append(need) or check(need, what))
+                        lambda need, *args: checked.append(need) or check(need, *args))
     tracemalloc.start()
     try:
         code = _main([*argv, "--dim", "2", "--cells", "64", "--steps", "8",
@@ -490,7 +551,7 @@ def test_infsup_memory_count_pins_the_traced_peak(monkeypatch):
     # 384 KiB stack, and 15 modes x 256 steps, where the 7.9 MB stack
     # dominates
     checked = []
-    monkeypatch.setattr(cli, "_check_memory", lambda need, what: checked.append(need))
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     for cells, steps in ((4, 128), (16, 256)):
         config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1,
                                       n_cells=(cells,), n_steps=(steps,), quad_ladder=(2,))

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import ConstantCoeffs, make_disc
 from stpg import oracle, solver
+from stpg.fem import interval_gauss
 
 
 def test_profile_initial_value_and_frozen_point():
@@ -170,3 +171,74 @@ def test_refined_nodes_are_the_per_interval_linspace(nodes, refinement):
         loop.extend(np.linspace(t0, t1, refinement + 1)[1:])
     _, fine_disc = oracle.semidiscrete_reference(ConstantCoeffs(), disc, 0.0, refinement)
     assert np.array_equal(fine_disc.grid.nodes, loop)
+
+
+# The exact error with every term formed path by path, as exact_error
+# formed it before the grid and the pair cached the terms that do not
+# depend on the path, copied verbatim (names prefixed with _before):
+# exact_error must give these bits on every path.
+def _before_exact_mode_profile(a: float, lam: float, t) -> np.ndarray:
+    if a <= 0:
+        raise ValueError("diffusion value must be positive")
+    t = np.asarray(t, dtype=float)
+    al = a * lam
+    den = al * al + np.pi ** 2
+    return (al * np.sin(np.pi * t) - np.pi * np.cos(np.pi * t)
+            + np.pi * np.exp(-al * t)) / den
+
+
+def _before_profile_integrals(mode, grid):
+    """Per-interval integrals of T and T^2 by 5-point Gauss."""
+    t, w = interval_gauss(grid.nodes, 5)
+    prof = _before_exact_mode_profile(mode.a, mode.lam, t)
+    return np.sum(w * prof, axis=1), np.sum(w * prof ** 2, axis=1)
+
+
+def _before_exact_error(mode, disc, solution) -> tuple:
+    pair = disc.pair
+    grid = disc.grid
+    values = np.asarray(solution, dtype=float)
+    if values.shape != (grid.n_intervals, disc.n_dof):
+        raise ValueError("solution shape does not match discretization")
+
+    cross_v = mode.lam * pair.mode_vector()
+    int_t, int_t2 = _before_profile_integrals(mode, grid)
+    widths = np.diff(grid.nodes)
+    phi_v2 = mode.mode_energy_sq
+    c0 = mode.c0
+
+    err_sq = (c0 ** 2 * phi_v2 * float(np.sum(int_t2))
+              - 2.0 * c0 * float(int_t @ (values @ cross_v))
+              + solver.trial_energy_norm(values, disc) ** 2)
+
+    # best approximation: energy projection of the mode, interval means of T
+    spatial = pair.stiffness_solve(cross_v)
+    proj_energy = float(cross_v @ spatial)
+    best_sq = c0 ** 2 * float(
+        np.sum(int_t2 * phi_v2 - int_t ** 2 / widths * proj_energy))
+    return float(np.sqrt(max(err_sq, 0.0))), float(np.sqrt(max(best_sq, 0.0)))
+
+
+@pytest.mark.parametrize("dim,degree,n_cells", [(1, 1, 8), (1, 1, 64), (1, 2, 8),
+                                                (1, 2, 37), (2, 1, 6)])
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+def test_cached_exact_error_is_the_per_path_formula_bit_for_bit(dim, degree, n_cells,
+                                                                graded):
+    nodes = np.linspace(0.0, 1.0, 41)
+    grid = solver.TimeGrid(nodes ** 2 if graded else nodes)
+    disc = solver.Discretization(pair=make_disc(dim, n_cells, degree).pair, grid=grid)
+    for a in np.geomspace(1e-3, 1e3, 13):
+        for c0 in (1.0, -0.3):
+            mode = oracle.ModeSolution.for_dim(a, c0, dim)
+            sol = solver.solve_pathwise(ConstantCoeffs(a=a, c0=c0), disc, 0.0)
+            # the first path of the grid fills its caches, the others read them
+            assert oracle.exact_error(mode, disc, sol) == _before_exact_error(mode, disc, sol)
+    assert np.array_equal(oracle.exact_mode_profile(0.5, np.pi ** 2, nodes),
+                          _before_exact_mode_profile(0.5, np.pi ** 2, nodes))
+
+
+def test_exact_error_rejects_a_mode_of_another_dimension():
+    disc = make_disc(dim=2, n_cells=4, n_steps=4)
+    sol = solver.solve_pathwise(ConstantCoeffs(), disc, 0.0)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        oracle.exact_error(oracle.ModeSolution.for_dim(1.0, 1.0, 1), disc, sol)

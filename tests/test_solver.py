@@ -142,6 +142,20 @@ def test_time_grid_guards():
     assert np.allclose(grid.widths, 0.5)
 
 
+def test_time_grid_caches_are_read_only_and_computed_once():
+    grid = solver.TimeGrid(np.linspace(0.0, 1.0, 7) ** 2)
+    assert grid.widths is grid.widths
+    assert np.array_equal(grid.widths, np.diff(grid.nodes))
+    t, w, sin_pt, pi_cos_pt = grid.profile_quadrature
+    assert grid.profile_quadrature is grid.profile_quadrature
+    points, weights = fem.interval_gauss(grid.nodes, 5)
+    assert np.array_equal(t, points) and np.array_equal(w, weights)
+    assert np.array_equal(sin_pt, np.sin(np.pi * points))
+    assert np.array_equal(pi_cos_pt, np.pi * np.cos(np.pi * points))
+    for array in (grid.widths, t, w, sin_pt, pi_cos_pt):
+        assert not array.flags.writeable
+
+
 def test_assemble_load_zero_forcing_zero_initial():
     disc = make_disc(n_cells=4, n_steps=4)
     load = solver.assemble_load(ConstantCoeffs(c0=0.0), disc, 0.0)

@@ -8,7 +8,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from stpg import cli, solver
+import numpy as np
+
+from stpg import cli, fem, oracle, solver
 from stpg import constants as consts
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -70,6 +72,36 @@ def test_per_grid_work_runs_once_per_grid(tmp_path, monkeypatch):
     assert len(shapes) == 8
     assert set(shapes) == {((p, 2, 4), (p, 4), (p, 2, 4)) for p in (3, 7)}
     assert metrics["constants.cfl_constant.calls"][0] == 2
+
+
+def test_profile_quadrature_once_per_grid(tmp_path, monkeypatch):
+    # a convergence level forms the 5-point Gauss rule of its grid and
+    # the trig values of the profile there once, for all of its paths;
+    # only the decay exp(-a lam t) is per path
+    gauss = []
+    calls = {"sin": [], "cos": [], "exp": []}
+    interval_gauss = fem.interval_gauss
+
+    def gauss_counting(nodes, n_points):
+        gauss.append((len(nodes) - 1, n_points))
+        return interval_gauss(nodes, n_points)
+
+    for module in (fem, solver, oracle):
+        monkeypatch.setattr(module, "interval_gauss", gauss_counting, raising=False)
+    for name, shapes in calls.items():
+        def counting(x, *args, _ufunc=getattr(np, name), _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(x))
+            return _ufunc(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    argv = ["convergence", "--case", "lognormal", "--j-min", "2", "--j-max", "3",
+            "--n-quad-ladder", "4", "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    # two levels of 16 and 64 steps, 4 paths each
+    assert [call for call in gauss if call[1] == 5] == [(16, 5), (64, 5)]
+    for name, per_grid in (("sin", 1), ("cos", 1), ("exp", 4)):
+        assert [s for s in calls[name] if s[-1:] == (5,)] == \
+            per_grid * [(16, 5)] + per_grid * [(64, 5)], name
 
 
 def test_mode_vector_once_per_mesh(tmp_path):

@@ -24,6 +24,7 @@ guarantee.
 import argparse
 import contextlib
 import errno
+import functools
 import math
 import os
 import re
@@ -57,13 +58,17 @@ SOLVE_HEADER = ["interval", "t", "dof", "value"]
 # A sweep block holds its float64 (N, P, n_dof) state and, while it
 # steps, two windows of step factors. Each entry is (arrays, values,
 # cached): once a block is done, a subcommand holds beside its state
-# float64 (N, n_dof) arrays and float64 values per interval of one
-# path's work, and from its first path on, through later blocks' sweeps
+# float64 (N, n_dof) arrays and float64 values per interval of each path
+# it works on at once (one for solve, a group of _error_paths for
+# convergence), and from its first path on, through later blocks' sweeps
 # too, float64 values per interval cached on the grid. solve holds the
-# path's interval values; convergence those and their product with S,
-# the profile of oracle.exact_error with two temporaries of its
-# expression (15 values), and the Gauss points, weights and trig values
-# of TimeGrid.profile_quadrature (20 values)
+# path's interval values. oracle.block_errors holds per path of a group
+# first its profile with two temporaries of its expression (15 values),
+# then the path's modal coefficients and interval values, then those
+# values and their product with S (2 arrays) beside its (group, N) sums,
+# which the 15 values cover (a traced group holds 2 n_dof + 2 values per
+# path and interval, or 16 at one dof), and it reads the Gauss points,
+# weights and trig values of TimeGrid.profile_quadrature (20 values)
 AFTER_SWEEP = {"convergence": (2, 15, 20), "solve": (1, 0, 0)}
 # float64 values per time step held throughout: the grid's nodes and
 # its cached time weights and widths, which the sweep reads. It also
@@ -77,13 +82,19 @@ GRID_VALUES = 3
 # at least 4, the largest size of a ladder of four)
 MOMENT_ARRAYS = 9
 # bytes one block of a rung's paths holds while it steps, its state and
-# its two windows of step factors, unless one path alone needs more
+# its two windows of step factors, or one stack of an infsup grid's
+# nodes, unless one path or node alone needs more
 _BLOCK_BYTES = 1 << 23
-# float64 (n_dof, N, N) stacks the constants of one infsup node hold at
-# peak: the one work stack of discrete_infsup, beside the numpy buffer
-# (np.getbufsize() values) of its broadcast scalings and NODE_BANDS
-# float64 values per mode and step: the bands of mode_blocks and the
-# pivots, gains and scalings of discrete_infsup
+# float64 values that one group of a block's paths holds in
+# oracle.block_errors (AFTER_SWEEP's arrays and values per interval of
+# each path), unless one path alone holds more
+_GROUP_VALUES = 1 << 15
+# float64 (n_dof, N, N) stacks each node of an infsup stack
+# (_stack_nodes) holds at peak: its share of the one work stack of
+# discrete_infsup, beside the numpy buffer (np.getbufsize() values) of
+# the broadcast scalings and NODE_BANDS float64 values per mode and step:
+# the bands of mode_blocks and the pivots, gains and scalings of
+# discrete_infsup
 NODE_STACKS = 1
 NODE_BANDS = 10
 # bytes of the small objects a pathwise run holds beside the arrays it
@@ -269,23 +280,42 @@ def _block_paths(n_steps: int, n_dof: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * (max(n_steps, 1) + 2 * window) * n_dof))
 
 
+def _error_paths(n_steps: int, n_dof: int) -> int:
+    """Paths of a block whose errors are measured together: as many as
+    _GROUP_VALUES holds, at least one."""
+    arrays, values, _ = AFTER_SWEEP["convergence"]
+    return max(1, _GROUP_VALUES // (n_steps * (arrays * n_dof + values)))
+
+
+def _node_values(n_steps: int, n_dof: int) -> int:
+    """float64 values one node of an infsup stack holds at peak."""
+    return NODE_STACKS * n_dof * n_steps ** 2 + NODE_BANDS * n_dof * n_steps
+
+
+def _stack_nodes(n_steps: int, n_dof: int) -> int:
+    """Parameter nodes of an infsup grid whose constants are computed in
+    one stack: as many as the block budget holds, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * _node_values(n_steps, n_dof)))
+
+
 def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
                     paths: int = 1, space_time: bool = False):
     """Mesh, spatial pair and uniform time grid of one configuration.
 
     Before any matrix is built, the spatial dofs of a pathwise run, or
     the space-time trial size (dofs times steps) of infsup, must be within
-    the cap, and what one parameter node of infsup, or a pathwise run of
-    a rung of that many paths, holds at peak must fit in memory. Each
-    count adds the spatial pair's 1-D matrices at their peak
-    (fem.pair_values), which in 1-D are n_dof x n_dof, and its message
-    names that share. Beside them it counts, for infsup, one node's
-    stack and bands (NODE_STACKS, NODE_BANDS), for moments, the grid's
-    nodes and MOMENT_ARRAYS of the rung's paths and dofs, and for the
-    others GRID_VALUES per step and the values the subcommand caches on
-    the grid (AFTER_SWEEP), held throughout, plus one block's sweep
-    with what its subcommand then holds (AFTER_SWEEP), the temporaries
-    of the spatial operators (fem.kron_temporaries) and RUN_BYTES.
+    the cap, and what a run over that many paths or parameter nodes holds
+    at peak must fit in memory. Each count adds the spatial pair's 1-D
+    matrices at their peak (fem.pair_values), which in 1-D are
+    n_dof x n_dof, and its message names that share. Beside them it
+    counts, for infsup, one stack of nodes (_stack_nodes) with each
+    node's blocks and bands (NODE_STACKS, NODE_BANDS), for moments, the
+    grid's nodes and MOMENT_ARRAYS of the rung's paths and dofs, and for
+    the others GRID_VALUES per step and the values the subcommand caches
+    on the grid (AFTER_SWEEP), held throughout, plus one block's sweep
+    with what its subcommand then holds for the paths it works on at
+    once (AFTER_SWEEP, _error_paths), the temporaries of the spatial
+    operators (fem.kron_temporaries) and RUN_BYTES.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
@@ -294,10 +324,11 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         raise ResourceCapError(f"{kind} size {size} exceeds cap {config.max_dofs}")
     pair = fem.pair_values(mesh)
     if space_time:
-        node = NODE_STACKS * mesh.n_dof * n_steps ** 2 + NODE_BANDS * mesh.n_dof * n_steps
-        _check_memory(8 * (pair + node + np.getbufsize()),
-                      f"an infsup node of {mesh.n_dof} x {n_steps} x {n_steps} blocks",
-                      8 * pair)
+        nodes = min(paths, _stack_nodes(n_steps, mesh.n_dof))
+        stack = nodes * _node_values(n_steps, mesh.n_dof)
+        _check_memory(8 * (pair + stack + np.getbufsize()),
+                      f"an infsup stack of {nodes} nodes of {mesh.n_dof} x {n_steps} x "
+                      f"{n_steps} blocks", 8 * pair)
     elif config.subcommand == "moments":
         # the grid while TimeGrid checks it, or its nodes and the rung's arrays
         rung = MOMENT_ARRAYS * paths * mesh.n_dof
@@ -305,9 +336,12 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
                       f"a moments rung of {paths} x {mesh.n_dof}", 8 * pair)
     else:
         block = min(paths, _block_paths(n_steps, mesh.n_dof))
+        group = 1
+        if config.subcommand == "convergence":
+            group = min(block, _error_paths(n_steps, mesh.n_dof))
         window = min(n_steps, solver.SWEEP_WINDOW) + 1
         arrays, values, cached = AFTER_SWEEP[config.subcommand]
-        after = n_steps * (arrays * mesh.n_dof + values) + fem.kron_temporaries(mesh)
+        after = group * n_steps * (arrays * mesh.n_dof + values) + fem.kron_temporaries(mesh)
         sweep = block * mesh.n_dof * n_steps + max(2 * window * block * mesh.n_dof, after)
         _check_memory(8 * (pair + (GRID_VALUES + cached) * n_steps + sweep) + RUN_BYTES,
                       f"a {n_steps} x {block} x {mesh.n_dof} sweep block", 8 * pair)
@@ -351,20 +385,18 @@ def _mode_errors(model, disc, nodes) -> np.ndarray:
 
     A path is flagged by _paths or because a step of its sweep is not
     finite. The other paths are swept together, _block_paths at a time,
-    and oracle.exact_error takes each path's interval values in turn.
+    and oracle.block_errors measures the finite paths of each block,
+    _error_paths at a time, with the bits of oracle.exact_error.
     """
-    pair = disc.pair
     a, c0, valid = _paths(model, nodes)
     errors = np.full(len(nodes), math.nan)
-    size = _block_paths(disc.grid.n_intervals, disc.n_dof)
+    n_steps, n_dof = disc.grid.n_intervals, disc.n_dof
+    size = _block_paths(n_steps, n_dof)
     for start in range(0, len(valid), size):
         paths = valid[start:start + size]
         z, finite = solver.sweep(disc, a[paths], c0[paths])
-        for col in np.nonzero(finite)[0]:
-            path = paths[col]
-            mode = oracle.ModeSolution.for_dim(float(a[path]), float(c0[path]),
-                                               pair.mesh.dim)
-            errors[path] = oracle.exact_error(mode, disc, pair.from_modes(z[:, col]))[0]
+        errors[paths] = oracle.block_errors(disc, a[paths], c0[paths], z, finite,
+                                            _error_paths(n_steps, n_dof))
         del z  # so that the next block's sweep does not find this state alive
     return errors
 
@@ -448,25 +480,34 @@ def run_infsup(config: ExperimentConfig):
     model, domain = _setup(config.case)
     n_quad = config.quad_ladder[0]
     nodes, _ = stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
+    diffusion = [model.a(omega) for omega in nodes]
+    valid = [i for i, a in enumerate(diffusion) if math.isfinite(a) and a > 0]
     rows = []
     for n_cells in config.n_cells:
         for n_steps in config.n_steps:
-            disc = _discretization(config, n_cells, n_steps, space_time=True)
+            disc = _discretization(config, n_cells, n_steps, len(nodes), space_time=True)
             c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
             lam = disc.pair.eigenvalues
-            for omega in nodes:
-                a = model.a(omega)
-                if not (math.isfinite(a) and a > 0):
+            sigmas = {}
+            size = _stack_nodes(n_steps, disc.n_dof)
+            for start in range(0, len(valid), size):
+                stack = valid[start:start + size]
+                # a node's constants are the extremes over its mode blocks,
+                # one slice of the stack
+                mu = np.concatenate([diffusion[i] * lam for i in stack])
+                lows, highs = consts.discrete_infsup(*solver.mode_blocks(disc.grid, mu))
+                lows, highs = (m.reshape(len(stack), -1) for m in (lows, highs))
+                sigmas.update(zip(stack, zip(lows.min(axis=1).tolist(),
+                                             highs.max(axis=1).tolist())))
+            for i, (omega, a) in enumerate(zip(nodes, diffusion)):
+                if i not in sigmas:
                     rows.append((config.case, n_cells, n_steps, omega, a,
                                  math.nan, math.nan, c_s, math.nan,
                                  math.nan, math.nan))
                     continue
-                # the system's constants are the extremes over its mode blocks
-                lows, highs = consts.discrete_infsup(*solver.mode_blocks(disc.grid, a * lam))
-                sig_min, sig_max = float(lows.min()), float(highs.max())
                 bounds = consts.theoretical_constants(a, a)
                 rows.append((config.case, n_cells, n_steps, omega, a,
-                             sig_min, sig_max, c_s, consts.weighted_cfl(a, c_s),
+                             *sigmas[i], c_s, consts.weighted_cfl(a, c_s),
                              bounds.c_b_bound, bounds.C_b_bound))
     return rows
 
@@ -587,9 +628,14 @@ def _report(config: ExperimentConfig):
     return SOLVE_HEADER, run_solve(config), (), EXIT_OK
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser's parser, built on the first call of a process and kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     config = config_from_args(args)
     try:
         header, rows, trailer, status = _report(config)

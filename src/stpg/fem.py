@@ -105,7 +105,11 @@ def kron_apply(terms, x, left: bool = False) -> np.ndarray:
     the sum over terms of the Kronecker products of their 1-D factors.
 
     One factor (dim 1) is one product. Two (dim 2) map each vector's
-    n x n array X to A' X B, TENSOR_BLOCK values of x at a time.
+    n x n array X to A' X B, TENSOR_BLOCK values of x at a time. A 3-D x
+    is a stack of (m, n_dof) arrays, each with the bits it has alone:
+    the rows of a BLAS product can change its last bits, so an array's
+    vectors are cut into the chunks they form alone, and a chunk holds
+    several arrays only where each is shorter than a chunk.
     """
     if len(terms[0]) == 1:
         ((a,),) = terms
@@ -116,18 +120,21 @@ def kron_apply(terms, x, left: bool = False) -> np.ndarray:
                           np.asarray(x).T).T
     n = len(terms[0][0])
     x = np.asarray(x, dtype=float)
-    stack = x.reshape(-1, n, n)
+    m = (x.shape[1] if x.ndim == 3 else x.size // (n * n)) or 1
+    stack = x.reshape(-1, m, n, n)
     # the result owns its memory, so numpy may reuse it for a product
     out = np.empty(x.shape)
-    rows = out.reshape(-1, n)
+    rows = out.reshape(len(stack), m * n, n)
     step = max(1, TENSOR_BLOCK // (n * n))
+    arrays = max(1, step // m)
     (a, b), *more = terms
-    for start in range(0, len(stack), step):
-        block = stack[start:start + step]
-        part = rows[start * n:(start + len(block)) * n]
-        np.matmul((a.T @ block).reshape(-1, n), b, out=part)
-        for c, d in more:
-            part += (c.T @ block).reshape(-1, n) @ d
+    for first in range(0, len(stack), arrays):
+        for start in range(0, m, step):
+            block = stack[first:first + arrays, start:start + step]
+            part = rows[first:first + arrays, start * n:(start + block.shape[1]) * n]
+            np.matmul((a.T @ block).reshape(len(block), -1, n), b, out=part)
+            for c, d in more:
+                part += (c.T @ block).reshape(len(block), -1, n) @ d
     return out
 
 

@@ -7,12 +7,15 @@ T' + a * lam * T = sin(pi t), T(0) = 0. This module provides the closed
 form of T, a validation gate against an independent high-order time
 integrator, exact space-time error norms against discrete solutions,
 and a refined-in-time surrogate for the spatially semidiscrete
-solution. It also holds the dense inf-sup constants of whole space-time
-systems (dense_infsup), the oracle of constants.discrete_infsup, and a
-two-grid estimate of the energy-norm stability of the L2 projection
-(projection_stability). It is the one module of the package that names
-scipy; validate_mode_profile and projection_stability load it when
-called, and no CLI path calls them.
+solution. exact_error measures one path's solution and is the tests'
+oracle; block_errors, which the convergence experiment calls, measures
+the paths of a sweep block group at a time, with the bits of
+exact_error on each path. It also holds the dense inf-sup constants of
+whole space-time systems (dense_infsup), the oracle of
+constants.discrete_infsup, and a two-grid estimate of the energy-norm
+stability of the L2 projection (projection_stability). It is the one
+module of the package that names scipy; validate_mode_profile and
+projection_stability load it when called, and no CLI path calls them.
 """
 
 import functools
@@ -34,13 +37,18 @@ __all__ = [
     "exact_mode_profile",
     "validate_mode_profile",
     "exact_error",
+    "block_errors",
     "semidiscrete_reference",
     "dense_infsup",
     "projection_stability",
 ]
 
 
-def exact_mode_profile(a: float, lam: float, t, trig=None) -> np.ndarray:
+# squared energy norm of the spatial mode, pi^2 / 2 in both dims
+_MODE_ENERGY_SQ = float(np.pi ** 2 / 2.0)
+
+
+def exact_mode_profile(a, lam: float, t, trig=None) -> np.ndarray:
     """Temporal profile T(t) of the exact single-mode solution.
 
         T(t) = (a lam sin(pi t) - pi cos(pi t) + pi exp(-a lam t))
@@ -48,9 +56,11 @@ def exact_mode_profile(a: float, lam: float, t, trig=None) -> np.ndarray:
 
     trig holds sin(pi t) and pi cos(pi t) where they are known, as
     TimeGrid.profile_quadrature keeps them for its Gauss points; they
-    are computed here otherwise. Either way T has the same bits.
+    are computed here otherwise. Either way T has the same bits. a is a
+    diffusion value or an array of them that broadcasts against t; each
+    value's profile has the bits it has alone.
     """
-    if a <= 0:
+    if np.any(np.asarray(a) <= 0):
         raise ValueError("diffusion value must be positive")
     t = np.asarray(t, dtype=float)
     if trig is None:
@@ -118,15 +128,16 @@ class ModeSolution:
     @property
     def mode_energy_sq(self) -> float:
         """Squared energy norm of the spatial mode, pi^2 / 2 in both dims."""
-        return float(np.pi ** 2 / 2.0)
+        return _MODE_ENERGY_SQ
 
 
-def _profile_integrals(mode: ModeSolution, grid: TimeGrid):
+def _profile_integrals(a, lam: float, grid: TimeGrid):
     """Per-interval integrals of T and T^2 by 5-point Gauss, at the points,
-    weights and trig values the grid keeps (TimeGrid.profile_quadrature)."""
+    weights and trig values the grid keeps (TimeGrid.profile_quadrature):
+    (N,) arrays for one diffusion value a, (P, N) for a (P, 1, 1) stack."""
     t, w, *trig = grid.profile_quadrature
-    prof = mode.time_profile(t, trig)
-    return np.sum(w * prof, axis=1), np.sum(w * prof ** 2, axis=1)
+    prof = exact_mode_profile(a, lam, t, trig)
+    return np.sum(w * prof, axis=-1), np.sum(w * prof ** 2, axis=-1)
 
 
 def exact_error(mode: ModeSolution, disc: Discretization,
@@ -152,7 +163,7 @@ def exact_error(mode: ModeSolution, disc: Discretization,
         raise ValueError("mode eigenvalue is not the pair's")
 
     cross_v, proj_energy = pair.mode_energy
-    int_t, int_t2 = _profile_integrals(mode, grid)
+    int_t, int_t2 = _profile_integrals(mode.a, mode.lam, grid)
     phi_v2 = mode.mode_energy_sq
     c0 = mode.c0
 
@@ -164,6 +175,49 @@ def exact_error(mode: ModeSolution, disc: Discretization,
     best_sq = c0 ** 2 * float(
         np.sum(int_t2 * phi_v2 - int_t ** 2 / grid.widths * proj_energy))
     return float(np.sqrt(max(err_sq, 0.0))), float(np.sqrt(max(best_sq, 0.0)))
+
+
+def block_errors(disc: Discretization, a, c0, z: np.ndarray, finite,
+                 group: int) -> np.ndarray:
+    """Solver errors of the paths of one solver.sweep block.
+
+    a and c0 hold the P paths' diffusion values and forcing amplitudes,
+    z the (N, P, n_dof) modal coefficients sweep returned for them and
+    finite its flags. Returns the P errors, nan where a path is not
+    finite; each is exact_error(ModeSolution.for_dim(a_p, c0_p, dim),
+    disc, pair.from_modes(z[:, p]))[0], bit for bit, and no best error
+    is formed. The finite paths go group at a time: one from_modes and
+    one stiffness_action product give their interval values and those
+    times S as (group, N, n_dof) arrays, and the profile and energy sums
+    come as (group, N) arrays. Every product has the shape of one path's
+    in exact_error, and every sum over the N intervals runs on one path's
+    contiguous vector, so numpy and BLAS add in the same order.
+    """
+    pair, grid = disc.pair, disc.grid
+    cross_v, _ = pair.mode_energy
+    a, c0 = np.asarray(a, dtype=float), np.asarray(c0, dtype=float)
+    errors = np.full(len(finite), math.nan)
+    (done,) = np.nonzero(finite)
+    for start in range(0, len(done), group):
+        paths = done[start:start + group]
+        int_t, int_t2 = _profile_integrals(a[paths, None, None], pair.mode_eigenvalue, grid)
+        values = pair.from_modes(z.transpose(1, 0, 2)[paths])
+        # one dot product of N values per path
+        cross = (int_t[:, None] @ (values @ cross_v)[..., None])[:, 0, 0]
+        energy = pair.stiffness_action(values)
+        energy *= values
+        # freed here, so that the next group's arrays do not find them alive
+        del values
+        total = np.sum(grid.widths * np.sum(energy, axis=-1), axis=-1)
+        del energy
+        norms = np.sqrt(np.maximum(total, 0.0))
+        # the scalar terms in Python floats, in exact_error's order
+        for path, c, sum_t2, cross_p, norm in zip(
+                paths.tolist(), c0[paths].tolist(), np.sum(int_t2, axis=-1).tolist(),
+                cross.tolist(), norms.tolist()):
+            err_sq = c ** 2 * _MODE_ENERGY_SQ * sum_t2 - 2.0 * c * cross_p + norm ** 2
+            errors[path] = math.sqrt(max(err_sq, 0.0))
+    return errors
 
 
 def semidiscrete_reference(coeffs, disc: Discretization, omega: float,

@@ -129,8 +129,9 @@ class TimeGrid:
     def profile_quadrature(self) -> tuple:
         """(t, w, sin(pi t), pi cos(pi t)) at the 5-point Gauss points t,
         weights w of interval_gauss on every interval, all (N, 5): the time
-        integrals of the exact mode profile (oracle.exact_error) read them,
-        computed once and shared by every path; read-only.
+        integrals of the exact mode profile (oracle.exact_error and
+        oracle.block_errors) read them, computed once and shared by every
+        path; read-only.
         """
         t, w = interval_gauss(self.nodes, 5)
         pi_t = np.pi * t

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_sweep
 from stpg import cli, fem, oracle, solver, stochastic
+from stpg import constants as consts
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -292,21 +293,22 @@ def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkey
 @pytest.mark.parametrize("steps,code", [(32, cli.EXIT_RESOURCE), (16, cli.EXIT_OK)])
 def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
                                                           steps, code):
-    # a node holds one stack of 7 modes' steps x steps float64 blocks, 10
-    # values per mode and step and numpy's buffer of 8,192 values, beside
-    # the pair's 5 x 7 x 7 values: 142,760 bytes at 32 steps, 90,792 at 16,
-    # against 102,400 of memory; a 32 x 7 sweep would fit
+    # the grid's 2 nodes go in one stack of 2 x 7 modes' steps x steps
+    # float64 blocks, with 10 values per mode and step and numpy's buffer
+    # of 8,192 values, beside the pair's 5 x 7 x 7 values: 218,024 bytes at
+    # 32 steps, 114,088 at 16, against 163,840 of memory; a 32 x 7 sweep
+    # would fit
     assert np.getbufsize() == 8192
-    _patch_physical_memory(monkeypatch, 25)
+    _patch_physical_memory(monkeypatch, 40)
     out = tmp_path / "x.csv"
     result, err = _main(["infsup", "--cells", "8", "--steps", str(steps),
-                         "--out", str(out)], capsys)
+                         "--n-quad-ladder", "2", "--out", str(out)], capsys)
     assert result == code
     if code == cli.EXIT_RESOURCE:
-        assert err == ["stpg: resource cap: an infsup node of 7 x 32 x 32 blocks "
-                       f"needs {8 * (7 * 32 * (32 + 10) + 8192 + 5 * 49)} bytes, "
-                       f"{8 * 5 * 49} of them for the spatial pair, more "
-                       "than the 102400 bytes of physical memory"]
+        assert err == ["stpg: resource cap: an infsup stack of 2 nodes of 7 x 32 x 32 "
+                       f"blocks needs {8 * (2 * 7 * 32 * (32 + 10) + 8192 + 5 * 49)} "
+                       f"bytes, {8 * 5 * 49} of them for the spatial pair, more "
+                       "than the 163840 bytes of physical memory"]
         assert list(tmp_path.iterdir()) == []
     else:
         assert err == [] and out.exists()
@@ -323,14 +325,17 @@ def _traced_peak(work):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("cells,steps,oracle", [
+@pytest.mark.parametrize("cells,steps,errors", [
     (64, 1000, False),  # 63 dofs: the rung's arrays outweigh the grid
     (64, 5000, False),  # 63 dofs: TimeGrid's checks on the grid outweigh the rung
-    (2, 20000, True),  # 1 dof: one block, then the oracle beside the grid's cached values
-    (64, 5000, True),  # 63 dofs: blocks of 3, then one path's arrays in the oracle
+    # 1 dof: one block, then block_errors one path at a time beside the
+    # grid's cached values
+    (2, 20000, True),
+    (64, 5000, True),  # 63 dofs: blocks of 3, then one path's arrays in block_errors
+    (16, 128, True),  # 15 dofs: one block, then block_errors' groups of 5 paths
 ])
-def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, oracle):
-    subcommand = "convergence" if oracle else "moments"
+def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, errors):
+    subcommand = "convergence" if errors else "moments"
     config = cli.ExperimentConfig(subcommand=subcommand, case="lognormal", dim=1)
     model, domain = cli._setup(config.case)
     checked = []
@@ -345,14 +350,24 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, orac
         return sweep(disc, a, c0)
 
     monkeypatch.setattr(solver, "sweep", recording)
-    if oracle:
+    if errors:
         # a new grid for each run, so that the trace sees the values the
-        # oracle caches on it, which the count holds from the first path on
+        # error evaluation caches on it, which the count holds from the
+        # first path on
         def level():
             grid = solver.TimeGrid.uniform(1.0, steps)
             return cli._mode_errors(model, solver.Discretization(disc.pair, grid), nodes)
 
+        groups = []
+        block_errors = oracle.block_errors
+
+        def grouping(disc, a, c0, z, finite, group):
+            groups.append(group)
+            return block_errors(disc, a, c0, z, finite, group)
+
+        monkeypatch.setattr(oracle, "block_errors", grouping)
         peak = _traced_peak(level)
+        assert set(groups) == {cli._error_paths(steps, disc.n_dof)}
         block = min(16, cli._block_paths(steps, disc.n_dof))
         # _traced_peak runs the rung twice
         assert blocks == 2 * [min(block, 16 - start) for start in range(0, 16, block)]
@@ -547,16 +562,109 @@ def test_64_cell_2d_runs_stay_far_below_one_dense_matrix(tmp_path, capsys, monke
 
 
 def test_infsup_memory_count_pins_the_traced_peak(monkeypatch):
-    # 3 modes x 128 steps, where numpy's 64 KiB buffer is a sixth of the
-    # 384 KiB stack, and 15 modes x 256 steps, where the 7.9 MB stack
-    # dominates
+    # one stack of 2 nodes of 3 modes x 128 steps, where numpy's 64 KiB
+    # buffer is a twelfth of the 768 KiB stack, and stacks of one node of
+    # 15 modes x 256 steps, where its 7.9 MB stack dominates and the block
+    # budget holds no second node
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
-    for cells, steps in ((4, 128), (16, 256)):
+    stacks = []
+    infsup = consts.discrete_infsup
+
+    def recording(bilinear, gram_trial, gram_test):
+        stacks.append(len(bilinear))
+        return infsup(bilinear, gram_trial, gram_test)
+
+    monkeypatch.setattr(consts, "discrete_infsup", recording)
+    for cells, steps, modes in ((4, 128, [6]), (16, 256, [15, 15])):
         config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1,
                                       n_cells=(cells,), n_steps=(steps,), quad_ladder=(2,))
+        stacks.clear()
         peak = _traced_peak(lambda: cli.run_infsup(config))
+        assert stacks == 2 * modes  # _traced_peak runs it twice
         assert 0.95 * checked[-1] <= peak <= 1.05 * checked[-1]
+
+
+def _per_node_infsup_rows(config):
+    """run_infsup's rows from one discrete_infsup call per parameter node."""
+    model, domain = cli._setup(config.case)
+    nodes, _ = stochastic.quadrature(domain, config.quad_ladder[0],
+                                     avoid=model.singular_points)
+    rows = []
+    for n_cells in config.n_cells:
+        for n_steps in config.n_steps:
+            disc = cli._discretization(config, n_cells, n_steps, space_time=True)
+            c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
+            for omega in nodes:
+                a = model.a(omega)
+                if not (math.isfinite(a) and a > 0):
+                    rows.append((config.case, n_cells, n_steps, omega, a, math.nan,
+                                 math.nan, c_s, math.nan, math.nan, math.nan))
+                    continue
+                lows, highs = consts.discrete_infsup(
+                    *solver.mode_blocks(disc.grid, a * disc.pair.eigenvalues))
+                bounds = consts.theoretical_constants(a, a)
+                rows.append((config.case, n_cells, n_steps, omega, a, float(lows.min()),
+                             float(highs.max()), c_s, consts.weighted_cfl(a, c_s),
+                             bounds.c_b_bound, bounds.C_b_bound))
+    return rows
+
+
+@pytest.mark.parametrize("dim,degree,cells,steps", [
+    (1, 1, (4, 8), (4, 16)), (1, 2, (5,), (8, 3)), (2, 1, (4, 6), (4, 8))])
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["stacked", "one-node-stacks"])
+def test_infsup_rows_are_the_per_node_rows_bit_for_bit(monkeypatch, dim, degree, cells,
+                                                       steps, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+    # case a with three nodes flagged mid-ladder: a = nan, a = 0, a < 0
+    model, domain = cli._setup("a")
+    nodes, _ = stochastic.quadrature(domain, 8, avoid=model.singular_points)
+    flagged = {nodes[1]: math.nan, nodes[3]: 0.0, nodes[4]: -2.0}
+    node_model = stochastic.CoefficientModel(
+        a_fn=lambda w: flagged.get(float(w), model.a(w)), c0_fn=model.c0_fn,
+        singular_points=model.singular_points)
+    monkeypatch.setattr(cli, "_setup", lambda case: (node_model, domain))
+    config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=dim, degree=degree,
+                                  n_cells=cells, n_steps=steps, quad_ladder=(8,))
+    stacks = []
+    infsup = consts.discrete_infsup
+
+    def recording(bilinear, gram_trial, gram_test):
+        stacks.append(len(bilinear))
+        return infsup(bilinear, gram_trial, gram_test)
+
+    monkeypatch.setattr(consts, "discrete_infsup", recording)
+    rows = cli.run_infsup(config)
+    # one stack of the 5 valid nodes per grid, or one stack per node
+    per_grid = [1] * 5 if block_bytes else [5]
+    modes = [fem.build_mesh(dim, c, degree).n_dof for c in cells for _ in steps]
+    assert stacks == [n * k for n in modes for k in per_grid]
+    expected = _per_node_infsup_rows(config)
+    assert [row[:5] for row in rows] == [row[:5] for row in expected]
+    assert _csv_rows(rows) == _csv_rows(expected)
+    assert sum(math.isnan(row[5]) for row in rows) == 3 * len(modes)
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--j-min", "2", "--j-max", "4", "--n-quad-ladder", "5"],
+    ["convergence", "--degree", "2", "--j-min", "2", "--j-max", "4",
+     "--n-quad-ladder", "3"],
+    ["convergence", "--dim", "2", "--j-min", "2", "--j-max", "3", "--n-quad-ladder", "3"],
+    ["convergence", "--case", "b", "--j-min", "2", "--j-max", "3", "--n-quad-ladder", "4"],
+    ["moments", "--cells", "4", "--steps", "8", "--n-quad-ladder", "4,8,16,32"],
+    ["infsup", "--cells", "4", "--steps", "4", "--n-quad-ladder", "2"],
+    ["solve", "--cells", "4", "--steps", "4"],
+], ids=" ".join)
+def test_no_cli_run_calls_the_per_path_oracle(tmp_path, capsys, monkeypatch, argv):
+    def per_path(*args, **kwargs):
+        raise AssertionError("a CLI run called the per-path error oracle")
+
+    monkeypatch.setattr(oracle, "exact_error", per_path)
+    monkeypatch.setattr(oracle, "ModeSolution", per_path)
+    out = tmp_path / "x.csv"
+    assert _main([*argv, "--out", str(out)], capsys) == (cli.EXIT_OK, [])
+    assert out.exists()
 
 
 @pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
@@ -615,6 +723,28 @@ def _usage_error(argv, capsys, tmp_path):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("stpg")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        argv = ["infsup", "--cells", "4", "--steps", "4", "--n-quad-ladder", "2"]
+        for _ in range(2):
+            out = tmp_path / "ok" / "x.csv"
+            out.parent.mkdir(exist_ok=True)
+            assert _main([*argv, "--out", str(out)], capsys) == (cli.EXIT_OK, [])
+        assert built == [1]
+        # a usage error after a good call still exits 1 with one line
+        (tmp_path / "bad").mkdir()
+        _usage_error(["infsup", "--omega", "1"], capsys, tmp_path / "bad")
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+    # build_parser still builds a fresh parser, which main never uses
+    assert build() is not build()
 
 
 @pytest.mark.parametrize("subcommand,flag", [

@@ -455,3 +455,24 @@ def test_a_2d_pair_holds_only_its_1d_matrices(n_cells):
     # a few n_1d x n_1d arrays (the 1-D matrices, their eigenvectors and
     # the closed form's temporaries) and the 2-D eigenvalues and load
     assert peak <= 8 * 8 * n_1d ** 2 + 16384
+
+
+@pytest.mark.parametrize("dim,n_cells", [(1, 9), (2, 6), (2, 100)])
+@pytest.mark.parametrize("tensor_block", [1, 175, 2500, fem.TENSOR_BLOCK])
+def test_kron_apply_gives_each_array_of_a_stack_its_own_bits(monkeypatch, rng, dim,
+                                                             n_cells, tensor_block):
+    # the rows of a BLAS product can change its last bits (at 99 dofs per
+    # axis, chunks of 6 vectors shared by the arrays of a stack change
+    # about 500 of its values), so each (m, n_dof) array of a stack is
+    # transformed as it is alone: cut into its own chunks, or whole and
+    # beside others in one chunk
+    monkeypatch.setattr(fem, "TENSOR_BLOCK", tensor_block)
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, 1))
+    stack = rng.standard_normal((5, 7, pair.n_dof))
+    for operator in (pair.from_modes, pair.stiffness_action, pair.mass_action):
+        stacked = operator(stack)
+        for array, alone in zip(stack, stacked):
+            assert np.array_equal(alone, operator(array))
+    # a strided path of a (steps, paths, n_dof) state, as a copy
+    z = stack.transpose(1, 0, 2)
+    assert np.array_equal(pair.from_modes(z[:, 3]), pair.from_modes(stack[3]))

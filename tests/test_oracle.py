@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ConstantCoeffs, make_disc
-from stpg import oracle, solver
+from stpg import fem, oracle, solver
 from stpg.fem import interval_gauss
 
 
@@ -242,3 +242,44 @@ def test_exact_error_rejects_a_mode_of_another_dimension():
     sol = solver.solve_pathwise(ConstantCoeffs(), disc, 0.0)
     with pytest.raises(ValueError, match="eigenvalue"):
         oracle.exact_error(oracle.ModeSolution.for_dim(1.0, 1.0, 1), disc, sol)
+
+
+# 26 regular paths over six decades of a, and mid-block a tiny a whose
+# huge c0 adds up to inf (with tenfold time weights), which the sweep
+# flags
+_BLOCK_A = np.insert(np.repeat(np.geomspace(1e-3, 1e3, 13), 2), 13, 1e-3)
+_BLOCK_C0 = np.insert(np.tile([1.0, -0.3], 13), 13, 1e308)
+
+
+@pytest.mark.parametrize("dim,degree,n_cells,tensor_block", [
+    (1, 1, 8, None), (1, 1, 64, None), (1, 2, 8, None), (1, 2, 37, None),
+    # 2-D: whole paths in one chunk of the transforms, a chunk of two
+    # paths, and paths cut into chunks of 7 vectors
+    (2, 1, 6, None), (2, 1, 6, 2 * 41 * 25), (2, 1, 6, 7 * 25)])
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+@pytest.mark.parametrize("group", [1, 3, 5, 27])
+def test_block_errors_are_the_per_path_formula_bit_for_bit(monkeypatch, dim, degree,
+                                                           n_cells, tensor_block,
+                                                           graded, group):
+    if tensor_block is not None:
+        monkeypatch.setattr(fem, "TENSOR_BLOCK", tensor_block)
+    time_weights = solver.time_weights
+    monkeypatch.setattr(solver, "time_weights", lambda grid: 10.0 * time_weights(grid))
+    # 41 intervals: a BLAS matrix-vector product adds up a row by its
+    # place among eight, so one product over the rows of several paths
+    # changes bits here (at 37 or 100 intervals none showed)
+    nodes = np.linspace(0.0, 1.0, 42)
+    grid = solver.TimeGrid(nodes ** 2 if graded else nodes)
+    disc = solver.Discretization(pair=make_disc(dim, n_cells, degree).pair, grid=grid)
+    z, finite = solver.sweep(disc, _BLOCK_A, _BLOCK_C0)
+    assert np.flatnonzero(~finite).tolist() == [13]
+    errors = oracle.block_errors(disc, _BLOCK_A, _BLOCK_C0, z, finite, group)
+    assert np.isnan(errors[13])
+    for p in np.flatnonzero(finite):
+        # the modes and interval values of one path, as the per-path
+        # driver formed them
+        mode = oracle.ModeSolution.for_dim(float(_BLOCK_A[p]), float(_BLOCK_C0[p]), dim)
+        values = disc.pair.from_modes(z[:, p])
+        expected = oracle.exact_error(mode, disc, values)[0]
+        assert expected == _before_exact_error(mode, disc, values)[0]
+        assert errors[p] == expected

@@ -10,10 +10,13 @@ Subcommands reproduce the stock experiments at desk scale:
 * ``infsup``       computed inf-sup and continuity constants next to
   the CFL constants and the closed-form bounds
 * ``solve``        one pathwise solve dumped as interval-indexed nodal
-  values, written one time interval at a time
+  values, written a chunk of values at a time
 
-Every report is a CSV file with a fixed header, floats printed with 17
-significant digits, and content that is byte-identical across reruns.
+Every report is a CSV file with a fixed header, floats printed as
+``'%.17g'`` prints them, and content that is byte-identical across
+reruns. The solve report, which can run to hundreds of thousands of
+rows, is formatted by whole-array numpy operations, 4,096 values at a
+time, not one format call per value.
 A regular or new file is written atomically, so a failed run leaves no
 partial CSV; a symlink is written through to its target. An open
 descriptor (``/dev/stdout``, ``/proc/self/fd/N``) is written at its
@@ -34,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import constants as consts
-from . import fem, oracle, solver, stochastic
+from . import fem, g17, oracle, solver, stochastic
 
 __all__ = [
     "ExperimentConfig",
@@ -101,6 +104,15 @@ NODE_BANDS = 10
 # counts: Python objects and numpy's bookkeeping (7 KB in a traced
 # one-dof solve of 20,000 steps)
 RUN_BYTES = 1 << 14
+# (interval, dof) values of a solve report formatted at once, and the
+# float64 values' worth of bytes its writer holds at peak per value of
+# such a chunk: the line's text in its forms and the digits'
+# temporaries, 272 bytes against 218 to 263 traced (263 at one dof,
+# where a chunk spans 4,096 intervals), plus 8 KB at any size, which
+# RUN_BYTES covers. Beside them it holds the solution and the text of
+# every dof number, fewer bytes than a float64 value each
+WRITE_VALUES = 1 << 12
+WRITE_TEXT = 34
 
 
 class ResourceCapError(RuntimeError):
@@ -165,15 +177,53 @@ class SolveRows:
                 yield i + 1, t, dof, v
 
 
+def _rows_of(texts) -> np.ndarray:
+    """A list or array of bytes as the NUL-padded rows of a uint8 array."""
+    texts = np.asarray(texts, dtype=bytes)
+    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+
+
+def _solve_lines(times, values, dofs, start: int) -> str:
+    """The lines of the WRITE_VALUES (interval, dof) values of a solve
+    from the start-th on, which may start and end inside an interval.
+
+    Each line is laid out in NUL-padded uint8 columns: the "i,t," prefix
+    of its interval, its dof (a row of dofs), a comma and its value's
+    text, which the NULs are then squeezed out of.
+    """
+    n_dof = values.shape[1]
+    stop = min(start + WRITE_VALUES, values.size)
+    # the chunk's intervals, and its values' places among theirs
+    first, last = start // n_dof, (stop - 1) // n_dof + 1
+    begin, end = start - first * n_dof, stop - first * n_dof
+    interval, dof = np.divmod(np.arange(begin, end), n_dof)
+    heads = _rows_of([b"%d,%.17g," % (i, t) for i, t in
+                      enumerate(times[first:last].tolist(), first + 1)])
+    head, mid = heads.shape[1], heads.shape[1] + dofs.shape[1]
+    line = np.empty((end - begin, mid + g17.WIDTH + 2), np.uint8)
+    line[:, :head] = np.take(heads, interval, axis=0)
+    line[:, head:mid] = np.take(dofs, dof, axis=0)
+    line[:, mid] = ord(",")
+    line[:, mid + 1:-1] = g17.g17_columns(values[first:last].reshape(-1)[begin:end])
+    line[:, -1] = ord("\n")
+    # each copy of the text replaces the one before, so at most two live
+    text = line.tobytes()
+    del line
+    text = text.translate(None, b"\0")
+    return text.decode("ascii")
+
+
 def _write_report(fh, header, rows, trailer):
-    """Write header, rows and trailer lines to fh: a SolveRows view one
-    interval at a time, other rows by one %-template per row."""
+    """Write header, rows and trailer lines to fh: a SolveRows view
+    WRITE_VALUES values at a time (_solve_lines), other rows by one
+    %-template per row."""
     fh.write(",".join(header) + "\n")
     if isinstance(rows, SolveRows):
-        # one %-call per interval; "@" stands for its "i,t," prefix (no "%" in it)
-        body = "".join(f"@{dof},%.17g\n" for dof in range(rows.values.shape[1]))
-        fh.writelines(body.replace("@", "%d,%.17g," % (i, t)) % tuple(values.tolist())
-                      for i, (t, values) in enumerate(zip(rows.times, rows.values), 1))
+        n_dof = rows.values.shape[1]
+        # no dof number has more digits than n_dof
+        dofs = _rows_of(np.arange(n_dof).astype(f"S{len(str(n_dof))}"))
+        for start in range(0, len(rows), WRITE_VALUES):
+            fh.write(_solve_lines(rows.times, rows.values, dofs, start))
     elif rows:
         fh.writelines(map(_template(rows[0]).__mod__, rows))
     fh.writelines("# " + line + "\n" for line in trailer)
@@ -226,9 +276,11 @@ def write_csv(path: str, header, rows, trailer=()):
 
     rows is a sized sequence of tuples, formatted by one %-template built
     from the kinds of the first row's values, or the SolveRows view of a
-    solve, written one interval at a time with one %-format call each.
-    Each value prints as _fmt prints it, provided every column keeps one
-    kind (str, integer or bool, float) across rows; the CLI reports do.
+    solve, written WRITE_VALUES values at a time, whose floats
+    g17.g17_columns formats with whole-array operations, byte for byte
+    as '%.17g' does. Each value prints as _fmt prints it, provided every
+    column keeps one kind (str, integer or bool, float) across rows; the
+    CLI reports do.
 
     Symlinks are followed first, so a link's target gets the bytes and
     the link stays. A regular or new file is written atomically: the
@@ -314,8 +366,10 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     the others GRID_VALUES per step and the values the subcommand caches
     on the grid (AFTER_SWEEP), held throughout, plus one block's sweep
     with what its subcommand then holds for the paths it works on at
-    once (AFTER_SWEEP, _error_paths), the temporaries of the spatial
-    operators (fem.kron_temporaries) and RUN_BYTES.
+    once (AFTER_SWEEP, _error_paths) and the temporaries of the spatial
+    operators (fem.kron_temporaries), or for solve its report's write if
+    that holds more: the solution beside one chunk's text (WRITE_VALUES,
+    WRITE_TEXT); and RUN_BYTES.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
@@ -343,6 +397,11 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         arrays, values, cached = AFTER_SWEEP[config.subcommand]
         after = group * n_steps * (arrays * mesh.n_dof + values) + fem.kron_temporaries(mesh)
         sweep = block * mesh.n_dof * n_steps + max(2 * window * block * mesh.n_dof, after)
+        if config.subcommand == "solve":
+            # the write, once the state is freed: the solution, the dof
+            # numbers' text and one chunk
+            chunk = min(n_steps * mesh.n_dof, WRITE_VALUES)
+            sweep = max(sweep, (n_steps + 1) * mesh.n_dof + WRITE_TEXT * chunk)
         _check_memory(8 * (pair + (GRID_VALUES + cached) * n_steps + sweep) + RUN_BYTES,
                       f"a {n_steps} x {block} x {mesh.n_dof} sweep block", 8 * pair)
     grid = solver.TimeGrid.uniform(1.0, n_steps)

@@ -248,15 +248,16 @@ def _patch_physical_memory(monkeypatch, pages):
 
 
 @pytest.mark.parametrize("pages,steps,need", [
-    # the pair's 5 x 7 x 7 values, 3 grid values per step, the 7,000-value
-    # sweep and the solution of as many values held after it, and the
-    # 16,384 bytes of a run's small objects
-    (10, 1000, "a 1000 x 1 x 7 sweep block needs 154344 bytes, 1960 of them for "
+    # the pair's 5 x 7 x 7 values, 3 grid values per step, the report's
+    # write once the 14,000-value sweep is done (the 7,000-value solution,
+    # 7 dof numbers and 34 values for each of the 4,096 values of a chunk)
+    # and the 16,384 bytes of a run's small objects
+    (10, 1000, "a 1000 x 1 x 7 sweep block needs 1212512 bytes, 1960 of them for "
                "the spatial pair"),
-    # the 31,944 counted bytes fit, and the report is written one interval
-    # at a time beside the solution they count
-    (11, 100, None),
-    (40, 100, None),
+    # the 216,800 counted bytes fit, and the report is written in one
+    # chunk of 700 values beside the solution they count
+    (53, 100, None),
+    (80, 100, None),
     (None, 1000, None),  # sysconf cannot tell: no check
 ])
 def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
@@ -276,6 +277,7 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
 def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkeypatch):
     # 19,999 dofs in 1-D: the pair's five 19,999 x 19,999 matrices are
     # 16 GB, against 8 GiB of memory, while one step of one path is 0.8 MB
+    # and one chunk of its report 1.1 MB
     _patch_physical_memory(monkeypatch, 1 << 21)
     out = tmp_path / "x.csv"
     code, err = _main(["solve", "--cells", "20000", "--steps", "1", "--max-dofs", "20000",
@@ -286,7 +288,8 @@ def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkey
     match = re.fullmatch(r"stpg: resource cap: a 1 x 1 x 19999 sweep block needs (\d+) "
                          rf"bytes, {pair} of them for the spatial pair, more than the "
                          rf"{4096 << 21} bytes of physical memory", line)
-    assert match and pair < int(match[1]) < pair + 10 ** 6
+    chunk = 8 * cli.WRITE_TEXT * cli.WRITE_VALUES
+    assert match and pair < int(match[1]) < pair + 10 ** 6 + chunk
     assert list(tmp_path.iterdir()) == []
 
 
@@ -394,12 +397,16 @@ def test_pair_memory_count_pins_the_traced_peak(monkeypatch, degree):
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     peak = _traced_peak(lambda: cli.run_solve(config))
-    pair = 8 * fem.pair_values(fem.build_mesh(1, 400, degree))
-    assert 0.98 * checked[-1] <= pair <= checked[-1]
+    mesh = fem.build_mesh(1, 400, degree)
+    pair = 8 * fem.pair_values(mesh)
+    # the count covers the report's write, one chunk of n_dof values'
+    # text beside the solution, which run_solve does not do
+    counted = checked[-1] - 8 * cli.WRITE_TEXT * mesh.n_dof
+    assert 0.98 * counted <= pair <= counted
     # tracemalloc does not see the LAPACK memory of the splines' eigh
     # (test_pair_memory_count_pins_the_resident_peak does)
     lapack = 0 if degree == 1 else 8 * fem._eigh_values(400)
-    assert 0.95 * (checked[-1] - lapack) <= peak <= 1.05 * (checked[-1] - lapack)
+    assert 0.95 * (counted - lapack) <= peak <= 1.05 * (counted - lapack)
 
 
 # the peak resident memory of the child's own address space: unlike
@@ -446,7 +453,7 @@ class _Sink:
             self.write(line)
 
 
-@pytest.mark.parametrize("dim,cells,steps", [(1, 8, 20000), (2, 16, 2000)])
+@pytest.mark.parametrize("dim,cells,steps", [(1, 8, 20000), (2, 16, 2000), (1, 2, 20000)])
 def test_solve_report_holds_one_interval_beside_the_solution(dim, cells, steps):
     config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=dim,
                                   n_cells=(cells,), n_steps=(steps,))
@@ -467,8 +474,10 @@ def test_solve_report_holds_one_interval_beside_the_solution(dim, cells, steps):
     # nodes, which the row view reads the times from
     solution = 8 * steps * n_dof + 8 * (steps + 1)
     assert solution <= held <= solution + 4096
-    # one interval's template, values and text beside them
-    assert peak <= held + 256 * n_dof + 4096
+    # one chunk of WRITE_VALUES values and its text beside them, whatever
+    # the step count; at one dof (cells 2) a chunk spans 4,096 intervals
+    chunk = 8 * cli.WRITE_TEXT * cli.WRITE_VALUES
+    assert held + 0.75 * chunk <= peak <= held + chunk
 
 
 @pytest.mark.parametrize("cells", [2, 8])  # 1 and 7 dofs
@@ -918,15 +927,16 @@ def test_write_csv_matches_fmt_on_every_value_kind(tmp_path):
                                                                "nan"]
 
 
-def _special_solution():
-    """12 x 101 random values over 600 decades, every 7th one replaced by
-    nan, +-inf, +-0.0, the smallest subnormal, 1e300 or 0.1."""
+def _special_solution(steps=12, dofs=101):
+    """steps x dofs random values over 600 decades, every 7th one replaced
+    by nan, +-inf, +-0.0, the smallest subnormal, 1e300 or 0.1."""
     rng = np.random.default_rng(12)
-    values = rng.standard_normal((12, 101)) * 10.0 ** rng.integers(-300, 300, (12, 101))
+    values = (rng.standard_normal((steps, dofs))
+              * 10.0 ** rng.integers(-300, 300, (steps, dofs)))
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 0.1]
     every_7th = values.reshape(-1)[::7]
     every_7th[:] = np.resize(special, every_7th.size)
-    return np.linspace(0.0, 1.0, 13)[1:] ** 3, values
+    return np.linspace(0.0, 1.0, steps + 1)[1:] ** 3, values
 
 
 def _solve_case(dim, degree, cells, steps, grid):
@@ -946,7 +956,12 @@ def _solve_case(dim, degree, cells, steps, grid):
     lambda: _solve_case(1, 2, 100, 11, "graded"),
     lambda: _solve_case(2, 1, 11, 12, "uniform"),
     lambda: _solve_case(2, 1, 11, 12, "graded"),
-], ids=["special-values", "1d-degree-2", "1d-degree-2-graded", "2d", "2d-graded"])
+    # 10 chunks of 4,096 values and a short one: each interval wider than
+    # a chunk, or about 41 intervals per chunk
+    lambda: _special_solution(10, 4500),
+    lambda: _special_solution(450, 100),
+], ids=["special-values", "1d-degree-2", "1d-degree-2-graded", "2d", "2d-graded",
+        "interval-wider-than-a-chunk", "many-intervals-per-chunk"])
 def test_interval_writer_matches_the_fmt_oracle(tmp_path, case):
     times, values = case()
     assert values.shape[0] >= 10 and values.shape[1] >= 100
@@ -964,7 +979,7 @@ def test_interval_writer_matches_the_fmt_oracle(tmp_path, case):
 
 class _FailingFile:
     """A file whose writes raise MemoryError once the header and the first
-    interval (or row) are written."""
+    chunk of a solve (or row) are written."""
 
     def __init__(self, fh):
         self.fh, self.writes = fh, 0
@@ -987,7 +1002,8 @@ class _FailingFile:
 
 
 @pytest.mark.parametrize("argv", [
-    ["solve", "--cells", "4", "--steps", "4"],
+    # 3 dofs x 2,000 steps: two chunks of a solve's values
+    ["solve", "--cells", "4", "--steps", "2000"],
     ["infsup", "--cells", "3", "--steps", "2", "--n-quad-ladder", "2"],
 ], ids=["interval-stream", "per-row"])
 def test_memory_error_while_writing_exits_with_one_line(tmp_path, capsys, monkeypatch,
@@ -1260,13 +1276,16 @@ def test_out_descriptor_link_writes_at_the_shared_offset(tmp_path):
 def test_cli_import_leaves_out_the_integrator():
     # no scipy module at all: only the test-side gates load it, the
     # integrator of validate_mode_profile and the eigh of
-    # projection_stability
-    code = ("import sys, stpg.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # projection_stability; no fractions, decimal or statistics either,
+    # and the solve writer's tables wait for the first write
+    code = ("import sys, stpg.cli; cli = stpg.cli; cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'fractions', 'decimal', 'statistics'))); "
+            "print([f.cache_info().currsize for f in (cli.g17._powers, cli.g17._layout)])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split("\n")[:2] == ["[]", "[0, 0]"]
 
 
 # runs the CLI on each argument list read from stdin, in one interpreter

@@ -14,9 +14,11 @@ Subcommands reproduce the stock experiments at desk scale:
 
 Every report is a CSV file with a fixed header, floats printed as
 ``'%.17g'`` prints them, and content that is byte-identical across
-reruns. The solve report, which can run to hundreds of thousands of
-rows, is formatted by whole-array numpy operations, 4,096 values at a
-time, not one format call per value.
+reruns, written as bytes. The solve report, which can run to hundreds
+of thousands of rows, is formatted by whole-array numpy operations,
+4,096 values at a time, not one format call per value: each value's
+text takes 24 NUL-padded byte columns (``stpg.g17``) beside the ``i,t,``
+and ``dof,`` columns of its line, and the NULs are squeezed out.
 A regular or new file is written atomically, so a failed run leaves no
 partial CSV; a symlink is written through to its target. An open
 descriptor (``/dev/stdout``, ``/proc/self/fd/N``) is written at its
@@ -106,13 +108,14 @@ NODE_BANDS = 10
 RUN_BYTES = 1 << 14
 # (interval, dof) values of a solve report formatted at once, and the
 # float64 values' worth of bytes its writer holds at peak per value of
-# such a chunk: the line's text in its forms and the digits'
-# temporaries, 272 bytes against 218 to 263 traced (263 at one dof,
-# where a chunk spans 4,096 intervals), plus 8 KB at any size, which
-# RUN_BYTES covers. Beside them it holds the solution and the text of
-# every dof number, fewer bytes than a float64 value each
+# such a chunk: the line, its text before and after the NULs go, and the
+# digits' temporaries, 168 bytes against 159 to 160 traced (at 1, 7 and
+# 225 dofs), plus 4 KB at any size, which RUN_BYTES covers; a chunk of
+# twice the values writes about 9% faster and holds twice the bytes.
+# Beside them it holds the solution and the text of every dof number,
+# fewer bytes than a float64 value each
 WRITE_VALUES = 1 << 12
-WRITE_TEXT = 34
+WRITE_TEXT = 21
 
 
 class ResourceCapError(RuntimeError):
@@ -183,13 +186,14 @@ def _rows_of(texts) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
-def _solve_lines(times, values, dofs, start: int) -> str:
+def _solve_lines(times, values, dofs, start: int) -> bytes:
     """The lines of the WRITE_VALUES (interval, dof) values of a solve
     from the start-th on, which may start and end inside an interval.
 
     Each line is laid out in NUL-padded uint8 columns: the "i,t," prefix
-    of its interval, its dof (a row of dofs), a comma and its value's
-    text, which the NULs are then squeezed out of.
+    of its interval, its dof (a row of dofs), a comma, its value's text,
+    which g17 writes in place, and a newline. The NULs are then squeezed
+    out.
     """
     n_dof = values.shape[1]
     stop = min(start + WRITE_VALUES, values.size)
@@ -203,21 +207,21 @@ def _solve_lines(times, values, dofs, start: int) -> str:
     line = np.empty((end - begin, mid + g17.WIDTH + 2), np.uint8)
     line[:, :head] = np.take(heads, interval, axis=0)
     line[:, head:mid] = np.take(dofs, dof, axis=0)
+    del interval, dof, heads  # freed before the values' text is formed
     line[:, mid] = ord(",")
-    line[:, mid + 1:-1] = g17.g17_columns(values[first:last].reshape(-1)[begin:end])
+    g17.g17_columns(values[first:last].reshape(-1)[begin:end], out=line[:, mid + 1:-1])
     line[:, -1] = ord("\n")
     # each copy of the text replaces the one before, so at most two live
     text = line.tobytes()
     del line
-    text = text.translate(None, b"\0")
-    return text.decode("ascii")
+    return text.translate(None, b"\0")
 
 
 def _write_report(fh, header, rows, trailer):
-    """Write header, rows and trailer lines to fh: a SolveRows view
-    WRITE_VALUES values at a time (_solve_lines), other rows by one
-    %-template per row."""
-    fh.write(",".join(header) + "\n")
+    """Write header, rows and trailer lines to the binary stream fh: a
+    SolveRows view WRITE_VALUES values at a time (_solve_lines), other
+    rows by one %-template per row."""
+    fh.write((",".join(header) + "\n").encode("ascii"))
     if isinstance(rows, SolveRows):
         n_dof = rows.values.shape[1]
         # no dof number has more digits than n_dof
@@ -225,8 +229,9 @@ def _write_report(fh, header, rows, trailer):
         for start in range(0, len(rows), WRITE_VALUES):
             fh.write(_solve_lines(rows.times, rows.values, dofs, start))
     elif rows:
-        fh.writelines(map(_template(rows[0]).__mod__, rows))
-    fh.writelines("# " + line + "\n" for line in trailer)
+        template = _template(rows[0])
+        fh.writelines((template % row).encode("ascii") for row in rows)
+    fh.writelines(("# " + line + "\n").encode("ascii") for line in trailer)
 
 
 _FD_LINK = re.compile(r"/proc/(\d+)(?:/task/\d+)?/fd/(\d+)")
@@ -256,7 +261,7 @@ def _resolve(path: str):
 
 
 def _open_in_place(target: str, fd):
-    """A text stream that writes into target without replacing it.
+    """A binary stream that writes into target without replacing it.
 
     A descriptor of this process is duplicated, so the report goes at
     its current offset and a shell redirection (``>`` or ``>>``) around
@@ -265,10 +270,10 @@ def _open_in_place(target: str, fd):
     is opened for writing, which truncates neither.
     """
     if fd is None:
-        return open(target, "w", encoding="ascii", newline="")
+        return open(target, "wb")
     if fd < 0:
-        return open(target, "a", encoding="ascii", newline="")
-    return open(os.dup(fd), "w", encoding="ascii", newline="")
+        return open(target, "ab")
+    return open(os.dup(fd), "wb")
 
 
 def write_csv(path: str, header, rows, trailer=()):
@@ -298,7 +303,7 @@ def write_csv(path: str, header, rows, trailer=()):
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="ascii", newline="") as fh:
+        with open(tmp, "wb") as fh:
             _write_report(fh, header, rows, trailer)
         os.replace(tmp, target)
     except BaseException:
@@ -369,7 +374,7 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     once (AFTER_SWEEP, _error_paths) and the temporaries of the spatial
     operators (fem.kron_temporaries), or for solve its report's write if
     that holds more: the solution beside one chunk's text (WRITE_VALUES,
-    WRITE_TEXT); and RUN_BYTES.
+    WRITE_TEXT), which the message then names; and RUN_BYTES.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
@@ -397,13 +402,17 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         arrays, values, cached = AFTER_SWEEP[config.subcommand]
         after = group * n_steps * (arrays * mesh.n_dof + values) + fem.kron_temporaries(mesh)
         sweep = block * mesh.n_dof * n_steps + max(2 * window * block * mesh.n_dof, after)
+        what = f"a {n_steps} x {block} x {mesh.n_dof} sweep block"
         if config.subcommand == "solve":
             # the write, once the state is freed: the solution, the dof
             # numbers' text and one chunk
             chunk = min(n_steps * mesh.n_dof, WRITE_VALUES)
-            sweep = max(sweep, (n_steps + 1) * mesh.n_dof + WRITE_TEXT * chunk)
+            write = (n_steps + 1) * mesh.n_dof + WRITE_TEXT * chunk
+            if write > sweep:
+                sweep = write
+                what = f"a {n_steps} x {mesh.n_dof} solution written {chunk} values at a time"
         _check_memory(8 * (pair + (GRID_VALUES + cached) * n_steps + sweep) + RUN_BYTES,
-                      f"a {n_steps} x {block} x {mesh.n_dof} sweep block", 8 * pair)
+                      what, 8 * pair)
     grid = solver.TimeGrid.uniform(1.0, n_steps)
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
 

@@ -10,17 +10,23 @@ doubles: Dekker's exact product of ``|x|`` with the high part of a
 precision"). Its error stays below 1e-13 units of the last digit kept.
 Where ``log10`` lands on the wrong side of a power of ten the product is
 formed again one decade over, and a rounding up to ``10^17`` (as for
-``9.99999999999999999e-5``) moves to the next decade. The digits become
-ASCII through a table of the 100 digit pairs, and the text is laid out
-as ``%g`` lays it out: fixed notation for ``-4 <= X < 17``, ``e+XX``
-otherwise, trailing zeros dropped.
+``9.99999999999999999e-5``) moves to the next decade.
+
+The text takes 24 bytes, three little-endian words, with NULs where
+``%g`` has no character. The digits after the first become ASCII four
+at a time from a table of the 10,000 groups, whose second half, used
+where only zero groups follow, has trailing zeros as NULs. Shifts place
+them by ``X``: ``d.ddd`` (ending in ``e+XX`` below 1e-4 and from 1e17),
+``0.000d`` below 1, with as many zeros as ``X`` needs, and from 10 up
+the point moved past ``X`` digits, whose zeros stay. A point shows where
+a digit follows it.
 
 A value goes to ``'%.17g' %`` itself, one at a time, when it is not
 finite or is zero, when ``|x|`` lies outside ``[1e-280, 1e280]``, where a
 product could overflow or lose bits to underflow, or when its rounding
 lies within 1e-9 units of the last digit of a tie, which the product's
 error cannot settle (ties do occur: ``2.0**50 + 0.25`` is one). The
-tables are built from Python integers on first use, not at import.
+tables are built on first use, not at import.
 """
 
 import functools
@@ -29,11 +35,10 @@ import numpy as np
 
 __all__ = ["WIDTH", "g17_columns"]
 
-# columns of a value's text: a sign, the "0.000" of a fixed value below
-# 1, 17 digits each followed by a slot for the decimal point, and "e+XXX"
-WIDTH = 45
-_BODY = 6  # first digit column; digit j sits at _BODY + 2 j
-_TAIL = _BODY + 34  # first exponent column
+# bytes of a value's text, at most a sign, a digit, a point, 16 digits
+# and "e+XXX"
+WIDTH = 24
+_WORD = np.dtype("<u8")
 # |x| formed from digits; outside it a value goes to '%.17g' %
 _LOW, _HIGH = 1e-280, 1e280
 # powers 10^k of the tables: k = 16 - X for the exponents X of _LOW to
@@ -66,33 +71,39 @@ def _powers():
 
 
 @functools.cache
-def _layout():
-    """(templates, least digits, keep masks, digit pairs).
+def _quads():
+    """The ASCII text of 0 to 9999, four digits each as a 32-bit word,
+    then again with trailing zeros as NULs (from entry 10,000)."""
+    text = np.arange(10 ** 4, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1])
+    text = (text % 10 + ord("0")).astype(np.uint8)
+    tail = np.logical_and.accumulate(text[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    return np.concatenate([text, np.where(tail, 0, text)]).view("<u4").reshape(-1)
 
-    The template of exponent X holds a value's text without its sign and
-    digits: the "0.000" prefix, the decimal point and the exponent. The
-    least digits of X are the integer digits of a fixed value of at least
-    1 (X + 1), else 0. The keep mask of K digits clears every digit and
-    point slot past the K-th digit.
-    """
-    template = np.zeros((_X_MAX - _X_MIN + 1, WIDTH), np.uint8)
-    least = np.zeros(len(template), np.intp)
-    for x, row in enumerate(template, _X_MIN):
-        if -4 <= x < 0:
-            text, at = b"0." + b"0" * (-x - 1), 1
-        elif 0 <= x < 17:
-            least[x - _X_MIN] = x + 1
-            text, at = (b"." if x < 16 else b""), _BODY + 2 * x + 1
-        else:
-            row[_BODY + 1] = ord(".")
-            text = b"e%+03d" % x
-            at = WIDTH - len(text)
-        row[at:at + len(text)] = np.frombuffer(text, np.uint8)
-    keep = np.full((18, WIDTH), 0xFF, np.uint8)
-    for digits in range(1, 18):
-        keep[digits, _BODY + 2 * digits - 1:_TAIL] = 0
-    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
-    return template, least, keep, pairs
+
+@functools.cache
+def _layout():
+    """(notation, moves). Per exponent X, then again for negative values,
+    notation holds the shifts of the first digit and of the others, the
+    factor that makes a kept first one of those the point, and words 0
+    and 2 of the sign, "0.000" and "e+XX". Per X from 1 to 16, moves
+    holds the masks of the bytes kept, the bytes taken one byte on and
+    the byte that shows the point, and the integer zeros."""
+    notation = np.zeros((5, _X_MAX - _X_MIN + 1), _WORD)
+    for row, x in enumerate(range(_X_MIN, _X_MAX + 1)):
+        if -4 <= x < 0:  # "0.000" from byte 1, the first digit in byte 6
+            zeros = int.from_bytes(b"0." + b"0" * (-x - 1), "little")
+            notation[:, row] = 48, 56, 0, zeros << 8, 0
+        else:  # the first digit in byte 1, the point in byte 2
+            tail = b"" if 0 <= x < 17 else b"e%+03d" % x
+            tail = int.from_bytes(tail, "little") << 64 - 8 * len(tail)  # ends word 2
+            notation[:, row] = 8, 24, ord(".") << 12, 0, tail
+    negative = notation.copy()
+    negative[3] |= ord("-")
+    at, x = np.arange(WIDTH), np.arange(1, 17)[:, None]
+    moved, point = (at >= 2) & (at < x + 2), (at == x + 2)
+    moves = np.stack([~(moved | point) * 0xFF, moved * 0xFF, point, moved * ord("0")], axis=1)
+    moves = moves.astype(np.uint8).view(_WORD).transpose(1, 2, 0)
+    return np.concatenate([notation, negative], axis=1), moves
 
 
 def _scaled(a, k):
@@ -139,40 +150,57 @@ def _decimal(a):
     return d, 16 - k + up, np.abs(f - 0.5) > _TIE
 
 
-def g17_columns(values) -> np.ndarray:
+def g17_columns(values, out=None) -> np.ndarray:
     """The text of ``'%.17g' % v`` for each v of a float64 array, as
-    the rows of a (size, WIDTH) uint8 array.
+    the rows of a (size, WIDTH) uint8 array, out if given (its rows may
+    be the value columns of wider rows).
 
-    A row holds NUL bytes in the slots its text does not use, between
+    A row holds NUL bytes in the places its text does not use, between
     characters too; deleting them (``bytes.translate(None, b"\\0")``)
     leaves the text.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
+    if out is None:
+        out = np.empty((len(values), WIDTH), np.uint8)
+    words = out.view(_WORD)
     a = np.abs(values)
     fast = (a >= _LOW) & (a <= _HIGH)  # False for nan
     d, x, settled = _decimal(a if fast.all() else np.where(fast, a, 1.0))
-    template, least, keep, pairs = _layout()
-    row = x - _X_MIN
-    out = np.take(template, row, axis=0)
-    # the digits: the first alone, then two blocks of eight, two at a time
-    rest = np.empty((len(d), 2), np.uint32)
-    d, rest[:, 1] = np.divmod(d, 10 ** 8)
-    d, rest[:, 0] = np.divmod(d, 10 ** 8)
-    out[:, _BODY] = d + ord("0")
-    text = np.empty((len(d), 2, 4), np.uint16)
-    for j in range(3, -1, -1):
-        rest, two = np.divmod(rest, np.uint32(100))
-        text[:, :, j] = pairs[two]
-    digits = out[:, _BODY:_TAIL:2]
-    digits[:, 1:] = text.reshape(len(d), 8).view(np.uint8)
-    # a value whose 17 digits end in zeros shows 17 less the trailing
-    # zeros, or its integer digits if more; the others show all 17
-    (ends,) = np.nonzero(digits[:, 16] == ord("0"))
-    count = 17 - np.argmax(digits[ends, ::-1] != ord("0"), axis=1)
-    out[ends] &= np.take(keep, np.maximum(count, least[row[ends]]), axis=0)
-    out[:, 0] = (values < 0) * np.uint8(ord("-"))
     (slow,) = np.nonzero(~(fast & settled))
+    # d // 10^16 (the first digit), 10^12, 10^8, 10^4 and d; the four
+    # groups of four digits after the first are their differences
+    q = d // np.array([10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4, 1])[:, None]
+    del a, fast, d, settled  # freed early: they would add to the writer's peak
+    # a group followed by zero groups only (the last one always) takes
+    # the entry with its trailing zeros as NULs
+    carry = np.full(len(x), 10 ** 4)
+    for j in range(4, 0, -1):
+        q[j] -= q[j - 1] * 10 ** 4
+        zero = q[j] == 0
+        q[j] += carry
+        carry *= zero
+    # digits 1 to 8 and 9 to 16, one per byte
+    low, high = np.take(_quads(), q[1:].T).view(_WORD).T
+    head = (q[0] + ord("0")).astype(_WORD)
+    del q, carry, zero
+    row = x - _X_MIN + (values < 0) * (_X_MAX - _X_MIN + 1)
+    first, pair, dot, text, tail = _layout()[0]
+    head <<= np.take(first, row)
+    pair = np.take(pair, row)
+    head |= low << pair
+    head |= (low & 0x10) * np.take(dot, row)  # bit 4 is set in a digit, clear in a NUL
+    np.bitwise_or(head, np.take(text, row), out=words[:, 0])
+    np.bitwise_or(low >> 64 - pair, high << pair, out=words[:, 1])
+    np.bitwise_or(high >> 64 - pair, np.take(tail, row), out=words[:, 2])
+    (fixed,) = np.nonzero((x >= 1) & (x <= 16))
+    if fixed.size:
+        keep, take, shows, zeros = np.take(_layout()[1], x[fixed] - 1, axis=-1)
+        laid = words[fixed].T
+        over = laid >> 8  # one byte on
+        over[:2] |= laid[1:] << 56
+        point = (over >> 4 & shows) * ord(".")
+        words[fixed] = (laid & keep | over & take | point | zeros).T
     if slow.size:
         texts = [b"%.17g" % v for v in values[slow].tolist()]
-        out[slow] = np.array(texts, dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
+        words[slow] = np.array(texts, dtype=f"S{WIDTH}").view(_WORD).reshape(-1, 3)
     return out

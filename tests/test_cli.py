@@ -249,13 +249,16 @@ def _patch_physical_memory(monkeypatch, pages):
 
 @pytest.mark.parametrize("pages,steps,need", [
     # the pair's 5 x 7 x 7 values, 3 grid values per step, the report's
-    # write once the 14,000-value sweep is done (the 7,000-value solution,
-    # 7 dof numbers and 34 values for each of the 4,096 values of a chunk)
-    # and the 16,384 bytes of a run's small objects
-    (10, 1000, "a 1000 x 1 x 7 sweep block needs 1212512 bytes, 1960 of them for "
-               "the spatial pair"),
-    # the 216,800 counted bytes fit, and the report is written in one
-    # chunk of 700 values beside the solution they count
+    # write, which holds more than the 14,000-value sweep (the 7,000-value
+    # solution, 7 dof numbers and 21 values for each of the 4,096 values
+    # of a chunk), and the 16,384 bytes of a run's small objects
+    (10, 1000, "a 1000 x 7 solution written 4096 values at a time needs 786528 bytes, "
+               "1960 of them for the spatial pair"),
+    # the report is written in one chunk of 700 values beside the
+    # solution they count: 144,000 counted bytes, which 36 pages hold
+    (35, 100, "a 100 x 7 solution written 700 values at a time needs 144000 bytes, "
+              "1960 of them for the spatial pair"),
+    (36, 100, None),
     (53, 100, None),
     (80, 100, None),
     (None, 1000, None),  # sysconf cannot tell: no check
@@ -277,7 +280,7 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
 def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkeypatch):
     # 19,999 dofs in 1-D: the pair's five 19,999 x 19,999 matrices are
     # 16 GB, against 8 GiB of memory, while one step of one path is 0.8 MB
-    # and one chunk of its report 1.1 MB
+    # and one chunk of its report 0.7 MB, which the message names
     _patch_physical_memory(monkeypatch, 1 << 21)
     out = tmp_path / "x.csv"
     code, err = _main(["solve", "--cells", "20000", "--steps", "1", "--max-dofs", "20000",
@@ -285,7 +288,8 @@ def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkey
     assert code == cli.EXIT_RESOURCE
     pair = 8 * 5 * 19999 ** 2
     (line,) = err
-    match = re.fullmatch(r"stpg: resource cap: a 1 x 1 x 19999 sweep block needs (\d+) "
+    match = re.fullmatch(r"stpg: resource cap: a 1 x 19999 solution written 4096 values at "
+                         r"a time needs (\d+) "
                          rf"bytes, {pair} of them for the spatial pair, more than the "
                          rf"{4096 << 21} bytes of physical memory", line)
     chunk = 8 * cli.WRITE_TEXT * cli.WRITE_VALUES
@@ -1281,11 +1285,12 @@ def test_cli_import_leaves_out_the_integrator():
     code = ("import sys, stpg.cli; cli = stpg.cli; cli.build_parser(); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
             "('scipy', 'fractions', 'decimal', 'statistics'))); "
-            "print([f.cache_info().currsize for f in (cli.g17._powers, cli.g17._layout)])")
+            "print([f.cache_info().currsize for f in "
+            "(cli.g17._powers, cli.g17._layout, cli.g17._quads)])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:2] == ["[]", "[0, 0]"]
+    assert result.stdout.split("\n")[:2] == ["[]", "[0, 0, 0]"]
 
 
 # runs the CLI on each argument list read from stdin, in one interpreter

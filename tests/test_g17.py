@@ -1,5 +1,6 @@
 import decimal
 import math
+import random
 import sys
 
 import numpy as np
@@ -79,3 +80,49 @@ def test_ties_are_left_to_percent_format():
     assert g17._decimal(values)[2].tolist() == [False, False, True]
     assert _texts(values) == ["1125899906842624.2", "1125899906842624.8",
                               "1125899906842624.5"]
+
+
+def _kept(value):
+    """(X, K): the decimal exponent of value's 17 correctly rounded digits
+    and how many of them %g keeps before trailing zeros."""
+    digits, exponent = ("%.16e" % value).split("e")
+    return int(exponent), len(digits.replace(".", "").rstrip("0"))
+
+
+def _layout_values():
+    """A double for every exponent X of the layouts and every count K of
+    kept digits from 1 to 17 that a double can have: the first K-digit
+    decimal whose nearest double keeps those K digits, of all of them for
+    K of 1 and 2 and of 400 drawn from a fixed stream for the others."""
+    rng = random.Random(23)
+    found = {}
+    for x in range(g17._X_MIN, g17._X_MAX + 1):
+        for kept in range(1, 18):
+            if kept <= 2:
+                draws = [str(d) for d in range(10 ** (kept - 1), 10 ** kept) if d % 10]
+            else:
+                draws = (str(rng.randrange(1, 10))
+                         + "".join(str(rng.randrange(10)) for _ in range(kept - 2))
+                         + str(rng.randrange(1, 10)) for _ in range(400))
+            for digits in draws:
+                value = float(f"{digits[0]}.{digits[1:]}e{x}")
+                if _kept(value) == (x, kept):
+                    found[x, kept] = value
+                    break
+    return found
+
+
+def test_every_exponent_and_digit_count_matches_percent_format():
+    # every layout: e+XX below 1e-4 and from 1e17 on, "0.000" before the
+    # digits down to 1e-4, the point moved past X digits from 10 to 1e17,
+    # whose integer zeros stay when the trailing ones go; both signs
+    found = _layout_values()
+    missing = {(x, kept) for x in range(g17._X_MIN, g17._X_MAX + 1)
+               for kept in range(1, 18)} - set(found)
+    # at some exponents no decimal of one or two digits has a double
+    # that keeps it: the nearest double's 17 digits differ in the last
+    assert {kept for _, kept in missing} == {1, 2}
+    assert not any(-4 <= x <= 16 for x, _ in missing) and len(missing) < 200
+    values = np.array(list(found.values()))
+    values = np.concatenate([values, -values])
+    assert _texts(values) == _oracle(values)

@@ -10,15 +10,15 @@ Subcommands reproduce the stock experiments at desk scale:
 * ``infsup``       computed inf-sup and continuity constants next to
   the CFL constants and the closed-form bounds
 * ``solve``        one pathwise solve dumped as interval-indexed nodal
-  values, written a chunk of values at a time
+  values, written a block of whole intervals at a time
 
 Every report is a CSV file with a fixed header, floats printed as
 ``'%.17g'`` prints them, and content that is byte-identical across
 reruns, written as bytes. The solve report, which can run to hundreds
-of thousands of rows, is formatted by whole-array numpy operations,
-4,096 values at a time, not one format call per value: each value's
-text takes 24 NUL-padded byte columns (``stpg.g17``) beside the ``i,t,``
-and ``dof,`` columns of its line, and the NULs are squeezed out.
+of thousands of rows, is formatted a block of whole intervals at a time
+by whole-array numpy operations, not one format call per value: each
+value's text takes 24 NUL-padded byte columns (``stpg.g17``) beside its
+line's ``i,t,`` and ``dof,`` columns, and the NULs are squeezed out.
 A regular or new file is written atomically, so a failed run leaves no
 partial CSV; a symlink is written through to its target. An open
 descriptor (``/dev/stdout``, ``/proc/self/fd/N``) is written at its
@@ -106,16 +106,20 @@ NODE_BANDS = 10
 # counts: Python objects and numpy's bookkeeping (7 KB in a traced
 # one-dof solve of 20,000 steps)
 RUN_BYTES = 1 << 14
-# (interval, dof) values of a solve report formatted at once, and the
-# float64 values' worth of bytes its writer holds at peak per value of
-# such a chunk: the line, its text before and after the NULs go, and the
-# digits' temporaries, 168 bytes against 159 to 160 traced (at 1, 7 and
-# 225 dofs), plus 4 KB at any size, which RUN_BYTES covers; a chunk of
-# twice the values writes about 9% faster and holds twice the bytes.
-# Beside them it holds the solution and the text of every dof number,
-# fewer bytes than a float64 value each
+# (interval, dof) values one block of a solve report's write formats at
+# most (_write_block), and the float64 values' worth of bytes its writer
+# holds at peak per value of a block: the line, its text before and after
+# the NULs go, and the digits' temporaries, 168 bytes against 159 to 160
+# traced (at 1, 7 and 225 dofs), plus 4 KB at any size, which RUN_BYTES
+# covers; a block of twice the values writes about 9% faster and holds
+# twice the bytes. Beside them it holds the solution and the text of
+# every dof number, fewer bytes than a float64 value each
 WRITE_VALUES = 1 << 12
 WRITE_TEXT = 21
+# bytes stochastic.quadrature holds at peak per node of the rule it
+# builds, beside RUN_BYTES: 80.1 to 80.6 traced on 200,000 and 20,000
+# lognormal nodes (two lists of Python floats), 32 on the interval
+RULE_BYTES = 81
 
 
 class ResourceCapError(RuntimeError):
@@ -151,19 +155,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _template(row) -> str:
-    """The %-template of a row: the conversion _fmt applies to each value."""
-    codes = []
-    for value in row:
-        if isinstance(value, str):
-            codes.append("%s")
-        elif isinstance(value, (bool, int, np.integer)):
-            codes.append("%d")
-        else:
-            codes.append("%.17g")
-    return ",".join(codes) + "\n"
-
-
 class SolveRows:
     """The (interval, t, dof, value) rows of a solve, as a view of its N
     right endpoints times and (N, n_dof) interval values."""
@@ -186,31 +177,30 @@ def _rows_of(texts) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
-def _solve_lines(times, values, dofs, start: int) -> bytes:
-    """The lines of the WRITE_VALUES (interval, dof) values of a solve
-    from the start-th on, which may start and end inside an interval.
+def _write_block(n_steps: int, n_dof: int) -> tuple:
+    """(intervals, dofs) of a solve report's block: as many of its n_steps
+    intervals as WRITE_VALUES values hold, else WRITE_VALUES dofs of one."""
+    return max(1, min(n_steps, WRITE_VALUES // n_dof)), min(n_dof, WRITE_VALUES)
 
-    Each line is laid out in NUL-padded uint8 columns: the "i,t," prefix
-    of its interval, its dof (a row of dofs), a comma, its value's text,
-    which g17 writes in place, and a newline. The NULs are then squeezed
-    out.
+
+def _solve_lines(first: int, times, values, dofs) -> bytes:
+    """The lines of a block of a solve: the values of the intervals
+    first + 1, ..., which end at times, at the dofs whose text dofs holds.
+
+    Each line is laid out in NUL-padded uint8 columns: the "i,t," head of
+    its interval, its dof, a comma, its value's text, which g17 writes in
+    place, and a newline. The NULs are then squeezed out.
     """
-    n_dof = values.shape[1]
-    stop = min(start + WRITE_VALUES, values.size)
-    # the chunk's intervals, and its values' places among theirs
-    first, last = start // n_dof, (stop - 1) // n_dof + 1
-    begin, end = start - first * n_dof, stop - first * n_dof
-    interval, dof = np.divmod(np.arange(begin, end), n_dof)
     heads = _rows_of([b"%d,%.17g," % (i, t) for i, t in
-                      enumerate(times[first:last].tolist(), first + 1)])
+                      enumerate(times.tolist(), first + 1)])
     head, mid = heads.shape[1], heads.shape[1] + dofs.shape[1]
-    line = np.empty((end - begin, mid + g17.WIDTH + 2), np.uint8)
-    line[:, :head] = np.take(heads, interval, axis=0)
-    line[:, head:mid] = np.take(dofs, dof, axis=0)
-    del interval, dof, heads  # freed before the values' text is formed
-    line[:, mid] = ord(",")
-    g17.g17_columns(values[first:last].reshape(-1)[begin:end], out=line[:, mid + 1:-1])
-    line[:, -1] = ord("\n")
+    line = np.empty((*values.shape, mid + g17.WIDTH + 2), np.uint8)
+    line[:, :, :head] = heads[:, None]
+    line[:, :, head:mid] = dofs
+    del heads  # freed before the values' text is formed
+    line[..., mid] = ord(",")
+    g17.g17_columns(values, out=line.reshape(values.size, -1)[:, mid + 1:-1])
+    line[..., -1] = ord("\n")
     # each copy of the text replaces the one before, so at most two live
     text = line.tobytes()
     del line
@@ -219,18 +209,20 @@ def _solve_lines(times, values, dofs, start: int) -> bytes:
 
 def _write_report(fh, header, rows, trailer):
     """Write header, rows and trailer lines to the binary stream fh: a
-    SolveRows view WRITE_VALUES values at a time (_solve_lines), other
-    rows by one %-template per row."""
+    SolveRows view a block at a time (_solve_lines), other rows by _fmt."""
     fh.write((",".join(header) + "\n").encode("ascii"))
     if isinstance(rows, SolveRows):
-        n_dof = rows.values.shape[1]
+        n_steps, n_dof = rows.values.shape
+        per, span = _write_block(n_steps, n_dof)
         # no dof number has more digits than n_dof
         dofs = _rows_of(np.arange(n_dof).astype(f"S{len(str(n_dof))}"))
-        for start in range(0, len(rows), WRITE_VALUES):
-            fh.write(_solve_lines(rows.times, rows.values, dofs, start))
-    elif rows:
-        template = _template(rows[0])
-        fh.writelines((template % row).encode("ascii") for row in rows)
+        for first in range(0, n_steps, per):
+            for start in range(0, n_dof, span):
+                block = rows.values[first:first + per, start:start + span]
+                fh.write(_solve_lines(first, rows.times[first:first + per], block,
+                                      dofs[start:start + span]))
+    else:
+        fh.writelines((",".join(map(_fmt, row)) + "\n").encode("ascii") for row in rows)
     fh.writelines(("# " + line + "\n").encode("ascii") for line in trailer)
 
 
@@ -279,13 +271,10 @@ def _open_in_place(target: str, fd):
 def write_csv(path: str, header, rows, trailer=()):
     """Write a report of rows to path.
 
-    rows is a sized sequence of tuples, formatted by one %-template built
-    from the kinds of the first row's values, or the SolveRows view of a
-    solve, written WRITE_VALUES values at a time, whose floats
-    g17.g17_columns formats with whole-array operations, byte for byte
-    as '%.17g' does. Each value prints as _fmt prints it, provided every
-    column keeps one kind (str, integer or bool, float) across rows; the
-    CLI reports do.
+    rows is a sequence of tuples, each value printed by _fmt, or the
+    SolveRows view of a solve, written a block of whole intervals at a
+    time (_write_block), whose floats g17.g17_columns formats with
+    whole-array operations, byte for byte as _fmt does.
 
     Symlinks are followed first, so a link's target gets the bytes and
     the link stays. A regular or new file is written atomically: the
@@ -319,16 +308,16 @@ def _setup(case: str):
 
 
 def _check_memory(need: int, what: str, pair: int):
-    """Raise ResourceCapError if need bytes, pair of them for the spatial
-    pair, exceed physical memory, if known."""
+    """Raise ResourceCapError if need bytes, pair of them (if any) for the
+    spatial pair, exceed physical memory, if known."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (ValueError, OSError):
         return
     if 0 < memory < need:
-        raise ResourceCapError(f"{what} needs {need} bytes, {pair} of them for the "
-                               f"spatial pair, more than the {memory} bytes of "
-                               "physical memory")
+        share = f", {pair} of them for the spatial pair" if pair else ""
+        raise ResourceCapError(f"{what} needs {need} bytes{share}, more than the "
+                               f"{memory} bytes of physical memory")
 
 
 def _block_paths(n_steps: int, n_dof: int) -> int:
@@ -373,7 +362,7 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     with what its subcommand then holds for the paths it works on at
     once (AFTER_SWEEP, _error_paths) and the temporaries of the spatial
     operators (fem.kron_temporaries), or for solve its report's write if
-    that holds more: the solution beside one chunk's text (WRITE_VALUES,
+    that holds more: the solution beside one block's text (_write_block,
     WRITE_TEXT), which the message then names; and RUN_BYTES.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
@@ -405,8 +394,8 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         what = f"a {n_steps} x {block} x {mesh.n_dof} sweep block"
         if config.subcommand == "solve":
             # the write, once the state is freed: the solution, the dof
-            # numbers' text and one chunk
-            chunk = min(n_steps * mesh.n_dof, WRITE_VALUES)
+            # numbers' text and one block
+            chunk = math.prod(_write_block(n_steps, mesh.n_dof))
             write = (n_steps + 1) * mesh.n_dof + WRITE_TEXT * chunk
             if write > sweep:
                 sweep = write
@@ -518,6 +507,8 @@ def run_convergence(config: ExperimentConfig):
     if not 2 <= config.j_min <= config.j_max <= 7:
         raise ValueError("j range must satisfy 2 <= j_min <= j_max <= 7")
     n_quad = config.quad_ladder[0]
+    # the rule is built before any level, so a rule too large is no truncation
+    _check_memory(RULE_BYTES * n_quad + RUN_BYTES, f"a rule of {n_quad} parameter nodes", 0)
     nodes, weights = stochastic.quadrature(domain, n_quad,
                                            avoid=model.singular_points)
     rows = []
@@ -547,6 +538,7 @@ def run_infsup(config: ExperimentConfig):
     """Stability-constant grid over (n_cells, n_steps, parameter node)."""
     model, domain = _setup(config.case)
     n_quad = config.quad_ladder[0]
+    _check_memory(RULE_BYTES * n_quad + RUN_BYTES, f"a rule of {n_quad} parameter nodes", 0)
     nodes, _ = stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
     diffusion = [model.a(omega) for omega in nodes]
     valid = [i for i, a in enumerate(diffusion) if math.isfinite(a) and a > 0]

@@ -250,11 +250,12 @@ def _patch_physical_memory(monkeypatch, pages):
 @pytest.mark.parametrize("pages,steps,need", [
     # the pair's 5 x 7 x 7 values, 3 grid values per step, the report's
     # write, which holds more than the 14,000-value sweep (the 7,000-value
-    # solution, 7 dof numbers and 21 values for each of the 4,096 values
-    # of a chunk), and the 16,384 bytes of a run's small objects
-    (10, 1000, "a 1000 x 7 solution written 4096 values at a time needs 786528 bytes, "
+    # solution, 7 dof numbers and 21 values for each of the 4,095 values
+    # of a block of 585 intervals), and the 16,384 bytes of a run's small
+    # objects
+    (10, 1000, "a 1000 x 7 solution written 4095 values at a time needs 786360 bytes, "
                "1960 of them for the spatial pair"),
-    # the report is written in one chunk of 700 values beside the
+    # the report is written in one block of 700 values beside the
     # solution they count: 144,000 counted bytes, which 36 pages hold
     (35, 100, "a 100 x 7 solution written 700 values at a time needs 144000 bytes, "
               "1960 of them for the spatial pair"),
@@ -280,7 +281,8 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
 def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkeypatch):
     # 19,999 dofs in 1-D: the pair's five 19,999 x 19,999 matrices are
     # 16 GB, against 8 GiB of memory, while one step of one path is 0.8 MB
-    # and one chunk of its report 0.7 MB, which the message names
+    # and one block of its report, 4,096 of the interval's values, 0.7 MB,
+    # which the message names
     _patch_physical_memory(monkeypatch, 1 << 21)
     out = tmp_path / "x.csv"
     code, err = _main(["solve", "--cells", "20000", "--steps", "1", "--max-dofs", "20000",
@@ -292,8 +294,8 @@ def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkey
                          r"a time needs (\d+) "
                          rf"bytes, {pair} of them for the spatial pair, more than the "
                          rf"{4096 << 21} bytes of physical memory", line)
-    chunk = 8 * cli.WRITE_TEXT * cli.WRITE_VALUES
-    assert match and pair < int(match[1]) < pair + 10 ** 6 + chunk
+    block = 8 * cli.WRITE_TEXT * cli.WRITE_VALUES
+    assert match and pair < int(match[1]) < pair + 10 ** 6 + block
     assert list(tmp_path.iterdir()) == []
 
 
@@ -319,6 +321,27 @@ def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monk
         assert list(tmp_path.iterdir()) == []
     else:
         assert err == [] and out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["convergence", "infsup"])
+def test_parameter_rule_checked_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                   subcommand):
+    # a rule of 1,000 nodes at 81 bytes each, beside a run's small objects,
+    # against 40,960 bytes of memory: the run stops before the rule is
+    # built, and a convergence run writes no truncated table
+    _patch_physical_memory(monkeypatch, 10)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the rule was built before its memory was checked")
+
+    monkeypatch.setattr(stochastic, "quadrature", unbuilt)
+    out = tmp_path / "x.csv"
+    code, err = _main([subcommand, "--n-quad-ladder", "1000", "--out", str(out)], capsys)
+    assert code == cli.EXIT_RESOURCE
+    assert err == [f"stpg: resource cap: a rule of 1000 parameter nodes needs "
+                   f"{81 * 1000 + 16384} bytes, more than the 40960 bytes of physical "
+                   "memory"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def _traced_peak(work):
@@ -403,7 +426,7 @@ def test_pair_memory_count_pins_the_traced_peak(monkeypatch, degree):
     peak = _traced_peak(lambda: cli.run_solve(config))
     mesh = fem.build_mesh(1, 400, degree)
     pair = 8 * fem.pair_values(mesh)
-    # the count covers the report's write, one chunk of n_dof values'
+    # the count covers the report's write, one block of n_dof values'
     # text beside the solution, which run_solve does not do
     counted = checked[-1] - 8 * cli.WRITE_TEXT * mesh.n_dof
     assert 0.98 * counted <= pair <= counted
@@ -478,10 +501,11 @@ def test_solve_report_holds_one_interval_beside_the_solution(dim, cells, steps):
     # nodes, which the row view reads the times from
     solution = 8 * steps * n_dof + 8 * (steps + 1)
     assert solution <= held <= solution + 4096
-    # one chunk of WRITE_VALUES values and its text beside them, whatever
-    # the step count; at one dof (cells 2) a chunk spans 4,096 intervals
-    chunk = 8 * cli.WRITE_TEXT * cli.WRITE_VALUES
-    assert held + 0.75 * chunk <= peak <= held + chunk
+    # one block of at most WRITE_VALUES values and its text beside them,
+    # whatever the step count: 4,096 intervals of one dof (cells 2), 585
+    # of 7 and 18 of 225
+    block = 8 * cli.WRITE_TEXT * cli.WRITE_VALUES
+    assert held + 0.75 * block <= peak <= held + block
 
 
 @pytest.mark.parametrize("cells", [2, 8])  # 1 and 7 dofs
@@ -526,7 +550,9 @@ def test_2d_memory_count_pins_the_traced_peak(tmp_path, capsys, monkeypatch, arg
     finally:
         tracemalloc.stop()
     assert code == (cli.EXIT_OK, [])
-    (counted,) = checked
+    # a convergence run checks its parameter rule first
+    *rule, counted = checked
+    assert len(rule) == (argv[0] == "convergence")
     assert 0.85 * counted <= peak <= 1.05 * counted
 
 
@@ -960,12 +986,19 @@ def _solve_case(dim, degree, cells, steps, grid):
     lambda: _solve_case(1, 2, 100, 11, "graded"),
     lambda: _solve_case(2, 1, 11, 12, "uniform"),
     lambda: _solve_case(2, 1, 11, 12, "graded"),
-    # 10 chunks of 4,096 values and a short one: each interval wider than
-    # a chunk, or about 41 intervals per chunk
+    # an interval in a block of 4,096 of its values and one of 404, or
+    # 40 intervals per block
     lambda: _special_solution(10, 4500),
     lambda: _special_solution(450, 100),
+    # one interval per block, and a block of one value after each; blocks
+    # of one interval, half full; and a last block of 7 of 40 intervals
+    lambda: _special_solution(10, cli.WRITE_VALUES),
+    lambda: _special_solution(10, cli.WRITE_VALUES + 1),
+    lambda: _special_solution(10, cli.WRITE_VALUES // 2 + 1),
+    lambda: _special_solution(47, 100),
 ], ids=["special-values", "1d-degree-2", "1d-degree-2-graded", "2d", "2d-graded",
-        "interval-wider-than-a-chunk", "many-intervals-per-chunk"])
+        "interval-wider-than-a-chunk", "many-intervals-per-chunk", "interval-per-block",
+        "one-value-dof-span", "half-full-blocks", "short-last-block"])
 def test_interval_writer_matches_the_fmt_oracle(tmp_path, case):
     times, values = case()
     assert values.shape[0] >= 10 and values.shape[1] >= 100
@@ -983,7 +1016,7 @@ def test_interval_writer_matches_the_fmt_oracle(tmp_path, case):
 
 class _FailingFile:
     """A file whose writes raise MemoryError once the header and the first
-    chunk of a solve (or row) are written."""
+    block of a solve (or row) are written."""
 
     def __init__(self, fh):
         self.fh, self.writes = fh, 0
@@ -1006,7 +1039,7 @@ class _FailingFile:
 
 
 @pytest.mark.parametrize("argv", [
-    # 3 dofs x 2,000 steps: two chunks of a solve's values
+    # 3 dofs x 2,000 steps: blocks of 1,365 and 635 intervals
     ["solve", "--cells", "4", "--steps", "2000"],
     ["infsup", "--cells", "3", "--steps", "2", "--n-quad-ladder", "2"],
 ], ids=["interval-stream", "per-row"])

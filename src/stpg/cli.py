@@ -10,15 +10,16 @@ Subcommands reproduce the stock experiments at desk scale:
 * ``infsup``       computed inf-sup and continuity constants next to
   the CFL constants and the closed-form bounds
 * ``solve``        one pathwise solve dumped as interval-indexed nodal
-  values, written a block of whole intervals at a time
+  values y_i v_d, a profile times the one excited mode
 
 Every report is a CSV file with a fixed header, floats printed as
 ``'%.17g'`` prints them, and content that is byte-identical across
 reruns, written as bytes. The solve report, which can run to hundreds
-of thousands of rows, is formatted a block of whole intervals at a time
-by whole-array numpy operations, not one format call per value: each
-value's text takes 24 NUL-padded byte columns (``stpg.g17``) beside its
-line's ``i,t,`` and ``dof,`` columns, and the NULs are squeezed out.
+of thousands of rows, is written a block of whole intervals at a time
+by whole-array numpy operations (``stpg.g17``), each product of y_i
+with a distinct value of v formatted once, its 24 NUL-padded byte
+columns gathered beside each line's ``i,t,`` and ``dof,`` columns, and
+the NULs squeezed out.
 A regular or new file is written atomically, so a failed run leaves no
 partial CSV; a symlink is written through to its target. An open
 descriptor (``/dev/stdout``, ``/proc/self/fd/N``) is written at its
@@ -60,32 +61,32 @@ CONVERGENCE_HEADER = ["case", "j", "h", "k", "n_quad", "mean_error", "observed_r
 INFSUP_HEADER = ["case", "n_cells", "n_steps", "omega", "a_omega", "sigma_min",
                  "sigma_max", "c_S", "c_S_omega", "cB_theory", "CB_theory"]
 SOLVE_HEADER = ["interval", "t", "dof", "value"]
-# A sweep block holds its float64 (N, P, n_dof) state and, while it
-# steps, two windows of step factors. Each entry is (arrays, values,
-# cached): once a block is done, a subcommand holds beside its state
-# float64 (N, n_dof) arrays and float64 values per interval of each path
-# it works on at once (one for solve, a group of _error_paths for
-# convergence), and from its first path on, through later blocks' sweeps
-# too, float64 values per interval cached on the grid. solve holds the
-# path's interval values. oracle.block_errors holds per path of a group
-# first its profile with two temporaries of its expression (15 values),
-# then the path's modal coefficients and interval values, then those
-# values and their product with S (2 arrays) beside its (group, N) sums,
-# which the 15 values cover (a traced group holds 2 n_dof + 2 values per
-# path and interval, or 16 at one dof), and it reads the Gauss points,
-# weights and trig values of TimeGrid.profile_quadrature (20 values)
-AFTER_SWEEP = {"convergence": (2, 15, 20), "solve": (1, 0, 0)}
-# float64 values per time step held throughout: the grid's nodes and
-# its cached time weights and widths, which the sweep reads. It also
-# bounds the grid while TimeGrid checks its nodes. Before the first
-# sweep of a grid, solver.time_weights holds at most three values per
-# step beside the nodes, which the sweep's count, at least two per
-# step, covers
+# A convergence sweep block holds its float64 (N, P, n_dof) state and,
+# while it steps, two windows of step factors and one of its paths'
+# loads. AFTER_SWEEP is (arrays, values, cached): once a block is done,
+# float64 (N, n_dof) arrays and values per interval of each path of a
+# group of _error_paths, and from its first path on values per interval
+# cached on the grid. oracle.block_errors holds per path of a group its
+# profile with two temporaries (15 values), then the path's modal
+# coefficients and interval values, then those values and their product
+# with S (2 arrays) beside its (group, N) sums (a traced group holds
+# 2 n_dof + 2 values per path and interval, or 16 at one dof), and it
+# reads the Gauss rule and trig values of TimeGrid.profile_quadrature
+AFTER_SWEEP = (2, 15, 20)
+# float64 values per time step a convergence level holds throughout: the
+# grid's nodes, time weights and widths; solver.time_weights holds at
+# most three per step beside the nodes, which the sweep's count covers
 GRID_VALUES = 3
-# float64 (P, n_dof) arrays solver.uniform_energy holds at peak for the
-# P paths of a moments rung, its vectors of n_dof values included (P is
-# at least 4, the largest size of a ladder of four)
-MOMENT_ARRAYS = 9
+# bytes per time step while TimeGrid checks its nodes: the nodes, their
+# differences and a mask (17 traced)
+CHECK_BYTES = 17
+# float64 values per time step a solve holds at peak: the grid's nodes,
+# its profile and two temporaries of solver.uniform_profile
+PROFILE_VALUES = 4
+# float64 values per path a moments rung holds at peak: its rule, a, c0,
+# valid indices and values, and the (P, 1) arrays of
+# solver.uniform_energy (17.5 traced)
+MOMENT_VALUES = 18
 # bytes one block of a rung's paths holds while it steps, its state and
 # its two windows of step factors, or one stack of an infsup grid's
 # nodes, unless one path or node alone needs more
@@ -106,20 +107,27 @@ NODE_BANDS = 10
 # counts: Python objects and numpy's bookkeeping (7 KB in a traced
 # one-dof solve of 20,000 steps)
 RUN_BYTES = 1 << 14
-# (interval, dof) values one block of a solve report's write formats at
+# (interval, dof) values one block of a solve report's write lays out at
 # most (_write_block), and the float64 values' worth of bytes its writer
 # holds at peak per value of a block: the line, its text before and after
-# the NULs go, and the digits' temporaries, 168 bytes against 159 to 160
-# traced (at 1, 7 and 225 dofs), plus 4 KB at any size, which RUN_BYTES
-# covers; a block of twice the values writes about 9% faster and holds
-# twice the bytes. Beside them it holds the solution and the text of
-# every dof number, fewer bytes than a float64 value each
+# the NULs go, its values' text gathered, and the text and digits'
+# temporaries of as many distinct products, 168 bytes against at most 163
+# traced (1 to 961 dofs). Per dof it holds WRITE_DOF values: the mode,
+# the column of its distinct value and their bits, the dof's text and,
+# above WRITE_VALUES dofs, one interval's products and text (78 traced)
 WRITE_VALUES = 1 << 12
 WRITE_TEXT = 21
+WRITE_DOF = 11
 # bytes stochastic.quadrature holds at peak per node of the rule it
 # builds, beside RUN_BYTES: 80.1 to 80.6 traced on 200,000 and 20,000
 # lognormal nodes (two lists of Python floats), 32 on the interval
 RULE_BYTES = 81
+# bytes a convergence or infsup run holds per parameter node: the rule,
+# the arrays of a, c0, valid indices and errors or constants (48.5
+# traced), and a block's copies of its values (24); and per infsup grid
+# one report row of 11 values, 7 of them new floats (300 traced)
+NODE_BYTES = 80
+ROW_BYTES = 304
 
 
 class ResourceCapError(RuntimeError):
@@ -157,18 +165,20 @@ def _fmt(value) -> str:
 
 class SolveRows:
     """The (interval, t, dof, value) rows of a solve, as a view of its N
-    right endpoints times and (N, n_dof) interval values."""
+    right endpoint times, its (N,) profile y and its (n_dof,) mode v: the
+    value at interval i and dof d is y_i * v_d."""
 
-    def __init__(self, times, values):
-        self.times, self.values = times, values
+    def __init__(self, times, y, v):
+        self.times, self.y, self.v = times, y, v
 
     def __len__(self):
-        return self.values.size
+        return self.y.size * self.v.size
 
     def __iter__(self):
-        for i, t in enumerate(self.times.tolist()):
-            for dof, v in enumerate(self.values[i].tolist()):
-                yield i + 1, t, dof, v
+        v = self.v.tolist()
+        for i, (t, y) in enumerate(zip(self.times.tolist(), self.y.tolist()), 1):
+            for dof, value in enumerate(v):
+                yield i, t, dof, y * value
 
 
 def _rows_of(texts) -> np.ndarray:
@@ -183,23 +193,35 @@ def _write_block(n_steps: int, n_dof: int) -> tuple:
     return max(1, min(n_steps, WRITE_VALUES // n_dof)), min(n_dof, WRITE_VALUES)
 
 
-def _solve_lines(first: int, times, values, dofs) -> bytes:
-    """The lines of a block of a solve: the values of the intervals
-    first + 1, ..., which end at times, at the dofs whose text dofs holds.
+def _value_text(y, distinct) -> np.ndarray:
+    """The (len(y), len(distinct), g17.WIDTH) text of each y_i * distinct_c,
+    formatted WRITE_VALUES products at a time."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = np.multiply.outer(y, distinct).reshape(-1)
+    text = np.empty((products.size, g17.WIDTH), np.uint8)
+    for start in range(0, products.size, WRITE_VALUES):
+        stop = start + WRITE_VALUES
+        g17.g17_columns(products[start:stop], out=text[start:stop])
+    return text.reshape(len(y), len(distinct), -1)
+
+
+def _solve_lines(first: int, times, values, columns, dofs) -> bytes:
+    """The lines of a block of a solve: the intervals first + 1, ..., which
+    end at times, at the dofs whose text dofs holds, their values' text
+    the columns of the (intervals, distinct, g17.WIDTH) text values.
 
     Each line is laid out in NUL-padded uint8 columns: the "i,t," head of
-    its interval, its dof, a comma, its value's text, which g17 writes in
-    place, and a newline. The NULs are then squeezed out.
+    its interval, its dof, a comma, its value's text, gathered from text,
+    and a newline. The NULs are then squeezed out.
     """
     heads = _rows_of([b"%d,%.17g," % (i, t) for i, t in
                       enumerate(times.tolist(), first + 1)])
     head, mid = heads.shape[1], heads.shape[1] + dofs.shape[1]
-    line = np.empty((*values.shape, mid + g17.WIDTH + 2), np.uint8)
+    line = np.empty((len(times), len(columns), mid + g17.WIDTH + 2), np.uint8)
     line[:, :, :head] = heads[:, None]
     line[:, :, head:mid] = dofs
-    del heads  # freed before the values' text is formed
     line[..., mid] = ord(",")
-    g17.g17_columns(values, out=line.reshape(values.size, -1)[:, mid + 1:-1])
+    line[..., mid + 1:-1] = np.take(values.view(f"V{g17.WIDTH}"), columns, axis=1).view(np.uint8)
     line[..., -1] = ord("\n")
     # each copy of the text replaces the one before, so at most two live
     text = line.tobytes()
@@ -209,18 +231,25 @@ def _solve_lines(first: int, times, values, dofs) -> bytes:
 
 def _write_report(fh, header, rows, trailer):
     """Write header, rows and trailer lines to the binary stream fh: a
-    SolveRows view a block at a time (_solve_lines), other rows by _fmt."""
+    SolveRows view a block at a time (_solve_lines), each product of y_i
+    with a distinct value of v, by its bits (-0 is not 0), formatted once
+    (_value_text); other rows by _fmt."""
     fh.write((",".join(header) + "\n").encode("ascii"))
     if isinstance(rows, SolveRows):
-        n_steps, n_dof = rows.values.shape
+        n_steps, n_dof = rows.y.size, rows.v.size
         per, span = _write_block(n_steps, n_dof)
+        bits, columns = np.unique(rows.v.view(np.int64), return_inverse=True)
+        # blocks of intervals whose products WRITE_VALUES values hold, at least one
+        group = per * max(1, WRITE_VALUES // (per * len(bits)))
         # no dof number has more digits than n_dof
         dofs = _rows_of(np.arange(n_dof).astype(f"S{len(str(n_dof))}"))
         for first in range(0, n_steps, per):
+            if first % group == 0:
+                text = _value_text(rows.y[first:first + group], bits.view(np.float64))
+            block = text[first % group:first % group + per]
             for start in range(0, n_dof, span):
-                block = rows.values[first:first + per, start:start + span]
                 fh.write(_solve_lines(first, rows.times[first:first + per], block,
-                                      dofs[start:start + span]))
+                                      columns[start:start + span], dofs[start:start + span]))
     else:
         fh.writelines((",".join(map(_fmt, row)) + "\n").encode("ascii") for row in rows)
     fh.writelines(("# " + line + "\n").encode("ascii") for line in trailer)
@@ -329,7 +358,7 @@ def _block_paths(n_steps: int, n_dof: int) -> int:
 def _error_paths(n_steps: int, n_dof: int) -> int:
     """Paths of a block whose errors are measured together: as many as
     _GROUP_VALUES holds, at least one."""
-    arrays, values, _ = AFTER_SWEEP["convergence"]
+    arrays, values, _ = AFTER_SWEEP
     return max(1, _GROUP_VALUES // (n_steps * (arrays * n_dof + values)))
 
 
@@ -354,16 +383,15 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     at peak must fit in memory. Each count adds the spatial pair's 1-D
     matrices at their peak (fem.pair_values), which in 1-D are
     n_dof x n_dof, and its message names that share. Beside them it
-    counts, for infsup, one stack of nodes (_stack_nodes) with each
-    node's blocks and bands (NODE_STACKS, NODE_BANDS), for moments, the
-    grid's nodes and MOMENT_ARRAYS of the rung's paths and dofs, and for
-    the others GRID_VALUES per step and the values the subcommand caches
-    on the grid (AFTER_SWEEP), held throughout, plus one block's sweep
-    with what its subcommand then holds for the paths it works on at
-    once (AFTER_SWEEP, _error_paths) and the temporaries of the spatial
-    operators (fem.kron_temporaries), or for solve its report's write if
-    that holds more: the solution beside one block's text (_write_block,
-    WRITE_TEXT), which the message then names; and RUN_BYTES.
+    counts, for infsup, one stack of nodes (_stack_nodes, NODE_STACKS,
+    NODE_BANDS) and NODE_BYTES and ROW_BYTES per node; for moments, the
+    grid's nodes and MOMENT_VALUES per path, or the grid while TimeGrid
+    checks it (CHECK_BYTES); for solve, PROFILE_VALUES per step and the
+    report's write, one block (_write_block, WRITE_TEXT) and WRITE_DOF
+    values per dof; for convergence, GRID_VALUES and the grid's cached
+    values per step and NODE_BYTES per node, held throughout, and one
+    block's sweep and error groups (AFTER_SWEEP, _error_paths) with the
+    spatial operators' temporaries (fem.kron_temporaries); and RUN_BYTES.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
@@ -374,34 +402,32 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     if space_time:
         nodes = min(paths, _stack_nodes(n_steps, mesh.n_dof))
         stack = nodes * _node_values(n_steps, mesh.n_dof)
-        _check_memory(8 * (pair + stack + np.getbufsize()),
+        rows = paths * (NODE_BYTES + ROW_BYTES * len(config.n_cells) * len(config.n_steps))
+        _check_memory(8 * (pair + stack + np.getbufsize()) + rows,
                       f"an infsup stack of {nodes} nodes of {mesh.n_dof} x {n_steps} x "
                       f"{n_steps} blocks", 8 * pair)
     elif config.subcommand == "moments":
         # the grid while TimeGrid checks it, or its nodes and the rung's arrays
-        rung = MOMENT_ARRAYS * paths * mesh.n_dof
-        _check_memory(8 * (pair + max(GRID_VALUES * n_steps, n_steps + rung)),
-                      f"a moments rung of {paths} x {mesh.n_dof}", 8 * pair)
+        rung = max(CHECK_BYTES * n_steps, 8 * (n_steps + MOMENT_VALUES * paths))
+        _check_memory(8 * pair + rung + RUN_BYTES, f"a moments rung of {paths} x {mesh.n_dof}",
+                      8 * pair)
+    elif config.subcommand == "solve":
+        chunk = math.prod(_write_block(n_steps, mesh.n_dof))
+        values = PROFILE_VALUES * n_steps + WRITE_DOF * mesh.n_dof + WRITE_TEXT * chunk
+        _check_memory(8 * (pair + values) + RUN_BYTES,
+                      f"a {n_steps} x {mesh.n_dof} solution written {chunk} values at a time",
+                      8 * pair)
     else:
         block = min(paths, _block_paths(n_steps, mesh.n_dof))
-        group = 1
-        if config.subcommand == "convergence":
-            group = min(block, _error_paths(n_steps, mesh.n_dof))
+        group = min(block, _error_paths(n_steps, mesh.n_dof))
         window = min(n_steps, solver.SWEEP_WINDOW) + 1
-        arrays, values, cached = AFTER_SWEEP[config.subcommand]
+        arrays, values, cached = AFTER_SWEEP
         after = group * n_steps * (arrays * mesh.n_dof + values) + fem.kron_temporaries(mesh)
-        sweep = block * mesh.n_dof * n_steps + max(2 * window * block * mesh.n_dof, after)
-        what = f"a {n_steps} x {block} x {mesh.n_dof} sweep block"
-        if config.subcommand == "solve":
-            # the write, once the state is freed: the solution, the dof
-            # numbers' text and one block
-            chunk = math.prod(_write_block(n_steps, mesh.n_dof))
-            write = (n_steps + 1) * mesh.n_dof + WRITE_TEXT * chunk
-            if write > sweep:
-                sweep = write
-                what = f"a {n_steps} x {mesh.n_dof} solution written {chunk} values at a time"
-        _check_memory(8 * (pair + (GRID_VALUES + cached) * n_steps + sweep) + RUN_BYTES,
-                      what, 8 * pair)
+        steps = window * block * (2 * mesh.n_dof + 1)
+        sweep = block * mesh.n_dof * n_steps + max(steps, after)
+        _check_memory(8 * (pair + (GRID_VALUES + cached) * n_steps + sweep) + RUN_BYTES
+                      + NODE_BYTES * paths,
+                      f"a {n_steps} x {block} x {mesh.n_dof} sweep block", 8 * pair)
     grid = solver.TimeGrid.uniform(1.0, n_steps)
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
 
@@ -410,8 +436,7 @@ def _paths(model, nodes) -> tuple:
     """(a, c0, valid): every node's diffusion value and forcing amplitude,
     and the indices of the paths that can be solved, whose a is finite
     and positive and whose c0 is finite. The others are flagged."""
-    a = np.array([model.a(w) for w in nodes])
-    c0 = np.array([model.c0(w) for w in nodes])
+    a, c0 = model.evaluate(nodes)
     (valid,) = np.nonzero(np.isfinite(a) & (a > 0) & np.isfinite(c0))
     return a, c0, valid
 
@@ -540,43 +565,45 @@ def run_infsup(config: ExperimentConfig):
     n_quad = config.quad_ladder[0]
     _check_memory(RULE_BYTES * n_quad + RUN_BYTES, f"a rule of {n_quad} parameter nodes", 0)
     nodes, _ = stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
-    diffusion = [model.a(omega) for omega in nodes]
-    valid = [i for i, a in enumerate(diffusion) if math.isfinite(a) and a > 0]
+    diffusion, _ = model.evaluate(nodes)
+    (valid,) = np.nonzero(np.isfinite(diffusion) & (diffusion > 0))
     rows = []
     for n_cells in config.n_cells:
         for n_steps in config.n_steps:
             disc = _discretization(config, n_cells, n_steps, len(nodes), space_time=True)
             c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
-            lam = disc.pair.eigenvalues
-            sigmas = {}
+            # each node's constants, nan where it is flagged
+            low, high = np.full((2, len(nodes)), math.nan)
             size = _stack_nodes(n_steps, disc.n_dof)
             for start in range(0, len(valid), size):
                 stack = valid[start:start + size]
                 # a node's constants are the extremes over its mode blocks,
                 # one slice of the stack
-                mu = np.concatenate([diffusion[i] * lam for i in stack])
+                mu = np.multiply.outer(diffusion[stack], disc.pair.eigenvalues).ravel()
                 lows, highs = consts.discrete_infsup(*solver.mode_blocks(disc.grid, mu))
-                lows, highs = (m.reshape(len(stack), -1) for m in (lows, highs))
-                sigmas.update(zip(stack, zip(lows.min(axis=1).tolist(),
-                                             highs.max(axis=1).tolist())))
-            for i, (omega, a) in enumerate(zip(nodes, diffusion)):
-                if i not in sigmas:
-                    rows.append((config.case, n_cells, n_steps, omega, a,
-                                 math.nan, math.nan, c_s, math.nan,
-                                 math.nan, math.nan))
+                low[stack] = lows.reshape(len(stack), -1).min(axis=1)
+                high[stack] = highs.reshape(len(stack), -1).max(axis=1)
+            for i in range(len(nodes)):
+                omega, a, sigma_min, sigma_max = map(float, (nodes[i], diffusion[i], low[i],
+                                                             high[i]))
+                if math.isnan(sigma_min):
+                    rows.append((config.case, n_cells, n_steps, omega, a, math.nan,
+                                 math.nan, c_s, math.nan, math.nan, math.nan))
                     continue
                 bounds = consts.theoretical_constants(a, a)
-                rows.append((config.case, n_cells, n_steps, omega, a,
-                             *sigmas[i], c_s, consts.weighted_cfl(a, c_s),
+                rows.append((config.case, n_cells, n_steps, omega, a, sigma_min, sigma_max,
+                             c_s, consts.weighted_cfl(a, c_s),
                              bounds.c_b_bound, bounds.C_b_bound))
     return rows
 
 
 def run_solve(config: ExperimentConfig):
-    """One pathwise solve, dumped as interval-indexed nodal values."""
+    """One pathwise solve, dumped as interval-indexed nodal values: the
+    rank-one rows of its closed-form profile and the pair's excited mode."""
     model, _ = _setup(config.case)
     disc = _discretization(config, config.n_cells[0], config.n_steps[0])
-    return SolveRows(disc.grid.nodes[1:], solver.solve_pathwise(model, disc, config.omega))
+    y = solver.uniform_profile(model, disc.pair, disc.grid.n_intervals, config.omega)
+    return SolveRows(disc.grid.nodes[1:], y, disc.pair.excited_mode[2])
 
 
 def _int_list(text: str):

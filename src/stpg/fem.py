@@ -156,14 +156,17 @@ def pair_values(mesh: Mesh) -> int:
     """Values the spatial pair of a mesh holds at peak while it is built.
 
     Its 1-D matrices are n_dof_1d x n_dof_1d (n_dof x n_dof in dim 1):
-    mass and stiffness, then the eigenvectors with their temporaries, 5
+    mass and stiffness, then the eigenvectors with their temporaries, 4
     such matrices for hat functions and 6 for splines, of which it keeps
     3. For splines the second eigh call (_spline_modes) holds its
     LAPACK memory (_eigh_values) beside the 6, which tracemalloc does
-    not see but the process's resident memory does.
+    not see but the process's resident memory does. Beside them numpy
+    buffers two broadcast operands, up to np.getbufsize() values each,
+    which in 2-D also covers the excited mode's outer product.
     """
     n = mesh.n_dof_1d
-    return 5 * n * n if mesh.degree == 1 else 6 * n * n + _eigh_values(n)
+    buffers = 2 * min(n * n, np.getbufsize())
+    return buffers + (4 * n * n if mesh.degree == 1 else 6 * n * n + _eigh_values(n))
 
 
 def _dense(terms) -> np.ndarray:
@@ -298,6 +301,25 @@ class SpatialPair:
         cross = _frozen(self.mode_eigenvalue * self.mode_vector())
         return cross, float(cross @ self.stiffness_solve(cross))
 
+    @functools.cached_property
+    def excited_mode(self) -> tuple:
+        """(lam_1, beta_1, v_1) of the one mode the stock forcing excites,
+        computed once: the smallest eigenvalue, the modal load v_1' b and
+        the nodal eigenvector v_1, read-only.
+
+        Every other modal load is a rounding error of beta_1, so a path's
+        interval values are scalars times v_1. The 1-D factor u is basis
+        column 0, a sine, made bitwise mirror-symmetric and positive as
+        |u + u reversed| / 2; in 2-D v_1 is its outer product with
+        itself, so nodes equal by symmetry share their bits, and beta_1
+        is (u' b_1d)^2, with no vector of n_dof values besides v_1.
+        """
+        (lam, vecs), dim = self._basis, self.mesh.dim
+        u = 0.5 * np.abs(vecs[:, 0] + vecs[::-1, 0])
+        v = functools.reduce(np.multiply.outer, (u,) * dim).ravel()
+        beta = float(u @ mode_load_vector(Mesh(1, self.mesh.n_cells, self.mesh.degree))) ** dim
+        return dim * float(lam[0]), beta, _frozen(v)
+
 
 def build_mesh(dim: int, n_cells: int, degree: int) -> Mesh:
     """Create a mesh, validating the supported (dim, degree) range."""
@@ -313,15 +335,14 @@ def build_mesh(dim: int, n_cells: int, degree: int) -> Mesh:
 
 
 def _assemble_1d_linear(n_cells: int):
-    n = n_cells - 1
-    h = 1.0 / n_cells
-    main_m = np.full(n, 2.0 * h / 3.0)
-    off_m = np.full(n - 1, h / 6.0)
-    mass = np.diag(main_m) + np.diag(off_m, 1) + np.diag(off_m, -1)
-    main_s = np.full(n, 2.0 / h)
-    off_s = np.full(n - 1, -1.0 / h)
-    stiff = np.diag(main_s) + np.diag(off_s, 1) + np.diag(off_s, -1)
-    return mass, stiff
+    # tridiagonal, its three diagonals filled in place
+    n, h = n_cells - 1, 1.0 / n_cells
+    mats = np.zeros((2, n, n))
+    for matrix, main, off in zip(mats, (2.0 * h / 3.0, 2.0 / h), (h / 6.0, -1.0 / h)):
+        flat = matrix.reshape(-1)
+        flat[::n + 1] = main
+        flat[1::n + 1] = flat[n::n + 1] = off
+    return tuple(mats)
 
 
 def _hat_modes(n_cells: int) -> tuple:
@@ -332,14 +353,17 @@ def _hat_modes(n_cells: int) -> tuple:
     lam_k = 12 sin^2(t_k / 2) / (h^2 (2 + cos t_k)); the sin^2 form
     avoids the cancellation of 1 - cos t_k for the smooth modes. The
     phase i k is reduced mod 2 n_cells in integers, so sin sees
-    arguments below 2 pi.
+    arguments below 2 pi. Formed in place, with two matrices at most.
     """
     h = 1.0 / n_cells
     k = np.arange(1, n_cells)
     theta = np.pi * k / n_cells
     lam = 12.0 * np.sin(0.5 * theta) ** 2 / (h ** 2 * (2.0 + np.cos(theta)))
-    phase = np.outer(k, k) % (2 * n_cells)
-    vecs = np.sqrt(6.0 / (2.0 + np.cos(theta))) * np.sin(np.pi * phase / n_cells)
+    vecs = (np.multiply.outer(k, k) % (2 * n_cells)).astype(float)
+    vecs *= np.pi
+    vecs /= n_cells
+    np.sin(vecs, out=vecs)
+    vecs *= np.sqrt(6.0 / (2.0 + np.cos(theta)))
     return lam, vecs
 
 

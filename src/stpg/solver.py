@@ -8,13 +8,12 @@ bidiagonal and the forward solve is a modified Crank-Nicolson sweep.
 The operator is a scalar times the fixed stiffness S, so the sweep runs
 in the M-orthonormal eigenbasis of (S, M), computed once per mesh: every
 step is n_dof scalar recurrences, with no factorization per path or step.
-The paths of a parameter rung share one step loop (sweep): its state is
-one (N, P, n_dof) array of modal coefficients, and the step factors are
-formed SWEEP_WINDOW steps at a time, in two (SWEEP_WINDOW + 1, P, n_dof)
-arrays, so each path's values are those of a sweep of it alone. On the
-uniform grid of [0, 1] the recurrence of each path and mode has the same
-gain at every step, so its energy norm has a closed form
-(uniform_energy), with no step loop; the loop is its test oracle.
+The paths of a convergence rung share one step loop (sweep), whose state
+is one (N, P, n_dof) array, with the bits of a sweep of each path alone.
+The stock forcing reaches one mode (SpatialPair.excited_mode), and on the
+uniform grid of [0, 1] its recurrence has the same gain at every step, so
+a path's profile (uniform_profile) and energy (uniform_energy) come in
+closed form, with no step loop; the all-mode loop is their test oracle.
 
 The module also evaluates the space-time norms attached to the pair:
 the trial energy norm, its weighted variant, and the weighted test
@@ -53,6 +52,7 @@ __all__ = [
     "assemble_load",
     "sweep",
     "uniform_energy",
+    "uniform_profile",
     "solve_pathwise",
     "mode_blocks",
     "assemble_full_system",
@@ -292,22 +292,38 @@ def sweep(disc: Discretization, a, c0) -> tuple:
     return z, finite
 
 
+def _uniform_terms(n_steps: int, a, lam: float) -> tuple:
+    """(tw0, c, theta, sigma, x, u, v, mod) of uniform_energy for the
+    diffusion values a and the eigenvalue lam. An x that underflows (a
+    tiny a) is raised to the least normal float, where the closed forms
+    take their undamped x -> 0 limit, as the loop does, instead of 0 / 0.
+    """
+    k = 1.0 / n_steps
+    theta = np.pi * k
+    sigma = np.sin(0.5 * theta) ** 2
+    x = np.maximum(k * (0.5 * np.asarray(a, dtype=float)) * lam, np.finfo(float).tiny)
+    v = 1.0 / (1.0 + x)
+    u = x * v
+    return (_hat_integrals(np.array([0.0, k]))[0][0], 4.0 * sigma / (np.pi ** 2 * k), theta,
+            sigma, x, u, v, 4.0 * (u * u * (1.0 - sigma) + v * v * sigma))
+
+
 def uniform_energy(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
     """Squared trial energy norms of P paths on the uniform grid of [0, 1].
 
-    The value sum_j k sum_n lam_n z_jn^2 of each path's coefficients z
-    from sweep on TimeGrid.uniform(1.0, n_steps), in closed form: no step
-    loop and nothing of size N. a and c0 are as in sweep; a path whose
-    sum overflows gets inf or nan.
+    The value k sum_j lam_1 y_j^2 of each path's profile y on the pair's
+    excited mode, the only one its forcing reaches, in closed form: no
+    step loop and nothing of size N. a and c0 are as in sweep; a path
+    whose sum overflows gets inf or nan.
 
     With k = 1 / N and theta = pi k the time weights are tw_0 and
     tw_j = C sin(j theta) for j >= 1, C = 4 sin^2(theta / 2) / (pi^2 k).
-    Per path and mode, x = a lam k / 2 and g = (1 - x) / (1 + x) hold at
-    every step, so the sweep's recurrence y_j = g y_{j-1} + s sin(j theta),
-    s = c0 C beta / (1 + x), has the exact solution
+    With x = a lam_1 k / 2 and g = (1 - x) / (1 + x) at every step, the
+    sweep's recurrence y_j = g y_{j-1} + s sin(j theta),
+    s = c0 C beta_1 / (1 + x), has the exact solution
 
         y_j = Im(Q e^{ij theta}) + h g^j,  Q = s / (1 - g e^{-i theta}),
-        h = y_0 - Im Q,  y_0 = c0 tw_0 beta / (1 + x).
+        h = y_0 - Im Q,  y_0 = c0 tw_0 beta_1 / (1 + x).
 
     For N >= 2 the sum of e^{2ij theta} vanishes, and so does the cross
     term, since Q / (1 - g e^{i theta}) = s / |1 - g e^{-i theta}|^2 is real:
@@ -316,49 +332,77 @@ def uniform_energy(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
 
     For N = 1 the sum is y_0^2. Every factor is formed without
     cancellation: with u = x / (1 + x), v = 1 / (1 + x) and
-    sigma = sin^2(theta / 2), |1 - g e^{-i theta}|^2 = 4 (u^2 (1 - sigma)
-    + v^2 sigma), (1 + x) h = c0 beta (tw_0 + C g sin(theta) / that) and
+    sigma = sin^2(theta / 2), mod = |1 - g e^{-i theta}|^2 = 4 (u^2 (1 - sigma)
+    + v^2 sigma), (1 + x) h = c0 beta_1 (tw_0 + C g sin(theta) / mod) and
     h^2 / (1 - g^2) = ((1 + x) h)^2 / (4x), with log|g| =
     log1p(-2 min(u, v)) and 1 - g^{2N} = -expm1(2N log|g|).
     """
-    k = 1.0 / n_steps
-    lam = pair.eigenvalues
-    # lam_n beta_n^2 and k c0^2: the sums below are per unit (c0 beta_n)^2
-    weight = lam * np.square(pair.to_modes(pair.mode_vector()))
-    scale = k * np.square(np.asarray(c0, dtype=float))
-    tw0 = _hat_integrals(np.array([0.0, k]))[0][0]
-    # an x that underflows (a tiny a) is raised to the least normal float,
-    # where the sums take their undamped x -> 0 limit, as the loop does,
-    # instead of 0 / 0
-    x = np.multiply.outer(k * (0.5 * np.asarray(a, dtype=float)), lam)
-    np.maximum(x, np.finfo(float).tiny, out=x)
-    v = 1.0 / (1.0 + x)
+    lam, beta, _ = pair.excited_mode
+    tw0, c, theta, _, x, u, v, mod = _uniform_terms(n_steps, a, lam)
+    # the sums below are per unit (c0 beta_1)^2
+    scale = lam * beta ** 2 * np.square(np.asarray(c0, dtype=float)) / n_steps
     if n_steps == 1:
-        return scale * (np.square(tw0 * v) @ weight)
-    theta = np.pi * k
-    sigma = np.sin(0.5 * theta) ** 2
-    c = 4.0 * sigma / (np.pi ** 2 * k)
-    u = x * v
-    mod = 4.0 * (u * u * (1.0 - sigma) + v * v * sigma)
+        return scale * np.square(tw0 * v)
     with np.errstate(divide="ignore"):
         # 1 - g^2N, with g = 0 at x = 1
         decay = -np.expm1(2 * n_steps * np.log1p(-2.0 * np.minimum(u, v)))
     # ((1 + x) h)^2 (1 - g^2N) / (4x) + N |Q|^2 / 2, with g = (1 - x) v
     total = np.square(tw0 + c * np.sin(theta) * (1.0 - x) * v / mod) * decay / (4.0 * x)
     total += 0.5 * n_steps * np.square(c * v) / mod
-    return scale * (total @ weight)
+    return scale * total
+
+
+def _path_data(coeffs, omega: float) -> tuple:
+    """(a, c0) of one path, or PathwiseSolveError if either cannot be solved."""
+    a = _check_a(coeffs.a(omega))
+    c0 = float(coeffs.c0(omega))
+    if not math.isfinite(c0):
+        raise PathwiseSolveError(f"forcing amplitude is not finite: {c0}")
+    return a, c0
+
+
+def uniform_profile(coeffs, pair: SpatialPair, n_steps: int, omega: float) -> np.ndarray:
+    """The (N,) profile y of one parameter value on the uniform grid of
+    [0, 1], whose interval values are y_j v_1 (SpatialPair.excited_mode),
+    in the closed form of uniform_energy, with no step loop:
+    y_j = Re Q sin(j theta) + Im Q cos(j theta) + h g^j, with
+    Re Q = 2 s v (x (1 - sigma) + sigma) / mod, Im Q = -s g sin(theta) / mod
+    and g^j = exp(j log|g|) with the sign of g. Raises PathwiseSolveError
+    as solve_pathwise does.
+    """
+    a, c0 = _path_data(coeffs, omega)
+    lam, beta, _ = pair.excited_mode
+    tw0, c, theta, sigma, x, u, v, mod = map(float, _uniform_terms(n_steps, a, lam))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y0, s, g = c0 * tw0 * beta * v, c0 * c * beta * v, (1.0 - x) * v
+        im = -s * g * np.sin(theta) / mod
+        # formed in place: y and two more values per step
+        power = np.arange(n_steps, dtype=float)
+        angle = power * theta
+        power *= np.log1p(-2.0 * min(u, v))
+        np.exp(power, out=power)
+        if g < 0:
+            power[1::2] *= -1.0
+        power *= y0 - im
+        y = np.sin(angle)
+        y *= 2.0 * s * v * (x * (1.0 - sigma) + sigma) / mod
+        y += power
+        y += np.multiply(np.cos(angle, out=angle), im, out=angle)
+    y[0] = y0
+    y += 0.0  # +0 where c0 = 0, not a -0 of the trig values' signs
+    if not np.isfinite(y).all():
+        raise PathwiseSolveError("non-finite values in time step")
+    return y
 
 
 def solve_pathwise(coeffs, disc: Discretization, omega: float) -> np.ndarray:
     """Solve the space-time system of one parameter value by forward substitution.
 
-    Returns the (N, n_dof) interval values U_1..U_N: the one-path sweep,
-    transformed back from the eigenbasis.
+    Returns the (N, n_dof) interval values U_1..U_N: the one-path sweep
+    over every mode, transformed back from the eigenbasis; the oracle of
+    uniform_profile.
     """
-    a = _check_a(coeffs.a(omega))
-    c0 = float(coeffs.c0(omega))
-    if not math.isfinite(c0):
-        raise PathwiseSolveError(f"forcing amplitude is not finite: {c0}")
+    a, c0 = _path_data(coeffs, omega)
     z, finite = sweep(disc, [a], [c0])
     if not finite[0]:
         raise PathwiseSolveError("non-finite values in time step")

@@ -139,6 +139,16 @@ class CoefficientModel:
         with np.errstate(divide="ignore", over="ignore"):
             return float(self.c0_fn(np.float64(omega)))
 
+    def evaluate(self, nodes) -> tuple:
+        """(a, c0) of every node as float64 arrays: the scalar calls of a
+        and c0, bit for bit, under one errstate for the whole rule."""
+        a, c0 = np.empty(len(nodes)), np.empty(len(nodes))
+        with np.errstate(divide="ignore", over="ignore"):
+            for i, omega in enumerate(nodes):
+                a[i] = float(self.a_fn(np.float64(omega)))
+                c0[i] = float(self.c0_fn(np.float64(omega)))
+        return a, c0
+
 
 def default_domain(case: str) -> ParameterDomain:
     """Parameter domain conventionally paired with a named case."""

@@ -248,17 +248,17 @@ def _patch_physical_memory(monkeypatch, pages):
 
 
 @pytest.mark.parametrize("pages,steps,need", [
-    # the pair's 5 x 7 x 7 values, 3 grid values per step, the report's
-    # write, which holds more than the 14,000-value sweep (the 7,000-value
-    # solution, 7 dof numbers and 21 values for each of the 4,095 values
-    # of a block of 585 intervals), and the 16,384 bytes of a run's small
-    # objects
-    (10, 1000, "a 1000 x 7 solution written 4095 values at a time needs 786360 bytes, "
-               "1960 of them for the spatial pair"),
-    # the report is written in one block of 700 values beside the
-    # solution they count: 144,000 counted bytes, which 36 pages hold
-    (35, 100, "a 100 x 7 solution written 700 values at a time needs 144000 bytes, "
-              "1960 of them for the spatial pair"),
+    # the pair's 4 x 7 x 7 values and numpy's buffers of 2 x 7 x 7, 4
+    # values per step of the profile, the report's write (11 values per
+    # dof and 21 for each of the 4,095 values of a block of 585
+    # intervals), and the 16,384 bytes of a run's small objects
+    (10, 1000, "a 1000 x 7 solution written 4095 values at a time needs 739312 bytes, "
+               "2352 of them for the spatial pair"),
+    # the report is written in one block of 700 values: 140,152 counted
+    # bytes, which 35 pages hold
+    (34, 100, "a 100 x 7 solution written 700 values at a time needs 140152 bytes, "
+              "2352 of them for the spatial pair"),
+    (35, 100, None),
     (36, 100, None),
     (53, 100, None),
     (80, 100, None),
@@ -279,23 +279,23 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
 
 
 def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkeypatch):
-    # 19,999 dofs in 1-D: the pair's five 19,999 x 19,999 matrices are
-    # 16 GB, against 8 GiB of memory, while one step of one path is 0.8 MB
-    # and one block of its report, 4,096 of the interval's values, 0.7 MB,
-    # which the message names
+    # 19,999 dofs in 1-D: the pair's four 19,999 x 19,999 matrices are
+    # 12.8 GB, against 8 GiB of memory, while the report's write, one
+    # block of 4,096 of the interval's values beside 11 values per dof,
+    # is 2.4 MB, which the message names
     _patch_physical_memory(monkeypatch, 1 << 21)
     out = tmp_path / "x.csv"
     code, err = _main(["solve", "--cells", "20000", "--steps", "1", "--max-dofs", "20000",
                        "--out", str(out)], capsys)
     assert code == cli.EXIT_RESOURCE
-    pair = 8 * 5 * 19999 ** 2
+    pair = 8 * (4 * 19999 ** 2 + 2 * np.getbufsize())
     (line,) = err
     match = re.fullmatch(r"stpg: resource cap: a 1 x 19999 solution written 4096 values at "
                          r"a time needs (\d+) "
                          rf"bytes, {pair} of them for the spatial pair, more than the "
                          rf"{4096 << 21} bytes of physical memory", line)
-    block = 8 * cli.WRITE_TEXT * cli.WRITE_VALUES
-    assert match and pair < int(match[1]) < pair + 10 ** 6 + block
+    write = 8 * (cli.WRITE_TEXT * cli.WRITE_VALUES + cli.WRITE_DOF * 19999)
+    assert match and int(match[1]) == pair + 8 * cli.PROFILE_VALUES + write + cli.RUN_BYTES
     assert list(tmp_path.iterdir()) == []
 
 
@@ -304,9 +304,9 @@ def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monk
                                                           steps, code):
     # the grid's 2 nodes go in one stack of 2 x 7 modes' steps x steps
     # float64 blocks, with 10 values per mode and step and numpy's buffer
-    # of 8,192 values, beside the pair's 5 x 7 x 7 values: 218,024 bytes at
-    # 32 steps, 114,088 at 16, against 163,840 of memory; a 32 x 7 sweep
-    # would fit
+    # of 8,192 values, beside the pair's 6 x 7 x 7 values and the run's
+    # 384 bytes per node: 219,184 bytes at 32 steps, 115,248 at 16,
+    # against 163,840 of memory; a 32 x 7 sweep would fit
     assert np.getbufsize() == 8192
     _patch_physical_memory(monkeypatch, 40)
     out = tmp_path / "x.csv"
@@ -314,9 +314,10 @@ def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monk
                          "--n-quad-ladder", "2", "--out", str(out)], capsys)
     assert result == code
     if code == cli.EXIT_RESOURCE:
+        need = 8 * (2 * 7 * 32 * (32 + 10) + 8192 + 6 * 49) + 2 * (cli.NODE_BYTES + cli.ROW_BYTES)
         assert err == ["stpg: resource cap: an infsup stack of 2 nodes of 7 x 32 x 32 "
-                       f"blocks needs {8 * (2 * 7 * 32 * (32 + 10) + 8192 + 5 * 49)} "
-                       f"bytes, {8 * 5 * 49} of them for the spatial pair, more "
+                       f"blocks needs {need} "
+                       f"bytes, {8 * 6 * 49} of them for the spatial pair, more "
                        "than the 163840 bytes of physical memory"]
         assert list(tmp_path.iterdir()) == []
     else:
@@ -356,8 +357,8 @@ def _traced_peak(work):
 
 
 @pytest.mark.parametrize("cells,steps,errors", [
-    (64, 1000, False),  # 63 dofs: the rung's arrays outweigh the grid
-    (64, 5000, False),  # 63 dofs: TimeGrid's checks on the grid outweigh the rung
+    (64, 1000, False),  # 4,096 paths: the rung's arrays outweigh the grid
+    (64, 5000, False),  # 16 paths: TimeGrid's checks on the grid outweigh the rung
     # 1 dof: one block, then block_errors one path at a time beside the
     # grid's cached values
     (2, 20000, True),
@@ -370,8 +371,8 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, erro
     model, domain = cli._setup(config.case)
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
-    disc = cli._discretization(config, cells, steps, paths=16)
-    nodes, _ = stochastic.quadrature(domain, 16)
+    paths = 4096 if (steps, errors) == (1000, False) else 16
+    disc = cli._discretization(config, cells, steps, paths=paths)
     blocks = []
     sweep = solver.sweep
 
@@ -384,6 +385,8 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, erro
         # a new grid for each run, so that the trace sees the values the
         # error evaluation caches on it, which the count holds from the
         # first path on
+        nodes, _ = stochastic.quadrature(domain, paths)
+
         def level():
             grid = solver.TimeGrid.uniform(1.0, steps)
             return cli._mode_errors(model, solver.Discretization(disc.pair, grid), nodes)
@@ -402,9 +405,10 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, erro
         # _traced_peak runs the rung twice
         assert blocks == 2 * [min(block, 16 - start) for start in range(0, 16, block)]
     else:
-        # the grid and the closed-form rung on it, with no sweep
+        # the grid, the rung's rule and the closed form on it, with no sweep
         def rung():
             grid = solver.TimeGrid.uniform(1.0, steps)
+            nodes, _ = stochastic.quadrature(domain, paths)
             return cli._moment_values(model, disc.pair, grid.n_intervals, nodes)
 
         peak = _traced_peak(rung)
@@ -412,6 +416,9 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, erro
     # the pair was built before the trace, so its term is left out
     (counted,) = checked
     counted -= 8 * fem.pair_values(disc.pair.mesh)
+    if not errors:
+        # the trace holds the rung's arrays, not a run's small objects
+        counted -= cli.RUN_BYTES
     assert 0.85 * counted <= peak <= 1.05 * counted
 
 
@@ -495,50 +502,67 @@ def test_solve_report_holds_one_interval_beside_the_solution(dim, cells, steps):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n_dof = rows.values.shape[1]
+    n_dof = rows.v.size
     assert len(rows) == steps * n_dof and sink.size > 20 * len(rows)
-    # the held solution, which the sweep check counts, and the grid's
+    # the held profile and mode, which the count covers, and the grid's
     # nodes, which the row view reads the times from
-    solution = 8 * steps * n_dof + 8 * (steps + 1)
+    solution = 8 * (steps + n_dof) + 8 * (steps + 1)
     assert solution <= held <= solution + 4096
     # one block of at most WRITE_VALUES values and its text beside them,
-    # whatever the step count: 4,096 intervals of one dof (cells 2), 585
-    # of 7 and 18 of 225
-    block = 8 * cli.WRITE_TEXT * cli.WRITE_VALUES
-    assert held + 0.75 * block <= peak <= held + block
+    # whatever the step count, and WRITE_DOF values per dof: 4,096
+    # intervals of one dof (cells 2), 585 of 7 and 18 of 225. Where the
+    # mode repeats its values (4 distinct of 7), fewer are formatted
+    block = 8 * (cli.WRITE_TEXT * math.prod(cli._write_block(steps, n_dof))
+                 + cli.WRITE_DOF * n_dof)
+    assert held + 0.7 * block <= peak <= held + block
 
 
 @pytest.mark.parametrize("cells", [2, 8])  # 1 and 7 dofs
 def test_memory_count_covers_the_time_weights(monkeypatch, cells):
-    # at 20,000 steps the grid and the time weights' temporaries outweigh
-    # a sweep of few dofs, and the sweep's count covers them
-    config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=1,
-                                  n_cells=(cells,), n_steps=(20000,))
+    # at 20,000 steps the grid and its per-step temporaries outweigh a run
+    # of few dofs: a convergence level's count covers the time weights its
+    # sweep forms, and a solve's count its closed-form profile
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
+    config = cli.ExperimentConfig(subcommand="convergence", case="lognormal", dim=1)
+    model, domain = cli._setup(config.case)
+    disc = cli._discretization(config, cells, 20000, paths=1)
+    nodes, _ = stochastic.quadrature(domain, 1)
+    solve = cli.ExperimentConfig(subcommand="solve", case="constant", dim=1,
+                                 n_cells=(cells,), n_steps=(20000,))
+    # imports and caches warm: the Gauss rule of the error oracle
+    cli._mode_errors(model, solver.Discretization(disc.pair, solver.TimeGrid.uniform(1.0, 4)),
+                     nodes)
     grid = solver.TimeGrid.uniform(1.0, 20000)
     tracemalloc.start()
     try:
+        cli.run_solve(solve)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         solver.time_weights(grid)
         weights_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        cli.run_solve(config)
-        peak = tracemalloc.get_traced_memory()[1]
+        cli._mode_errors(model, solver.Discretization(disc.pair, grid), nodes)
+        level_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    (counted,) = checked
-    assert peak <= counted
+    level, counted = checked
+    # the level's pair was built before the trace
+    assert level_peak <= level - 8 * fem.pair_values(disc.pair.mesh)
+    assert solve_peak <= counted
     # the weights, two more values and a mask per step beside the nodes
     assert 8 * 20000 <= weights_peak <= (8 * 3 + 1) * 20000 + 4096
 
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--cells", "16", "--steps", "2000"],
-    ["moments", "--cells", "16", "--steps", "300", "--n-quad-ladder", "4,8,16,32"],
+    # a rung of 4,096 paths, whose arrays outweigh the run's small objects
+    ["moments", "--cells", "16", "--steps", "300", "--n-quad-ladder", "512,1024,2048,4096"],
     ["convergence", "--j-min", "4", "--j-max", "4", "--n-quad-ladder", "16"],
 ], ids=lambda argv: argv[0])
 def test_2d_memory_count_pins_the_traced_peak(tmp_path, capsys, monkeypatch, argv):
-    # the 2-D transforms hold one block of temporaries beside what 1-D holds
+    # the 2-D transforms and the excited mode's outer product hold their
+    # temporaries beside what 1-D holds
     argv = [*argv, "--dim", "2", "--out", str(tmp_path / "x.csv")]
     assert _main(argv, capsys)[0] == cli.EXIT_OK  # imports and caches warm
     checked = []
@@ -583,14 +607,16 @@ def test_64_cell_2d_runs_stay_far_below_one_dense_matrix(tmp_path, capsys, monke
                                                         argv):
     # 3,969 dofs: one dense 2-D matrix is 126 MB
     out = tmp_path / "x.csv"
+    argv = [*argv, "--dim", "2", "--cells", "64", "--steps", "8", "--out", str(out)]
+    # the parser, imports and caches warm: a process builds them once
+    assert _main(argv, capsys)[0] == cli.EXIT_OK
     checked = []
     check = cli._check_memory
     monkeypatch.setattr(cli, "_check_memory",
                         lambda need, *args: checked.append(need) or check(need, *args))
     tracemalloc.start()
     try:
-        code = _main([*argv, "--dim", "2", "--cells", "64", "--steps", "8",
-                      "--out", str(out)], capsys)
+        code = _main(argv, capsys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -622,6 +648,32 @@ def test_infsup_memory_count_pins_the_traced_peak(monkeypatch):
         peak = _traced_peak(lambda: cli.run_infsup(config))
         assert stacks == 2 * modes  # _traced_peak runs it twice
         assert 0.95 * checked[-1] <= peak <= 1.05 * checked[-1]
+
+
+@pytest.mark.parametrize("config", [
+    cli.ExperimentConfig(subcommand="convergence", case="lognormal", dim=1, j_min=2,
+                         j_max=2, quad_ladder=(50000,)),
+    cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, n_cells=(4,), n_steps=(2,),
+                         quad_ladder=(50000,)),
+], ids=lambda config: config.subcommand)
+def test_runs_of_many_nodes_stay_within_their_counts(monkeypatch, config):
+    # 50,000 parameter nodes of small grids: what a run holds per node, its
+    # arrays and (infsup) its report rows, outweighs every grid's work
+    checked = []
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
+    # imports and caches warm
+    cli._report(dataclasses.replace(config, quad_ladder=(4,)))
+    checked.clear()
+    tracemalloc.start()
+    try:
+        rows = cli._report(config)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == (1 if config.subcommand == "convergence" else 50000)
+    # the rule's count, then one per level or grid, each with the run's nodes
+    assert len(checked) == 2 and checked[1] > 50000 * cli.NODE_BYTES
+    assert peak <= max(checked)
 
 
 def _per_node_infsup_rows(config):
@@ -680,8 +732,8 @@ def test_infsup_rows_are_the_per_node_rows_bit_for_bit(monkeypatch, dim, degree,
     modes = [fem.build_mesh(dim, c, degree).n_dof for c in cells for _ in steps]
     assert stacks == [n * k for n in modes for k in per_grid]
     expected = _per_node_infsup_rows(config)
-    assert [row[:5] for row in rows] == [row[:5] for row in expected]
-    assert _csv_rows(rows) == _csv_rows(expected)
+    # as printed, so that a nan equals a nan: every column to its last bit
+    assert len(rows) == len(expected) and _csv_rows(rows) == _csv_rows(expected)
     assert sum(math.isnan(row[5]) for row in rows) == 3 * len(modes)
 
 
@@ -957,27 +1009,35 @@ def test_write_csv_matches_fmt_on_every_value_kind(tmp_path):
                                                                "nan"]
 
 
-def _special_solution(steps=12, dofs=101):
-    """steps x dofs random values over 600 decades, every 7th one replaced
-    by nan, +-inf, +-0.0, the smallest subnormal, 1e300 or 0.1."""
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 0.1, 1.0]
+
+
+def _special_solution(steps=12, dofs=101, distinct=None):
+    """(times, y, v) of random values over 600 decades, y starting with
+    nan, +-inf, +-0.0, the smallest subnormals, 1e300, 0.1 and 1, and every
+    7th value of v one of them; or, if given, v drawn from that many
+    distinct values, each at least once."""
     rng = np.random.default_rng(12)
-    values = (rng.standard_normal((steps, dofs))
-              * 10.0 ** rng.integers(-300, 300, (steps, dofs)))
-    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 0.1]
-    every_7th = values.reshape(-1)[::7]
-    every_7th[:] = np.resize(special, every_7th.size)
-    return np.linspace(0.0, 1.0, steps + 1)[1:] ** 3, values
+    y, v = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            for n in (steps, dofs))
+    y[:len(_SPECIAL)] = _SPECIAL
+    v[::7] = np.resize(_SPECIAL, v[::7].size)
+    if distinct is not None:
+        pool = np.geomspace(1e-300, 1e300, distinct) * np.resize([1.0, -1.0], distinct)
+        v = np.concatenate([pool, pool[rng.integers(0, distinct, dofs - distinct)]])
+        assert len(np.unique(v)) == distinct
+    return np.linspace(0.0, 1.0, steps + 1)[1:] ** 3, y, v
 
 
 def _solve_case(dim, degree, cells, steps, grid):
-    """(times, values) of a constant-case solve on a uniform or graded grid."""
+    """(times, y, v) of a constant-case solve on a uniform or graded grid:
+    the all-mode sweep's coefficients of the excited mode and its vector."""
     mesh = fem.build_mesh(dim, cells, degree)
     nodes = np.linspace(0.0, 1.0, steps + 1)
     disc = solver.Discretization(pair=fem.assemble(mesh), grid=solver.TimeGrid(
         nodes ** 2 if grid == "graded" else nodes))
-    model, _ = cli._setup("constant")
-    sol = solver.solve_pathwise(model, disc, 0.25)
-    return disc.grid.nodes[1:], sol
+    z, _ = solver.sweep(disc, [1.0], [1.0])
+    return disc.grid.nodes[1:], z[:, 0, 0], disc.pair.excited_mode[2]
 
 
 @pytest.mark.parametrize("case", [
@@ -996,22 +1056,56 @@ def _solve_case(dim, degree, cells, steps, grid):
     lambda: _special_solution(10, cli.WRITE_VALUES + 1),
     lambda: _special_solution(10, cli.WRITE_VALUES // 2 + 1),
     lambda: _special_solution(47, 100),
+    # v with every value distinct, or all equal (-0.0, then 0.1)
+    lambda: _special_solution(30, 100, 100),
+    lambda: (*_special_solution(30)[:2], np.full(100, -0.0)),
+    lambda: (*_special_solution(30)[:2], np.full(100, 0.1)),
+    # more distinct values than WRITE_VALUES, formatted an interval at a
+    # time in pieces, and fewer: 30 of 500 dofs, in groups of 136
+    # intervals, lines in blocks of 8, and a last group of 4
+    lambda: _special_solution(11, 4500, cli.WRITE_VALUES + 9),
+    lambda: _special_solution(140, 500, 30),
+    # the dense-2d solve's 136 distinct of 961: groups of 28 intervals,
+    # lines in blocks of 4, and a short last group and block
+    lambda: _solve_case(2, 1, 32, 130, "uniform"),
 ], ids=["special-values", "1d-degree-2", "1d-degree-2-graded", "2d", "2d-graded",
         "interval-wider-than-a-chunk", "many-intervals-per-chunk", "interval-per-block",
-        "one-value-dof-span", "half-full-blocks", "short-last-block"])
+        "one-value-dof-span", "half-full-blocks", "short-last-block", "v-all-distinct",
+        "v-all-equal", "v-all-equal-positive", "distinct-above-write-values",
+        "distinct-below-write-values", "dense-2d-short-last-group"])
 def test_interval_writer_matches_the_fmt_oracle(tmp_path, case):
-    times, values = case()
-    assert values.shape[0] >= 10 and values.shape[1] >= 100
-    # the rows as the double loop over the arrays gives them
-    rows = [(i + 1, times[i], dof, values[i, dof])
-            for i in range(values.shape[0]) for dof in range(values.shape[1])]
+    times, y, v = case()
+    assert len(y) >= 10 and len(v) >= 100
+    # the rows as the double loop over the profile and the mode gives them
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [(i + 1, times[i], dof, y[i] * v[dof])
+                for i in range(len(y)) for dof in range(len(v))]
     out = tmp_path / "solve.csv"
-    cli.write_csv(str(out), cli.SOLVE_HEADER, cli.SolveRows(times, values))
+    cli.write_csv(str(out), cli.SOLVE_HEADER, cli.SolveRows(times, y, v))
     assert out.read_bytes() == _fmt_csv(cli.SOLVE_HEADER, rows).encode("ascii")
     if case is _special_solution:
         printed = {line.split(",")[3] for line in out.read_text().splitlines()[1:]}
         assert {"nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324",
                 "1.0000000000000001e+300"} <= printed
+
+
+def test_writer_formats_each_distinct_product_once(monkeypatch):
+    # the dense-2d solve: 128 intervals times the 136 distinct values of
+    # its 961-value mode, each product formatted once
+    config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=2,
+                                  n_cells=(32,), n_steps=(128,))
+    rows = cli.run_solve(config)
+    assert len(np.unique(rows.v)) == 136
+    formatted = []
+    g17_columns = cli.g17.g17_columns
+
+    def counting(values, out=None):
+        formatted.append(len(values))
+        return g17_columns(values, out)
+
+    monkeypatch.setattr(cli.g17, "g17_columns", counting)
+    cli._write_report(_Sink(), cli.SOLVE_HEADER, rows, ())
+    assert sum(formatted) == 128 * 136 and max(formatted) <= cli.WRITE_VALUES
 
 
 class _FailingFile:
@@ -1062,18 +1156,41 @@ def test_memory_error_while_writing_exits_with_one_line(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == [out]
 
 
+# the rank-one rows against the all-mode sweep, their oracle: the other
+# modes' loads are rounding errors of the excited mode's, and the closed
+# form rounds otherwise than the step loop (8.3e-16 on the dense-2d solve,
+# 3.4e-14 for splines at 64 cells); relative to the largest value
+SOLVE_RTOL = 1e-14
+
+
 def test_solve_rows_match_the_double_loop():
     config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=2,
                                   n_cells=(4,), n_steps=(6,))
     model, _ = cli._setup(config.case)
     disc = cli._discretization(config, 4, 6)
-    sol = solver.solve_pathwise(model, disc, config.omega)
+    rows = cli.run_solve(config)
+    # the double loop over the profile and the mode, bit for bit
     loop = []
     for i in range(disc.grid.n_intervals):
         for dof in range(disc.n_dof):
-            loop.append((i + 1, disc.grid.nodes[i + 1], dof, sol[i, dof]))
-    rows = cli.run_solve(config)
+            loop.append((i + 1, disc.grid.nodes[i + 1], dof, rows.y[i] * rows.v[dof]))
     assert len(rows) == len(loop) and list(rows) == loop
+    sol = solver.solve_pathwise(model, disc, config.omega)
+    assert np.max(np.abs(np.outer(rows.y, rows.v) - sol)) <= SOLVE_RTOL * np.max(np.abs(sol))
+
+
+def test_run_solve_runs_no_sweep_and_no_modal_transform(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve ran the step loop or the modal transform")
+
+    monkeypatch.setattr(solver, "sweep", forbidden)
+    monkeypatch.setattr(fem.SpatialPair, "from_modes", forbidden)
+    monkeypatch.setattr(fem.SpatialPair, "to_modes", forbidden)
+    for dim, degree in [(1, 1), (1, 2), (2, 1)]:
+        config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=dim,
+                                      degree=degree, n_cells=(6,), n_steps=(9,))
+        rows = cli.run_solve(config)
+        assert len(rows) == 9 * fem.build_mesh(dim, 6, degree).n_dof
 
 
 def _csv_rows(rows):
@@ -1095,10 +1212,15 @@ def test_solve_rows_are_the_whole_array_recurrence(argv):
     disc = cli._discretization(config, config.n_cells[0], config.n_steps[0])
     z = reference_sweep(disc, model.a(config.omega), model.c0(config.omega))
     values = disc.pair.from_modes(z)
-    expected = [(i + 1, t, dof, v) for i, t in enumerate(disc.grid.nodes[1:])
-                for dof, v in enumerate(values[i])]
-    rows = cli.run_solve(config)
-    assert len(rows) == len(expected) and _csv_rows(rows) == _csv_rows(expected)
+    rows = list(cli.run_solve(config))
+    assert [row[:3] for row in rows] == [(i + 1, t, dof) for i, t in
+                                         enumerate(disc.grid.nodes[1:].tolist())
+                                         for dof in range(disc.n_dof)]
+    got = np.reshape([row[3] for row in rows], values.shape)
+    assert np.max(np.abs(got - values)) <= SOLVE_RTOL * np.max(np.abs(values))
+    if config.case == "zero":
+        # +0, as the sweep prints it, not a -0 of the profile's trig signs
+        assert {text for *_, text in _csv_rows(rows)} == {"0"}
 
 
 def _rung_case(dim, degree, grid, n_steps=37):

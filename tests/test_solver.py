@@ -541,9 +541,10 @@ def test_uniform_energy_is_the_step_loop(dim, n_cells, degree):
         loop, rel=1e-13, abs=0.0)
 
 
-def _long_double_energy(pair, n_steps, a, c0):
-    """sum_j k lam z_j^2 of a one-dof pair by the sweep's recurrence in long
-    double, with the uniform grid's closed-form weights."""
+def _long_double_profile(pair, n_steps, a, c0):
+    """(lam, z): the (N, P) coefficients z_j of a one-dof pair by the
+    sweep's recurrence in long double, with the uniform grid's closed-form
+    weights."""
     ld = np.longdouble
     pi = np.arccos(ld(-1))
     k = ld(1) / n_steps
@@ -555,12 +556,16 @@ def _long_double_energy(pair, n_steps, a, c0):
     (lam,), (beta,) = pair.eigenvalues.astype(ld), pair.to_modes(pair.mode_vector()).astype(ld)
     x = np.asarray(a, dtype=ld) * lam * k / 2
     gain, amp = (1 - x) / (1 + x), np.asarray(c0, dtype=ld) * beta / (1 + x)
-    y = amp * tw0
-    total = y * y
+    z = [amp * tw0]
     for j in range(1, n_steps):
-        y = gain * y + amp * c * np.sin(j * theta)
-        total += y * y
-    return k * lam * total
+        z.append(gain * z[-1] + amp * c * np.sin(j * theta))
+    return lam, np.array(z)
+
+
+def _long_double_energy(pair, n_steps, a, c0):
+    """sum_j k lam z_j^2 of _long_double_profile."""
+    lam, z = _long_double_profile(pair, n_steps, a, c0)
+    return lam * np.sum(np.square(z), axis=0) / n_steps
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -575,6 +580,57 @@ def test_uniform_energy_matches_a_long_double_recurrence(n_steps):
     energy = solver.uniform_energy(pair, n_steps, a, c0)
     expected = _long_double_energy(pair, n_steps, a, c0).astype(float)
     assert energy == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
+def test_uniform_profile_is_the_step_loop(dim, n_cells, degree):
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
+    # the sweep's coefficients of mode 0, whose vector is v_1 up to its sign
+    sign = np.sign(pair.from_modes(np.eye(1, pair.n_dof)[0]).sum())
+    for n_steps in (1, 2, 3, 4, 5, 7, 8, 16, 33, 64, 100, 256, 1024, 4096):
+        disc = solver.Discretization(pair=pair, grid=solver.TimeGrid.uniform(1.0, n_steps))
+        z, _ = solver.sweep(disc, _A, _C0)
+        for p, (a, c0) in enumerate(zip(_A, _C0)):
+            y = solver.uniform_profile(ConstantCoeffs(a, c0), pair, n_steps, 0.0)
+            loop = sign * z[:, p, 0]
+            # the loop's own error grows as N eps, as for uniform_energy
+            tol = (1e-13 if n_steps <= 1024 else n_steps * _EPS) * np.max(np.abs(loop))
+            assert np.max(np.abs(y - loop)) <= tol, (n_steps, a, c0)
+            # +0, not -0, where there is no forcing
+            assert c0 != 0.0 or not (np.signbit(y) | (y != 0.0)).any()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double")
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 1024, 4096])
+def test_uniform_profile_matches_a_long_double_recurrence(n_steps):
+    # one dof: x = a lam k / 2 from 1e-9 to 1e6, where g runs from 1 to -1
+    pair = fem.assemble(fem.build_mesh(1, 2, 1))
+    x = np.logspace(-9, 6, 46)
+    a = 2.0 * n_steps * x / pair.eigenvalues[0]
+    _, expected = _long_double_profile(pair, n_steps, a, np.ones_like(a))
+    sign = np.sign(pair.from_modes(np.ones(1))[0])
+    for p in range(len(a)):
+        y = solver.uniform_profile(ConstantCoeffs(a[p], 1.0), pair, n_steps, 0.0)
+        want = sign * expected[:, p].astype(float)
+        assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(want)), x[p]
+
+
+@pytest.mark.parametrize("a,c0,message", [
+    (0.0, 1.0, "diffusion value must be positive: 0.0"),
+    (np.nan, 1.0, "diffusion value is not finite: nan"),
+    (1.0, -np.inf, "forcing amplitude is not finite: -inf"),
+    # |y| stays below |c0 beta_1|, so only a load beyond any mesh's overflows
+    (1e-3, 1e300, "non-finite values in time step"),
+])
+def test_uniform_profile_raises_as_solve_pathwise(a, c0, message):
+    pair = fem.assemble(fem.build_mesh(1, 4, 1))
+    lam, beta, v = pair.excited_mode
+    huge = type("Pair", (), {"excited_mode": (lam, 1e10 * beta, v)})()
+    with pytest.raises(solver.PathwiseSolveError) as exc:
+        solver.uniform_profile(ConstantCoeffs(a=a, c0=c0), huge, 40, 0.0)
+    assert str(exc.value) == message
+    assert np.isfinite(solver.uniform_profile(ConstantCoeffs(1e-3, 1e300), pair, 40, 0.0)).all()
 
 
 def test_uniform_energy_shares_the_first_time_weight():

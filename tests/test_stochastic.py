@@ -96,6 +96,30 @@ def test_coefficient_cases_table():
     assert model.singular_points == (0.0, 0.4)
 
 
+@pytest.mark.parametrize("case", sorted(stochastic._CASES))
+def test_evaluate_is_the_per_node_calls_bit_for_bit(case, monkeypatch):
+    model = stochastic.CoefficientModel(case=case)
+    domain = stochastic.ParameterDomain("lognormal" if case == "lognormal" else
+                                        "uniform-interval")
+    nodes, _ = stochastic.quadrature(domain, 9)
+    # every singular point, where a or c0 is infinite, and its neighbours
+    nodes = np.concatenate([nodes, *[[p, np.nextafter(p, -1), np.nextafter(p, 1)]
+                                     for p in model.singular_points], [-0.0, 0.5, -0.5]])
+    expected = [[model.a(w) for w in nodes], [model.c0(w) for w in nodes]]
+    entered = []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    a, c0 = model.evaluate(nodes)
+    # one errstate for the rule, the per-node methods' own
+    assert entered == [dict(divide="ignore", over="ignore")]
+    for got, want in zip((a, c0), expected):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    if model.singular_points:
+        # non-finite or degenerate there, not raised
+        assert not (np.isfinite(a) & (a > 0) & np.isfinite(c0)).all()
+
+
 def test_coefficient_model_guards():
     with pytest.raises(ValueError):
         stochastic.CoefficientModel(case="nope")

@@ -17,14 +17,14 @@ Every report is a CSV file with a fixed header, floats printed as
 reruns, written as bytes. The solve report, which can run to hundreds
 of thousands of rows, is written a block of whole intervals at a time
 by whole-array numpy operations (``stpg.g17``), each product of y_i
-with a distinct value of v formatted once, its 24 NUL-padded byte
-columns gathered beside each line's ``i,t,`` and ``dof,`` columns, and
-the NULs squeezed out.
-A regular or new file is written atomically, so a failed run leaves no
-partial CSV; a symlink is written through to its target. An open
-descriptor (``/dev/stdout``, ``/proc/self/fd/N``) is written at its
-current offset, and a FIFO or a device in place, without that
-guarantee.
+with a distinct value of v formatted once. Each block writes its
+``i,t,`` heads and 24 NUL-padded columns of value text into one reused
+line buffer, whose ``dof,`` and newline columns stay, and the NULs are
+squeezed straight out of it. A regular or new file is written
+atomically, so a failed run leaves no partial CSV; a symlink is written
+through to its target. An open descriptor (``/dev/stdout``,
+``/proc/self/fd/N``) is written at its current offset, and a FIFO or a
+device in place, without that guarantee.
 """
 
 import argparse
@@ -109,14 +109,14 @@ NODE_BANDS = 10
 RUN_BYTES = 1 << 14
 # (interval, dof) values one block of a solve report's write lays out at
 # most (_write_block), and the float64 values' worth of bytes its writer
-# holds at peak per value of a block: the line, its text before and after
-# the NULs go, its values' text gathered, and the text and digits'
-# temporaries of as many distinct products, 168 bytes against at most 163
-# traced (1 to 961 dofs). Per dof it holds WRITE_DOF values: the mode,
+# holds at peak per value of a block: its line in the reused layout while
+# the next group's text is made, with the text and digits' temporaries of
+# as many distinct products, 192 bytes against at most 191.6 traced (1 to
+# 961 dofs, 138 at 7). Per dof it holds WRITE_DOF values: the mode,
 # the column of its distinct value and their bits, the dof's text and,
 # above WRITE_VALUES dofs, one interval's products and text (78 traced)
 WRITE_VALUES = 1 << 12
-WRITE_TEXT = 21
+WRITE_TEXT = 24
 WRITE_DOF = 11
 # bytes stochastic.quadrature holds at peak per node of the rule it
 # builds, beside RUN_BYTES: 80.1 to 80.6 traced on 200,000 and 20,000
@@ -205,35 +205,25 @@ def _value_text(y, distinct) -> np.ndarray:
     return text.reshape(len(y), len(distinct), -1)
 
 
-def _solve_lines(first: int, times, values, columns, dofs) -> bytes:
-    """The lines of a block of a solve: the intervals first + 1, ..., which
-    end at times, at the dofs whose text dofs holds, their values' text
-    the columns of the (intervals, distinct, g17.WIDTH) text values.
-
-    Each line is laid out in NUL-padded uint8 columns: the "i,t," head of
-    its interval, its dof, a comma, its value's text, gathered from text,
-    and a newline. The NULs are then squeezed out.
-    """
-    heads = _rows_of([b"%d,%.17g," % (i, t) for i, t in
-                      enumerate(times.tolist(), first + 1)])
-    head, mid = heads.shape[1], heads.shape[1] + dofs.shape[1]
-    line = np.empty((len(times), len(columns), mid + g17.WIDTH + 2), np.uint8)
-    line[:, :, :head] = heads[:, None]
-    line[:, :, head:mid] = dofs
-    line[..., mid] = ord(",")
-    line[..., mid + 1:-1] = np.take(values.view(f"V{g17.WIDTH}"), columns, axis=1).view(np.uint8)
-    line[..., -1] = ord("\n")
-    # each copy of the text replaces the one before, so at most two live
-    text = line.tobytes()
-    del line
-    return text.translate(None, b"\0")
+def _solve_lines(buf, line, heads, values, columns) -> bytearray:
+    """The lines of a block of a solve in buf, whose uint8 view line holds
+    their dof, comma and newline columns: each gets its interval's row of
+    heads and its value's text, gathered from the columns of the text
+    values. The NULs are then squeezed straight out of buf."""
+    head, text = f"V{heads.shape[1]}", f"V{g17.WIDTH}"
+    line[..., :heads.shape[1]].view(head)[..., 0] = heads.view(head)
+    np.take(values.view(text)[..., 0], columns, axis=1,
+            out=line[..., -g17.WIDTH - 1:-1].view(text)[..., 0])
+    return buf.translate(None, b"\0")
 
 
 def _write_report(fh, header, rows, trailer):
-    """Write header, rows and trailer lines to the binary stream fh: a
-    SolveRows view a block at a time (_solve_lines), each product of y_i
-    with a distinct value of v, by its bits (-0 is not 0), formatted once
-    (_value_text); other rows by _fmt."""
+    """Write header, rows and trailer lines to the binary stream fh: other
+    rows by _fmt, a SolveRows view a block at a time (_solve_lines), each
+    product of y_i with a distinct value of v (by its bits: -0 is not 0)
+    formatted once (_value_text), laid out in one reused buffer: a head of
+    another width, a short last block or another span of dofs gets a new
+    one once the old one is freed."""
     fh.write((",".join(header) + "\n").encode("ascii"))
     if isinstance(rows, SolveRows):
         n_steps, n_dof = rows.y.size, rows.v.size
@@ -243,13 +233,24 @@ def _write_report(fh, header, rows, trailer):
         group = per * max(1, WRITE_VALUES // (per * len(bits)))
         # no dof number has more digits than n_dof
         dofs = _rows_of(np.arange(n_dof).astype(f"S{len(str(n_dof))}"))
+        laid = None
         for first in range(0, n_steps, per):
             if first % group == 0:
+                text = block = heads = None  # freed before the next group's text is made
                 text = _value_text(rows.y[first:first + group], bits.view(np.float64))
             block = text[first % group:first % group + per]
+            heads = _rows_of([b"%d,%.17g," % (i, t) for i, t in
+                              enumerate(rows.times[first:first + per].tolist(), first + 1)])
             for start in range(0, n_dof, span):
-                fh.write(_solve_lines(first, rows.times[first:first + per], block,
-                                      columns[start:start + span], dofs[start:start + span]))
+                shape = (len(heads), min(span, n_dof - start),
+                         heads.shape[1] + dofs.shape[1] + g17.WIDTH + 2)
+                if laid != (start, shape):
+                    buf = line = None
+                    buf, laid = bytearray(math.prod(shape)), (start, shape)
+                    line = np.frombuffer(buf, np.uint8).reshape(shape)
+                    line[..., heads.shape[1]:-g17.WIDTH - 2] = dofs[start:start + span]
+                    line[..., [-g17.WIDTH - 2, -1]] = list(b",\n")
+                fh.write(_solve_lines(buf, line, heads, block, columns[start:start + span]))
     else:
         fh.writelines((",".join(map(_fmt, row)) + "\n").encode("ascii") for row in rows)
     fh.writelines(("# " + line + "\n").encode("ascii") for line in trailer)
@@ -301,9 +302,8 @@ def write_csv(path: str, header, rows, trailer=()):
     """Write a report of rows to path.
 
     rows is a sequence of tuples, each value printed by _fmt, or the
-    SolveRows view of a solve, written a block of whole intervals at a
-    time (_write_block), whose floats g17.g17_columns formats with
-    whole-array operations, byte for byte as _fmt does.
+    SolveRows view of a solve, which _write_report writes a block of
+    whole intervals at a time, byte for byte as _fmt would.
 
     Symlinks are followed first, so a link's target gets the bytes and
     the link stays. A regular or new file is written atomically: the

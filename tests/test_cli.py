@@ -250,16 +250,16 @@ def _patch_physical_memory(monkeypatch, pages):
 @pytest.mark.parametrize("pages,steps,need", [
     # the pair's 4 x 7 x 7 values and numpy's buffers of 2 x 7 x 7, 4
     # values per step of the profile, the report's write (11 values per
-    # dof and 21 for each of the 4,095 values of a block of 585
+    # dof and 24 for each of the 4,095 values of a block of 585
     # intervals), and the 16,384 bytes of a run's small objects
-    (10, 1000, "a 1000 x 7 solution written 4095 values at a time needs 739312 bytes, "
+    (10, 1000, "a 1000 x 7 solution written 4095 values at a time needs 837592 bytes, "
                "2352 of them for the spatial pair"),
-    # the report is written in one block of 700 values: 140,152 counted
-    # bytes, which 35 pages hold
-    (34, 100, "a 100 x 7 solution written 700 values at a time needs 140152 bytes, "
+    # the report is written in one block of 700 values: 156,952 counted
+    # bytes, which 39 pages hold
+    (38, 100, "a 100 x 7 solution written 700 values at a time needs 156952 bytes, "
               "2352 of them for the spatial pair"),
-    (35, 100, None),
-    (36, 100, None),
+    (39, 100, None),
+    (40, 100, None),
     (53, 100, None),
     (80, 100, None),
     (None, 1000, None),  # sysconf cannot tell: no check
@@ -282,7 +282,7 @@ def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkey
     # 19,999 dofs in 1-D: the pair's four 19,999 x 19,999 matrices are
     # 12.8 GB, against 8 GiB of memory, while the report's write, one
     # block of 4,096 of the interval's values beside 11 values per dof,
-    # is 2.4 MB, which the message names
+    # is 2.5 MB, which the message names
     _patch_physical_memory(monkeypatch, 1 << 21)
     out = tmp_path / "x.csv"
     code, err = _main(["solve", "--cells", "20000", "--steps", "1", "--max-dofs", "20000",
@@ -1068,11 +1068,17 @@ def _solve_case(dim, degree, cells, steps, grid):
     # the dense-2d solve's 136 distinct of 961: groups of 28 intervals,
     # lines in blocks of 4, and a short last group and block
     lambda: _solve_case(2, 1, 32, 130, "uniform"),
+    # blocks of 40 intervals whose heads narrow from 22 bytes (t = k/3)
+    # to 9 (t = 14 + k/4), so the second block gets a narrower layout, and
+    # a short last block of 10 after it
+    lambda: (np.concatenate([np.arange(1, 41) / 3, 14 + np.arange(1, 51) / 4]),
+             *_special_solution(90)[1:]),
 ], ids=["special-values", "1d-degree-2", "1d-degree-2-graded", "2d", "2d-graded",
         "interval-wider-than-a-chunk", "many-intervals-per-chunk", "interval-per-block",
         "one-value-dof-span", "half-full-blocks", "short-last-block", "v-all-distinct",
         "v-all-equal", "v-all-equal-positive", "distinct-above-write-values",
-        "distinct-below-write-values", "dense-2d-short-last-group"])
+        "distinct-below-write-values", "dense-2d-short-last-group",
+        "head-narrows-then-short-last-block"])
 def test_interval_writer_matches_the_fmt_oracle(tmp_path, case):
     times, y, v = case()
     assert len(y) >= 10 and len(v) >= 100

@@ -124,9 +124,10 @@ WRITE_DOF = 11
 RULE_BYTES = 81
 # bytes a convergence or infsup run holds per parameter node: the rule,
 # the arrays of a, c0, valid indices and errors or constants (48.5
-# traced), and a block's copies of its values (24); and per infsup grid
-# one report row of 11 values, 7 of them new floats (300 traced)
-NODE_BYTES = 80
+# traced), a block's copies of its values (24) and, in infsup, its index
+# into the distinct values of a, their bits and constants (32); and per
+# infsup grid one report row of 11 values, 7 of them new floats (300 traced)
+NODE_BYTES = 112
 ROW_BYTES = 304
 
 
@@ -374,7 +375,7 @@ def _stack_nodes(n_steps: int, n_dof: int) -> int:
 
 
 def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
-                    paths: int = 1, space_time: bool = False):
+                    paths: int = 1, distinct: int = 1):
     """Mesh, spatial pair and uniform time grid of one configuration.
 
     Before any matrix is built, the spatial dofs of a pathwise run, or
@@ -383,24 +384,26 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     at peak must fit in memory. Each count adds the spatial pair's 1-D
     matrices at their peak (fem.pair_values), which in 1-D are
     n_dof x n_dof, and its message names that share. Beside them it
-    counts, for infsup, one stack of nodes (_stack_nodes, NODE_STACKS,
-    NODE_BANDS) and NODE_BYTES and ROW_BYTES per node; for moments, the
-    grid's nodes and MOMENT_VALUES per path, or the grid while TimeGrid
-    checks it (CHECK_BYTES); for solve, PROFILE_VALUES per step and the
-    report's write, one block (_write_block, WRITE_TEXT) and WRITE_DOF
-    values per dof; for convergence, GRID_VALUES and the grid's cached
-    values per step and NODE_BYTES per node, held throughout, and one
-    block's sweep and error groups (AFTER_SWEEP, _error_paths) with the
-    spatial operators' temporaries (fem.kron_temporaries); and RUN_BYTES.
+    counts, for infsup, one stack of its distinct values of a
+    (_stack_nodes, NODE_STACKS, NODE_BANDS) and NODE_BYTES and ROW_BYTES
+    per node; for moments, the grid's nodes and MOMENT_VALUES per path, or
+    the grid while TimeGrid checks it (CHECK_BYTES); for solve,
+    PROFILE_VALUES per step and the report's write, one block
+    (_write_block, WRITE_TEXT) and WRITE_DOF values per dof; for
+    convergence, GRID_VALUES and the grid's cached values per step and
+    NODE_BYTES per node, held throughout, and one block's sweep and error
+    groups (AFTER_SWEEP, _error_paths) with the spatial operators'
+    temporaries (fem.kron_temporaries); and RUN_BYTES.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
+    space_time = config.subcommand == "infsup"
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
     if size > config.max_dofs:
         kind = "trial" if space_time else "spatial"
         raise ResourceCapError(f"{kind} size {size} exceeds cap {config.max_dofs}")
     pair = fem.pair_values(mesh)
     if space_time:
-        nodes = min(paths, _stack_nodes(n_steps, mesh.n_dof))
+        nodes = min(distinct, _stack_nodes(n_steps, mesh.n_dof))
         stack = nodes * _node_values(n_steps, mesh.n_dof)
         rows = paths * (NODE_BYTES + ROW_BYTES * len(config.n_cells) * len(config.n_steps))
         _check_memory(8 * (pair + stack + np.getbufsize()) + rows,
@@ -560,29 +563,34 @@ def run_convergence(config: ExperimentConfig):
 
 
 def run_infsup(config: ExperimentConfig):
-    """Stability-constant grid over (n_cells, n_steps, parameter node)."""
+    """Stability-constant grid over (n_cells, n_steps, parameter node): each
+    grid takes the constants once per distinct value of a (by its bits),
+    _stack_nodes values at a time, for every valid node with that value."""
     model, domain = _setup(config.case)
     n_quad = config.quad_ladder[0]
     _check_memory(RULE_BYTES * n_quad + RUN_BYTES, f"a rule of {n_quad} parameter nodes", 0)
     nodes, _ = stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
     diffusion, _ = model.evaluate(nodes)
     (valid,) = np.nonzero(np.isfinite(diffusion) & (diffusion > 0))
+    bits, which = np.unique(diffusion[valid].view(np.int64), return_inverse=True)
     rows = []
     for n_cells in config.n_cells:
         for n_steps in config.n_steps:
-            disc = _discretization(config, n_cells, n_steps, len(nodes), space_time=True)
+            disc = _discretization(config, n_cells, n_steps, len(nodes), len(bits))
             c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
-            # each node's constants, nan where it is flagged
+            # each distinct value's constants, then each node's, nan where it is flagged
             low, high = np.full((2, len(nodes)), math.nan)
+            lows, highs = np.empty((2, len(bits)))
             size = _stack_nodes(n_steps, disc.n_dof)
-            for start in range(0, len(valid), size):
-                stack = valid[start:start + size]
-                # a node's constants are the extremes over its mode blocks,
+            for start in range(0, len(bits), size):
+                stack = slice(start, start + size)
+                # a value's constants are the extremes over its mode blocks,
                 # one slice of the stack
-                mu = np.multiply.outer(diffusion[stack], disc.pair.eigenvalues).ravel()
-                lows, highs = consts.discrete_infsup(*solver.mode_blocks(disc.grid, mu))
-                low[stack] = lows.reshape(len(stack), -1).min(axis=1)
-                high[stack] = highs.reshape(len(stack), -1).max(axis=1)
+                mu = np.multiply.outer(bits[stack].view(np.float64), disc.pair.eigenvalues)
+                modes = consts.discrete_infsup(*solver.mode_blocks(disc.grid, mu.ravel()))
+                lows[stack] = modes[0].reshape(mu.shape).min(axis=1)
+                highs[stack] = modes[1].reshape(mu.shape).max(axis=1)
+            low[valid], high[valid] = lows[which], highs[which]
             for i in range(len(nodes)):
                 omega, a, sigma_min, sigma_max = map(float, (nodes[i], diffusion[i], low[i],
                                                              high[i]))

@@ -3,7 +3,8 @@
 Inf-sup and continuity constants are the extreme singular values of the
 bilinear-form matrix between inverse Cholesky factors of the trial and
 test Gram matrices. The CLI takes the extremes over one stack of N x N
-blocks, one per eigenmode, which solver.mode_blocks hands over as bands:
+blocks, one per eigenmode and distinct diffusion value of the parameter
+rule, which solver.mode_blocks hands over as bands:
 a diagonal trial Gram, a tridiagonal test Gram and a bidiagonal bilinear
 form. Their factors are a square root and a bidiagonal recurrence, no
 dense factorization or solve; the dense path for whole space-time

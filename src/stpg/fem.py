@@ -46,10 +46,29 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+# Gauss-Legendre points and weights on [-1, 1] of the rules the package
+# uses, with the bits of numpy.polynomial.legendre.leggauss, so that no
+# run imports numpy.polynomial (1.8 MB of resident memory)
+_GAUSS = {
+    3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
+        (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)),
+    4: ((-0.8611363115940526, -0.33998104358485626, 0.33998104358485626,
+         0.8611363115940526),
+        (0.34785484513745357, 0.6521451548625464, 0.6521451548625464,
+         0.34785484513745357)),
+    5: ((-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831,
+         0.906179845938664),
+        (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+         0.4786286704993663, 0.23692688505618928)),
+}
+
+
 @functools.cache
 def _reference_gauss(n_points: int) -> tuple:
-    """Gauss-Legendre points and weights on [-1, 1], computed once, read-only."""
-    return tuple(map(_frozen, np.polynomial.legendre.leggauss(n_points)))
+    """Gauss-Legendre points and weights on [-1, 1], read-only: a rule of
+    _GAUSS, or leggauss's for any other size, computed once."""
+    rule = _GAUSS.get(n_points) or np.polynomial.legendre.leggauss(n_points)
+    return tuple(_frozen(np.array(part, dtype=float)) for part in rule)
 
 
 def interval_gauss(nodes, n_points: int) -> tuple:

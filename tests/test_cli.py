@@ -302,16 +302,17 @@ def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkey
 @pytest.mark.parametrize("steps,code", [(32, cli.EXIT_RESOURCE), (16, cli.EXIT_OK)])
 def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monkeypatch,
                                                           steps, code):
-    # the grid's 2 nodes go in one stack of 2 x 7 modes' steps x steps
-    # float64 blocks, with 10 values per mode and step and numpy's buffer
-    # of 8,192 values, beside the pair's 6 x 7 x 7 values and the run's
-    # 384 bytes per node: 219,184 bytes at 32 steps, 115,248 at 16,
-    # against 163,840 of memory; a 32 x 7 sweep would fit
+    # the grid's 2 nodes, whose values of a differ, go in one stack of
+    # 2 x 7 modes' steps x steps float64 blocks, with 10 values per mode
+    # and step and numpy's buffer of 8,192 values, beside the pair's
+    # 6 x 7 x 7 values and the run's 416 bytes per node: 219,248 bytes at
+    # 32 steps, 115,312 at 16, against 163,840 of memory; a 32 x 7 sweep
+    # would fit
     assert np.getbufsize() == 8192
     _patch_physical_memory(monkeypatch, 40)
     out = tmp_path / "x.csv"
-    result, err = _main(["infsup", "--cells", "8", "--steps", str(steps),
-                         "--n-quad-ladder", "2", "--out", str(out)], capsys)
+    result, err = _main(["infsup", "--case", "lognormal", "--cells", "8", "--steps",
+                         str(steps), "--n-quad-ladder", "2", "--out", str(out)], capsys)
     assert result == code
     if code == cli.EXIT_RESOURCE:
         need = 8 * (2 * 7 * 32 * (32 + 10) + 8192 + 6 * 49) + 2 * (cli.NODE_BYTES + cli.ROW_BYTES)
@@ -627,10 +628,6 @@ def test_64_cell_2d_runs_stay_far_below_one_dense_matrix(tmp_path, capsys, monke
 
 
 def test_infsup_memory_count_pins_the_traced_peak(monkeypatch):
-    # one stack of 2 nodes of 3 modes x 128 steps, where numpy's 64 KiB
-    # buffer is a twelfth of the 768 KiB stack, and stacks of one node of
-    # 15 modes x 256 steps, where its 7.9 MB stack dominates and the block
-    # budget holds no second node
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     stacks = []
@@ -641,13 +638,22 @@ def test_infsup_memory_count_pins_the_traced_peak(monkeypatch):
         return infsup(bilinear, gram_trial, gram_test)
 
     monkeypatch.setattr(consts, "discrete_infsup", recording)
-    for cells, steps, modes in ((4, 128, [6]), (16, 256, [15, 15])):
-        config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1,
+    for case, cells, steps, modes in (
+            # 2 nodes whose values of a differ: one stack of both nodes' 3
+            # modes x 128 steps, where numpy's 64 KiB buffer is a twelfth of
+            # the 768 KiB stack, and stacks of one node of 15 modes x 256
+            # steps, where its 7.9 MB stack dominates and the block budget
+            # holds no second node
+            ("lognormal", 4, 128, [6]), ("lognormal", 16, 256, [15, 15]),
+            # the mirrored 2-node rule of case a has one value of a: a stack
+            # of one node, which the count follows
+            ("a", 4, 128, [3]), ("a", 16, 256, [15])):
+        config = cli.ExperimentConfig(subcommand="infsup", case=case, dim=1,
                                       n_cells=(cells,), n_steps=(steps,), quad_ladder=(2,))
         stacks.clear()
         peak = _traced_peak(lambda: cli.run_infsup(config))
         assert stacks == 2 * modes  # _traced_peak runs it twice
-        assert 0.95 * checked[-1] <= peak <= 1.05 * checked[-1]
+        assert 0.95 * checked[-1] <= peak <= 1.05 * checked[-1], (case, cells, steps)
 
 
 @pytest.mark.parametrize("config", [
@@ -684,7 +690,7 @@ def _per_node_infsup_rows(config):
     rows = []
     for n_cells in config.n_cells:
         for n_steps in config.n_steps:
-            disc = cli._discretization(config, n_cells, n_steps, space_time=True)
+            disc = cli._discretization(config, n_cells, n_steps)
             c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
             for omega in nodes:
                 a = model.a(omega)
@@ -727,14 +733,72 @@ def test_infsup_rows_are_the_per_node_rows_bit_for_bit(monkeypatch, dim, degree,
 
     monkeypatch.setattr(consts, "discrete_infsup", recording)
     rows = cli.run_infsup(config)
-    # one stack of the 5 valid nodes per grid, or one stack per node
-    per_grid = [1] * 5 if block_bytes else [5]
+    # the 5 valid nodes of the mirrored rule have 3 values of a: 0 and 7,
+    # 2 and 5 share theirs, and 6 has its own, as its mirror 1 is flagged;
+    # one stack of the 3 per grid, or one stack per value
+    per_grid = [1] * 3 if block_bytes else [3]
     modes = [fem.build_mesh(dim, c, degree).n_dof for c in cells for _ in steps]
     assert stacks == [n * k for n in modes for k in per_grid]
     expected = _per_node_infsup_rows(config)
     # as printed, so that a nan equals a nan: every column to its last bit
     assert len(rows) == len(expected) and _csv_rows(rows) == _csv_rows(expected)
     assert sum(math.isnan(row[5]) for row in rows) == 3 * len(modes)
+
+
+def _repeats_off_the_mirror(model, nodes):
+    """Values of a on a 12-node rule that repeat at nodes that do not
+    mirror each other, two of them a last bit apart, and two flagged."""
+    after = np.nextafter(2.0, 3.0)
+    return [2.0, after, 3.0, 2.0, 5.0, after, 3.0, 0.5, 0.5, math.nan, -0.0, 2.0]
+
+
+@pytest.mark.parametrize("n_quad,values", [
+    # case a at a rule size that is no power of two: 1 of its 3 mirrored
+    # pairs has one value, the other 2 differ in their last bits
+    (6, lambda model, nodes: [model.a(w) for w in nodes]),
+    (12, _repeats_off_the_mirror),
+], ids=["case-a-6-nodes", "repeats-off-the-mirror"])
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["stacked", "one-value-stacks"])
+def test_infsup_takes_each_distinct_value_of_a_once(monkeypatch, n_quad, values,
+                                                     block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+    model, domain = cli._setup("a")
+    nodes, _ = stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
+    table = dict(zip(nodes.tolist(), values(model, nodes)))
+    node_model = stochastic.CoefficientModel(
+        a_fn=lambda w: table[float(w)], c0_fn=model.c0_fn,
+        singular_points=model.singular_points)
+    monkeypatch.setattr(cli, "_setup", lambda case: (node_model, domain))
+    a = np.array([table[w] for w in nodes.tolist()])
+    valid = a[np.isfinite(a) & (a > 0)]
+    distinct = {value.tobytes() for value in valid}
+    assert len(distinct) == 5 < len(valid)
+    config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, n_cells=(4, 5),
+                                  n_steps=(4, 8), quad_ladder=(n_quad,))
+    blocks = []
+    mode_blocks = solver.mode_blocks
+
+    def recording(grid, mu):
+        blocks.append(mu)
+        return mode_blocks(grid, mu)
+
+    monkeypatch.setattr(solver, "mode_blocks", recording)
+    rows = cli.run_infsup(config)
+    monkeypatch.setattr(solver, "mode_blocks", mode_blocks)
+    expected = _per_node_infsup_rows(config)
+    assert len(rows) == len(expected) and _csv_rows(rows) == _csv_rows(expected)
+    # per grid, the mode blocks of each distinct bit pattern of a, once
+    first = np.unique(valid.view(np.int64), return_index=True)[1]
+    for n_cells in config.n_cells:
+        eigenvalues = fem.assemble(fem.build_mesh(1, n_cells, 1)).eigenvalues
+        want = sorted(mu.tobytes() for mu in np.multiply.outer(valid[first], eigenvalues))
+        for _ in config.n_steps:
+            got = []
+            while len(got) < len(want) and blocks:
+                got.extend(mu.tobytes() for mu in blocks.pop(0).reshape(-1, n_cells - 1))
+            assert sorted(got) == want
+    assert blocks == []
 
 
 @pytest.mark.parametrize("argv", [

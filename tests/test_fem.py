@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -228,6 +230,33 @@ def test_interval_gauss_matches_the_per_interval_rule(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
     again = fem.interval_gauss(nodes, 4)
     assert np.array_equal(again[0], points) and np.array_equal(again[1], weights)
+
+
+@pytest.mark.parametrize("n_points", [3, 4, 5])
+def test_package_gauss_rules_are_leggauss_bit_for_bit(n_points):
+    # the rules the package uses are literals; any other size comes from leggauss
+    assert n_points in fem._GAUSS
+    points, weights = fem._reference_gauss(n_points)
+    gx, gw = np.polynomial.legendre.leggauss(n_points)
+    assert _same_bits(points, gx) and _same_bits(weights, gw)
+    assert all(_same_bits(got, want) for got, want in
+               zip(fem._reference_gauss(7), np.polynomial.legendre.leggauss(7)))
+
+
+def test_no_run_imports_numpy_polynomial():
+    # every Gauss rule a run uses is held as literals: leggauss's module
+    # would add about 0.7 MB to a process
+    code = ("import sys, tempfile; from stpg import cli\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    for argv in (['convergence', '--degree', '2', '--j-max', '3'],\n"
+            "                 ['convergence', '--j-max', '3'], ['infsup', '--degree', '2'],\n"
+            "                 ['moments', '--dim', '1', '--degree', '2'],\n"
+            "                 ['solve', '--degree', '2']):\n"
+            "        assert cli.main([*argv, '--out', tmp + '/x.csv']) == 0\n"
+            "print([name for name in sys.modules if name.startswith('numpy.polynomial')])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def _spline_matrices_cell_by_cell(mesh):

@@ -67,9 +67,10 @@ def test_per_grid_work_runs_once_per_grid(tmp_path, monkeypatch):
     metrics = _traced(spans, ["infsup", "--cells", "4,8", "--steps", "4",
                               "--n-quad-ladder", "4", "--out", out])
     # one stacked call per grid (2), of the bands of one steps x steps
-    # block per node (4) and spatial mode (3 or 7); none of space-time size
+    # block per distinct value of a (2 of the mirrored rule's 4 nodes) and
+    # spatial mode (3 or 7); none of space-time size
     assert metrics["constants.discrete_infsup.calls"][0] == 2
-    assert shapes == [((p, 2, 4), (p, 4), (p, 2, 4)) for p in (4 * 3, 4 * 7)]
+    assert shapes == [((p, 2, 4), (p, 4), (p, 2, 4)) for p in (2 * 3, 2 * 7)]
     assert metrics["constants.cfl_constant.calls"][0] == 2
 
 

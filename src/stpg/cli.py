@@ -124,10 +124,11 @@ WRITE_DOF = 11
 RULE_BYTES = 81
 # bytes a convergence or infsup run holds per parameter node: the rule,
 # the arrays of a, c0, valid indices and errors or constants (48.5
-# traced), a block's copies of its values (24) and, in infsup, its index
-# into the distinct values of a, their bits and constants (32); and per
-# infsup grid one report row of 11 values, 7 of them new floats (300 traced)
-NODE_BYTES = 112
+# traced), and a block's copies of its values (24); in infsup also its
+# index into the distinct values of a and their values and constants (32),
+# and per grid one report row of 11 values, 7 new floats (300 traced)
+NODE_BYTES = 80
+VALUE_BYTES = 32
 ROW_BYTES = 304
 
 
@@ -385,15 +386,15 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     matrices at their peak (fem.pair_values), which in 1-D are
     n_dof x n_dof, and its message names that share. Beside them it
     counts, for infsup, one stack of its distinct values of a
-    (_stack_nodes, NODE_STACKS, NODE_BANDS) and NODE_BYTES and ROW_BYTES
-    per node; for moments, the grid's nodes and MOMENT_VALUES per path, or
-    the grid while TimeGrid checks it (CHECK_BYTES); for solve,
-    PROFILE_VALUES per step and the report's write, one block
-    (_write_block, WRITE_TEXT) and WRITE_DOF values per dof; for
-    convergence, GRID_VALUES and the grid's cached values per step and
-    NODE_BYTES per node, held throughout, and one block's sweep and error
-    groups (AFTER_SWEEP, _error_paths) with the spatial operators'
-    temporaries (fem.kron_temporaries); and RUN_BYTES.
+    (_stack_nodes, NODE_STACKS, NODE_BANDS) and NODE_BYTES, VALUE_BYTES
+    and ROW_BYTES per node; for moments, the grid's nodes and
+    MOMENT_VALUES per path, or the grid while TimeGrid checks it
+    (CHECK_BYTES); for solve, PROFILE_VALUES per step and the report's
+    write, one block (_write_block, WRITE_TEXT) and WRITE_DOF values per
+    dof; for convergence, GRID_VALUES and the grid's cached values per
+    step and NODE_BYTES per node, held throughout, and one block's sweep
+    and error groups (AFTER_SWEEP, _error_paths) with the spatial
+    operators' temporaries (fem.kron_temporaries); and RUN_BYTES.
     """
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     space_time = config.subcommand == "infsup"
@@ -405,9 +406,10 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     if space_time:
         nodes = min(distinct, _stack_nodes(n_steps, mesh.n_dof))
         stack = nodes * _node_values(n_steps, mesh.n_dof)
-        rows = paths * (NODE_BYTES + ROW_BYTES * len(config.n_cells) * len(config.n_steps))
+        grids = len(config.n_cells) * len(config.n_steps)
+        rows = paths * (NODE_BYTES + VALUE_BYTES + ROW_BYTES * grids)
         _check_memory(8 * (pair + stack + np.getbufsize()) + rows,
-                      f"an infsup stack of {nodes} nodes of {mesh.n_dof} x {n_steps} x "
+                      f"an infsup stack of {nodes} values of a in {mesh.n_dof} x {n_steps} x "
                       f"{n_steps} blocks", 8 * pair)
     elif config.subcommand == "moments":
         # the grid while TimeGrid checks it, or its nodes and the rung's arrays
@@ -563,30 +565,30 @@ def run_convergence(config: ExperimentConfig):
 
 
 def run_infsup(config: ExperimentConfig):
-    """Stability-constant grid over (n_cells, n_steps, parameter node): each
-    grid takes the constants once per distinct value of a (by its bits),
-    _stack_nodes values at a time, for every valid node with that value."""
+    """Stability-constant grid over (n_cells, n_steps, parameter node), the
+    constants taken once per distinct value of a for every node with it."""
     model, domain = _setup(config.case)
     n_quad = config.quad_ladder[0]
     _check_memory(RULE_BYTES * n_quad + RUN_BYTES, f"a rule of {n_quad} parameter nodes", 0)
     nodes, _ = stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
     diffusion, _ = model.evaluate(nodes)
     (valid,) = np.nonzero(np.isfinite(diffusion) & (diffusion > 0))
-    bits, which = np.unique(diffusion[valid].view(np.int64), return_inverse=True)
+    # valid values are finite and > 0 (no nan, no -0), so equal floats have equal bits
+    values, which = np.unique(diffusion[valid], return_inverse=True)
     rows = []
     for n_cells in config.n_cells:
         for n_steps in config.n_steps:
-            disc = _discretization(config, n_cells, n_steps, len(nodes), len(bits))
+            disc = _discretization(config, n_cells, n_steps, len(nodes), len(values))
             c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
             # each distinct value's constants, then each node's, nan where it is flagged
             low, high = np.full((2, len(nodes)), math.nan)
-            lows, highs = np.empty((2, len(bits)))
+            lows, highs = np.empty((2, len(values)))
             size = _stack_nodes(n_steps, disc.n_dof)
-            for start in range(0, len(bits), size):
+            for start in range(0, len(values), size):
                 stack = slice(start, start + size)
                 # a value's constants are the extremes over its mode blocks,
                 # one slice of the stack
-                mu = np.multiply.outer(bits[stack].view(np.float64), disc.pair.eigenvalues)
+                mu = np.multiply.outer(values[stack], disc.pair.eigenvalues)
                 modes = consts.discrete_infsup(*solver.mode_blocks(disc.grid, mu.ravel()))
                 lows[stack] = modes[0].reshape(mu.shape).min(axis=1)
                 highs[stack] = modes[1].reshape(mu.shape).max(axis=1)

@@ -47,9 +47,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 # Gauss-Legendre points and weights on [-1, 1] of the rules the package
-# uses, with the bits of numpy.polynomial.legendre.leggauss, so that no
-# run imports numpy.polynomial (1.8 MB of resident memory)
-_GAUSS = {
+# uses, read-only, with the bits of numpy.polynomial.legendre.leggauss, so
+# that no run imports numpy.polynomial (1.8 MB resident with one leggauss)
+_GAUSS = {n: tuple(_frozen(np.array(part)) for part in rule) for n, rule in {
     3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
         (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)),
     4: ((-0.8611363115940526, -0.33998104358485626, 0.33998104358485626,
@@ -60,15 +60,7 @@ _GAUSS = {
          0.906179845938664),
         (0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
          0.4786286704993663, 0.23692688505618928)),
-}
-
-
-@functools.cache
-def _reference_gauss(n_points: int) -> tuple:
-    """Gauss-Legendre points and weights on [-1, 1], read-only: a rule of
-    _GAUSS, or leggauss's for any other size, computed once."""
-    rule = _GAUSS.get(n_points) or np.polynomial.legendre.leggauss(n_points)
-    return tuple(_frozen(np.array(part, dtype=float)) for part in rule)
+}.items()}
 
 
 def interval_gauss(nodes, n_points: int) -> tuple:
@@ -79,7 +71,7 @@ def interval_gauss(nodes, n_points: int) -> tuple:
     the map from [-1, 1].
     """
     nodes = np.asarray(nodes, dtype=float)
-    gx, gw = _reference_gauss(n_points)
+    gx, gw = _GAUSS[n_points]
     left, right = nodes[:-1, None], nodes[1:, None]
     half = 0.5 * (right - left)
     return 0.5 * (left + right) + half * gx, half * gw

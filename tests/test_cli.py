@@ -315,8 +315,9 @@ def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monk
                          str(steps), "--n-quad-ladder", "2", "--out", str(out)], capsys)
     assert result == code
     if code == cli.EXIT_RESOURCE:
-        need = 8 * (2 * 7 * 32 * (32 + 10) + 8192 + 6 * 49) + 2 * (cli.NODE_BYTES + cli.ROW_BYTES)
-        assert err == ["stpg: resource cap: an infsup stack of 2 nodes of 7 x 32 x 32 "
+        rows = 2 * (cli.NODE_BYTES + cli.VALUE_BYTES + cli.ROW_BYTES)
+        need = 8 * (2 * 7 * 32 * (32 + 10) + 8192 + 6 * 49) + rows
+        assert err == ["stpg: resource cap: an infsup stack of 2 values of a in 7 x 32 x 32 "
                        f"blocks needs {need} "
                        f"bytes, {8 * 6 * 49} of them for the spatial pair, more "
                        "than the 163840 bytes of physical memory"]

@@ -225,8 +225,8 @@ def test_interval_gauss_matches_the_per_interval_rule(monkeypatch):
     # exact for degree 2n - 1 on every interval
     exact = (nodes[1:] ** 8 - nodes[:-1] ** 8) / 8.0
     assert np.allclose(np.sum(weights * points ** 7, axis=1), exact, rtol=1e-14)
-    # the rule on [-1, 1] is computed once per point count, read-only
-    assert not any(array.flags.writeable for array in fem._reference_gauss(4))
+    # the rule on [-1, 1] is held once per point count, read-only
+    assert not any(array.flags.writeable for array in fem._GAUSS[4])
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
     again = fem.interval_gauss(nodes, 4)
     assert np.array_equal(again[0], points) and np.array_equal(again[1], weights)
@@ -234,18 +234,16 @@ def test_interval_gauss_matches_the_per_interval_rule(monkeypatch):
 
 @pytest.mark.parametrize("n_points", [3, 4, 5])
 def test_package_gauss_rules_are_leggauss_bit_for_bit(n_points):
-    # the rules the package uses are literals; any other size comes from leggauss
-    assert n_points in fem._GAUSS
-    points, weights = fem._reference_gauss(n_points)
+    # the rules the package uses are literals, and no other size is held
+    assert sorted(fem._GAUSS) == [3, 4, 5]
+    points, weights = fem._GAUSS[n_points]
     gx, gw = np.polynomial.legendre.leggauss(n_points)
     assert _same_bits(points, gx) and _same_bits(weights, gw)
-    assert all(_same_bits(got, want) for got, want in
-               zip(fem._reference_gauss(7), np.polynomial.legendre.leggauss(7)))
 
 
 def test_no_run_imports_numpy_polynomial():
     # every Gauss rule a run uses is held as literals: leggauss's module
-    # would add about 0.7 MB to a process
+    # would add about 0.7 MB traced (1.8 MB resident with one call) to a process
     code = ("import sys, tempfile; from stpg import cli\n"
             "with tempfile.TemporaryDirectory() as tmp:\n"
             "    for argv in (['convergence', '--degree', '2', '--j-max', '3'],\n"

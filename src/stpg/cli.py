@@ -354,7 +354,7 @@ def _check_memory(need: int, what: str, pair: int):
 def _block_paths(n_steps: int, n_dof: int) -> int:
     """Paths of a rung swept together: as many as the block budget holds, at least one."""
     window = min(n_steps, solver.SWEEP_WINDOW) + 1
-    return max(1, _BLOCK_BYTES // (8 * (max(n_steps, 1) + 2 * window) * n_dof))
+    return max(1, _BLOCK_BYTES // (8 * (n_steps + 2 * window) * n_dof))
 
 
 def _error_paths(n_steps: int, n_dof: int) -> int:
@@ -379,7 +379,8 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
                     paths: int = 1, distinct: int = 1):
     """Mesh, spatial pair and uniform time grid of one configuration.
 
-    Before any matrix is built, the spatial dofs of a pathwise run, or
+    A grid of no interval is refused first, as TimeGrid.uniform refuses
+    it. Before any matrix is built, the spatial dofs of a pathwise run, or
     the space-time trial size (dofs times steps) of infsup, must be within
     the cap, and what a run over that many paths or parameter nodes holds
     at peak must fit in memory. Each count adds the spatial pair's 1-D
@@ -396,6 +397,8 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     and error groups (AFTER_SWEEP, _error_paths) with the spatial
     operators' temporaries (fem.kron_temporaries); and RUN_BYTES.
     """
+    if n_steps < 1:
+        raise ValueError("need at least one time interval")
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
     space_time = config.subcommand == "infsup"
     size = mesh.n_dof * n_steps if space_time else mesh.n_dof
@@ -600,10 +603,9 @@ def run_infsup(config: ExperimentConfig):
                     rows.append((config.case, n_cells, n_steps, omega, a, math.nan,
                                  math.nan, c_s, math.nan, math.nan, math.nan))
                     continue
-                bounds = consts.theoretical_constants(a, a)
                 rows.append((config.case, n_cells, n_steps, omega, a, sigma_min, sigma_max,
                              c_s, consts.weighted_cfl(a, c_s),
-                             bounds.c_b_bound, bounds.C_b_bound))
+                             *consts.theoretical_constants(a, a)))
     return rows
 
 

@@ -15,14 +15,12 @@ It runs on numpy alone.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fem import SpatialPair
 
 __all__ = [
-    "ConstantsReport",
     "discrete_infsup",
     "cfl_constant",
     "cfl_omega",
@@ -31,13 +29,6 @@ __all__ = [
     "theoretical_constants",
     "quasi_opt_ratio",
 ]
-
-@dataclass
-class ConstantsReport:
-    """Closed-form constants for one coefficient range."""
-
-    c_b_bound: float
-    C_b_bound: float
 
 
 def discrete_infsup(bilinear: np.ndarray, gram_trial: np.ndarray,
@@ -135,8 +126,8 @@ def cfl_adjusted_infsup_bound(a: float, c_s: float) -> float:
     return math.sqrt(a) / math.sqrt(max(1.0, a * (1.0 + c_s ** 2 / 12.0), 1.0 / a))
 
 
-def theoretical_constants(a_min: float, a_max: float) -> ConstantsReport:
-    """Closed-form continuity and inf-sup bounds in the unweighted norms.
+def theoretical_constants(a_min: float, a_max: float) -> tuple:
+    """Closed-form (inf-sup, continuity) bounds (c_b, C_b) in the unweighted norms.
 
     For coercivity a_min and boundedness a_max with ratio
     rho = a_max / a_min:
@@ -147,10 +138,7 @@ def theoretical_constants(a_min: float, a_max: float) -> ConstantsReport:
     if not (0 < a_min <= a_max) or not math.isfinite(a_max):
         raise ValueError("need 0 < a_min <= a_max < inf")
     rho = a_max / a_min
-    return ConstantsReport(
-        c_b_bound=min(a_min, 1.0 / rho) / math.sqrt(2.0),
-        C_b_bound=math.sqrt(2.0) * max(1.0, a_max),
-    )
+    return min(a_min, 1.0 / rho) / math.sqrt(2.0), math.sqrt(2.0) * max(1.0, a_max)
 
 
 def quasi_opt_ratio(err: float, best_err: float) -> float:

@@ -198,7 +198,7 @@ class SpatialPair:
     the stiffness one term per axis with S there and M elsewhere, the
     modal transform V' (x) ... (x) V', whose eigenvalues are sums of 1-D
     ones (fast diagonalization; Lynch, Rice and Thomas 1964). kron_apply
-    applies them; the dense mass, stiffness and modes() multiply them
+    applies them; the dense mass, stiffness and modes multiply them
     out on first use, for tests and oracles only. Everything derived
     from the mesh alone is computed once and cached read-only.
     """
@@ -266,6 +266,7 @@ class SpatialPair:
         for rhs shaped (n_dof,) or (n_dof, m)."""
         return self.from_modes(self.to_modes(rhs).T / self.eigenvalues).T
 
+    @functools.cached_property
     def modes(self) -> tuple:
         """Dense M-orthonormal eigenpairs (lam, vecs) of the pair, cached read-only.
 
@@ -273,10 +274,6 @@ class SpatialPair:
         V (x) ... (x) V, multiplied out on first use for tests and
         oracles; the solver applies it through to_modes and from_modes.
         """
-        return self._modes
-
-    @functools.cached_property
-    def _modes(self) -> tuple:
         return self.eigenvalues, _frozen(_dense(self._modal_terms).T)
 
     @functools.cached_property
@@ -289,12 +286,9 @@ class SpatialPair:
         """Dense stiffness matrix, formed on first use for tests and oracles."""
         return _dense(self._stiffness_terms)
 
+    @functools.cached_property
     def mode_vector(self) -> np.ndarray:
         """mode_load_vector of the mesh, computed once; read-only."""
-        return self._mode_vector
-
-    @functools.cached_property
-    def _mode_vector(self) -> np.ndarray:
         return _frozen(mode_load_vector(self.mesh))
 
     @property
@@ -309,7 +303,7 @@ class SpatialPair:
         mode_eigenvalue * (phi_mode, phi_i), read-only, and e = c' S^-1 c,
         the squared energy norm of its Ritz projection.
         """
-        cross = _frozen(self.mode_eigenvalue * self.mode_vector())
+        cross = _frozen(self.mode_eigenvalue * self.mode_vector)
         return cross, float(cross @ self.stiffness_solve(cross))
 
     @functools.cached_property

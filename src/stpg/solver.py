@@ -230,7 +230,7 @@ def assemble_load(coeffs, disc: Discretization, omega: float) -> np.ndarray:
     Block j collects c0(w) * integral(sin(pi t) * hat_j) * b.
     """
     c0 = float(coeffs.c0(omega))
-    return np.kron(disc.grid.weights, c0 * disc.pair.mode_vector())
+    return np.kron(disc.grid.weights, c0 * disc.pair.mode_vector)
 
 
 def sweep(disc: Discretization, a, c0) -> tuple:
@@ -265,7 +265,7 @@ def sweep(disc: Discretization, a, c0) -> tuple:
     tw = disc.grid.weights
     pair = disc.pair
     lam = pair.eigenvalues
-    beta = pair.to_modes(pair.mode_vector())
+    beta = pair.to_modes(pair.mode_vector)
     k = disc.grid.widths
     z = np.empty((len(k), len(c0), len(lam)))
     finite = np.ones(len(c0), dtype=bool)
@@ -535,7 +535,7 @@ def forcing_dual_norm_sq(coeffs, disc: Discretization, omega: float) -> float:
     c0 = float(coeffs.c0(omega))
     t, w = interval_gauss(disc.grid.nodes, 4)
     time_part = float(np.sum(w * np.sin(np.pi * t) ** 2))
-    b = disc.pair.mode_vector()
+    b = disc.pair.mode_vector
     return float(c0 ** 2 * time_part * (b @ disc.pair.stiffness_solve(b)))
 
 
@@ -558,7 +558,7 @@ def best_approximation(mode, disc: Discretization) -> np.ndarray:
     pair = disc.pair
     grid = disc.grid
     # (phi_mode, v)_V = lam * (phi_mode, v)_H for the eigenmode
-    cross_v = mode.lam * pair.mode_vector()
+    cross_v = mode.lam * pair.mode_vector
     spatial = pair.stiffness_solve(cross_v)
     t, w = interval_gauss(grid.nodes, 5)
     means = np.sum(w * mode.time_profile(t), axis=1) / grid.widths

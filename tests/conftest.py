@@ -49,7 +49,7 @@ def reference_sweep(disc, a, c0):
     pair = disc.pair
     half = 0.5 * a * disc.grid.widths[:, None] * pair.eigenvalues
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.outer(c0 * disc.grid.weights, pair.to_modes(pair.mode_vector()))
+        z = np.outer(c0 * disc.grid.weights, pair.to_modes(pair.mode_vector))
         z /= 1.0 + half
         gain = (1.0 - half[:-1]) / (1.0 + half[1:])
         for row, prev, g in zip(z[1:], z, gain):

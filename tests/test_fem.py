@@ -340,7 +340,7 @@ def test_spline_assembly_is_the_bspline_assembly_bit_for_bit(n_cells):
     assert _same_bits(pair.mass_1d, mass)
     assert _same_bits(pair.stiffness_1d, stiffness)
     assert _same_bits(fem.mode_load_vector(mesh), load)
-    assert _same_bits(pair.mode_vector(), load)
+    assert _same_bits(pair.mode_vector, load)
 
 
 @pytest.mark.parametrize("n_cells", [2, 3, 5, 8, 17, 32, 64, 256])
@@ -350,7 +350,7 @@ def test_spline_modes_match_generalized_eigh(n_cells):
     # only to that share of lam_max
     pair = fem.assemble(fem.build_mesh(1, n_cells, 2))
     mass, stiffness = pair.mass_1d, pair.stiffness_1d
-    lam, vecs = pair.modes()
+    lam, vecs = pair.modes
     ref = eigh(stiffness, mass, eigvals_only=True)
     assert np.all(np.diff(lam) > 0)
     assert np.max(np.abs(lam - ref)) <= 1e-14 * ref[-1]
@@ -361,14 +361,14 @@ def test_spline_modes_match_generalized_eigh(n_cells):
 @pytest.mark.parametrize("dim,n_cells,degree", [(1, 7, 1), (1, 6, 2), (2, 5, 1)])
 def test_modes_are_m_orthonormal_eigenpairs(dim, n_cells, degree):
     pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
-    lam, vecs = pair.modes()
+    lam, vecs = pair.modes
     assert lam.shape == (pair.n_dof,) and vecs.shape == (pair.n_dof, pair.n_dof)
     assert np.allclose(vecs.T @ pair.mass @ vecs, np.eye(pair.n_dof), atol=1e-12)
     scale = np.max(np.abs(pair.stiffness))
     assert np.allclose(pair.stiffness @ vecs, pair.mass @ vecs * lam, atol=1e-11 * scale)
-    assert pair.modes() is pair.modes()
+    assert pair.modes is pair.modes
     # the modes also solve with S, for vector and matrix right-hand sides
-    for rhs in (pair.mode_vector(), pair.mass):
+    for rhs in (pair.mode_vector, pair.mass):
         ref = np.linalg.solve(pair.stiffness, rhs)
         assert np.allclose(pair.stiffness_solve(rhs), ref, rtol=0,
                            atol=1e-12 * np.max(np.abs(ref)))
@@ -381,7 +381,7 @@ def test_hat_modes_match_dense_eigh(dim, n_cells):
     # come from the closed form, so this is the only check of its
     # eigenvalues, normalization and phases
     pair = fem.assemble(fem.build_mesh(dim, n_cells, 1))
-    lam, vecs = pair.modes()
+    lam, vecs = pair.modes
     dense = eigh(pair.stiffness, pair.mass, eigvals_only=True)
     if dim == 1:
         assert np.all(np.diff(lam) > 0)
@@ -394,8 +394,8 @@ def test_hat_modes_match_dense_eigh(dim, n_cells):
 def test_mode_vector_is_cached_and_read_only():
     mesh = fem.build_mesh(1, 6, 2)
     pair = fem.assemble(mesh)
-    b = pair.mode_vector()
-    assert b is pair.mode_vector()
+    b = pair.mode_vector
+    assert b is pair.mode_vector
     assert np.array_equal(b, fem.mode_load_vector(mesh))
     with pytest.raises(ValueError):
         b[0] = 0.0
@@ -418,7 +418,7 @@ def test_factored_2d_operators_match_the_dense_kron_forms(dim, degree, n_cells, 
     pair1 = fem.assemble(fem.build_mesh(1, n_cells, degree))
     mass1, stiff1 = pair1.mass, pair1.stiffness
     assert np.array_equal(pair.mass_1d, mass1) and np.array_equal(pair.stiffness_1d, stiff1)
-    lam1, vecs1 = pair1.modes()
+    lam1, vecs1 = pair1.modes
     if dim == 1:
         mass, stiff, lam, vecs = mass1, stiff1, lam1, vecs1
     else:
@@ -462,8 +462,8 @@ def test_factored_2d_operators_match_the_dense_kron_forms(dim, degree, n_cells, 
     assert norm == pytest.approx(dense, rel=1e-13, abs=0.0)
     # the on-demand dense forms are these products
     assert np.array_equal(pair.mass, mass) and np.array_equal(pair.stiffness, stiff)
-    assert np.array_equal(pair.modes()[1], vecs)
-    assert np.array_equal(pair.modes()[0], pair.eigenvalues)
+    assert np.array_equal(pair.modes[1], vecs)
+    assert np.array_equal(pair.modes[0], pair.eigenvalues)
 
 
 @pytest.mark.parametrize("n_cells", [64, 400])
@@ -473,7 +473,7 @@ def test_a_2d_pair_holds_only_its_1d_matrices(n_cells):
     try:
         pair = fem.assemble(fem.build_mesh(2, n_cells, 1))
         lam = pair.eigenvalues
-        b = pair.mode_vector()
+        b = pair.mode_vector
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -524,7 +524,7 @@ def test_stock_forcing_excites_one_mode(dim, degree, factor, cells):
     eps = np.finfo(float).eps
     for n_cells in cells:
         pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
-        beta = pair.to_modes(pair.mode_vector())
+        beta = pair.to_modes(pair.mode_vector)
         assert np.max(np.abs(beta[1:]), initial=0.0) <= factor * eps * abs(beta[0]), n_cells
         lam, beta_1, v = pair.excited_mode
         # mode 0 of the basis, with its sign made positive

@@ -201,7 +201,7 @@ def _before_exact_error(mode, disc, solution) -> tuple:
     if values.shape != (grid.n_intervals, disc.n_dof):
         raise ValueError("solution shape does not match discretization")
 
-    cross_v = mode.lam * pair.mode_vector()
+    cross_v = mode.lam * pair.mode_vector
     int_t, int_t2 = _before_profile_integrals(mode, grid)
     widths = np.diff(grid.nodes)
     phi_v2 = mode.mode_energy_sq

@@ -175,7 +175,7 @@ def test_scalar_crank_nicolson_by_hand():
     sol = solver.solve_pathwise(ConstantCoeffs(), disc, 0.0)
     k = 0.25
     tw = solver.time_weights(disc.grid)
-    b = disc.pair.mode_vector()[0]
+    b = disc.pair.mode_vector[0]
     m, s = 1.0 / 3.0, 4.0
     u = 0.0
     for j in range(4):
@@ -553,7 +553,7 @@ def _long_double_profile(pair, n_steps, a, c0):
     tw0 = sum((-1) ** (m + 1) * theta ** (2 * m) / ld(math.factorial(2 * m + 1))
               for m in range(1, 30)) / pi
     c = 4 * np.sin(theta / 2) ** 2 / (pi ** 2 * k)
-    (lam,), (beta,) = pair.eigenvalues.astype(ld), pair.to_modes(pair.mode_vector()).astype(ld)
+    (lam,), (beta,) = pair.eigenvalues.astype(ld), pair.to_modes(pair.mode_vector).astype(ld)
     x = np.asarray(a, dtype=ld) * lam * k / 2
     gain, amp = (1 - x) / (1 + x), np.asarray(c0, dtype=ld) * beta / (1 + x)
     z = [amp * tw0]

@@ -42,15 +42,6 @@ import numpy as np
 from . import constants as consts
 from . import fem, g17, oracle, solver, stochastic
 
-__all__ = [
-    "ExperimentConfig",
-    "run_moments",
-    "run_convergence",
-    "run_infsup",
-    "run_solve",
-    "main",
-]
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
@@ -95,13 +86,11 @@ _BLOCK_BYTES = 1 << 23
 # oracle.block_errors (AFTER_SWEEP's arrays and values per interval of
 # each path), unless one path alone holds more
 _GROUP_VALUES = 1 << 15
-# float64 (n_dof, N, N) stacks each node of an infsup stack
-# (_stack_nodes) holds at peak: its share of the one work stack of
-# discrete_infsup, beside the numpy buffer (np.getbufsize() values) of
-# the broadcast scalings and NODE_BANDS float64 values per mode and step:
-# the bands of mode_blocks and the pivots, gains and scalings of
-# discrete_infsup
-NODE_STACKS = 1
+# float64 values per mode and step each node of an infsup stack
+# (_stack_nodes) holds at peak beside its (n_dof, N, N) share of the one
+# work stack of discrete_infsup and the numpy buffer (np.getbufsize()
+# values) of the broadcast scalings: the bands of mode_blocks and the
+# pivots, gains and scalings of discrete_infsup
 NODE_BANDS = 10
 # bytes of the small objects a pathwise run holds beside the arrays it
 # counts: Python objects and numpy's bookkeeping (7 KB in a traced
@@ -120,7 +109,8 @@ WRITE_TEXT = 24
 WRITE_DOF = 11
 # bytes stochastic.quadrature holds at peak per node of the rule it
 # builds, beside RUN_BYTES: 80.1 to 80.6 traced on 200,000 and 20,000
-# lognormal nodes (two lists of Python floats), 32 on the interval
+# lognormal nodes (two lists of Python floats), 32 on the interval;
+# _rule counts them with what the run holds per node before it builds one
 RULE_BYTES = 81
 # bytes a convergence or infsup run holds per parameter node: the rule,
 # the arrays of a, c0, valid indices and errors or constants (48.5
@@ -351,6 +341,14 @@ def _check_memory(need: int, what: str, pair: int):
                                f"{memory} bytes of physical memory")
 
 
+def _rule(model, domain, n_quad: int, node_bytes: int) -> tuple:
+    """stochastic.quadrature's rule of n_quad nodes, built only once the
+    rule and the node_bytes per node that the run holds fit in memory."""
+    _check_memory((RULE_BYTES + node_bytes) * n_quad + RUN_BYTES,
+                  f"a rule of {n_quad} parameter nodes", 0)
+    return stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
+
+
 def _block_paths(n_steps: int, n_dof: int) -> int:
     """Paths of a rung swept together: as many as the block budget holds, at least one."""
     window = min(n_steps, solver.SWEEP_WINDOW) + 1
@@ -365,8 +363,9 @@ def _error_paths(n_steps: int, n_dof: int) -> int:
 
 
 def _node_values(n_steps: int, n_dof: int) -> int:
-    """float64 values one node of an infsup stack holds at peak."""
-    return NODE_STACKS * n_dof * n_steps ** 2 + NODE_BANDS * n_dof * n_steps
+    """float64 values one node of an infsup stack holds at peak: its share
+    of the work stack and NODE_BANDS per mode and step."""
+    return n_dof * n_steps ** 2 + NODE_BANDS * n_dof * n_steps
 
 
 def _stack_nodes(n_steps: int, n_dof: int) -> int:
@@ -387,7 +386,7 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     matrices at their peak (fem.pair_values), which in 1-D are
     n_dof x n_dof, and its message names that share. Beside them it
     counts, for infsup, one stack of its distinct values of a
-    (_stack_nodes, NODE_STACKS, NODE_BANDS) and NODE_BYTES, VALUE_BYTES
+    (_stack_nodes, _node_values) and NODE_BYTES, VALUE_BYTES
     and ROW_BYTES per node; for moments, the grid's nodes and
     MOMENT_VALUES per path, or the grid while TimeGrid checks it
     (CHECK_BYTES); for solve, PROFILE_VALUES per step and the report's
@@ -541,9 +540,7 @@ def run_convergence(config: ExperimentConfig):
         raise ValueError("j range must satisfy 2 <= j_min <= j_max <= 7")
     n_quad = config.quad_ladder[0]
     # the rule is built before any level, so a rule too large is no truncation
-    _check_memory(RULE_BYTES * n_quad + RUN_BYTES, f"a rule of {n_quad} parameter nodes", 0)
-    nodes, weights = stochastic.quadrature(domain, n_quad,
-                                           avoid=model.singular_points)
+    nodes, weights = _rule(model, domain, n_quad, NODE_BYTES)
     rows = []
     truncated = False
     prev = None
@@ -572,8 +569,8 @@ def run_infsup(config: ExperimentConfig):
     constants taken once per distinct value of a for every node with it."""
     model, domain = _setup(config.case)
     n_quad = config.quad_ladder[0]
-    _check_memory(RULE_BYTES * n_quad + RUN_BYTES, f"a rule of {n_quad} parameter nodes", 0)
-    nodes, _ = stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
+    grids = len(config.n_cells) * len(config.n_steps)
+    nodes, _ = _rule(model, domain, n_quad, NODE_BYTES + VALUE_BYTES + ROW_BYTES * grids)
     diffusion, _ = model.evaluate(nodes)
     (valid,) = np.nonzero(np.isfinite(diffusion) & (diffusion > 0))
     # valid values are finite and > 0 (no nan, no -0), so equal floats have equal bits

@@ -20,16 +20,6 @@ import numpy as np
 
 from .fem import SpatialPair
 
-__all__ = [
-    "discrete_infsup",
-    "cfl_constant",
-    "cfl_omega",
-    "weighted_cfl",
-    "cfl_adjusted_infsup_bound",
-    "theoretical_constants",
-    "quasi_opt_ratio",
-]
-
 
 def discrete_infsup(bilinear: np.ndarray, gram_trial: np.ndarray,
                     gram_test: np.ndarray) -> tuple:

@@ -24,17 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Mesh",
-    "SpatialPair",
-    "build_mesh",
-    "assemble",
-    "dual_norm",
-    "v_norm",
-    "mode_load_vector",
-    "interval_gauss",
-]
-
 
 # values of a vector stack that kron_apply transforms at once with two factors
 TENSOR_BLOCK = 1 << 16
@@ -295,16 +284,6 @@ class SpatialPair:
     def mode_eigenvalue(self) -> float:
         """Eigenvalue dim pi^2 of the first Dirichlet eigenmode of the domain."""
         return self.mesh.dim * np.pi ** 2
-
-    @functools.cached_property
-    def mode_energy(self) -> tuple:
-        """(c, e) of the first Dirichlet eigenmode phi_mode, computed once:
-        its energy pairings with the basis, c_i = (phi_mode, phi_i)_V =
-        mode_eigenvalue * (phi_mode, phi_i), read-only, and e = c' S^-1 c,
-        the squared energy norm of its Ritz projection.
-        """
-        cross = _frozen(self.mode_eigenvalue * self.mode_vector)
-        return cross, float(cross @ self.stiffness_solve(cross))
 
     @functools.cached_property
     def excited_mode(self) -> tuple:

@@ -33,8 +33,6 @@ import functools
 
 import numpy as np
 
-__all__ = ["WIDTH", "g17_columns"]
-
 # bytes of a value's text, at most a sign, a digit, a point, 16 digits
 # and "e+XXX"
 WIDTH = 24

@@ -7,10 +7,12 @@ T' + a * lam * T = sin(pi t), T(0) = 0. This module provides the closed
 form of T, a validation gate against an independent high-order time
 integrator, exact space-time error norms against discrete solutions,
 and a refined-in-time surrogate for the spatially semidiscrete
-solution. exact_error measures one path's solution and is the tests'
-oracle; block_errors, which the convergence experiment calls, measures
-the paths of a sweep block group at a time, with the bits of
-exact_error on each path. It also holds the dense inf-sup constants of
+solution. exact_error measures one path's solution, and its best
+approximation through the Ritz projection of the mode
+(SpatialPair.stiffness_solve), and is the tests' oracle; block_errors,
+which the convergence experiment calls, measures the paths of a sweep
+block group at a time, with the bits of exact_error's solver error on
+each path and no projection. It also holds the dense inf-sup constants of
 whole space-time systems (dense_infsup), the oracle of
 constants.discrete_infsup, and a two-grid estimate of the energy-norm
 stability of the L2 projection (projection_stability). It is the one
@@ -31,17 +33,6 @@ from .solver import (
     solve_pathwise,
     trial_energy_norm,
 )
-
-__all__ = [
-    "ModeSolution",
-    "exact_mode_profile",
-    "validate_mode_profile",
-    "exact_error",
-    "block_errors",
-    "semidiscrete_reference",
-    "dense_infsup",
-    "projection_stability",
-]
 
 
 # squared energy norm of the spatial mode, pi^2 / 2 in both dims
@@ -147,12 +138,12 @@ def exact_error(mode: ModeSolution, disc: Discretization,
     Both are measured in the space-time trial norm. Cross terms between
     the mode and the basis are exact because the mode is an
     eigenfunction, so its energy pairing is lam times the mass pairing;
-    time integrals of the profile use 5-point Gauss per interval. What
-    depends on the pair or the grid alone is computed once and shared by
-    every path: the energy pairings of the mode and its Ritz projection's
-    energy (SpatialPair.mode_energy), the Gauss points and their trig
-    values (TimeGrid.profile_quadrature). A path adds its profile, its
-    solution's pairing with the mode and its energy norm.
+    time integrals of the profile use 5-point Gauss per interval, whose
+    points and trig values are computed once per grid
+    (TimeGrid.profile_quadrature). Each call forms the energy pairings of
+    the mode with the basis, c = mode_eigenvalue * mode_vector, and the
+    squared energy norm c' S^-1 c of its Ritz projection; a path adds its
+    profile, its solution's pairing with the mode and its energy norm.
     """
     pair = disc.pair
     grid = disc.grid
@@ -162,7 +153,8 @@ def exact_error(mode: ModeSolution, disc: Discretization,
     if mode.lam != pair.mode_eigenvalue:
         raise ValueError("mode eigenvalue is not the pair's")
 
-    cross_v, proj_energy = pair.mode_energy
+    cross_v = pair.mode_eigenvalue * pair.mode_vector
+    proj_energy = float(cross_v @ pair.stiffness_solve(cross_v))
     int_t, int_t2 = _profile_integrals(mode.a, mode.lam, grid)
     phi_v2 = mode.mode_energy_sq
     c0 = mode.c0
@@ -194,7 +186,7 @@ def block_errors(disc: Discretization, a, c0, z: np.ndarray, finite,
     contiguous vector, so numpy and BLAS add in the same order.
     """
     pair, grid = disc.pair, disc.grid
-    cross_v, _ = pair.mode_energy
+    cross_v = pair.mode_eigenvalue * pair.mode_vector
     a, c0 = np.asarray(a, dtype=float), np.asarray(c0, dtype=float)
     errors = np.full(len(finite), math.nan)
     (done,) = np.nonzero(finite)

@@ -44,25 +44,6 @@ from .fem import SpatialPair, _frozen, interval_gauss
 # time steps whose step factors sweep forms at once
 SWEEP_WINDOW = 32
 
-__all__ = [
-    "TimeGrid",
-    "Discretization",
-    "PathwiseSolveError",
-    "time_weights",
-    "assemble_load",
-    "sweep",
-    "uniform_energy",
-    "uniform_profile",
-    "solve_pathwise",
-    "mode_blocks",
-    "assemble_full_system",
-    "build_grams",
-    "evaluate_norm",
-    "trial_energy_norm",
-    "forcing_dual_norm_sq",
-    "best_approximation",
-]
-
 
 class PathwiseSolveError(RuntimeError):
     """A single-parameter solve failed for a controlled reason.

@@ -13,18 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ParameterDomain",
-    "CoefficientModel",
-    "quadrature",
-    "lp_norm",
-    "predict_max_moment",
-    "predict_pbar",
-    "MomentExponents",
-    "moment_exponents",
-    "classify_trend",
-    "singular_example_moments",
-]
 
 @dataclass(frozen=True)
 class MomentExponents:

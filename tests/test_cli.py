@@ -340,13 +340,18 @@ def test_mode_block_stack_checked_against_physical_memory(tmp_path, capsys, monk
         assert err == [] and out.exists()
 
 
-@pytest.mark.parametrize("subcommand", ["convergence", "infsup"])
+@pytest.mark.parametrize("subcommand,pages", [
+    ("convergence", 10), ("infsup", 10), ("convergence", 30), ("infsup", 30),
+], ids=["convergence", "infsup", "convergence-rule-alone-fits", "infsup-rule-alone-fits"])
 def test_parameter_rule_checked_before_it_is_built(tmp_path, capsys, monkeypatch,
-                                                   subcommand):
-    # a rule of 1,000 nodes at 81 bytes each, beside a run's small objects,
-    # against 40,960 bytes of memory: the run stops before the rule is
-    # built, and a convergence run writes no truncated table
-    _patch_physical_memory(monkeypatch, 10)
+                                                   subcommand, pages):
+    # a rule of 1,000 nodes at 81 bytes each, with what the run holds per
+    # node (80 bytes; in infsup 32 more and a 304-byte row for each of its
+    # 2 x 2 grids), beside a run's small objects, against 10 or 30 pages of
+    # memory: the run stops before the rule is built, and a convergence
+    # run writes no truncated table. In 30 pages (122,880 bytes) the rule
+    # alone (97,384 bytes) would fit
+    _patch_physical_memory(monkeypatch, pages)
 
     def unbuilt(*args, **kwargs):
         raise AssertionError("the rule was built before its memory was checked")
@@ -355,9 +360,10 @@ def test_parameter_rule_checked_before_it_is_built(tmp_path, capsys, monkeypatch
     out = tmp_path / "x.csv"
     code, err = _main([subcommand, "--n-quad-ladder", "1000", "--out", str(out)], capsys)
     assert code == cli.EXIT_RESOURCE
+    per_node = 81 + 80 + (32 + 304 * 4 if subcommand == "infsup" else 0)
     assert err == [f"stpg: resource cap: a rule of 1000 parameter nodes needs "
-                   f"{81 * 1000 + 16384} bytes, more than the 40960 bytes of physical "
-                   "memory"]
+                   f"{per_node * 1000 + 16384} bytes, more than the {4096 * pages} bytes "
+                   "of physical memory"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -825,11 +831,13 @@ def test_infsup_takes_each_distinct_value_of_a_once(monkeypatch, n_quad, values,
     ["solve", "--cells", "4", "--steps", "4"],
 ], ids=" ".join)
 def test_no_cli_run_calls_the_per_path_oracle(tmp_path, capsys, monkeypatch, argv):
+    # nor the stiffness solve of the oracle's Ritz projection energy
     def per_path(*args, **kwargs):
         raise AssertionError("a CLI run called the per-path error oracle")
 
     monkeypatch.setattr(oracle, "exact_error", per_path)
     monkeypatch.setattr(oracle, "ModeSolution", per_path)
+    monkeypatch.setattr(fem.SpatialPair, "stiffness_solve", per_path)
     out = tmp_path / "x.csv"
     assert _main([*argv, "--out", str(out)], capsys) == (cli.EXIT_OK, [])
     assert out.exists()

@@ -31,6 +31,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import io
 import math
 import os
 import re
@@ -52,22 +53,18 @@ CONVERGENCE_HEADER = ["case", "j", "h", "k", "n_quad", "mean_error", "observed_r
 INFSUP_HEADER = ["case", "n_cells", "n_steps", "omega", "a_omega", "sigma_min",
                  "sigma_max", "c_S", "c_S_omega", "cB_theory", "CB_theory"]
 SOLVE_HEADER = ["interval", "t", "dof", "value"]
-# A convergence sweep block holds its float64 (N, P, n_dof) state and,
-# while it steps, two windows of step factors and one of its paths'
-# loads. AFTER_SWEEP is (arrays, values, cached): once a block is done,
-# float64 (N, n_dof) arrays and values per interval of each path of a
-# group of _error_paths, and from its first path on values per interval
-# cached on the grid. oracle.block_errors holds per path of a group its
-# profile with two temporaries (15 values), then the path's modal
-# coefficients and interval values, then those values and their product
-# with S (2 arrays) beside its (group, N) sums (a traced group holds
-# 2 n_dof + 2 values per path and interval, or 16 at one dof), and it
-# reads the Gauss rule and trig values of TimeGrid.profile_quadrature
-AFTER_SWEEP = (2, 15, 20)
 # float64 values per time step a convergence level holds throughout: the
-# grid's nodes, time weights and widths; solver.time_weights holds at
-# most three per step beside the nodes, which the sweep's count covers
-GRID_VALUES = 3
+# grid's nodes and widths, and from its first block on the 20 values of
+# TimeGrid.profile_quadrature (the Gauss rule and trig values of the error
+# profile), formed with 12 more per step beside the block's profiles,
+# which ERROR_VALUES per path covers
+GRID_VALUES = 22
+# float64 values per path and time step a block of a convergence level's
+# paths holds at peak, beside numpy's buffers of two broadcast operands
+# (np.getbufsize() values each): its profiles y, then in
+# oracle.block_errors the (P, N, 5) exact profile with one temporary and
+# the interval integrals of T (11.0 to 12.1 traced)
+ERROR_VALUES = 12
 # bytes per time step while TimeGrid checks its nodes: the nodes, their
 # differences and a mask (17 traced)
 CHECK_BYTES = 17
@@ -78,14 +75,10 @@ PROFILE_VALUES = 4
 # valid indices and values, and the (P, 1) arrays of
 # solver.uniform_energy (17.5 traced)
 MOMENT_VALUES = 18
-# bytes one block of a rung's paths holds while it steps, its state and
-# its two windows of step factors, or one stack of an infsup grid's
+# bytes one block of a convergence level's paths holds at peak
+# (ERROR_VALUES per path and step), or one stack of an infsup grid's
 # nodes, unless one path or node alone needs more
 _BLOCK_BYTES = 1 << 23
-# float64 values that one group of a block's paths holds in
-# oracle.block_errors (AFTER_SWEEP's arrays and values per interval of
-# each path), unless one path alone holds more
-_GROUP_VALUES = 1 << 15
 # float64 values per mode and step each node of an infsup stack
 # (_stack_nodes) holds at peak beside its (n_dof, N, N) share of the one
 # work stack of discrete_infsup and the numpy buffer (np.getbufsize()
@@ -120,6 +113,10 @@ RULE_BYTES = 81
 NODE_BYTES = 80
 VALUE_BYTES = 32
 ROW_BYTES = 304
+
+
+# where the kernel reports the memory available to new work
+_MEMINFO = "/proc/meminfo"
 
 
 class ResourceCapError(RuntimeError):
@@ -328,17 +325,31 @@ def _setup(case: str):
     return model, domain
 
 
+@functools.cache
+def _available_memory():
+    """Bytes of memory a run can take: MemAvailable of /proc/meminfo where
+    it can be read, else physical memory (page size times physical pages,
+    where sysconf reports them), else None. Read once per process, at its
+    first check: a CLI run is one process, and a read at every check made
+    the benchmark's infsup-dense passes 5% slower."""
+    with contextlib.suppress(OSError, ValueError), io.open(_MEMINFO, "rb") as fh:
+        for line in fh:
+            if line.startswith(b"MemAvailable:"):
+                return 1024 * int(line.split()[1])
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError):
+        return None
+
+
 def _check_memory(need: int, what: str, pair: int):
     """Raise ResourceCapError if need bytes, pair of them (if any) for the
-    spatial pair, exceed physical memory, if known."""
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (ValueError, OSError):
-        return
-    if 0 < memory < need:
+    spatial pair, exceed the available memory, if known."""
+    memory = _available_memory()
+    if memory is not None and 0 < memory < need:
         share = f", {pair} of them for the spatial pair" if pair else ""
         raise ResourceCapError(f"{what} needs {need} bytes{share}, more than the "
-                               f"{memory} bytes of physical memory")
+                               f"{memory} bytes of available memory")
 
 
 def _rule(model, domain, n_quad: int, node_bytes: int) -> tuple:
@@ -349,17 +360,10 @@ def _rule(model, domain, n_quad: int, node_bytes: int) -> tuple:
     return stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
 
 
-def _block_paths(n_steps: int, n_dof: int) -> int:
-    """Paths of a rung swept together: as many as the block budget holds, at least one."""
-    window = min(n_steps, solver.SWEEP_WINDOW) + 1
-    return max(1, _BLOCK_BYTES // (8 * (n_steps + 2 * window) * n_dof))
-
-
-def _error_paths(n_steps: int, n_dof: int) -> int:
-    """Paths of a block whose errors are measured together: as many as
-    _GROUP_VALUES holds, at least one."""
-    arrays, values, _ = AFTER_SWEEP
-    return max(1, _GROUP_VALUES // (n_steps * (arrays * n_dof + values)))
+def _block_paths(n_steps: int) -> int:
+    """Paths of a convergence level whose errors are measured together: as
+    many as the block budget holds at ERROR_VALUES per step, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * ERROR_VALUES * n_steps))
 
 
 def _node_values(n_steps: int, n_dof: int) -> int:
@@ -391,10 +395,9 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     MOMENT_VALUES per path, or the grid while TimeGrid checks it
     (CHECK_BYTES); for solve, PROFILE_VALUES per step and the report's
     write, one block (_write_block, WRITE_TEXT) and WRITE_DOF values per
-    dof; for convergence, GRID_VALUES and the grid's cached values per
-    step and NODE_BYTES per node, held throughout, and one block's sweep
-    and error groups (AFTER_SWEEP, _error_paths) with the spatial
-    operators' temporaries (fem.kron_temporaries); and RUN_BYTES.
+    dof; for convergence, GRID_VALUES per step and NODE_BYTES per node,
+    held throughout, and one block of paths (_block_paths, ERROR_VALUES)
+    with numpy's two buffers; and RUN_BYTES.
     """
     if n_steps < 1:
         raise ValueError("need at least one time interval")
@@ -425,16 +428,10 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
                       f"a {n_steps} x {mesh.n_dof} solution written {chunk} values at a time",
                       8 * pair)
     else:
-        block = min(paths, _block_paths(n_steps, mesh.n_dof))
-        group = min(block, _error_paths(n_steps, mesh.n_dof))
-        window = min(n_steps, solver.SWEEP_WINDOW) + 1
-        arrays, values, cached = AFTER_SWEEP
-        after = group * n_steps * (arrays * mesh.n_dof + values) + fem.kron_temporaries(mesh)
-        steps = window * block * (2 * mesh.n_dof + 1)
-        sweep = block * mesh.n_dof * n_steps + max(steps, after)
-        _check_memory(8 * (pair + (GRID_VALUES + cached) * n_steps + sweep) + RUN_BYTES
-                      + NODE_BYTES * paths,
-                      f"a {n_steps} x {block} x {mesh.n_dof} sweep block", 8 * pair)
+        block = min(paths, _block_paths(n_steps))
+        values = (GRID_VALUES + ERROR_VALUES * block) * n_steps + 2 * np.getbufsize()
+        _check_memory(8 * (pair + values) + RUN_BYTES + NODE_BYTES * paths,
+                      f"a convergence block of {block} paths x {n_steps} steps", 8 * pair)
     grid = solver.TimeGrid.uniform(1.0, n_steps)
     return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
 
@@ -472,21 +469,20 @@ def _moment_values(model, pair, n_steps: int, nodes) -> np.ndarray:
 def _mode_errors(model, disc, nodes) -> np.ndarray:
     """Energy-norm errors against the exact mode solution, nan where a path is flagged.
 
-    A path is flagged by _paths or because a step of its sweep is not
-    finite. The other paths are swept together, _block_paths at a time,
-    and oracle.block_errors measures the finite paths of each block,
-    _error_paths at a time, with the bits of oracle.exact_error.
+    A path is flagged by _paths or because its error is not finite. The
+    others go _block_paths at a time: solver.uniform_profile gives their
+    (P, N) profiles on the uniform grid, and oracle.block_errors their
+    errors on the excited mode, with no step loop and no n_dof-sized array.
     """
     a, c0, valid = _paths(model, nodes)
     errors = np.full(len(nodes), math.nan)
-    n_steps, n_dof = disc.grid.n_intervals, disc.n_dof
-    size = _block_paths(n_steps, n_dof)
+    n_steps = disc.grid.n_intervals
+    size = _block_paths(n_steps)
     for start in range(0, len(valid), size):
         paths = valid[start:start + size]
-        z, finite = solver.sweep(disc, a[paths], c0[paths])
-        errors[paths] = oracle.block_errors(disc, a[paths], c0[paths], z, finite,
-                                            _error_paths(n_steps, n_dof))
-        del z  # so that the next block's sweep does not find this state alive
+        y = solver.uniform_profile(disc.pair, n_steps, a[paths], c0[paths])
+        errors[paths] = oracle.block_errors(disc, a[paths], c0[paths], y)
+        del y  # so that the next block's profiles do not find these alive
     return errors
 
 
@@ -611,7 +607,7 @@ def run_solve(config: ExperimentConfig):
     rank-one rows of its closed-form profile and the pair's excited mode."""
     model, _ = _setup(config.case)
     disc = _discretization(config, config.n_cells[0], config.n_steps[0])
-    y = solver.uniform_profile(model, disc.pair, disc.grid.n_intervals, config.omega)
+    y = solver.path_profile(model, disc.pair, disc.grid.n_intervals, config.omega)
     return SolveRows(disc.grid.nodes[1:], y, disc.pair.excited_mode[2])
 
 

@@ -138,11 +138,6 @@ def kron_apply(terms, x, left: bool = False) -> np.ndarray:
     return out
 
 
-def kron_temporaries(mesh: Mesh) -> int:
-    """Values kron_apply holds beside its result on the mesh's operators."""
-    return 0 if mesh.dim == 1 else 2 * TENSOR_BLOCK
-
-
 def _eigh_values(n: int) -> int:
     """Values numpy.linalg.eigh holds in LAPACK's memory, outside numpy
     arrays, for an n x n matrix and its eigenvectors: its column-major
@@ -298,11 +293,26 @@ class SpatialPair:
         itself, so nodes equal by symmetry share their bits, and beta_1
         is (u' b_1d)^2, with no vector of n_dof values besides v_1.
         """
-        (lam, vecs), dim = self._basis, self.mesh.dim
-        u = 0.5 * np.abs(vecs[:, 0] + vecs[::-1, 0])
+        u, dim = self._excited_factor, self.mesh.dim
         v = functools.reduce(np.multiply.outer, (u,) * dim).ravel()
         beta = float(u @ mode_load_vector(Mesh(1, self.mesh.n_cells, self.mesh.degree))) ** dim
-        return dim * float(lam[0]), beta, _frozen(v)
+        return dim * float(self._basis[0][0]), beta, _frozen(v)
+
+    @functools.cached_property
+    def _excited_factor(self) -> np.ndarray:
+        """The 1-D factor u of v_1, read-only."""
+        vecs = self._basis[1]
+        return _frozen(0.5 * np.abs(vecs[:, 0] + vecs[::-1, 0]))
+
+    @functools.cached_property
+    def excited_energy(self) -> float:
+        """rho = v_1' S v_1, the squared energy norm of the excited mode,
+        computed once from its 1-D factor u as d (u' S u) (u' M u)^(d - 1)
+        in dim d: in 1-D the bits of stiffness_action(v_1) @ v_1, with no
+        n_dof-sized product. It equals lam_1 in exact arithmetic only.
+        """
+        u, dim = self._excited_factor, self.mesh.dim
+        return float(dim * (u @ self.stiffness_1d @ u) * (u @ self.mass_1d @ u) ** (dim - 1))
 
 
 def build_mesh(dim: int, n_cells: int, degree: int) -> Mesh:

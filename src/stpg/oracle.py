@@ -10,14 +10,14 @@ and a refined-in-time surrogate for the spatially semidiscrete
 solution. exact_error measures one path's solution, and its best
 approximation through the Ritz projection of the mode
 (SpatialPair.stiffness_solve), and is the tests' oracle; block_errors,
-which the convergence experiment calls, measures the paths of a sweep
-block group at a time, with the bits of exact_error's solver error on
-each path and no projection. It also holds the dense inf-sup constants of
-whole space-time systems (dense_infsup), the oracle of
-constants.discrete_infsup, and a two-grid estimate of the energy-norm
-stability of the L2 projection (projection_stability). It is the one
-module of the package that names scipy; validate_mode_profile and
-projection_stability load it when called, and no CLI path calls them.
+which the convergence experiment calls, measures a block of paths whose
+solutions are profiles times the excited mode, with exact_error's
+expanded formula on that mode alone and no projection. It also holds the
+dense inf-sup constants of whole space-time systems (dense_infsup), the
+oracle of constants.discrete_infsup, and a two-grid estimate of the
+energy-norm stability of the L2 projection (projection_stability). It is
+the one module of the package that names scipy; validate_mode_profile
+and projection_stability load it when called, and no CLI path calls them.
 """
 
 import functools
@@ -49,7 +49,8 @@ def exact_mode_profile(a, lam: float, t, trig=None) -> np.ndarray:
     TimeGrid.profile_quadrature keeps them for its Gauss points; they
     are computed here otherwise. Either way T has the same bits. a is a
     diffusion value or an array of them that broadcasts against t; each
-    value's profile has the bits it has alone.
+    value's profile has the bits it has alone. Formed in place, with one
+    temporary of T's size at a time.
     """
     if np.any(np.asarray(a) <= 0):
         raise ValueError("diffusion value must be positive")
@@ -58,8 +59,13 @@ def exact_mode_profile(a, lam: float, t, trig=None) -> np.ndarray:
         trig = np.sin(np.pi * t), np.pi * np.cos(np.pi * t)
     sin_pt, pi_cos_pt = trig
     al = a * lam
-    den = al * al + np.pi ** 2
-    return (al * sin_pt - pi_cos_pt + np.pi * np.exp(-al * t)) / den
+    prof = np.exp(-al * t)
+    prof *= np.pi
+    part = al * sin_pt
+    part -= pi_cos_pt
+    prof += part
+    prof /= al * al + np.pi ** 2
+    return prof
 
 
 def _profile_derivative(a: float, lam: float, t) -> np.ndarray:
@@ -128,7 +134,10 @@ def _profile_integrals(a, lam: float, grid: TimeGrid):
     (N,) arrays for one diffusion value a, (P, N) for a (P, 1, 1) stack."""
     t, w, *trig = grid.profile_quadrature
     prof = exact_mode_profile(a, lam, t, trig)
-    return np.sum(w * prof, axis=-1), np.sum(w * prof ** 2, axis=-1)
+    int_t = np.sum(w * prof, axis=-1)
+    prof *= prof
+    prof *= w
+    return int_t, np.sum(prof, axis=-1)
 
 
 def exact_error(mode: ModeSolution, disc: Discretization,
@@ -169,46 +178,33 @@ def exact_error(mode: ModeSolution, disc: Discretization,
     return float(np.sqrt(max(err_sq, 0.0))), float(np.sqrt(max(best_sq, 0.0)))
 
 
-def block_errors(disc: Discretization, a, c0, z: np.ndarray, finite,
-                 group: int) -> np.ndarray:
-    """Solver errors of the paths of one solver.sweep block.
+def block_errors(disc: Discretization, a, c0, y) -> np.ndarray:
+    """Solver errors of P paths whose interval values are y_j v_1.
 
-    a and c0 hold the P paths' diffusion values and forcing amplitudes,
-    z the (N, P, n_dof) modal coefficients sweep returned for them and
-    finite its flags. Returns the P errors, nan where a path is not
-    finite; each is exact_error(ModeSolution.for_dim(a_p, c0_p, dim),
-    disc, pair.from_modes(z[:, p]))[0], bit for bit, and no best error
-    is formed. The finite paths go group at a time: one from_modes and
-    one stiffness_action product give their interval values and those
-    times S as (group, N, n_dof) arrays, and the profile and energy sums
-    come as (group, N) arrays. Every product has the shape of one path's
-    in exact_error, and every sum over the N intervals runs on one path's
-    contiguous vector, so numpy and BLAS add in the same order.
+    a and c0 hold the paths' diffusion values and forcing amplitudes, y
+    their (P, N) profiles on the excited mode v_1 (SpatialPair.excited_mode),
+    as solver.uniform_profile gives them. Returns the P errors of
+    exact_error's expanded formula A - 2 c0 B + C, nan where a path's
+    error is not finite, with no best error and no n_dof-sized array:
+    A = c0^2 |phi|_V^2 sum_j int T^2 and the interval integrals of T are
+    _profile_integrals', the cross term is B = lam_phi beta_1 sum_j y_j
+    int T, and the energy C = rho sum_j k_j y_j^2, with rho = v_1' S v_1
+    (SpatialPair.excited_energy). rho is not replaced by lam_1: the two
+    differ by rounding, which the cancellation of the expanded form
+    amplifies (|u|^2 / err^2 is about 2e6 at degree 2). Each path's
+    error has the bits it has alone.
     """
     pair, grid = disc.pair, disc.grid
-    cross_v = pair.mode_eigenvalue * pair.mode_vector
     a, c0 = np.asarray(a, dtype=float), np.asarray(c0, dtype=float)
-    errors = np.full(len(finite), math.nan)
-    (done,) = np.nonzero(finite)
-    for start in range(0, len(done), group):
-        paths = done[start:start + group]
-        int_t, int_t2 = _profile_integrals(a[paths, None, None], pair.mode_eigenvalue, grid)
-        values = pair.from_modes(z.transpose(1, 0, 2)[paths])
-        # one dot product of N values per path
-        cross = (int_t[:, None] @ (values @ cross_v)[..., None])[:, 0, 0]
-        energy = pair.stiffness_action(values)
-        energy *= values
-        # freed here, so that the next group's arrays do not find them alive
-        del values
-        total = np.sum(grid.widths * np.sum(energy, axis=-1), axis=-1)
-        del energy
-        norms = np.sqrt(np.maximum(total, 0.0))
-        # the scalar terms in Python floats, in exact_error's order
-        for path, c, sum_t2, cross_p, norm in zip(
-                paths.tolist(), c0[paths].tolist(), np.sum(int_t2, axis=-1).tolist(),
-                cross.tolist(), norms.tolist()):
-            err_sq = c ** 2 * _MODE_ENERGY_SQ * sum_t2 - 2.0 * c * cross_p + norm ** 2
-            errors[path] = math.sqrt(max(err_sq, 0.0))
+    # rows laid out as one path's, so that each sum adds in the same order
+    y = np.ascontiguousarray(y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        int_t, int_t2 = _profile_integrals(a[:, None, None], pair.mode_eigenvalue, grid)
+        cross = pair.mode_eigenvalue * pair.excited_mode[1] * np.sum(int_t * y, axis=-1)
+        energy = pair.excited_energy * np.sum(grid.widths * np.square(y), axis=-1)
+        err_sq = c0 ** 2 * _MODE_ENERGY_SQ * np.sum(int_t2, axis=-1) - 2.0 * c0 * cross + energy
+        errors = np.sqrt(np.maximum(err_sq, 0.0))
+    errors[~np.isfinite(errors)] = math.nan
     return errors
 
 

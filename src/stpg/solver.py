@@ -8,12 +8,14 @@ bidiagonal and the forward solve is a modified Crank-Nicolson sweep.
 The operator is a scalar times the fixed stiffness S, so the sweep runs
 in the M-orthonormal eigenbasis of (S, M), computed once per mesh: every
 step is n_dof scalar recurrences, with no factorization per path or step.
-The paths of a convergence rung share one step loop (sweep), whose state
-is one (N, P, n_dof) array, with the bits of a sweep of each path alone.
-The stock forcing reaches one mode (SpatialPair.excited_mode), and on the
+Several paths share one step loop (sweep), whose state is one
+(N, P, n_dof) array, with the bits of a sweep of each path alone. The
+stock forcing reaches one mode (SpatialPair.excited_mode), and on the
 uniform grid of [0, 1] its recurrence has the same gain at every step, so
-a path's profile (uniform_profile) and energy (uniform_energy) come in
-closed form, with no step loop; the all-mode loop is their test oracle.
+the profiles of a block of paths (uniform_profile) and their energies
+(uniform_energy) come in closed form, with no step loop, and every CLI
+run takes them so; the all-mode loop and the pathwise solve on any grid
+are their test oracles.
 
 The module also evaluates the space-time norms attached to the pair:
 the trial energy norm, its weighted variant, and the weighted test
@@ -342,35 +344,44 @@ def _path_data(coeffs, omega: float) -> tuple:
     return a, c0
 
 
-def uniform_profile(coeffs, pair: SpatialPair, n_steps: int, omega: float) -> np.ndarray:
-    """The (N,) profile y of one parameter value on the uniform grid of
-    [0, 1], whose interval values are y_j v_1 (SpatialPair.excited_mode),
-    in the closed form of uniform_energy, with no step loop:
+def uniform_profile(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
+    """The (P, N) profiles y of P paths on the uniform grid of [0, 1], whose
+    interval values are y_j v_1 (SpatialPair.excited_mode), in the closed
+    form of uniform_energy, with no step loop:
     y_j = Re Q sin(j theta) + Im Q cos(j theta) + h g^j, with
     Re Q = 2 s v (x (1 - sigma) + sigma) / mod, Im Q = -s g sin(theta) / mod
-    and g^j = exp(j log|g|) with the sign of g. Raises PathwiseSolveError
-    as solve_pathwise does.
+    and g^j = exp(j log|g|) with the sign of g. a and c0 are as in sweep;
+    a path whose profile overflows gets inf or nan. Each path's profile has
+    the bits it has alone.
     """
-    a, c0 = _path_data(coeffs, omega)
     lam, beta, _ = pair.excited_mode
-    tw0, c, theta, sigma, x, u, v, mod = map(float, _uniform_terms(n_steps, a, lam))
+    c0 = np.asarray(c0, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tw0, c, theta, sigma, x, u, v, mod = _uniform_terms(
+            n_steps, np.asarray(a, dtype=float)[:, None], lam)
         y0, s, g = c0 * tw0 * beta * v, c0 * c * beta * v, (1.0 - x) * v
         im = -s * g * np.sin(theta) / mod
-        # formed in place: y and two more values per step
-        power = np.arange(n_steps, dtype=float)
-        angle = power * theta
-        power *= np.log1p(-2.0 * min(u, v))
+        # formed in place: y, one more value per path and step and the angles
+        angle = np.arange(n_steps, dtype=float)
+        power = angle * np.log1p(-2.0 * np.minimum(u, v))
         np.exp(power, out=power)
-        if g < 0:
-            power[1::2] *= -1.0
+        power[:, 1::2] *= np.where(g < 0, -1.0, 1.0)
         power *= y0 - im
-        y = np.sin(angle)
+        angle *= theta
+        y = np.sin(angle, out=np.empty_like(power))
         y *= 2.0 * s * v * (x * (1.0 - sigma) + sigma) / mod
         y += power
-        y += np.multiply(np.cos(angle, out=angle), im, out=angle)
-    y[0] = y0
+        y += np.multiply(np.cos(angle, out=angle), im, out=power)
+    y[:, 0] = y0[:, 0]
     y += 0.0  # +0 where c0 = 0, not a -0 of the trig values' signs
+    return y
+
+
+def path_profile(coeffs, pair: SpatialPair, n_steps: int, omega: float) -> np.ndarray:
+    """The (N,) uniform_profile of one parameter value; raises
+    PathwiseSolveError as solve_pathwise does."""
+    a, c0 = _path_data(coeffs, omega)
+    (y,) = uniform_profile(pair, n_steps, [a], [c0])
     if not np.isfinite(y).all():
         raise PathwiseSolveError("non-finite values in time step")
     return y

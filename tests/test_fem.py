@@ -534,6 +534,21 @@ def test_stock_forcing_excites_one_mode(dim, degree, factor, cells):
         assert np.max(np.abs(v - np.abs(column))) <= 2 * factor * eps * np.max(v), n_cells
 
 
+@pytest.mark.parametrize("dim,degree,n_cells", [(1, 1, 8), (1, 1, 128), (1, 2, 37),
+                                                (1, 2, 128), (2, 1, 6), (2, 1, 33)])
+def test_excited_energy_is_the_excited_mode_in_the_energy_norm(dim, degree, n_cells):
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
+    lam, _, v = pair.excited_mode
+    rho = pair.excited_energy
+    full = pair.stiffness_action(v) @ v
+    # the 1-D product bit for bit; in 2-D the factored form rounds otherwise
+    if dim == 1:
+        assert rho == full
+    assert rho == pytest.approx(full, rel=1e-14, abs=0.0)
+    # lam_1 only up to rounding (1.9e-13 for splines at 128 cells)
+    assert rho == pytest.approx(lam, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("dim,degree,n_cells,distinct", [
     (1, 1, 2, 1), (1, 1, 8, 4), (1, 1, 9, 4), (1, 2, 7, 4), (1, 2, 64, 32),
     (2, 1, 8, 10), (2, 1, 32, 136), (2, 1, 33, 136)])

@@ -590,8 +590,10 @@ def test_uniform_profile_is_the_step_loop(dim, n_cells, degree):
     for n_steps in (1, 2, 3, 4, 5, 7, 8, 16, 33, 64, 100, 256, 1024, 4096):
         disc = solver.Discretization(pair=pair, grid=solver.TimeGrid.uniform(1.0, n_steps))
         z, _ = solver.sweep(disc, _A, _C0)
-        for p, (a, c0) in enumerate(zip(_A, _C0)):
-            y = solver.uniform_profile(ConstantCoeffs(a, c0), pair, n_steps, 0.0)
+        profiles = solver.uniform_profile(pair, n_steps, _A, _C0)
+        for p, (a, c0, y) in enumerate(zip(_A, _C0, profiles)):
+            # each path's profile has the bits it has alone
+            assert y.tobytes() == solver.uniform_profile(pair, n_steps, [a], [c0]).tobytes()
             loop = sign * z[:, p, 0]
             # the loop's own error grows as N eps, as for uniform_energy
             tol = (1e-13 if n_steps <= 1024 else n_steps * _EPS) * np.max(np.abs(loop))
@@ -610,8 +612,8 @@ def test_uniform_profile_matches_a_long_double_recurrence(n_steps):
     a = 2.0 * n_steps * x / pair.eigenvalues[0]
     _, expected = _long_double_profile(pair, n_steps, a, np.ones_like(a))
     sign = np.sign(pair.from_modes(np.ones(1))[0])
-    for p in range(len(a)):
-        y = solver.uniform_profile(ConstantCoeffs(a[p], 1.0), pair, n_steps, 0.0)
+    profiles = solver.uniform_profile(pair, n_steps, a, np.ones_like(a))
+    for p, y in enumerate(profiles):
         want = sign * expected[:, p].astype(float)
         assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(want)), x[p]
 
@@ -628,9 +630,12 @@ def test_uniform_profile_raises_as_solve_pathwise(a, c0, message):
     lam, beta, v = pair.excited_mode
     huge = type("Pair", (), {"excited_mode": (lam, 1e10 * beta, v)})()
     with pytest.raises(solver.PathwiseSolveError) as exc:
-        solver.uniform_profile(ConstantCoeffs(a=a, c0=c0), huge, 40, 0.0)
+        solver.path_profile(ConstantCoeffs(a=a, c0=c0), huge, 40, 0.0)
     assert str(exc.value) == message
-    assert np.isfinite(solver.uniform_profile(ConstantCoeffs(1e-3, 1e300), pair, 40, 0.0)).all()
+    assert np.isfinite(solver.path_profile(ConstantCoeffs(1e-3, 1e300), pair, 40, 0.0)).all()
+    # a block of paths flags none: the overflowing one is not finite
+    y = solver.uniform_profile(huge, 40, [1.0, 1e-3], [1.0, 1e300])
+    assert np.isfinite(y[0]).all() and not np.isfinite(y[1]).all()
 
 
 def test_uniform_energy_shares_the_first_time_weight():

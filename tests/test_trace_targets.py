@@ -53,9 +53,10 @@ def test_per_grid_work_runs_once_per_grid(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "sweep", sweeping)
     metrics = _traced(spans, ["convergence", "--case", "lognormal", "--j-min", "2",
                               "--j-max", "3", "--n-quad-ladder", "4", "--out", out])
-    # one sweep per rung (2) of its 4 paths
-    assert paths == [4, 4]
-    assert metrics["solver.time_weights.calls"][0] == 2
+    # each level's profiles come in closed form: no sweep, and no time
+    # weights of its grid, which only the step loop reads
+    assert paths == []
+    assert metrics["solver.time_weights.calls"][0] == 0
     shapes = []
     infsup = consts.discrete_infsup
 

@@ -7,8 +7,9 @@ Subcommands reproduce the stock experiments at desk scale:
   convergence classification per moment order
 * ``convergence``  mean energy-norm error against the exact mode
   solution on the ladder h = 2^-j, k = 2^-2j
-* ``infsup``       computed inf-sup and continuity constants next to
-  the CFL constants and the closed-form bounds
+* ``infsup``       the weighted inf-sup and continuity constants, 1 by
+  the paper's identity, next to the CFL constants and the closed-form
+  bounds
 * ``solve``        one pathwise solve dumped as interval-indexed nodal
   values y_i v_d, a profile times the one excited mode
 
@@ -76,15 +77,8 @@ PROFILE_VALUES = 4
 # solver.uniform_energy (17.5 traced)
 MOMENT_VALUES = 18
 # bytes one block of a convergence level's paths holds at peak
-# (ERROR_VALUES per path and step), or one stack of an infsup grid's
-# nodes, unless one path or node alone needs more
+# (ERROR_VALUES per path and step), unless one path alone needs more
 _BLOCK_BYTES = 1 << 23
-# float64 values per mode and step each node of an infsup stack
-# (_stack_nodes) holds at peak beside its (n_dof, N, N) share of the one
-# work stack of discrete_infsup and the numpy buffer (np.getbufsize()
-# values) of the broadcast scalings: the bands of mode_blocks and the
-# pivots, gains and scalings of discrete_infsup
-NODE_BANDS = 10
 # bytes of the small objects a pathwise run holds beside the arrays it
 # counts: Python objects and numpy's bookkeeping (7 KB in a traced
 # one-dof solve of 20,000 steps)
@@ -106,13 +100,12 @@ WRITE_DOF = 11
 # _rule counts them with what the run holds per node before it builds one
 RULE_BYTES = 81
 # bytes a convergence or infsup run holds per parameter node: the rule,
-# the arrays of a, c0, valid indices and errors or constants (48.5
-# traced), and a block's copies of its values (24); in infsup also its
-# index into the distinct values of a and their values and constants (32),
-# and per grid one report row of 11 values, 7 new floats (300 traced)
+# the arrays of a, c0, valid indices and errors (48.5 traced), and a
+# block's copies of its values (24), or in infsup the rule, a, c0 and one
+# grid's lists of nodes and values of a (40 traced); and in infsup, per
+# grid, one report row of 11 values, 5 new floats (256 traced)
 NODE_BYTES = 80
-VALUE_BYTES = 32
-ROW_BYTES = 304
+ROW_BYTES = 264
 
 
 # where the kernel reports the memory available to new work
@@ -366,20 +359,8 @@ def _block_paths(n_steps: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * ERROR_VALUES * n_steps))
 
 
-def _node_values(n_steps: int, n_dof: int) -> int:
-    """float64 values one node of an infsup stack holds at peak: its share
-    of the work stack and NODE_BANDS per mode and step."""
-    return n_dof * n_steps ** 2 + NODE_BANDS * n_dof * n_steps
-
-
-def _stack_nodes(n_steps: int, n_dof: int) -> int:
-    """Parameter nodes of an infsup grid whose constants are computed in
-    one stack: as many as the block budget holds, at least one."""
-    return max(1, _BLOCK_BYTES // (8 * _node_values(n_steps, n_dof)))
-
-
 def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
-                    paths: int = 1, distinct: int = 1):
+                    paths: int = 1):
     """Mesh, spatial pair and uniform time grid of one configuration.
 
     A grid of no interval is refused first, as TimeGrid.uniform refuses
@@ -389,9 +370,8 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     at peak must fit in memory. Each count adds the spatial pair's 1-D
     matrices at their peak (fem.pair_values), which in 1-D are
     n_dof x n_dof, and its message names that share. Beside them it
-    counts, for infsup, one stack of its distinct values of a
-    (_stack_nodes, _node_values) and NODE_BYTES, VALUE_BYTES
-    and ROW_BYTES per node; for moments, the grid's nodes and
+    counts, for infsup, the grid while TimeGrid checks it (CHECK_BYTES)
+    and NODE_BYTES and ROW_BYTES per node; for moments, the grid's nodes and
     MOMENT_VALUES per path, or the grid while TimeGrid checks it
     (CHECK_BYTES); for solve, PROFILE_VALUES per step and the report's
     write, one block (_write_block, WRITE_TEXT) and WRITE_DOF values per
@@ -409,13 +389,10 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         raise ResourceCapError(f"{kind} size {size} exceeds cap {config.max_dofs}")
     pair = fem.pair_values(mesh)
     if space_time:
-        nodes = min(distinct, _stack_nodes(n_steps, mesh.n_dof))
-        stack = nodes * _node_values(n_steps, mesh.n_dof)
         grids = len(config.n_cells) * len(config.n_steps)
-        rows = paths * (NODE_BYTES + VALUE_BYTES + ROW_BYTES * grids)
-        _check_memory(8 * (pair + stack + np.getbufsize()) + rows,
-                      f"an infsup stack of {nodes} values of a in {mesh.n_dof} x {n_steps} x "
-                      f"{n_steps} blocks", 8 * pair)
+        rows = paths * (NODE_BYTES + ROW_BYTES * grids)
+        _check_memory(8 * pair + CHECK_BYTES * n_steps + rows + RUN_BYTES,
+                      f"an infsup report of {grids} x {paths} rows", 8 * pair)
     elif config.subcommand == "moments":
         # the grid while TimeGrid checks it, or its nodes and the rung's arrays
         rung = max(CHECK_BYTES * n_steps, 8 * (n_steps + MOMENT_VALUES * paths))
@@ -561,44 +538,35 @@ def run_convergence(config: ExperimentConfig):
 
 
 def run_infsup(config: ExperimentConfig):
-    """Stability-constant grid over (n_cells, n_steps, parameter node), the
-    constants taken once per distinct value of a for every node with it."""
+    """Stability-constant grid over (n_cells, n_steps, parameter node).
+
+    In the weighted norms each mode block of the discrete pair
+    (solver.mode_blocks) satisfies G_X = B G_Y^-1 B': the jump D and the
+    interval mean A give 2 (Ax).(Dx) = -x_0^2. So L_X^-1 B G_Y^(-1/2) is
+    orthogonal and every weighted inf-sup and continuity constant is
+    exactly 1, the paper's claim, which a valid node (finite a > 0)
+    reports with no SVD. The tests check the identity band by band and
+    against the SVD oracles (constants.discrete_infsup,
+    oracle.dense_infsup). A flagged node reports nan in every column that
+    needs a.
+    """
     model, domain = _setup(config.case)
-    n_quad = config.quad_ladder[0]
     grids = len(config.n_cells) * len(config.n_steps)
-    nodes, _ = _rule(model, domain, n_quad, NODE_BYTES + VALUE_BYTES + ROW_BYTES * grids)
+    nodes, _ = _rule(model, domain, config.quad_ladder[0], NODE_BYTES + ROW_BYTES * grids)
     diffusion, _ = model.evaluate(nodes)
-    (valid,) = np.nonzero(np.isfinite(diffusion) & (diffusion > 0))
-    # valid values are finite and > 0 (no nan, no -0), so equal floats have equal bits
-    values, which = np.unique(diffusion[valid], return_inverse=True)
     rows = []
     for n_cells in config.n_cells:
         for n_steps in config.n_steps:
-            disc = _discretization(config, n_cells, n_steps, len(nodes), len(values))
+            disc = _discretization(config, n_cells, n_steps, len(nodes))
             c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
-            # each distinct value's constants, then each node's, nan where it is flagged
-            low, high = np.full((2, len(nodes)), math.nan)
-            lows, highs = np.empty((2, len(values)))
-            size = _stack_nodes(n_steps, disc.n_dof)
-            for start in range(0, len(values), size):
-                stack = slice(start, start + size)
-                # a value's constants are the extremes over its mode blocks,
-                # one slice of the stack
-                mu = np.multiply.outer(values[stack], disc.pair.eigenvalues)
-                modes = consts.discrete_infsup(*solver.mode_blocks(disc.grid, mu.ravel()))
-                lows[stack] = modes[0].reshape(mu.shape).min(axis=1)
-                highs[stack] = modes[1].reshape(mu.shape).max(axis=1)
-            low[valid], high[valid] = lows[which], highs[which]
-            for i in range(len(nodes)):
-                omega, a, sigma_min, sigma_max = map(float, (nodes[i], diffusion[i], low[i],
-                                                             high[i]))
-                if math.isnan(sigma_min):
+            for omega, a in zip(nodes.tolist(), diffusion.tolist()):
+                if math.isfinite(a) and a > 0:
+                    rows.append((config.case, n_cells, n_steps, omega, a, 1.0, 1.0, c_s,
+                                 consts.weighted_cfl(a, c_s),
+                                 *consts.theoretical_constants(a, a)))
+                else:
                     rows.append((config.case, n_cells, n_steps, omega, a, math.nan,
                                  math.nan, c_s, math.nan, math.nan, math.nan))
-                    continue
-                rows.append((config.case, n_cells, n_steps, omega, a, sigma_min, sigma_max,
-                             c_s, consts.weighted_cfl(a, c_s),
-                             *consts.theoretical_constants(a, a)))
     return rows
 
 

@@ -1,17 +1,18 @@
-"""Numerical evaluation of the stability constants of the discretization.
+"""Stability constants of the discretization.
 
-Inf-sup and continuity constants are the extreme singular values of the
-bilinear-form matrix between inverse Cholesky factors of the trial and
-test Gram matrices. The CLI takes the extremes over one stack of N x N
-blocks, one per eigenmode and distinct diffusion value of the parameter
-rule, which solver.mode_blocks hands over as bands:
-a diagonal trial Gram, a tridiagonal test Gram and a bidiagonal bilinear
+In the weighted norms every mode block of the discrete pair satisfies
+G_X = B G_Y^-1 B', so its inf-sup and continuity constants are exactly
+1, and the CLI reports that identity with no SVD. discrete_infsup is
+the tests' oracle of it: the extreme singular values of the
+bilinear-form blocks between inverse Cholesky factors of the trial and
+test Gram matrices, which solver.mode_blocks hands over as bands: a
+diagonal trial Gram, a tridiagonal test Gram and a bidiagonal bilinear
 form. Their factors are a square root and a bidiagonal recurrence, no
-dense factorization or solve; the dense path for whole space-time
-systems is the tests' oracle, oracle.dense_infsup. The module also
-evaluates the CFL constant of the spatial pair, its diffusion-weighted
-variant, and the closed-form bounds the constants are checked against.
-It runs on numpy alone.
+dense factorization or solve, and the SVD runs once per block; the
+dense path for whole space-time systems is oracle.dense_infsup. The
+module also evaluates the CFL constant of the spatial pair, its
+diffusion-weighted variant, and the closed-form bounds the constants
+are checked against. It runs on numpy alone.
 """
 
 import math

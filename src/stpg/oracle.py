@@ -13,9 +13,11 @@ approximation through the Ritz projection of the mode
 which the convergence experiment calls, measures a block of paths whose
 solutions are profiles times the excited mode, with exact_error's
 expanded formula on that mode alone and no projection. It also holds the
-dense inf-sup constants of whole space-time systems (dense_infsup), the
-oracle of constants.discrete_infsup, and a two-grid estimate of the
-energy-norm stability of the L2 projection (projection_stability). It is
+dense inf-sup constants of whole space-time systems (dense_infsup), which
+with constants.discrete_infsup is the tests' SVD oracle of the weighted
+constants that infsup reports as the identity's exact 1, and a two-grid
+estimate of the energy-norm stability of the L2 projection
+(projection_stability). It is
 the one module of the package that names scipy; validate_mode_profile
 and projection_stability load it when called, and no CLI path calls them.
 """
@@ -166,15 +168,18 @@ def exact_error(mode: ModeSolution, disc: Discretization,
     proj_energy = float(cross_v @ pair.stiffness_solve(cross_v))
     int_t, int_t2 = _profile_integrals(mode.a, mode.lam, grid)
     phi_v2 = mode.mode_energy_sq
-    c0 = mode.c0
+    # float64 scalars square by pow, with the bits of Python floats, but a
+    # square past the float range is inf, not an OverflowError
+    c0 = np.float64(mode.c0)
 
-    err_sq = (c0 ** 2 * phi_v2 * float(np.sum(int_t2))
-              - 2.0 * c0 * float(int_t @ (values @ cross_v))
-              + trial_energy_norm(values, disc) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err_sq = (c0 ** 2 * phi_v2 * float(np.sum(int_t2))
+                  - 2.0 * c0 * float(int_t @ (values @ cross_v))
+                  + np.float64(trial_energy_norm(values, disc)) ** 2)
 
-    # best approximation: energy projection of the mode, interval means of T
-    best_sq = c0 ** 2 * float(
-        np.sum(int_t2 * phi_v2 - int_t ** 2 / grid.widths * proj_energy))
+        # best approximation: energy projection of the mode, interval means of T
+        best_sq = c0 ** 2 * float(
+            np.sum(int_t2 * phi_v2 - int_t ** 2 / grid.widths * proj_energy))
     return float(np.sqrt(max(err_sq, 0.0))), float(np.sqrt(max(best_sq, 0.0)))
 
 

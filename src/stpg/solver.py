@@ -425,6 +425,8 @@ def mode_blocks(grid: TimeGrid, mu) -> tuple:
     band storage, (P, 2, N) arrays whose [:, 0] holds the diagonal and
     [:, 1, :-1] the first subdiagonal ([:, 1, -1] is 0), and G_Y as its
     (P, N) diagonal. Every entry has the bits of the dense formula's.
+    They satisfy G_X = B G_Y^-1 B', which infsup reports as its exact 1;
+    the tests' SVD oracles (constants.discrete_infsup) read them.
     """
     mu = np.asarray(mu, dtype=float)[:, None]
     k = grid.widths

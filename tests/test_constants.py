@@ -336,6 +336,78 @@ def test_stacked_infsup_is_one_call_per_block(dim, n_cells, degree, grid, a):
             consts.discrete_infsup(*bad)
 
 
+def _random_grid(n_steps, seed):
+    """A time grid of n_steps widths drawn from [1e-3, 1.001), scaled to sum to 1."""
+    widths = np.random.default_rng(seed).random(n_steps) + 1e-3
+    nodes = np.append(0.0, np.cumsum(widths) / widths.sum())
+    nodes[-1] = 1.0
+    return solver.TimeGrid(nodes)
+
+
+_IDENTITY_GRIDS = {
+    "uniform": solver.TimeGrid.uniform(1.0, 32),
+    "graded": solver.TimeGrid(np.linspace(0.0, 1.0, 33) ** 2),
+    "random": _random_grid(64, 5),
+    "random-short": _random_grid(3, 6),
+    "one-step": solver.TimeGrid.uniform(1.0, 1),
+}
+# the band identity's gap, in eps: each band entry of B G_Y^-1 B' from
+# G_X's, relative to G_X's scale sqrt(g_ii g_jj) at that entry, was at
+# most 3.0 over 300 drawn grids of 1 to 128 steps (uniform, graded and
+# random) and mu from 1e-6 to 1e8
+_BAND_EPS = 4
+
+
+@pytest.mark.parametrize("grid", sorted(_IDENTITY_GRIDS))
+def test_mode_blocks_satisfy_the_band_identity(grid):
+    # G_X = B G_Y^-1 B' on every mode block: with the jump D and the
+    # interval mean A, 2 (Ax).(Dx) = -x_0^2, so L_X^-1 B G_Y^(-1/2) is
+    # orthogonal and every weighted constant is 1, as infsup reports it
+    mu = np.geomspace(1e-6, 1e8, 57)
+    bilinear, trial, test = solver.mode_blocks(_IDENTITY_GRIDS[grid], mu)
+    diag, sub = bilinear[:, 0], bilinear[:, 1, :-1]
+    # B is lower bidiagonal and G_Y diagonal, so B G_Y^-1 B' is tridiagonal
+    product_diag = diag ** 2 / trial
+    product_diag[:, 1:] += sub ** 2 / trial[:, :-1]
+    product_sub = sub * diag[:, :-1] / trial[:, :-1]
+    eps = np.finfo(float).eps
+    scale = test[:, 0]
+    assert np.all(np.abs(product_diag - test[:, 0]) <= _BAND_EPS * eps * scale)
+    scale = np.sqrt(test[:, 0, 1:] * test[:, 0, :-1])
+    assert np.all(np.abs(product_sub - test[:, 1, :-1]) <= _BAND_EPS * eps * scale)
+    # and the dense blocks agree: B G_Y^-1 B' has nothing off the bands
+    b, g_trial, g_test = _dense_blocks(bilinear, trial, test)
+    dense = b @ np.linalg.solve(g_trial, np.swapaxes(b, 1, 2))
+    scale = np.sqrt(np.einsum("pi,pj->pij", test[:, 0], test[:, 0]))
+    assert np.all(np.abs(dense - g_test) <= _BAND_EPS * eps * scale)
+
+
+# the SVD oracles' distance from 1, in eps, on the weighted mode blocks
+# and whole space-time systems of 1 to 8 steps and a from 1e-3 to 1e3:
+# at most 38 (discrete_infsup) and 1,513 (dense_infsup, at a = 1e-3,
+# whose dense Grams are the worst conditioned). It is their rounding;
+# the band identity above holds to 3
+_SVD_EPS = {"discrete": 64, "dense": 2048}
+
+
+@pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+def test_svd_oracles_give_one_within_their_rounding(dim, n_cells, degree, graded):
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
+    eps = np.finfo(float).eps
+    for n_steps in (1, 2, 8):
+        nodes = np.linspace(0.0, 1.0, n_steps + 1)
+        disc = solver.Discretization(pair=pair, grid=solver.TimeGrid(nodes ** 2 if graded
+                                                                     else nodes))
+        for a in np.geomspace(1e-3, 1e3, 7):
+            lows, highs = consts.discrete_infsup(
+                *solver.mode_blocks(disc.grid, a * pair.eigenvalues))
+            dense = oracle.dense_infsup(*(build(disc, a) for build in _DENSE.values()))
+            for sigmas, name in (((*lows, *highs), "discrete"), (dense, "dense")):
+                assert np.max(np.abs(np.subtract(sigmas, 1.0))) <= _SVD_EPS[name] * eps, \
+                    (name, n_steps, a)
+
+
 def _inv_sqrt(gram):
     """Symmetric inverse square root of an SPD matrix by np.linalg.eigh."""
     w, v = np.linalg.eigh(gram)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,21 @@ def test_exact_error_rejects_a_mode_of_another_dimension():
     sol = solver.solve_pathwise(ConstantCoeffs(), disc, 0.0)
     with pytest.raises(ValueError, match="eigenvalue"):
         oracle.exact_error(oracle.ModeSolution.for_dim(1.0, 1.0, 1), disc, sol)
+
+
+@pytest.mark.parametrize("c0", [1e160, 1e308, -1e308])
+def test_exact_error_of_a_huge_forcing_is_not_finite(c0):
+    # the interval values are finite (up to 6.7e307), but the squares of
+    # the error's terms pass the float range: both errors come out inf or
+    # nan, as block_errors' do, with no OverflowError and no warning
+    disc = make_disc(n_cells=4, n_steps=37)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solver.solve_pathwise(ConstantCoeffs(a=1e-3, c0=c0), disc, 0.0)
+    assert np.isfinite(sol).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors = oracle.exact_error(oracle.ModeSolution.for_dim(1e-3, c0, 1), disc, sol)
+    assert not np.isfinite(errors).any()
 
 
 # 26 regular paths over six decades of a, and mid-block a tiny a whose

@@ -6,27 +6,22 @@ conditions, their mass and stiffness Gram matrices, the V norm
 functionals to the subspace, and the per-interval Gauss rule shared by
 every quadrature in the package.
 
-The eigenpairs of (S, M) diagonalize M, S and M S^-1 M for the modal
-sweep and the inf-sup mode blocks. The space in dim d is the d-fold
-tensor product of the 1-D one, so a SpatialPair keeps the 1-D matrices
-and declares mass, stiffness and modal transform as sums of d-fold
-Kronecker products of them. kron_apply evaluates each as 1-D products,
-in memory O(n_dof) per vector plus O(n_dof_1d^2), with no n_dof x n_dof
-matrix outside the tests' dense oracles. Hat functions (degree 1) need
-numpy only: their eigenpairs have a closed form, the discrete sine
-transform. Quadratic splines (degree 2) need numpy only as well: de
-Boor's recurrence evaluates them, and two symmetric eigh calls give
-their eigenpairs.
+The eigenpairs of (S, M) diagonalize M, S and M S^-1 M. The space in
+dim d is the d-fold tensor product of the 1-D one, so a SpatialPair
+keeps the 1-D matrices and their eigenpairs, and the CLI reads from them
+the eigenvalues, the excited mode and its energy, with no n_dof x n_dof
+matrix. The dense mass, stiffness and modes are plain Kronecker products
+of the 1-D factors, formed on first use for the tests' oracles. Hat
+functions (degree 1) need numpy only: their eigenpairs have a closed
+form, the discrete sine transform. Quadratic splines (degree 2) need
+numpy only as well: de Boor's recurrence evaluates them, and two
+symmetric eigh calls give their eigenpairs.
 """
 
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-
-# values of a vector stack that kron_apply transforms at once with two factors
-TENSOR_BLOCK = 1 << 16
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -100,44 +95,6 @@ class Mesh:
         return np.concatenate(([0.0] * 3, interior, [1.0] * 3))
 
 
-def kron_apply(terms, x, left: bool = False) -> np.ndarray:
-    """x K on the last axis of x, or K x on its first axis if left, for K
-    the sum over terms of the Kronecker products of their 1-D factors.
-
-    One factor (dim 1) is one product. Two (dim 2) map each vector's
-    n x n array X to A' X B, TENSOR_BLOCK values of x at a time. A 3-D x
-    is a stack of (m, n_dof) arrays, each with the bits it has alone:
-    the rows of a BLAS product can change its last bits, so an array's
-    vectors are cut into the chunks they form alone, and a chunk holds
-    several arrays only where each is shorter than a chunk.
-    """
-    if len(terms[0]) == 1:
-        ((a,),) = terms
-        return a @ x if left else x @ a
-    if left:
-        # K x = (x' K')'
-        return kron_apply([tuple(f.T for f in term) for term in terms],
-                          np.asarray(x).T).T
-    n = len(terms[0][0])
-    x = np.asarray(x, dtype=float)
-    m = (x.shape[1] if x.ndim == 3 else x.size // (n * n)) or 1
-    stack = x.reshape(-1, m, n, n)
-    # the result owns its memory, so numpy may reuse it for a product
-    out = np.empty(x.shape)
-    rows = out.reshape(len(stack), m * n, n)
-    step = max(1, TENSOR_BLOCK // (n * n))
-    arrays = max(1, step // m)
-    (a, b), *more = terms
-    for first in range(0, len(stack), arrays):
-        for start in range(0, m, step):
-            block = stack[first:first + arrays, start:start + step]
-            part = rows[first:first + arrays, start * n:(start + block.shape[1]) * n]
-            np.matmul((a.T @ block).reshape(len(block), -1, n), b, out=part)
-            for c, d in more:
-                part += (c.T @ block).reshape(len(block), -1, n) @ d
-    return out
-
-
 def _eigh_values(n: int) -> int:
     """Values numpy.linalg.eigh holds in LAPACK's memory, outside numpy
     arrays, for an n x n matrix and its eigenvectors: its column-major
@@ -164,11 +121,6 @@ def pair_values(mesh: Mesh) -> int:
     return buffers + (4 * n * n if mesh.degree == 1 else 6 * n * n + _eigh_values(n))
 
 
-def _dense(terms) -> np.ndarray:
-    """The matrix sum of the Kronecker products of each term's factors."""
-    return functools.reduce(np.add, (functools.reduce(np.kron, term) for term in terms))
-
-
 @dataclass(eq=False)
 class SpatialPair:
     """Mass and stiffness of a mesh, kept as the 1-D pair they come from.
@@ -177,14 +129,14 @@ class SpatialPair:
     stiffness[i, j] = integral of grad(phi_i) . grad(phi_j)
 
     The basis in dim d is the d-fold tensor product of the 1-D one, so
-    each operator is a list of d-fold Kronecker products of the 1-D pair
+    each operator is a sum of d-fold Kronecker products of the 1-D pair
     (M, S) and its M-orthonormal eigenvectors V: the mass M (x) ... (x) M,
     the stiffness one term per axis with S there and M elsewhere, the
-    modal transform V' (x) ... (x) V', whose eigenvalues are sums of 1-D
-    ones (fast diagonalization; Lynch, Rice and Thomas 1964). kron_apply
-    applies them; the dense mass, stiffness and modes multiply them
-    out on first use, for tests and oracles only. Everything derived
-    from the mesh alone is computed once and cached read-only.
+    eigenvectors V (x) ... (x) V, whose eigenvalues are sums of 1-D ones
+    (fast diagonalization; Lynch, Rice and Thomas 1964). The dense mass,
+    stiffness and modes multiply them out on first use, for tests and
+    oracles only. Everything derived from the mesh alone is computed
+    once and cached.
     """
 
     mesh: Mesh
@@ -208,67 +160,35 @@ class SpatialPair:
             basis = _hat_modes(self.mesh.n_cells)
         return tuple(map(_frozen, basis))
 
-    @property
-    def _mass_terms(self) -> list:
-        return [(self.mass_1d,) * self.mesh.dim]
-
-    @property
-    def _stiffness_terms(self) -> list:
-        axes = range(self.mesh.dim)
-        return [tuple(self.stiffness_1d if axis == k else self.mass_1d for axis in axes)
-                for k in axes]
-
-    @property
-    def _modal_terms(self) -> list:
-        """vecs' = V' (x) ... (x) V', the map from nodal to modal coefficients."""
-        return [(self._basis[1].T,) * self.mesh.dim]
-
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of (S, M) in the order of the modes, sums of the 1-D ones."""
         lam = (self._basis[0],) * self.mesh.dim
         return _frozen(functools.reduce(np.add.outer, lam).ravel())
 
-    def to_modes(self, x) -> np.ndarray:
-        """Modal coefficients vecs' x of x, shaped (n_dof,) or (n_dof, m)."""
-        return kron_apply(self._modal_terms, x, left=True)
-
-    def from_modes(self, z) -> np.ndarray:
-        """Nodal values z vecs' of modal coefficients z, shaped (..., n_dof)."""
-        return kron_apply(self._modal_terms, z)
-
-    def mass_action(self, x) -> np.ndarray:
-        """x M on the last axis of x (M is symmetric: M x for a vector)."""
-        return kron_apply(self._mass_terms, x)
-
-    def stiffness_action(self, x) -> np.ndarray:
-        """x S on the last axis of x (S is symmetric: S x for a vector)."""
-        return kron_apply(self._stiffness_terms, x)
-
-    def stiffness_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve S x = rhs through the modes, x = vecs diag(1 / lam) vecs' rhs,
-        for rhs shaped (n_dof,) or (n_dof, m)."""
-        return self.from_modes(self.to_modes(rhs).T / self.eigenvalues).T
-
     @functools.cached_property
     def modes(self) -> tuple:
         """Dense M-orthonormal eigenpairs (lam, vecs) of the pair, cached read-only.
 
-        S vecs = M vecs diag(lam) and vecs' M vecs = I. vecs is
-        V (x) ... (x) V, multiplied out on first use for tests and
-        oracles; the solver applies it through to_modes and from_modes.
+        S vecs = M vecs diag(lam) and vecs' M vecs = I, with vecs the
+        Kronecker product V (x) ... (x) V, formed on first use for tests.
         """
-        return self.eigenvalues, _frozen(_dense(self._modal_terms).T)
+        vecs = functools.reduce(np.kron, (self._basis[1],) * self.mesh.dim)
+        return self.eigenvalues, _frozen(vecs)
 
     @functools.cached_property
     def mass(self) -> np.ndarray:
-        """Dense mass matrix, formed on first use for tests and oracles."""
-        return _dense(self._mass_terms)
+        """Dense mass matrix M (x) ... (x) M, formed on first use for tests."""
+        return functools.reduce(np.kron, (self.mass_1d,) * self.mesh.dim)
 
     @functools.cached_property
     def stiffness(self) -> np.ndarray:
-        """Dense stiffness matrix, formed on first use for tests and oracles."""
-        return _dense(self._stiffness_terms)
+        """Dense stiffness matrix, one Kronecker product per axis with S there
+        and M elsewhere, formed on first use for tests."""
+        axes = range(self.mesh.dim)
+        terms = ([self.stiffness_1d if axis == k else self.mass_1d for axis in axes]
+                 for k in axes)
+        return sum(functools.reduce(np.kron, term) for term in terms)
 
     @functools.cached_property
     def mode_vector(self) -> np.ndarray:
@@ -308,7 +228,7 @@ class SpatialPair:
     def excited_energy(self) -> float:
         """rho = v_1' S v_1, the squared energy norm of the excited mode,
         computed once from its 1-D factor u as d (u' S u) (u' M u)^(d - 1)
-        in dim d: in 1-D the bits of stiffness_action(v_1) @ v_1, with no
+        in dim d: in 1-D the bits of v_1 @ stiffness @ v_1, with no
         n_dof-sized product. It equals lam_1 in exact arithmetic only.
         """
         u, dim = self._excited_factor, self.mesh.dim
@@ -437,8 +357,8 @@ def assemble(mesh: Mesh) -> SpatialPair:
     Element integrals are exact: closed form for hat functions, 3-point
     Gauss per cell for the quartic quadratic-spline integrands. The pair
     keeps these 1-D factors of its Kronecker products (M2 = M (x) M and
-    S2 = S (x) M + M (x) S in dim 2) and never forms the n_dof x n_dof
-    products unless a test asks for them.
+    S2 = S (x) M + M (x) S in dim 2) and forms the n_dof x n_dof
+    products only when a test asks for them.
     """
     if mesh.degree == 1:
         mass1, stiff1 = _assemble_1d_linear(mesh.n_cells)
@@ -450,7 +370,7 @@ def assemble(mesh: Mesh) -> SpatialPair:
 def v_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
     """Energy (H^1_0 seminorm) of the function with the given coefficients."""
     v = np.asarray(coeffs, dtype=float)
-    return float(np.sqrt(pair.stiffness_action(v) @ v))
+    return float(np.sqrt(v @ pair.stiffness @ v))
 
 
 def dual_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
@@ -462,8 +382,8 @@ def dual_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
     v = np.asarray(coeffs, dtype=float)
     if v.shape != (pair.n_dof,):
         raise ValueError(f"expected {pair.n_dof} coefficients, got {v.shape}")
-    mv = pair.mass_action(v)
-    return float(np.sqrt(mv @ pair.stiffness_solve(mv)))
+    mv = v @ pair.mass
+    return float(np.sqrt(mv @ np.linalg.solve(pair.stiffness, mv)))
 
 
 def _hat_mode_vector(n_cells: int) -> np.ndarray:

@@ -8,8 +8,8 @@ form of T, a validation gate against an independent high-order time
 integrator, exact space-time error norms against discrete solutions,
 and a refined-in-time surrogate for the spatially semidiscrete
 solution. exact_error measures one path's solution, and its best
-approximation through the Ritz projection of the mode
-(SpatialPair.stiffness_solve), and is the tests' oracle; block_errors,
+approximation through the Ritz projection of the mode (a dense solve
+with S), and is the tests' oracle; block_errors,
 which the convergence experiment calls, measures a block of paths whose
 solutions are profiles times the excited mode, with exact_error's
 expanded formula on that mode alone and no projection. It also holds the
@@ -153,8 +153,9 @@ def exact_error(mode: ModeSolution, disc: Discretization,
     points and trig values are computed once per grid
     (TimeGrid.profile_quadrature). Each call forms the energy pairings of
     the mode with the basis, c = mode_eigenvalue * mode_vector, and the
-    squared energy norm c' S^-1 c of its Ritz projection; a path adds its
-    profile, its solution's pairing with the mode and its energy norm.
+    squared energy norm c' S^-1 c of its Ritz projection by a dense solve
+    with S; a path adds its profile, its solution's pairing with the mode
+    and its energy norm.
     """
     pair = disc.pair
     grid = disc.grid
@@ -165,7 +166,7 @@ def exact_error(mode: ModeSolution, disc: Discretization,
         raise ValueError("mode eigenvalue is not the pair's")
 
     cross_v = pair.mode_eigenvalue * pair.mode_vector
-    proj_energy = float(cross_v @ pair.stiffness_solve(cross_v))
+    proj_energy = float(cross_v @ np.linalg.solve(pair.stiffness, cross_v))
     int_t, int_t2 = _profile_integrals(mode.a, mode.lam, grid)
     phi_v2 = mode.mode_energy_sq
     # float64 scalars square by pow, with the bits of Python floats, but a

@@ -5,17 +5,16 @@ spatial space; test functions are continuous and piecewise linear in
 time, vanish at the final time, and share the spatial space. For the
 operator a * (-Laplacian) the resulting square system is block lower
 bidiagonal and the forward solve is a modified Crank-Nicolson sweep.
-The operator is a scalar times the fixed stiffness S, so the sweep runs
-in the M-orthonormal eigenbasis of (S, M), computed once per mesh: every
-step is n_dof scalar recurrences, with no factorization per path or step.
-Several paths share one step loop (sweep), whose state is one
-(N, P, n_dof) array, with the bits of a sweep of each path alone. The
-stock forcing reaches one mode (SpatialPair.excited_mode), and on the
-uniform grid of [0, 1] its recurrence has the same gain at every step, so
-the profiles of a block of paths (uniform_profile) and their energies
-(uniform_energy) come in closed form, with no step loop, and every CLI
-run takes them so; the all-mode loop and the pathwise solve on any grid
-are their test oracles.
+The operator is a scalar times the fixed stiffness S, so in the
+M-orthonormal eigenbasis of (S, M) every step is n_dof scalar
+recurrences. The stock forcing reaches one mode
+(SpatialPair.excited_mode), and on the uniform grid of [0, 1] its
+recurrence has the same gain at every step, so the profiles of a block
+of paths (uniform_profile) and their energies (uniform_energy) come in
+closed form, with no step loop, and every CLI run takes them so. Their
+test oracle is the pathwise solve on any grid (solve_pathwise): a block
+forward substitution on the dense M and S, one path at a time, which
+needs no eigenbasis.
 
 The module also evaluates the space-time norms attached to the pair:
 the trial energy norm, its weighted variant, and the weighted test
@@ -42,10 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import SpatialPair, _frozen, interval_gauss
-
-# time steps whose step factors sweep forms at once
-SWEEP_WINDOW = 32
-
 
 class PathwiseSolveError(RuntimeError):
     """A single-parameter solve failed for a controlled reason.
@@ -216,65 +211,6 @@ def assemble_load(coeffs, disc: Discretization, omega: float) -> np.ndarray:
     return np.kron(disc.grid.weights, c0 * disc.pair.mode_vector)
 
 
-def sweep(disc: Discretization, a, c0) -> tuple:
-    """Modal coefficients of P paths, advanced together in one step loop.
-
-    a and c0 hold the P diffusion values and forcing amplitudes; every a
-    must be finite and positive and every c0 finite. Returns (z, finite):
-    z of shape (N, P, n_dof) holds path p's coefficients in the
-    eigenbasis of (S, M), so its interval values are
-    disc.pair.from_modes(z[:, p]), and finite flags the paths whose every step stayed finite.
-
-    Step equations with A = a S and k_j = t_j - t_{j-1}:
-
-        (M + (k_1/2) A) U_1     = F_0
-        (M + (k_{j+1}/2) A) U_{j+1} = (M - (k_j/2) A) U_j + F_j
-
-    With U_j = vecs z_j they decouple into one scalar recurrence per
-    eigenvalue lam, on any time grid:
-
-        z_{j+1} = (1 - a lam k_j/2) / (1 + a lam k_{j+1}/2) z_j
-                  + c0 tw_j beta / (1 + a lam k_{j+1}/2)
-
-    with the time weights tw, beta = vecs' b and z_1 = c0 tw_0 beta / (1 + a lam k_1/2).
-    The step factors are formed for at most SWEEP_WINDOW steps at a time:
-    besides z the sweep holds two (min(N, SWEEP_WINDOW) + 1, P, n_dof)
-    arrays of them.
-    Each path's coefficients are those of a sweep of that path alone,
-    bit for bit.
-    """
-    half_a = 0.5 * np.asarray(a, dtype=float)
-    c0 = np.asarray(c0, dtype=float)
-    tw = disc.grid.weights
-    pair = disc.pair
-    lam = pair.eigenvalues
-    beta = pair.to_modes(pair.mode_vector)
-    k = disc.grid.widths
-    z = np.empty((len(k), len(c0), len(lam)))
-    finite = np.ones(len(c0), dtype=bool)
-    # half = a lam k / 2 and den = 1 + half of the window's steps, and of
-    # the step before it, whose half the gain of the first row needs
-    factors = np.empty((2, min(len(k), SWEEP_WINDOW) + 1, *z.shape[1:]))
-    # z[j] starts as the scaled right-hand side of step j; the loop adds
-    # the propagated previous value. Overflow is caught by finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(k), SWEEP_WINDOW):
-            stop = min(start + SWEEP_WINDOW, len(k))
-            first = max(start - 1, 0)
-            half, den = factors[:, :stop - first]
-            rows = z[start:stop]
-            np.multiply((tw[start:stop, None] * c0)[:, :, None], beta, out=rows)
-            np.multiply((k[first:stop, None] * half_a)[:, :, None], lam, out=half)
-            np.add(1.0, half, out=den)
-            rows /= den[start - first:]
-            gain = np.divide(np.subtract(1.0, half[:-1], out=half[:-1]), den[1:],
-                             out=half[:-1])
-            for row, prev, g in zip(z[first + 1:stop], z[first:stop - 1], gain):
-                row += g * prev
-            finite &= np.isfinite(rows).all(axis=(0, 2))
-    return z, finite
-
-
 def _uniform_terms(n_steps: int, a, lam: float) -> tuple:
     """(tw0, c, theta, sigma, x, u, v, mod) of uniform_energy for the
     diffusion values a and the eigenvalue lam. An x that underflows (a
@@ -296,13 +232,14 @@ def uniform_energy(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
 
     The value k sum_j lam_1 y_j^2 of each path's profile y on the pair's
     excited mode, the only one its forcing reaches, in closed form: no
-    step loop and nothing of size N. a and c0 are as in sweep; a path
+    step loop and nothing of size N. a and c0 hold the P diffusion values,
+    each finite and positive, and the P finite forcing amplitudes; a path
     whose sum overflows gets inf or nan.
 
     With k = 1 / N and theta = pi k the time weights are tw_0 and
     tw_j = C sin(j theta) for j >= 1, C = 4 sin^2(theta / 2) / (pi^2 k).
     With x = a lam_1 k / 2 and g = (1 - x) / (1 + x) at every step, the
-    sweep's recurrence y_j = g y_{j-1} + s sin(j theta),
+    step recurrence on the mode, y_j = g y_{j-1} + s sin(j theta),
     s = c0 C beta_1 / (1 + x), has the exact solution
 
         y_j = Im(Q e^{ij theta}) + h g^j,  Q = s / (1 - g e^{-i theta}),
@@ -350,9 +287,9 @@ def uniform_profile(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
     form of uniform_energy, with no step loop:
     y_j = Re Q sin(j theta) + Im Q cos(j theta) + h g^j, with
     Re Q = 2 s v (x (1 - sigma) + sigma) / mod, Im Q = -s g sin(theta) / mod
-    and g^j = exp(j log|g|) with the sign of g. a and c0 are as in sweep;
-    a path whose profile overflows gets inf or nan. Each path's profile has
-    the bits it has alone.
+    and g^j = exp(j log|g|) with the sign of g. a and c0 are as in
+    uniform_energy; a path whose profile overflows gets inf or nan. Each
+    path's profile has the bits it has alone.
     """
     lam, beta, _ = pair.excited_mode
     c0 = np.asarray(c0, dtype=float)[:, None]
@@ -390,15 +327,43 @@ def path_profile(coeffs, pair: SpatialPair, n_steps: int, omega: float) -> np.nd
 def solve_pathwise(coeffs, disc: Discretization, omega: float) -> np.ndarray:
     """Solve the space-time system of one parameter value by forward substitution.
 
-    Returns the (N, n_dof) interval values U_1..U_N: the one-path sweep
-    over every mode, transformed back from the eigenbasis; the oracle of
-    uniform_profile.
+    Returns the (N, n_dof) interval values U_1..U_N of the block lower
+    bidiagonal system of assemble_full_system, with A = a S and
+    k_j = t_j - t_{j-1}:
+
+        (M + (k_1/2) A) U_1         = F_0
+        (M + (k_{j+1}/2) A) U_{j+1} = (M - (k_j/2) A) U_j + F_j
+
+    with F_j = c0 tw_j b, on the dense M and S and no eigenbasis: the
+    oracle of uniform_profile and uniform_energy. Each distinct width has
+    its two step matrices and the inverse of the implicit one formed
+    once; each step applies the inverse and one residual refinement.
     """
     a, c0 = _path_data(coeffs, omega)
-    z, finite = sweep(disc, [a], [c0])
-    if not finite[0]:
+    pair, grid = disc.pair, disc.grid
+    widths, index = np.unique(grid.widths, return_inverse=True)
+    steps = []
+    for k in widths:
+        scaled = (0.5 * a * k) * pair.stiffness
+        implicit = pair.mass + scaled
+        steps.append((implicit, np.linalg.inv(implicit), pair.mass - scaled))
+    loads = np.multiply.outer(grid.weights, c0 * pair.mode_vector)
+    rows = []
+    u = np.zeros(disc.n_dof)
+    explicit = steps[index[0]][2]  # meets the zero initial value
+    # overflow is caught by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for load, i in zip(loads, index):
+            implicit, inverse, next_explicit = steps[i]
+            rhs = load + explicit @ u
+            u = inverse @ rhs
+            u += inverse @ (rhs - implicit @ u)
+            rows.append(u)
+            explicit = next_explicit
+    values = np.array(rows)
+    if not np.isfinite(values).all():
         raise PathwiseSolveError("non-finite values in time step")
-    return disc.pair.from_modes(z[:, 0])
+    return values
 
 
 def _temporal_factors(grid: TimeGrid) -> tuple:
@@ -502,7 +467,7 @@ def build_grams(disc: Discretization, a: float, kind: str) -> np.ndarray:
     energy = mean.T @ (ak * mean)
     if kind != "X_omega_hk":
         energy += jump.T @ (ak / 12.0 * jump)
-    dual = pair.mass @ pair.stiffness_solve(pair.mass)
+    dual = pair.mass @ np.linalg.solve(pair.stiffness, pair.mass)
     gram = np.kron(jump.T @ (jump / ak), dual) + np.kron(energy, pair.stiffness)
     gram[:disc.n_dof, :disc.n_dof] += pair.mass
     return gram
@@ -516,7 +481,7 @@ def trial_energy_norm(solution: np.ndarray, disc: Discretization) -> float:
     """
     values = np.asarray(solution, dtype=float)
     total = float(np.sum(disc.grid.widths
-                         * np.sum(disc.pair.stiffness_action(values) * values, axis=1)))
+                         * np.sum((values @ disc.pair.stiffness) * values, axis=1)))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -530,7 +495,7 @@ def forcing_dual_norm_sq(coeffs, disc: Discretization, omega: float) -> float:
     t, w = interval_gauss(disc.grid.nodes, 4)
     time_part = float(np.sum(w * np.sin(np.pi * t) ** 2))
     b = disc.pair.mode_vector
-    return float(c0 ** 2 * time_part * (b @ disc.pair.stiffness_solve(b)))
+    return float(c0 ** 2 * time_part * (b @ np.linalg.solve(disc.pair.stiffness, b)))
 
 
 def evaluate_norm(solution, gram: np.ndarray) -> float:
@@ -553,7 +518,7 @@ def best_approximation(mode, disc: Discretization) -> np.ndarray:
     grid = disc.grid
     # (phi_mode, v)_V = lam * (phi_mode, v)_H for the eigenmode
     cross_v = mode.lam * pair.mode_vector
-    spatial = pair.stiffness_solve(cross_v)
+    spatial = np.linalg.solve(pair.stiffness, cross_v)
     t, w = interval_gauss(grid.nodes, 5)
     means = np.sum(w * mode.time_profile(t), axis=1) / grid.widths
     return mode.c0 * means[:, None] * spatial[None, :]

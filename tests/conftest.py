@@ -26,6 +26,15 @@ class ConstantCoeffs:
         return self._c0
 
 
+def forbid_dense_solves(monkeypatch, forbidden):
+    """Make the dense pathwise oracle and numpy's dense solve and inverse
+    call forbidden: a run that goes through shows that it factors no dense
+    matrix."""
+    monkeypatch.setattr(solver, "solve_pathwise", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+
+
 def make_disc(dim=1, n_cells=8, degree=1, n_steps=8, final_time=1.0):
     mesh = fem.build_mesh(dim, n_cells, degree)
     pair = fem.assemble(mesh)
@@ -37,21 +46,3 @@ def make_disc(dim=1, n_cells=8, degree=1, n_steps=8, final_time=1.0):
 def rng():
     return np.random.default_rng(20240817)
 
-
-def reference_sweep(disc, a, c0):
-    """Modal coefficients of one path from the recurrence on whole (N, n_dof)
-    arrays: every step factor formed up front, then one step loop.
-
-    solver.sweep must return these bit for bit for each of its paths. The
-    modal load comes from the pair's transform, which tests/test_fem.py
-    checks against the dense eigenbasis.
-    """
-    pair = disc.pair
-    half = 0.5 * a * disc.grid.widths[:, None] * pair.eigenvalues
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.outer(c0 * disc.grid.weights, pair.to_modes(pair.mode_vector))
-        z /= 1.0 + half
-        gain = (1.0 - half[:-1]) / (1.0 + half[1:])
-        for row, prev, g in zip(z[1:], z, gain):
-            row += g * prev
-    return z

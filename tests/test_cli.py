@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_sweep
+from conftest import ConstantCoeffs, forbid_dense_solves
 from stpg import cli, fem, oracle, solver, stochastic
 from stpg import constants as consts
 
@@ -825,13 +825,13 @@ def test_infsup_takes_each_distinct_value_of_a_once(monkeypatch, n_quad, values,
     ["solve", "--cells", "4", "--steps", "4"],
 ], ids=" ".join)
 def test_no_cli_run_calls_the_per_path_oracle(tmp_path, capsys, monkeypatch, argv):
-    # nor the stiffness solve of the oracle's Ritz projection energy
+    # nor the dense forward solve, nor any dense solve or inverse
     def per_path(*args, **kwargs):
         raise AssertionError("a CLI run called the per-path error oracle")
 
     monkeypatch.setattr(oracle, "exact_error", per_path)
     monkeypatch.setattr(oracle, "ModeSolution", per_path)
-    monkeypatch.setattr(fem.SpatialPair, "stiffness_solve", per_path)
+    forbid_dense_solves(monkeypatch, per_path)
     out = tmp_path / "x.csv"
     assert _main([*argv, "--out", str(out)], capsys) == (cli.EXIT_OK, [])
     assert out.exists()
@@ -1124,13 +1124,15 @@ def _special_solution(steps=12, dofs=101, distinct=None):
 
 def _solve_case(dim, degree, cells, steps, grid):
     """(times, y, v) of a constant-case solve on a uniform or graded grid:
-    the all-mode sweep's coefficients of the excited mode and its vector."""
+    the M-projection on the excited mode v_1 of the dense solve's interval
+    values, and v_1."""
     mesh = fem.build_mesh(dim, cells, degree)
     nodes = np.linspace(0.0, 1.0, steps + 1)
     disc = solver.Discretization(pair=fem.assemble(mesh), grid=solver.TimeGrid(
         nodes ** 2 if grid == "graded" else nodes))
-    z, _ = solver.sweep(disc, [1.0], [1.0])
-    return disc.grid.nodes[1:], z[:, 0, 0], disc.pair.excited_mode[2]
+    v = disc.pair.excited_mode[2]
+    values = solver.solve_pathwise(ConstantCoeffs(), disc, 0.0)
+    return disc.grid.nodes[1:], values @ (disc.pair.mass @ v), v
 
 
 @pytest.mark.parametrize("case", [
@@ -1255,10 +1257,11 @@ def test_memory_error_while_writing_exits_with_one_line(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == [out]
 
 
-# the rank-one rows against the all-mode sweep, their oracle: the other
-# modes' loads are rounding errors of the excited mode's, and the closed
-# form rounds otherwise than the step loop (8.3e-16 on the dense-2d solve,
-# 3.4e-14 for splines at 64 cells); relative to the largest value
+# the rank-one rows against the dense forward solve, their oracle: the
+# other modes' loads are rounding errors of the excited mode's, and the
+# closed form rounds otherwise than the step loop (at most 8.5e-16 at the
+# tests' sizes; 2.2e-15 on the dense-2d solve and 1.6e-13 for splines at
+# 64 cells, where S is worse conditioned); relative to the largest value
 SOLVE_RTOL = 1e-14
 
 
@@ -1280,11 +1283,9 @@ def test_solve_rows_match_the_double_loop():
 
 def test_run_solve_runs_no_sweep_and_no_modal_transform(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("solve ran the step loop or the modal transform")
+        raise AssertionError("solve ran the dense step loop or a dense solve")
 
-    monkeypatch.setattr(solver, "sweep", forbidden)
-    monkeypatch.setattr(fem.SpatialPair, "from_modes", forbidden)
-    monkeypatch.setattr(fem.SpatialPair, "to_modes", forbidden)
+    forbid_dense_solves(monkeypatch, forbidden)
     for dim, degree in [(1, 1), (1, 2), (2, 1)]:
         config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=dim,
                                       degree=degree, n_cells=(6,), n_steps=(9,))
@@ -1309,8 +1310,7 @@ def test_solve_rows_are_the_whole_array_recurrence(argv):
         ["solve", *argv, "--out", "unused.csv"]))
     model, _ = cli._setup(config.case)
     disc = cli._discretization(config, config.n_cells[0], config.n_steps[0])
-    z = reference_sweep(disc, model.a(config.omega), model.c0(config.omega))
-    values = disc.pair.from_modes(z)
+    values = solver.solve_pathwise(model, disc, config.omega)
     rows = list(cli.run_solve(config))
     assert [row[:3] for row in rows] == [(i + 1, t, dof) for i, t in
                                          enumerate(disc.grid.nodes[1:].tolist())
@@ -1318,7 +1318,7 @@ def test_solve_rows_are_the_whole_array_recurrence(argv):
     got = np.reshape([row[3] for row in rows], values.shape)
     assert np.max(np.abs(got - values)) <= SOLVE_RTOL * np.max(np.abs(values))
     if config.case == "zero":
-        # +0, as the sweep prints it, not a -0 of the profile's trig signs
+        # +0, not a -0 of the profile's trig signs
         assert {text for *_, text in _csv_rows(rows)} == {"0"}
 
 
@@ -1342,10 +1342,11 @@ def _node_model():
                                        c0_fn=lambda w: _NODES[int(w)][1])
 
 
-# the gaps of the one-mode errors from the per-path oracle: the expanded
-# formula's rounding, which its cancellation amplifies as the mesh is
-# refined; on the tests' grids (j <= 4) at most 1.0e-13 at degree 1 and
-# 3.6e-11 at degree 2 (at j = 5, 1.0e-12 and 2.0e-9)
+# the gaps of the one-mode errors from the per-path oracle on the dense
+# solve's values: the expanded formula's rounding, which its cancellation
+# amplifies as the mesh is refined; on the tests' lognormal grids (j <= 4)
+# at most 1.0e-13 at degree 1 and 9.1e-12 at degree 2 (at j = 5, 9.1e-13
+# and 7.4e-10)
 _ERROR_RTOL = {1: 1e-12, 2: 1e-10}
 
 
@@ -1387,10 +1388,10 @@ def test_rung_values_match_the_per_path_solves(monkeypatch, dim, degree, block_b
 
 @pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
 def test_moments_runs_no_step_loop(tmp_path, capsys, monkeypatch, dim, degree):
-    def step_loop(*args):
-        raise AssertionError("moments ran the step loop")
+    def step_loop(*args, **kwargs):
+        raise AssertionError("moments ran the step loop or a dense solve")
 
-    monkeypatch.setattr(solver, "sweep", step_loop)
+    forbid_dense_solves(monkeypatch, step_loop)
     config = cli.ExperimentConfig(subcommand="moments", case="b", dim=dim, degree=degree,
                                   n_cells=(5,), n_steps=(64,), quad_ladder=(4, 8, 16, 32))
     rows, _, _ = cli.run_moments(config)
@@ -1404,13 +1405,12 @@ def test_moments_runs_no_step_loop(tmp_path, capsys, monkeypatch, dim, degree):
 @pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
 def test_convergence_runs_no_step_loop(tmp_path, capsys, monkeypatch, dim, degree):
     # each level's profiles come in closed form and its errors on the
-    # excited mode alone: no step loop, no modal transform, no S product
+    # excited mode alone: no step loop, no dense solve, no dense S
     def all_modes(*args, **kwargs):
         raise AssertionError("convergence ran all-mode work")
 
-    monkeypatch.setattr(solver, "sweep", all_modes)
-    monkeypatch.setattr(fem.SpatialPair, "from_modes", all_modes)
-    monkeypatch.setattr(fem.SpatialPair, "stiffness_action", all_modes)
+    forbid_dense_solves(monkeypatch, all_modes)
+    monkeypatch.setattr(fem.SpatialPair, "stiffness", property(all_modes))
     out = tmp_path / "x.csv"
     assert _main(["convergence", "--dim", str(dim), "--degree", str(degree), "--j-max", "4",
                   "--n-quad-ladder", "4", "--out", str(out)], capsys) == (cli.EXIT_OK, [])

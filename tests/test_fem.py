@@ -1,3 +1,4 @@
+import functools
 import subprocess
 import sys
 import tracemalloc
@@ -367,11 +368,12 @@ def test_modes_are_m_orthonormal_eigenpairs(dim, n_cells, degree):
     scale = np.max(np.abs(pair.stiffness))
     assert np.allclose(pair.stiffness @ vecs, pair.mass @ vecs * lam, atol=1e-11 * scale)
     assert pair.modes is pair.modes
-    # the modes also solve with S, for vector and matrix right-hand sides
+    # the modes also solve with S, vecs diag(1 / lam) vecs' rhs, for vector
+    # and matrix right-hand sides
     for rhs in (pair.mode_vector, pair.mass):
         ref = np.linalg.solve(pair.stiffness, rhs)
-        assert np.allclose(pair.stiffness_solve(rhs), ref, rtol=0,
-                           atol=1e-12 * np.max(np.abs(ref)))
+        modal = vecs @ ((vecs.T @ rhs).T / lam).T
+        assert np.allclose(modal, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("dim,n_cells", [(1, 2), (1, 9), (1, 32), (1, 64),
@@ -428,35 +430,8 @@ def test_factored_2d_operators_match_the_dense_kron_forms(dim, degree, n_cells, 
         vecs = np.kron(vecs1, vecs1)
     assert _close(pair.eigenvalues, lam)
     assert _close(np.sort(pair.eigenvalues), eigh(stiff, mass, eigvals_only=True))
-    n = pair.n_dof
-    x = rng.standard_normal(n)
-    columns = rng.standard_normal((n, 3))
-    # a (steps, paths, n_dof) state and one strided path of it
-    z = rng.standard_normal((7, 3, n))
-    assert _close(pair.to_modes(x), vecs.T @ x)
-    assert _close(pair.to_modes(columns), vecs.T @ columns)
-    assert _close(pair.from_modes(z), z @ vecs.T)
-    assert _close(pair.from_modes(z[:, 1]), z[:, 1] @ vecs.T)
-    assert _close(pair.mass_action(x), mass @ x)
-    assert _close(pair.mass_action(z), z @ mass)
-    assert _close(pair.stiffness_action(x), stiff @ x)
-    assert _close(pair.stiffness_action(z[:, 2]), z[:, 2] @ stiff)
-    if dim == 1:
-        # one product each, bit for bit the expressions of the 1-D CLI
-        # paths: the convergence oracle's cancellation shows any change
-        for got, want in ((pair.to_modes(x), vecs.T @ x),
-                          (pair.to_modes(columns), vecs.T @ columns),
-                          (pair.from_modes(z), z @ vecs.T),
-                          (pair.from_modes(z[:, 1]), z[:, 1] @ vecs.T),
-                          (pair.mass_action(x), x @ mass),
-                          (pair.mass_action(z), z @ mass),
-                          (pair.stiffness_action(x), x @ stiff),
-                          (pair.stiffness_action(z[:, 2]), z[:, 2] @ stiff)):
-            assert np.array_equal(got, want)
-    for rhs in (x, columns):
-        assert _close(pair.stiffness_solve(rhs), np.linalg.solve(stiff, rhs))
     grid = solver.TimeGrid(np.linspace(0.0, 1.0, 8) ** 2)
-    values = z[:, 0]
+    values = rng.standard_normal((7, pair.n_dof))
     dense = np.sqrt(np.sum(grid.widths * np.einsum("ij,jk,ik->i", values, stiff, values)))
     norm = solver.trial_energy_norm(values, solver.Discretization(pair=pair, grid=grid))
     assert norm == pytest.approx(dense, rel=1e-13, abs=0.0)
@@ -484,27 +459,6 @@ def test_a_2d_pair_holds_only_its_1d_matrices(n_cells):
     assert peak <= 8 * 8 * n_1d ** 2 + 16384
 
 
-@pytest.mark.parametrize("dim,n_cells", [(1, 9), (2, 6), (2, 100)])
-@pytest.mark.parametrize("tensor_block", [1, 175, 2500, fem.TENSOR_BLOCK])
-def test_kron_apply_gives_each_array_of_a_stack_its_own_bits(monkeypatch, rng, dim,
-                                                             n_cells, tensor_block):
-    # the rows of a BLAS product can change its last bits (at 99 dofs per
-    # axis, chunks of 6 vectors shared by the arrays of a stack change
-    # about 500 of its values), so each (m, n_dof) array of a stack is
-    # transformed as it is alone: cut into its own chunks, or whole and
-    # beside others in one chunk
-    monkeypatch.setattr(fem, "TENSOR_BLOCK", tensor_block)
-    pair = fem.assemble(fem.build_mesh(dim, n_cells, 1))
-    stack = rng.standard_normal((5, 7, pair.n_dof))
-    for operator in (pair.from_modes, pair.stiffness_action, pair.mass_action):
-        stacked = operator(stack)
-        for array, alone in zip(stack, stacked):
-            assert np.array_equal(alone, operator(array))
-    # a strided path of a (steps, paths, n_dof) state, as a copy
-    z = stack.transpose(1, 0, 2)
-    assert np.array_equal(pair.from_modes(z[:, 3]), pair.from_modes(stack[3]))
-
-
 # (dim, degree, C, cell counts): the stock forcing's load reaches the
 # other modes by rounding only, |beta_n| <= C eps |beta_1|, with C from the
 # largest ratio measured, 4.7e-16 for hats (1-D, 2 to 597 cells) and
@@ -524,13 +478,17 @@ def test_stock_forcing_excites_one_mode(dim, degree, factor, cells):
     eps = np.finfo(float).eps
     for n_cells in cells:
         pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
-        beta = pair.to_modes(pair.mode_vector)
+        # the 1-D modal loads V' b_1d; in 2-D, where b and the modes are
+        # Kronecker products, their outer product
+        pair_1d = pair if dim == 1 else fem.assemble(fem.build_mesh(1, n_cells, degree))
+        beta_1d = pair_1d.modes[1].T @ pair_1d.mode_vector
+        beta = np.multiply.outer(beta_1d, beta_1d).ravel() if dim == 2 else beta_1d
         assert np.max(np.abs(beta[1:]), initial=0.0) <= factor * eps * abs(beta[0]), n_cells
         lam, beta_1, v = pair.excited_mode
         # mode 0 of the basis, with its sign made positive
         assert lam == pair.eigenvalues[0]
         assert beta_1 == pytest.approx(abs(beta[0]), rel=1e-13)
-        column = pair.from_modes(np.eye(1, pair.n_dof)[0])
+        column = functools.reduce(np.kron, (pair_1d.modes[1][:, 0],) * dim)
         assert np.max(np.abs(v - np.abs(column))) <= 2 * factor * eps * np.max(v), n_cells
 
 
@@ -540,7 +498,7 @@ def test_excited_energy_is_the_excited_mode_in_the_energy_norm(dim, degree, n_ce
     pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
     lam, _, v = pair.excited_mode
     rho = pair.excited_energy
-    full = pair.stiffness_action(v) @ v
+    full = v @ pair.stiffness @ v
     # the 1-D product bit for bit; in 2-D the factored form rounds otherwise
     if dim == 1:
         assert rho == full

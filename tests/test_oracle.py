@@ -213,7 +213,7 @@ def _before_exact_error(mode, disc, solution) -> tuple:
               + solver.trial_energy_norm(values, disc) ** 2)
 
     # best approximation: energy projection of the mode, interval means of T
-    spatial = pair.stiffness_solve(cross_v)
+    spatial = np.linalg.solve(pair.stiffness, cross_v)
     proj_energy = float(cross_v @ spatial)
     best_sq = c0 ** 2 * float(
         np.sum(int_t2 * phi_v2 - int_t ** 2 / widths * proj_energy))
@@ -264,38 +264,45 @@ def test_exact_error_of_a_huge_forcing_is_not_finite(c0):
 # huge c0 has a squared error that overflows
 _BLOCK_A = np.insert(np.repeat(np.geomspace(1e-3, 1e3, 13), 2), 13, 1e-3)
 _BLOCK_C0 = np.insert(np.tile([1.0, -0.3], 13), 13, 1e308)
-# the one-mode errors against the all-mode oracle at 41 steps: the
-# expanded formula's rounding, amplified by its cancellation (largest
-# relative gaps measured: 9.4e-13 for hats, 3.4e-12 for splines)
+# the one-mode errors against the per-path oracle on the dense solve's
+# interval values at 41 steps: the expanded formula's rounding, amplified
+# by its cancellation (largest relative gaps measured: 1.2e-12 for hats,
+# 2.8e-12 for splines)
 _BLOCK_RTOL = 1e-11
 
 
-@pytest.mark.parametrize("dim,degree,n_cells,tensor_block", [
-    (1, 1, 8, None), (1, 1, 64, None), (1, 2, 8, None), (1, 2, 37, None),
-    # 2-D: the oracle's interval values from whole paths in one chunk of
-    # the transforms, a chunk of two paths, and paths cut into chunks of
-    # 7 vectors
-    (2, 1, 6, None), (2, 1, 6, 2 * 41 * 25), (2, 1, 6, 7 * 25)])
+@pytest.fixture(scope="module")
+def block_solves():
+    """The dense solves of _BLOCK_A and _BLOCK_C0 by (dim, degree, n_cells,
+    graded), shared by the groups of the block-errors test."""
+    return {}
+
+
+@pytest.mark.parametrize("dim,degree,n_cells", [
+    (1, 1, 8), (1, 1, 64), (1, 2, 8), (1, 2, 37), (2, 1, 6)])
 @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
 @pytest.mark.parametrize("group", [1, 3, 5, 27])
-def test_block_errors_are_the_per_path_formula_bit_for_bit(monkeypatch, dim, degree,
-                                                           n_cells, tensor_block,
-                                                           graded, group):
-    if tensor_block is not None:
-        monkeypatch.setattr(fem, "TENSOR_BLOCK", tensor_block)
-    nodes = np.linspace(0.0, 1.0, 42)
-    grid = solver.TimeGrid(nodes ** 2 if graded else nodes)
-    pair = make_disc(dim, n_cells, degree).pair
-    disc = solver.Discretization(pair=pair, grid=grid)
+def test_block_errors_are_the_per_path_formula_bit_for_bit(block_solves, dim, degree,
+                                                           n_cells, graded, group):
+    key = dim, degree, n_cells, graded
+    if key not in block_solves:
+        nodes = np.linspace(0.0, 1.0, 42)
+        grid = solver.TimeGrid(nodes ** 2 if graded else nodes)
+        disc = solver.Discretization(pair=make_disc(dim, n_cells, degree).pair, grid=grid)
+        # each path's interval values from the dense solve; the products
+        # of the c0 = 1e308 path overflow there (splines and 2-D), so its
+        # profile is 1e308 times that of c0 = 1
+        c0s = np.where(_BLOCK_C0 == 1e308, 1.0, _BLOCK_C0)
+        block_solves[key] = disc, [solver.solve_pathwise(ConstantCoeffs(a=a, c0=c0), disc, 0.0)
+                                   for a, c0 in zip(_BLOCK_A, c0s)]
+    disc, values = block_solves[key]
+    pair = disc.pair
     # each path's profile on the excited mode: the closed form on the
     # uniform grid; on the graded one, which the closed form does not
-    # serve, the all-mode sweep's coefficients of mode 0, whose vector is
-    # v_1 up to its sign
-    z, finite = solver.sweep(disc, _BLOCK_A, _BLOCK_C0)
-    assert finite.all()
+    # serve, the M-projection of its interval values on v_1
     if graded:
-        sign = np.sign(pair.from_modes(np.eye(1, pair.n_dof)[0]).sum())
-        y = sign * z[:, :, 0].T
+        y = np.array(values) @ (pair.mass @ pair.excited_mode[2])
+        y[13] *= 1e308
     else:
         y = solver.uniform_profile(pair, 41, _BLOCK_A, _BLOCK_C0)
     # the paths in blocks of group, each with the bits it has alone
@@ -309,9 +316,8 @@ def test_block_errors_are_the_per_path_formula_bit_for_bit(monkeypatch, dim, deg
         assert errors[p:p + 1].tobytes() == alone.tobytes()
         if p == 13:
             continue
-        # the per-path oracle on the sweep's interval values of every mode
+        # the per-path oracle on the dense solve's interval values
         mode = oracle.ModeSolution.for_dim(float(_BLOCK_A[p]), float(_BLOCK_C0[p]), dim)
-        values = pair.from_modes(z[:, p])
-        expected = oracle.exact_error(mode, disc, values)[0]
-        assert expected == _before_exact_error(mode, disc, values)[0]
+        expected = oracle.exact_error(mode, disc, values[p])[0]
+        assert expected == _before_exact_error(mode, disc, values[p])[0]
         assert errors[p] == pytest.approx(expected, rel=_BLOCK_RTOL, abs=0.0)

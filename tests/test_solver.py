@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ConstantCoeffs, make_disc, reference_sweep
+from conftest import ConstantCoeffs, make_disc
 from stpg import fem, solver
 from stpg.stochastic import CoefficientModel, default_domain, quadrature
 
@@ -344,7 +344,7 @@ def test_test_gram_matches_independent_quadrature(rng, grid):
     x = rng.standard_normal(disc.test_size)
     nodal = np.vstack([x.reshape(n_steps, -1), np.zeros(disc.n_dof)])
     pair = disc.pair
-    dual = pair.mass @ pair.stiffness_solve(pair.mass)
+    dual = pair.mass @ np.linalg.solve(pair.stiffness, pair.mass)
     gx, gw = np.polynomial.legendre.leggauss(4)
     total = float(nodal[0] @ pair.mass @ nodal[0])
     for i in range(n_steps):
@@ -367,7 +367,7 @@ def test_projected_test_gram_uses_interval_means(rng, grid):
     x = rng.standard_normal(disc.test_size)
     nodal = np.vstack([x.reshape(n_steps, -1), np.zeros(disc.n_dof)])
     pair = disc.pair
-    dual = pair.mass @ pair.stiffness_solve(pair.mass)
+    dual = pair.mass @ np.linalg.solve(pair.stiffness, pair.mass)
     total = float(nodal[0] @ pair.mass @ nodal[0])
     for i in range(n_steps):
         k = disc.grid.widths[i]
@@ -433,7 +433,7 @@ def test_sweep_matches_dense_space_time_solve(dim, n_cells, degree, grid, with_u
 
 
 def test_non_finite_forcing_profile_is_flagged(monkeypatch):
-    # infinite time weights, read by the grid before the sweep
+    # infinite time weights, read by the grid before the first step
     monkeypatch.setattr(solver, "time_weights",
                         lambda grid: np.full(grid.n_intervals, np.inf))
     disc = make_disc(n_cells=4, n_steps=4)
@@ -441,56 +441,22 @@ def test_non_finite_forcing_profile_is_flagged(monkeypatch):
         solver.solve_pathwise(ConstantCoeffs(), disc, 0.0)
 
 
-def _graded(n_steps):
-    return solver.TimeGrid(np.linspace(0.0, 1.0, n_steps + 1) ** 2)
-
-
 # a over six decades, c0 of both signs and zero
 _A = np.array([0.3, 1.0, 7.5, 1e-3, 40.0, 2.2])
 _C0 = np.array([1.3, -0.4, 0.0, 2.0, 1.0, -0.0])
 
 
-@pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
-@pytest.mark.parametrize("grid", ["uniform", "graded"])
-# one step, fewer than a window, and a count that is no multiple of it
-@pytest.mark.parametrize("n_steps", [1, solver.SWEEP_WINDOW - 3,
-                                     2 * solver.SWEEP_WINDOW + 7])
-def test_batched_sweep_is_each_path_alone_bit_for_bit(rng, dim, n_cells, degree, grid,
-                                                      n_steps):
-    mesh = fem.build_mesh(dim, n_cells, degree)
-    time_grid = (solver.TimeGrid.uniform(1.0, n_steps) if grid == "uniform"
-                 else _graded(n_steps))
-    disc = solver.Discretization(pair=fem.assemble(mesh), grid=time_grid)
-    z, finite = solver.sweep(disc, _A, _C0)
-    assert z.shape == (n_steps, len(_A), disc.n_dof) and finite.all()
-    for p, (a, c0) in enumerate(zip(_A, _C0)):
-        alone, alone_finite = solver.sweep(disc, [a], [c0])
-        assert alone_finite.tolist() == [True]
-        path = np.ascontiguousarray(z[:, p])
-        assert path.tobytes() == alone[:, 0].tobytes()
-        assert path.tobytes() == reference_sweep(disc, a, c0).tobytes()
-    order = rng.permutation(len(_A))
-    assert solver.sweep(disc, _A[order], _C0[order])[0].tobytes() == \
-        np.ascontiguousarray(z[:, order]).tobytes()
-    subset = [4, 1]
-    assert solver.sweep(disc, _A[subset], _C0[subset])[0].tobytes() == \
-        np.ascontiguousarray(z[:, subset]).tobytes()
-
-
 def test_sweep_flags_the_path_that_overflows_mid_sweep(monkeypatch):
-    # tenfold time weights, read by the grid before the first sweep
+    # tenfold time weights, read by the grid before the first step
     time_weights = solver.time_weights
     monkeypatch.setattr(solver, "time_weights", lambda grid: 10.0 * time_weights(grid))
     disc = make_disc(n_cells=6, n_steps=40)
-    # a tiny a keeps the gain near 1, so the steps of a huge c0 add up to inf
-    a, c0 = np.array([0.5, 1e-3, 2.0]), np.array([1.0, 1e308, -3.0])
-    reference = reference_sweep(disc, a[1], c0[1])
-    assert np.isfinite(reference[0]).all() and not np.isfinite(reference).all()
-    z, finite = solver.sweep(disc, a, c0)
-    assert finite.tolist() == [True, False, True]
-    for p in (0, 2):
-        assert np.ascontiguousarray(z[:, p]).tobytes() == \
-            reference_sweep(disc, a[p], c0[p]).tobytes()
+    # a tiny a keeps the gain near 1, so the steps of a huge c0 add up to
+    # inf; the same path with a unit c0 stays finite, so its first step
+    # with c0 = 1e308 does too
+    unit = solver.solve_pathwise(ConstantCoeffs(a=1e-3, c0=1.0), disc, 0.0)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(1e308 * unit[0]).all() and not np.isfinite(1e308 * unit).all()
     with pytest.raises(solver.PathwiseSolveError, match="non-finite values in time step"):
         solver.solve_pathwise(ConstantCoeffs(a=1e-3, c0=1e308), disc, 0.0)
 
@@ -513,37 +479,52 @@ def test_solve_pathwise_names_what_is_not_swept(a, c0, message):
 _EPS = np.finfo(float).eps
 
 
-@pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
-def test_uniform_energy_is_the_step_loop(dim, n_cells, degree):
-    pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
-    for n_steps in (1, 2, 3, 4, 5, 7, 8, 16, 33, 64, 100, 256, 1024, 4096):
+_STEP_COUNTS = (1, 2, 3, 4, 5, 7, 8, 16, 33, 64, 100, 256, 1024, 4096)
+
+
+@pytest.fixture(scope="module", params=[(1, 6, 1), (1, 5, 2), (2, 4, 1)],
+                ids=lambda mesh: "-".join(map(str, mesh)))
+def pathwise_solves(request):
+    """{n_steps: (disc, [(N, n_dof) interval values of each path of _A, _C0])}
+    on the uniform grids of _STEP_COUNTS of a (dim, n_cells, degree) mesh,
+    from the dense forward solve; the closed-form energy and profile tests
+    share them."""
+    pair = fem.assemble(fem.build_mesh(*request.param))
+    solves = {}
+    for n_steps in _STEP_COUNTS:
         disc = solver.Discretization(pair=pair, grid=solver.TimeGrid.uniform(1.0, n_steps))
-        energy = solver.uniform_energy(pair, n_steps, _A, _C0)
-        # the sweep, summed as the moments indicator summed it: squares, one
-        # 2-D product with the eigenvalues, then the widths
-        z, finite = solver.sweep(disc, _A, _C0)
-        assert finite.all()
-        loop = disc.grid.widths @ (np.square(z).reshape(-1, disc.n_dof)
-                                   @ pair.eigenvalues).reshape(n_steps, -1)
-        # the loop's rounded gain compounds over the steps, so its own error
-        # grows as N eps: 3.3e-13 at 4,096 steps against a long double
-        # recurrence, where the closed form stays within 6.1e-16
-        rel = 1e-13 if n_steps <= 1024 else n_steps * _EPS
-        assert energy == pytest.approx(loop, rel=rel, abs=0.0)
+        solves[n_steps] = disc, [solver.solve_pathwise(ConstantCoeffs(a, c0), disc, 0.0)
+                                 for a, c0 in zip(_A, _C0)]
+    return solves
+
+
+# the dense solve's rounding compounds over the steps, so its own error
+# grows as N eps: at most 2.7e-14 up to 1,024 steps and 2.4e-13 at 4,096
+# against the closed forms, which stay within 6.1e-16 of a long double
+# recurrence
+def _loop_rtol(n_steps):
+    return 1e-13 if n_steps <= 1024 else n_steps * _EPS
+
+
+def test_uniform_energy_is_the_step_loop(pathwise_solves):
+    for n_steps, (disc, solves) in pathwise_solves.items():
+        energy = solver.uniform_energy(disc.pair, n_steps, _A, _C0)
+        loop = [solver.trial_energy_norm(values, disc) ** 2 for values in solves]
+        assert energy == pytest.approx(loop, rel=_loop_rtol(n_steps), abs=0.0)
         assert np.array_equal(energy == 0.0, _C0 == 0.0)
     # an a so small that x = a lam k / 2 underflows: the loop's steps are
     # undamped, and the closed form takes the same limit
     tiny = np.array([5e-324, 1e-310])
-    disc = solver.Discretization(pair=pair, grid=solver.TimeGrid.uniform(1.0, 64))
-    z, _ = solver.sweep(disc, tiny, [1.0, 1.0])
-    loop = disc.grid.widths @ (np.square(z) @ pair.eigenvalues)
-    assert solver.uniform_energy(pair, 64, tiny, [1.0, 1.0]) == pytest.approx(
+    disc = solver.Discretization(pair=disc.pair, grid=solver.TimeGrid.uniform(1.0, 64))
+    loop = [solver.trial_energy_norm(solver.solve_pathwise(ConstantCoeffs(a), disc, 0.0),
+                                     disc) ** 2 for a in tiny]
+    assert solver.uniform_energy(disc.pair, 64, tiny, [1.0, 1.0]) == pytest.approx(
         loop, rel=1e-13, abs=0.0)
 
 
 def _long_double_profile(pair, n_steps, a, c0):
     """(lam, z): the (N, P) coefficients z_j of a one-dof pair by the
-    sweep's recurrence in long double, with the uniform grid's closed-form
+    step recurrence in long double, with the uniform grid's closed-form
     weights."""
     ld = np.longdouble
     pi = np.arccos(ld(-1))
@@ -553,7 +534,8 @@ def _long_double_profile(pair, n_steps, a, c0):
     tw0 = sum((-1) ** (m + 1) * theta ** (2 * m) / ld(math.factorial(2 * m + 1))
               for m in range(1, 30)) / pi
     c = 4 * np.sin(theta / 2) ** 2 / (pi ** 2 * k)
-    (lam,), (beta,) = pair.eigenvalues.astype(ld), pair.to_modes(pair.mode_vector).astype(ld)
+    lam, vecs = pair.modes
+    (lam,), (beta,) = lam.astype(ld), (vecs.T @ pair.mode_vector).astype(ld)
     x = np.asarray(a, dtype=ld) * lam * k / 2
     gain, amp = (1 - x) / (1 + x), np.asarray(c0, dtype=ld) * beta / (1 + x)
     z = [amp * tw0]
@@ -582,21 +564,17 @@ def test_uniform_energy_matches_a_long_double_recurrence(n_steps):
     assert energy == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("dim,n_cells,degree", [(1, 6, 1), (1, 5, 2), (2, 4, 1)])
-def test_uniform_profile_is_the_step_loop(dim, n_cells, degree):
-    pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
-    # the sweep's coefficients of mode 0, whose vector is v_1 up to its sign
-    sign = np.sign(pair.from_modes(np.eye(1, pair.n_dof)[0]).sum())
-    for n_steps in (1, 2, 3, 4, 5, 7, 8, 16, 33, 64, 100, 256, 1024, 4096):
-        disc = solver.Discretization(pair=pair, grid=solver.TimeGrid.uniform(1.0, n_steps))
-        z, _ = solver.sweep(disc, _A, _C0)
+def test_uniform_profile_is_the_step_loop(pathwise_solves):
+    for n_steps, (disc, solves) in pathwise_solves.items():
+        pair = disc.pair
+        # the M-projection of the interval values on v_1, M-normal up to rounding
+        m_v1 = pair.mass @ pair.excited_mode[2]
         profiles = solver.uniform_profile(pair, n_steps, _A, _C0)
-        for p, (a, c0, y) in enumerate(zip(_A, _C0, profiles)):
+        for a, c0, y, values in zip(_A, _C0, profiles, solves):
             # each path's profile has the bits it has alone
             assert y.tobytes() == solver.uniform_profile(pair, n_steps, [a], [c0]).tobytes()
-            loop = sign * z[:, p, 0]
-            # the loop's own error grows as N eps, as for uniform_energy
-            tol = (1e-13 if n_steps <= 1024 else n_steps * _EPS) * np.max(np.abs(loop))
+            loop = values @ m_v1
+            tol = _loop_rtol(n_steps) * np.max(np.abs(loop))
             assert np.max(np.abs(y - loop)) <= tol, (n_steps, a, c0)
             # +0, not -0, where there is no forcing
             assert c0 != 0.0 or not (np.signbit(y) | (y != 0.0)).any()
@@ -611,7 +589,7 @@ def test_uniform_profile_matches_a_long_double_recurrence(n_steps):
     x = np.logspace(-9, 6, 46)
     a = 2.0 * n_steps * x / pair.eigenvalues[0]
     _, expected = _long_double_profile(pair, n_steps, a, np.ones_like(a))
-    sign = np.sign(pair.from_modes(np.ones(1))[0])
+    sign = np.sign(pair.modes[1][0, 0])
     profiles = solver.uniform_profile(pair, n_steps, a, np.ones_like(a))
     for p, y in enumerate(profiles):
         want = sign * expected[:, p].astype(float)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import forbid_dense_solves
 from stpg import cli, fem, oracle, solver
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -42,19 +43,20 @@ def _traced(spans, argv):
 def test_per_grid_work_runs_once_per_grid(tmp_path, monkeypatch):
     spans = _spans()
     out = str(tmp_path / "out.csv")
-    paths = []
-    sweep = solver.sweep
+    calls = []
 
-    def sweeping(disc, a, c0):
-        paths.append(len(a))
-        return sweep(disc, a, c0)
+    def dense(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a dense solve in a CLI run")
 
-    monkeypatch.setattr(solver, "sweep", sweeping)
+    # the tracer wraps what is bound when it is installed
+    forbid_dense_solves(monkeypatch, dense)
     metrics = _traced(spans, ["convergence", "--case", "lognormal", "--j-min", "2",
                               "--j-max", "3", "--n-quad-ladder", "4", "--out", out])
-    # each level's profiles come in closed form: no sweep, and no time
-    # weights of its grid, which only the step loop reads
-    assert paths == []
+    # each level's profiles come in closed form: no dense solve, and no
+    # time weights of its grid, which only the step loop reads
+    assert calls == []
+    assert metrics["solver.solve_pathwise.calls"][0] == 0
     assert metrics["solver.time_weights.calls"][0] == 0
     metrics = _traced(spans, ["infsup", "--cells", "4,8", "--steps", "4",
                               "--n-quad-ladder", "4", "--out", out])

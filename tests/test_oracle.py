@@ -278,12 +278,16 @@ def block_solves():
     return {}
 
 
-@pytest.mark.parametrize("dim,degree,n_cells", [
-    (1, 1, 8), (1, 1, 64), (1, 2, 8), (1, 2, 37), (2, 1, 6)])
+@pytest.mark.parametrize("dim,degree,n_cells,layout", [
+    (1, 1, 8, None), (1, 1, 64, None), (1, 2, 8, None), (1, 2, 37, None),
+    (2, 1, 6, None),
+    # the profiles in a Fortran-ordered array, whose blocks and rows are
+    # strided views: each path still gets the bits of its laid-out row
+    (1, 2, 37, "F")])
 @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
 @pytest.mark.parametrize("group", [1, 3, 5, 27])
 def test_block_errors_are_the_per_path_formula_bit_for_bit(block_solves, dim, degree,
-                                                           n_cells, graded, group):
+                                                           n_cells, layout, graded, group):
     key = dim, degree, n_cells, graded
     if key not in block_solves:
         nodes = np.linspace(0.0, 1.0, 42)
@@ -305,6 +309,8 @@ def test_block_errors_are_the_per_path_formula_bit_for_bit(block_solves, dim, de
         y[13] *= 1e308
     else:
         y = solver.uniform_profile(pair, 41, _BLOCK_A, _BLOCK_C0)
+    if layout is not None:
+        y = np.asarray(y, order=layout)
     # the paths in blocks of group, each with the bits it has alone
     errors = np.concatenate([
         oracle.block_errors(disc, _BLOCK_A[start:start + group],
@@ -312,7 +318,8 @@ def test_block_errors_are_the_per_path_formula_bit_for_bit(block_solves, dim, de
         for start in range(0, len(y), group)])
     assert np.isnan(errors[13])
     for p in range(len(y)):
-        alone = oracle.block_errors(disc, _BLOCK_A[p:p + 1], _BLOCK_C0[p:p + 1], y[p:p + 1])
+        alone = oracle.block_errors(disc, _BLOCK_A[p:p + 1], _BLOCK_C0[p:p + 1],
+                                    np.ascontiguousarray(y[p:p + 1]))
         assert errors[p:p + 1].tobytes() == alone.tobytes()
         if p == 13:
             continue

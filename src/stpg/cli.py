@@ -83,17 +83,17 @@ _BLOCK_BYTES = 1 << 23
 # counts: Python objects and numpy's bookkeeping (7 KB in a traced
 # one-dof solve of 20,000 steps)
 RUN_BYTES = 1 << 14
-# (interval, dof) values one block of a solve report's write lays out at
-# most (_write_block), and the float64 values' worth of bytes its writer
-# holds at peak per value of a block: its line in the reused layout while
-# the next group's text is made, with the text and digits' temporaries of
-# as many distinct products, 192 bytes against at most 191.6 traced (1 to
-# 961 dofs, 138 at 7). Per dof it holds WRITE_DOF values: the mode,
-# the column of its distinct value and their bits, the dof's text and,
-# above WRITE_VALUES dofs, one interval's products and text (78 traced)
+# values of whole intervals one block of a solve report's write lays out
+# at most, or one interval (_write_block), and the float64 values' worth of
+# bytes its writer holds at peak per value of a block: its line in the
+# reused layout while the next group's text is made, with the text and
+# digits' temporaries of as many distinct products, 192 bytes against at
+# most 191.6 traced (1 to 961 dofs, 138 at 7). Per dof it holds WRITE_DOF
+# values: the mode, the column of its distinct value and their bits and the
+# dof's text (blocks of one all-distinct interval: 225 of 248 bytes a dof)
 WRITE_VALUES = 1 << 12
 WRITE_TEXT = 24
-WRITE_DOF = 11
+WRITE_DOF = 7
 # bytes stochastic.quadrature holds at peak per node of the rule it
 # builds, beside RUN_BYTES: 80.1 to 80.6 traced on 200,000 and 20,000
 # lognormal nodes (two lists of Python floats), 32 on the interval;
@@ -169,22 +169,9 @@ def _rows_of(texts) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
-def _write_block(n_steps: int, n_dof: int) -> tuple:
-    """(intervals, dofs) of a solve report's block: as many of its n_steps
-    intervals as WRITE_VALUES values hold, else WRITE_VALUES dofs of one."""
-    return max(1, min(n_steps, WRITE_VALUES // n_dof)), min(n_dof, WRITE_VALUES)
-
-
-def _value_text(y, distinct) -> np.ndarray:
-    """The (len(y), len(distinct), g17.WIDTH) text of each y_i * distinct_c,
-    formatted WRITE_VALUES products at a time."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        products = np.multiply.outer(y, distinct).reshape(-1)
-    text = np.empty((products.size, g17.WIDTH), np.uint8)
-    for start in range(0, products.size, WRITE_VALUES):
-        stop = start + WRITE_VALUES
-        g17.g17_columns(products[start:stop], out=text[start:stop])
-    return text.reshape(len(y), len(distinct), -1)
+def _write_block(n_steps: int, n_dof: int) -> int:
+    """Intervals of a solve report's block: as many as WRITE_VALUES values hold, at least one."""
+    return max(1, min(n_steps, WRITE_VALUES // n_dof))
 
 
 def _solve_lines(buf, line, heads, values, columns) -> bytearray:
@@ -201,15 +188,15 @@ def _solve_lines(buf, line, heads, values, columns) -> bytearray:
 
 def _write_report(fh, header, rows, trailer):
     """Write header, rows and trailer lines to the binary stream fh: other
-    rows by _fmt, a SolveRows view a block at a time (_solve_lines), each
-    product of y_i with a distinct value of v (by its bits: -0 is not 0)
-    formatted once (_value_text), laid out in one reused buffer: a head of
-    another width, a short last block or another span of dofs gets a new
-    one once the old one is freed."""
+    rows by _fmt, a SolveRows view a block of whole intervals at a time
+    (_solve_lines), each product of y_i with a distinct value of v (by its
+    bits: -0 is not 0) formatted once, a group of intervals in one
+    g17_columns call, and laid out in one reused buffer: a head of another
+    width or a short last block gets a new one once the old one is freed."""
     fh.write((",".join(header) + "\n").encode("ascii"))
     if isinstance(rows, SolveRows):
         n_steps, n_dof = rows.y.size, rows.v.size
-        per, span = _write_block(n_steps, n_dof)
+        per = _write_block(n_steps, n_dof)
         bits, columns = np.unique(rows.v.view(np.int64), return_inverse=True)
         # blocks of intervals whose products WRITE_VALUES values hold, at least one
         group = per * max(1, WRITE_VALUES // (per * len(bits)))
@@ -219,20 +206,21 @@ def _write_report(fh, header, rows, trailer):
         for first in range(0, n_steps, per):
             if first % group == 0:
                 text = block = heads = None  # freed before the next group's text is made
-                text = _value_text(rows.y[first:first + group], bits.view(np.float64))
+                y = rows.y[first:first + group]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    text = g17.g17_columns(np.multiply.outer(y, bits.view(np.float64)))
+                text = text.reshape(len(y), len(bits), g17.WIDTH)
             block = text[first % group:first % group + per]
             heads = _rows_of([b"%d,%.17g," % (i, t) for i, t in
                               enumerate(rows.times[first:first + per].tolist(), first + 1)])
-            for start in range(0, n_dof, span):
-                shape = (len(heads), min(span, n_dof - start),
-                         heads.shape[1] + dofs.shape[1] + g17.WIDTH + 2)
-                if laid != (start, shape):
-                    buf = line = None
-                    buf, laid = bytearray(math.prod(shape)), (start, shape)
-                    line = np.frombuffer(buf, np.uint8).reshape(shape)
-                    line[..., heads.shape[1]:-g17.WIDTH - 2] = dofs[start:start + span]
-                    line[..., [-g17.WIDTH - 2, -1]] = list(b",\n")
-                fh.write(_solve_lines(buf, line, heads, block, columns[start:start + span]))
+            shape = (len(heads), n_dof, heads.shape[1] + dofs.shape[1] + g17.WIDTH + 2)
+            if laid != shape:
+                buf = line = None
+                buf, laid = bytearray(math.prod(shape)), shape
+                line = np.frombuffer(buf, np.uint8).reshape(shape)
+                line[..., heads.shape[1]:-g17.WIDTH - 2] = dofs
+                line[..., [-g17.WIDTH - 2, -1]] = list(b",\n")
+            fh.write(_solve_lines(buf, line, heads, block, columns))
     else:
         fh.writelines((",".join(map(_fmt, row)) + "\n").encode("ascii") for row in rows)
     fh.writelines(("# " + line + "\n").encode("ascii") for line in trailer)
@@ -364,31 +352,27 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     """Mesh, spatial pair and uniform time grid of one configuration.
 
     A grid of no interval is refused first, as TimeGrid.uniform refuses
-    it. Before any matrix is built, the spatial dofs of a pathwise run, or
-    the space-time trial size (dofs times steps) of infsup, must be within
-    the cap, and what a run over that many paths or parameter nodes holds
-    at peak must fit in memory. Each count adds the spatial pair's 1-D
+    it. Before any matrix is built, the spatial dofs must be within the
+    cap, and what a run over that many paths or parameter nodes holds at
+    peak must fit in memory. Each count adds the spatial pair's 1-D
     matrices at their peak (fem.pair_values), which in 1-D are
     n_dof x n_dof, and its message names that share. Beside them it
     counts, for infsup, the grid while TimeGrid checks it (CHECK_BYTES)
-    and NODE_BYTES and ROW_BYTES per node; for moments, the grid's nodes and
-    MOMENT_VALUES per path, or the grid while TimeGrid checks it
+    and NODE_BYTES and ROW_BYTES per node; for moments, the grid's nodes
+    and MOMENT_VALUES per path, or the grid while TimeGrid checks it
     (CHECK_BYTES); for solve, PROFILE_VALUES per step and the report's
-    write, one block (_write_block, WRITE_TEXT) and WRITE_DOF values per
-    dof; for convergence, GRID_VALUES per step and NODE_BYTES per node,
-    held throughout, and one block of paths (_block_paths, ERROR_VALUES)
-    with numpy's two buffers; and RUN_BYTES.
+    write, one block of whole intervals (_write_block, WRITE_TEXT) and
+    WRITE_DOF values per dof; for convergence, GRID_VALUES per step and
+    NODE_BYTES per node, held throughout, and one block of paths
+    (_block_paths, ERROR_VALUES) with numpy's two buffers; and RUN_BYTES.
     """
     if n_steps < 1:
         raise ValueError("need at least one time interval")
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
-    space_time = config.subcommand == "infsup"
-    size = mesh.n_dof * n_steps if space_time else mesh.n_dof
-    if size > config.max_dofs:
-        kind = "trial" if space_time else "spatial"
-        raise ResourceCapError(f"{kind} size {size} exceeds cap {config.max_dofs}")
+    if mesh.n_dof > config.max_dofs:
+        raise ResourceCapError(f"spatial size {mesh.n_dof} exceeds cap {config.max_dofs}")
     pair = fem.pair_values(mesh)
-    if space_time:
+    if config.subcommand == "infsup":
         grids = len(config.n_cells) * len(config.n_steps)
         rows = paths * (NODE_BYTES + ROW_BYTES * grids)
         _check_memory(8 * pair + CHECK_BYTES * n_steps + rows + RUN_BYTES,
@@ -399,7 +383,7 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         _check_memory(8 * pair + rung + RUN_BYTES, f"a moments rung of {paths} x {mesh.n_dof}",
                       8 * pair)
     elif config.subcommand == "solve":
-        chunk = math.prod(_write_block(n_steps, mesh.n_dof))
+        chunk = _write_block(n_steps, mesh.n_dof) * mesh.n_dof
         values = PROFILE_VALUES * n_steps + WRITE_DOF * mesh.n_dof + WRITE_TEXT * chunk
         _check_memory(8 * (pair + values) + RUN_BYTES,
                       f"a {n_steps} x {mesh.n_dof} solution written {chunk} values at a time",
@@ -443,16 +427,16 @@ def _moment_values(model, pair, n_steps: int, nodes) -> np.ndarray:
     return values
 
 
-def _mode_errors(model, disc, nodes) -> np.ndarray:
-    """Energy-norm errors against the exact mode solution, nan where a path is flagged.
+def _mode_errors(disc, a, c0, valid) -> np.ndarray:
+    """Energy-norm errors of the paths (a, c0, valid) of _paths against
+    the exact mode solution, nan where a path is flagged.
 
     A path is flagged by _paths or because its error is not finite. The
     others go _block_paths at a time: solver.uniform_profile gives their
     (P, N) profiles on the uniform grid, and oracle.block_errors their
     errors on the excited mode, with no step loop and no n_dof-sized array.
     """
-    a, c0, valid = _paths(model, nodes)
-    errors = np.full(len(nodes), math.nan)
+    errors = np.full(len(a), math.nan)
     n_steps = disc.grid.n_intervals
     size = _block_paths(n_steps)
     for start in range(0, len(valid), size):
@@ -512,8 +496,9 @@ def run_convergence(config: ExperimentConfig):
     if not 2 <= config.j_min <= config.j_max <= 7:
         raise ValueError("j range must satisfy 2 <= j_min <= j_max <= 7")
     n_quad = config.quad_ladder[0]
-    # the rule is built before any level, so a rule too large is no truncation
+    # built and evaluated once, before any level: a rule too large is no truncation
     nodes, weights = _rule(model, domain, n_quad, NODE_BYTES)
+    paths = _paths(model, nodes)
     rows = []
     truncated = False
     prev = None
@@ -523,7 +508,7 @@ def run_convergence(config: ExperimentConfig):
         except ResourceCapError:
             truncated = True
             break
-        errors = _mode_errors(model, disc, nodes)
+        errors = _mode_errors(disc, *paths)
         mean_error = float(np.sum(weights * errors)) if np.all(np.isfinite(errors)) \
             else math.nan
         h = disc.pair.mesh.h
@@ -653,12 +638,13 @@ def build_parser() -> _Parser:
         cmd = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         cmd.add_argument("--case",
                          help="coefficient case: a, b, c, d, lognormal, constant, zero")
-        cmd.add_argument("--dim", type=int, choices=(1, 2))
-        cmd.add_argument("--degree", type=int, choices=(1, 2))
+        cmd.add_argument("--dim", type=int, choices=(1, 2), help="space dimension")
+        cmd.add_argument("--degree", type=int, choices=(1, 2),
+                         help="spatial basis: 1 hats, 2 quadratic splines (1-D only)")
         for flag, kind in options.items():
             dest, text = _OPTIONS[flag]
             cmd.add_argument(flag, dest=dest, type=kind, help=text)
-        cmd.add_argument("--max-dofs", type=int)
+        cmd.add_argument("--max-dofs", type=int, help="cap on the spatial dofs")
         cmd.add_argument("--out", required=True, help="output CSV path")
         cmd.set_defaults(**defaults)
     return parser

@@ -148,19 +148,16 @@ def _decimal(a):
     return d, 16 - k + up, np.abs(f - 0.5) > _TIE
 
 
-def g17_columns(values, out=None) -> np.ndarray:
+def g17_columns(values) -> np.ndarray:
     """The text of ``'%.17g' % v`` for each v of a float64 array, as
-    the rows of a (size, WIDTH) uint8 array, out if given (its rows may
-    be the value columns of wider rows).
+    the rows of a (size, WIDTH) uint8 array.
 
     A row holds NUL bytes in the places its text does not use, between
     characters too; deleting them (``bytes.translate(None, b"\\0")``)
     leaves the text.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if out is None:
-        out = np.empty((len(values), WIDTH), np.uint8)
-    words = out.view(_WORD)
+    words = np.empty((len(values), WIDTH // 8), _WORD)
     a = np.abs(values)
     fast = (a >= _LOW) & (a <= _HIGH)  # False for nan
     d, x, settled = _decimal(a if fast.all() else np.where(fast, a, 1.0))
@@ -201,4 +198,4 @@ def g17_columns(values, out=None) -> np.ndarray:
     if slow.size:
         texts = [b"%.17g" % v for v in values[slow].tolist()]
         words[slow] = np.array(texts, dtype=f"S{WIDTH}").view(_WORD).reshape(-1, 3)
-    return out
+    return words.view(np.uint8)

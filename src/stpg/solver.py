@@ -337,7 +337,9 @@ def solve_pathwise(coeffs, disc: Discretization, omega: float) -> np.ndarray:
     with F_j = c0 tw_j b, on the dense M and S and no eigenbasis: the
     oracle of uniform_profile and uniform_energy. Each distinct width has
     its two step matrices and the inverse of the implicit one formed
-    once; each step applies the inverse and one residual refinement.
+    once; each step applies the inverse and one residual refinement. The
+    unit load is solved and the values scaled by c0 last, so a c0 near
+    the float range overflows only where the values do.
     """
     a, c0 = _path_data(coeffs, omega)
     pair, grid = disc.pair, disc.grid
@@ -347,7 +349,7 @@ def solve_pathwise(coeffs, disc: Discretization, omega: float) -> np.ndarray:
         scaled = (0.5 * a * k) * pair.stiffness
         implicit = pair.mass + scaled
         steps.append((implicit, np.linalg.inv(implicit), pair.mass - scaled))
-    loads = np.multiply.outer(grid.weights, c0 * pair.mode_vector)
+    loads = np.multiply.outer(grid.weights, pair.mode_vector)
     rows = []
     u = np.zeros(disc.n_dof)
     explicit = steps[index[0]][2]  # meets the zero initial value
@@ -360,7 +362,7 @@ def solve_pathwise(coeffs, disc: Discretization, omega: float) -> np.ndarray:
             u += inverse @ (rhs - implicit @ u)
             rows.append(u)
             explicit = next_explicit
-    values = np.array(rows)
+        values = c0 * np.array(rows)
     if not np.isfinite(values).all():
         raise PathwiseSolveError("non-finite values in time step")
     return values

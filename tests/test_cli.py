@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ConstantCoeffs, forbid_dense_solves
@@ -141,6 +141,25 @@ def test_infsup_weighted_constants_are_one_past_the_dense_cap():
     for row in rows:
         assert abs(row[5] - 1.0) < 1e-8
         assert abs(row[6] - 1.0) < 1e-8
+
+
+def test_max_dofs_caps_the_spatial_dofs_of_infsup(tmp_path, capsys):
+    # 63 dofs and 1,024 steps, 64,512 trial unknowns: the default cap of
+    # 5,000 is compared with the 63 spatial dofs alone, as in every
+    # subcommand, and the report is the one a cap of 100,000 gives
+    argv = ["infsup", "--cells", "64", "--steps", "1024"]
+    runs = {}
+    for cap in ([], ["--max-dofs", "100000"], ["--max-dofs", "63"]):
+        out = tmp_path / f"{len(runs)}.csv"
+        assert _main([*argv, *cap, "--out", str(out)], capsys) == (cli.EXIT_OK, [])
+        runs[tuple(cap)] = out.read_bytes()
+    assert len(set(runs.values())) == 1
+    lines = runs[()].decode("ascii").splitlines()
+    assert len(lines) == 1 + 8 and all(line.split(",")[5:7] == ["1", "1"] for line in lines[1:])
+    out = tmp_path / "none.csv"
+    code, err = _main([*argv, "--max-dofs", "62", "--out", str(out)], capsys)
+    assert code == cli.EXIT_RESOURCE and not out.exists()
+    assert err == ["stpg: resource cap: spatial size 63 exceeds cap 62"]
 
 
 def test_moments_rejects_short_ladder(tmp_path):
@@ -283,14 +302,14 @@ def test_available_memory_is_meminfo_else_physical(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("pages,steps,need", [
     # the pair's 4 x 7 x 7 values and numpy's buffers of 2 x 7 x 7, 4
-    # values per step of the profile, the report's write (11 values per
+    # values per step of the profile, the report's write (7 values per
     # dof and 24 for each of the 4,095 values of a block of 585
     # intervals), and the 16,384 bytes of a run's small objects
-    (10, 1000, "a 1000 x 7 solution written 4095 values at a time needs 837592 bytes, "
+    (10, 1000, "a 1000 x 7 solution written 4095 values at a time needs 837368 bytes, "
                "2352 of them for the spatial pair"),
-    # the report is written in one block of 700 values: 156,952 counted
+    # the report is written in one block of 700 values: 156,728 counted
     # bytes, which 39 pages hold
-    (38, 100, "a 100 x 7 solution written 700 values at a time needs 156952 bytes, "
+    (38, 100, "a 100 x 7 solution written 700 values at a time needs 156728 bytes, "
               "2352 of them for the spatial pair"),
     (39, 100, None),
     (40, 100, None),
@@ -315,8 +334,8 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
 def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkeypatch):
     # 19,999 dofs in 1-D: the pair's four 19,999 x 19,999 matrices are
     # 12.8 GB, against 8 GiB of available memory, while the report's write, one
-    # block of 4,096 of the interval's values beside 11 values per dof,
-    # is 2.5 MB, which the message names
+    # block of the whole interval's 19,999 values beside 7 values per dof,
+    # is 5.0 MB, which the message names
     _patch_available_memory(monkeypatch, 1 << 21)
     out = tmp_path / "x.csv"
     code, err = _main(["solve", "--cells", "20000", "--steps", "1", "--max-dofs", "20000",
@@ -324,11 +343,11 @@ def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkey
     assert code == cli.EXIT_RESOURCE
     pair = 8 * (4 * 19999 ** 2 + 2 * np.getbufsize())
     (line,) = err
-    match = re.fullmatch(r"stpg: resource cap: a 1 x 19999 solution written 4096 values at "
+    match = re.fullmatch(r"stpg: resource cap: a 1 x 19999 solution written 19999 values at "
                          r"a time needs (\d+) "
                          rf"bytes, {pair} of them for the spatial pair, more than the "
                          rf"{4096 << 21} bytes of available memory", line)
-    write = 8 * (cli.WRITE_TEXT * cli.WRITE_VALUES + cli.WRITE_DOF * 19999)
+    write = 8 * (cli.WRITE_TEXT + cli.WRITE_DOF) * 19999
     assert match and int(match[1]) == pair + 8 * cli.PROFILE_VALUES + write + cli.RUN_BYTES
     assert list(tmp_path.iterdir()) == []
 
@@ -429,7 +448,8 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, erro
 
         def level():
             grid = solver.TimeGrid.uniform(1.0, steps)
-            return cli._mode_errors(model, solver.Discretization(disc.pair, grid), nodes)
+            return cli._mode_errors(solver.Discretization(disc.pair, grid),
+                                    *cli._paths(model, nodes))
 
         peak = _traced_peak(level)
         block = min(16, cli._block_paths(steps))
@@ -543,7 +563,7 @@ def test_solve_report_holds_one_interval_beside_the_solution(dim, cells, steps):
     # whatever the step count, and WRITE_DOF values per dof: 4,096
     # intervals of one dof (cells 2), 585 of 7 and 18 of 225. Where the
     # mode repeats its values (4 distinct of 7), fewer are formatted
-    block = 8 * (cli.WRITE_TEXT * math.prod(cli._write_block(steps, n_dof))
+    block = 8 * (cli.WRITE_TEXT * cli._write_block(steps, n_dof) * n_dof
                  + cli.WRITE_DOF * n_dof)
     assert held + 0.7 * block <= peak <= held + block
 
@@ -563,8 +583,8 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
     solve = cli.ExperimentConfig(subcommand="solve", case="constant", dim=1,
                                  n_cells=(cells,), n_steps=(20000,))
     # imports and caches warm: the Gauss rule of the error oracle
-    cli._mode_errors(model, solver.Discretization(disc.pair, solver.TimeGrid.uniform(1.0, 4)),
-                     nodes)
+    cli._mode_errors(solver.Discretization(disc.pair, solver.TimeGrid.uniform(1.0, 4)),
+                     *cli._paths(model, nodes))
     grid = solver.TimeGrid.uniform(1.0, 20000)
     tracemalloc.start()
     try:
@@ -574,7 +594,7 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
         solver.time_weights(grid)
         weights_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        cli._mode_errors(model, solver.Discretization(disc.pair, grid), nodes)
+        cli._mode_errors(solver.Discretization(disc.pair, grid), *cli._paths(model, nodes))
         level_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1141,11 +1161,10 @@ def _solve_case(dim, degree, cells, steps, grid):
     lambda: _solve_case(1, 2, 100, 11, "graded"),
     lambda: _solve_case(2, 1, 11, 12, "uniform"),
     lambda: _solve_case(2, 1, 11, 12, "graded"),
-    # an interval in a block of 4,096 of its values and one of 404, or
-    # 40 intervals per block
+    # an interval of 4,500 values in one block, or 40 intervals per block
     lambda: _special_solution(10, 4500),
     lambda: _special_solution(450, 100),
-    # one interval per block, and a block of one value after each; blocks
+    # one interval per block, at WRITE_VALUES dofs and one more; blocks
     # of one interval, half full; and a last block of 7 of 40 intervals
     lambda: _special_solution(10, cli.WRITE_VALUES),
     lambda: _special_solution(10, cli.WRITE_VALUES + 1),
@@ -1156,7 +1175,7 @@ def _solve_case(dim, degree, cells, steps, grid):
     lambda: (*_special_solution(30)[:2], np.full(100, -0.0)),
     lambda: (*_special_solution(30)[:2], np.full(100, 0.1)),
     # more distinct values than WRITE_VALUES, formatted an interval at a
-    # time in pieces, and fewer: 30 of 500 dofs, in groups of 136
+    # time, and fewer: 30 of 500 dofs, in groups of 136
     # intervals, lines in blocks of 8, and a last group of 4
     lambda: _special_solution(11, 4500, cli.WRITE_VALUES + 9),
     lambda: _special_solution(140, 500, 30),
@@ -1200,13 +1219,99 @@ def test_writer_formats_each_distinct_product_once(monkeypatch):
     formatted = []
     g17_columns = cli.g17.g17_columns
 
-    def counting(values, out=None):
-        formatted.append(len(values))
-        return g17_columns(values, out)
+    def counting(values):
+        formatted.append(values.size)
+        return g17_columns(values)
 
     monkeypatch.setattr(cli.g17, "g17_columns", counting)
     cli._write_report(_Sink(), cli.SOLVE_HEADER, rows, ())
     assert sum(formatted) == 128 * 136 and max(formatted) <= cli.WRITE_VALUES
+
+
+class _Blocks(_Sink):
+    """A _Sink that keeps the number of lines of each write."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count(b"\n"))
+        super().write(text)
+
+
+def _wide_solution(dofs, distinct):
+    """(times, y, v) of 3 intervals whose heads take 25 bytes, and a v of
+    dofs values over 600 decades, distinct of them distinct."""
+    rng = np.random.default_rng(5)
+    pool = rng.standard_normal(distinct) * 10.0 ** rng.integers(-300, 300, distinct)
+    v = np.concatenate([pool, pool[rng.integers(0, distinct, dofs - distinct)]])
+    return np.arange(1, 4) * 1.2345678901234567e-05, rng.standard_normal(3), v
+
+
+def _dense_2d_mode(cells, steps):
+    config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=2,
+                                  n_cells=(cells,), n_steps=(steps,))
+    rows = cli.run_solve(config)
+    return rows.times, rows.y, rows.v
+
+
+@pytest.mark.parametrize("case,distinct", [
+    # every value distinct: one interval's 5,000 products per call
+    (lambda: _wide_solution(5000, 5000), 5000),
+    # 4,900 dofs of 630 distinct values: 6 intervals' products per call
+    (lambda: _dense_2d_mode(71, 3), 630),
+    (lambda: _dense_2d_mode(71, 14), 630),
+], ids=["all-distinct", "2d-71-cells-3-steps", "2d-71-cells-14-steps"])
+def test_wide_intervals_are_whole_blocks_each_formatted_in_one_call(monkeypatch, case,
+                                                                    distinct):
+    # above WRITE_VALUES dofs a block is one whole interval, and a group's
+    # distinct products go to g17_columns in one call, never split
+    times, y, v = case()
+    n_steps, n_dof = len(y), len(v)
+    assert n_dof > cli.WRITE_VALUES and len(np.unique(v)) == distinct
+    assert cli._write_block(n_steps, n_dof) == 1
+    formatted = []
+    g17_columns = cli.g17.g17_columns
+
+    def counting(values):
+        formatted.append(values.size)
+        return g17_columns(values)
+
+    monkeypatch.setattr(cli.g17, "g17_columns", counting)
+    sink = _Blocks()
+    cli._write_report(sink, cli.SOLVE_HEADER, cli.SolveRows(times, y, v), ())
+    assert sink.lines == [1] + [n_dof] * n_steps
+    group = max(1, cli.WRITE_VALUES // distinct)
+    assert formatted == [distinct * len(y[first:first + group])
+                         for first in range(0, n_steps, group)]
+
+
+@pytest.mark.parametrize("case,low", [
+    (lambda: _wide_solution(4097, 4097), 0.85),
+    (lambda: _wide_solution(20000, 20000), 0.85),
+    (lambda: _dense_2d_mode(66, 5), 0.0),
+    (lambda: _dense_2d_mode(71, 5), 0.0),
+], ids=["all-distinct-4097", "all-distinct-20000", "2d-4225", "2d-4900"])
+def test_write_of_a_wide_interval_stays_within_its_count(case, low):
+    # one interval per block: the write holds its block's text and
+    # WRITE_DOF values per dof, the mode among them; with every value
+    # distinct and 25-byte heads that is 225 bytes a dof traced, against
+    # 248 counted, and a 2-D mode of few distinct values holds about 0.55
+    # of the count
+    rows = cli.SolveRows(*case())
+    n_dof = rows.v.size
+    cli._write_report(_Sink(), cli.SOLVE_HEADER, rows, ())
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli._write_report(_Sink(), cli.SOLVE_HEADER, rows, ())
+        peak = tracemalloc.get_traced_memory()[1] - held + 8 * n_dof
+    finally:
+        tracemalloc.stop()
+    counted = 8 * (cli.WRITE_TEXT * cli._write_block(rows.y.size, n_dof) * n_dof
+                   + cli.WRITE_DOF * n_dof)
+    assert low * counted <= peak <= counted
 
 
 class _FailingFile:
@@ -1362,7 +1467,7 @@ def test_rung_values_match_the_per_path_solves(monkeypatch, dim, degree, block_b
     # the moment indicators and the errors come in closed form; the
     # squares of the c0 = 1e308 path overflow in both
     indicators = cli._moment_values(model, disc.pair, disc.grid.n_intervals, nodes)
-    errors = cli._mode_errors(model, disc, nodes)
+    errors = cli._mode_errors(disc, *cli._paths(model, nodes))
     flagged = []
     for i, w in enumerate(nodes):
         try:
@@ -1416,6 +1521,29 @@ def test_convergence_runs_no_step_loop(tmp_path, capsys, monkeypatch, dim, degre
                   "--n-quad-ladder", "4", "--out", str(out)], capsys) == (cli.EXIT_OK, [])
     rows = out.read_text().splitlines()
     assert len(rows) == 4 and all(math.isfinite(float(row.split(",")[5])) for row in rows[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--n-quad-ladder", "8"],
+    ["convergence", "--case", "a", "--j-max", "3", "--n-quad-ladder", "4"],
+    ["infsup", "--n-quad-ladder", "8"],
+], ids=["convergence-default-levels", "convergence-a", "infsup"])
+def test_coefficient_is_evaluated_once_per_run(tmp_path, capsys, monkeypatch, argv):
+    # the per-node Python loop of CoefficientModel.evaluate runs once on
+    # the run's rule, however many levels (j = 2 to 5 by default) or grids
+    # read it
+    calls = []
+    evaluate = stochastic.CoefficientModel.evaluate
+
+    def counting(self, nodes):
+        calls.append(len(nodes))
+        return evaluate(self, nodes)
+
+    monkeypatch.setattr(stochastic.CoefficientModel, "evaluate", counting)
+    out = tmp_path / "x.csv"
+    assert _main([*argv, "--out", str(out)], capsys) == (cli.EXIT_OK, [])
+    assert len(out.read_text().splitlines()) > 2
+    assert calls == [int(argv[-1])]
 
 
 @pytest.mark.parametrize("argv", [
@@ -1723,3 +1851,114 @@ def test_cli_contract_holds_for_generated_argv(case):
             assert written in ([], ["out.csv"])
             if written:
                 assert code == cli.EXIT_RESOURCE and argv[0] == "convergence"
+
+
+# the generated check of solve and moments against the per-path dense
+# solve: max |CSV value - oracle| / max |oracle| of a solve, and the
+# relative gap of a moment estimate, at most 3.3e-15 and 2.5e-15 over 400
+# random configurations of these sizes
+_ORACLE_RTOL = 2e-14
+
+
+@st.composite
+def _oracle_run(draw):
+    """The argv of a small valid solve or moments run: dim, degree,
+    up to 8 cells and 64 steps, a named case, and --omega or a ladder of 4
+    even rule sizes up to 16 with its moment orders."""
+    solve = draw(st.booleans())
+    dim, degree = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+    argv = ["--dim", str(dim), "--degree", str(degree),
+            "--cells", str(draw(st.integers(2, 8))), "--steps", str(draw(st.integers(1, 64)))]
+    if solve:
+        # the singular points of cases a to d and the ends of their law,
+        # and values of a lognormal a, non-positive ones too
+        omega = draw(st.one_of(st.sampled_from([0.0, 0.4, -0.5, 0.5, -1.0]),
+                               st.floats(-0.5, 0.5), st.floats(1e-3, 1e3)))
+        argv = ["solve", "--case", draw(st.sampled_from(sorted(stochastic._CASES))),
+                "--omega", repr(omega), *argv]
+    else:
+        # an odd rule puts a node on the singular point 0 of cases a to d
+        sizes = draw(st.lists(st.integers(1, 8), min_size=4, max_size=4, unique=True))
+        orders = draw(st.lists(st.sampled_from(["1", "2", "3.5"]), min_size=1, max_size=3,
+                               unique=True))
+        argv = ["moments", "--case", draw(st.sampled_from("abcd")),
+                "--n-quad-ladder", ",".join(str(2 * n) for n in sorted(sizes)),
+                "--p", ",".join(orders), *argv]
+    return argv
+
+
+def _oracle_values(model, disc, omega):
+    """The dense solve's interval values of one path, or None where it
+    raises PathwiseSolveError."""
+    try:
+        return solver.solve_pathwise(model, disc, omega)
+    except solver.PathwiseSolveError:
+        return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_oracle_run())
+# paths the oracle flags: a = 0, c0 = inf and a < 0
+@example(["solve", "--case", "b", "--omega", "0.0", "--dim", "2", "--cells", "3"])
+@example(["solve", "--case", "d", "--omega", "0.4", "--degree", "2", "--steps", "5"])
+@example(["solve", "--case", "lognormal", "--omega", "-1.0", "--steps", "1"])
+@example(["solve", "--case", "c", "--omega", "0.3", "--degree", "2", "--cells", "8",
+          "--steps", "64"])
+@example(["moments", "--case", "c", "--n-quad-ladder", "2,6,10,16", "--dim", "1",
+          "--degree", "2", "--cells", "8", "--steps", "64"])
+def test_generated_runs_match_the_per_path_oracle(argv):
+    config = cli.config_from_args(cli.build_parser().parse_args([*argv, "--out", "x"]))
+    model = stochastic.CoefficientModel(case=config.case)
+    disc = solver.Discretization(
+        pair=fem.assemble(fem.build_mesh(config.dim, config.n_cells[0], config.degree)),
+        grid=solver.TimeGrid.uniform(1.0, config.n_steps[0]))
+    if config.subcommand == "solve":
+        # above a = 1e150 the closed-form profile is wrong
+        # (test_closed_form_profile_of_a_huge_diffusion_value)
+        assume(not model.a(config.omega) > 1e150)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "x.csv")
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([*argv, "--out", out])
+        text = Path(out).read_text() if os.path.exists(out) else None
+    if config.subcommand == "solve":
+        values = _oracle_values(model, disc, config.omega)
+        if values is None:
+            assert code == cli.EXIT_NUMERICAL and text is None
+            return
+        assert code == cli.EXIT_OK
+        table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+        n_steps, n_dof = values.shape
+        assert table[:, 0].tolist() == np.repeat(np.arange(1, n_steps + 1), n_dof).tolist()
+        assert table[:, 1].tolist() == np.repeat(disc.grid.nodes[1:], n_dof).tolist()
+        assert table[:, 2].tolist() == np.tile(np.arange(n_dof), n_steps).tolist()
+        gap = np.abs(table[:, 3] - values.reshape(-1)).max()
+        assert gap <= _ORACLE_RTOL * np.abs(values).max()
+        return
+    assert code == cli.EXIT_OK
+    lines = text.splitlines()[1:]
+    domain = stochastic.default_domain(config.case)
+    rungs = []
+    for n_quad in config.quad_ladder:
+        nodes, weights = stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
+        indicators = []
+        for omega in nodes:
+            values = _oracle_values(model, disc, omega)
+            indicators.append(math.nan if values is None else
+                              solver.trial_energy_norm(values, disc) / math.sqrt(model.a(omega)))
+        rungs.append((np.array(indicators), weights))
+    rows, trailer = iter(lines), []
+    for p in config.p_values:
+        estimates = []
+        for n_quad, (indicators, weights) in zip(config.quad_ladder, rungs):
+            est, flagged = stochastic.lp_norm(p, indicators, weights)
+            case, n, order, got, got_flag = next(rows).split(",")
+            assert (case, int(n), float(order)) == (config.case, n_quad, p)
+            assert int(got_flag) == flagged
+            if not flagged:
+                assert float(got) == pytest.approx(est, rel=_ORACLE_RTOL, abs=0.0)
+            estimates.append(est)
+        trailer.append(f"# classification,p={cli._fmt(p)},"
+                       f"{stochastic.classify_trend(estimates)}")
+    assert list(rows) == trailer
+

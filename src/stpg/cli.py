@@ -113,7 +113,7 @@ _MEMINFO = "/proc/meminfo"
 
 
 class ResourceCapError(RuntimeError):
-    """A requested computation exceeds the configured size cap."""
+    """A requested computation needs more than the available memory."""
 
 
 @dataclass
@@ -132,7 +132,6 @@ class ExperimentConfig:
     quad_ladder: tuple = (8, 16, 32, 64, 128, 256)
     omega: float = 0.25
     out: str = ""
-    max_dofs: int = 5000
 
 
 def _fmt(value) -> str:
@@ -351,26 +350,24 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
                     paths: int = 1):
     """Mesh, spatial pair and uniform time grid of one configuration.
 
-    A grid of no interval is refused first, as TimeGrid.uniform refuses
-    it. Before any matrix is built, the spatial dofs must be within the
-    cap, and what a run over that many paths or parameter nodes holds at
-    peak must fit in memory. Each count adds the spatial pair's 1-D
-    matrices at their peak (fem.pair_values), which in 1-D are
-    n_dof x n_dof, and its message names that share. Beside them it
-    counts, for infsup, the grid while TimeGrid checks it (CHECK_BYTES)
-    and NODE_BYTES and ROW_BYTES per node; for moments, the grid's nodes
-    and MOMENT_VALUES per path, or the grid while TimeGrid checks it
-    (CHECK_BYTES); for solve, PROFILE_VALUES per step and the report's
-    write, one block of whole intervals (_write_block, WRITE_TEXT) and
-    WRITE_DOF values per dof; for convergence, GRID_VALUES per step and
-    NODE_BYTES per node, held throughout, and one block of paths
-    (_block_paths, ERROR_VALUES) with numpy's two buffers; and RUN_BYTES.
+    A grid of no interval is refused first, as TimeGrid.uniform refuses it.
+    Before any matrix is built, what a run over that many paths or parameter
+    nodes holds at peak must fit in memory, the one limit on its size. Each
+    count adds the spatial pair's 1-D matrices at their peak
+    (fem.pair_values), which in 1-D are n_dof x n_dof, and its message names
+    that share. Beside them it counts, for infsup, the grid while TimeGrid
+    checks it (CHECK_BYTES) and NODE_BYTES and ROW_BYTES per node; for
+    moments, the grid's nodes and MOMENT_VALUES per path, or the grid while
+    TimeGrid checks it (CHECK_BYTES); for solve, PROFILE_VALUES per step and
+    the report's write, one block of whole intervals (_write_block,
+    WRITE_TEXT) and WRITE_DOF values per dof; for convergence, GRID_VALUES
+    per step and NODE_BYTES per node, held throughout, and one block of
+    paths (_block_paths, ERROR_VALUES) with numpy's two buffers; and
+    RUN_BYTES.
     """
     if n_steps < 1:
         raise ValueError("need at least one time interval")
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
-    if mesh.n_dof > config.max_dofs:
-        raise ResourceCapError(f"spatial size {mesh.n_dof} exceeds cap {config.max_dofs}")
     pair = fem.pair_values(mesh)
     if config.subcommand == "infsup":
         grids = len(config.n_cells) * len(config.n_steps)
@@ -489,25 +486,20 @@ def run_moments(config: ExperimentConfig):
 def run_convergence(config: ExperimentConfig):
     """Mean-error convergence table over the ladder h = 2^-j, k = 2^-2j.
 
-    Stops at the first level over the size cap and reports it as
-    truncated. The rate is nan where either error is zero or not finite.
+    A level that does not fit in memory fails the whole run, as any other
+    size does. The rate is nan where either error is zero or not finite.
     """
     model, domain = _setup(config.case)
     if not 2 <= config.j_min <= config.j_max <= 7:
         raise ValueError("j range must satisfy 2 <= j_min <= j_max <= 7")
     n_quad = config.quad_ladder[0]
-    # built and evaluated once, before any level: a rule too large is no truncation
+    # built and evaluated once, before any level
     nodes, weights = _rule(model, domain, n_quad, NODE_BYTES)
     paths = _paths(model, nodes)
     rows = []
-    truncated = False
     prev = None
     for j in range(config.j_min, config.j_max + 1):
-        try:
-            disc = _discretization(config, 2 ** j, 4 ** j, n_quad)
-        except ResourceCapError:
-            truncated = True
-            break
+        disc = _discretization(config, 2 ** j, 4 ** j, n_quad)
         errors = _mode_errors(disc, *paths)
         mean_error = float(np.sum(weights * errors)) if np.all(np.isfinite(errors)) \
             else math.nan
@@ -518,8 +510,7 @@ def run_convergence(config: ExperimentConfig):
             rate = math.log(prev[1] / mean_error) / math.log(prev[0] / h)
         rows.append((config.case, j, h, k, n_quad, mean_error, rate))
         prev = (h, mean_error)
-    trailer = ["truncated,resource cap exceeded"] if truncated else []
-    return rows, truncated, trailer
+    return rows
 
 
 def run_infsup(config: ExperimentConfig):
@@ -561,7 +552,7 @@ def run_solve(config: ExperimentConfig):
     model, _ = _setup(config.case)
     disc = _discretization(config, config.n_cells[0], config.n_steps[0])
     y = solver.path_profile(model, disc.pair, disc.grid.n_intervals, config.omega)
-    return SolveRows(disc.grid.nodes[1:], y, disc.pair.excited_mode[2])
+    return SolveRows(disc.grid.nodes[1:], y, disc.pair.excited_vector)
 
 
 def _int_list(text: str):
@@ -594,12 +585,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# The options each subcommand reads besides --case, --dim, --degree,
-# --max-dofs and --out, with the type of each (a comma list only where its
-# run_* function reads a list), and the defaults that differ from
-# ExperimentConfig. An option a subcommand does not read is a usage error
-# there. --seed and --jobs have no effect; the determinism criterion and
-# the benchmark pass them.
+# The options each subcommand reads besides --case, --dim, --degree and
+# --out, with the type of each (a comma list only where its run_* function
+# reads a list), and the defaults that differ from ExperimentConfig. An
+# option a subcommand does not read is a usage error there. --seed and
+# --jobs have no effect; the determinism criterion and the benchmark pass
+# them.
 _SUBCOMMANDS = {
     "moments": ({"--cells": _one_int, "--steps": _one_int, "--p": _float_list,
                  "--n-quad-ladder": _int_list, "--seed": int, "--jobs": int}, {}),
@@ -644,7 +635,6 @@ def build_parser() -> _Parser:
         for flag, kind in options.items():
             dest, text = _OPTIONS[flag]
             cmd.add_argument(flag, dest=dest, type=kind, help=text)
-        cmd.add_argument("--max-dofs", type=int, help="cap on the spatial dofs")
         cmd.add_argument("--out", required=True, help="output CSV path")
         cmd.set_defaults(**defaults)
     return parser
@@ -662,16 +652,15 @@ def config_from_args(args) -> ExperimentConfig:
 
 
 def _report(config: ExperimentConfig):
-    """Run the subcommand; returns (header, rows, trailer, exit code)."""
+    """Run the subcommand; returns (header, rows, trailer)."""
     if config.subcommand == "moments":
         rows, _, trailer = run_moments(config)
-        return MOMENTS_HEADER, rows, trailer, EXIT_OK
+        return MOMENTS_HEADER, rows, trailer
     if config.subcommand == "convergence":
-        rows, truncated, trailer = run_convergence(config)
-        return CONVERGENCE_HEADER, rows, trailer, EXIT_RESOURCE if truncated else EXIT_OK
+        return CONVERGENCE_HEADER, run_convergence(config), ()
     if config.subcommand == "infsup":
-        return INFSUP_HEADER, run_infsup(config), (), EXIT_OK
-    return SOLVE_HEADER, run_solve(config), (), EXIT_OK
+        return INFSUP_HEADER, run_infsup(config), ()
+    return SOLVE_HEADER, run_solve(config), ()
 
 
 @functools.cache
@@ -684,7 +673,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     config = config_from_args(args)
     try:
-        header, rows, trailer, status = _report(config)
+        header, rows, trailer = _report(config)
     except ValueError as exc:
         print(f"stpg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -705,7 +694,7 @@ def main(argv=None) -> int:
         print("stpg: resource cap: out of memory while writing the report",
               file=sys.stderr)
         return EXIT_RESOURCE
-    return status
+    return EXIT_OK
 
 
 if __name__ == "__main__":

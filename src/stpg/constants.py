@@ -70,11 +70,11 @@ def cfl_constant(pair: SpatialPair, k: float) -> float:
     The supremum is the square root of the largest eigenvalue of
     S v = mu (M S^-1 M) v. In the M-orthonormal eigenbasis of (S, M),
     S is diag(lam) and M S^-1 M is diag(1 / lam), so mu_max = lam_max^2
-    and the constant is k * lam_max.
+    and the constant is k * lam_max (SpatialPair.max_eigenvalue).
     """
     if k <= 0:
         raise ValueError("time step must be positive")
-    return float(k * np.max(pair.eigenvalues))
+    return float(k * pair.max_eigenvalue)
 
 
 def cfl_omega(pair: SpatialPair, k: float, omega: float, coeffs) -> float:

@@ -9,9 +9,10 @@ every quadrature in the package.
 The eigenpairs of (S, M) diagonalize M, S and M S^-1 M. The space in
 dim d is the d-fold tensor product of the 1-D one, so a SpatialPair
 keeps the 1-D matrices and their eigenpairs, and the CLI reads from them
-the eigenvalues, the excited mode and its energy, with no n_dof x n_dof
-matrix. The dense mass, stiffness and modes are plain Kronecker products
-of the 1-D factors, formed on first use for the tests' oracles. Hat
+the largest eigenvalue and the excited mode's eigenvalue, load and
+energy; only a solve forms an array of n_dof values, the mode's vector.
+The dense mass, stiffness and modes are plain Kronecker products of the
+1-D factors, formed on first use for the tests' oracles. Hat
 functions (degree 1) need numpy only: their eigenpairs have a closed
 form, the discrete sine transform. Quadratic splines (degree 2) need
 numpy only as well: de Boor's recurrence evaluates them, and two
@@ -113,8 +114,7 @@ def pair_values(mesh: Mesh) -> int:
     3. For splines the second eigh call (_spline_modes) holds its
     LAPACK memory (_eigh_values) beside the 6, which tracemalloc does
     not see but the process's resident memory does. Beside them numpy
-    buffers two broadcast operands, up to np.getbufsize() values each,
-    which in 2-D also covers the excited mode's outer product.
+    buffers two broadcast operands, up to np.getbufsize() values each.
     """
     n = mesh.n_dof_1d
     buffers = 2 * min(n * n, np.getbufsize())
@@ -166,6 +166,12 @@ class SpatialPair:
         lam = (self._basis[0],) * self.mesh.dim
         return _frozen(functools.reduce(np.add.outer, lam).ravel())
 
+    @property
+    def max_eigenvalue(self) -> float:
+        """Largest eigenvalue of (S, M), dim times the largest 1-D one: float
+        addition is monotone, so it has the bits of the largest sum."""
+        return self.mesh.dim * float(np.max(self._basis[0]))
+
     @functools.cached_property
     def modes(self) -> tuple:
         """Dense M-orthonormal eigenpairs (lam, vecs) of the pair, cached read-only.
@@ -202,25 +208,27 @@ class SpatialPair:
 
     @functools.cached_property
     def excited_mode(self) -> tuple:
-        """(lam_1, beta_1, v_1) of the one mode the stock forcing excites,
-        computed once: the smallest eigenvalue, the modal load v_1' b and
-        the nodal eigenvector v_1, read-only.
-
-        Every other modal load is a rounding error of beta_1, so a path's
-        interval values are scalars times v_1. The 1-D factor u is basis
-        column 0, a sine, made bitwise mirror-symmetric and positive as
-        |u + u reversed| / 2; in 2-D v_1 is its outer product with
-        itself, so nodes equal by symmetry share their bits, and beta_1
-        is (u' b_1d)^2, with no vector of n_dof values besides v_1.
-        """
+        """(lam_1, beta_1) of the one mode the stock forcing excites, computed
+        once: the smallest eigenvalue and the modal load v_1' b, (u' b_1d)^d
+        in dim d with the 1-D factor u of v_1 (excited_vector). Every other
+        modal load is a rounding error of beta_1, so a path's interval
+        values are scalars times v_1."""
         u, dim = self._excited_factor, self.mesh.dim
-        v = functools.reduce(np.multiply.outer, (u,) * dim).ravel()
         beta = float(u @ mode_load_vector(Mesh(1, self.mesh.n_cells, self.mesh.degree))) ** dim
-        return dim * float(self._basis[0][0]), beta, _frozen(v)
+        return dim * float(self._basis[0][0]), beta
+
+    @functools.cached_property
+    def excited_vector(self) -> np.ndarray:
+        """The nodal eigenvector v_1 of excited_mode, computed once, read-only:
+        in 2-D the outer product of its 1-D factor with itself, so nodes equal
+        by symmetry share their bits."""
+        u = (self._excited_factor,) * self.mesh.dim
+        return _frozen(functools.reduce(np.multiply.outer, u).ravel())
 
     @functools.cached_property
     def _excited_factor(self) -> np.ndarray:
-        """The 1-D factor u of v_1, read-only."""
+        """The 1-D factor u of v_1, read-only: basis column 0, a sine, made
+        bitwise mirror-symmetric and positive as |u + u reversed| / 2."""
         vecs = self._basis[1]
         return _frozen(0.5 * np.abs(vecs[:, 0] + vecs[::-1, 0]))
 

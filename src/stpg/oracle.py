@@ -188,7 +188,7 @@ def block_errors(disc: Discretization, a, c0, y) -> np.ndarray:
     """Solver errors of P paths whose interval values are y_j v_1.
 
     a and c0 hold the paths' diffusion values and forcing amplitudes, y
-    their (P, N) profiles on the excited mode v_1 (SpatialPair.excited_mode),
+    their (P, N) profiles on the excited mode v_1 (SpatialPair.excited_vector),
     as solver.uniform_profile gives them. Returns the P errors of
     exact_error's expanded formula A - 2 c0 B + C, nan where a path's
     error is not finite, with no best error and no n_dof-sized array:

@@ -257,7 +257,7 @@ def uniform_energy(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
     h^2 / (1 - g^2) = ((1 + x) h)^2 / (4x), with log|g| =
     log1p(-2 min(u, v)) and 1 - g^{2N} = -expm1(2N log|g|).
     """
-    lam, beta, _ = pair.excited_mode
+    lam, beta = pair.excited_mode
     tw0, c, theta, _, x, u, v, mod = _uniform_terms(n_steps, a, lam)
     # the sums below are per unit (c0 beta_1)^2
     scale = lam * beta ** 2 * np.square(np.asarray(c0, dtype=float)) / n_steps
@@ -283,15 +283,15 @@ def _path_data(coeffs, omega: float) -> tuple:
 
 def uniform_profile(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
     """The (P, N) profiles y of P paths on the uniform grid of [0, 1], whose
-    interval values are y_j v_1 (SpatialPair.excited_mode), in the closed
+    interval values are y_j v_1 (SpatialPair.excited_vector), in the closed
     form of uniform_energy, with no step loop:
     y_j = Re Q sin(j theta) + Im Q cos(j theta) + h g^j, with
-    Re Q = 2 s v (x (1 - sigma) + sigma) / mod, Im Q = -s g sin(theta) / mod
+    Re Q = 2 s (u (1 - sigma) + v sigma) / mod, Im Q = -s g sin(theta) / mod
     and g^j = exp(j log|g|) with the sign of g. a and c0 are as in
     uniform_energy; a path whose profile overflows gets inf or nan. Each
     path's profile has the bits it has alone.
     """
-    lam, beta, _ = pair.excited_mode
+    lam, beta = pair.excited_mode
     c0 = np.asarray(c0, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tw0, c, theta, sigma, x, u, v, mod = _uniform_terms(
@@ -306,7 +306,7 @@ def uniform_profile(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
         power *= y0 - im
         angle *= theta
         y = np.sin(angle, out=np.empty_like(power))
-        y *= 2.0 * s * v * (x * (1.0 - sigma) + sigma) / mod
+        y *= 2.0 * s * (u * (1.0 - sigma) + v * sigma) / mod
         y += power
         y += np.multiply(np.cos(angle, out=angle), im, out=power)
     y[:, 0] = y0[:, 0]

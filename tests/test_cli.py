@@ -13,14 +13,14 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from conftest import ConstantCoeffs, forbid_dense_solves
 from stpg import cli, fem, oracle, solver, stochastic
@@ -52,20 +52,38 @@ def test_numerical_failure_exit_code(tmp_path):
 
 
 def test_resource_cap_exit_code(tmp_path):
+    # the memory check is the one limit on a run's size: the profile of
+    # 10^11 steps alone needs 800 GB
     out = tmp_path / "x.csv"
-    result = _run(["solve", "--cells", "64", "--dim", "2", "--max-dofs", "100",
-                   "--out", str(out)])
+    result = _run(["solve", "--steps", "100000000000", "--out", str(out)])
     assert result.returncode == cli.EXIT_RESOURCE
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("stpg: resource cap:")
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_convergence_truncation_marker(tmp_path):
-    out = tmp_path / "conv.csv"
-    result = _run(["convergence", "--case", "constant", "--j-min", "2", "--j-max", "4",
-                   "--n-quad-ladder", "1", "--max-dofs", "8", "--out", str(out)])
-    assert result.returncode == cli.EXIT_RESOURCE
-    text = out.read_text()
-    assert "# truncated,resource cap exceeded" in text
-    assert text.splitlines()[0] == ",".join(cli.CONVERGENCE_HEADER)
+def test_refused_convergence_level_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # a level that does not fit fails the run as any other size does: with
+    # 1 MiB of memory the rule and the levels j = 2 to 4 fit, the 8 paths
+    # of j = 5 (1,024 steps, 118 values per step) do not, and no table is
+    # written
+    _patch_available_memory(monkeypatch, 256)
+    levels = []
+    discretization = cli._discretization
+
+    def recording(config, n_cells, *args):
+        levels.append(n_cells)
+        return discretization(config, n_cells, *args)
+
+    monkeypatch.setattr(cli, "_discretization", recording)
+    code, err = _main(["convergence", "--j-min", "2", "--j-max", "7",
+                       "--out", str(tmp_path / "conv.csv")], capsys)
+    assert code == cli.EXIT_RESOURCE and levels == [4, 8, 16, 32]
+    (line,) = err
+    assert re.fullmatch(r"stpg: resource cap: a convergence block of 8 paths x 1024 steps "
+                        r"needs \d+ bytes, \d+ of them for the spatial pair, more than the "
+                        r"1048576 bytes of available memory", line)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_zero_case_writes_zero_file(tmp_path):
@@ -131,35 +149,15 @@ def test_infsup_csv(tmp_path):
 
 
 def test_infsup_weighted_constants_are_one_past_the_dense_cap():
-    # criterion 1 at a trial size of 63 * 128 = 8,064, past the default
-    # cap of 5,000: the per-mode blocks are 128 x 128
+    # criterion 1 at a trial size of 63 * 128 = 8,064, whose dense
+    # space-time matrix would take 520 MB: the per-mode blocks are 128 x 128
     config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1,
-                                  n_cells=(64,), n_steps=(128,), quad_ladder=(2,),
-                                  max_dofs=20000)
+                                  n_cells=(64,), n_steps=(128,), quad_ladder=(2,))
     rows = cli.run_infsup(config)
     assert len(rows) == 2
     for row in rows:
         assert abs(row[5] - 1.0) < 1e-8
         assert abs(row[6] - 1.0) < 1e-8
-
-
-def test_max_dofs_caps_the_spatial_dofs_of_infsup(tmp_path, capsys):
-    # 63 dofs and 1,024 steps, 64,512 trial unknowns: the default cap of
-    # 5,000 is compared with the 63 spatial dofs alone, as in every
-    # subcommand, and the report is the one a cap of 100,000 gives
-    argv = ["infsup", "--cells", "64", "--steps", "1024"]
-    runs = {}
-    for cap in ([], ["--max-dofs", "100000"], ["--max-dofs", "63"]):
-        out = tmp_path / f"{len(runs)}.csv"
-        assert _main([*argv, *cap, "--out", str(out)], capsys) == (cli.EXIT_OK, [])
-        runs[tuple(cap)] = out.read_bytes()
-    assert len(set(runs.values())) == 1
-    lines = runs[()].decode("ascii").splitlines()
-    assert len(lines) == 1 + 8 and all(line.split(",")[5:7] == ["1", "1"] for line in lines[1:])
-    out = tmp_path / "none.csv"
-    code, err = _main([*argv, "--max-dofs", "62", "--out", str(out)], capsys)
-    assert code == cli.EXIT_RESOURCE and not out.exists()
-    assert err == ["stpg: resource cap: spatial size 63 exceeds cap 62"]
 
 
 def test_moments_rejects_short_ladder(tmp_path):
@@ -190,34 +188,24 @@ def _main(argv, capsys):
     return code, capsys.readouterr().err.splitlines()
 
 
-def test_dof_cap_checked_before_assembly(tmp_path, capsys):
-    # dense 2-D matrices of this size would need hundreds of gigabytes
+def _raise_large(*args):
+    raise AssertionError("an array of n_dof values was formed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--cells", "400", "--steps", "4"],
+    ["convergence", "--j-min", "7", "--j-max", "7"],
+    ["infsup", "--cells", "400", "--steps", "4"],
+], ids=lambda argv: argv[0])
+def test_2d_runs_but_solve_form_no_array_of_n_dof_values(tmp_path, capsys, monkeypatch,
+                                                         argv):
+    # moments, convergence and infsup read lam_1, beta_1 and lam_max from
+    # the 1-D pair: neither the eigenvalue sums nor the mode's outer product
+    for name in ("eigenvalues", "excited_vector", "mode_vector"):
+        monkeypatch.setattr(fem.SpatialPair, name, property(_raise_large))
     out = tmp_path / "x.csv"
-    tracemalloc.start()
-    try:
-        started = time.perf_counter()
-        runs = [_main([cmd, "--dim", "2", "--cells", "400", "--steps", "4",
-                       "--out", str(out)], capsys)
-                for cmd in ("moments", "solve", "infsup")]
-        elapsed = time.perf_counter() - started
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    for code, err in runs:
-        assert code == cli.EXIT_RESOURCE
-        assert len(err) == 1 and err[0].startswith("stpg: resource cap:")
-    assert elapsed < 5.0
-    assert peak < 50e6
-    assert not out.exists()
-
-
-def test_convergence_truncates_before_assembly(tmp_path, capsys):
-    out = tmp_path / "conv.csv"
-    code, err = _main(["convergence", "--dim", "2", "--j-min", "7", "--j-max", "7",
-                       "--out", str(out)], capsys)
-    assert code == cli.EXIT_RESOURCE and err == []
-    assert out.read_text().splitlines() == [",".join(cli.CONVERGENCE_HEADER),
-                                            "# truncated,resource cap exceeded"]
+    assert _main([*argv, "--dim", "2", "--out", str(out)], capsys) == (cli.EXIT_OK, [])
+    assert out.exists()
 
 
 def test_convergence_zero_case_writes_nan_rate(tmp_path, capsys):
@@ -338,8 +326,8 @@ def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkey
     # is 5.0 MB, which the message names
     _patch_available_memory(monkeypatch, 1 << 21)
     out = tmp_path / "x.csv"
-    code, err = _main(["solve", "--cells", "20000", "--steps", "1", "--max-dofs", "20000",
-                       "--out", str(out)], capsys)
+    code, err = _main(["solve", "--cells", "20000", "--steps", "1", "--out", str(out)],
+                      capsys)
     assert code == cli.EXIT_RESOURCE
     pair = 8 * (4 * 19999 ** 2 + 2 * np.getbufsize())
     (line,) = err
@@ -362,8 +350,7 @@ def test_infsup_report_checked_against_available_memory(tmp_path, capsys, monkey
     _patch_available_memory(monkeypatch, 30)
     out = tmp_path / "x.csv"
     result, err = _main(["infsup", "--case", "lognormal", "--cells", "2", "--steps",
-                         str(steps), "--n-quad-ladder", "2", "--max-dofs", "10000",
-                         "--out", str(out)], capsys)
+                         str(steps), "--n-quad-ladder", "2", "--out", str(out)], capsys)
     assert result == code
     if code == cli.EXIT_RESOURCE:
         rows = 2 * (cli.NODE_BYTES + cli.ROW_BYTES)
@@ -606,15 +593,24 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
     assert 8 * 20000 <= weights_peak <= (8 * 3 + 1) * 20000 + 4096
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "--cells", "16", "--steps", "2000"],
+@pytest.mark.parametrize("argv,low", [
+    pytest.param(["solve", "--cells", "16", "--steps", "2000"], 0.85, id="solve"),
     # a rung of 4,096 paths, whose arrays outweigh the run's small objects
-    ["moments", "--cells", "16", "--steps", "300", "--n-quad-ladder", "512,1024,2048,4096"],
-    ["convergence", "--j-min", "4", "--j-max", "4", "--n-quad-ladder", "16"],
-], ids=lambda argv: argv[0])
-def test_2d_memory_count_pins_the_traced_peak(tmp_path, capsys, monkeypatch, argv):
+    pytest.param(["moments", "--cells", "16", "--steps", "300", "--n-quad-ladder",
+                  "512,1024,2048,4096"], 0.85, id="moments"),
+    pytest.param(["convergence", "--j-min", "4", "--j-max", "4", "--n-quad-ladder", "16"],
+                 0.85, id="convergence"),
+    # 159,201 dofs, whose solve writes 636,804 rows: its count holds the
+    # text of every value of a whole-interval block, of which 0.37 is traced
+    *(pytest.param([name, "--cells", "400", "--steps", "4"], low, id=f"{name}-400-cells")
+      for name, low in (("moments", 0.85), ("solve", 0.3), ("infsup", 0.85))),
+    # a level of 16,129 dofs and 16,384 steps
+    pytest.param(["convergence", "--j-min", "7", "--j-max", "7"], 0.85, id="convergence-j-7"),
+])
+def test_2d_memory_count_pins_the_traced_peak(tmp_path, capsys, monkeypatch, argv, low):
     # in 2-D the excited mode is an outer product, and a solve's writer
-    # and a convergence level's profiles and errors run beside it
+    # and a convergence level's profiles and errors run beside it; the
+    # memory check is the one limit on each run's size
     argv = [*argv, "--dim", "2", "--out", str(tmp_path / "x.csv")]
     assert _main(argv, capsys)[0] == cli.EXIT_OK  # imports and caches warm
     checked = []
@@ -626,10 +622,10 @@ def test_2d_memory_count_pins_the_traced_peak(tmp_path, capsys, monkeypatch, arg
     finally:
         tracemalloc.stop()
     assert code == (cli.EXIT_OK, [])
-    # a convergence run checks its parameter rule first
+    # a convergence or infsup run checks its parameter rule first
     *rule, counted = checked
-    assert len(rule) == (argv[0] == "convergence")
-    assert 0.85 * counted <= peak <= 1.05 * counted
+    assert len(rule) == (argv[0] in ("convergence", "infsup"))
+    assert low * counted <= peak <= 1.05 * counted
 
 
 def _raise_dense(*args):
@@ -680,16 +676,15 @@ def test_64_cell_2d_runs_stay_far_below_one_dense_matrix(tmp_path, capsys, monke
 def test_infsup_memory_count_pins_the_traced_peak(monkeypatch):
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
-    for case, cells, steps, n_quad, max_dofs in (
+    for case, cells, steps, n_quad in (
             # the pair of 511 dofs, 8.4 MB at its peak
-            ("a", (512,), (2,), 2, 5000),
+            ("a", (512,), (2,), 2),
             # one dof and 2^18 steps: the grid's nodes while TimeGrid checks them
-            ("a", (2,), (1 << 18,), 2, 1 << 18),
+            ("a", (2,), (1 << 18,), 2),
             # 10,000 nodes' report rows over 2 x 2 grids
-            ("lognormal", (4, 8), (4, 16), 10000, 5000)):
+            ("lognormal", (4, 8), (4, 16), 10000)):
         config = cli.ExperimentConfig(subcommand="infsup", case=case, dim=1, n_cells=cells,
-                                      n_steps=steps, quad_ladder=(n_quad,),
-                                      max_dofs=max_dofs)
+                                      n_steps=steps, quad_ladder=(n_quad,))
         peak = _traced_peak(lambda: cli.run_infsup(config))
         assert 0.9 * checked[-1] <= peak <= 1.05 * checked[-1], (case, cells, steps)
 
@@ -907,14 +902,13 @@ _ACCEPTED = {name: _flags(sub) for name, sub in _subparsers().items()}
 # a value each option parses, so that only the subcommand can reject it
 _VALUE = {"--case": "a", "--dim": "1", "--degree": "1", "--cells": "4", "--steps": "4",
           "--j-min": "2", "--j-max": "3", "--p": "1", "--n-quad-ladder": "8",
-          "--seed": "0", "--omega": "0.25", "--jobs": "1", "--max-dofs": "99",
-          "--out": "x.csv"}
+          "--seed": "0", "--omega": "0.25", "--jobs": "1", "--out": "x.csv"}
 
 
 def test_each_subcommand_has_its_own_settable_values():
     assert {name: len(flags) for name, flags in _ACCEPTED.items()} == {
-        "moments": 11, "convergence": 9, "infsup": 8, "solve": 8}
-    common = {"--case", "--dim", "--degree", "--max-dofs", "--out"}
+        "moments": 10, "convergence": 8, "infsup": 7, "solve": 7}
+    common = {"--case", "--dim", "--degree", "--out"}
     assert all(flags >= common for flags in _ACCEPTED.values())
     assert set(_VALUE) == set().union(*_ACCEPTED.values())
 
@@ -957,6 +951,12 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
 def test_option_of_another_subcommand_is_a_usage_error(tmp_path, capsys, subcommand,
                                                        flag):
     _usage_error([subcommand, flag, _VALUE[flag]], capsys, tmp_path)
+
+
+@pytest.mark.parametrize("subcommand", sorted(_ACCEPTED))
+def test_no_subcommand_takes_a_dof_cap(tmp_path, capsys, subcommand):
+    # the memory check is the one limit on a run's size
+    _usage_error([subcommand, "--max-dofs", "10"], capsys, tmp_path)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1012,11 +1012,9 @@ def test_comma_list_starting_with_a_minus_reaches_the_range_check(tmp_path, caps
      dict(n_cells=(4,), n_steps=(6,), omega=0.3)),
 ], ids=["moments", "convergence", "infsup", "solve"])
 def test_config_from_args_maps_every_option_to_its_field(argv, own):
-    common = ["--case", "b", "--dim", "2", "--degree", "2", "--max-dofs", "99",
-              "--out", "r.csv"]
+    common = ["--case", "b", "--dim", "2", "--degree", "2", "--out", "r.csv"]
     config = cli.config_from_args(cli.build_parser().parse_args(argv + common))
-    expected = dict(own, subcommand=argv[0], case="b", dim=2, degree=2, max_dofs=99,
-                    out="r.csv")
+    expected = dict(own, subcommand=argv[0], case="b", dim=2, degree=2, out="r.csv")
     # every option but the no-effect --seed and --jobs names a field, and
     # each is set above
     dests = {action.dest for action in _subparsers()[argv[0]]._actions}
@@ -1101,7 +1099,7 @@ def _singular_setup(case):
 def test_report_bytes_match_the_fmt_oracle(tmp_path, monkeypatch, config, singular):
     if singular:
         monkeypatch.setattr(cli, "_setup", _singular_setup)
-    header, rows, trailer, _ = cli._report(config)
+    header, rows, trailer = cli._report(config)
     if singular:
         assert any(not math.isfinite(value) for row in rows for value in row[3:5])
     out = tmp_path / "report.csv"
@@ -1150,7 +1148,7 @@ def _solve_case(dim, degree, cells, steps, grid):
     nodes = np.linspace(0.0, 1.0, steps + 1)
     disc = solver.Discretization(pair=fem.assemble(mesh), grid=solver.TimeGrid(
         nodes ** 2 if grid == "graded" else nodes))
-    v = disc.pair.excited_mode[2]
+    v = disc.pair.excited_vector
     values = solver.solve_pathwise(ConstantCoeffs(), disc, 0.0)
     return disc.grid.nodes[1:], values @ (disc.pair.mass @ v), v
 
@@ -1572,8 +1570,7 @@ def test_convergence_rows_match_the_per_path_solves(argv):
             rate = math.log(prev[1] / mean_error) / math.log(prev[0] / h)
         expected.append((config.case, j, h, disc.grid.k_max, n_quad, mean_error, rate))
         prev = (h, mean_error)
-    rows, truncated, _ = cli.run_convergence(config)
-    assert not truncated
+    rows = cli.run_convergence(config)
     assert [row[:5] for row in rows] == [row[:5] for row in expected]
     rtol = _ERROR_RTOL[config.degree]
     for row, want in zip(rows, expected):
@@ -1796,7 +1793,6 @@ def _cli_argv(draw):
         "--j-max": _mostly("3", "29"),
         "--p": _mostly(["1", "2", "3.5"], ["0.5", "inf", "nan"]),
         "--omega": _mostly(["0.25", "-0.4"], ["0", "nan", "inf"]),
-        "--max-dofs": _mostly(["20", "5000"], ["-1", "4"]),
         "--jobs": st.sampled_from(["0", "1", "8"]),
         "--seed": st.sampled_from(["0", "7"]),
     }
@@ -1846,45 +1842,62 @@ def test_cli_contract_holds_for_generated_argv(case):
         if code == cli.EXIT_OK:
             assert written == ["out.csv"]
         else:
-            # a failed run leaves no partial CSV and no temporary file; only
-            # a truncated convergence table is written
-            assert written in ([], ["out.csv"])
-            if written:
-                assert code == cli.EXIT_RESOURCE and argv[0] == "convergence"
+            # a failed run leaves no partial CSV and no temporary file
+            assert written == []
 
 
-# the generated check of solve and moments against the per-path dense
-# solve: max |CSV value - oracle| / max |oracle| of a solve, and the
-# relative gap of a moment estimate, at most 3.3e-15 and 2.5e-15 over 400
-# random configurations of these sizes
-_ORACLE_RTOL = 2e-14
+# The generated check of every subcommand against an oracle that shares
+# no production arithmetic: the dense forward solve (solve_pathwise) for
+# solve and moments, the expanded error formula on it (oracle.exact_error)
+# for convergence, and for infsup the SVD of the whole space-time system
+# (oracle.dense_infsup) and a dense eigen-solve of (S, M). Each bound is
+# the largest gap measured over 8,000 random configurations of these
+# sizes, rounded up: max |CSV value - oracle| / max |oracle| of a solve
+# and the relative gap of a moment estimate, at most 7.1e-15 and 3.2e-15;
+# of a mean error, at most 1.5e-13 at degree 1 and 2.1e-11 at degree 2,
+# where the expanded formula's cancellation grows as the mesh is refined
+# (the rate, a log ratio of two means over log 2, is off by at most 3.0e-11);
+# of c_S and c_S_omega, at most 1.4e-15; and |sigma - 1| of the SVD, at
+# most 73 eps, its own rounding (_SIGMA_EPS)
+_ORACLE_GAPS = {"solve": 2e-14, "moments": 2e-14, "convergence": {1: 1e-12, 2: 1e-10},
+                "c_S": 1e-14, "sigma": _SIGMA_EPS * np.finfo(float).eps}
 
 
 @st.composite
 def _oracle_run(draw):
-    """The argv of a small valid solve or moments run: dim, degree,
-    up to 8 cells and 64 steps, a named case, and --omega or a ladder of 4
-    even rule sizes up to 16 with its moment orders."""
-    solve = draw(st.booleans())
+    """The argv of a small valid run: dim, degree and a case, then up to
+    8 cells and 64 steps with --omega (solve) or with a ladder of 4 even
+    rule sizes up to 16 and its moment orders (moments); levels j <= 4
+    and a rule of up to 4 nodes (convergence); or up to two sizes of up
+    to 6 cells and of up to 8 steps and a rule of up to 4 nodes (infsup)."""
+    name = draw(st.sampled_from(["solve", "moments", "convergence", "infsup"]))
     dim, degree = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
-    argv = ["--dim", str(dim), "--degree", str(degree),
-            "--cells", str(draw(st.integers(2, 8))), "--steps", str(draw(st.integers(1, 64)))]
-    if solve:
+    case = draw(st.sampled_from("abcd" if name == "moments" else sorted(stochastic._CASES)))
+    argv = [name, "--dim", str(dim), "--degree", str(degree), "--case", case]
+    # an odd rule puts a node on the singular point 0 of cases a to d,
+    # which the rule refuses
+    n_quad = str(draw(st.sampled_from([2, 4]) if case in "abcd" else st.integers(1, 4)))
+    if name == "convergence":
+        j_min = draw(st.integers(2, 4))
+        return argv + ["--j-min", str(j_min), "--j-max", str(draw(st.integers(j_min, 4))),
+                       "--n-quad-ladder", n_quad]
+    if name == "infsup":
+        sizes = [st.lists(st.integers(low, high), min_size=1, max_size=2).map(
+            lambda values: ",".join(map(str, values))) for low, high in ((2, 6), (1, 8))]
+        return argv + ["--cells", draw(sizes[0]), "--steps", draw(sizes[1]),
+                       "--n-quad-ladder", n_quad]
+    argv += ["--cells", str(draw(st.integers(2, 8))), "--steps", str(draw(st.integers(1, 64)))]
+    if name == "solve":
         # the singular points of cases a to d and the ends of their law,
-        # and values of a lognormal a, non-positive ones too
+        # and values of a lognormal a (which is omega), non-positive ones too
         omega = draw(st.one_of(st.sampled_from([0.0, 0.4, -0.5, 0.5, -1.0]),
-                               st.floats(-0.5, 0.5), st.floats(1e-3, 1e3)))
-        argv = ["solve", "--case", draw(st.sampled_from(sorted(stochastic._CASES))),
-                "--omega", repr(omega), *argv]
-    else:
-        # an odd rule puts a node on the singular point 0 of cases a to d
-        sizes = draw(st.lists(st.integers(1, 8), min_size=4, max_size=4, unique=True))
-        orders = draw(st.lists(st.sampled_from(["1", "2", "3.5"]), min_size=1, max_size=3,
-                               unique=True))
-        argv = ["moments", "--case", draw(st.sampled_from("abcd")),
-                "--n-quad-ladder", ",".join(str(2 * n) for n in sorted(sizes)),
-                "--p", ",".join(orders), *argv]
-    return argv
+                               st.floats(-0.5, 0.5), st.floats(1e-3, 1e300)))
+        return argv + ["--omega", repr(omega)]
+    sizes = draw(st.lists(st.integers(1, 8), min_size=4, max_size=4, unique=True))
+    orders = draw(st.lists(st.sampled_from(["1", "2", "3.5"]), min_size=1, max_size=3,
+                           unique=True))
+    return argv + ["--n-quad-ladder", ",".join(str(2 * n) for n in sorted(sizes)),
+                   "--p", ",".join(orders)]
 
 
 def _oracle_values(model, disc, omega):
@@ -1896,47 +1909,51 @@ def _oracle_values(model, disc, omega):
         return None
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(_oracle_run())
-# paths the oracle flags: a = 0, c0 = inf and a < 0
-@example(["solve", "--case", "b", "--omega", "0.0", "--dim", "2", "--cells", "3"])
-@example(["solve", "--case", "d", "--omega", "0.4", "--degree", "2", "--steps", "5"])
-@example(["solve", "--case", "lognormal", "--omega", "-1.0", "--steps", "1"])
-@example(["solve", "--case", "c", "--omega", "0.3", "--degree", "2", "--cells", "8",
-          "--steps", "64"])
-@example(["moments", "--case", "c", "--n-quad-ladder", "2,6,10,16", "--dim", "1",
-          "--degree", "2", "--cells", "8", "--steps", "64"])
-def test_generated_runs_match_the_per_path_oracle(argv):
-    config = cli.config_from_args(cli.build_parser().parse_args([*argv, "--out", "x"]))
-    model = stochastic.CoefficientModel(case=config.case)
-    disc = solver.Discretization(
-        pair=fem.assemble(fem.build_mesh(config.dim, config.n_cells[0], config.degree)),
-        grid=solver.TimeGrid.uniform(1.0, config.n_steps[0]))
-    if config.subcommand == "solve":
-        # above a = 1e150 the closed-form profile is wrong
-        # (test_closed_form_profile_of_a_huge_diffusion_value)
-        assume(not model.a(config.omega) > 1e150)
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "x.csv")
-        with contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([*argv, "--out", out])
-        text = Path(out).read_text() if os.path.exists(out) else None
-    if config.subcommand == "solve":
-        values = _oracle_values(model, disc, config.omega)
-        if values is None:
-            assert code == cli.EXIT_NUMERICAL and text is None
-            return
-        assert code == cli.EXIT_OK
-        table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
-        n_steps, n_dof = values.shape
-        assert table[:, 0].tolist() == np.repeat(np.arange(1, n_steps + 1), n_dof).tolist()
-        assert table[:, 1].tolist() == np.repeat(disc.grid.nodes[1:], n_dof).tolist()
-        assert table[:, 2].tolist() == np.tile(np.arange(n_dof), n_steps).tolist()
-        gap = np.abs(table[:, 3] - values.reshape(-1)).max()
-        assert gap <= _ORACLE_RTOL * np.abs(values).max()
+def _oracle_disc(config, n_cells, n_steps):
+    return solver.Discretization(
+        pair=fem.assemble(fem.build_mesh(config.dim, n_cells, config.degree)),
+        grid=solver.TimeGrid.uniform(1.0, n_steps))
+
+
+def _oracle_rule(config, model, code, text):
+    """The run's rule, or None where it places a node on a singular point,
+    which the run refuses as a usage error."""
+    try:
+        return stochastic.quadrature(stochastic.default_domain(config.case),
+                                     config.quad_ladder[0], avoid=model.singular_points)
+    except ValueError:
+        assert code == cli.EXIT_USAGE and text is None
+        return None
+
+
+def _gap(got: float, want: float, scale=None) -> float:
+    """|got - want| / scale, by default relative to want: 0 where both print
+    alike (the same nan, inf or 0 too), inf where only one is finite."""
+    if cli._fmt(got) == cli._fmt(want):
+        return 0.0
+    scale = abs(want) if scale is None else scale
+    return abs(got - want) / scale if scale and math.isfinite(got - want) else math.inf
+
+
+def _solve_gaps(config, model, code, text, gaps):
+    disc = _oracle_disc(config, config.n_cells[0], config.n_steps[0])
+    values = _oracle_values(model, disc, config.omega)
+    if values is None:
+        assert code == cli.EXIT_NUMERICAL and text is None
         return
     assert code == cli.EXIT_OK
-    lines = text.splitlines()[1:]
+    table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+    n_steps, n_dof = values.shape
+    assert table[:, 0].tolist() == np.repeat(np.arange(1, n_steps + 1), n_dof).tolist()
+    assert table[:, 1].tolist() == np.repeat(disc.grid.nodes[1:], n_dof).tolist()
+    assert table[:, 2].tolist() == np.tile(np.arange(n_dof), n_steps).tolist()
+    gap = np.abs(table[:, 3] - values.reshape(-1)).max()
+    gaps["solve"] = gap and gap / np.abs(values).max()
+
+
+def _moments_gaps(config, model, code, text, gaps):
+    assert code == cli.EXIT_OK
+    disc = _oracle_disc(config, config.n_cells[0], config.n_steps[0])
     domain = stochastic.default_domain(config.case)
     rungs = []
     for n_quad in config.quad_ladder:
@@ -1947,7 +1964,7 @@ def test_generated_runs_match_the_per_path_oracle(argv):
             indicators.append(math.nan if values is None else
                               solver.trial_energy_norm(values, disc) / math.sqrt(model.a(omega)))
         rungs.append((np.array(indicators), weights))
-    rows, trailer = iter(lines), []
+    rows, trailer, gaps["moments"] = iter(text.splitlines()[1:]), [], 0.0
     for p in config.p_values:
         estimates = []
         for n_quad, (indicators, weights) in zip(config.quad_ladder, rungs):
@@ -1956,9 +1973,121 @@ def test_generated_runs_match_the_per_path_oracle(argv):
             assert (case, int(n), float(order)) == (config.case, n_quad, p)
             assert int(got_flag) == flagged
             if not flagged:
-                assert float(got) == pytest.approx(est, rel=_ORACLE_RTOL, abs=0.0)
+                gaps["moments"] = max(gaps["moments"], _gap(float(got), est))
             estimates.append(est)
         trailer.append(f"# classification,p={cli._fmt(p)},"
                        f"{stochastic.classify_trend(estimates)}")
     assert list(rows) == trailer
 
+
+def _convergence_gaps(config, model, code, text, gaps):
+    # a level's mean is nan where any path is flagged or its error is not finite
+    rule = _oracle_rule(config, model, code, text)
+    if rule is None:
+        return
+    assert code == cli.EXIT_OK
+    nodes, weights = rule
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    levels = range(config.j_min, config.j_max + 1)
+    assert [int(row[1]) for row in rows] == list(levels)
+    prev, gaps["convergence"], gaps["rate"] = None, 0.0, 0.0
+    for row, j in zip(rows, levels):
+        disc = _oracle_disc(config, 2 ** j, 4 ** j)
+        errors = []
+        for omega in nodes:
+            values = _oracle_values(model, disc, omega)
+            errors.append(math.nan if values is None else oracle.exact_error(
+                oracle.ModeSolution.for_dim(model.a(omega), model.c0(omega), config.dim),
+                disc, values)[0])
+        mean = float(np.sum(weights * errors)) if np.all(np.isfinite(errors)) else math.nan
+        rate = math.nan
+        if prev is not None and 0 < prev < math.inf and 0 < mean < math.inf:
+            rate = math.log(prev / mean) / math.log(2.0)
+        prev = mean
+        assert row[0] == config.case and row[2:5] == [
+            cli._fmt(disc.pair.mesh.h), cli._fmt(disc.grid.k_max), str(len(nodes))]
+        gaps["convergence"] = max(gaps["convergence"], _gap(float(row[5]), mean))
+        gaps["rate"] = max(gaps["rate"], _gap(float(row[6]), rate, 1.0))
+
+
+def _infsup_gaps(config, model, code, text, gaps):
+    # a flagged node (a not finite and positive) has nan in every column
+    # that needs a, which the oracle's assembly refuses
+    rule = _oracle_rule(config, model, code, text)
+    if rule is None:
+        return
+    assert code == cli.EXIT_OK
+    nodes, _ = rule
+    rows = iter(line.split(",") for line in text.splitlines()[1:])
+    gaps["c_S"] = gaps["sigma"] = 0.0
+    for n_cells in config.n_cells:
+        for n_steps in config.n_steps:
+            disc = _oracle_disc(config, n_cells, n_steps)
+            lam = eigh(disc.pair.stiffness, disc.pair.mass, eigvals_only=True)
+            c_s = disc.grid.k_max * lam[-1]
+            for omega in nodes.tolist():
+                a = float(model.a(omega))
+                row = next(rows)
+                assert row[:5] == [config.case, str(n_cells), str(n_steps), cli._fmt(omega),
+                                   cli._fmt(a)]
+                sigmas, c_S, weighted, bounds = row[5:7], row[7], row[8], row[9:]
+                gaps["c_S"] = max(gaps["c_S"], _gap(float(c_S), c_s))
+                try:
+                    want = oracle.dense_infsup(solver.assemble_full_system(disc, a),
+                                               solver.build_grams(disc, a, "Y_omega"),
+                                               solver.build_grams(disc, a, "X_omega_hk"))
+                except solver.PathwiseSolveError:
+                    assert [*sigmas, weighted, *bounds] == ["nan"] * 5
+                    continue
+                gaps["sigma"] = max(gaps["sigma"], *(abs(float(got) - sigma)
+                                                     for got, sigma in zip(sigmas, want)))
+                gaps["c_S"] = max(gaps["c_S"], _gap(float(weighted), a * c_s / math.sqrt(12.0)))
+                assert bounds == [cli._fmt(min(a, 1.0) / math.sqrt(2.0)),
+                                  cli._fmt(math.sqrt(2.0) * max(1.0, a))]
+    assert next(rows, None) is None
+
+
+_ORACLE_CHECKS = {"solve": _solve_gaps, "moments": _moments_gaps,
+                  "convergence": _convergence_gaps, "infsup": _infsup_gaps}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_oracle_run())
+# paths the oracle flags: a = 0, c0 = inf and a < 0
+@example(["solve", "--case", "b", "--omega", "0.0", "--dim", "2", "--cells", "3"])
+@example(["solve", "--case", "d", "--omega", "0.4", "--degree", "2", "--steps", "5"])
+@example(["solve", "--case", "lognormal", "--omega", "-1.0", "--steps", "1"])
+@example(["solve", "--case", "c", "--omega", "0.3", "--degree", "2", "--cells", "8",
+          "--steps", "64"])
+# a = 1e200 and 1e300, where the product s v of Re Q would underflow
+@example(["solve", "--case", "lognormal", "--omega", "1e200", "--cells", "8", "--steps", "7"])
+@example(["solve", "--case", "lognormal", "--omega", "1e300", "--dim", "2", "--cells", "5",
+          "--steps", "64"])
+@example(["moments", "--case", "c", "--n-quad-ladder", "2,6,10,16", "--dim", "1",
+          "--degree", "2", "--cells", "8", "--steps", "64"])
+# odd rules, which place a node on the singular point 0 of cases a and b
+@example(["convergence", "--case", "a", "--j-min", "2", "--j-max", "3",
+          "--n-quad-ladder", "3"])
+@example(["infsup", "--case", "b", "--dim", "2", "--cells", "3,5", "--steps", "2",
+          "--n-quad-ladder", "3"])
+# the largest levels: 2-D, and degree 2
+@example(["convergence", "--case", "lognormal", "--dim", "2", "--j-min", "2", "--j-max", "4",
+          "--n-quad-ladder", "4"])
+@example(["convergence", "--case", "c", "--degree", "2", "--j-min", "4", "--j-max", "4",
+          "--n-quad-ladder", "4"])
+@example(["infsup", "--case", "lognormal", "--degree", "2", "--cells", "6", "--steps", "1,8",
+          "--n-quad-ladder", "4"])
+def test_generated_runs_match_the_per_path_oracle(argv):
+    config = cli.config_from_args(cli.build_parser().parse_args([*argv, "--out", "x"]))
+    model = stochastic.CoefficientModel(case=config.case)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "x.csv")
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([*argv, "--out", out])
+        text = Path(out).read_text() if os.path.exists(out) else None
+    gaps = {}
+    _ORACLE_CHECKS[config.subcommand](config, model, code, text, gaps)
+    bounds = dict(_ORACLE_GAPS, convergence=_ORACLE_GAPS["convergence"][config.degree])
+    # the rate: a log ratio of two means over log 2, off by at most about 3 rtol
+    bounds["rate"] = 4 * bounds["convergence"]
+    assert all(gap <= bounds[name] for name, gap in gaps.items()), gaps

@@ -303,7 +303,7 @@ def test_block_errors_are_the_per_path_formula_bit_for_bit(block_solves, dim, de
     # uniform grid; on the graded one, which the closed form does not
     # serve, the M-projection of its interval values on v_1
     if graded:
-        y = np.array(values) @ (pair.mass @ pair.excited_mode[2])
+        y = np.array(values) @ (pair.mass @ pair.excited_vector)
     else:
         y = solver.uniform_profile(pair, 41, _BLOCK_A, _BLOCK_C0)
     if layout is not None:

@@ -13,19 +13,20 @@ Subcommands reproduce the stock experiments at desk scale:
 * ``solve``        one pathwise solve dumped as interval-indexed nodal
   values y_i v_d, a profile times the one excited mode
 
-Every report is a CSV file with a fixed header, floats printed as
-``'%.17g'`` prints them, and content that is byte-identical across
-reruns, written as bytes. The solve report, which can run to hundreds
-of thousands of rows, is written a block of whole intervals at a time
-by whole-array numpy operations (``stpg.g17``), each product of y_i
-with a distinct value of v formatted once. Each block writes its
-``i,t,`` heads and 24 NUL-padded columns of value text into one reused
-line buffer, whose ``dof,`` and newline columns stay, and the NULs are
-squeezed straight out of it. A regular or new file is written
-atomically, so a failed run leaves no partial CSV; a symlink is written
-through to its target. An open descriptor (``/dev/stdout``,
-``/proc/self/fd/N``) is written at its current offset, and a FIFO or a
-device in place, without that guarantee.
+Every report is a CSV file whose columns are declared once, each name
+with its format spec (floats ``.17g``), and whose content is
+byte-identical across reruns, written as bytes. The small reports go a
+row at a time through one line format of their specs; the solve report,
+which can run to hundreds of thousands of rows, is written a block of
+whole intervals at a time by whole-array numpy operations
+(``stpg.g17``), each product of y_i with a distinct value of v formatted
+once. Each block writes its ``i,t,`` heads and 24 NUL-padded columns of
+value text into one reused line buffer, whose ``dof,`` and newline
+columns stay, and the NULs are squeezed straight out of it. A regular or
+new file is written atomically, so a failed run leaves no partial CSV; a
+symlink is written through to its target. An open descriptor
+(``/dev/stdout``, ``/proc/self/fd/N``) is written at its current offset,
+and a FIFO or a device in place, without that guarantee.
 """
 
 import argparse
@@ -49,11 +50,14 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_RESOURCE = 3
 
-MOMENTS_HEADER = ["case", "N", "p", "estimate", "flagged"]
-CONVERGENCE_HEADER = ["case", "j", "h", "k", "n_quad", "mean_error", "observed_rate"]
-INFSUP_HEADER = ["case", "n_cells", "n_steps", "omega", "a_omega", "sigma_min",
-                 "sigma_max", "c_S", "c_S_omega", "cB_theory", "CB_theory"]
-SOLVE_HEADER = ["interval", "t", "dof", "value"]
+# each report's columns, name to format spec: its one declaration
+MOMENTS_HEADER = dict(case="s", N="d", p=".17g", estimate=".17g", flagged="d")
+CONVERGENCE_HEADER = dict(case="s", j="d", h=".17g", k=".17g", n_quad="d",
+                          mean_error=".17g", observed_rate=".17g")
+INFSUP_HEADER = dict(case="s", n_cells="d", n_steps="d", omega=".17g", a_omega=".17g",
+                     sigma_min=".17g", sigma_max=".17g", c_S=".17g", c_S_omega=".17g",
+                     cB_theory=".17g", CB_theory=".17g")
+SOLVE_HEADER = dict(interval="d", t=".17g", dof="d", value=".17g")
 # float64 values per time step a convergence level holds throughout: the
 # grid's nodes and widths, and from its first block on the 20 values of
 # TimeGrid.profile_quadrature (the Gauss rule and trig values of the error
@@ -134,16 +138,6 @@ class ExperimentConfig:
     out: str = ""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 class SolveRows:
     """The (interval, t, dof, value) rows of a solve, as a view of its N
     right endpoint times, its (N,) profile y and its (n_dof,) mode v: the
@@ -154,12 +148,6 @@ class SolveRows:
 
     def __len__(self):
         return self.y.size * self.v.size
-
-    def __iter__(self):
-        v = self.v.tolist()
-        for i, (t, y) in enumerate(zip(self.times.tolist(), self.y.tolist()), 1):
-            for dof, value in enumerate(v):
-                yield i, t, dof, y * value
 
 
 def _rows_of(texts) -> np.ndarray:
@@ -186,12 +174,13 @@ def _solve_lines(buf, line, heads, values, columns) -> bytearray:
 
 
 def _write_report(fh, header, rows, trailer):
-    """Write header, rows and trailer lines to the binary stream fh: other
-    rows by _fmt, a SolveRows view a block of whole intervals at a time
-    (_solve_lines), each product of y_i with a distinct value of v (by its
-    bits: -0 is not 0) formatted once, a group of intervals in one
-    g17_columns call, and laid out in one reused buffer: a head of another
-    width or a short last block gets a new one once the old one is freed."""
+    """Write header's names, rows and trailer lines to the binary stream fh:
+    rows of tuples by one line format of header's specs, a SolveRows view
+    a block of whole intervals at a time (_solve_lines), each product of
+    y_i with a distinct value of v (by its bits: -0 is not 0) formatted
+    once, a group of intervals in one g17_columns call, and laid out in one
+    reused buffer: a head of another width or a short last block gets a
+    new one once the old one is freed."""
     fh.write((",".join(header) + "\n").encode("ascii"))
     if isinstance(rows, SolveRows):
         n_steps, n_dof = rows.y.size, rows.v.size
@@ -221,7 +210,8 @@ def _write_report(fh, header, rows, trailer):
                 line[..., [-g17.WIDTH - 2, -1]] = list(b",\n")
             fh.write(_solve_lines(buf, line, heads, block, columns))
     else:
-        fh.writelines((",".join(map(_fmt, row)) + "\n").encode("ascii") for row in rows)
+        line = ",".join(f"{{:{spec}}}" for spec in header.values()) + "\n"
+        fh.writelines(line.format(*row).encode("ascii") for row in rows)
     fh.writelines(("# " + line + "\n").encode("ascii") for line in trailer)
 
 
@@ -270,9 +260,10 @@ def _open_in_place(target: str, fd):
 def write_csv(path: str, header, rows, trailer=()):
     """Write a report of rows to path.
 
-    rows is a sequence of tuples, each value printed by _fmt, or the
-    SolveRows view of a solve, which _write_report writes a block of
-    whole intervals at a time, byte for byte as _fmt would.
+    header maps each column's name to its format spec (``s``, ``d`` or
+    ``.17g``). rows is a sequence of tuples, printed by those specs, or the
+    SolveRows view of a solve, which _write_report writes a block of whole
+    intervals at a time, byte for byte as the specs would.
 
     Symlinks are followed first, so a link's target gets the bytes and
     the link stays. A regular or new file is written atomically: the
@@ -347,8 +338,8 @@ def _block_paths(n_steps: int) -> int:
 
 
 def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
-                    paths: int = 1):
-    """Mesh, spatial pair and uniform time grid of one configuration.
+                    paths: int = 1) -> fem.SpatialPair:
+    """Spatial pair of one configuration; a run that reads its grid builds it.
 
     A grid of no interval is refused first, as TimeGrid.uniform refuses it.
     Before any matrix is built, what a run over that many paths or parameter
@@ -357,8 +348,7 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     (fem.pair_values), which in 1-D are n_dof x n_dof, and its message names
     that share. Beside them it counts, for infsup, the grid while TimeGrid
     checks it (CHECK_BYTES) and NODE_BYTES and ROW_BYTES per node; for
-    moments, the grid's nodes and MOMENT_VALUES per path, or the grid while
-    TimeGrid checks it (CHECK_BYTES); for solve, PROFILE_VALUES per step and
+    moments, MOMENT_VALUES per path; for solve, PROFILE_VALUES per step and
     the report's write, one block of whole intervals (_write_block,
     WRITE_TEXT) and WRITE_DOF values per dof; for convergence, GRID_VALUES
     per step and NODE_BYTES per node, held throughout, and one block of
@@ -375,10 +365,8 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         _check_memory(8 * pair + CHECK_BYTES * n_steps + rows + RUN_BYTES,
                       f"an infsup report of {grids} x {paths} rows", 8 * pair)
     elif config.subcommand == "moments":
-        # the grid while TimeGrid checks it, or its nodes and the rung's arrays
-        rung = max(CHECK_BYTES * n_steps, 8 * (n_steps + MOMENT_VALUES * paths))
-        _check_memory(8 * pair + rung + RUN_BYTES, f"a moments rung of {paths} x {mesh.n_dof}",
-                      8 * pair)
+        _check_memory(8 * (pair + MOMENT_VALUES * paths) + RUN_BYTES,
+                      f"a moments rung of {paths} x {mesh.n_dof}", 8 * pair)
     elif config.subcommand == "solve":
         chunk = _write_block(n_steps, mesh.n_dof) * mesh.n_dof
         values = PROFILE_VALUES * n_steps + WRITE_DOF * mesh.n_dof + WRITE_TEXT * chunk
@@ -390,8 +378,7 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
         values = (GRID_VALUES + ERROR_VALUES * block) * n_steps + 2 * np.getbufsize()
         _check_memory(8 * (pair + values) + RUN_BYTES + NODE_BYTES * paths,
                       f"a convergence block of {block} paths x {n_steps} steps", 8 * pair)
-    grid = solver.TimeGrid.uniform(1.0, n_steps)
-    return solver.Discretization(pair=fem.assemble(mesh), grid=grid)
+    return fem.assemble(mesh)
 
 
 def _paths(model, nodes) -> tuple:
@@ -459,27 +446,23 @@ def run_moments(config: ExperimentConfig):
             raise ValueError(f"moment order p must satisfy 1 <= p < inf, got {p}")
     if len(set(config.p_values)) < len(config.p_values):
         raise ValueError("moment orders p must be distinct")
-    disc = _discretization(config, config.n_cells[0], config.n_steps[0], max(ladder))
+    pair = _discretization(config, config.n_cells[0], config.n_steps[0], max(ladder))
 
     estimates = {p: [] for p in config.p_values}
     flags = {p: [] for p in config.p_values}
     for n_quad in config.quad_ladder:
         nodes, weights = stochastic.quadrature(domain, n_quad,
                                                avoid=model.singular_points)
-        values = _moment_values(model, disc.pair, disc.grid.n_intervals, nodes)
+        values = _moment_values(model, pair, config.n_steps[0], nodes)
         for p in config.p_values:
             est, flagged = stochastic.lp_norm(p, values, weights)
             estimates[p].append(est)
             flags[p].append(flagged)
 
-    rows = []
-    classifications = {}
-    for p in config.p_values:
-        for n_quad, est, flagged in zip(config.quad_ladder, estimates[p], flags[p]):
-            rows.append((config.case, n_quad, p, est, flagged))
-        classifications[p] = stochastic.classify_trend(estimates[p])
-    trailer = [f"classification,p={_fmt(p)},{classifications[p]}"
-               for p in config.p_values]
+    rows = [(config.case, n_quad, p, est, flagged) for p in config.p_values
+            for n_quad, est, flagged in zip(config.quad_ladder, estimates[p], flags[p])]
+    classifications = {p: stochastic.classify_trend(estimates[p]) for p in config.p_values}
+    trailer = [f"classification,p={p:.17g},{trend}" for p, trend in classifications.items()]
     return rows, classifications, trailer
 
 
@@ -499,7 +482,8 @@ def run_convergence(config: ExperimentConfig):
     rows = []
     prev = None
     for j in range(config.j_min, config.j_max + 1):
-        disc = _discretization(config, 2 ** j, 4 ** j, n_quad)
+        disc = solver.Discretization(_discretization(config, 2 ** j, 4 ** j, n_quad),
+                                     solver.TimeGrid.uniform(1.0, 4 ** j))
         errors = _mode_errors(disc, *paths)
         mean_error = float(np.sum(weights * errors)) if np.all(np.isfinite(errors)) \
             else math.nan
@@ -533,8 +517,8 @@ def run_infsup(config: ExperimentConfig):
     rows = []
     for n_cells in config.n_cells:
         for n_steps in config.n_steps:
-            disc = _discretization(config, n_cells, n_steps, len(nodes))
-            c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
+            pair = _discretization(config, n_cells, n_steps, len(nodes))
+            c_s = consts.cfl_constant(pair, solver.TimeGrid.uniform(1.0, n_steps).k_max)
             for omega, a in zip(nodes.tolist(), diffusion.tolist()):
                 if math.isfinite(a) and a > 0:
                     rows.append((config.case, n_cells, n_steps, omega, a, 1.0, 1.0, c_s,
@@ -550,9 +534,10 @@ def run_solve(config: ExperimentConfig):
     """One pathwise solve, dumped as interval-indexed nodal values: the
     rank-one rows of its closed-form profile and the pair's excited mode."""
     model, _ = _setup(config.case)
-    disc = _discretization(config, config.n_cells[0], config.n_steps[0])
-    y = solver.path_profile(model, disc.pair, disc.grid.n_intervals, config.omega)
-    return SolveRows(disc.grid.nodes[1:], y, disc.pair.excited_vector)
+    pair = _discretization(config, config.n_cells[0], config.n_steps[0])
+    times = solver.TimeGrid.uniform(1.0, config.n_steps[0]).nodes[1:]
+    y = solver.path_profile(model, pair, config.n_steps[0], config.omega)
+    return SolveRows(times, y, pair.excited_vector)
 
 
 def _int_list(text: str):

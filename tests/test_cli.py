@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import lzma
 import math
 import os
 import re
@@ -27,6 +28,34 @@ from stpg import cli, fem, oracle, solver, stochastic
 from stpg import constants as consts
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fmt(value) -> str:
+    """One value as the CSV prints it, by its type: the writer's
+    independent oracle."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _solve_rows(times, y, v):
+    """The (interval, t, dof, value) rows of a solve's right endpoint times,
+    profile y and mode v, one at a time: the value at interval i and dof d
+    is y_i * v_d."""
+    v = v.tolist()
+    for i, (t, y_i) in enumerate(zip(times.tolist(), y.tolist()), 1):
+        for dof, value in enumerate(v):
+            yield i, t, dof, y_i * value
+
+
+def _disc(config, n_cells, n_steps):
+    """The CLI's spatial pair of a configuration on its uniform grid."""
+    return solver.Discretization(cli._discretization(config, n_cells, n_steps),
+                                 solver.TimeGrid.uniform(1.0, n_steps))
 
 
 def _run(args, **kwargs):
@@ -178,7 +207,7 @@ def test_api_runs_match_subprocess(tmp_path):
     assert result.returncode == 0
     text = out.read_text()
     for row in rows:
-        assert cli._fmt(row[3]) in text
+        assert _fmt(row[3]) in text
     assert set(classifications) == {1.0, 2.0}
 
 
@@ -244,6 +273,18 @@ def test_grid_of_no_interval_exits_with_one_line(tmp_path, capsys, argv):
     code, err = _main([*argv, "--out", str(tmp_path / "x.csv")], capsys)
     assert (code, err) == (cli.EXIT_USAGE, ["stpg: error: need at least one time interval"])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_moments_builds_no_time_grid(tmp_path, capsys, monkeypatch):
+    # the closed form takes the step count, so a rung of 10^7 steps holds
+    # nothing per step and no grid is built
+    def forbidden(*args):
+        raise AssertionError("moments built a time grid")
+
+    monkeypatch.setattr(solver.TimeGrid, "__post_init__", forbidden)
+    out = tmp_path / "m.csv"
+    code = _main(["moments", "--steps", str(10 ** 7), "--out", str(out)], capsys)
+    assert code == (cli.EXIT_OK, []) and out.exists()
 
 
 @pytest.mark.parametrize("argv", [["solve", "--steps", str(10 ** 15)],
@@ -402,8 +443,10 @@ def _traced_peak(work):
 
 
 @pytest.mark.parametrize("cells,steps,errors", [
-    (64, 1000, False),  # 4,096 paths: the rung's arrays outweigh the grid
-    (64, 5000, False),  # 16 paths: TimeGrid's checks on the grid outweigh the rung
+    # a rung of 4,096 paths, whose arrays are all it holds: no grid, and
+    # nothing per step at 10^7 steps either
+    (64, 1000, False),
+    (64, 10 ** 7, False),
     # a convergence level of 16 paths: blocks of 2 of 20,000 steps and
     # 10 of 5,000, whose profiles outweigh the grid's cached values, and
     # one block at 128 steps, where numpy's two buffers weigh a third
@@ -417,8 +460,8 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, erro
     model, domain = cli._setup(config.case)
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
-    paths = 4096 if (steps, errors) == (1000, False) else 16
-    disc = cli._discretization(config, cells, steps, paths=paths)
+    paths = 16 if errors else 4096
+    pair = cli._discretization(config, cells, steps, paths=paths)
     blocks = []
     profile = solver.uniform_profile
 
@@ -435,7 +478,7 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, erro
 
         def level():
             grid = solver.TimeGrid.uniform(1.0, steps)
-            return cli._mode_errors(solver.Discretization(disc.pair, grid),
+            return cli._mode_errors(solver.Discretization(pair, grid),
                                     *cli._paths(model, nodes))
 
         peak = _traced_peak(level)
@@ -443,17 +486,16 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, erro
         # _traced_peak runs the level twice
         assert blocks == 2 * [min(block, 16 - start) for start in range(0, 16, block)]
     else:
-        # the grid, the rung's rule and the closed form on it, with no profile
+        # the rung's rule and the closed form on it, with no grid and no profile
         def rung():
-            grid = solver.TimeGrid.uniform(1.0, steps)
             nodes, _ = stochastic.quadrature(domain, paths)
-            return cli._moment_values(model, disc.pair, grid.n_intervals, nodes)
+            return cli._moment_values(model, pair, steps, nodes)
 
         peak = _traced_peak(rung)
         assert blocks == []
     # the pair was built before the trace, so its term is left out
     (counted,) = checked
-    counted -= 8 * fem.pair_values(disc.pair.mesh)
+    counted -= 8 * fem.pair_values(pair.mesh)
     if not errors:
         # the trace holds the rung's arrays, not a run's small objects
         counted -= cli.RUN_BYTES
@@ -565,12 +607,12 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     config = cli.ExperimentConfig(subcommand="convergence", case="lognormal", dim=1)
     model, domain = cli._setup(config.case)
-    disc = cli._discretization(config, cells, 20000, paths=1)
+    pair = cli._discretization(config, cells, 20000, paths=1)
     nodes, _ = stochastic.quadrature(domain, 1)
     solve = cli.ExperimentConfig(subcommand="solve", case="constant", dim=1,
                                  n_cells=(cells,), n_steps=(20000,))
     # imports and caches warm: the Gauss rule of the error oracle
-    cli._mode_errors(solver.Discretization(disc.pair, solver.TimeGrid.uniform(1.0, 4)),
+    cli._mode_errors(solver.Discretization(pair, solver.TimeGrid.uniform(1.0, 4)),
                      *cli._paths(model, nodes))
     grid = solver.TimeGrid.uniform(1.0, 20000)
     tracemalloc.start()
@@ -581,13 +623,13 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
         solver.time_weights(grid)
         weights_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        cli._mode_errors(solver.Discretization(disc.pair, grid), *cli._paths(model, nodes))
+        cli._mode_errors(solver.Discretization(pair, grid), *cli._paths(model, nodes))
         level_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     level, counted = checked
     # the level's pair was built before the trace
-    assert level_peak <= level - 8 * fem.pair_values(disc.pair.mesh)
+    assert level_peak <= level - 8 * fem.pair_values(pair.mesh)
     assert solve_peak <= counted
     # the weights, two more values and a mask per step beside the nodes
     assert 8 * 20000 <= weights_peak <= (8 * 3 + 1) * 20000 + 4096
@@ -734,7 +776,7 @@ def _per_node_infsup_rows(config, stacked):
     rows = []
     for n_cells in config.n_cells:
         for n_steps in config.n_steps:
-            disc = cli._discretization(config, n_cells, n_steps)
+            disc = _disc(config, n_cells, n_steps)
             c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
             mu = np.multiply.outer(valid, disc.pair.eigenvalues)
             if stacked:
@@ -1035,13 +1077,17 @@ def _readme_examples():
             if line.startswith("stpg ")]
 
 
+def _perfbench(name):
+    """The benchmark's module of that name, read from perfbench/."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _workload_argv():
-    spec = importlib.util.spec_from_file_location("workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     return [list(call.argv) + ["--out", "x.csv"]
-            for calls in workloads.WORKLOADS.values() for call in calls]
+            for calls in _perfbench("workloads").WORKLOADS.values() for call in calls]
 
 
 def test_readme_examples_cover_every_subcommand():
@@ -1055,14 +1101,35 @@ def test_documented_and_benchmarked_calls_parse(argv):
     cli.config_from_args(cli.build_parser().parse_args(argv))
 
 
+def test_declared_specs_match_the_benchmark_schemas_and_references(monkeypatch):
+    # perfbench/outputs.py imports its sibling workloads module by name
+    monkeypatch.setitem(sys.modules, "workloads", _perfbench("workloads"))
+    outputs = _perfbench("outputs")
+    headers = {"moments": cli.MOMENTS_HEADER, "convergence": cli.CONVERGENCE_HEADER,
+               "infsup": cli.INFSUP_HEADER, "solve": cli.SOLVE_HEADER}
+    kinds = {"s": "str", "d": "int", ".17g": "float"}
+    assert {kind: tuple(kinds[spec] for spec in header.values())
+            for kind, header in headers.items()} == outputs.SCHEMAS
+    # every stored reference CSV starts with its report's header line
+    suffixes = set()
+    for workload, calls in outputs.workloads.WORKLOADS.items():
+        for call in calls:
+            path = outputs.reference_path(workload, call)
+            with (lzma.open if path.suffix == ".xz" else open)(path, "rt") as fh:
+                assert fh.readline() == ",".join(headers[call.kind]) + "\n", path
+            suffixes.add(path.suffix)
+    assert suffixes == {".csv", ".xz"}
+
+
 def test_csv_write_is_atomic(tmp_path):
     out = tmp_path / "report.csv"
-    cli.write_csv(str(out), ["a", "b"], [(1, 0.5)])
+    header = dict(a="d", b=".17g")
+    cli.write_csv(str(out), header, [(1, 0.5)])
     assert out.read_text() == "a,b\n1,0.5\n"
     assert list(tmp_path.iterdir()) == [out]
     # a row that fails to format half-way leaves the old file untouched
     with pytest.raises(TypeError):
-        cli.write_csv(str(out), ["a", "b"], [(2, 0.25), (3, object())])
+        cli.write_csv(str(out), header, [(2, 0.25), (3, object())])
     assert out.read_text() == "a,b\n1,0.5\n"
     assert list(tmp_path.iterdir()) == [out]
 
@@ -1070,7 +1137,7 @@ def test_csv_write_is_atomic(tmp_path):
 def _fmt_csv(header, rows, trailer=()):
     """The report as the per-value _fmt oracle prints it."""
     lines = [",".join(header)]
-    lines += [",".join(cli._fmt(v) for v in row) for row in rows]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     lines += ["# " + line for line in trailer]
     return "".join(line + "\n" for line in lines)
 
@@ -1104,20 +1171,28 @@ def test_report_bytes_match_the_fmt_oracle(tmp_path, monkeypatch, config, singul
         assert any(not math.isfinite(value) for row in rows for value in row[3:5])
     out = tmp_path / "report.csv"
     cli.write_csv(str(out), header, rows, trailer)
+    if isinstance(rows, cli.SolveRows):
+        rows = _solve_rows(rows.times, rows.y, rows.v)
     assert out.read_bytes() == _fmt_csv(header, rows, trailer).encode("ascii")
 
 
 def test_write_csv_matches_fmt_on_every_value_kind(tmp_path):
-    rows = [("x", True, np.int64(-7), 3, -0.0, math.inf, -math.inf, math.nan,
-             np.float64(0.1), 1e-300, 2.0 ** 60, np.float32(0.1)),
-            ("yz", False, np.int64(2 ** 62), -4, 1 / 3, 5e-324, -1e300,
-             np.float64(math.nan), np.float64(-2.5), 0.0, 123456789.0, np.float32(3))]
-    header = [f"c{i}" for i in range(len(rows[0]))]
+    # flags (bool, np.bool_) and integers (int, np.int64) under d, and
+    # floats (float, np.float64, np.float32) under .17g
+    specs = ["s", "d", "d", "d", "d"] + [".17g"] * 9
+    rows = [("x", True, np.bool_(False), np.int64(-7), 3, -0.0, math.inf, -math.inf,
+             math.nan, np.float64(0.1), 5e-324, 1e300, 2.0 ** 60, np.float32(0.1)),
+            ("yz", False, np.bool_(True), np.int64(2 ** 62), -4, 1 / 3, -5e-324, -1e300,
+             np.float64(math.nan), np.float64(-2.5), 0.0, 1e-300, 123456789.0,
+             np.float32(3))]
+    header = {f"c{i}": spec for i, spec in enumerate(specs)}
     out = tmp_path / "kinds.csv"
     cli.write_csv(str(out), header, rows, ["note,1"])
     assert out.read_text() == _fmt_csv(header, rows, ["note,1"])
-    assert out.read_text().splitlines()[1].split(",")[4:8] == ["-0", "inf", "-inf",
-                                                               "nan"]
+    assert out.read_text().splitlines()[1].split(",")[1:12] == [
+        "1", "0", "-7", "3", "-0", "inf", "-inf", "nan", "0.10000000000000001",
+        "4.9406564584124654e-324", "1.0000000000000001e+300"]
+    assert out.read_text().splitlines()[2].split(",")[3] == "4611686018427387904"
 
 
 _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 0.1, 1.0]
@@ -1372,14 +1447,14 @@ def test_solve_rows_match_the_double_loop():
     config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=2,
                                   n_cells=(4,), n_steps=(6,))
     model, _ = cli._setup(config.case)
-    disc = cli._discretization(config, 4, 6)
+    disc = _disc(config, 4, 6)
     rows = cli.run_solve(config)
     # the double loop over the profile and the mode, bit for bit
     loop = []
     for i in range(disc.grid.n_intervals):
         for dof in range(disc.n_dof):
             loop.append((i + 1, disc.grid.nodes[i + 1], dof, rows.y[i] * rows.v[dof]))
-    assert len(rows) == len(loop) and list(rows) == loop
+    assert len(rows) == len(loop) and list(_solve_rows(rows.times, rows.y, rows.v)) == loop
     sol = solver.solve_pathwise(model, disc, config.omega)
     assert np.max(np.abs(np.outer(rows.y, rows.v) - sol)) <= SOLVE_RTOL * np.max(np.abs(sol))
 
@@ -1398,7 +1473,7 @@ def test_run_solve_runs_no_sweep_and_no_modal_transform(monkeypatch):
 
 def _csv_rows(rows):
     """Rows as the CSV prints them, so that nan, -0 and every last bit compare."""
-    return [tuple(map(cli._fmt, row)) for row in rows]
+    return [tuple(map(_fmt, row)) for row in rows]
 
 
 @pytest.mark.parametrize("argv", [
@@ -1412,9 +1487,10 @@ def test_solve_rows_are_the_whole_array_recurrence(argv):
     config = cli.config_from_args(cli.build_parser().parse_args(
         ["solve", *argv, "--out", "unused.csv"]))
     model, _ = cli._setup(config.case)
-    disc = cli._discretization(config, config.n_cells[0], config.n_steps[0])
+    disc = _disc(config, config.n_cells[0], config.n_steps[0])
     values = solver.solve_pathwise(model, disc, config.omega)
-    rows = list(cli.run_solve(config))
+    solve = cli.run_solve(config)
+    rows = list(_solve_rows(solve.times, solve.y, solve.v))
     assert [row[:3] for row in rows] == [(i + 1, t, dof) for i, t in
                                          enumerate(disc.grid.nodes[1:].tolist())
                                          for dof in range(disc.n_dof)]
@@ -1559,7 +1635,7 @@ def test_convergence_rows_match_the_per_path_solves(argv):
     nodes, weights = stochastic.quadrature(domain, n_quad, avoid=model.singular_points)
     expected, prev = [], None
     for j in range(config.j_min, config.j_max + 1):
-        disc = cli._discretization(config, 2 ** j, 4 ** j)
+        disc = _disc(config, 2 ** j, 4 ** j)
         errors = np.array([
             oracle.exact_error(oracle.ModeSolution.for_dim(model.a(w), model.c0(w), 1),
                                disc, solver.solve_pathwise(model, disc, w))[0]
@@ -1581,7 +1657,8 @@ def test_convergence_rows_match_the_per_path_solves(argv):
 
 def _solve_csv(argv):
     config = cli.config_from_args(cli.build_parser().parse_args(argv))
-    return _fmt_csv(cli.SOLVE_HEADER, cli.run_solve(config))
+    rows = cli.run_solve(config)
+    return _fmt_csv(cli.SOLVE_HEADER, _solve_rows(rows.times, rows.y, rows.v))
 
 
 def test_out_symlink_is_written_through(tmp_path):
@@ -1929,7 +2006,7 @@ def _oracle_rule(config, model, code, text):
 def _gap(got: float, want: float, scale=None) -> float:
     """|got - want| / scale, by default relative to want: 0 where both print
     alike (the same nan, inf or 0 too), inf where only one is finite."""
-    if cli._fmt(got) == cli._fmt(want):
+    if _fmt(got) == _fmt(want):
         return 0.0
     scale = abs(want) if scale is None else scale
     return abs(got - want) / scale if scale and math.isfinite(got - want) else math.inf
@@ -1975,7 +2052,7 @@ def _moments_gaps(config, model, code, text, gaps):
             if not flagged:
                 gaps["moments"] = max(gaps["moments"], _gap(float(got), est))
             estimates.append(est)
-        trailer.append(f"# classification,p={cli._fmt(p)},"
+        trailer.append(f"# classification,p={_fmt(p)},"
                        f"{stochastic.classify_trend(estimates)}")
     assert list(rows) == trailer
 
@@ -2005,7 +2082,7 @@ def _convergence_gaps(config, model, code, text, gaps):
             rate = math.log(prev / mean) / math.log(2.0)
         prev = mean
         assert row[0] == config.case and row[2:5] == [
-            cli._fmt(disc.pair.mesh.h), cli._fmt(disc.grid.k_max), str(len(nodes))]
+            _fmt(disc.pair.mesh.h), _fmt(disc.grid.k_max), str(len(nodes))]
         gaps["convergence"] = max(gaps["convergence"], _gap(float(row[5]), mean))
         gaps["rate"] = max(gaps["rate"], _gap(float(row[6]), rate, 1.0))
 
@@ -2028,8 +2105,8 @@ def _infsup_gaps(config, model, code, text, gaps):
             for omega in nodes.tolist():
                 a = float(model.a(omega))
                 row = next(rows)
-                assert row[:5] == [config.case, str(n_cells), str(n_steps), cli._fmt(omega),
-                                   cli._fmt(a)]
+                assert row[:5] == [config.case, str(n_cells), str(n_steps), _fmt(omega),
+                                   _fmt(a)]
                 sigmas, c_S, weighted, bounds = row[5:7], row[7], row[8], row[9:]
                 gaps["c_S"] = max(gaps["c_S"], _gap(float(c_S), c_s))
                 try:
@@ -2042,8 +2119,8 @@ def _infsup_gaps(config, model, code, text, gaps):
                 gaps["sigma"] = max(gaps["sigma"], *(abs(float(got) - sigma)
                                                      for got, sigma in zip(sigmas, want)))
                 gaps["c_S"] = max(gaps["c_S"], _gap(float(weighted), a * c_s / math.sqrt(12.0)))
-                assert bounds == [cli._fmt(min(a, 1.0) / math.sqrt(2.0)),
-                                  cli._fmt(math.sqrt(2.0) * max(1.0, a))]
+                assert bounds == [_fmt(min(a, 1.0) / math.sqrt(2.0)),
+                                  _fmt(math.sqrt(2.0) * max(1.0, a))]
     assert next(rows, None) is None
 
 

@@ -34,6 +34,7 @@ import contextlib
 import errno
 import functools
 import io
+import itertools
 import math
 import os
 import re
@@ -70,9 +71,6 @@ GRID_VALUES = 22
 # oracle.block_errors the (P, N, 5) exact profile with one temporary and
 # the interval integrals of T (11.0 to 12.1 traced)
 ERROR_VALUES = 12
-# bytes per time step while TimeGrid checks its nodes: the nodes, their
-# differences and a mask (17 traced)
-CHECK_BYTES = 17
 # float64 values per time step a solve holds at peak: the grid's nodes,
 # its profile and two temporaries of solver.uniform_profile
 PROFILE_VALUES = 4
@@ -105,11 +103,14 @@ WRITE_DOF = 7
 RULE_BYTES = 81
 # bytes a convergence or infsup run holds per parameter node: the rule,
 # the arrays of a, c0, valid indices and errors (48.5 traced), and a
-# block's copies of its values (24), or in infsup the rule, a, c0 and one
-# grid's lists of nodes and values of a (40 traced); and in infsup, per
-# grid, one report row of 11 values, 5 new floats (256 traced)
+# block's copies of its values (24), or in infsup the rule, a, c0 and the
+# validity mask; in infsup beside them the columns that need no grid, lists
+# of Python floats, with one grid's c_S_omega (with NODE_BYTES, 167 to 187
+# traced on 10,000 and 40,000 nodes); and per grid one report row, a tuple
+# of 11 values with its list slot and its c_S_omega (160 to 161 traced)
 NODE_BYTES = 80
-ROW_BYTES = 264
+COLUMN_BYTES = 112
+ROW_BYTES = 168
 
 
 # where the kernel reports the memory available to new work
@@ -346,23 +347,26 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     nodes holds at peak must fit in memory, the one limit on its size. Each
     count adds the spatial pair's 1-D matrices at their peak
     (fem.pair_values), which in 1-D are n_dof x n_dof, and its message names
-    that share. Beside them it counts, for infsup, the grid while TimeGrid
-    checks it (CHECK_BYTES) and NODE_BYTES and ROW_BYTES per node; for
-    moments, MOMENT_VALUES per path; for solve, PROFILE_VALUES per step and
-    the report's write, one block of whole intervals (_write_block,
-    WRITE_TEXT) and WRITE_DOF values per dof; for convergence, GRID_VALUES
-    per step and NODE_BYTES per node, held throughout, and one block of
-    paths (_block_paths, ERROR_VALUES) with numpy's two buffers; and
-    RUN_BYTES.
+    that share. An infsup pair reads eigenvalues alone, so for hat
+    functions it forms no eigenvector. Beside the pair each count holds,
+    for infsup, the largest step count's k_max (solver.uniform_k_max, two
+    blocks of up to np.getbufsize() widths), and NODE_BYTES, COLUMN_BYTES
+    and ROW_BYTES per node, with no grid; for moments, MOMENT_VALUES per
+    path; for solve, PROFILE_VALUES per step and the report's write, one
+    block of whole intervals (_write_block, WRITE_TEXT) and WRITE_DOF values
+    per dof; for convergence, GRID_VALUES per step and NODE_BYTES per node,
+    held throughout, and one block of paths (_block_paths, ERROR_VALUES)
+    with numpy's two buffers; and RUN_BYTES.
     """
     if n_steps < 1:
         raise ValueError("need at least one time interval")
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
-    pair = fem.pair_values(mesh)
+    pair = fem.pair_values(mesh, vectors=config.subcommand != "infsup")
     if config.subcommand == "infsup":
         grids = len(config.n_cells) * len(config.n_steps)
-        rows = paths * (NODE_BYTES + ROW_BYTES * grids)
-        _check_memory(8 * pair + CHECK_BYTES * n_steps + rows + RUN_BYTES,
+        widths = 2 * min(max(config.n_steps), np.getbufsize())
+        rows = paths * (NODE_BYTES + COLUMN_BYTES + ROW_BYTES * grids)
+        _check_memory(8 * (pair + widths) + rows + RUN_BYTES,
                       f"an infsup report of {grids} x {paths} rows", 8 * pair)
     elif config.subcommand == "moments":
         _check_memory(8 * (pair + MOMENT_VALUES * paths) + RUN_BYTES,
@@ -509,24 +513,43 @@ def run_infsup(config: ExperimentConfig):
     against the SVD oracles (constants.discrete_infsup,
     oracle.dense_infsup). A flagged node reports nan in every column that
     needs a.
+
+    Each input is made once: a(w) per run, one pair per --cells entry (the
+    previous one released first), one k_max per --steps value, with no
+    grid (solver.uniform_k_max), and c_S per grid. The columns are whole
+    arrays in the operation order of the scalar formulas
+    (constants.weighted_cfl and theoretical_constants at a_min = a_max = a),
+    so every value has their bits; those that need no grid are made once.
+    Errors come in the order of a per-grid loop: the rule, then each grid
+    in cells-major order, its steps before its cells.
     """
     model, domain = _setup(config.case)
     grids = len(config.n_cells) * len(config.n_steps)
-    nodes, _ = _rule(model, domain, config.quad_ladder[0], NODE_BYTES + ROW_BYTES * grids)
-    diffusion, _ = model.evaluate(nodes)
+    nodes, _ = _rule(model, domain, config.quad_ladder[0],
+                     NODE_BYTES + COLUMN_BYTES + ROW_BYTES * grids)
+    a, _ = model.evaluate(nodes)
+    valid = np.isfinite(a) & (a > 0)
+    k_max = {}
     rows = []
-    for n_cells in config.n_cells:
-        for n_steps in config.n_steps:
-            pair = _discretization(config, n_cells, n_steps, len(nodes))
-            c_s = consts.cfl_constant(pair, solver.TimeGrid.uniform(1.0, n_steps).k_max)
-            for omega, a in zip(nodes.tolist(), diffusion.tolist()):
-                if math.isfinite(a) and a > 0:
-                    rows.append((config.case, n_cells, n_steps, omega, a, 1.0, 1.0, c_s,
-                                 consts.weighted_cfl(a, c_s),
-                                 *consts.theoretical_constants(a, a)))
-                else:
-                    rows.append((config.case, n_cells, n_steps, omega, a, math.nan,
-                                 math.nan, c_s, math.nan, math.nan, math.nan))
+    # a flagged node's a takes part in the arithmetic, its values then
+    # masked, and a c_S_omega overflows to inf as its scalar formula does
+    with np.errstate(over="ignore", invalid="ignore"):
+        theory = (np.minimum(a, 1.0 / (a / a)) / math.sqrt(2.0),
+                  math.sqrt(2.0) * np.maximum(1.0, a))
+        sigma, *theory = (np.where(valid, column, math.nan).tolist()
+                          for column in (1.0, *theory))
+        columns = (nodes.tolist(), a.tolist(), sigma, sigma)
+        for n_cells in config.n_cells:
+            pair = None  # released before the next one is built
+            pair = _discretization(config, n_cells, config.n_steps[0], len(nodes))
+            for n_steps in config.n_steps:
+                if n_steps not in k_max:
+                    k_max[n_steps] = solver.uniform_k_max(n_steps)
+                c_s = consts.cfl_constant(pair, k_max[n_steps])
+                weighted = np.where(valid, a * c_s / math.sqrt(12.0), math.nan).tolist()
+                rows += zip(itertools.repeat(config.case), itertools.repeat(n_cells),
+                            itertools.repeat(n_steps), *columns, itertools.repeat(c_s),
+                            weighted, *theory)
     return rows
 
 

@@ -14,7 +14,8 @@ energy; only a solve forms an array of n_dof values, the mode's vector.
 The dense mass, stiffness and modes are plain Kronecker products of the
 1-D factors, formed on first use for the tests' oracles. Hat
 functions (degree 1) need numpy only: their eigenpairs have a closed
-form, the discrete sine transform. Quadratic splines (degree 2) need
+form, the discrete sine transform, and their eigenvalues come without
+the n x n matrix of sines. Quadratic splines (degree 2) need
 numpy only as well: de Boor's recurrence evaluates them, and two
 symmetric eigh calls give their eigenpairs.
 """
@@ -105,20 +106,28 @@ def _eigh_values(n: int) -> int:
     return n * n + n + (1 + 6 * n + 2 * n * n) + (3 + 5 * n)
 
 
-def pair_values(mesh: Mesh) -> int:
-    """Values the spatial pair of a mesh holds at peak while it is built.
+def pair_values(mesh: Mesh, vectors: bool = True) -> int:
+    """Values the spatial pair of a mesh holds at peak while it is built,
+    and while its basis is formed: with vectors, or else for its
+    eigenvalues alone (max_eigenvalue).
 
-    Its 1-D matrices are n_dof_1d x n_dof_1d (n_dof x n_dof in dim 1):
-    mass and stiffness, then the eigenvectors with their temporaries, 4
-    such matrices for hat functions and 6 for splines, of which it keeps
-    3. For splines the second eigh call (_spline_modes) holds its
-    LAPACK memory (_eigh_values) beside the 6, which tracemalloc does
-    not see but the process's resident memory does. Beside them numpy
-    buffers two broadcast operands, up to np.getbufsize() values each.
+    Its 1-D matrices are n_dof_1d x n_dof_1d (n_dof x n_dof in dim 1).
+    The matrix term is the assembled mass and stiffness, all that hat
+    functions hold for their eigenvalues, which come in closed form. The
+    basis term is the eigenvectors with their temporaries, beside the
+    matrices: 2 more such matrices for hat functions and 4 for splines,
+    of which the pair keeps 1. Splines form it for their eigenvalues too,
+    and their second eigh call (_spline_modes) holds its LAPACK memory
+    (_eigh_values) beside the 6, which tracemalloc does not see but the
+    process's resident memory does. Beside the basis numpy buffers two
+    broadcast operands, up to np.getbufsize() values each.
     """
     n = mesh.n_dof_1d
-    buffers = 2 * min(n * n, np.getbufsize())
-    return buffers + (4 * n * n if mesh.degree == 1 else 6 * n * n + _eigh_values(n))
+    matrices = 2 * n * n
+    if mesh.degree == 1 and not vectors:
+        return matrices
+    basis = 2 * n * n if mesh.degree == 1 else 4 * n * n + _eigh_values(n)
+    return matrices + basis + 2 * min(n * n, np.getbufsize())
 
 
 @dataclass(eq=False)
@@ -161,16 +170,26 @@ class SpatialPair:
         return tuple(map(_frozen, basis))
 
     @functools.cached_property
+    def _eigenvalues_1d(self) -> np.ndarray:
+        """Eigenvalues of the 1-D pair, ascending, read-only: for hat
+        functions the closed form of _hat_modes with no eigenvector, with
+        its bits; for splines those of _basis, which eigh forms with the
+        vectors."""
+        if self.mesh.degree == 2:
+            return self._basis[0]
+        return _frozen(_hat_eigenvalues(self.mesh.n_cells))
+
+    @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of (S, M) in the order of the modes, sums of the 1-D ones."""
-        lam = (self._basis[0],) * self.mesh.dim
+        lam = (self._eigenvalues_1d,) * self.mesh.dim
         return _frozen(functools.reduce(np.add.outer, lam).ravel())
 
-    @property
+    @functools.cached_property
     def max_eigenvalue(self) -> float:
-        """Largest eigenvalue of (S, M), dim times the largest 1-D one: float
-        addition is monotone, so it has the bits of the largest sum."""
-        return self.mesh.dim * float(np.max(self._basis[0]))
+        """Largest eigenvalue of (S, M), dim times the largest 1-D one, computed
+        once: float addition is monotone, so it has the bits of the largest sum."""
+        return self.mesh.dim * float(np.max(self._eigenvalues_1d))
 
     @functools.cached_property
     def modes(self) -> tuple:
@@ -215,7 +234,7 @@ class SpatialPair:
         values are scalars times v_1."""
         u, dim = self._excited_factor, self.mesh.dim
         beta = float(u @ mode_load_vector(Mesh(1, self.mesh.n_cells, self.mesh.degree))) ** dim
-        return dim * float(self._basis[0][0]), beta
+        return dim * float(self._eigenvalues_1d[0]), beta
 
     @functools.cached_property
     def excited_vector(self) -> np.ndarray:
@@ -267,26 +286,32 @@ def _assemble_1d_linear(n_cells: int):
     return tuple(mats)
 
 
+def _hat_eigenvalues(n_cells: int) -> np.ndarray:
+    """Eigenvalues of the 1-D hat pair, ascending: lam_k = 12 sin^2(t_k / 2)
+    / (h^2 (2 + cos t_k)) with t_k = k pi h, k = 1..n_cells-1; the sin^2
+    form avoids the cancellation of 1 - cos t_k for the smooth modes."""
+    h = 1.0 / n_cells
+    theta = np.pi * np.arange(1, n_cells) / n_cells
+    return 12.0 * np.sin(0.5 * theta) ** 2 / (h ** 2 * (2.0 + np.cos(theta)))
+
+
 def _hat_modes(n_cells: int) -> tuple:
     """Closed-form M-orthonormal eigenpairs of the 1-D hat pair, ascending.
 
     Mode k = 1..n_cells-1 is the sine sampled at the nodes, V_ik =
-    sqrt(6 / (2 + cos t_k)) sin(i t_k) with t_k = k pi h, and
-    lam_k = 12 sin^2(t_k / 2) / (h^2 (2 + cos t_k)); the sin^2 form
-    avoids the cancellation of 1 - cos t_k for the smooth modes. The
-    phase i k is reduced mod 2 n_cells in integers, so sin sees
-    arguments below 2 pi. Formed in place, with two matrices at most.
+    sqrt(6 / (2 + cos t_k)) sin(i t_k), with the eigenvalue lam_k of
+    _hat_eigenvalues. The phase i k is reduced mod 2 n_cells in integers,
+    so sin sees arguments below 2 pi. Formed in place, with two matrices
+    at most.
     """
-    h = 1.0 / n_cells
     k = np.arange(1, n_cells)
     theta = np.pi * k / n_cells
-    lam = 12.0 * np.sin(0.5 * theta) ** 2 / (h ** 2 * (2.0 + np.cos(theta)))
     vecs = (np.multiply.outer(k, k) % (2 * n_cells)).astype(float)
     vecs *= np.pi
     vecs /= n_cells
     np.sin(vecs, out=vecs)
     vecs *= np.sqrt(6.0 / (2.0 + np.cos(theta)))
-    return lam, vecs
+    return _hat_eigenvalues(n_cells), vecs
 
 
 def _spline_modes(mass: np.ndarray, stiffness: np.ndarray) -> tuple:

@@ -116,6 +116,23 @@ class TimeGrid:
         return tuple(map(_frozen, (t, w, np.sin(pi_t), np.pi * np.cos(pi_t))))
 
 
+def uniform_k_max(n_intervals: int) -> float:
+    """TimeGrid.uniform(1.0, n_intervals).k_max, bit for bit, with no grid:
+    the widths of numpy.linspace's nodes j / n, np.getbufsize() at a time,
+    and the last one 1 - (n - 1) / n, whose node is the exact 1. Holds two
+    blocks of values at most."""
+    if n_intervals < 1:
+        raise ValueError("need at least one time interval")
+    step = 1.0 / n_intervals
+    widest = 1.0 - (n_intervals - 1) * step
+    block = np.getbufsize()
+    for j in range(0, n_intervals - 1, block):
+        nodes = np.arange(j, min(j + block, n_intervals - 1) + 1, dtype=float)
+        nodes *= step
+        widest = max(widest, float((nodes[1:] - nodes[:-1]).max()))
+    return widest
+
+
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """Spatial pair and time grid making up one space-time discretization."""
@@ -212,19 +229,31 @@ def assemble_load(coeffs, disc: Discretization, omega: float) -> np.ndarray:
 
 
 def _uniform_terms(n_steps: int, a, lam: float) -> tuple:
-    """(tw0, c, theta, sigma, x, u, v, mod) of uniform_energy for the
+    """(tw0, c, theta, sigma, x, u, v, g, mod) of uniform_energy for the
     diffusion values a and the eigenvalue lam. An x that underflows (a
     tiny a) is raised to the least normal float, where the closed forms
     take their undamped x -> 0 limit, as the loop does, instead of 0 / 0.
+    Where x = k (a / 2) lam overflows (a near the float maximum), none of
+    v, u and g is formed through x: v = 1 / (1 + x) is 1 / x, formed as
+    (1 / lam) / (k (a / 2)), and u = x v = 1 - v and g = (1 - x) v = 2 v - 1
+    round to 1 and -1.
     """
     k = 1.0 / n_steps
     theta = np.pi * k
     sigma = np.sin(0.5 * theta) ** 2
-    x = np.maximum(k * (0.5 * np.asarray(a, dtype=float)) * lam, np.finfo(float).tiny)
+    half = k * (0.5 * np.asarray(a, dtype=float))
+    x = np.maximum(half * lam, np.finfo(float).tiny)
     v = 1.0 / (1.0 + x)
-    u = x * v
+    u, g = x * v, (1.0 - x) * v
+    huge = np.isinf(x)
+    if huge.any():
+        # the quotient overflows where half is small, in entries not taken
+        with np.errstate(divide="ignore", over="ignore"):
+            v = np.where(huge, 1.0 / lam / half, v)
+        u = np.where(huge, 1.0, u)
+        g = np.where(huge, -1.0, g)
     return (_hat_integrals(np.array([0.0, k]))[0][0], 4.0 * sigma / (np.pi ** 2 * k), theta,
-            sigma, x, u, v, 4.0 * (u * u * (1.0 - sigma) + v * v * sigma))
+            sigma, x, u, v, g, 4.0 * (u * u * (1.0 - sigma) + v * v * sigma))
 
 
 def uniform_energy(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
@@ -258,7 +287,7 @@ def uniform_energy(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
     log1p(-2 min(u, v)) and 1 - g^{2N} = -expm1(2N log|g|).
     """
     lam, beta = pair.excited_mode
-    tw0, c, theta, _, x, u, v, mod = _uniform_terms(n_steps, a, lam)
+    tw0, c, theta, _, x, u, v, _, mod = _uniform_terms(n_steps, a, lam)
     # the sums below are per unit (c0 beta_1)^2
     scale = lam * beta ** 2 * np.square(np.asarray(c0, dtype=float)) / n_steps
     if n_steps == 1:
@@ -294,9 +323,9 @@ def uniform_profile(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
     lam, beta = pair.excited_mode
     c0 = np.asarray(c0, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        tw0, c, theta, sigma, x, u, v, mod = _uniform_terms(
+        tw0, c, theta, sigma, _, u, v, g, mod = _uniform_terms(
             n_steps, np.asarray(a, dtype=float)[:, None], lam)
-        y0, s, g = c0 * tw0 * beta * v, c0 * c * beta * v, (1.0 - x) * v
+        y0, s = c0 * tw0 * beta * v, c0 * c * beta * v
         im = -s * g * np.sin(theta) / mod
         # formed in place: y, one more value per path and step and the angles
         angle = np.arange(n_steps, dtype=float)

@@ -99,8 +99,10 @@ def test_criterion_5_pathwise_energy_bound():
     checked = 0
     # the unit-amplitude solve of each distinct a: the rules hold each value
     # twice, and solve_pathwise scales by c0 last, so c0 times it is the
-    # path's solve bit for bit
+    # path's solve bit for bit; and the unit-amplitude forcing norm, which
+    # depends on the discretization alone, scaled by c0^2
     unit = {}
+    unit_forcing = solver.forcing_dual_norm_sq(ConstantCoeffs(1.0, 1.0), disc, 0.0)
     for case in ("a", "b", "c", "d"):
         model = stochastic.CoefficientModel(case=case)
         domain = stochastic.default_domain(case)
@@ -111,11 +113,12 @@ def test_criterion_5_pathwise_energy_bound():
                 continue
             if a not in unit:
                 unit[a] = solver.solve_pathwise(ConstantCoeffs(a, 1.0), disc, omega)
-            sol = float(model.c0(omega)) * unit[a]
+            c0 = float(model.c0(omega))
+            sol = c0 * unit[a]
             assert np.isfinite(sol).all()
             lhs = a * solver.trial_energy_norm(sol, disc) ** 2
             c_sw = a * cfl_unit
-            rhs = (1.0 + c_sw ** 2) / a * solver.forcing_dual_norm_sq(model, disc, omega)
+            rhs = (1.0 + c_sw ** 2) / a * (c0 ** 2 * unit_forcing)
             # u0 = 0 in every stock case, so the initial term vanishes
             worst = min(worst, (rhs - lhs) / max(rhs, 1e-300))
             checked += 1

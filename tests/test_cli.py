@@ -15,6 +15,8 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +142,46 @@ def test_solve_matches_oracle_at_final_time(tmp_path):
     exact = mode.time_profile(1.0) * np.sin(np.pi * nodes)
     # nodal values sit within discretization error of the exact profile
     assert np.max(np.abs(final - exact)) < 5e-3
+
+
+def _exact_profile(pair, n_steps, a, c0):
+    """The profile of uniform_energy's step recurrence in exact arithmetic,
+    y_j = g y_(j-1) + c0 tw_j beta_1 / (1 + x) from y_(-1) = 0, with
+    x = a lam_1 / (2 N) and g = (1 - x) / (1 + x): the float inputs a, c0,
+    lam_1, beta_1 and the time weights tw_j are taken as exact values."""
+    lam, beta = map(Fraction, pair.excited_mode)
+    x = Fraction(a) * lam / (2 * n_steps)
+    g = (1 - x) / (1 + x)
+    y, profile = Fraction(0), []
+    for tw in solver.time_weights(solver.TimeGrid.uniform(1.0, n_steps)).tolist():
+        y = g * y + Fraction(c0) * Fraction(tw) * beta / (1 + x)
+        profile.append(y)
+    return profile
+
+
+@pytest.mark.parametrize("argv", [
+    ["--omega", "1e308", "--steps", "2"],
+    ["--omega", "1.7976931348623157e308", "--dim", "2", "--steps", "8"],
+    ["--omega", "1.7976931348623157e308", "--dim", "1", "--steps", "1"],
+    ["--omega", "1.7976931348623157e308", "--dim", "1", "--steps", "3"],
+], ids=" ".join)
+def test_solve_near_the_float_maximum_matches_exact_arithmetic(tmp_path, capsys, argv):
+    # a = omega, so x = k a lam_1 / 2 overflows, while every exact value is
+    # subnormal, where no relative bound holds: each is within 8 units of
+    # the least subnormal (4 measured)
+    out = tmp_path / "x.csv"
+    argv = ["solve", "--case", "lognormal", *argv]
+    assert _main([*argv, "--out", str(out)], capsys) == (cli.EXIT_OK, [])
+    config = cli.config_from_args(cli.build_parser().parse_args([*argv, "--out", str(out)]))
+    pair = fem.assemble(fem.build_mesh(config.dim, config.n_cells[0], config.degree))
+    profile = _exact_profile(pair, config.n_steps[0], config.omega, 1.0)
+    v = [Fraction(value) for value in pair.excited_vector.tolist()]
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == len(profile) * len(v)
+    exact = [profile[int(i) - 1] * v[int(d)] for i, _, d, _ in rows]
+    assert 0 < max(map(abs, exact)) < Fraction(np.finfo(float).tiny)
+    for (*_, value), want in zip(rows, exact):
+        assert abs(Fraction(float(value)) - want) <= 8 * Fraction(5e-324)
 
 
 def test_moments_csv_format(tmp_path):
@@ -384,20 +426,21 @@ def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkey
 @pytest.mark.parametrize("steps,code", [(8192, cli.EXIT_RESOURCE), (4096, cli.EXIT_OK)])
 def test_infsup_report_checked_against_available_memory(tmp_path, capsys, monkeypatch,
                                                         steps, code):
-    # a grid of one dof and 8,192 or 4,096 steps, whose nodes TimeGrid
-    # checks at 17 bytes a step, beside the pair's 6 values, the run's
-    # small objects and the 2 nodes' 344 bytes each: 156,384 bytes at
-    # 8,192 steps, 86,752 at 4,096, against 122,880 of memory
+    # a grid of one dof and 8,192 or 4,096 steps, whose k_max takes two
+    # blocks of as many widths, up to np.getbufsize() each, beside the
+    # pair's 2 values, the run's small objects and the 2 nodes' 360 bytes
+    # each: 148,192 bytes at 8,192 steps, 82,656 at 4,096, against 122,880
+    # of memory
     _patch_available_memory(monkeypatch, 30)
     out = tmp_path / "x.csv"
     result, err = _main(["infsup", "--case", "lognormal", "--cells", "2", "--steps",
                          str(steps), "--n-quad-ladder", "2", "--out", str(out)], capsys)
     assert result == code
     if code == cli.EXIT_RESOURCE:
-        rows = 2 * (cli.NODE_BYTES + cli.ROW_BYTES)
-        need = 8 * 6 + cli.CHECK_BYTES * steps + rows + cli.RUN_BYTES
+        rows = 2 * (cli.NODE_BYTES + cli.COLUMN_BYTES + cli.ROW_BYTES)
+        need = 8 * (2 + 2 * steps) + rows + cli.RUN_BYTES
         assert err == [f"stpg: resource cap: an infsup report of 1 x 2 rows needs {need} "
-                       "bytes, 48 of them for the spatial pair, more than the 122880 bytes "
+                       "bytes, 16 of them for the spatial pair, more than the 122880 bytes "
                        "of available memory"]
         assert list(tmp_path.iterdir()) == []
     else:
@@ -410,8 +453,9 @@ def test_infsup_report_checked_against_available_memory(tmp_path, capsys, monkey
 def test_parameter_rule_checked_before_it_is_built(tmp_path, capsys, monkeypatch,
                                                    subcommand, pages):
     # a rule of 1,000 nodes at 81 bytes each, with what the run holds per
-    # node (80 bytes; in infsup also a 264-byte row for each of its 2 x 2
-    # grids), beside a run's small objects, against 10 or 30 pages of
+    # node (80 bytes; in infsup also 112 bytes of the columns that need no
+    # grid and a 168-byte row for each of its 2 x 2 grids), beside a run's
+    # small objects, against 10 or 30 pages of
     # memory: the run stops before the rule is built, and a convergence
     # run writes no truncated table. In 30 pages (122,880 bytes) the rule
     # alone (97,384 bytes) would fit
@@ -424,7 +468,7 @@ def test_parameter_rule_checked_before_it_is_built(tmp_path, capsys, monkeypatch
     out = tmp_path / "x.csv"
     code, err = _main([subcommand, "--n-quad-ladder", "1000", "--out", str(out)], capsys)
     assert code == cli.EXIT_RESOURCE
-    per_node = 81 + 80 + (264 * 4 if subcommand == "infsup" else 0)
+    per_node = 81 + 80 + (112 + 168 * 4 if subcommand == "infsup" else 0)
     assert err == [f"stpg: resource cap: a rule of 1000 parameter nodes needs "
                    f"{per_node * 1000 + 16384} bytes, more than the {4096 * pages} bytes "
                    "of available memory"]
@@ -719,10 +763,12 @@ def test_infsup_memory_count_pins_the_traced_peak(monkeypatch):
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     for case, cells, steps, n_quad in (
-            # the pair of 511 dofs, 8.4 MB at its peak
+            # the pair of 511 dofs, 4.2 MB: its mass and stiffness, and no
+            # eigenvector
             ("a", (512,), (2,), 2),
-            # one dof and 2^18 steps: the grid's nodes while TimeGrid checks them
-            ("a", (2,), (1 << 18,), 2),
+            # one dof and 10^7 steps: no grid, only the two blocks of widths
+            # that k_max takes at a time
+            ("a", (2,), (10 ** 7,), 2),
             # 10,000 nodes' report rows over 2 x 2 grids
             ("lognormal", (4, 8), (4, 16), 10000)):
         config = cli.ExperimentConfig(subcommand="infsup", case=case, dim=1, n_cells=cells,
@@ -764,20 +810,42 @@ def test_runs_of_many_nodes_stay_within_their_counts(monkeypatch, config):
 _SIGMA_EPS = 128
 
 
-def _per_node_infsup_rows(config, stacked):
-    """run_infsup's rows with the sigma columns of the SVD oracle,
-    constants.discrete_infsup on each valid node's mode blocks: one call
-    per node, or with stacked one call per grid on every valid node's."""
+def _scalar_infsup_rows(config):
+    """run_infsup's rows by the scalar formulas, as one loop over grids and
+    nodes: a pair and a TimeGrid per grid, constants.cfl_constant on its
+    k_max, and per node weighted_cfl and theoretical_constants(a, a)."""
     model, domain = cli._setup(config.case)
     nodes, _ = stochastic.quadrature(domain, config.quad_ladder[0],
                                      avoid=model.singular_points)
-    diffusion = [model.a(omega) for omega in nodes]
-    valid = [a for a in diffusion if math.isfinite(a) and a > 0]
     rows = []
     for n_cells in config.n_cells:
         for n_steps in config.n_steps:
             disc = _disc(config, n_cells, n_steps)
             c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
+            for omega in nodes.tolist():
+                a = float(model.a(omega))
+                if math.isfinite(a) and a > 0:
+                    rows.append((config.case, n_cells, n_steps, omega, a, 1.0, 1.0, c_s,
+                                 consts.weighted_cfl(a, c_s),
+                                 *consts.theoretical_constants(a, a)))
+                else:
+                    rows.append((config.case, n_cells, n_steps, omega, a, math.nan,
+                                 math.nan, c_s, math.nan, math.nan, math.nan))
+    return rows
+
+
+def _per_node_infsup_rows(config, stacked):
+    """_scalar_infsup_rows with the sigma columns of the SVD oracle,
+    constants.discrete_infsup on each valid node's mode blocks: one call
+    per node, or with stacked one call per grid on every valid node's."""
+    model, domain = cli._setup(config.case)
+    nodes, _ = stochastic.quadrature(domain, config.quad_ladder[0],
+                                     avoid=model.singular_points)
+    valid = [a for a in map(model.a, nodes) if math.isfinite(a) and a > 0]
+    sigmas = []
+    for n_cells in config.n_cells:
+        for n_steps in config.n_steps:
+            disc = _disc(config, n_cells, n_steps)
             mu = np.multiply.outer(valid, disc.pair.eigenvalues)
             if stacked:
                 lows, highs = (values.reshape(mu.shape) for values in
@@ -786,15 +854,10 @@ def _per_node_infsup_rows(config, stacked):
             else:
                 lows, highs = np.transpose([consts.discrete_infsup(
                     *solver.mode_blocks(disc.grid, row)) for row in mu], (1, 0, 2))
-            sigmas = iter(zip(lows.min(axis=1).tolist(), highs.max(axis=1).tolist()))
-            for omega, a in zip(nodes, diffusion):
-                if not (math.isfinite(a) and a > 0):
-                    rows.append((config.case, n_cells, n_steps, omega, a, math.nan,
-                                 math.nan, c_s, math.nan, math.nan, math.nan))
-                    continue
-                rows.append((config.case, n_cells, n_steps, omega, a, *next(sigmas), c_s,
-                             consts.weighted_cfl(a, c_s), *consts.theoretical_constants(a, a)))
-    return rows
+            sigmas += zip(lows.min(axis=1).tolist(), highs.max(axis=1).tolist())
+    sigmas = iter(sigmas)
+    return [row if math.isnan(row[5]) else (*row[:5], *next(sigmas), *row[7:])
+            for row in _scalar_infsup_rows(config)]
 
 
 def _check_per_node_rows(rows, expected):
@@ -869,6 +932,125 @@ def test_infsup_takes_each_distinct_value_of_a_once(monkeypatch, n_quad, values,
 
     monkeypatch.setattr(solver, "mode_blocks", formed)
     _check_per_node_rows(cli.run_infsup(config), expected)
+
+
+def _bits(rows):
+    """rows with each float as its 8 bytes, so that == compares every bit
+    (-0 and nan included), and each other value as itself with its type."""
+    return [tuple(np.float64(v).tobytes() if type(v) is float else (type(v), v) for v in row)
+            for row in rows]
+
+
+# values of a beside the generated ones: subnormal, tiny, huge and the
+# float maximum, where a c_S product overflows, and the flagged kinds
+_EDGE_A = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.5, 1.0,
+           math.nextafter(1.0, 2.0), 1e300, 1.7976931348623157e308,
+           math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0]
+
+
+# floats with every bit of their mantissa drawn, from subnormal to the
+# float maximum, beside hypothesis's own, which favour short mantissas
+_MANTISSAS = st.builds(math.ldexp, st.integers(1 << 52, (1 << 53) - 1), st.integers(-1126, 971))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(), _MANTISSAS, st.sampled_from(_EDGE_A)),
+                min_size=1, max_size=9))
+@example(_EDGE_A)
+def test_infsup_columns_are_the_scalar_formulas_bit_for_bit(values):
+    # a generated value of a at each node of a rule, over grids whose c_S
+    # spans three sizes
+    model, domain = cli._setup("a")
+    nodes, _ = stochastic.quadrature(domain, len(values))
+    table = dict(zip(nodes.tolist(), values))
+    node_model = stochastic.CoefficientModel(a_fn=lambda w: table[float(w)],
+                                             c0_fn=model.c0_fn)
+    config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, n_cells=(3, 40),
+                                  n_steps=(1, 7), quad_ladder=(len(values),))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_setup", lambda case: (node_model, domain))
+        assert _bits(cli.run_infsup(config)) == _bits(_scalar_infsup_rows(config))
+
+
+@pytest.mark.parametrize("config", [
+    # duplicate entries: each grid reported as often as it is listed
+    cli.ExperimentConfig(subcommand="infsup", case="a", n_cells=(8, 8), n_steps=(16, 16),
+                         quad_ladder=(8,)),
+    cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, degree=2, n_cells=(4, 9),
+                         n_steps=(3, 7), quad_ladder=(8,)),
+    cli.ExperimentConfig(subcommand="infsup", case="lognormal", n_cells=(4, 3),
+                         n_steps=(1, 10 ** 6 + 7, 2), quad_ladder=(32,)),
+    cli.ExperimentConfig(subcommand="infsup", case="zero", dim=1, n_cells=(1000,),
+                         n_steps=(4,), quad_ladder=(4,)),
+], ids=["duplicates", "degree-2", "lognormal", "zero-1000-cells"])
+def test_infsup_report_is_the_scalar_report_byte_for_byte(tmp_path, config):
+    out = tmp_path / "x.csv"
+    cli.write_csv(str(out), cli.INFSUP_HEADER, cli.run_infsup(config))
+    expected = _scalar_infsup_rows(config)
+    assert out.read_bytes() == _fmt_csv(cli.INFSUP_HEADER, expected, ()).encode("ascii")
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 1), (2, 1), (1, 2)])
+def test_infsup_builds_each_input_once(monkeypatch, dim, degree):
+    # one pair per --cells entry, duplicates included, each built once the
+    # previous one is released; one k_max per distinct --steps value, with
+    # no time grid; and for hat functions no eigenvector
+    def forbidden(*args, **kwargs):
+        raise AssertionError("infsup built a time grid or an eigenvector")
+
+    monkeypatch.setattr(solver.TimeGrid, "__post_init__", forbidden)
+    if degree == 1:
+        monkeypatch.setattr(fem, "_hat_modes", forbidden)
+    built, alive = [], []
+    assemble = fem.assemble
+
+    def assembling(mesh):
+        assert all(ref() is None for ref in alive), "the previous pair is alive"
+        built.append(mesh.n_cells)
+        pair = assemble(mesh)
+        alive.append(weakref.ref(pair))
+        return pair
+
+    monkeypatch.setattr(fem, "assemble", assembling)
+    widths = []
+    uniform_k_max = solver.uniform_k_max
+    monkeypatch.setattr(solver, "uniform_k_max",
+                        lambda n: widths.append(n) or uniform_k_max(n))
+    config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=dim, degree=degree,
+                                  n_cells=(4, 6, 4), n_steps=(3, 8, 3), quad_ladder=(4,))
+    rows = cli.run_infsup(config)
+    assert built == [4, 6, 4] and widths == [3, 8]
+    assert len(rows) == 9 * 4
+
+
+@pytest.mark.parametrize("cells,steps,message", [
+    # the first grid: its steps before its cells
+    ("1,4", "0", "need at least one time interval"),
+    ("1,4", "4,0", "n_cells must be at least 2, got 1"),
+    # every grid of the first cells entry before the next entry
+    ("4,1", "4,0", "need at least one time interval"),
+    ("4,1", "4,8", "n_cells must be at least 2, got 1"),
+    ("4,1", "8,-3", "need at least one time interval"),
+])
+def test_infsup_reports_the_first_bad_grid(tmp_path, capsys, cells, steps, message):
+    argv = ["infsup", "--cells", cells, "--steps", steps, "--out", str(tmp_path / "x.csv")]
+    assert _main(argv, capsys) == (cli.EXIT_USAGE, [f"stpg: error: {message}"])
+    # the rule is checked before any grid
+    code, err = _main([*argv, "--n-quad-ladder", "0"], capsys)
+    assert code == cli.EXIT_USAGE and "need at least one time interval" not in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_infsup_memory_is_checked_before_a_later_bad_step_count(tmp_path, capsys,
+                                                                monkeypatch):
+    # the rule fits in 10 pages, but the first grid's pair of 63 x 63
+    # matrices does not, and memory is checked before the next grid's step
+    # count
+    _patch_available_memory(monkeypatch, 10)
+    argv = ["infsup", "--cells", "64", "--steps", "4,0", "--out", str(tmp_path / "x.csv")]
+    code, err = _main(argv, capsys)
+    assert code == cli.EXIT_RESOURCE and err[0].startswith("stpg: resource cap: an infsup")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

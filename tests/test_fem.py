@@ -393,6 +393,20 @@ def test_hat_modes_match_dense_eigh(dim, n_cells):
     assert np.max(np.abs(pair.stiffness @ vecs - pair.mass @ vecs * lam)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("dim,n_cells", [(1, 2), (1, 9), (1, 1000), (2, 33)])
+def test_hat_eigenvalues_come_without_eigenvectors(dim, n_cells):
+    # the closed form that _hat_modes shares: the bits of the modes'
+    # eigenvalues, read with no n x n matrix of sines
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, 1))
+    lam, top = pair.eigenvalues, pair.max_eigenvalue
+    assert "_basis" not in vars(pair)
+    lam_1d, _ = pair._basis
+    assert pair._eigenvalues_1d.tobytes() == lam_1d.tobytes()
+    assert lam.tobytes() == np.add.outer(*(lam_1d,) * dim).ravel().tobytes() if dim == 2 \
+        else lam.tobytes() == lam_1d.tobytes()
+    assert top == dim * float(np.max(lam_1d))
+
+
 def test_mode_vector_is_cached_and_read_only():
     mesh = fem.build_mesh(1, 6, 2)
     pair = fem.assemble(mesh)

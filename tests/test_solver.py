@@ -377,19 +377,35 @@ def test_projected_test_gram_uses_interval_means(rng, grid):
     assert solver.evaluate_norm(x, gram) == pytest.approx(np.sqrt(total), rel=1e-10)
 
 
+def test_uniform_k_max_is_the_grid_k_max_bit_for_bit():
+    # the widths of numpy.linspace's nodes, a block at a time and the last
+    # one to the exact 1, with no grid; the block edges included
+    for n_steps in (*range(1, 300), 8191, 8192, 8193, 8194, 16385, 10 ** 6 + 7):
+        grid = solver.TimeGrid.uniform(1.0, n_steps)
+        assert solver.uniform_k_max(n_steps) == grid.k_max, n_steps
+
+
+def test_uniform_k_max_refuses_a_grid_of_no_interval():
+    for n_steps in (0, -3):
+        with pytest.raises(ValueError, match="need at least one time interval"):
+            solver.uniform_k_max(n_steps)
+
+
 def test_energy_bound_samples():
     # weighted energy bound a |U|_Y^2 <= (1 + c_S_omega^2) a^-1 |f|^2 with
     # the computable forcing norm; u0 = 0 in every stock case
     from stpg import constants as consts
     disc = make_disc(n_cells=8, n_steps=16)
     k = disc.grid.k_max
+    # the forcing norm at unit amplitude depends on the discretization alone
+    unit_forcing = solver.forcing_dual_norm_sq(ConstantCoeffs(1.0, 1.0), disc, 0.0)
     for case, omega in (("a", 0.31), ("b", -0.17), ("c", 0.23), ("d", 0.11)):
         model = CoefficientModel(case=case)
         a = model.a(omega)
         c_sw = consts.cfl_omega(disc.pair, k, omega, model)
         sol = solver.solve_pathwise(model, disc, omega)
         lhs = a * solver.trial_energy_norm(sol, disc) ** 2
-        rhs = (1.0 + c_sw ** 2) / a * solver.forcing_dual_norm_sq(model, disc, omega)
+        rhs = (1.0 + c_sw ** 2) / a * (float(model.c0(omega)) ** 2 * unit_forcing)
         assert 0 < lhs <= rhs * (1 + 1e-12)
 
 

@@ -343,12 +343,11 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     """Spatial pair of one configuration; a run that reads its grid builds it.
 
     A grid of no interval is refused first, as TimeGrid.uniform refuses it.
-    Before any matrix is built, what a run over that many paths or parameter
-    nodes holds at peak must fit in memory, the one limit on its size. Each
-    count adds the spatial pair's 1-D matrices at their peak
-    (fem.pair_values), which in 1-D are n_dof x n_dof, and its message names
-    that share. An infsup pair reads eigenvalues alone, so for hat
-    functions it forms no eigenvector. Beside the pair each count holds,
+    Before the pair forms any value, what a run over that many paths or
+    parameter nodes holds at peak must fit in memory, the one limit on its
+    size. Each count adds the pair's peak (fem.pair_values), and its message
+    names that share; a hat convergence level adds the 1-D mass and
+    stiffness that rho reads. Beside the pair each count holds,
     for infsup, the largest step count's k_max (solver.uniform_k_max, two
     blocks of up to np.getbufsize() widths), and NODE_BYTES, COLUMN_BYTES
     and ROW_BYTES per node, with no grid; for moments, MOMENT_VALUES per
@@ -361,7 +360,7 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     if n_steps < 1:
         raise ValueError("need at least one time interval")
     mesh = fem.build_mesh(config.dim, n_cells, config.degree)
-    pair = fem.pair_values(mesh, vectors=config.subcommand != "infsup")
+    pair = fem.pair_values(mesh)
     if config.subcommand == "infsup":
         grids = len(config.n_cells) * len(config.n_steps)
         widths = 2 * min(max(config.n_steps), np.getbufsize())
@@ -378,6 +377,8 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
                       f"a {n_steps} x {mesh.n_dof} solution written {chunk} values at a time",
                       8 * pair)
     else:
+        if mesh.degree == 1:
+            pair += 2 * mesh.n_dof_1d ** 2  # the mass and stiffness that rho reads
         block = min(paths, _block_paths(n_steps))
         values = (GRID_VALUES + ERROR_VALUES * block) * n_steps + 2 * np.getbufsize()
         _check_memory(8 * (pair + values) + RUN_BYTES + NODE_BYTES * paths,

@@ -8,16 +8,14 @@ every quadrature in the package.
 
 The eigenpairs of (S, M) diagonalize M, S and M S^-1 M. The space in
 dim d is the d-fold tensor product of the 1-D one, so a SpatialPair
-keeps the 1-D matrices and their eigenpairs, and the CLI reads from them
-the largest eigenvalue and the excited mode's eigenvalue, load and
-energy; only a solve forms an array of n_dof values, the mode's vector.
-The dense mass, stiffness and modes are plain Kronecker products of the
-1-D factors, formed on first use for the tests' oracles. Hat
-functions (degree 1) need numpy only: their eigenpairs have a closed
-form, the discrete sine transform, and their eigenvalues come without
-the n x n matrix of sines. Quadratic splines (degree 2) need
-numpy only as well: de Boor's recurrence evaluates them, and two
-symmetric eigh calls give their eigenpairs.
+forms 1-D values only, and the CLI reads from it the largest eigenvalue
+and the excited mode's eigenvalue, load and energy; only a solve forms
+an array of n_dof values, the mode's vector. Hat functions (degree 1)
+have each in closed form, the discrete sine transform: no run of theirs
+assembles a matrix but for the convergence energy rho. Quadratic splines
+(degree 2) assemble theirs by de Boor's recurrence, and two symmetric
+eigh calls give their eigenpairs. The dense mass, stiffness and modes
+are Kronecker products of the 1-D factors, formed for the tests' oracles.
 """
 
 import functools
@@ -106,28 +104,20 @@ def _eigh_values(n: int) -> int:
     return n * n + n + (1 + 6 * n + 2 * n * n) + (3 + 5 * n)
 
 
-def pair_values(mesh: Mesh, vectors: bool = True) -> int:
-    """Values the spatial pair of a mesh holds at peak while it is built,
-    and while its basis is formed: with vectors, or else for its
-    eigenvalues alone (max_eigenvalue).
-
-    Its 1-D matrices are n_dof_1d x n_dof_1d (n_dof x n_dof in dim 1).
-    The matrix term is the assembled mass and stiffness, all that hat
-    functions hold for their eigenvalues, which come in closed form. The
-    basis term is the eigenvectors with their temporaries, beside the
-    matrices: 2 more such matrices for hat functions and 4 for splines,
-    of which the pair keeps 1. Splines form it for their eigenvalues too,
-    and their second eigh call (_spline_modes) holds its LAPACK memory
-    (_eigh_values) beside the 6, which tracemalloc does not see but the
-    process's resident memory does. Beside the basis numpy buffers two
-    broadcast operands, up to np.getbufsize() values each.
+def pair_values(mesh: Mesh) -> int:
+    """Values the spatial pair of a mesh holds at peak while a moments,
+    solve or infsup run reads it: for hat functions 3 per 1-D dof, the
+    mode's first sine while its load and then the eigenvalues are formed
+    in place, two vectors each (infsup reads the eigenvalues alone); for
+    splines their n_dof_1d x n_dof_1d mass and stiffness, 4 more such
+    matrices while the eigenvectors are formed, LAPACK's memory of the
+    second eigh call (_eigh_values), which tracemalloc does not see but
+    resident memory does, and numpy's buffers of two broadcast operands.
     """
     n = mesh.n_dof_1d
-    matrices = 2 * n * n
-    if mesh.degree == 1 and not vectors:
-        return matrices
-    basis = 2 * n * n if mesh.degree == 1 else 4 * n * n + _eigh_values(n)
-    return matrices + basis + 2 * min(n * n, np.getbufsize())
+    if mesh.degree == 1:
+        return 3 * n
+    return 6 * n * n + _eigh_values(n) + 2 * min(n * n, np.getbufsize())
 
 
 @dataclass(eq=False)
@@ -142,15 +132,21 @@ class SpatialPair:
     (M, S) and its M-orthonormal eigenvectors V: the mass M (x) ... (x) M,
     the stiffness one term per axis with S there and M elsewhere, the
     eigenvectors V (x) ... (x) V, whose eigenvalues are sums of 1-D ones
-    (fast diagonalization; Lynch, Rice and Thomas 1964). The dense mass,
-    stiffness and modes multiply them out on first use, for tests and
-    oracles only. Everything derived from the mesh alone is computed
-    once and cached.
+    (fast diagonalization; Lynch, Rice and Thomas 1964). Everything is
+    derived from the mesh alone, formed on first read and cached; the dense
+    mass, stiffness and modes multiply the 1-D factors out, for tests and
+    oracles only.
     """
 
     mesh: Mesh
-    mass_1d: np.ndarray
-    stiffness_1d: np.ndarray
+
+    @functools.cached_property
+    def matrices_1d(self) -> tuple:
+        """(M, S) of the 1-D pair, read-only, with exact element integrals:
+        closed form for hat functions, whose runs read it for rho alone,
+        3-point Gauss per cell for the quartic spline integrands."""
+        assemble_1d = _assemble_1d_linear if self.mesh.degree == 1 else _assemble_1d_spline
+        return tuple(map(_frozen, assemble_1d(self.mesh)))
 
     @property
     def n_dof(self) -> int:
@@ -158,23 +154,17 @@ class SpatialPair:
 
     @functools.cached_property
     def _basis(self) -> tuple:
-        """M-orthonormal eigenpairs (lam, V) of the 1-D pair, read-only.
-
-        Hat functions have them in closed form (_hat_modes), quadratic
-        splines by a dense symmetric reduction (_spline_modes).
-        """
+        """M-orthonormal eigenpairs (lam, V) of the 1-D pair, read-only: for
+        hat functions in closed form (all the sines, for the tests' dense
+        modes), for splines by a dense symmetric reduction (_spline_modes)."""
         if self.mesh.degree == 2:
-            basis = _spline_modes(self.mass_1d, self.stiffness_1d)
-        else:
-            basis = _hat_modes(self.mesh.n_cells)
-        return tuple(map(_frozen, basis))
+            return tuple(map(_frozen, _spline_modes(*self.matrices_1d)))
+        return self._eigenvalues_1d, _frozen(_hat_sines(self.mesh.n_cells, self.mesh.n_dof_1d))
 
     @functools.cached_property
     def _eigenvalues_1d(self) -> np.ndarray:
-        """Eigenvalues of the 1-D pair, ascending, read-only: for hat
-        functions the closed form of _hat_modes with no eigenvector, with
-        its bits; for splines those of _basis, which eigh forms with the
-        vectors."""
+        """Eigenvalues of the 1-D pair, ascending, read-only: in closed form
+        for hat functions, those of _basis (eigh) for splines."""
         if self.mesh.degree == 2:
             return self._basis[0]
         return _frozen(_hat_eigenvalues(self.mesh.n_cells))
@@ -204,15 +194,15 @@ class SpatialPair:
     @functools.cached_property
     def mass(self) -> np.ndarray:
         """Dense mass matrix M (x) ... (x) M, formed on first use for tests."""
-        return functools.reduce(np.kron, (self.mass_1d,) * self.mesh.dim)
+        return functools.reduce(np.kron, (self.matrices_1d[0],) * self.mesh.dim)
 
     @functools.cached_property
     def stiffness(self) -> np.ndarray:
         """Dense stiffness matrix, one Kronecker product per axis with S there
         and M elsewhere, formed on first use for tests."""
+        mass, stiffness = self.matrices_1d
         axes = range(self.mesh.dim)
-        terms = ([self.stiffness_1d if axis == k else self.mass_1d for axis in axes]
-                 for k in axes)
+        terms = ([stiffness if axis == k else mass for axis in axes] for k in axes)
         return sum(functools.reduce(np.kron, term) for term in terms)
 
     @functools.cached_property
@@ -246,10 +236,11 @@ class SpatialPair:
 
     @functools.cached_property
     def _excited_factor(self) -> np.ndarray:
-        """The 1-D factor u of v_1, read-only: basis column 0, a sine, made
-        bitwise mirror-symmetric and positive as |u + u reversed| / 2."""
-        vecs = self._basis[1]
-        return _frozen(0.5 * np.abs(vecs[:, 0] + vecs[::-1, 0]))
+        """The 1-D factor u of v_1, read-only: the first sine (basis column 0),
+        made bitwise mirror-symmetric and positive as |u + u reversed| / 2."""
+        vecs = _hat_sines(self.mesh.n_cells, 1) if self.mesh.degree == 1 else self._basis[1]
+        u = vecs[:, 0] + vecs[::-1, 0]
+        return _frozen(np.multiply(np.abs(u, out=u), 0.5, out=u))
 
     @functools.cached_property
     def excited_energy(self) -> float:
@@ -258,8 +249,8 @@ class SpatialPair:
         in dim d: in 1-D the bits of v_1 @ stiffness @ v_1, with no
         n_dof-sized product. It equals lam_1 in exact arithmetic only.
         """
-        u, dim = self._excited_factor, self.mesh.dim
-        return float(dim * (u @ self.stiffness_1d @ u) * (u @ self.mass_1d @ u) ** (dim - 1))
+        (mass, stiffness), u, dim = self.matrices_1d, self._excited_factor, self.mesh.dim
+        return float(dim * (u @ stiffness @ u) * (u @ mass @ u) ** (dim - 1))
 
 
 def build_mesh(dim: int, n_cells: int, degree: int) -> Mesh:
@@ -275,9 +266,9 @@ def build_mesh(dim: int, n_cells: int, degree: int) -> Mesh:
     return Mesh(dim=dim, n_cells=n_cells, degree=degree)
 
 
-def _assemble_1d_linear(n_cells: int):
+def _assemble_1d_linear(mesh: Mesh):
     # tridiagonal, its three diagonals filled in place
-    n, h = n_cells - 1, 1.0 / n_cells
+    n, h = mesh.n_dof_1d, mesh.h
     mats = np.zeros((2, n, n))
     for matrix, main, off in zip(mats, (2.0 * h / 3.0, 2.0 / h), (h / 6.0, -1.0 / h)):
         flat = matrix.reshape(-1)
@@ -289,29 +280,33 @@ def _assemble_1d_linear(n_cells: int):
 def _hat_eigenvalues(n_cells: int) -> np.ndarray:
     """Eigenvalues of the 1-D hat pair, ascending: lam_k = 12 sin^2(t_k / 2)
     / (h^2 (2 + cos t_k)) with t_k = k pi h, k = 1..n_cells-1; the sin^2
-    form avoids the cancellation of 1 - cos t_k for the smooth modes."""
-    h = 1.0 / n_cells
-    theta = np.pi * np.arange(1, n_cells) / n_cells
-    return 12.0 * np.sin(0.5 * theta) ** 2 / (h ** 2 * (2.0 + np.cos(theta)))
+    form avoids the cancellation of 1 - cos t_k for the smooth modes. Formed
+    in place, two vectors at most."""
+    theta = np.arange(1.0, n_cells) * np.pi / n_cells
+    lam = 0.5 * theta
+    np.sin(lam, out=lam)
+    lam *= lam
+    lam *= 12.0
+    np.cos(theta, out=theta)
+    theta += 2.0
+    theta *= (1.0 / n_cells) ** 2
+    lam /= theta
+    return lam
 
 
-def _hat_modes(n_cells: int) -> tuple:
-    """Closed-form M-orthonormal eigenpairs of the 1-D hat pair, ascending.
-
-    Mode k = 1..n_cells-1 is the sine sampled at the nodes, V_ik =
-    sqrt(6 / (2 + cos t_k)) sin(i t_k), with the eigenvalue lam_k of
-    _hat_eigenvalues. The phase i k is reduced mod 2 n_cells in integers,
-    so sin sees arguments below 2 pi. Formed in place, with two matrices
-    at most.
-    """
-    k = np.arange(1, n_cells)
-    theta = np.pi * k / n_cells
-    vecs = (np.multiply.outer(k, k) % (2 * n_cells)).astype(float)
+def _hat_sines(n_cells: int, modes: int) -> np.ndarray:
+    """The first modes M-orthonormal eigenvectors of the 1-D hat pair as
+    columns, ascending: mode k is the sine sampled at the nodes, V_ik =
+    sqrt(6 / (2 + cos t_k)) sin(i t_k). The phase i k is reduced mod
+    2 n_cells in integers, so sin sees arguments below 2 pi. Formed in
+    place; a column has the same bits whatever the number of columns."""
+    k = np.arange(1, modes + 1)
+    vecs = (np.multiply.outer(np.arange(1, n_cells), k) % (2 * n_cells)).astype(float)
     vecs *= np.pi
     vecs /= n_cells
     np.sin(vecs, out=vecs)
-    vecs *= np.sqrt(6.0 / (2.0 + np.cos(theta)))
-    return _hat_eigenvalues(n_cells), vecs
+    vecs *= np.sqrt(6.0 / (2.0 + np.cos(np.pi * k / n_cells)))
+    return vecs
 
 
 def _spline_modes(mass: np.ndarray, stiffness: np.ndarray) -> tuple:
@@ -385,19 +380,8 @@ def _assemble_1d_spline(mesh: Mesh):
 
 
 def assemble(mesh: Mesh) -> SpatialPair:
-    """Assemble the 1-D mass and stiffness Gram matrices of a mesh.
-
-    Element integrals are exact: closed form for hat functions, 3-point
-    Gauss per cell for the quartic quadratic-spline integrands. The pair
-    keeps these 1-D factors of its Kronecker products (M2 = M (x) M and
-    S2 = S (x) M + M (x) S in dim 2) and forms the n_dof x n_dof
-    products only when a test asks for them.
-    """
-    if mesh.degree == 1:
-        mass1, stiff1 = _assemble_1d_linear(mesh.n_cells)
-    else:
-        mass1, stiff1 = _assemble_1d_spline(mesh)
-    return SpatialPair(mesh=mesh, mass_1d=mass1, stiffness_1d=stiff1)
+    """The spatial pair of a mesh, which forms each value on its first read."""
+    return SpatialPair(mesh)
 
 
 def v_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
@@ -420,10 +404,14 @@ def dual_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
 
 
 def _hat_mode_vector(n_cells: int) -> np.ndarray:
-    # integral of sin(pi x) against each hat, closed form
+    # integral of sin(pi x) against each hat, closed form, formed in place
     h = 1.0 / n_cells
-    nodes = np.arange(1, n_cells) * h
-    return 2.0 * (1.0 - np.cos(np.pi * h)) / (np.pi ** 2 * h) * np.sin(np.pi * nodes)
+    load = np.arange(1.0, n_cells)
+    load *= h
+    load *= np.pi
+    np.sin(load, out=load)
+    load *= 2.0 * (1.0 - np.cos(np.pi * h)) / (np.pi ** 2 * h)
+    return load
 
 
 def _spline_mode_vector(mesh: Mesh) -> np.ndarray:

@@ -263,7 +263,7 @@ def uniform_energy(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
     excited mode, the only one its forcing reaches, in closed form: no
     step loop and nothing of size N. a and c0 hold the P diffusion values,
     each finite and positive, and the P finite forcing amplitudes; a path
-    whose sum overflows gets inf or nan.
+    whose energy overflows gets inf.
 
     With k = 1 / N and theta = pi k the time weights are tw_0 and
     tw_j = C sin(j theta) for j >= 1, C = 4 sin^2(theta / 2) / (pi^2 k).
@@ -287,18 +287,29 @@ def uniform_energy(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
     log1p(-2 min(u, v)) and 1 - g^{2N} = -expm1(2N log|g|).
     """
     lam, beta = pair.excited_mode
-    tw0, c, theta, _, x, u, v, _, mod = _uniform_terms(n_steps, a, lam)
+    tw0, c, theta, _, x, u, v, g, mod = _uniform_terms(n_steps, a, lam)
+    c0 = np.asarray(c0, dtype=float)
     # the sums below are per unit (c0 beta_1)^2
-    scale = lam * beta ** 2 * np.square(np.asarray(c0, dtype=float)) / n_steps
+    scale = lam * beta ** 2 * np.square(c0) / n_steps
     if n_steps == 1:
-        return scale * np.square(tw0 * v)
-    with np.errstate(divide="ignore"):
-        # 1 - g^2N, with g = 0 at x = 1
-        decay = -np.expm1(2 * n_steps * np.log1p(-2.0 * np.minimum(u, v)))
-    # ((1 + x) h)^2 (1 - g^2N) / (4x) + N |Q|^2 / 2, with g = (1 - x) v
-    total = np.square(tw0 + c * np.sin(theta) * (1.0 - x) * v / mod) * decay / (4.0 * x)
-    total += 0.5 * n_steps * np.square(c * v) / mod
-    return scale * total
+        energy = scale * np.square(tw0 * v)
+    else:
+        with np.errstate(divide="ignore"):
+            # 1 - g^2N, with g = 0 at x = 1
+            decay = -np.expm1(2 * n_steps * np.log1p(-2.0 * np.minimum(u, v)))
+        # ((1 + x) h)^2 (1 - g^2N) / (4x) + N |Q|^2 / 2, with g = (1 - x) v
+        total = np.square(tw0 + c * np.sin(theta) * (1.0 - x) * v / mod) * decay / (4.0 * x)
+        total += 0.5 * n_steps * np.square(c * v) / mod
+        energy = scale * total
+    if not np.isfinite(energy).all():
+        # c0^2 or x overflowed, or inf * 0: those entries again, c0 inside the
+        # squares after the small factors' roots, g and v / u standing for x
+        parts = [tw0 * v] if n_steps == 1 else [
+            (tw0 + c * np.sin(theta) * g / mod) * np.sqrt(decay) * np.sqrt(v / (4.0 * u)),
+            c * v * np.sqrt(0.5 * n_steps / mod)]
+        again = lam * beta ** 2 / n_steps * sum(np.square(part * c0) for part in parts)
+        energy = np.where(np.isfinite(energy), energy, again)
+    return energy
 
 
 def _path_data(coeffs, omega: float) -> tuple:

@@ -184,6 +184,30 @@ def test_solve_near_the_float_maximum_matches_exact_arithmetic(tmp_path, capsys,
         assert abs(Fraction(float(value)) - want) <= 8 * Fraction(5e-324)
 
 
+def test_uniform_energy_matches_exact_arithmetic_where_its_terms_overflow():
+    # c0^2 overflows at c0 = 1e300, and x = k a lam_1 / 2 at the float
+    # maximum; the exact energies k lam_1 sum_j y_j^2 of the profiles in
+    # rational arithmetic, 6e-19 to 4e298 at c0 = 1e300, are met within
+    # 1e-14 relative (6.4e-15 measured), and those below the least normal
+    # float within 4 units of the least subnormal (1.8 measured)
+    pair = fem.assemble(fem.build_mesh(1, 8, 1))
+    lam = Fraction(pair.excited_mode[0])
+    for n_steps in (1, 2, 4, 64):
+        for a in (1e150, 1e160, 1e200, 1e300, 1.7976931348623157e308):
+            c0 = np.array([1.0, 1e300])
+            with np.errstate(over="ignore", invalid="ignore"):
+                energy = solver.uniform_energy(pair, n_steps, np.full(2, a), c0)
+            # the profile is linear in c0
+            unit = lam * sum(y * y for y in _exact_profile(pair, n_steps, a, 1.0)) / n_steps
+            for got, amplitude in zip(energy.tolist(), c0.tolist()):
+                exact = Fraction(amplitude) ** 2 * unit
+                gap = abs(Fraction(got) - exact) if math.isfinite(got) else math.inf
+                if exact >= Fraction(np.finfo(float).tiny):
+                    assert gap <= Fraction(1e-14) * exact, (n_steps, a, amplitude, got)
+                else:
+                    assert gap <= 4 * Fraction(5e-324), (n_steps, a, amplitude, got)
+
+
 def test_moments_csv_format(tmp_path):
     out = tmp_path / "m.csv"
     result = _run(["moments", "--case", "a", "--cells", "4", "--steps", "8",
@@ -372,16 +396,17 @@ def test_available_memory_is_meminfo_else_physical(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("pages,steps,need", [
-    # the pair's 4 x 7 x 7 values and numpy's buffers of 2 x 7 x 7, 4
-    # values per step of the profile, the report's write (7 values per
-    # dof and 24 for each of the 4,095 values of a block of 585
-    # intervals), and the 16,384 bytes of a run's small objects
-    (10, 1000, "a 1000 x 7 solution written 4095 values at a time needs 837368 bytes, "
-               "2352 of them for the spatial pair"),
-    # the report is written in one block of 700 values: 156,728 counted
-    # bytes, which 39 pages hold
-    (38, 100, "a 100 x 7 solution written 700 values at a time needs 156728 bytes, "
-              "2352 of them for the spatial pair"),
+    # the hat pair's 3 values per dof, 4 values per step of the profile,
+    # the report's write (7 values per dof and 24 for each of the 4,095
+    # values of a block of 585 intervals), and the 16,384 bytes of a run's
+    # small objects
+    (10, 1000, "a 1000 x 7 solution written 4095 values at a time needs 835184 bytes, "
+               "168 of them for the spatial pair"),
+    # the report is written in one block of 700 values: 154,544 counted
+    # bytes, which 38 pages hold
+    (37, 100, "a 100 x 7 solution written 700 values at a time needs 154544 bytes, "
+              "168 of them for the spatial pair"),
+    (38, 100, None),
     (39, 100, None),
     (40, 100, None),
     (53, 100, None),
@@ -403,22 +428,22 @@ def test_time_steps_checked_against_physical_memory(tmp_path, capsys, monkeypatc
 
 
 def test_pair_share_is_named_when_the_pair_does_not_fit(tmp_path, capsys, monkeypatch):
-    # 19,999 dofs in 1-D: the pair's four 19,999 x 19,999 matrices are
-    # 12.8 GB, against 8 GiB of available memory, while the report's write, one
-    # block of the whole interval's 19,999 values beside 7 values per dof,
-    # is 5.0 MB, which the message names
+    # 20,000 splines: the pair's 20,000 x 20,000 matrices, six of them and
+    # eigh's LAPACK memory, are 29 GB, against 8 GiB of available memory,
+    # while the report's write, one block of the whole interval's 20,000
+    # values beside 7 values per dof, is 5.0 MB, which the message names
     _patch_available_memory(monkeypatch, 1 << 21)
     out = tmp_path / "x.csv"
-    code, err = _main(["solve", "--cells", "20000", "--steps", "1", "--out", str(out)],
-                      capsys)
+    code, err = _main(["solve", "--degree", "2", "--cells", "20000", "--steps", "1",
+                       "--out", str(out)], capsys)
     assert code == cli.EXIT_RESOURCE
-    pair = 8 * (4 * 19999 ** 2 + 2 * np.getbufsize())
+    pair = 8 * (6 * 20000 ** 2 + fem._eigh_values(20000) + 2 * np.getbufsize())
     (line,) = err
-    match = re.fullmatch(r"stpg: resource cap: a 1 x 19999 solution written 19999 values at "
+    match = re.fullmatch(r"stpg: resource cap: a 1 x 20000 solution written 20000 values at "
                          r"a time needs (\d+) "
                          rf"bytes, {pair} of them for the spatial pair, more than the "
                          rf"{4096 << 21} bytes of available memory", line)
-    write = 8 * (cli.WRITE_TEXT + cli.WRITE_DOF) * 19999
+    write = 8 * (cli.WRITE_TEXT + cli.WRITE_DOF) * 20000
     assert match and int(match[1]) == pair + 8 * cli.PROFILE_VALUES + write + cli.RUN_BYTES
     assert list(tmp_path.iterdir()) == []
 
@@ -428,9 +453,9 @@ def test_infsup_report_checked_against_available_memory(tmp_path, capsys, monkey
                                                         steps, code):
     # a grid of one dof and 8,192 or 4,096 steps, whose k_max takes two
     # blocks of as many widths, up to np.getbufsize() each, beside the
-    # pair's 2 values, the run's small objects and the 2 nodes' 360 bytes
-    # each: 148,192 bytes at 8,192 steps, 82,656 at 4,096, against 122,880
-    # of memory
+    # hat pair's 3 values, the run's small objects and the 2 nodes' 360
+    # bytes each: 148,200 bytes at 8,192 steps, 82,664 at 4,096, against
+    # 122,880 of memory
     _patch_available_memory(monkeypatch, 30)
     out = tmp_path / "x.csv"
     result, err = _main(["infsup", "--case", "lognormal", "--cells", "2", "--steps",
@@ -438,9 +463,9 @@ def test_infsup_report_checked_against_available_memory(tmp_path, capsys, monkey
     assert result == code
     if code == cli.EXIT_RESOURCE:
         rows = 2 * (cli.NODE_BYTES + cli.COLUMN_BYTES + cli.ROW_BYTES)
-        need = 8 * (2 + 2 * steps) + rows + cli.RUN_BYTES
+        need = 8 * (3 + 2 * steps) + rows + cli.RUN_BYTES
         assert err == [f"stpg: resource cap: an infsup report of 1 x 2 rows needs {need} "
-                       "bytes, 16 of them for the spatial pair, more than the 122880 bytes "
+                       "bytes, 24 of them for the spatial pair, more than the 122880 bytes "
                        "of available memory"]
         assert list(tmp_path.iterdir()) == []
     else:
@@ -503,7 +528,8 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, erro
     config = cli.ExperimentConfig(subcommand=subcommand, case="lognormal", dim=1)
     model, domain = cli._setup(config.case)
     checked = []
-    monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
+    monkeypatch.setattr(cli, "_check_memory",
+                        lambda need, what, pair: checked.append(need - pair))
     paths = 16 if errors else 4096
     pair = cli._discretization(config, cells, steps, paths=paths)
     blocks = []
@@ -537,33 +563,40 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, erro
 
         peak = _traced_peak(rung)
         assert blocks == []
-    # the pair was built before the trace, so its term is left out
+    # the pair was built before the trace, so its share is left out (in a
+    # convergence level also the 1-D matrices that rho reads)
     (counted,) = checked
-    counted -= 8 * fem.pair_values(pair.mesh)
     if not errors:
         # the trace holds the rung's arrays, not a run's small objects
         counted -= cli.RUN_BYTES
     assert 0.85 * counted <= peak <= 1.05 * counted
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-def test_pair_memory_count_pins_the_traced_peak(monkeypatch, degree):
-    # at 400 cells and one step the pair's 1-D matrices, n_dof x n_dof in
-    # 1-D, outweigh everything else of a solve: 6.4 MB at degree 1
-    config = cli.ExperimentConfig(subcommand="solve", case="constant", dim=1,
-                                  degree=degree, n_cells=(400,), n_steps=(1,))
+@pytest.mark.parametrize("config", [
+    # 199,999 hat dofs, whose closed forms hold 3 values each at peak, 4.8
+    # MB, beside a rung of 32 paths
+    cli.ExperimentConfig(subcommand="moments", case="a", dim=1, n_cells=(200000,),
+                         quad_ladder=(4, 8, 16, 32)),
+    # 400 splines, whose 1-D matrices, n_dof x n_dof, outweigh everything
+    # else of a solve of one step: 6.4 MB each
+    cli.ExperimentConfig(subcommand="solve", case="constant", dim=1, degree=2,
+                         n_cells=(400,), n_steps=(1,)),
+], ids=["1", "2"])
+def test_pair_memory_count_pins_the_traced_peak(monkeypatch, config):
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
-    peak = _traced_peak(lambda: cli.run_solve(config))
-    mesh = fem.build_mesh(1, 400, degree)
+    peak = _traced_peak(lambda: cli._report(config))
+    mesh = fem.build_mesh(1, config.n_cells[0], config.degree)
     pair = 8 * fem.pair_values(mesh)
-    # the count covers the report's write, one block of n_dof values'
-    # text beside the solution, which run_solve does not do
-    counted = checked[-1] - 8 * cli.WRITE_TEXT * mesh.n_dof
+    counted = checked[-1]
+    if config.subcommand == "solve":
+        # the count covers the report's write, one block of n_dof values'
+        # text beside the solution, which run_solve does not do
+        counted -= 8 * cli.WRITE_TEXT * mesh.n_dof
     assert 0.98 * counted <= pair <= counted
     # tracemalloc does not see the LAPACK memory of the splines' eigh
     # (test_pair_memory_count_pins_the_resident_peak does)
-    lapack = 0 if degree == 1 else 8 * fem._eigh_values(400)
+    lapack = 0 if config.degree == 1 else 8 * fem._eigh_values(400)
     assert 0.95 * (counted - lapack) <= peak <= 1.05 * (counted - lapack)
 
 
@@ -575,20 +608,24 @@ from stpg import fem
 def peak():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-fem.assemble(fem.build_mesh(1, 8, {degree}))._basis  # LAPACK loaded
+def read(cells):
+    # what a moments or solve run reads from the pair
+    pair = fem.assemble(fem.build_mesh(1, cells, {degree}))
+    return pair.max_eigenvalue, pair.excited_mode, pair.excited_vector
+read(8)  # LAPACK loaded
 before = peak()
-fem.assemble(fem.build_mesh(1, {cells}, {degree}))._basis
+read({cells})
 print(peak() - before)
 """
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM")
-@pytest.mark.parametrize("degree", [1, 2])
-def test_pair_memory_count_pins_the_resident_peak(degree):
-    # at 1,000 cells the 1-D matrices are 8 MB each: the peak of resident
-    # memory while a fresh interpreter builds the pair, LAPACK's memory
-    # inside eigh included, is what pair_values counts
-    cells = 1000
+@pytest.mark.parametrize("degree,cells", [(1, 1000000), (2, 1000)], ids=["1", "2"])
+def test_pair_memory_count_pins_the_resident_peak(degree, cells):
+    # the peak of resident memory while a fresh interpreter reads the pair
+    # is what pair_values counts: 24 MB of hat vectors at 10^6 cells, and
+    # at 1,000 splines 8 MB per matrix, LAPACK's memory inside eigh
+    # included
     code = _PAIR_RSS.format(degree=degree, cells=cells)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -648,7 +685,8 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
     # on the grid (its closed form forms no time weights), a solve's count
     # its closed-form profile, and the time weights stay within their bound
     checked = []
-    monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
+    monkeypatch.setattr(cli, "_check_memory",
+                        lambda need, what, pair: checked.append((need, pair)))
     config = cli.ExperimentConfig(subcommand="convergence", case="lognormal", dim=1)
     model, domain = cli._setup(config.case)
     pair = cli._discretization(config, cells, 20000, paths=1)
@@ -671,9 +709,9 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
         level_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    level, counted = checked
-    # the level's pair was built before the trace
-    assert level_peak <= level - 8 * fem.pair_values(pair.mesh)
+    (level, level_pair), (counted, _) = checked
+    # the level's pair was built before the trace, so its share is left out
+    assert level_peak <= level - level_pair
     assert solve_peak <= counted
     # the weights, two more values and a mask per step beside the nodes
     assert 8 * 20000 <= weights_peak <= (8 * 3 + 1) * 20000 + 4096
@@ -686,10 +724,15 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
                   "512,1024,2048,4096"], 0.85, id="moments"),
     pytest.param(["convergence", "--j-min", "4", "--j-max", "4", "--n-quad-ladder", "16"],
                  0.85, id="convergence"),
-    # 159,201 dofs, whose solve writes 636,804 rows: its count holds the
-    # text of every value of a whole-interval block, of which 0.37 is traced
-    *(pytest.param([name, "--cells", "400", "--steps", "4"], low, id=f"{name}-400-cells")
-      for name, low in (("moments", 0.85), ("solve", 0.3), ("infsup", 0.85))),
+    # 159,201 dofs, the hat pair 399 of them: beside it a rung of 4,096
+    # paths, a solve that writes 636,804 rows (its count holds the text of
+    # every value of a whole-interval block, of which 0.37 is traced), and
+    # the report rows of 10,000 nodes over two grids
+    pytest.param(["moments", "--cells", "400", "--steps", "4", "--n-quad-ladder",
+                  "512,1024,2048,4096"], 0.85, id="moments-400-cells"),
+    pytest.param(["solve", "--cells", "400", "--steps", "4"], 0.3, id="solve-400-cells"),
+    pytest.param(["infsup", "--cells", "400", "--steps", "4,8", "--case", "lognormal",
+                  "--n-quad-ladder", "10000"], 0.85, id="infsup-400-cells"),
     # a level of 16,129 dofs and 16,384 steps
     pytest.param(["convergence", "--j-min", "7", "--j-max", "7"], 0.85, id="convergence-j-7"),
 ])
@@ -712,6 +755,52 @@ def test_2d_memory_count_pins_the_traced_peak(tmp_path, capsys, monkeypatch, arg
     *rule, counted = checked
     assert len(rule) == (argv[0] in ("convergence", "infsup"))
     assert low * counted <= peak <= 1.05 * counted
+
+
+@pytest.mark.parametrize("argv,low", [
+    # 19,999 hat dofs: the first sine held while the mode's load vector
+    # and the eigenvalues are formed, 3 values a dof, outweigh the rung
+    pytest.param(["moments", "--cells", "20000"], 0.85, id="moments"),
+    # infsup reads the eigenvalues alone, 2 of the 3 values a dof counted
+    pytest.param(["infsup", "--cells", "20000", "--steps", "4"], 0.6, id="infsup"),
+])
+def test_hat_pair_count_pins_the_traced_peak(tmp_path, capsys, monkeypatch, argv, low):
+    argv = [*argv, "--dim", "1", "--out", str(tmp_path / "x.csv")]
+    assert _main(argv, capsys)[0] == cli.EXIT_OK  # imports and caches warm
+    checked = []
+    monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
+    tracemalloc.start()
+    try:
+        code = _main(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == (cli.EXIT_OK, [])
+    assert low * checked[-1] <= peak <= 1.05 * checked[-1]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("argv", [
+    ["moments", "--cells", "9", "--n-quad-ladder", "4,8,16,32"],
+    ["solve", "--cells", "9", "--steps", "8"],
+    ["infsup", "--cells", "4,9", "--steps", "4", "--n-quad-ladder", "2"],
+], ids=lambda argv: argv[0])
+def test_no_hat_run_assembles_a_matrix_or_forms_the_sines(tmp_path, capsys, monkeypatch,
+                                                         argv, dim):
+    # every value a hat run reads has a closed form: no 1-D matrix, no
+    # basis and no sine but the first
+    def forbidden(*args):
+        raise AssertionError("a hat run assembled a matrix or formed the sines")
+
+    monkeypatch.setattr(fem, "_assemble_1d_linear", forbidden)
+    monkeypatch.setattr(fem.SpatialPair, "_basis", property(forbidden))
+    sines = []
+    hat_sines = fem._hat_sines
+    monkeypatch.setattr(fem, "_hat_sines",
+                        lambda n_cells, modes: sines.append(modes) or hat_sines(n_cells, modes))
+    out = tmp_path / "x.csv"
+    assert _main([*argv, "--dim", str(dim), "--out", str(out)], capsys) == (cli.EXIT_OK, [])
+    assert out.exists() and set(sines) <= {1}
 
 
 def _raise_dense(*args):
@@ -763,9 +852,9 @@ def test_infsup_memory_count_pins_the_traced_peak(monkeypatch):
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     for case, cells, steps, n_quad in (
-            # the pair of 511 dofs, 4.2 MB: its mass and stiffness, and no
-            # eigenvector
-            ("a", (512,), (2,), 2),
+            # the hat pairs of 511 and 1,023 dofs, each released before the
+            # next, beside 10,000 nodes' report rows over 2 x 2 grids
+            ("lognormal", (512, 1024), (2, 4), 10000),
             # one dof and 10^7 steps: no grid, only the two blocks of widths
             # that k_max takes at a time
             ("a", (2,), (10 ** 7,), 2),
@@ -994,13 +1083,12 @@ def test_infsup_report_is_the_scalar_report_byte_for_byte(tmp_path, config):
 def test_infsup_builds_each_input_once(monkeypatch, dim, degree):
     # one pair per --cells entry, duplicates included, each built once the
     # previous one is released; one k_max per distinct --steps value, with
-    # no time grid; and for hat functions no eigenvector
+    # no time grid (test_no_hat_run_assembles_a_matrix_or_forms_the_sines
+    # bans the hat eigenvectors in every run)
     def forbidden(*args, **kwargs):
-        raise AssertionError("infsup built a time grid or an eigenvector")
+        raise AssertionError("infsup built a time grid")
 
     monkeypatch.setattr(solver.TimeGrid, "__post_init__", forbidden)
-    if degree == 1:
-        monkeypatch.setattr(fem, "_hat_modes", forbidden)
     built, alive = [], []
     assemble = fem.assemble
 
@@ -1043,13 +1131,19 @@ def test_infsup_reports_the_first_bad_grid(tmp_path, capsys, cells, steps, messa
 
 def test_infsup_memory_is_checked_before_a_later_bad_step_count(tmp_path, capsys,
                                                                 monkeypatch):
-    # the rule fits in 10 pages, but the first grid's pair of 63 x 63
-    # matrices does not, and memory is checked before the next grid's step
-    # count
+    # the rule fits in 10 pages, but the first grid's hat pair of 1,023
+    # dofs at 3 values each does not, and memory is checked before the next
+    # grid's step count
     _patch_available_memory(monkeypatch, 10)
-    argv = ["infsup", "--cells", "64", "--steps", "4,0", "--out", str(tmp_path / "x.csv")]
+    argv = ["infsup", "--cells", "1024", "--steps", "4,0", "--out", str(tmp_path / "x.csv")]
     code, err = _main(argv, capsys)
-    assert code == cli.EXIT_RESOURCE and err[0].startswith("stpg: resource cap: an infsup")
+    pair = 8 * 3 * 1023
+    need = pair + 8 * 2 * 4 + 8 * (cli.NODE_BYTES + cli.COLUMN_BYTES + 2 * cli.ROW_BYTES) \
+        + cli.RUN_BYTES
+    assert code == cli.EXIT_RESOURCE
+    assert err == [f"stpg: resource cap: an infsup report of 2 x 8 rows needs {need} bytes, "
+                   f"{pair} of them for the spatial pair, more than the 40960 bytes of "
+                   "available memory"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -338,8 +338,7 @@ def test_spline_assembly_is_the_bspline_assembly_bit_for_bit(n_cells):
     mesh = fem.build_mesh(1, n_cells, 2)
     pair = fem.assemble(mesh)
     mass, stiffness, load = _bspline_assembly(mesh)
-    assert _same_bits(pair.mass_1d, mass)
-    assert _same_bits(pair.stiffness_1d, stiffness)
+    assert all(map(_same_bits, pair.matrices_1d, (mass, stiffness)))
     assert _same_bits(fem.mode_load_vector(mesh), load)
     assert _same_bits(pair.mode_vector, load)
 
@@ -350,7 +349,7 @@ def test_spline_modes_match_generalized_eigh(n_cells):
     # by about eps * lam_max in each eigenvalue, so the small ones agree
     # only to that share of lam_max
     pair = fem.assemble(fem.build_mesh(1, n_cells, 2))
-    mass, stiffness = pair.mass_1d, pair.stiffness_1d
+    mass, stiffness = pair.matrices_1d
     lam, vecs = pair.modes
     ref = eigh(stiffness, mass, eigvals_only=True)
     assert np.all(np.diff(lam) > 0)
@@ -395,16 +394,59 @@ def test_hat_modes_match_dense_eigh(dim, n_cells):
 
 @pytest.mark.parametrize("dim,n_cells", [(1, 2), (1, 9), (1, 1000), (2, 33)])
 def test_hat_eigenvalues_come_without_eigenvectors(dim, n_cells):
-    # the closed form that _hat_modes shares: the bits of the modes'
-    # eigenvalues, read with no n x n matrix of sines
+    # the closed form of the modes' eigenvalues, read with no n x n matrix
+    # of sines, formed in place with the bits of the plain expression; so
+    # is the mode's load
     pair = fem.assemble(fem.build_mesh(dim, n_cells, 1))
     lam, top = pair.eigenvalues, pair.max_eigenvalue
     assert "_basis" not in vars(pair)
     lam_1d, _ = pair._basis
-    assert pair._eigenvalues_1d.tobytes() == lam_1d.tobytes()
+    h, theta = 1.0 / n_cells, np.pi * np.arange(1, n_cells) / n_cells
+    plain = 12.0 * np.sin(0.5 * theta) ** 2 / (h ** 2 * (2.0 + np.cos(theta)))
+    assert pair._eigenvalues_1d.tobytes() == lam_1d.tobytes() == plain.tobytes()
+    nodes = np.arange(1, n_cells) * h
+    load = 2.0 * (1.0 - np.cos(np.pi * h)) / (np.pi ** 2 * h) * np.sin(np.pi * nodes)
+    assert fem.mode_load_vector(fem.build_mesh(1, n_cells, 1)).tobytes() == load.tobytes()
     assert lam.tobytes() == np.add.outer(*(lam_1d,) * dim).ravel().tobytes() if dim == 2 \
         else lam.tobytes() == lam_1d.tobytes()
     assert top == dim * float(np.max(lam_1d))
+
+
+def _hat_sine_matrix(n_cells):
+    """All n_cells - 1 hat sines, the operations of the full-matrix closed form."""
+    k = np.arange(1, n_cells)
+    vecs = (np.multiply.outer(k, k) % (2 * n_cells)).astype(float)
+    vecs *= np.pi
+    vecs /= n_cells
+    np.sin(vecs, out=vecs)
+    vecs *= np.sqrt(6.0 / (2.0 + np.cos(np.pi * k / n_cells)))
+    return vecs
+
+
+def test_first_hat_sine_is_column_0_of_the_sine_matrix_bit_for_bit():
+    # the excited mode's factor is formed from the first sine alone, with
+    # the bits it has among all n_cells - 1, and the basis is that matrix
+    for n_cells in [*range(2, 701), 1000, 1024, 4097]:
+        first = fem._hat_sines(n_cells, 1)
+        assert first.shape == (n_cells - 1, 1)
+        matrix = _hat_sine_matrix(n_cells)
+        column = matrix[:, 0]
+        assert first[:, 0].tobytes() == column.tobytes(), n_cells
+        if n_cells <= 64:
+            _, vecs = fem.assemble(fem.build_mesh(1, n_cells, 1))._basis
+            assert vecs.tobytes() == matrix.tobytes(), n_cells
+        factor = fem.assemble(fem.build_mesh(1, n_cells, 1))._excited_factor
+        assert factor.tobytes() == (0.5 * np.abs(column + column[::-1])).tobytes(), n_cells
+
+
+def test_hat_pair_forms_its_matrices_on_first_read():
+    pair = fem.assemble(fem.build_mesh(1, 9, 1))
+    pair.excited_mode, pair.excited_vector, pair.max_eigenvalue
+    assert "matrices_1d" not in vars(pair) and "_basis" not in vars(pair)
+    mass, stiffness = pair.matrices_1d
+    assert pair.matrices_1d is pair.matrices_1d
+    assert not mass.flags.writeable and not stiffness.flags.writeable
+    assert mass.shape == stiffness.shape == (8, 8)
 
 
 def test_mode_vector_is_cached_and_read_only():
@@ -433,7 +475,7 @@ def test_factored_2d_operators_match_the_dense_kron_forms(dim, degree, n_cells, 
     pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
     pair1 = fem.assemble(fem.build_mesh(1, n_cells, degree))
     mass1, stiff1 = pair1.mass, pair1.stiffness
-    assert np.array_equal(pair.mass_1d, mass1) and np.array_equal(pair.stiffness_1d, stiff1)
+    assert all(map(np.array_equal, pair.matrices_1d, (mass1, stiff1)))
     lam1, vecs1 = pair1.modes
     if dim == 1:
         mass, stiff, lam, vecs = mass1, stiff1, lam1, vecs1

@@ -104,19 +104,20 @@ def _eigh_values(n: int) -> int:
     return n * n + n + (1 + 6 * n + 2 * n * n) + (3 + 5 * n)
 
 
-def pair_values(mesh: Mesh) -> int:
+def pair_values(mesh: Mesh, eigenvalues_only: bool = False) -> int:
     """Values the spatial pair of a mesh holds at peak while a moments,
     solve or infsup run reads it: for hat functions 3 per 1-D dof, the
     mode's first sine while its load and then the eigenvalues are formed
-    in place, two vectors each (infsup reads the eigenvalues alone); for
-    splines their n_dof_1d x n_dof_1d mass and stiffness, 4 more such
-    matrices while the eigenvectors are formed, LAPACK's memory of the
-    second eigh call (_eigh_values), which tracemalloc does not see but
-    resident memory does, and numpy's buffers of two broadcast operands.
+    in place, two vectors each, or 2 where the run reads the eigenvalues
+    alone (eigenvalues_only, infsup); for splines their n_dof_1d x
+    n_dof_1d mass and stiffness, 4 more such matrices while the
+    eigenvectors are formed, LAPACK's memory of the second eigh call
+    (_eigh_values), which tracemalloc does not see but resident memory
+    does, and numpy's buffers of two broadcast operands.
     """
     n = mesh.n_dof_1d
     if mesh.degree == 1:
-        return 3 * n
+        return (2 if eigenvalues_only else 3) * n
     return 6 * n * n + _eigh_values(n) + 2 * min(n * n, np.getbufsize())
 
 

@@ -61,7 +61,8 @@ def exact_mode_profile(a, lam: float, t, trig=None) -> np.ndarray:
         trig = np.sin(np.pi * t), np.pi * np.cos(np.pi * t)
     sin_pt, pi_cos_pt = trig
     al = a * lam
-    prof = np.exp(-al * t)
+    prof = np.asarray(-al * t)
+    np.exp(prof, out=prof)
     prof *= np.pi
     part = al * sin_pt
     part -= pi_cos_pt
@@ -133,13 +134,19 @@ class ModeSolution:
 def _profile_integrals(a, lam: float, grid: TimeGrid):
     """Per-interval integrals of T and T^2 by 5-point Gauss, at the points,
     weights and trig values the grid keeps (TimeGrid.profile_quadrature):
-    (N,) arrays for one diffusion value a, (P, N) for a (P, 1, 1) stack."""
-    t, w, *trig = grid.profile_quadrature
+    (N,) arrays for one diffusion value a, (P, N) for a (P, 1) column of
+    them, from the (5, N) or (5, P, N) profile. Each reduction over its
+    leading axis adds the 5 points in order, with the bits of a sum over
+    the last axis of the interval-major (N, 5) layout."""
+    quadrature = grid.profile_quadrature
+    if np.ndim(a):
+        quadrature = (q[:, None] for q in quadrature)
+    t, w, *trig = quadrature
     prof = exact_mode_profile(a, lam, t, trig)
-    int_t = np.sum(w * prof, axis=-1)
+    int_t = np.add.reduce(w * prof, axis=0)
     prof *= prof
     prof *= w
-    return int_t, np.sum(prof, axis=-1)
+    return int_t, np.add.reduce(prof, axis=0)
 
 
 def exact_error(mode: ModeSolution, disc: Discretization,
@@ -193,7 +200,8 @@ def block_errors(disc: Discretization, a, c0, y) -> np.ndarray:
     exact_error's expanded formula A - 2 c0 B + C, nan where a path's
     error is not finite, with no best error and no n_dof-sized array:
     A = c0^2 |phi|_V^2 sum_j int T^2 and the interval integrals of T are
-    _profile_integrals', the cross term is B = lam_phi beta_1 sum_j y_j
+    _profile_integrals', from the block's point-major (5, P, N) Gauss
+    stack, the cross term is B = lam_phi beta_1 sum_j y_j
     int T, and the energy C = rho sum_j k_j y_j^2, with rho = v_1' S v_1
     (SpatialPair.excited_energy). rho is not replaced by lam_1: the two
     differ by rounding, which the cancellation of the expanded form
@@ -205,7 +213,7 @@ def block_errors(disc: Discretization, a, c0, y) -> np.ndarray:
     # rows laid out as one path's, so that each sum adds in the same order
     y = np.ascontiguousarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        int_t, int_t2 = _profile_integrals(a[:, None, None], pair.mode_eigenvalue, grid)
+        int_t, int_t2 = _profile_integrals(a[:, None], pair.mode_eigenvalue, grid)
         cross = pair.mode_eigenvalue * pair.excited_mode[1] * np.sum(int_t * y, axis=-1)
         energy = pair.excited_energy * np.sum(grid.widths * np.square(y), axis=-1)
         err_sq = c0 ** 2 * _MODE_ENERGY_SQ * np.sum(int_t2, axis=-1) - 2.0 * c0 * cross + energy

@@ -106,14 +106,18 @@ class TimeGrid:
     @functools.cached_property
     def profile_quadrature(self) -> tuple:
         """(t, w, sin(pi t), pi cos(pi t)) at the 5-point Gauss points t,
-        weights w of interval_gauss on every interval, all (N, 5): the time
-        integrals of the exact mode profile (oracle.exact_error and
-        oracle.block_errors) read them, computed once and shared by every
+        weights w of interval_gauss on every interval, all (5, N), point i
+        of every interval in row i: the time integrals of the exact mode
+        profile (oracle.exact_error and oracle.block_errors) read them and
+        reduce over the leading axis, computed once and shared by every
         path; read-only.
         """
-        t, w = interval_gauss(self.nodes, 5)
-        pi_t = np.pi * t
-        return tuple(map(_frozen, (t, w, np.sin(pi_t), np.pi * np.cos(pi_t))))
+        t, w = (np.ascontiguousarray(q.T) for q in interval_gauss(self.nodes, 5))
+        trig = np.pi * t
+        sin_pt = np.sin(trig)
+        np.cos(trig, out=trig)
+        trig *= np.pi
+        return tuple(map(_frozen, (t, w, sin_pt, trig)))
 
 
 def uniform_k_max(n_intervals: int) -> float:
@@ -338,16 +342,21 @@ def uniform_profile(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
             n_steps, np.asarray(a, dtype=float)[:, None], lam)
         y0, s = c0 * tw0 * beta * v, c0 * c * beta * v
         im = -s * g * np.sin(theta) / mod
-        # formed in place: y, one more value per path and step and the angles
+        # formed in place: y, one more value per path and step and the
+        # angles; each step's sine and cosine are taken once, then scaled
+        # per path
         angle = np.arange(n_steps, dtype=float)
         power = angle * np.log1p(-2.0 * np.minimum(u, v))
         np.exp(power, out=power)
         power[:, 1::2] *= np.where(g < 0, -1.0, 1.0)
         power *= y0 - im
         angle *= theta
-        y = np.sin(angle, out=np.empty_like(power))
-        y *= 2.0 * s * (u * (1.0 - sigma) + v * sigma) / mod
+        y = np.sin(angle, out=angle) * (2.0 * s * (u * (1.0 - sigma) + v * sigma) / mod)
         y += power
+        # the angles again, where their sines were
+        del angle
+        angle = np.arange(n_steps, dtype=float)
+        angle *= theta
         y += np.multiply(np.cos(angle, out=angle), im, out=power)
     y[:, 0] = y0[:, 0]
     y += 0.0  # +0 where c0 = 0, not a -0 of the trig values' signs

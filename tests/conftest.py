@@ -35,6 +35,17 @@ def forbid_dense_solves(monkeypatch, forbidden):
     monkeypatch.setattr(np.linalg, "inv", forbidden)
 
 
+# diffusion values over the whole positive float range, from the least
+# subnormal to the float maximum, where the closed-form profiles underflow,
+# overflow and turn nan; and forcing amplitudes of zero and both signs at
+# the ends of the float range, one for each of them
+FLOAT_RANGE_A = np.concatenate((
+    [5e-324, np.finfo(float).tiny, 1e-300, 1e-10, 1.0, 1e10, 1e155, 1e300,
+     np.finfo(float).max],
+    10.0 ** np.random.default_rng(5).uniform(-323.0, 308.0, 39)))
+FLOAT_RANGE_C0 = np.resize([0.0, 1e-300, -1e-300, 1e300, -1e300], len(FLOAT_RANGE_A))
+
+
 def make_disc(dim=1, n_cells=8, degree=1, n_steps=8, final_time=1.0):
     mesh = fem.build_mesh(dim, n_cells, degree)
     pair = fem.assemble(mesh)

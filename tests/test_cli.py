@@ -453,9 +453,9 @@ def test_infsup_report_checked_against_available_memory(tmp_path, capsys, monkey
                                                         steps, code):
     # a grid of one dof and 8,192 or 4,096 steps, whose k_max takes two
     # blocks of as many widths, up to np.getbufsize() each, beside the
-    # hat pair's 3 values, the run's small objects and the 2 nodes' 360
-    # bytes each: 148,200 bytes at 8,192 steps, 82,664 at 4,096, against
-    # 122,880 of memory
+    # hat pair's 2 values (infsup reads its eigenvalues alone), the run's
+    # small objects and the 2 nodes' 360 bytes each: 148,192 bytes at
+    # 8,192 steps, 82,656 at 4,096, against 122,880 of memory
     _patch_available_memory(monkeypatch, 30)
     out = tmp_path / "x.csv"
     result, err = _main(["infsup", "--case", "lognormal", "--cells", "2", "--steps",
@@ -463,9 +463,9 @@ def test_infsup_report_checked_against_available_memory(tmp_path, capsys, monkey
     assert result == code
     if code == cli.EXIT_RESOURCE:
         rows = 2 * (cli.NODE_BYTES + cli.COLUMN_BYTES + cli.ROW_BYTES)
-        need = 8 * (3 + 2 * steps) + rows + cli.RUN_BYTES
+        need = 8 * (2 + 2 * steps) + rows + cli.RUN_BYTES
         assert err == [f"stpg: resource cap: an infsup report of 1 x 2 rows needs {need} "
-                       "bytes, 24 of them for the spatial pair, more than the 122880 bytes "
+                       "bytes, 16 of them for the spatial pair, more than the 122880 bytes "
                        "of available memory"]
         assert list(tmp_path.iterdir()) == []
     else:
@@ -761,8 +761,8 @@ def test_2d_memory_count_pins_the_traced_peak(tmp_path, capsys, monkeypatch, arg
     # 19,999 hat dofs: the first sine held while the mode's load vector
     # and the eigenvalues are formed, 3 values a dof, outweigh the rung
     pytest.param(["moments", "--cells", "20000"], 0.85, id="moments"),
-    # infsup reads the eigenvalues alone, 2 of the 3 values a dof counted
-    pytest.param(["infsup", "--cells", "20000", "--steps", "4"], 0.6, id="infsup"),
+    # infsup reads the eigenvalues alone, and its count holds 2 values a dof
+    pytest.param(["infsup", "--cells", "20000", "--steps", "4"], 0.85, id="infsup"),
 ])
 def test_hat_pair_count_pins_the_traced_peak(tmp_path, capsys, monkeypatch, argv, low):
     argv = [*argv, "--dim", "1", "--out", str(tmp_path / "x.csv")]
@@ -1131,13 +1131,13 @@ def test_infsup_reports_the_first_bad_grid(tmp_path, capsys, cells, steps, messa
 
 def test_infsup_memory_is_checked_before_a_later_bad_step_count(tmp_path, capsys,
                                                                 monkeypatch):
-    # the rule fits in 10 pages, but the first grid's hat pair of 1,023
-    # dofs at 3 values each does not, and memory is checked before the next
-    # grid's step count
+    # the rule fits in 10 pages, but the first grid's hat pair of 2,047
+    # dofs at 2 values each (its eigenvalues) does not, and memory is
+    # checked before the next grid's step count
     _patch_available_memory(monkeypatch, 10)
-    argv = ["infsup", "--cells", "1024", "--steps", "4,0", "--out", str(tmp_path / "x.csv")]
+    argv = ["infsup", "--cells", "2048", "--steps", "4,0", "--out", str(tmp_path / "x.csv")]
     code, err = _main(argv, capsys)
-    pair = 8 * 3 * 1023
+    pair = 8 * 2 * 2047
     need = pair + 8 * 2 * 4 + 8 * (cli.NODE_BYTES + cli.COLUMN_BYTES + 2 * cli.ROW_BYTES) \
         + cli.RUN_BYTES
     assert code == cli.EXIT_RESOURCE

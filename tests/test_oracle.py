@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import ConstantCoeffs, make_disc
+from conftest import FLOAT_RANGE_A, FLOAT_RANGE_C0, ConstantCoeffs, make_disc
 from stpg import fem, oracle, solver
 from stpg.fem import interval_gauss
 
@@ -325,3 +325,71 @@ def test_block_errors_are_the_per_path_formula_bit_for_bit(block_solves, dim, de
         expected = oracle.exact_error(mode, disc, values[p])[0]
         assert expected == _before_exact_error(mode, disc, values[p])[0]
         assert errors[p] == pytest.approx(expected, rel=_BLOCK_RTOL, abs=0.0)
+
+
+# The Gauss stack in its interval-major layout: the grid's rule and trig
+# values as (N, 5) arrays, the profile with its exp out of place and both
+# integrals summed over the last axis. The point-major stack of
+# TimeGrid.profile_quadrature and oracle._profile_integrals must give
+# these bits on every path.
+def _before_profile_quadrature(grid):
+    t, w = interval_gauss(grid.nodes, 5)
+    pi_t = np.pi * t
+    return t, w, np.sin(pi_t), np.pi * np.cos(pi_t)
+
+
+def _before_mode_profile(a, lam: float, t, trig) -> np.ndarray:
+    if np.any(np.asarray(a) <= 0):
+        raise ValueError("diffusion value must be positive")
+    t = np.asarray(t, dtype=float)
+    sin_pt, pi_cos_pt = trig
+    al = a * lam
+    prof = np.exp(-al * t)
+    prof *= np.pi
+    part = al * sin_pt
+    part -= pi_cos_pt
+    prof += part
+    prof /= al * al + np.pi ** 2
+    return prof
+
+
+def _before_gauss_integrals(a, lam: float, grid):
+    t, w, *trig = _before_profile_quadrature(grid)
+    prof = _before_mode_profile(a, lam, t, trig)
+    int_t = np.sum(w * prof, axis=-1)
+    prof *= prof
+    prof *= w
+    return int_t, np.sum(prof, axis=-1)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 1024])
+@pytest.mark.parametrize("paths", [1, 3, 16])
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+def test_point_major_gauss_stack_is_the_interval_major_one_bit_for_bit(
+        monkeypatch, n_steps, paths, graded):
+    nodes = np.linspace(0.0, 1.0, n_steps + 1)
+    grid = solver.TimeGrid(nodes ** 2 if graded else nodes)
+    disc = solver.Discretization(pair=make_disc(n_cells=8).pair, grid=grid)
+    lam = disc.pair.mode_eigenvalue
+    errors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(FLOAT_RANGE_A), paths):
+            a, c0 = FLOAT_RANGE_A[start:start + paths], FLOAT_RANGE_C0[start:start + paths]
+            # a block of paths, and each of its paths alone
+            new = oracle._profile_integrals(a[:, None], lam, grid)
+            old = _before_gauss_integrals(a[:, None, None], lam, grid)
+            assert [x.tobytes() for x in new] == [x.tobytes() for x in old]
+            for value in a:
+                new = oracle._profile_integrals(float(value), lam, grid)
+                old = _before_gauss_integrals(float(value), lam, grid)
+                assert [x.tobytes() for x in new] == [x.tobytes() for x in old]
+            y = solver.uniform_profile(disc.pair, n_steps, a, c0)
+            errors.append(oracle.block_errors(disc, a, c0, y).tobytes())
+    # the errors of the same blocks through the interval-major stack
+    monkeypatch.setattr(oracle, "_profile_integrals",
+                        lambda a, lam, grid: _before_gauss_integrals(a[..., None], lam, grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, new in zip(range(0, len(FLOAT_RANGE_A), paths), errors):
+            a, c0 = FLOAT_RANGE_A[start:start + paths], FLOAT_RANGE_C0[start:start + paths]
+            y = solver.uniform_profile(disc.pair, n_steps, a, c0)
+            assert oracle.block_errors(disc, a, c0, y).tobytes() == new

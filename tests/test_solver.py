@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ConstantCoeffs, make_disc
+from conftest import FLOAT_RANGE_A, FLOAT_RANGE_C0, ConstantCoeffs, make_disc
 from stpg import fem, solver
 from stpg.stochastic import CoefficientModel, default_domain, quadrature
 
@@ -148,10 +148,13 @@ def test_time_grid_caches_are_read_only_and_computed_once():
     assert np.array_equal(grid.widths, np.diff(grid.nodes))
     t, w, sin_pt, pi_cos_pt = grid.profile_quadrature
     assert grid.profile_quadrature is grid.profile_quadrature
+    # point-major: point i of every interval in row i, interval_gauss transposed
     points, weights = fem.interval_gauss(grid.nodes, 5)
-    assert np.array_equal(t, points) and np.array_equal(w, weights)
-    assert np.array_equal(sin_pt, np.sin(np.pi * points))
-    assert np.array_equal(pi_cos_pt, np.pi * np.cos(np.pi * points))
+    assert np.array_equal(t, points.T) and np.array_equal(w, weights.T)
+    assert np.array_equal(sin_pt, np.sin(np.pi * points).T)
+    assert np.array_equal(pi_cos_pt, (np.pi * np.cos(np.pi * points)).T)
+    for array in (t, w, sin_pt, pi_cos_pt):
+        assert array.shape == (5, 6) and array.flags.c_contiguous
     for array in (grid.widths, t, w, sin_pt, pi_cos_pt):
         assert not array.flags.writeable
 
@@ -664,3 +667,41 @@ def test_uniform_energy_shares_the_first_time_weight():
     for n_steps in (1, 2, 7, 64, 4096):
         grid = solver.TimeGrid.uniform(1.0, n_steps)
         assert solver._hat_integrals(np.array([0.0, 1.0 / n_steps]))[0][0] == grid.weights[0]
+
+
+# uniform_profile with its sines broadcast into the (P, N) profile, one
+# per path and step; taking each step's sine once and scaling it per path
+# must give these bits
+def _before_uniform_profile(pair, n_steps: int, a, c0) -> np.ndarray:
+    lam, beta = pair.excited_mode
+    c0 = np.asarray(c0, dtype=float)[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tw0, c, theta, sigma, _, u, v, g, mod = solver._uniform_terms(
+            n_steps, np.asarray(a, dtype=float)[:, None], lam)
+        y0, s = c0 * tw0 * beta * v, c0 * c * beta * v
+        im = -s * g * np.sin(theta) / mod
+        # formed in place: y, one more value per path and step and the angles
+        angle = np.arange(n_steps, dtype=float)
+        power = angle * np.log1p(-2.0 * np.minimum(u, v))
+        np.exp(power, out=power)
+        power[:, 1::2] *= np.where(g < 0, -1.0, 1.0)
+        power *= y0 - im
+        angle *= theta
+        y = np.sin(angle, out=np.empty_like(power))
+        y *= 2.0 * s * (u * (1.0 - sigma) + v * sigma) / mod
+        y += power
+        y += np.multiply(np.cos(angle, out=angle), im, out=power)
+    y[:, 0] = y0[:, 0]
+    y += 0.0  # +0 where c0 = 0, not a -0 of the trig values' signs
+    return y
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 1024])
+@pytest.mark.parametrize("paths", [1, 3, 16])
+def test_one_sine_per_step_is_the_broadcast_profile_bit_for_bit(dim, degree, n_steps, paths):
+    pair = make_disc(dim, 5, degree).pair
+    for start in range(0, len(FLOAT_RANGE_A), paths):
+        a, c0 = FLOAT_RANGE_A[start:start + paths], FLOAT_RANGE_C0[start:start + paths]
+        y = solver.uniform_profile(pair, n_steps, a, c0)
+        assert y.tobytes() == _before_uniform_profile(pair, n_steps, a, c0).tobytes()

@@ -3,6 +3,7 @@ functions by module and name. Every name it wraps must keep resolving,
 or the traced run breaks; these tests also pin the call counts that the
 per-layer metrics report for the shared per-grid work."""
 
+import functools
 import importlib
 import importlib.util
 import sys
@@ -68,9 +69,10 @@ def test_per_grid_work_runs_once_per_grid(tmp_path, monkeypatch):
 
 def test_profile_quadrature_once_per_grid(tmp_path, monkeypatch):
     # a convergence level forms the 5-point Gauss rule of its grid and
-    # the trig values of the profile there once, for all of its paths;
-    # only the decay exp(-a lam t) is per path, formed for the level's 4
-    # paths in one call
+    # the trig values of the profile there once, for all of its paths, as
+    # (5, N) arrays, point i of every interval in row i; only the decay
+    # exp(-a lam t) is per path, formed for the level's 4 paths in one
+    # call on the (5, P, N) stack
     gauss = []
     calls = {"sin": [], "cos": [], "exp": []}
     interval_gauss = fem.interval_gauss
@@ -93,8 +95,60 @@ def test_profile_quadrature_once_per_grid(tmp_path, monkeypatch):
     # two levels of 16 and 64 steps, 4 paths each
     assert [call for call in gauss if call[1] == 5] == [(16, 5), (64, 5)]
     for name in ("sin", "cos"):
-        assert [s for s in calls[name] if s[-1:] == (5,)] == [(16, 5), (64, 5)], name
-    assert [s for s in calls["exp"] if s[-1:] == (5,)] == [(4, 16, 5), (4, 64, 5)]
+        assert [s for s in calls[name] if s[:1] == (5,)] == [(5, 16), (5, 64)], name
+    assert [s for s in calls["exp"] if s[:1] == (5,)] == [(5, 4, 16), (5, 4, 64)]
+
+
+class _RecordingNumpy:
+    """numpy as one module sees it, recording the shape of every np.sin
+    result and the (shape, axis) of every np.sum and np.add.reduce, the
+    axis counted from 0."""
+
+    def __init__(self):
+        self.sines, self.reductions = [], []
+        # np.add itself, with its reduce recorded
+        self.add = functools.partial(np.add)
+        self.add.reduce = self._recorded(np.add.reduce)
+        self.sum = self._recorded(np.sum)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, *args, **kwargs):
+        result = np.sin(*args, **kwargs)
+        self.sines.append(np.shape(result))
+        return result
+
+    def _recorded(self, reduce):
+        def recorded(array, axis=None, **kwargs):
+            shape = np.shape(array)
+            self.reductions.append((shape, None if axis is None else axis % len(shape)))
+            return reduce(array, axis=axis, **kwargs)
+
+        return recorded
+
+
+def test_error_layer_takes_one_sine_per_step_and_reduces_no_trailing_gauss_axis(
+        tmp_path, monkeypatch):
+    # in a convergence run, uniform_profile takes the sine of each step's
+    # angle once, on the (N,) angles, never broadcast into the (P, N)
+    # profile; and block_errors reduces its 5 Gauss points over the leading
+    # axis of the (5, P, N) stack, never over a trailing axis of length 5
+    in_solver, in_oracle = _RecordingNumpy(), _RecordingNumpy()
+    monkeypatch.setattr(solver, "np", in_solver)
+    monkeypatch.setattr(oracle, "np", in_oracle)
+    argv = ["convergence", "--case", "lognormal", "--j-min", "2", "--j-max", "3",
+            "--n-quad-ladder", "4", "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    # two levels of 16 and 64 steps, 4 paths each: per level the profile's
+    # sines, then those of the grid's (5, N) Gauss points (the others are
+    # scalars and the first time weight's)
+    assert [s for s in in_solver.sines if s[-1:] in ((16,), (64,))] == [
+        (16,), (5, 16), (64,), (5, 64)]
+    gauss = [(shape, axis) for shape, axis in in_oracle.reductions if 5 in shape]
+    assert gauss == 2 * [((5, 4, 16), 0)] + 2 * [((5, 4, 64), 0)]
+    assert not [shape for shape, axis in in_oracle.reductions
+                if axis is not None and axis == len(shape) - 1 and shape[axis] == 5]
 
 
 def test_mode_vector_once_per_mesh(tmp_path):

@@ -15,18 +15,22 @@ Subcommands reproduce the stock experiments at desk scale:
 
 Every report is a CSV file whose columns are declared once, each name
 with its format spec (floats ``.17g``), and whose content is
-byte-identical across reruns, written as bytes. The small reports go a
-row at a time through one line format of their specs; the solve report,
-which can run to hundreds of thousands of rows, is written a block of
-whole intervals at a time by whole-array numpy operations
-(``stpg.g17``), each product of y_i with a distinct value of v formatted
-once. Each block writes its ``i,t,`` heads and 24 NUL-padded columns of
-value text into one reused line buffer, whose ``dof,`` and newline
-columns stay, and the NULs are squeezed straight out of it. A regular or
-new file is written atomically, so a failed run leaves no partial CSV; a
-symlink is written through to its target. An open descriptor
-(``/dev/stdout``, ``/proc/self/fd/N``) is written at its current offset,
-and a FIFO or a device in place, without that guarantee.
+byte-identical across reruns, written as bytes. The moments and
+convergence reports go a row at a time through one line format of their
+specs. An infsup line is joined from text formatted once by the same
+specs: each node's columns when the run makes them, each grid's head and
+c_S at write time, and per line c_S_omega, the one column that needs
+both, a block of whole grids (or of one grid's nodes) at a time. The
+solve report, which can run to hundreds of thousands of rows, is
+written a block of whole intervals at a time by whole-array numpy
+operations (``stpg.g17``), each product of y_i with a distinct value of
+v formatted once. Each block writes its ``i,t,`` heads and 24
+NUL-padded columns of value text into one reused line buffer, whose
+``dof,`` and newline columns stay, and the NULs are squeezed straight
+out of it. A regular or new file is written atomically, so a failed run
+leaves no partial CSV; a symlink is written through to its target. An
+open descriptor (``/dev/stdout``, ``/proc/self/fd/N``) is written at its
+current offset, and a FIFO or a device in place, without that guarantee.
 """
 
 import argparse
@@ -34,7 +38,6 @@ import contextlib
 import errno
 import functools
 import io
-import itertools
 import math
 import os
 import re
@@ -59,6 +62,21 @@ INFSUP_HEADER = dict(case="s", n_cells="d", n_steps="d", omega=".17g", a_omega="
                      sigma_min=".17g", sigma_max=".17g", c_S=".17g", c_S_omega=".17g",
                      cB_theory=".17g", CB_theory=".17g")
 SOLVE_HEADER = dict(interval="d", t=".17g", dof="d", value=".17g")
+
+
+def _fields(header, names) -> str:
+    """The line format of header's columns names, joined by commas."""
+    return ",".join(f"{{:{header[name]}}}" for name in names)
+
+
+# an infsup line in the parts that are formed once: per grid its head and
+# c_S, per node its text before c_S and after c_S_omega, the one column
+# formed per line
+_INFSUP_GRID = _fields(INFSUP_HEADER, ("case", "n_cells", "n_steps")) + ","
+_INFSUP_C_S = _fields(INFSUP_HEADER, ("c_S",)) + ","
+_INFSUP_LEAD = _fields(INFSUP_HEADER, ("omega", "a_omega", "sigma_min", "sigma_max")) + ","
+_INFSUP_TAIL = "," + _fields(INFSUP_HEADER, ("cB_theory", "CB_theory")) + "\n"
+
 # float64 values per time step a convergence level holds throughout: the
 # grid's nodes and widths, and from its first block on the 20 values of
 # TimeGrid.profile_quadrature (the Gauss rule and trig values of the error
@@ -85,8 +103,9 @@ _BLOCK_BYTES = 1 << 23
 # counts: Python objects and numpy's bookkeeping (7 KB in a traced
 # one-dof solve of 20,000 steps)
 RUN_BYTES = 1 << 14
-# values of whole intervals one block of a solve report's write lays out
-# at most, or one interval (_write_block), and the float64 values' worth of
+# values one block of a report's write forms at most: in infsup the
+# c_S_omega of whole grids, or of one grid's nodes; in solve those of whole
+# intervals, or one interval (_write_block), and the float64 values' worth of
 # bytes its writer holds at peak per value of a block: its line in the
 # reused layout while the next group's text is made, with the text and
 # digits' temporaries of as many distinct products, 192 bytes against at
@@ -104,13 +123,19 @@ RULE_BYTES = 81
 # bytes a convergence or infsup run holds per parameter node: the rule,
 # the arrays of a, c0, valid indices and errors (48.5 traced), and a
 # block's copies of its values (24), or in infsup the rule, a, c0 and the
-# validity mask; in infsup beside them the columns that need no grid, lists
-# of Python floats, with one grid's c_S_omega (with NODE_BYTES, 167 to 187
-# traced on 10,000 and 40,000 nodes); and per grid one report row, a tuple
-# of 11 values with its list slot and its c_S_omega (160 to 161 traced)
+# validity mask
 NODE_BYTES = 80
-COLUMN_BYTES = 112
-ROW_BYTES = 168
+# bytes an infsup run holds per node beside NODE_BYTES at its peak, while
+# it forms the node's text (_node_text): two strs with their list slots, and
+# one block's arrays and Python floats (with NODE_BYTES 232 and 243 traced
+# on 40,000 and 10,000 lognormal nodes, 207 once formed). Its write holds, for one grid's lines
+# of a block of at most WRITE_VALUES nodes, LINE_BYTES per line: each str
+# in its list, then joined and encoded (344 traced); and CFL_BYTES per
+# c_S_omega value of the block's grids (at most WRITE_VALUES values), an
+# array and its list of Python floats (40 traced)
+TEXT_BYTES = 160
+LINE_BYTES = 360
+CFL_BYTES = 40
 
 
 # where the kernel reports the memory available to new work
@@ -137,6 +162,21 @@ class ExperimentConfig:
     quad_ladder: tuple = (8, 16, 32, 64, 128, 256)
     omega: float = 0.25
     out: str = ""
+
+
+class InfsupRows:
+    """The rows of an infsup report, as a view of its run: its case, the
+    (n_cells, n_steps, c_S) of each grid, a with its validity mask, and
+    each node's text before and after the c_S and c_S_omega columns
+    (_node_text). The row of grid g and node i is grid g's columns around
+    leads[i] and tails[i], with c_S_omega formed at write time."""
+
+    def __init__(self, case, grids, a, valid, leads, tails):
+        self.case, self.grids, self.a, self.valid = case, grids, a, valid
+        self.leads, self.tails = leads, tails
+
+    def __len__(self):
+        return len(self.grids) * self.a.size
 
 
 class SolveRows:
@@ -176,7 +216,9 @@ def _solve_lines(buf, line, heads, values, columns) -> bytearray:
 
 def _write_report(fh, header, rows, trailer):
     """Write header's names, rows and trailer lines to the binary stream fh:
-    rows of tuples by one line format of header's specs, a SolveRows view
+    rows of tuples by one line format of header's specs; an InfsupRows view
+    one write per grid (or per block of its nodes), each line joined from
+    its node's text, its grid's text and its c_S_omega; a SolveRows view
     a block of whole intervals at a time (_solve_lines), each product of
     y_i with a distinct value of v (by its bits: -0 is not 0) formatted
     once, a group of intervals in one g17_columns call, and laid out in one
@@ -210,8 +252,27 @@ def _write_report(fh, header, rows, trailer):
                 line[..., heads.shape[1]:-g17.WIDTH - 2] = dofs
                 line[..., [-g17.WIDTH - 2, -1]] = list(b",\n")
             fh.write(_solve_lines(buf, line, heads, block, columns))
+    elif isinstance(rows, InfsupRows):
+        spec = INFSUP_HEADER["c_S_omega"]
+        n_nodes = rows.a.size
+        texts = [(_INFSUP_GRID.format(rows.case, n_cells, n_steps), _INFSUP_C_S.format(c))
+                 for n_cells, n_steps, c in rows.grids]
+        # whole grids whose c_S_omega WRITE_VALUES values hold, at least one
+        per = max(1, WRITE_VALUES // n_nodes)
+        for first in range(0, len(rows.grids), per):
+            c_s = np.array([[c] for _, _, c in rows.grids[first:first + per]])
+            for start in range(0, n_nodes, WRITE_VALUES):
+                nodes = slice(start, start + WRITE_VALUES)
+                leads, tails = rows.leads[nodes], rows.tails[nodes]
+                # a c_S_omega overflows to inf as its scalar formula does
+                with np.errstate(over="ignore", invalid="ignore"):
+                    weighted = np.where(rows.valid[nodes],
+                                        rows.a[nodes] * c_s / math.sqrt(12.0), math.nan)
+                for (head, mid), column in zip(texts[first:first + per], weighted.tolist()):
+                    fh.write("".join([f"{head}{lead}{mid}{value:{spec}}{tail}" for lead, value,
+                                      tail in zip(leads, column, tails)]).encode("ascii"))
     else:
-        line = ",".join(f"{{:{spec}}}" for spec in header.values()) + "\n"
+        line = _fields(header, header) + "\n"
         fh.writelines(line.format(*row).encode("ascii") for row in rows)
     fh.writelines(("# " + line + "\n").encode("ascii") for line in trailer)
 
@@ -262,9 +323,10 @@ def write_csv(path: str, header, rows, trailer=()):
     """Write a report of rows to path.
 
     header maps each column's name to its format spec (``s``, ``d`` or
-    ``.17g``). rows is a sequence of tuples, printed by those specs, or the
-    SolveRows view of a solve, which _write_report writes a block of whole
-    intervals at a time, byte for byte as the specs would.
+    ``.17g``). rows is a sequence of tuples, printed by those specs, the
+    InfsupRows view of an infsup run, or the SolveRows view of a solve,
+    which _write_report writes a grid or a block of whole intervals at a
+    time, byte for byte as the specs would.
 
     Symlinks are followed first, so a link's target gets the bytes and
     the link stays. A regular or new file is written atomically: the
@@ -349,13 +411,15 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     names that share; a hat convergence level adds the 1-D mass and
     stiffness that rho reads. Beside the pair each count holds,
     for infsup, the largest step count's k_max (solver.uniform_k_max, two
-    blocks of up to np.getbufsize() widths), and NODE_BYTES, COLUMN_BYTES
-    and ROW_BYTES per node, with no grid; for moments, MOMENT_VALUES per
-    path; for solve, PROFILE_VALUES per step and the report's write, one
-    block of whole intervals (_write_block, WRITE_TEXT) and WRITE_DOF values
-    per dof; for convergence, GRID_VALUES per step and NODE_BYTES per node,
-    held throughout, and one block of paths (_block_paths, ERROR_VALUES)
-    with numpy's two buffers; and RUN_BYTES.
+    blocks of up to np.getbufsize() widths), NODE_BYTES and TEXT_BYTES per
+    node, whatever the grid count, and the report's write (LINE_BYTES per
+    line of one block of nodes, CFL_BYTES per c_S_omega value); for
+    moments, MOMENT_VALUES per path; for solve, PROFILE_VALUES per step and
+    the report's write, one block of whole intervals (_write_block,
+    WRITE_TEXT) and WRITE_DOF values per dof; for convergence, GRID_VALUES
+    per step and NODE_BYTES per node, held throughout, and one block of
+    paths (_block_paths, ERROR_VALUES) with numpy's two buffers; and
+    RUN_BYTES.
     """
     if n_steps < 1:
         raise ValueError("need at least one time interval")
@@ -364,8 +428,9 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     if config.subcommand == "infsup":
         grids = len(config.n_cells) * len(config.n_steps)
         widths = 2 * min(max(config.n_steps), np.getbufsize())
-        rows = paths * (NODE_BYTES + COLUMN_BYTES + ROW_BYTES * grids)
-        _check_memory(8 * (pair + widths) + rows + RUN_BYTES,
+        text = (paths * (NODE_BYTES + TEXT_BYTES) + min(paths, WRITE_VALUES) * LINE_BYTES
+                + min(grids * paths, WRITE_VALUES) * CFL_BYTES)
+        _check_memory(8 * (pair + widths) + text + RUN_BYTES,
                       f"an infsup report of {grids} x {paths} rows", 8 * pair)
     elif config.subcommand == "moments":
         _check_memory(8 * (pair + MOMENT_VALUES * paths) + RUN_BYTES,
@@ -502,6 +567,28 @@ def run_convergence(config: ExperimentConfig):
     return rows
 
 
+def _node_text(nodes, a, valid) -> tuple:
+    """(leads, tails): each node's text of an infsup line before the grid's
+    c_S (omega, a_omega and the sigmas, each with its comma) and after the
+    row's c_S_omega (a comma, the theory bounds and the newline). The bounds
+    are whole arrays in theoretical_constants' operation order at
+    a_min = a_max = a; a flagged node's a takes part in the arithmetic and
+    its values are then masked to nan, as are its sigmas."""
+    leads, tails = [], []
+    # a block of WRITE_VALUES nodes at a time, so that the Python floats the
+    # text is formed from are those of one block
+    for start in range(0, a.size, WRITE_VALUES):
+        block = slice(start, start + WRITE_VALUES)
+        values, ok = a[block], valid[block]
+        with np.errstate(over="ignore", invalid="ignore"):
+            theory = (np.minimum(values, 1.0 / (values / values)) / math.sqrt(2.0),
+                      math.sqrt(2.0) * np.maximum(1.0, values))
+        tails += map(_INFSUP_TAIL.format, *np.where(ok, theory, math.nan).tolist())
+        sigma = np.where(ok, 1.0, math.nan).tolist()
+        leads += map(_INFSUP_LEAD.format, nodes[block].tolist(), values.tolist(), sigma, sigma)
+    return leads, tails
+
+
 def run_infsup(config: ExperimentConfig):
     """Stability-constant grid over (n_cells, n_steps, parameter node).
 
@@ -520,38 +607,28 @@ def run_infsup(config: ExperimentConfig):
     grid (solver.uniform_k_max), and c_S per grid. The columns are whole
     arrays in the operation order of the scalar formulas
     (constants.weighted_cfl and theoretical_constants at a_min = a_max = a),
-    so every value has their bits; those that need no grid are made once.
-    Errors come in the order of a per-grid loop: the rule, then each grid
-    in cells-major order, its steps before its cells.
+    so every value has their bits. Each is formatted once too: the run
+    returns an InfsupRows view that holds each node's text (_node_text)
+    and each grid's c_S, and the writer forms c_S_omega, the one column
+    that needs both, a block at a time. Errors come in the order of a
+    per-grid loop: the rule, then each grid in cells-major order, its steps
+    before its cells, all before any byte is written.
     """
     model, domain = _setup(config.case)
-    grids = len(config.n_cells) * len(config.n_steps)
-    nodes, _ = _rule(model, domain, config.quad_ladder[0],
-                     NODE_BYTES + COLUMN_BYTES + ROW_BYTES * grids)
+    nodes, _ = _rule(model, domain, config.quad_ladder[0], NODE_BYTES + TEXT_BYTES)
     a, _ = model.evaluate(nodes)
     valid = np.isfinite(a) & (a > 0)
+    leads, tails = _node_text(nodes, a, valid)
     k_max = {}
-    rows = []
-    # a flagged node's a takes part in the arithmetic, its values then
-    # masked, and a c_S_omega overflows to inf as its scalar formula does
-    with np.errstate(over="ignore", invalid="ignore"):
-        theory = (np.minimum(a, 1.0 / (a / a)) / math.sqrt(2.0),
-                  math.sqrt(2.0) * np.maximum(1.0, a))
-        sigma, *theory = (np.where(valid, column, math.nan).tolist()
-                          for column in (1.0, *theory))
-        columns = (nodes.tolist(), a.tolist(), sigma, sigma)
-        for n_cells in config.n_cells:
-            pair = None  # released before the next one is built
-            pair = _discretization(config, n_cells, config.n_steps[0], len(nodes))
-            for n_steps in config.n_steps:
-                if n_steps not in k_max:
-                    k_max[n_steps] = solver.uniform_k_max(n_steps)
-                c_s = consts.cfl_constant(pair, k_max[n_steps])
-                weighted = np.where(valid, a * c_s / math.sqrt(12.0), math.nan).tolist()
-                rows += zip(itertools.repeat(config.case), itertools.repeat(n_cells),
-                            itertools.repeat(n_steps), *columns, itertools.repeat(c_s),
-                            weighted, *theory)
-    return rows
+    grids = []
+    for n_cells in config.n_cells:
+        pair = None  # released before the next one is built
+        pair = _discretization(config, n_cells, config.n_steps[0], len(a))
+        for n_steps in config.n_steps:
+            if n_steps not in k_max:
+                k_max[n_steps] = solver.uniform_k_max(n_steps)
+            grids.append((n_cells, n_steps, consts.cfl_constant(pair, k_max[n_steps])))
+    return InfsupRows(config.case, grids, a, valid, leads, tails)
 
 
 def run_solve(config: ExperimentConfig):

@@ -248,11 +248,9 @@ def test_infsup_weighted_constants_are_one_past_the_dense_cap():
     # space-time matrix would take 520 MB: the per-mode blocks are 128 x 128
     config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1,
                                   n_cells=(64,), n_steps=(128,), quad_ladder=(2,))
-    rows = cli.run_infsup(config)
+    rows = _infsup_lines(config)
     assert len(rows) == 2
-    for row in rows:
-        assert abs(row[5] - 1.0) < 1e-8
-        assert abs(row[6] - 1.0) < 1e-8
+    assert all(row[5:7] == ("1", "1") for row in rows)
 
 
 def test_moments_rejects_short_ladder(tmp_path):
@@ -454,16 +452,18 @@ def test_infsup_report_checked_against_available_memory(tmp_path, capsys, monkey
     # a grid of one dof and 8,192 or 4,096 steps, whose k_max takes two
     # blocks of as many widths, up to np.getbufsize() each, beside the
     # hat pair's 2 values (infsup reads its eigenvalues alone), the run's
-    # small objects and the 2 nodes' 360 bytes each: 148,192 bytes at
-    # 8,192 steps, 82,656 at 4,096, against 122,880 of memory
+    # small objects and the 2 nodes' 640 bytes each (their text and one
+    # grid's lines): 148,752 bytes at 8,192 steps, 83,216 at 4,096, against
+    # 122,880 of memory
     _patch_available_memory(monkeypatch, 30)
     out = tmp_path / "x.csv"
     result, err = _main(["infsup", "--case", "lognormal", "--cells", "2", "--steps",
                          str(steps), "--n-quad-ladder", "2", "--out", str(out)], capsys)
     assert result == code
     if code == cli.EXIT_RESOURCE:
-        rows = 2 * (cli.NODE_BYTES + cli.COLUMN_BYTES + cli.ROW_BYTES)
+        rows = 2 * (cli.NODE_BYTES + cli.TEXT_BYTES + cli.LINE_BYTES + cli.CFL_BYTES)
         need = 8 * (2 + 2 * steps) + rows + cli.RUN_BYTES
+        assert need == 148752
         assert err == [f"stpg: resource cap: an infsup report of 1 x 2 rows needs {need} "
                        "bytes, 16 of them for the spatial pair, more than the 122880 bytes "
                        "of available memory"]
@@ -478,9 +478,8 @@ def test_infsup_report_checked_against_available_memory(tmp_path, capsys, monkey
 def test_parameter_rule_checked_before_it_is_built(tmp_path, capsys, monkeypatch,
                                                    subcommand, pages):
     # a rule of 1,000 nodes at 81 bytes each, with what the run holds per
-    # node (80 bytes; in infsup also 112 bytes of the columns that need no
-    # grid and a 168-byte row for each of its 2 x 2 grids), beside a run's
-    # small objects, against 10 or 30 pages of
+    # node (80 bytes; in infsup also 160 bytes of its text, whatever the
+    # grid count), beside a run's small objects, against 10 or 30 pages of
     # memory: the run stops before the rule is built, and a convergence
     # run writes no truncated table. In 30 pages (122,880 bytes) the rule
     # alone (97,384 bytes) would fit
@@ -493,7 +492,7 @@ def test_parameter_rule_checked_before_it_is_built(tmp_path, capsys, monkeypatch
     out = tmp_path / "x.csv"
     code, err = _main([subcommand, "--n-quad-ladder", "1000", "--out", str(out)], capsys)
     assert code == cli.EXIT_RESOURCE
-    per_node = 81 + 80 + (112 + 168 * 4 if subcommand == "infsup" else 0)
+    per_node = 81 + 80 + (160 if subcommand == "infsup" else 0)
     assert err == [f"stpg: resource cap: a rule of 1000 parameter nodes needs "
                    f"{per_node * 1000 + 16384} bytes, more than the {4096 * pages} bytes "
                    "of available memory"]
@@ -849,21 +848,30 @@ def test_64_cell_2d_runs_stay_far_below_one_dense_matrix(tmp_path, capsys, monke
 
 
 def test_infsup_memory_count_pins_the_traced_peak(monkeypatch):
+    # a run and its write, as main makes them. The count adds the run's
+    # peak per node, while it forms the nodes' text, to the write's block;
+    # the write holds the text once formed (207 of those 240 bytes traced),
+    # so the peak may sit below the count by up to 14% of the per-node part
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     for case, cells, steps, n_quad in (
             # the hat pairs of 511 and 1,023 dofs, each released before the
-            # next, beside 10,000 nodes' report rows over 2 x 2 grids
+            # next, beside 10,000 nodes' text and a write over 2 x 2 grids
             ("lognormal", (512, 1024), (2, 4), 10000),
             # one dof and 10^7 steps: no grid, only the two blocks of widths
             # that k_max takes at a time
             ("a", (2,), (10 ** 7,), 2),
-            # 10,000 nodes' report rows over 2 x 2 grids
-            ("lognormal", (4, 8), (4, 16), 10000)):
+            # 10,000 nodes' text and a write over 2 x 2 grids
+            ("lognormal", (4, 8), (4, 16), 10000),
+            # 20,000 nodes, a write of blocks of 4,096 nodes of one grid
+            ("lognormal", (4,), (4, 16), 20000),
+            # 1,000 nodes, whose 4 grids' c_S_omega one block holds
+            ("lognormal", (4, 8), (4, 16), 1000)):
         config = cli.ExperimentConfig(subcommand="infsup", case=case, dim=1, n_cells=cells,
                                       n_steps=steps, quad_ladder=(n_quad,))
-        peak = _traced_peak(lambda: cli.run_infsup(config))
-        assert 0.9 * checked[-1] <= peak <= 1.05 * checked[-1], (case, cells, steps)
+        peak = _traced_peak(lambda: cli.write_csv(os.devnull, cli.INFSUP_HEADER,
+                                                  cli.run_infsup(config)))
+        assert 0.85 * checked[-1] <= peak <= 1.05 * checked[-1], (case, cells, steps)
 
 
 @pytest.mark.parametrize("config", [
@@ -874,7 +882,8 @@ def test_infsup_memory_count_pins_the_traced_peak(monkeypatch):
 ], ids=lambda config: config.subcommand)
 def test_runs_of_many_nodes_stay_within_their_counts(monkeypatch, config):
     # 50,000 parameter nodes of small grids: what a run holds per node, its
-    # arrays and (infsup) its report rows, outweighs every grid's work
+    # arrays and (infsup) its text, outweighs every grid's work and, with
+    # the report's write, stays within the largest count
     checked = []
     monkeypatch.setattr(cli, "_check_memory", lambda need, what, pair: checked.append(need))
     # imports and caches warm
@@ -882,7 +891,8 @@ def test_runs_of_many_nodes_stay_within_their_counts(monkeypatch, config):
     checked.clear()
     tracemalloc.start()
     try:
-        rows = cli._report(config)[1]
+        header, rows, trailer = cli._report(config)
+        cli.write_csv(os.devnull, header, rows, trailer)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -897,6 +907,22 @@ def test_runs_of_many_nodes_stay_within_their_counts(monkeypatch, config):
 # grows with the steps (1,310 eps at 32), not the pair's: the band identity
 # behind the 1 holds to 3 eps (test_constants)
 _SIGMA_EPS = 128
+
+
+def _infsup_lines(config):
+    """The rows of run_infsup's report as its CSV prints them, each a
+    tuple of its column texts."""
+    fh = io.BytesIO()
+    cli._write_report(fh, cli.INFSUP_HEADER, cli.run_infsup(config), ())
+    return [tuple(line.split(",")) for line in fh.getvalue().decode("ascii").splitlines()[1:]]
+
+
+def _printed(rows):
+    """Rows of the infsup columns as '%.17g' % prints each float: the
+    report's oracle text."""
+    return [("%s" % case, "%d" % n_cells, "%d" % n_steps,
+             *("%.17g" % value for value in values))
+            for case, n_cells, n_steps, *values in rows]
 
 
 def _scalar_infsup_rows(config):
@@ -949,18 +975,17 @@ def _per_node_infsup_rows(config, stacked):
             for row in _scalar_infsup_rows(config)]
 
 
-def _check_per_node_rows(rows, expected):
-    """rows are the expected rows, every column to its last bit but the
-    sigma ones: the CLI's exact 1 and the oracle's within _SIGMA_EPS, or
-    both nan."""
-    assert len(rows) == len(expected)
-    for row, want in zip(rows, expected):
-        texts, wanted = _csv_rows([row, want])
-        assert texts[:5] + texts[7:] == wanted[:5] + wanted[7:]
+def _check_per_node_rows(texts, expected):
+    """texts, the CSV rows of a run (_infsup_lines), print the expected
+    rows, every column to its last bit but the sigma ones: the CLI's exact
+    1 and the oracle's within _SIGMA_EPS, or both nan."""
+    assert len(texts) == len(expected)
+    for text, want, wanted in zip(texts, expected, _printed(expected)):
+        assert text[:5] + text[7:] == wanted[:5] + wanted[7:]
         if math.isnan(want[5]):
-            assert texts[5:7] == ("nan", "nan")
+            assert text[5:7] == ("nan", "nan")
             continue
-        assert row[5:7] == (1.0, 1.0)
+        assert text[5:7] == ("1", "1")
         assert all(abs(sigma - 1.0) <= _SIGMA_EPS * np.finfo(float).eps for sigma in want[5:7])
 
 
@@ -980,9 +1005,9 @@ def test_infsup_rows_are_the_per_node_rows_bit_for_bit(monkeypatch, dim, degree,
     monkeypatch.setattr(cli, "_setup", lambda case: (node_model, domain))
     config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=dim, degree=degree,
                                   n_cells=cells, n_steps=steps, quad_ladder=(8,))
-    rows = cli.run_infsup(config)
+    rows = _infsup_lines(config)
     _check_per_node_rows(rows, _per_node_infsup_rows(config, stacked))
-    assert sum(math.isnan(row[5]) for row in rows) == 3 * len(cells) * len(steps)
+    assert sum(row[5] == "nan" for row in rows) == 3 * len(cells) * len(steps)
 
 
 def _repeats_off_the_mirror(model, nodes):
@@ -1020,14 +1045,18 @@ def test_infsup_takes_each_distinct_value_of_a_once(monkeypatch, n_quad, values,
         raise AssertionError("infsup formed mode blocks")
 
     monkeypatch.setattr(solver, "mode_blocks", formed)
-    _check_per_node_rows(cli.run_infsup(config), expected)
+    _check_per_node_rows(_infsup_lines(config), expected)
 
 
-def _bits(rows):
-    """rows with each float as its 8 bytes, so that == compares every bit
-    (-0 and nan included), and each other value as itself with its type."""
-    return [tuple(np.float64(v).tobytes() if type(v) is float else (type(v), v) for v in row)
-            for row in rows]
+def _tabled_setup(values):
+    """A cli._setup whose model takes the value values[i] of a at node i
+    of the interval's rule of len(values) nodes, which avoids no point."""
+    model, domain = cli._setup("a")
+    nodes, _ = stochastic.quadrature(domain, len(values))
+    table = dict(zip(nodes.tolist(), values))
+    node_model = stochastic.CoefficientModel(a_fn=lambda w: table[float(w)],
+                                             c0_fn=model.c0_fn)
+    return lambda case: (node_model, domain)
 
 
 # values of a beside the generated ones: subnormal, tiny, huge and the
@@ -1048,35 +1077,68 @@ _MANTISSAS = st.builds(math.ldexp, st.integers(1 << 52, (1 << 53) - 1), st.integ
 @example(_EDGE_A)
 def test_infsup_columns_are_the_scalar_formulas_bit_for_bit(values):
     # a generated value of a at each node of a rule, over grids whose c_S
-    # spans three sizes
-    model, domain = cli._setup("a")
-    nodes, _ = stochastic.quadrature(domain, len(values))
-    table = dict(zip(nodes.tolist(), values))
-    node_model = stochastic.CoefficientModel(a_fn=lambda w: table[float(w)],
-                                             c0_fn=model.c0_fn)
+    # spans three sizes. '%.17g' text is every bit of a float but the sign
+    # and payload of a nan, which the report prints as nan alone
     config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, n_cells=(3, 40),
                                   n_steps=(1, 7), quad_ladder=(len(values),))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_setup", lambda case: (node_model, domain))
-        assert _bits(cli.run_infsup(config)) == _bits(_scalar_infsup_rows(config))
+        patch.setattr(cli, "_setup", _tabled_setup(values))
+        assert _infsup_lines(config) == _printed(_scalar_infsup_rows(config))
 
 
-@pytest.mark.parametrize("config", [
+# nodes whose a is flagged (nan, 0, < 0 and -0) beside valid ones, among
+# them 1e300, whose c_S_omega overflows to inf where c_S > 6.2e8 (8,000
+# cells, one step: 7.7e8), and the float maximum, where it overflows
+# wherever c_S > 1; and nodes that share their values of a
+_FLAGGED = [0.5, math.nan, 0.0, -2.0, -0.0, 1e300, 1.7976931348623157e308, 3.0]
+_REPEATS = [2.0, 2.0, 3.0, math.nextafter(2.0, 3.0), 2.0, 3.0, 0.0, 3.0]
+
+
+@pytest.mark.parametrize("config,values", [
     # duplicate entries: each grid reported as often as it is listed
-    cli.ExperimentConfig(subcommand="infsup", case="a", n_cells=(8, 8), n_steps=(16, 16),
-                         quad_ladder=(8,)),
-    cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, degree=2, n_cells=(4, 9),
-                         n_steps=(3, 7), quad_ladder=(8,)),
-    cli.ExperimentConfig(subcommand="infsup", case="lognormal", n_cells=(4, 3),
-                         n_steps=(1, 10 ** 6 + 7, 2), quad_ladder=(32,)),
-    cli.ExperimentConfig(subcommand="infsup", case="zero", dim=1, n_cells=(1000,),
-                         n_steps=(4,), quad_ladder=(4,)),
-], ids=["duplicates", "degree-2", "lognormal", "zero-1000-cells"])
-def test_infsup_report_is_the_scalar_report_byte_for_byte(tmp_path, config):
+    (cli.ExperimentConfig(subcommand="infsup", case="a", n_cells=(8, 8), n_steps=(16, 16),
+                          quad_ladder=(8,)), None),
+    (cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, degree=2, n_cells=(4, 9),
+                          n_steps=(3, 7), quad_ladder=(8,)), None),
+    (cli.ExperimentConfig(subcommand="infsup", case="lognormal", n_cells=(4, 3),
+                          n_steps=(1, 10 ** 6 + 7, 2), quad_ladder=(32,)), None),
+    (cli.ExperimentConfig(subcommand="infsup", case="zero", dim=1, n_cells=(1000,),
+                          n_steps=(4,), quad_ladder=(4,)), None),
+    (cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, n_cells=(8000,),
+                          n_steps=(1,), quad_ladder=(8,)), _FLAGGED),
+    (cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, n_cells=(3, 8000, 40),
+                          n_steps=(1, 5, 64), quad_ladder=(8,)), _FLAGGED),
+    (cli.ExperimentConfig(subcommand="infsup", case="a", dim=2, n_cells=(4, 6),
+                          n_steps=(3, 1), quad_ladder=(8,)), _FLAGGED),
+    (cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, degree=2, n_cells=(5, 9),
+                          n_steps=(2, 16), quad_ladder=(8,)), _FLAGGED),
+    (cli.ExperimentConfig(subcommand="infsup", case="a", dim=1, n_cells=(6,),
+                          n_steps=(7,), quad_ladder=(8,)), _REPEATS),
+    (cli.ExperimentConfig(subcommand="infsup", case="a", dim=2, n_cells=(3, 5, 3),
+                          n_steps=(2, 9, 4), quad_ladder=(8,)), _REPEATS),
+], ids=["duplicates", "degree-2", "lognormal", "zero-1000-cells", "flagged-one-grid",
+        "flagged-3x3-grids", "flagged-2d", "flagged-degree-2", "repeats-one-grid",
+        "repeats-2d-3x3-grids"])
+def test_infsup_report_is_the_scalar_report_byte_for_byte(tmp_path, monkeypatch, config,
+                                                          values):
+    # the per-node and per-grid text joined into lines against every
+    # column of the scalar formulas printed by '%.17g' %
+    if values is not None:
+        monkeypatch.setattr(cli, "_setup", _tabled_setup(values))
     out = tmp_path / "x.csv"
     cli.write_csv(str(out), cli.INFSUP_HEADER, cli.run_infsup(config))
-    expected = _scalar_infsup_rows(config)
-    assert out.read_bytes() == _fmt_csv(cli.INFSUP_HEADER, expected, ()).encode("ascii")
+    expected = _printed(_scalar_infsup_rows(config))
+    assert out.read_text() == "".join(",".join(row) + "\n"
+                                      for row in [tuple(cli.INFSUP_HEADER), *expected])
+    if values is _FLAGGED:
+        # each flagged node prints nan in every column that needs a, and
+        # a c_S_omega overflows where its product does
+        assert all(row[5:7] + row[8:] == ("nan",) * 5
+                   for node in range(1, 5) for row in expected[node::8])
+        assert all((row[8] == "inf") == (float(row[7]) > 1) for row in expected[6::8])
+        assert [row[8] == "inf" for row in expected[5::8]] == [
+            n_cells == 8000 and n_steps == 1 for n_cells in config.n_cells
+            for n_steps in config.n_steps]
 
 
 @pytest.mark.parametrize("dim,degree", [(1, 1), (2, 1), (1, 2)])
@@ -1138,8 +1200,8 @@ def test_infsup_memory_is_checked_before_a_later_bad_step_count(tmp_path, capsys
     argv = ["infsup", "--cells", "2048", "--steps", "4,0", "--out", str(tmp_path / "x.csv")]
     code, err = _main(argv, capsys)
     pair = 8 * 2 * 2047
-    need = pair + 8 * 2 * 4 + 8 * (cli.NODE_BYTES + cli.COLUMN_BYTES + 2 * cli.ROW_BYTES) \
-        + cli.RUN_BYTES
+    text = 8 * (cli.NODE_BYTES + cli.TEXT_BYTES + cli.LINE_BYTES) + 16 * cli.CFL_BYTES
+    need = pair + 8 * 2 * 4 + text + cli.RUN_BYTES
     assert code == cli.EXIT_RESOURCE
     assert err == [f"stpg: resource cap: an infsup report of 2 x 8 rows needs {need} bytes, "
                    f"{pair} of them for the spatial pair, more than the 40960 bytes of "
@@ -1181,9 +1243,9 @@ def test_infsup_runs_no_dense_factorization(monkeypatch, dim, degree):
     monkeypatch.setattr(np.linalg, "solve", dense)
     config = cli.ExperimentConfig(subcommand="infsup", case="a", dim=dim, degree=degree,
                                   n_cells=(4, 6), n_steps=(4, 8), quad_ladder=(2,))
-    rows = cli.run_infsup(config)
+    rows = _infsup_lines(config)
     assert len(rows) == 8
-    assert all(row[5:7] == (1.0, 1.0) for row in rows)
+    assert all(row[5:7] == ("1", "1") for row in rows)
 
 
 @pytest.mark.parametrize("dim,degree", [(1, 1), (1, 2), (2, 1)])
@@ -1442,13 +1504,17 @@ def _singular_setup(case):
 def test_report_bytes_match_the_fmt_oracle(tmp_path, monkeypatch, config, singular):
     if singular:
         monkeypatch.setattr(cli, "_setup", _singular_setup)
-    header, rows, trailer = cli._report(config)
+    header, report, trailer = cli._report(config)
+    out = tmp_path / "report.csv"
+    cli.write_csv(str(out), header, report, trailer)
+    # the views against the rows they stand for
+    rows = report
+    if isinstance(report, cli.SolveRows):
+        rows = _solve_rows(report.times, report.y, report.v)
+    elif isinstance(report, cli.InfsupRows):
+        rows = _scalar_infsup_rows(config)
     if singular:
         assert any(not math.isfinite(value) for row in rows for value in row[3:5])
-    out = tmp_path / "report.csv"
-    cli.write_csv(str(out), header, rows, trailer)
-    if isinstance(rows, cli.SolveRows):
-        rows = _solve_rows(rows.times, rows.y, rows.v)
     assert out.read_bytes() == _fmt_csv(header, rows, trailer).encode("ascii")
 
 
@@ -1665,7 +1731,7 @@ def test_write_of_a_wide_interval_stays_within_its_count(case, low):
 
 class _FailingFile:
     """A file whose writes raise MemoryError once the header and the first
-    block of a solve (or row) are written."""
+    block of a solve (or an infsup grid) are written."""
 
     def __init__(self, fh):
         self.fh, self.writes = fh, 0
@@ -1690,8 +1756,9 @@ class _FailingFile:
 @pytest.mark.parametrize("argv", [
     # 3 dofs x 2,000 steps: blocks of 1,365 and 635 intervals
     ["solve", "--cells", "4", "--steps", "2000"],
-    ["infsup", "--cells", "3", "--steps", "2", "--n-quad-ladder", "2"],
-], ids=["interval-stream", "per-row"])
+    # 2 nodes x 2 grids: one write per grid
+    ["infsup", "--cells", "3", "--steps", "2,3", "--n-quad-ladder", "2"],
+], ids=["interval-stream", "per-grid"])
 def test_memory_error_while_writing_exits_with_one_line(tmp_path, capsys, monkeypatch,
                                                         argv):
     out = tmp_path / "report.csv"
@@ -2242,9 +2309,13 @@ def _oracle_run(draw):
     argv += ["--cells", str(draw(st.integers(2, 8))), "--steps", str(draw(st.integers(1, 64)))]
     if name == "solve":
         # the singular points of cases a to d and the ends of their law,
-        # and values of a lognormal a (which is omega), non-positive ones too
+        # and values of a lognormal a (which is omega), non-positive ones
+        # too, up to the float maximum, and those where the dense solve
+        # overflows or goes subnormal
         omega = draw(st.one_of(st.sampled_from([0.0, 0.4, -0.5, 0.5, -1.0]),
-                               st.floats(-0.5, 0.5), st.floats(1e-3, 1e300)))
+                               st.floats(-0.5, 0.5),
+                               st.floats(1e-3, 1.7976931348623157e308),
+                               st.sampled_from([1e306, 1e307, 1.7976931348623157e308])))
         return argv + ["--omega", repr(omega)]
     sizes = draw(st.lists(st.integers(1, 8), min_size=4, max_size=4, unique=True))
     orders = draw(st.lists(st.sampled_from(["1", "2", "3.5"]), min_size=1, max_size=3,
@@ -2255,9 +2326,10 @@ def _oracle_run(draw):
 
 def _oracle_values(model, disc, omega):
     """The dense solve's interval values of one path, or None where it
-    raises PathwiseSolveError."""
+    raises PathwiseSolveError (as where 0.5 a k S overflows)."""
     try:
-        return solver.solve_pathwise(model, disc, omega)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solver.solve_pathwise(model, disc, omega)
     except solver.PathwiseSolveError:
         return None
 
@@ -2291,6 +2363,14 @@ def _gap(got: float, want: float, scale=None) -> float:
 def _solve_gaps(config, model, code, text, gaps):
     disc = _oracle_disc(config, config.n_cells[0], config.n_steps[0])
     values = _oracle_values(model, disc, config.omega)
+    a, c0 = model.a(config.omega), model.c0(config.omega)
+    # the dense solve forms 0.5 a k S, which overflows near the float
+    # maximum, and its values go subnormal from about a = 1e306, where it
+    # holds no relative accuracy: there the exact recurrence is the oracle
+    solvable = math.isfinite(a) and a > 0 and math.isfinite(c0)
+    if solvable and (values is None or np.abs(values).max() < np.finfo(float).tiny):
+        _exact_solve_gaps(config, a, c0, code, text, gaps)
+        return
     if values is None:
         assert code == cli.EXIT_NUMERICAL and text is None
         return
@@ -2302,6 +2382,25 @@ def _solve_gaps(config, model, code, text, gaps):
     assert table[:, 2].tolist() == np.tile(np.arange(n_dof), n_steps).tolist()
     gap = np.abs(table[:, 3] - values.reshape(-1)).max()
     gaps["solve"] = gap and gap / np.abs(values).max()
+
+
+def _exact_solve_gaps(config, a, c0, code, text, gaps):
+    """The solve's rows against _exact_profile times the mode, each product
+    in exact arithmetic: relative to the largest where that is a normal
+    float, else each within 8 units of the least subnormal."""
+    assert code == cli.EXIT_OK
+    pair = fem.assemble(fem.build_mesh(config.dim, config.n_cells[0], config.degree))
+    profile = _exact_profile(pair, config.n_steps[0], a, c0)
+    v = [Fraction(value) for value in pair.excited_vector.tolist()]
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert len(rows) == len(profile) * len(v)
+    errors = [abs(Fraction(float(value)) - profile[int(i) - 1] * v[int(d)])
+              for i, _, d, value in rows]
+    largest = max(abs(y) for y in profile) * max(map(abs, v))
+    if largest >= Fraction(np.finfo(float).tiny):
+        gaps["solve"] = float(max(errors) / largest)
+    else:
+        assert max(errors) <= 8 * Fraction(5e-324)
 
 
 def _moments_gaps(config, model, code, text, gaps):
@@ -2416,6 +2515,14 @@ _ORACLE_CHECKS = {"solve": _solve_gaps, "moments": _moments_gaps,
 @example(["solve", "--case", "lognormal", "--omega", "1e200", "--cells", "8", "--steps", "7"])
 @example(["solve", "--case", "lognormal", "--omega", "1e300", "--dim", "2", "--cells", "5",
           "--steps", "64"])
+# a near the float maximum, where the dense solve raises (1-D hats) or its
+# values are subnormal: the exact recurrence is the oracle
+@example(["solve", "--case", "lognormal", "--omega", "1.7976931348623157e308", "--cells", "6",
+          "--steps", "5"])
+@example(["solve", "--case", "lognormal", "--omega", "1.7976931348623157e308", "--degree", "2",
+          "--cells", "8", "--steps", "64"])
+@example(["solve", "--case", "lognormal", "--omega", "1e307", "--dim", "2", "--cells", "4",
+          "--steps", "9"])
 @example(["moments", "--case", "c", "--n-quad-ladder", "2,6,10,16", "--dim", "1",
           "--degree", "2", "--cells", "8", "--steps", "64"])
 # odd rules, which place a node on the singular point 0 of cases a and b

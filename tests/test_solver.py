@@ -669,6 +669,16 @@ def test_uniform_energy_shares_the_first_time_weight():
         assert solver._hat_integrals(np.array([0.0, 1.0 / n_steps]))[0][0] == grid.weights[0]
 
 
+def test_first_time_weight_from_python_floats_is_the_array_form_bit_for_bit():
+    # the scalar tw_0 of _uniform_terms against _hat_integrals on [0, 1/N]:
+    # both branches (the Taylor series from N = 16) and the grids the
+    # closed forms take, to 2^40 steps
+    for n_steps in [*range(1, 4097), *(2 ** p for p in range(41))]:
+        k = 1 / n_steps
+        assert solver._first_hat_integral(k) == solver._hat_integrals(np.array([0.0, k]))[0][0]
+    assert solver._uniform_terms(64, np.array([1.0]), 1.0)[0] == solver._first_hat_integral(1 / 64)
+
+
 # uniform_profile with its sines broadcast into the (P, N) profile, one
 # per path and step; taking each step's sine once and scaling it per path
 # must give these bits

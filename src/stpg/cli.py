@@ -1,6 +1,7 @@
 """Experiment driver with CSV reports.
 
-Subcommands reproduce the stock experiments at desk scale:
+Subcommands reproduce the stock experiments at desk scale, each on the
+paths that the reasons of solver.path_table leave (its docstring says which):
 
 * ``moments``      quadrature ladders of L^p estimates of the pathwise
   solution norms for the named coefficient cases, with a mechanical
@@ -93,8 +94,8 @@ ERROR_VALUES = 12
 # its profile and two temporaries of solver.uniform_profile
 PROFILE_VALUES = 4
 # float64 values per path a moments rung holds at peak: its rule, a, c0,
-# valid indices and values, and the (P, 1) arrays of
-# solver.uniform_energy (17.5 traced)
+# reason codes, valid indices and values, and the (P, 1) arrays of
+# solver.uniform_energy (17.6 traced)
 MOMENT_VALUES = 18
 # bytes one block of a convergence level's paths holds at peak
 # (ERROR_VALUES per path and step), unless one path alone needs more
@@ -121,13 +122,13 @@ WRITE_DOF = 7
 # _rule counts them with what the run holds per node before it builds one
 RULE_BYTES = 81
 # bytes a convergence or infsup run holds per parameter node: the rule,
-# the arrays of a, c0, valid indices and errors (48.5 traced), and a
-# block's copies of its values (24), or in infsup the rule, a, c0 and the
-# validity mask
+# the arrays of a, c0, reason codes, valid indices and errors (49.5
+# traced), and a block's copies of its values (24), or in infsup the rule,
+# a, c0, reason codes and the validity mask
 NODE_BYTES = 80
 # bytes an infsup run holds per node beside NODE_BYTES at its peak, while
 # it forms the node's text (_node_text): two strs with their list slots, and
-# one block's arrays and Python floats (with NODE_BYTES 232 and 243 traced
+# one block's arrays and Python floats (with NODE_BYTES 233 and 244 traced
 # on 40,000 and 10,000 lognormal nodes, 207 once formed). Its write holds, for one grid's lines
 # of a block of at most WRITE_VALUES nodes, LINE_BYTES per line: each str
 # in its list, then joined and encoded (344 traced); and CFL_BYTES per
@@ -451,15 +452,6 @@ def _discretization(config: ExperimentConfig, n_cells: int, n_steps: int,
     return fem.assemble(mesh)
 
 
-def _paths(model, nodes) -> tuple:
-    """(a, c0, valid): every node's diffusion value and forcing amplitude,
-    and the indices of the paths that can be solved, whose a is finite
-    and positive and whose c0 is finite. The others are flagged."""
-    a, c0 = model.evaluate(nodes)
-    (valid,) = np.nonzero(np.isfinite(a) & (a > 0) & np.isfinite(c0))
-    return a, c0, valid
-
-
 def _moment_values(model, pair, n_steps: int, nodes) -> np.ndarray:
     """Pathwise indicators a(w)^(-1/2) ||U||_Y tracked by the moment ladders.
 
@@ -469,10 +461,11 @@ def _moment_values(model, pair, n_steps: int, nodes) -> np.ndarray:
     the estimates to the coercivity law, which is what the moment
     experiments are designed to expose. The squared norm on the uniform
     grid of n_steps comes in closed form (solver.uniform_energy), with no
-    step loop. A path is nan where it is flagged: by _paths, or because
-    its indicator is not finite.
+    step loop. A path is nan where it is flagged: by its reason in
+    solver.path_table, or because its indicator is not finite.
     """
-    a, c0, valid = _paths(model, nodes)
+    a, c0, reason = solver.path_table(*model.evaluate(nodes))
+    (valid,) = np.nonzero(reason == 0)
     values = np.full(len(nodes), math.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         energy = solver.uniform_energy(pair, n_steps, a[valid], c0[valid])
@@ -481,16 +474,17 @@ def _moment_values(model, pair, n_steps: int, nodes) -> np.ndarray:
     return values
 
 
-def _mode_errors(disc, a, c0, valid) -> np.ndarray:
-    """Energy-norm errors of the paths (a, c0, valid) of _paths against
-    the exact mode solution, nan where a path is flagged.
+def _mode_errors(disc, a, c0, reason) -> np.ndarray:
+    """Energy-norm errors of the paths (a, c0, reason) of solver.path_table
+    against the exact mode solution, nan where a path is flagged.
 
-    A path is flagged by _paths or because its error is not finite. The
+    A path is flagged by its reason or because its error is not finite. The
     others go _block_paths at a time: solver.uniform_profile gives their
     (P, N) profiles on the uniform grid, and oracle.block_errors their
     errors on the excited mode, with no step loop and no n_dof-sized array.
     """
     errors = np.full(len(a), math.nan)
+    (valid,) = np.nonzero(reason == 0)
     n_steps = disc.grid.n_intervals
     size = _block_paths(n_steps)
     for start in range(0, len(valid), size):
@@ -548,7 +542,7 @@ def run_convergence(config: ExperimentConfig):
     n_quad = config.quad_ladder[0]
     # built and evaluated once, before any level
     nodes, weights = _rule(model, domain, n_quad, NODE_BYTES)
-    paths = _paths(model, nodes)
+    paths = solver.path_table(*model.evaluate(nodes))
     rows = []
     prev = None
     for j in range(config.j_min, config.j_max + 1):
@@ -596,11 +590,10 @@ def run_infsup(config: ExperimentConfig):
     (solver.mode_blocks) satisfies G_X = B G_Y^-1 B': the jump D and the
     interval mean A give 2 (Ax).(Dx) = -x_0^2. So L_X^-1 B G_Y^(-1/2) is
     orthogonal and every weighted inf-sup and continuity constant is
-    exactly 1, the paper's claim, which a valid node (finite a > 0)
-    reports with no SVD. The tests check the identity band by band and
-    against the SVD oracles (constants.discrete_infsup,
-    oracle.dense_infsup). A flagged node reports nan in every column that
-    needs a.
+    exactly 1, the paper's claim, which a valid node reports with no SVD.
+    A node of an a reason in solver.path_table is flagged: nan in every
+    column that needs a. The tests check the identity band by band and
+    against the SVD oracles (constants.discrete_infsup, oracle.dense_infsup).
 
     Each input is made once: a(w) per run, one pair per --cells entry (the
     previous one released first), one k_max per --steps value, with no
@@ -616,8 +609,8 @@ def run_infsup(config: ExperimentConfig):
     """
     model, domain = _setup(config.case)
     nodes, _ = _rule(model, domain, config.quad_ladder[0], NODE_BYTES + TEXT_BYTES)
-    a, _ = model.evaluate(nodes)
-    valid = np.isfinite(a) & (a > 0)
+    a, _, reason = solver.path_table(*model.evaluate(nodes))
+    valid = (reason == 0) | (reason == 3)  # c0 enters no column
     leads, tails = _node_text(nodes, a, valid)
     k_max = {}
     grids = []

@@ -43,13 +43,37 @@ import numpy as np
 from .fem import SpatialPair, _frozen, interval_gauss
 
 class PathwiseSolveError(RuntimeError):
-    """A single-parameter solve failed for a controlled reason.
+    """A single-parameter solve failed for a controlled reason: a path_table
+    reason or a time step of non-finite values. Parameter sweeps catch this
+    and record a flagged value instead of aborting the whole sweep."""
 
-    Raised when the diffusion value is non-finite or not positive, the
-    forcing amplitude is non-finite, or a time step yields non-finite
-    values. Parameter sweeps catch this and record a flagged value
-    instead of aborting the whole sweep.
-    """
+
+# path_table's reason codes, each with PathwiseSolveError's text of it
+_REASONS = ("solved", "diffusion value is not finite: {a}",
+                "diffusion value must be positive: {a}", "forcing amplitude is not finite: {c0}")
+
+
+def path_table(a, c0) -> tuple:
+    """(a, c0, reason): a and c0 of P paths as float64 arrays and the uint8
+    reason of each, the one rule of which paths are solved: 0 solved, 1 a not
+    finite, 2 a <= 0, 3 c0 not finite, the first that holds. moments and
+    convergence solve reason 0; infsup flags reasons 1 and 2 alone (c0 enters
+    no column); solve and the dense oracles raise one path's reason
+    (path_values), assemble_full_system and build_grams those of a."""
+    a, c0 = np.asarray(a, dtype=float), np.asarray(c0, dtype=float)
+    reason = np.zeros(a.shape, np.uint8)
+    # the last reason set is the first that holds
+    for code, flagged in ((3, ~np.isfinite(c0)), (2, a <= 0), (1, ~np.isfinite(a))):
+        reason[flagged] = code
+    return a, c0, reason
+
+
+def path_values(a, c0=0.0) -> tuple:
+    """(a, c0) of one path as floats, or the PathwiseSolveError of its path_table reason."""
+    (a,), (c0,), (reason,) = path_table([a], [c0])
+    if reason:
+        raise PathwiseSolveError(_REASONS[reason].format(a=float(a), c0=float(c0)))
+    return float(a), float(c0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,15 +181,6 @@ class Discretization:
         # continuous piecewise linears vanishing at T: one block per node
         # t_0..t_{N-1}
         return self.grid.n_intervals * self.n_dof
-
-
-def _check_a(a: float) -> float:
-    a = float(a)
-    if not math.isfinite(a):
-        raise PathwiseSolveError(f"diffusion value is not finite: {a}")
-    if a <= 0.0:
-        raise PathwiseSolveError(f"diffusion value must be positive: {a}")
-    return a
 
 
 def _hat_integrals(nodes: np.ndarray) -> tuple:
@@ -331,15 +346,6 @@ def uniform_energy(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
     return energy
 
 
-def _path_data(coeffs, omega: float) -> tuple:
-    """(a, c0) of one path, or PathwiseSolveError if either cannot be solved."""
-    a = _check_a(coeffs.a(omega))
-    c0 = float(coeffs.c0(omega))
-    if not math.isfinite(c0):
-        raise PathwiseSolveError(f"forcing amplitude is not finite: {c0}")
-    return a, c0
-
-
 def uniform_profile(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
     """The (P, N) profiles y of P paths on the uniform grid of [0, 1], whose
     interval values are y_j v_1 (SpatialPair.excited_vector), in the closed
@@ -381,7 +387,7 @@ def uniform_profile(pair: SpatialPair, n_steps: int, a, c0) -> np.ndarray:
 def path_profile(coeffs, pair: SpatialPair, n_steps: int, omega: float) -> np.ndarray:
     """The (N,) uniform_profile of one parameter value; raises
     PathwiseSolveError as solve_pathwise does."""
-    a, c0 = _path_data(coeffs, omega)
+    a, c0 = path_values(coeffs.a(omega), coeffs.c0(omega))
     (y,) = uniform_profile(pair, n_steps, [a], [c0])
     if not np.isfinite(y).all():
         raise PathwiseSolveError("non-finite values in time step")
@@ -405,7 +411,7 @@ def solve_pathwise(coeffs, disc: Discretization, omega: float) -> np.ndarray:
     unit load is solved and the values scaled by c0 last, so a c0 near
     the float range overflows only where the values do.
     """
-    a, c0 = _path_data(coeffs, omega)
+    a, c0 = path_values(coeffs.a(omega), coeffs.c0(omega))
     pair, grid = disc.pair, disc.grid
     widths, index = np.unique(grid.widths, return_inverse=True)
     steps = []
@@ -487,7 +493,7 @@ def assemble_full_system(disc: Discretization, a: float) -> np.ndarray:
     bidiagonal, with blocks M + (k_{j+1}/2) a S on the diagonal and
     -M + (k_j/2) a S below.
     """
-    a = _check_a(a)
+    a, _ = path_values(a)
     pair = disc.pair
     jump, mean = _temporal_factors(disc.grid)
     return (np.kron(-jump.T, pair.mass)
@@ -520,7 +526,7 @@ def build_grams(disc: Discretization, a: float, kind: str) -> np.ndarray:
     if kind not in _GRAM_KINDS:
         raise ValueError(f"unknown gram kind {kind!r}")
     if kind != "X":
-        a = _check_a(a)
+        a, _ = path_values(a)
     pair = disc.pair
     k = disc.grid.widths
     if kind in ("Y", "Y_omega"):

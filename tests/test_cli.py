@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import decimal
 import importlib.util
 import io
 import json
@@ -16,7 +17,7 @@ import tempfile
 import threading
 import tracemalloc
 import weakref
-from fractions import Fraction
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
+import exact
 from conftest import ConstantCoeffs, forbid_dense_solves
 from stpg import cli, fem, oracle, solver, stochastic
 from stpg import constants as consts
@@ -80,6 +82,89 @@ def test_numerical_failure_exit_code(tmp_path):
     result = _run(["solve", "--case", "b", "--omega", "0", "--out", str(out)])
     assert result.returncode == cli.EXIT_NUMERICAL
     assert "stpg" in result.stderr
+
+
+# a bad a or c0 of each path_table reason, at the nodes w < -0.4 of a model
+# whose other nodes have a = 1 and c0 = 1, with the reason code and the
+# text of the solve's exit 2 at such a node; where a and c0 are both bad,
+# the a reason wins
+_REASON_CASES = [
+    (math.inf, 1.0, 1, "diffusion value is not finite: inf"),
+    (math.nan, 1.0, 1, "diffusion value is not finite: nan"),
+    (-math.inf, 1.0, 1, "diffusion value is not finite: -inf"),
+    (0.0, 1.0, 2, "diffusion value must be positive: 0.0"),
+    (-1.0, 1.0, 2, "diffusion value must be positive: -1.0"),
+    (1.0, math.inf, 3, "forcing amplitude is not finite: inf"),
+    (1.0, math.nan, 3, "forcing amplitude is not finite: nan"),
+    (0.0, math.inf, 2, "diffusion value must be positive: 0.0"),
+    (math.nan, -math.inf, 1, "diffusion value is not finite: nan"),
+]
+
+
+def _reason_setup(a, c0):
+    """A cli._setup whose model has a and c0 at the nodes w < -0.4 of the
+    interval's rule and 1 elsewhere."""
+    model = stochastic.CoefficientModel(a_fn=lambda w: a if w < -0.4 else 1.0,
+                                        c0_fn=lambda w: c0 if w < -0.4 else 1.0)
+    return lambda case: (model, stochastic.default_domain("a"))
+
+
+def _reason_reports(monkeypatch, capsys, tmp_path, a, c0):
+    """The moments, convergence and infsup CSV text of _reason_setup(a, c0),
+    and the exit code, stderr lines and written CSV (if any) of its solve at
+    w = -0.45."""
+    monkeypatch.setattr(cli, "_setup", _reason_setup(a, c0))
+    out = tmp_path / "report.csv"
+    texts = []
+    for argv in (["moments", "--cells", "4", "--steps", "8"],
+                 ["convergence", "--case", "a", "--j-max", "3", "--n-quad-ladder", "10"],
+                 ["infsup", "--n-quad-ladder", "10"]):
+        assert _main([*argv, "--out", str(out)], capsys) == (cli.EXIT_OK, [])
+        texts.append(out.read_text())
+    out.unlink()
+    code, err = _main(["solve", "--omega", "-0.45", "--out", str(out)], capsys)
+    return texts, (code, err, out.exists())
+
+
+@pytest.mark.parametrize("a,c0,reason,text", _REASON_CASES, ids=str)
+def test_path_table_decides_the_paths_of_every_subcommand(monkeypatch, capsys, tmp_path,
+                                                          a, c0, reason, text):
+    model, domain = _reason_setup(a, c0)("a")
+    nodes, _ = stochastic.quadrature(domain, 10)
+    got_a, got_c0, reasons = solver.path_table(*model.evaluate(nodes))
+    assert reasons.dtype == np.uint8
+    assert reasons.tolist() == [reason] + 9 * [0]
+    assert got_a.tobytes() == np.array([a] + 9 * [1.0]).tobytes()
+    assert got_c0.tobytes() == np.array([c0] + 9 * [1.0]).tobytes()
+    with pytest.raises(solver.PathwiseSolveError) as exc:
+        solver.path_values(a, c0)
+    assert str(exc.value) == text
+
+    (moments, convergence, infsup), solve = _reason_reports(
+        monkeypatch, capsys, tmp_path, a, c0)
+    (good_moments, good_convergence, good_infsup), _ = _reason_reports(
+        monkeypatch, capsys, tmp_path, 1.0, 1.0)
+
+    def column(text, i):
+        return {line.split(",")[i] for line in text.splitlines()[1:] if line[0] != "#"}
+
+    # every rung holds a flagged node, and every level's mean is nan
+    assert column(moments, 4) == {"1"} and column(good_moments, 4) == {"0"}
+    assert column(convergence, 5) == {"nan"} and "nan" not in column(good_convergence, 5)
+    # infsup flags the node by the a reasons alone, nan wherever a enters
+    if reason == 3:
+        assert infsup == good_infsup
+    else:
+        lines, good = infsup.splitlines(), good_infsup.splitlines()
+        assert len(lines) == len(good) == 41
+        for line, want in zip(lines[1:], good[1:]):
+            fields = line.split(",")
+            if fields[3] != "-0.45000000000000001":
+                assert line == want
+                continue
+            assert fields[4] == format(a, ".17g")
+            assert [fields[i] for i in (5, 6, 8, 9, 10)] == 5 * ["nan"]
+    assert solve == (cli.EXIT_NUMERICAL, [f"stpg: numerical failure: {text}"], False)
 
 
 def test_resource_cap_exit_code(tmp_path):
@@ -145,18 +230,11 @@ def test_solve_matches_oracle_at_final_time(tmp_path):
 
 
 def _exact_profile(pair, n_steps, a, c0):
-    """The profile of uniform_energy's step recurrence in exact arithmetic,
-    y_j = g y_(j-1) + c0 tw_j beta_1 / (1 + x) from y_(-1) = 0, with
-    x = a lam_1 / (2 N) and g = (1 - x) / (1 + x): the float inputs a, c0,
-    lam_1, beta_1 and the time weights tw_j are taken as exact values."""
-    lam, beta = map(Fraction, pair.excited_mode)
-    x = Fraction(a) * lam / (2 * n_steps)
-    g = (1 - x) / (1 + x)
-    y, profile = Fraction(0), []
-    for tw in solver.time_weights(solver.TimeGrid.uniform(1.0, n_steps)).tolist():
-        y = g * y + Fraction(c0) * Fraction(tw) * beta / (1 + x)
-        profile.append(y)
-    return profile
+    """exact.profile of the pair's excited mode on the uniform grid of
+    n_steps, whose time weights are taken as exact values."""
+    lam, beta = pair.excited_mode
+    weights = solver.time_weights(solver.TimeGrid.uniform(1.0, n_steps)).tolist()
+    return exact.profile(lam, beta, weights, a, c0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -175,13 +253,14 @@ def test_solve_near_the_float_maximum_matches_exact_arithmetic(tmp_path, capsys,
     config = cli.config_from_args(cli.build_parser().parse_args([*argv, "--out", str(out)]))
     pair = fem.assemble(fem.build_mesh(config.dim, config.n_cells[0], config.degree))
     profile = _exact_profile(pair, config.n_steps[0], config.omega, 1.0)
-    v = [Fraction(value) for value in pair.excited_vector.tolist()]
+    v = pair.excited_vector.tolist()
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == len(profile) * len(v)
-    exact = [profile[int(i) - 1] * v[int(d)] for i, _, d, _ in rows]
-    assert 0 < max(map(abs, exact)) < Fraction(np.finfo(float).tiny)
-    for (*_, value), want in zip(rows, exact):
-        assert abs(Fraction(float(value)) - want) <= 8 * Fraction(5e-324)
+    with decimal.localcontext(exact.CONTEXT):
+        wants = [profile[int(i) - 1] * Decimal(v[int(d)]) for i, _, d, _ in rows]
+    assert 0 < max(map(abs, wants)) < exact.TINY
+    for (*_, value), want in zip(rows, wants):
+        assert exact.gap(float(value), want) <= 8 * exact.LEAST
 
 
 def test_uniform_energy_matches_exact_arithmetic_where_its_terms_overflow():
@@ -191,21 +270,22 @@ def test_uniform_energy_matches_exact_arithmetic_where_its_terms_overflow():
     # 1e-14 relative (6.4e-15 measured), and those below the least normal
     # float within 4 units of the least subnormal (1.8 measured)
     pair = fem.assemble(fem.build_mesh(1, 8, 1))
-    lam = Fraction(pair.excited_mode[0])
+    lam = pair.excited_mode[0]
     for n_steps in (1, 2, 4, 64):
         for a in (1e150, 1e160, 1e200, 1e300, 1.7976931348623157e308):
             c0 = np.array([1.0, 1e300])
             with np.errstate(over="ignore", invalid="ignore"):
                 energy = solver.uniform_energy(pair, n_steps, np.full(2, a), c0)
             # the profile is linear in c0
-            unit = lam * sum(y * y for y in _exact_profile(pair, n_steps, a, 1.0)) / n_steps
+            unit = exact.energy(lam, _exact_profile(pair, n_steps, a, 1.0))
             for got, amplitude in zip(energy.tolist(), c0.tolist()):
-                exact = Fraction(amplitude) ** 2 * unit
-                gap = abs(Fraction(got) - exact) if math.isfinite(got) else math.inf
-                if exact >= Fraction(np.finfo(float).tiny):
-                    assert gap <= Fraction(1e-14) * exact, (n_steps, a, amplitude, got)
+                with decimal.localcontext(exact.CONTEXT):
+                    want = Decimal(amplitude) ** 2 * unit
+                gap = exact.gap(got, want)
+                if want >= exact.TINY:
+                    assert gap <= Decimal(1e-14) * want, (n_steps, a, amplitude, got)
                 else:
-                    assert gap <= 4 * Fraction(5e-324), (n_steps, a, amplitude, got)
+                    assert gap <= 4 * exact.LEAST, (n_steps, a, amplitude, got)
 
 
 def test_moments_csv_format(tmp_path):
@@ -548,7 +628,7 @@ def test_sweep_memory_count_pins_the_traced_peak(monkeypatch, cells, steps, erro
         def level():
             grid = solver.TimeGrid.uniform(1.0, steps)
             return cli._mode_errors(solver.Discretization(pair, grid),
-                                    *cli._paths(model, nodes))
+                                    *solver.path_table(*model.evaluate(nodes)))
 
         peak = _traced_peak(level)
         block = min(16, cli._block_paths(steps))
@@ -694,7 +774,7 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
                                  n_cells=(cells,), n_steps=(20000,))
     # imports and caches warm: the Gauss rule of the error oracle
     cli._mode_errors(solver.Discretization(pair, solver.TimeGrid.uniform(1.0, 4)),
-                     *cli._paths(model, nodes))
+                     *solver.path_table(*model.evaluate(nodes)))
     grid = solver.TimeGrid.uniform(1.0, 20000)
     tracemalloc.start()
     try:
@@ -704,7 +784,8 @@ def test_memory_count_covers_the_time_weights(monkeypatch, cells):
         solver.time_weights(grid)
         weights_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        cli._mode_errors(solver.Discretization(pair, grid), *cli._paths(model, nodes))
+        cli._mode_errors(solver.Discretization(pair, grid),
+                         *solver.path_table(*model.evaluate(nodes)))
         level_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1884,7 +1965,7 @@ def test_rung_values_match_the_per_path_solves(monkeypatch, dim, degree, block_b
     # the moment indicators and the errors come in closed form; the
     # squares of the c0 = 1e308 path overflow in both
     indicators = cli._moment_values(model, disc.pair, disc.grid.n_intervals, nodes)
-    errors = cli._mode_errors(disc, *cli._paths(model, nodes))
+    errors = cli._mode_errors(disc, *solver.path_table(*model.evaluate(nodes)))
     flagged = []
     for i, w in enumerate(nodes):
         try:
@@ -2391,16 +2472,17 @@ def _exact_solve_gaps(config, a, c0, code, text, gaps):
     assert code == cli.EXIT_OK
     pair = fem.assemble(fem.build_mesh(config.dim, config.n_cells[0], config.degree))
     profile = _exact_profile(pair, config.n_steps[0], a, c0)
-    v = [Fraction(value) for value in pair.excited_vector.tolist()]
+    v = pair.excited_vector.tolist()
     rows = [line.split(",") for line in text.splitlines()[1:]]
     assert len(rows) == len(profile) * len(v)
-    errors = [abs(Fraction(float(value)) - profile[int(i) - 1] * v[int(d)])
-              for i, _, d, value in rows]
-    largest = max(abs(y) for y in profile) * max(map(abs, v))
-    if largest >= Fraction(np.finfo(float).tiny):
-        gaps["solve"] = float(max(errors) / largest)
-    else:
-        assert max(errors) <= 8 * Fraction(5e-324)
+    with decimal.localcontext(exact.CONTEXT):
+        errors = [exact.gap(float(value), profile[int(i) - 1] * Decimal(v[int(d)]))
+                  for i, _, d, value in rows]
+        largest = max(abs(y) for y in profile) * Decimal(max(map(abs, v)))
+        if largest >= exact.TINY:
+            gaps["solve"] = float(max(errors) / largest)
+        else:
+            assert max(errors) <= 8 * exact.LEAST
 
 
 def _moments_gaps(config, model, code, text, gaps):

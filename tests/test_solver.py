@@ -1,8 +1,12 @@
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exact
 from conftest import FLOAT_RANGE_A, FLOAT_RANGE_C0, ConstantCoeffs, make_disc
 from stpg import fem, solver
 from stpg.stochastic import CoefficientModel, default_domain, quadrature
@@ -715,3 +719,74 @@ def test_one_sine_per_step_is_the_broadcast_profile_bit_for_bit(dim, degree, n_s
         a, c0 = FLOAT_RANGE_A[start:start + paths], FLOAT_RANGE_C0[start:start + paths]
         y = solver.uniform_profile(pair, n_steps, a, c0)
         assert y.tobytes() == _before_uniform_profile(pair, n_steps, a, c0).tobytes()
+
+
+def test_decimal_oracle_is_the_fraction_recurrence():
+    # the recurrence of exact.profile in rational arithmetic, on a few small
+    # cases, with a at 1e-300, 1 and the float maximum: the two agree far
+    # below a float's spacing
+    pair = fem.assemble(fem.build_mesh(1, 8, 1))
+    lam, beta = pair.excited_mode
+    for n_steps, a, c0 in [(1, 1.0, 1.0), (3, 1e-300, -1e300), (5, 0.3, 1e-300),
+                           (7, np.finfo(float).max, 1.0)]:
+        weights = solver.time_weights(solver.TimeGrid.uniform(1.0, n_steps)).tolist()
+        x = Fraction(a) * Fraction(lam) / (2 * n_steps)
+        g = (1 - x) / (1 + x)
+        y, fractions = Fraction(0), []
+        for tw in weights:
+            y = g * y + Fraction(c0) * Fraction(tw) * Fraction(beta) / (1 + x)
+            fractions.append(y)
+        decimals = exact.profile(lam, beta, weights, a, c0)
+        for got, want in zip(decimals, fractions, strict=True):
+            assert abs(Fraction(got) - want) <= abs(want) / 10 ** 700, (n_steps, a, c0)
+        want = Fraction(lam) * sum(y * y for y in fractions) / n_steps
+        assert abs(Fraction(exact.energy(lam, decimals)) - want) <= want / 10 ** 700
+
+
+# the sweep of the closed forms over the float range: 1-D hats at 8 and
+# 1,000 cells, 1-D splines at 8 and 64 cells and 2-D hats at 4 cells; N from
+# one step to 200, where rounding grows most; a from 1e-300 to the float
+# maximum; c0 of zero, both signs and the ends of the float range
+_SWEEP_STEPS = (1, 2, 7, 200)
+_SWEEP_A = (1e-300, 1e-20, 1e-2, 1.0, 1e2, 1e5, 1e20, 1e155, np.finfo(float).max)
+_SWEEP_C0 = (0.0, 1.0, -1e-300, 1e300, 1e308)
+
+
+@pytest.mark.parametrize("dim,n_cells,degree", [(1, 8, 1), (1, 1000, 1), (1, 8, 2), (1, 64, 2),
+                                                (2, 4, 1)])
+def test_closed_forms_are_the_exact_recurrence_over_the_float_range(dim, n_cells, degree):
+    # against exact.profile and exact.energy, where the exact value is a
+    # normal float: profiles within 90 eps of the path's largest value (89.2
+    # measured, at 2-D hats, N = 200, a = 1e20, c0 = 1e308) and energies
+    # within 73 eps (72.7, at 64 spline cells, N = 1, a the float maximum,
+    # c0 = 1e300); where it is subnormal, profiles within 29 units of the
+    # least subnormal (2.9) and energies within 2.6 (2.1); c0 = 0 gives +0
+    pair = fem.assemble(fem.build_mesh(dim, n_cells, degree))
+    lam, beta = pair.excited_mode
+    a = np.repeat(_SWEEP_A, len(_SWEEP_C0))
+    c0 = np.tile(_SWEEP_C0, len(_SWEEP_A))
+    for n_steps in _SWEEP_STEPS:
+        weights = solver.time_weights(solver.TimeGrid.uniform(1.0, n_steps)).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            profiles = solver.uniform_profile(pair, n_steps, a, c0)
+            energies = solver.uniform_energy(pair, n_steps, a, c0)
+        for i, value in enumerate(_SWEEP_A):
+            unit = exact.profile(lam, beta, weights, value)
+            for path in range(i * len(_SWEEP_C0), (i + 1) * len(_SWEEP_C0)):
+                y, energy, case = profiles[path], energies[path], (n_steps, value, c0[path])
+                if c0[path] == 0.0:
+                    assert not y.any() and not np.signbit(y).any() and energy == 0.0, case
+                    continue
+                with decimal.localcontext(exact.CONTEXT):
+                    wants = [Decimal(c0[path]) * want for want in unit]
+                    top = max(map(abs, wants))
+                    gap = max(map(exact.gap, y.tolist(), wants))
+                    assert gap <= (90 * exact.EPS * top if top >= exact.TINY
+                                   else 29 * exact.LEAST), case
+                    want = exact.energy(lam, wants)
+                    if want > Decimal(np.finfo(float).max):
+                        assert energy == np.inf, case
+                        continue
+                    gap = exact.gap(float(energy), want)
+                    assert gap <= (73 * exact.EPS * want if want >= exact.TINY
+                                   else Decimal("2.6") * exact.LEAST), case

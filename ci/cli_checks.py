@@ -8,9 +8,10 @@ directory: the reports are written there. It checks that every run of
 RUNS exits 0 and reruns byte for byte, that every value those runs wrote
 is canonical text, that the band identity gives the exact 1, that an open
 descriptor is written in place, that each failure exits with its code,
-one stderr line and no CSV, and that the package loads none of its
-modules on import. tests/test_cli_checks.py runs the same checks, the
-runs in process through stpg.cli.main.
+one stderr line and no CSV, that the package loads none of its
+modules on import, and that no subcommand loads scipy.
+tests/test_cli_checks.py runs the same checks, the runs in process
+through stpg.cli.main.
 """
 
 import glob
@@ -143,8 +144,10 @@ def check_failures(call):
 
 def check_fresh_processes(command, python=sys.executable):
     """What needs a process of its own: a report to /dev/stdout is the
-    solve report's bytes, written in place, and importing stpg loads none
-    of its modules."""
+    solve report's bytes, written in place, importing stpg loads none of
+    its modules, and a call of each subcommand through stpg.cli.main, each
+    written to the null device, loads no scipy module: scipy serves the
+    tests' oracles alone."""
     written = subprocess.run([*command, "solve", "--out", "/dev/stdout"],
                              capture_output=True, check=True).stdout
     with open(csv_name("solve"), "rb") as fh:
@@ -152,6 +155,10 @@ def check_fresh_processes(command, python=sys.executable):
     subprocess.run([python, "-c", "import stpg, sys; "
                     "assert not [m for m in sys.modules if m.startswith('stpg.')]"],
                    check=True)
+    subprocess.run([python, "-c", "import os, sys; from stpg.cli import main; "
+                    "assert not any(main([run, '--out', os.devnull]) for run in sys.argv[1:]); "
+                    "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+                    "moments", "convergence", "infsup", "solve"], check=True)
 
 
 def main(command):

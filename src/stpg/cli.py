@@ -565,7 +565,7 @@ def _node_text(nodes, a, valid) -> tuple:
     """(leads, tails): each node's text of an infsup line before the grid's
     c_S (omega, a_omega and the sigmas, each with its comma) and after the
     row's c_S_omega (a comma, the theory bounds and the newline). The bounds
-    are whole arrays in theoretical_constants' operation order at
+    are whole arrays in oracle.theoretical_constants' operation order at
     a_min = a_max = a; a flagged node's a takes part in the arithmetic and
     its values are then masked to nan, as are its sigmas."""
     leads, tails = [], []
@@ -599,7 +599,7 @@ def run_infsup(config: ExperimentConfig):
     previous one released first), one k_max per --steps value, with no
     grid (solver.uniform_k_max), and c_S per grid. The columns are whole
     arrays in the operation order of the scalar formulas
-    (constants.weighted_cfl and theoretical_constants at a_min = a_max = a),
+    (oracle.weighted_cfl and theoretical_constants at a_min = a_max = a),
     so every value has their bits. Each is formatted once too: the run
     returns an InfsupRows view that holds each node's text (_node_text)
     and each grid's c_S, and the writer forms c_S_omega, the one column

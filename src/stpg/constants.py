@@ -10,12 +10,10 @@ diagonal trial Gram, a tridiagonal test Gram and a bidiagonal bilinear
 form. Their factors are a square root and a bidiagonal recurrence, no
 dense factorization or solve, and the SVD runs once per block; the
 dense path for whole space-time systems is oracle.dense_infsup. The
-module also evaluates the CFL constant of the spatial pair, its
-diffusion-weighted variant, and the closed-form bounds the constants
-are checked against. It runs on numpy alone.
+module also evaluates the CFL constant c_S of the spatial pair, which
+infsup reports; its diffusion-weighted variant and the closed-form
+bounds are stpg.oracle's. It runs on numpy alone.
 """
-
-import math
 
 import numpy as np
 
@@ -75,69 +73,3 @@ def cfl_constant(pair: SpatialPair, k: float) -> float:
     if k <= 0:
         raise ValueError("time step must be positive")
     return float(k * pair.max_eigenvalue)
-
-
-def cfl_omega(pair: SpatialPair, k: float, omega: float, coeffs) -> float:
-    """Diffusion-weighted CFL constant for one parameter value.
-
-    c^2 = (k^2 / 12) * a(w)^2 * lambda_max(S, M S^-1 M); for the scalar
-    diffusion operator the weighted ratio collapses to a(w)^2 times the
-    unweighted one.
-    """
-    a = float(coeffs.a(omega))
-    if not (a > 0) or not math.isfinite(a):
-        raise ValueError(f"diffusion value must be positive and finite, got {a}")
-    return weighted_cfl(a, cfl_constant(pair, k))
-
-
-def weighted_cfl(a: float, c_s: float) -> float:
-    """Diffusion-weighted CFL constant a * c_S / sqrt(12) from the unweighted c_S.
-
-    The formula of cfl_omega, for callers that hold c_S for a whole grid
-    and need the weighted constant of many diffusion values.
-    """
-    return float(a * c_s / math.sqrt(12.0))
-
-
-def cfl_adjusted_infsup_bound(a: float, c_s: float) -> float:
-    """Lower bound on the unweighted inf-sup constant of the discrete pair.
-
-    The weighted constants equal one exactly, and translating the
-    weighted norms back into the unweighted ones costs the norm
-    equivalence factors, giving
-
-        sigma_min >= sqrt(a) / sqrt(max(1, a (1 + c_S^2 / 12), 1 / a))
-
-    for the scalar diffusion family. Unlike the continuous-space
-    bound, this one degrades with the CFL constant; the continuous
-    bound is only recovered in the time-resolved regime.
-    """
-    if a <= 0 or c_s < 0:
-        raise ValueError("need a > 0 and c_s >= 0")
-    return math.sqrt(a) / math.sqrt(max(1.0, a * (1.0 + c_s ** 2 / 12.0), 1.0 / a))
-
-
-def theoretical_constants(a_min: float, a_max: float) -> tuple:
-    """Closed-form (inf-sup, continuity) bounds (c_b, C_b) in the unweighted norms.
-
-    For coercivity a_min and boundedness a_max with ratio
-    rho = a_max / a_min:
-
-        continuity  <= sqrt(2) * max(1, a_max)
-        inf-sup     >= min(a_min, 1 / rho) / sqrt(2)
-    """
-    if not (0 < a_min <= a_max) or not math.isfinite(a_max):
-        raise ValueError("need 0 < a_min <= a_max < inf")
-    rho = a_max / a_min
-    return min(a_min, 1.0 / rho) / math.sqrt(2.0), math.sqrt(2.0) * max(1.0, a_max)
-
-
-def quasi_opt_ratio(err: float, best_err: float) -> float:
-    """Ratio of the solver error to the best-approximation error."""
-    if err < 0 or best_err < 0:
-        raise ValueError("errors must be nonnegative")
-    if best_err == 0:
-        if err > 0:
-            raise ValueError("positive error with zero best approximation error")
-        return 1.0
-    return float(err / best_err)

@@ -1,10 +1,9 @@
 """Spatial finite element spaces on the unit interval and unit square.
 
 Provides conforming subspaces of H^1_0 with homogeneous Dirichlet
-conditions, their mass and stiffness Gram matrices, the V norm
-(stiffness energy) and the discrete dual norm induced by restricting
-functionals to the subspace, and the per-interval Gauss rule shared by
-every quadrature in the package.
+conditions, their mass and stiffness Gram matrices, and the per-interval
+Gauss rule shared by every quadrature in the package; the V norm and the
+discrete dual norm of a coefficient vector are the tests' (stpg.oracle).
 
 The eigenpairs of (S, M) diagonalize M, S and M S^-1 M. The space in
 dim d is the d-fold tensor product of the 1-D one, so a SpatialPair
@@ -383,25 +382,6 @@ def _assemble_1d_spline(mesh: Mesh):
 def assemble(mesh: Mesh) -> SpatialPair:
     """The spatial pair of a mesh, which forms each value on its first read."""
     return SpatialPair(mesh)
-
-
-def v_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
-    """Energy (H^1_0 seminorm) of the function with the given coefficients."""
-    v = np.asarray(coeffs, dtype=float)
-    return float(np.sqrt(v @ pair.stiffness @ v))
-
-
-def dual_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
-    """Discrete dual norm sqrt(v' M S^-1 M v).
-
-    This is the norm of the functional w -> (v, w) in H, taken over the
-    discrete space equipped with the energy norm.
-    """
-    v = np.asarray(coeffs, dtype=float)
-    if v.shape != (pair.n_dof,):
-        raise ValueError(f"expected {pair.n_dof} coefficients, got {v.shape}")
-    mv = v @ pair.mass
-    return float(np.sqrt(mv @ np.linalg.solve(pair.stiffness, mv)))
 
 
 def _hat_mode_vector(n_cells: int) -> np.ndarray:

@@ -17,9 +17,13 @@ dense inf-sup constants of whole space-time systems (dense_infsup), which
 with constants.discrete_infsup is the tests' SVD oracle of the weighted
 constants that infsup reports as the identity's exact 1, and a two-grid
 estimate of the energy-norm stability of the L2 projection
-(projection_stability). It is
-the one module of the package that names scipy; validate_mode_profile
-and projection_stability load it when called, and no CLI path calls them.
+(projection_stability), and the tests' norms and constants that no CLI
+run needs: the V and dual norms of fem's pair, the load, forcing norm,
+Gram norms and best approximation of a space-time discretization, and
+the weighted CFL constant with the closed-form bounds that infsup's
+columns have the bits of. It is the one module of the package that names
+scipy; validate_mode_profile and projection_stability load it when
+called, and no CLI path calls them.
 """
 
 import functools
@@ -28,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import Mesh, assemble
+from .constants import cfl_constant
+from .fem import Mesh, SpatialPair, assemble, interval_gauss
 from .solver import (
     Discretization,
     TimeGrid,
@@ -52,10 +57,9 @@ def exact_mode_profile(a, lam: float, t, trig=None) -> np.ndarray:
     are computed here otherwise. Either way T has the same bits. a is a
     diffusion value or an array of them that broadcasts against t; each
     value's profile has the bits it has alone. Formed in place, with one
-    temporary of T's size at a time.
+    temporary of T's size at a time. a is not checked: the paths that reach
+    it are those solver.path_table solves, and ModeSolution checks its own.
     """
-    if np.any(np.asarray(a) <= 0):
-        raise ValueError("diffusion value must be positive")
     t = np.asarray(t, dtype=float)
     if trig is None:
         trig = np.sin(np.pi * t), np.pi * np.cos(np.pi * t)
@@ -134,14 +138,11 @@ class ModeSolution:
 def _profile_integrals(a, lam: float, grid: TimeGrid):
     """Per-interval integrals of T and T^2 by 5-point Gauss, at the points,
     weights and trig values the grid keeps (TimeGrid.profile_quadrature):
-    (N,) arrays for one diffusion value a, (P, N) for a (P, 1) column of
-    them, from the (5, N) or (5, P, N) profile. Each reduction over its
-    leading axis adds the 5 points in order, with the bits of a sum over
-    the last axis of the interval-major (N, 5) layout."""
-    quadrature = grid.profile_quadrature
-    if np.ndim(a):
-        quadrature = (q[:, None] for q in quadrature)
-    t, w, *trig = quadrature
+    (P, N) arrays for a (P, 1) column of diffusion values, from the
+    (5, P, N) profile. Each reduction over its leading axis adds the 5
+    points in order, with the bits of a sum over the last axis of the
+    interval-major (N, 5) layout."""
+    t, w, *trig = (q[:, None] for q in grid.profile_quadrature)
     prof = exact_mode_profile(a, lam, t, trig)
     int_t = np.add.reduce(w * prof, axis=0)
     prof *= prof
@@ -174,7 +175,7 @@ def exact_error(mode: ModeSolution, disc: Discretization,
 
     cross_v = pair.mode_eigenvalue * pair.mode_vector
     proj_energy = float(cross_v @ np.linalg.solve(pair.stiffness, cross_v))
-    int_t, int_t2 = _profile_integrals(mode.a, mode.lam, grid)
+    (int_t,), (int_t2,) = _profile_integrals(np.full((1, 1), mode.a), mode.lam, grid)
     phi_v2 = mode.mode_energy_sq
     # float64 scalars square by pow, with the bits of Python floats, but a
     # square past the float range is inf, not an OverflowError
@@ -300,3 +301,136 @@ def projection_stability(coarse: Mesh, fine: Mesh) -> float:
     quad = 0.5 * (quad + quad.T)
     lam_max = eigh(quad, fine_pair.stiffness, eigvals_only=True)[-1]
     return float(np.sqrt(lam_max))
+
+
+def v_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
+    """Energy (H^1_0 seminorm) of the function with the given coefficients."""
+    v = np.asarray(coeffs, dtype=float)
+    return float(np.sqrt(v @ pair.stiffness @ v))
+
+
+def dual_norm(coeffs: np.ndarray, pair: SpatialPair) -> float:
+    """Discrete dual norm sqrt(v' M S^-1 M v).
+
+    This is the norm of the functional w -> (v, w) in H, taken over the
+    discrete space equipped with the energy norm.
+    """
+    v = np.asarray(coeffs, dtype=float)
+    if v.shape != (pair.n_dof,):
+        raise ValueError(f"expected {pair.n_dof} coefficients, got {v.shape}")
+    mv = v @ pair.mass
+    return float(np.sqrt(mv @ np.linalg.solve(pair.stiffness, mv)))
+
+
+def assemble_load(coeffs, disc: Discretization, omega: float) -> np.ndarray:
+    """Load vector of the space-time system for one parameter value.
+
+    Block j collects c0(w) * integral(sin(pi t) * hat_j) * b.
+    """
+    c0 = float(coeffs.c0(omega))
+    return np.kron(disc.grid.weights, c0 * disc.pair.mode_vector)
+
+
+def forcing_dual_norm_sq(coeffs, disc: Discretization, omega: float) -> float:
+    """Squared discrete dual norm of the forcing over the time interval.
+
+    The spatial profile acts on the discrete space through the load
+    vector b, so the squared norm is c0(w)^2 * int sin(pi t)^2 * b' S^-1 b.
+    """
+    c0 = float(coeffs.c0(omega))
+    t, w = interval_gauss(disc.grid.nodes, 4)
+    time_part = float(np.sum(w * np.sin(np.pi * t) ** 2))
+    b = disc.pair.mode_vector
+    return float(c0 ** 2 * time_part * (b @ np.linalg.solve(disc.pair.stiffness, b)))
+
+
+def evaluate_norm(solution, gram: np.ndarray) -> float:
+    """Norm sqrt(c' G c) of a solution array or flat coefficient vector."""
+    c = np.asarray(solution, dtype=float).reshape(-1)
+    if c.shape[0] != gram.shape[0]:
+        raise ValueError(
+            f"coefficient length {c.shape[0]} does not match gram size {gram.shape[0]}")
+    return float(np.sqrt(max(c @ gram @ c, 0.0)))
+
+
+def best_approximation(mode, disc: Discretization) -> np.ndarray:
+    """Orthogonal projection of a separable exact solution onto the trial space.
+
+    In the trial energy norm the projection factorizes into the
+    energy-orthogonal spatial projection of the mode and interval means
+    of the temporal profile. mode provides c0, lam and time_profile.
+    """
+    pair = disc.pair
+    grid = disc.grid
+    # (phi_mode, v)_V = lam * (phi_mode, v)_H for the eigenmode
+    cross_v = mode.lam * pair.mode_vector
+    spatial = np.linalg.solve(pair.stiffness, cross_v)
+    t, w = interval_gauss(grid.nodes, 5)
+    means = np.sum(w * mode.time_profile(t), axis=1) / grid.widths
+    return mode.c0 * means[:, None] * spatial[None, :]
+
+
+def cfl_omega(pair: SpatialPair, k: float, omega: float, coeffs) -> float:
+    """Diffusion-weighted CFL constant for one parameter value.
+
+    c^2 = (k^2 / 12) * a(w)^2 * lambda_max(S, M S^-1 M); for the scalar
+    diffusion operator the weighted ratio collapses to a(w)^2 times the
+    unweighted one.
+    """
+    a = float(coeffs.a(omega))
+    if not (a > 0) or not math.isfinite(a):
+        raise ValueError(f"diffusion value must be positive and finite, got {a}")
+    return weighted_cfl(a, cfl_constant(pair, k))
+
+
+def weighted_cfl(a: float, c_s: float) -> float:
+    """Diffusion-weighted CFL constant a * c_S / sqrt(12) from the unweighted c_S.
+
+    The formula of cfl_omega, for callers that hold c_S for a whole grid
+    and need the weighted constant of many diffusion values.
+    """
+    return float(a * c_s / math.sqrt(12.0))
+
+
+def cfl_adjusted_infsup_bound(a: float, c_s: float) -> float:
+    """Lower bound on the unweighted inf-sup constant of the discrete pair.
+
+    The weighted constants equal one exactly, and translating the
+    weighted norms back into the unweighted ones costs the norm
+    equivalence factors, giving
+
+        sigma_min >= sqrt(a) / sqrt(max(1, a (1 + c_S^2 / 12), 1 / a))
+
+    for the scalar diffusion family. Unlike the continuous-space
+    bound, this one degrades with the CFL constant; the continuous
+    bound is only recovered in the time-resolved regime.
+    """
+    if a <= 0 or c_s < 0:
+        raise ValueError("need a > 0 and c_s >= 0")
+    return math.sqrt(a) / math.sqrt(max(1.0, a * (1.0 + c_s ** 2 / 12.0), 1.0 / a))
+
+
+def theoretical_constants(a_min: float, a_max: float) -> tuple:
+    """Closed-form (inf-sup, continuity) bounds (c_b, C_b) in the unweighted norms.
+
+    For coercivity a_min and boundedness a_max with ratio
+    rho = a_max / a_min:
+
+        continuity  <= sqrt(2) * max(1, a_max)
+        inf-sup     >= min(a_min, 1 / rho) / sqrt(2)
+    """
+    if not (0 < a_min <= a_max) or not math.isfinite(a_max):
+        raise ValueError("need 0 < a_min <= a_max < inf")
+    rho = a_max / a_min
+    return min(a_min, 1.0 / rho) / math.sqrt(2.0), math.sqrt(2.0) * max(1.0, a_max)
+
+
+def quasi_opt_ratio(err: float, best_err: float) -> float:
+    """Ratio of the solver error to the best-approximation error."""
+    if err < 0 or best_err < 0:
+        raise ValueError("errors must be nonnegative")
+    if best_err == 0:
+        if err > 0:
+            raise ValueError("positive error with zero best approximation error")
+        return 1.0
+    return float(err / best_err)

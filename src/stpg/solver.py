@@ -16,10 +16,11 @@ test oracle is the pathwise solve on any grid (solve_pathwise): a block
 forward substitution on the dense M and S, one path at a time, which
 needs no eigenbasis.
 
-The module also evaluates the space-time norms attached to the pair:
-the trial energy norm, its weighted variant, and the weighted test
-norms with and without the interval-mean projection of the test
-function. Trial and test spaces are tensor products of a temporal space
+The module also forms the Gram matrices of the space-time norms
+attached to the pair (build_grams): the trial energy norm, its weighted
+variant, and the weighted test norms with and without the interval-mean
+projection of the test function; stpg.oracle evaluates norms on them.
+Trial and test spaces are tensor products of a temporal space
 with the spatial one, so the dense space-time system and every Gram
 matrix is a sum of Kronecker products of N x N temporal factors (the
 jump and the interval mean of the test function, the widths) with M, S
@@ -251,15 +252,6 @@ def time_weights(grid: TimeGrid) -> np.ndarray:
     # the hat at t_N is not a test function
     left[1:] += right[:-1]
     return left
-
-
-def assemble_load(coeffs, disc: Discretization, omega: float) -> np.ndarray:
-    """Load vector of the space-time system for one parameter value.
-
-    Block j collects c0(w) * integral(sin(pi t) * hat_j) * b.
-    """
-    c0 = float(coeffs.c0(omega))
-    return np.kron(disc.grid.weights, c0 * disc.pair.mode_vector)
 
 
 def _uniform_terms(n_steps: int, a, lam: float) -> tuple:
@@ -555,42 +547,3 @@ def trial_energy_norm(solution: np.ndarray, disc: Discretization) -> float:
     total = float(np.sum(disc.grid.widths
                          * np.sum((values @ disc.pair.stiffness) * values, axis=1)))
     return float(np.sqrt(max(total, 0.0)))
-
-
-def forcing_dual_norm_sq(coeffs, disc: Discretization, omega: float) -> float:
-    """Squared discrete dual norm of the forcing over the time interval.
-
-    The spatial profile acts on the discrete space through the load
-    vector b, so the squared norm is c0(w)^2 * int sin(pi t)^2 * b' S^-1 b.
-    """
-    c0 = float(coeffs.c0(omega))
-    t, w = interval_gauss(disc.grid.nodes, 4)
-    time_part = float(np.sum(w * np.sin(np.pi * t) ** 2))
-    b = disc.pair.mode_vector
-    return float(c0 ** 2 * time_part * (b @ np.linalg.solve(disc.pair.stiffness, b)))
-
-
-def evaluate_norm(solution, gram: np.ndarray) -> float:
-    """Norm sqrt(c' G c) of a solution array or flat coefficient vector."""
-    c = np.asarray(solution, dtype=float).reshape(-1)
-    if c.shape[0] != gram.shape[0]:
-        raise ValueError(
-            f"coefficient length {c.shape[0]} does not match gram size {gram.shape[0]}")
-    return float(np.sqrt(max(c @ gram @ c, 0.0)))
-
-
-def best_approximation(mode, disc: Discretization) -> np.ndarray:
-    """Orthogonal projection of a separable exact solution onto the trial space.
-
-    In the trial energy norm the projection factorizes into the
-    energy-orthogonal spatial projection of the mode and interval means
-    of the temporal profile. mode provides c0, lam and time_profile.
-    """
-    pair = disc.pair
-    grid = disc.grid
-    # (phi_mode, v)_V = lam * (phi_mode, v)_H for the eigenmode
-    cross_v = mode.lam * pair.mode_vector
-    spatial = np.linalg.solve(pair.stiffness, cross_v)
-    t, w = interval_gauss(grid.nodes, 5)
-    means = np.sum(w * mode.time_profile(t), axis=1) / grid.widths
-    return mode.c0 * means[:, None] * spatial[None, :]

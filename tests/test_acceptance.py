@@ -58,15 +58,15 @@ def test_criterion_3_norm_chain():
     a_values = (0.3, 1.0, 3.0)
     grams = {a: (solver.build_grams(disc, a, "X_omega_hk"),
                  solver.build_grams(disc, a, "X_omega")) for a in a_values}
-    factors = {a: math.sqrt(1.0 + consts.cfl_omega(
+    factors = {a: math.sqrt(1.0 + oracle.cfl_omega(
         disc.pair, k, 0.0, ConstantCoeffs(a=a)) ** 2) for a in a_values}
     worst = math.inf
     for i in range(200):
         a = a_values[i % len(a_values)]
         gram_hk, gram_x = grams[a]
         x = rng.standard_normal(disc.test_size)
-        norm_hk = solver.evaluate_norm(x, gram_hk)
-        norm_x = solver.evaluate_norm(x, gram_x)
+        norm_hk = oracle.evaluate_norm(x, gram_hk)
+        norm_x = oracle.evaluate_norm(x, gram_x)
         worst = min(worst, norm_x - norm_hk, factors[a] * norm_hk - norm_x)
     _report(3, f"projected test norm chain on 200 random test functions "
                f"(worst slack {worst:.2e})", worst >= -1e-10, started)
@@ -82,8 +82,8 @@ def test_criterion_4_quasi_optimality():
             sol = solver.solve_pathwise(coeffs, disc, 0.0)
             mode = oracle.ModeSolution.for_dim(a, 1.0, 1)
             err, best = oracle.exact_error(mode, disc, sol)
-            ratio = consts.quasi_opt_ratio(err, best)
-            bound = math.sqrt(1.0 + consts.cfl_omega(
+            ratio = oracle.quasi_opt_ratio(err, best)
+            bound = math.sqrt(1.0 + oracle.cfl_omega(
                 disc.pair, disc.grid.k_max, 0.0, coeffs) ** 2)
             worst_gap = min(worst_gap, bound + 1e-6 - ratio)
     _report(4, f"quasi-optimality ratio within sqrt(1+c_S_omega^2) + 1e-6 "
@@ -102,7 +102,7 @@ def test_criterion_5_pathwise_energy_bound():
     # path's solve bit for bit; and the unit-amplitude forcing norm, which
     # depends on the discretization alone, scaled by c0^2
     unit = {}
-    unit_forcing = solver.forcing_dual_norm_sq(ConstantCoeffs(1.0, 1.0), disc, 0.0)
+    unit_forcing = oracle.forcing_dual_norm_sq(ConstantCoeffs(1.0, 1.0), disc, 0.0)
     for case in ("a", "b", "c", "d"):
         model = stochastic.CoefficientModel(case=case)
         domain = stochastic.default_domain(case)

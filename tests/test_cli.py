@@ -1022,8 +1022,8 @@ def _scalar_infsup_rows(config):
                 a = float(model.a(omega))
                 if math.isfinite(a) and a > 0:
                     rows.append((config.case, n_cells, n_steps, omega, a, 1.0, 1.0, c_s,
-                                 consts.weighted_cfl(a, c_s),
-                                 *consts.theoretical_constants(a, a)))
+                                 oracle.weighted_cfl(a, c_s),
+                                 *oracle.theoretical_constants(a, a)))
                 else:
                     rows.append((config.case, n_cells, n_steps, omega, a, math.nan,
                                  math.nan, c_s, math.nan, math.nan, math.nan))

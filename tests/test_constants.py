@@ -130,16 +130,16 @@ def test_cfl_omega_consistency_and_homogeneity():
     pair = fem.assemble(fem.build_mesh(1, 8, 1))
     k = 0.05
     c_s = consts.cfl_constant(pair, k)
-    one = consts.cfl_omega(pair, k, 0.0, ConstantCoeffs(a=1.0))
+    one = oracle.cfl_omega(pair, k, 0.0, ConstantCoeffs(a=1.0))
     assert one ** 2 == pytest.approx(c_s ** 2 / 12.0, rel=1e-12)
-    two = consts.cfl_omega(pair, k, 0.0, ConstantCoeffs(a=2.0))
+    two = oracle.cfl_omega(pair, k, 0.0, ConstantCoeffs(a=2.0))
     assert two == pytest.approx(2.0 * one, rel=1e-12)
     # the generic bound (a_max^2 / 12) c_S^2 is attained for scalar diffusion
     for a in (0.3, 1.0, 4.2):
-        c_sw = consts.cfl_omega(pair, k, 0.0, ConstantCoeffs(a=a))
+        c_sw = oracle.cfl_omega(pair, k, 0.0, ConstantCoeffs(a=a))
         assert c_sw ** 2 == pytest.approx(a ** 2 / 12.0 * c_s ** 2, rel=1e-12)
     with pytest.raises(ValueError):
-        consts.cfl_omega(pair, k, 0.0, ConstantCoeffs(a=0.0))
+        oracle.cfl_omega(pair, k, 0.0, ConstantCoeffs(a=0.0))
 
 
 def test_projection_stability_identity_and_lower_bound():
@@ -185,19 +185,19 @@ def test_projection_stability_guards():
 
 
 def test_theoretical_constants_plug_in():
-    c_b, C_b = consts.theoretical_constants(1.0, 1.0)
+    c_b, C_b = oracle.theoretical_constants(1.0, 1.0)
     assert C_b == pytest.approx(math.sqrt(2.0))
     assert c_b == pytest.approx(1.0 / math.sqrt(2.0))
-    c_b, _ = consts.theoretical_constants(0.5, 2.0)
+    c_b, _ = oracle.theoretical_constants(0.5, 2.0)
     assert c_b == pytest.approx(1.0 / (4.0 * math.sqrt(2.0)))
     with pytest.raises(ValueError):
-        consts.theoretical_constants(2.0, 1.0)
+        oracle.theoretical_constants(2.0, 1.0)
     with pytest.raises(ValueError):
-        consts.theoretical_constants(0.0, 1.0)
+        oracle.theoretical_constants(0.0, 1.0)
 
 
 def test_theoretical_infsup_bound_monotone_in_rho():
-    bounds = [consts.theoretical_constants(1.0 / r, 1.0)[0]
+    bounds = [oracle.theoretical_constants(1.0 / r, 1.0)[0]
               for r in (1.0, 2.0, 4.0, 8.0)]
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
@@ -214,9 +214,9 @@ def test_unweighted_constants_against_closed_forms(a, n_cells, n_steps):
     bil = solver.assemble_full_system(disc, a)
     smin, smax = oracle.dense_infsup(
         bil, solver.build_grams(disc, a, "Y"), solver.build_grams(disc, a, "X"))
-    assert smax <= consts.theoretical_constants(a, a)[1] + 1e-8
+    assert smax <= oracle.theoretical_constants(a, a)[1] + 1e-8
     c_s = consts.cfl_constant(disc.pair, disc.grid.k_max)
-    assert smin >= consts.cfl_adjusted_infsup_bound(a, c_s) - 1e-8
+    assert smin >= oracle.cfl_adjusted_infsup_bound(a, c_s) - 1e-8
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0])
@@ -225,16 +225,16 @@ def test_unweighted_infsup_recovers_continuous_bound_when_time_resolved(a):
     bil = solver.assemble_full_system(disc, a)
     smin, _ = oracle.dense_infsup(
         bil, solver.build_grams(disc, a, "Y"), solver.build_grams(disc, a, "X"))
-    assert smin >= consts.theoretical_constants(a, a)[0] - 1e-8
+    assert smin >= oracle.theoretical_constants(a, a)[0] - 1e-8
 
 
 def test_quasi_opt_ratio_guards_and_invariance():
-    assert consts.quasi_opt_ratio(1.0, 1.0) == 1.0
-    assert consts.quasi_opt_ratio(0.0, 0.0) == 1.0
+    assert oracle.quasi_opt_ratio(1.0, 1.0) == 1.0
+    assert oracle.quasi_opt_ratio(0.0, 0.0) == 1.0
     with pytest.raises(ValueError):
-        consts.quasi_opt_ratio(1.0, 0.0)
+        oracle.quasi_opt_ratio(1.0, 0.0)
     with pytest.raises(ValueError):
-        consts.quasi_opt_ratio(-1.0, 1.0)
+        oracle.quasi_opt_ratio(-1.0, 1.0)
 
 
 def test_quasi_opt_ratio_invariant_under_forcing_scale():
@@ -244,7 +244,7 @@ def test_quasi_opt_ratio_invariant_under_forcing_scale():
     for c0 in (1.0, 2.0):
         sol = solver.solve_pathwise(ConstantCoeffs(a=1.0, c0=c0), disc, 0.0)
         err, best = exact_error(ModeSolution.for_dim(1.0, c0, 1), disc, sol)
-        ratios.append(consts.quasi_opt_ratio(err, best))
+        ratios.append(oracle.quasi_opt_ratio(err, best))
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-10)
 
 

@@ -26,7 +26,7 @@ def test_profile_gate_against_ode_and_integrator(a):
 
 def test_profile_rejects_nonpositive_diffusion():
     with pytest.raises(ValueError):
-        oracle.exact_mode_profile(0.0, np.pi ** 2, 0.5)
+        oracle.ModeSolution.for_dim(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         oracle.ModeSolution.for_dim(-1.0, 1.0, 1)
 
@@ -52,7 +52,7 @@ def test_mode_eigenvalues_by_dim():
 def test_exact_error_of_best_approximation_matches():
     disc = make_disc(n_cells=8, n_steps=16)
     mode = oracle.ModeSolution.for_dim(0.7, 1.1, 1)
-    best = solver.best_approximation(mode, disc)
+    best = oracle.best_approximation(mode, disc)
     err, best_err = oracle.exact_error(mode, disc, best)
     assert err == pytest.approx(best_err, rel=1e-12)
 

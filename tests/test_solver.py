@@ -8,7 +8,7 @@ import pytest
 
 import exact
 from conftest import FLOAT_RANGE_A, FLOAT_RANGE_C0, ConstantCoeffs, make_disc
-from stpg import fem, solver
+from stpg import fem, oracle, solver
 from stpg.stochastic import CoefficientModel, default_domain, quadrature
 
 
@@ -165,7 +165,7 @@ def test_time_grid_caches_are_read_only_and_computed_once():
 
 def test_assemble_load_zero_forcing_zero_initial():
     disc = make_disc(n_cells=4, n_steps=4)
-    load = solver.assemble_load(ConstantCoeffs(c0=0.0), disc, 0.0)
+    load = oracle.assemble_load(ConstantCoeffs(c0=0.0), disc, 0.0)
     assert np.all(load == 0.0)
 
 
@@ -201,13 +201,13 @@ def test_time_stepping_agrees_with_full_system(a, n_cells, n_steps):
     coeffs = ConstantCoeffs(a=a)
     sol = solver.solve_pathwise(coeffs, disc, 0.0)
     full = solver.assemble_full_system(disc, a)
-    load = solver.assemble_load(coeffs, disc, 0.0)
+    load = oracle.assemble_load(coeffs, disc, 0.0)
     direct = np.linalg.solve(full, load)
     residual = np.linalg.norm(full @ sol.reshape(-1) - load) / np.linalg.norm(load)
     assert residual < 1e-10
     gram = solver.build_grams(disc, a, "Y")
-    diff = solver.evaluate_norm(sol.reshape(-1) - direct, gram)
-    scale = solver.evaluate_norm(direct, gram)
+    diff = oracle.evaluate_norm(sol.reshape(-1) - direct, gram)
+    scale = oracle.evaluate_norm(direct, gram)
     assert diff <= 1e-10 * scale
 
 
@@ -267,7 +267,7 @@ def test_galerkin_orthogonality_on_nested_time_grids():
     sol_c = solver.solve_pathwise(ConstantCoeffs(), disc_c, 0.0)
     n = disc_c.n_dof
     embedded = np.repeat(sol_c, 2, axis=0).reshape(-1)
-    residual = solver.assemble_load(ConstantCoeffs(), disc_f, 0.0) \
+    residual = oracle.assemble_load(ConstantCoeffs(), disc_f, 0.0) \
         - solver.assemble_full_system(disc_f, 1.0) @ embedded
     # coarse temporal hats expressed in the fine nodal basis
     embed = np.zeros((16 * n, 8 * n))
@@ -313,12 +313,12 @@ def test_gram_unknown_kind_rejected():
 def test_evaluate_norm_basics(rng):
     disc = make_disc(n_cells=4, n_steps=4)
     gram = solver.build_grams(disc, 1.0, "Y")
-    assert solver.evaluate_norm(np.zeros(disc.trial_size), gram) == 0.0
+    assert oracle.evaluate_norm(np.zeros(disc.trial_size), gram) == 0.0
     v = rng.standard_normal(disc.trial_size)
-    base = solver.evaluate_norm(v, gram)
-    assert solver.evaluate_norm(-2.0 * v, gram) == pytest.approx(2 * base, rel=1e-13)
+    base = oracle.evaluate_norm(v, gram)
+    assert oracle.evaluate_norm(-2.0 * v, gram) == pytest.approx(2 * base, rel=1e-13)
     with pytest.raises(ValueError):
-        solver.evaluate_norm(v[:-1], gram)
+        oracle.evaluate_norm(v[:-1], gram)
 
 
 @pytest.mark.parametrize("grid", ["uniform", "graded"])
@@ -329,7 +329,7 @@ def test_evaluate_norm_matches_time_quadrature(rng, grid):
     values = rng.standard_normal((n_steps, disc.n_dof))
     sol = values
     gram = solver.build_grams(disc, 1.0, "Y")
-    via_gram = solver.evaluate_norm(sol, gram)
+    via_gram = oracle.evaluate_norm(sol, gram)
     gx, gw = np.polynomial.legendre.leggauss(3)
     total = 0.0
     for i in range(n_steps):
@@ -362,7 +362,7 @@ def test_test_gram_matches_independent_quadrature(rng, grid):
             s = 0.5 * (g + 1.0)
             xt = (1 - s) * nodal[i] + s * nodal[i + 1]
             total += 0.5 * k * w * a * float(xt @ pair.stiffness @ xt)
-    assert solver.evaluate_norm(x, gram) == pytest.approx(np.sqrt(total), rel=1e-10)
+    assert oracle.evaluate_norm(x, gram) == pytest.approx(np.sqrt(total), rel=1e-10)
 
 
 @pytest.mark.parametrize("grid", ["uniform", "graded"])
@@ -381,7 +381,7 @@ def test_projected_test_gram_uses_interval_means(rng, grid):
         xd = (nodal[i + 1] - nodal[i]) / k
         mean = 0.5 * (nodal[i] + nodal[i + 1])
         total += k / a * float(xd @ dual @ xd) + k * a * float(mean @ pair.stiffness @ mean)
-    assert solver.evaluate_norm(x, gram) == pytest.approx(np.sqrt(total), rel=1e-10)
+    assert oracle.evaluate_norm(x, gram) == pytest.approx(np.sqrt(total), rel=1e-10)
 
 
 def test_uniform_k_max_is_the_grid_k_max_bit_for_bit():
@@ -401,15 +401,14 @@ def test_uniform_k_max_refuses_a_grid_of_no_interval():
 def test_energy_bound_samples():
     # weighted energy bound a |U|_Y^2 <= (1 + c_S_omega^2) a^-1 |f|^2 with
     # the computable forcing norm; u0 = 0 in every stock case
-    from stpg import constants as consts
     disc = make_disc(n_cells=8, n_steps=16)
     k = disc.grid.k_max
     # the forcing norm at unit amplitude depends on the discretization alone
-    unit_forcing = solver.forcing_dual_norm_sq(ConstantCoeffs(1.0, 1.0), disc, 0.0)
+    unit_forcing = oracle.forcing_dual_norm_sq(ConstantCoeffs(1.0, 1.0), disc, 0.0)
     for case, omega in (("a", 0.31), ("b", -0.17), ("c", 0.23), ("d", 0.11)):
         model = CoefficientModel(case=case)
         a = model.a(omega)
-        c_sw = consts.cfl_omega(disc.pair, k, omega, model)
+        c_sw = oracle.cfl_omega(disc.pair, k, omega, model)
         sol = solver.solve_pathwise(model, disc, omega)
         lhs = a * solver.trial_energy_norm(sol, disc) ** 2
         rhs = (1.0 + c_sw ** 2) / a * (float(model.c0(omega)) ** 2 * unit_forcing)
@@ -420,7 +419,7 @@ def test_best_approximation_is_optimal_projection(rng):
     from stpg.oracle import ModeSolution
     disc = make_disc(n_cells=8, n_steps=8)
     mode = ModeSolution.for_dim(1.3, 0.7, 1)
-    best = solver.best_approximation(mode, disc)
+    best = oracle.best_approximation(mode, disc)
     sol = solver.solve_pathwise(ConstantCoeffs(a=1.3, c0=0.7), disc, 0.0)
     from stpg.oracle import exact_error
     err_solver, err_best = exact_error(mode, disc, sol)
@@ -432,7 +431,7 @@ def test_best_approximation_is_optimal_projection(rng):
         pert = rng.standard_normal(best.shape)
         pert_sol = best + 0.05 * pert
         err_pert = exact_error(mode, disc, pert_sol)[0]
-        dist = solver.evaluate_norm(pert_sol - best, gram)
+        dist = oracle.evaluate_norm(pert_sol - best, gram)
         expected = np.sqrt(err_best ** 2 + dist ** 2)
         assert err_pert == pytest.approx(expected, rel=1e-9)
 
@@ -449,10 +448,10 @@ def test_sweep_matches_dense_space_time_solve(dim, n_cells, degree, grid, with_u
     coeffs = ConstantCoeffs(a=a, c0=1.3)
     sol = solver.solve_pathwise(coeffs, disc, 0.0)
     direct = np.linalg.solve(solver.assemble_full_system(disc, a),
-                             solver.assemble_load(coeffs, disc, 0.0))
+                             oracle.assemble_load(coeffs, disc, 0.0))
     gram = solver.build_grams(disc, a, "Y")
-    diff = solver.evaluate_norm(sol.reshape(-1) - direct, gram)
-    assert diff <= 1e-12 * solver.evaluate_norm(direct, gram)
+    diff = oracle.evaluate_norm(sol.reshape(-1) - direct, gram)
+    assert diff <= 1e-12 * oracle.evaluate_norm(direct, gram)
 
 
 def test_non_finite_forcing_profile_is_flagged(monkeypatch):
